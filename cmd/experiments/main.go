@@ -14,7 +14,6 @@
 //	experiments -figure all -contact-cache      # one mobility sim per seed
 //	experiments -cache-dir traces/ -seeds 5     # persist traces across runs
 //	experiments -figure all -prewarm -seeds 5   # record all traces up front
-//	experiments -cache-dir traces/ -cache-mmap  # zero-copy mapped replay
 //	experiments -cache-dir traces/ -cache-max-mb 256  # LRU-bounded store
 //	experiments -spec grid.json -progress       # per-cell progress on stderr
 //	experiments -figure fig5 -out-jsonl r/      # stream cells as JSON lines
@@ -58,12 +57,11 @@
 // results are bit-identical to uncached runs, several times faster on
 // multi-cell sweeps. -cache-dir additionally persists the traces on disk
 // in the integrity-checked binary format (and implies -contact-cache),
-// laid out as a 2-level sharded directory fronted by an index file;
-// legacy flat-dir and text traces are migrated transparently (or all at
-// once via -migrate-cache). -cache-mmap replays persisted traces through
-// read-only memory-mapped views — concurrent processes share one
-// page-cached copy of each trace, and cells replay with no per-cell
-// trace allocation. -cache-max-mb bounds the store, evicting
+// laid out as a 2-level sharded directory fronted by an index file, and
+// replays them on later runs through read-only memory-mapped views —
+// concurrent processes share one page-cached copy of each trace, and
+// cells replay with no per-cell trace allocation. -cache-max-mb bounds the
+// store, evicting
 // least-recently-used traces. -prewarm records the traces of every
 // selected experiment in parallel before the first sweep starts, instead
 // of on first touch inside it. A failing cell exits non-zero naming its
@@ -126,9 +124,7 @@ func run() int {
 		ccDir    = flag.String("cache-dir", "", "persist recorded contact traces in this directory (implies -contact-cache)")
 		warm     = flag.Bool("prewarm", false, "pre-record all contact traces across the selected experiments before the first sweep (implies -contact-cache)")
 		lazy     = flag.Bool("lazy-record", false, "record contact traces on first touch inside the sweep instead of the parallel pre-recording pass")
-		ccMmap   = flag.Bool("cache-mmap", false, "replay persisted traces through zero-copy memory-mapped views instead of decoding them (implies -contact-cache; needs -cache-dir)")
 		ccMax    = flag.Float64("cache-max-mb", 0, "bound the persisted cache directory to this many MB, evicting least-recently-used traces (0 = unbounded)")
-		ccMig    = flag.Bool("migrate-cache", false, "upgrade a legacy flat cache directory to the sharded layout up front (per-trace migration otherwise happens lazily on first touch)")
 		resume   = flag.Bool("resume", false, "resume interrupted sweeps from their -out-jsonl streams: completed cells are kept, only missing ones run, and the finished file is byte-identical to an uninterrupted run's")
 	)
 	flag.Var(&specs, "spec", "load a sweep spec file (repeatable); with -figure all, only the loaded specs run")
@@ -236,15 +232,7 @@ func run() int {
 		Seeds: seedList, Scale: *scale, Workers: *work, LazyRecord: *lazy,
 		ScanWorkers: *scanWork, TotalParallelism: *totalPar,
 	}
-	if *useCC || *ccDir != "" || *warm || *ccMmap || *ccMig {
-		if *ccMmap && *ccDir == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -cache-mmap needs -cache-dir (views map persisted traces)")
-			return 2
-		}
-		if *ccMig && *ccDir == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -migrate-cache needs -cache-dir (nothing to migrate without a store)")
-			return 2
-		}
+	if *useCC || *ccDir != "" || *warm {
 		// One cache across all experiments: sweeps over the same scenario
 		// replay the traces the first one recorded. The deferred Close is
 		// the single cleanup path every exit below flows through — it
@@ -252,19 +240,10 @@ func run() int {
 		// when a sweep fails or is interrupted.
 		opt.ContactCache = &vdtn.ContactCache{
 			Dir:      *ccDir,
-			Mmap:     *ccMmap,
 			MaxBytes: int64(*ccMax * 1e6),
 			Warn:     func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) },
 		}
 		defer opt.ContactCache.Close()
-	}
-
-	if *ccMig {
-		moved, err := opt.ContactCache.MigrateDir()
-		if err != nil {
-			return fail("cache migration: %v", err)
-		}
-		fmt.Printf("migrated %d legacy traces into the sharded cache layout\n", moved)
 	}
 
 	if *warm {

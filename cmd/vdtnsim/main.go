@@ -10,22 +10,15 @@
 //	vdtnsim -protocol spraywait -policy lifetime -ttl 120
 //	vdtnsim -protocol maxprop -ttl 180 -seed 7
 //	vdtnsim -vehicles 80 -relays 10 -rate 2 -duration 6
-//	vdtnsim -record-contacts run.contacts         # capture the contact trace
-//	vdtnsim -replay-contacts run.contacts -ttl 90 # re-run it, bit-identically
-//	vdtnsim -contacts-info run.contacts           # inspect a recorded trace
-//	vdtnsim -record-contacts run.contactsb        # binary trace (CRC-checked)
-//	vdtnsim -replay-contacts run.contactsb -mmap  # zero-copy mapped replay
+//	vdtnsim -record-contacts run.contactsb         # capture the contact trace
+//	vdtnsim -replay-contacts run.contactsb -ttl 90 # re-run it, bit-identically
+//	vdtnsim -contacts-info run.contactsb           # inspect a recorded trace
 //
-// Contact traces exist in two formats: the inspectable text form and the
-// integrity-checked binary codec (magic + CRC32, several times faster to
-// load). Reads sniff the format automatically; -record-contacts writes
-// binary when the path ends in .contactsb (override with
-// -contacts-format). A binary trace damaged anywhere — truncation, bit
-// rot, torn copy — is rejected, never replayed as a shorter run. Text
-// traces are checked via their "end <count>" trailer, which catches
-// mid-line truncation and count mismatches; a file cut exactly at a line
-// boundary is indistinguishable from a pre-v2 legacy trace and loads with
-// a warning, so prefer the binary format when integrity matters.
+// Contact traces are written in the integrity-checked binary codec (magic
+// + CRC32; see internal/wireless/FORMAT.md) and read back through a
+// read-only memory-mapped view, validated once at open. A trace damaged
+// anywhere — truncation, bit rot, torn copy — is rejected, never replayed
+// as a shorter run.
 package main
 
 import (
@@ -45,38 +38,7 @@ import (
 	"vdtn/internal/stats"
 	"vdtn/internal/trace"
 	"vdtn/internal/units"
-	"vdtn/internal/wireless"
 )
-
-// readRecordingFile loads a contact trace in either format, sniffing by
-// magic. Legacy text files without the end trailer still load, with a
-// warning that their truncation cannot be detected.
-func readRecordingFile(path string) (*vdtn.ContactRecording, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return wireless.DecodeRecordingLegacy(data, func(msg string) {
-		fmt.Fprintf(os.Stderr, "vdtnsim: %s: %s\n", path, msg)
-	})
-}
-
-// encodeRecording renders rec for path under the -contacts-format policy:
-// "binary", "text", or "auto" (binary iff path ends in .contactsb).
-func encodeRecording(rec *vdtn.ContactRecording, path, format string) ([]byte, error) {
-	switch format {
-	case "binary":
-	case "text":
-		return []byte(rec.Format()), nil
-	case "auto":
-		if !strings.HasSuffix(path, ".contactsb") {
-			return []byte(rec.Format()), nil
-		}
-	default:
-		return nil, fmt.Errorf("unknown -contacts-format %q (want auto|text|binary)", format)
-	}
-	return vdtn.EncodeContactRecordingBinary(rec), nil
-}
 
 var protocols = map[string]vdtn.ProtocolKind{
 	"epidemic":         vdtn.ProtoEpidemic,
@@ -131,9 +93,7 @@ func main() {
 		scanWork  = flag.Int("scan-workers", 0, "worker goroutines for the contact scan (0 or 1 = serial; traces are byte-identical at any setting)")
 		contacts  = flag.String("contacts", "", "contact-plan file (\"start end a b\" lines); replaces mobility")
 		recordTo  = flag.String("record-contacts", "", "run live and write the contact trace to this file for later -replay-contacts")
-		recFmt    = flag.String("contacts-format", "auto", "trace format for -record-contacts: auto (binary iff the path ends in .contactsb), text, or binary")
 		replayOf  = flag.String("replay-contacts", "", "replay a recorded contact trace instead of simulating mobility (scenario flags must match the recording run)")
-		mmapTrace = flag.Bool("mmap", false, "with -replay-contacts and a binary trace: replay a zero-copy memory-mapped view instead of decoding the trace into memory")
 		inspect   = flag.String("contacts-info", "", "print a summary of a recorded contact trace and exit")
 		confFile  = flag.String("config", "", "load the scenario from a JSON file (other flags still override)")
 		dumpConf  = flag.Bool("dump-config", false, "print the effective scenario as JSON and exit")
@@ -224,11 +184,13 @@ func main() {
 	}
 
 	if *inspect != "" {
-		rec, err := readRecordingFile(*inspect)
+		view, err := vdtn.OpenContactRecordingView(*inspect)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 			os.Exit(1)
 		}
+		rec := view.Materialize()
+		view.Close()
 		plan, err := vdtn.RecordingPlan(rec)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
@@ -250,10 +212,10 @@ func main() {
 		recording = &vdtn.ContactRecording{}
 		cfg.ContactSource = vdtn.ContactRecord
 		cfg.Recording = recording
-	case *replayOf != "" && *mmapTrace:
+	case *replayOf != "":
 		view, err := vdtn.OpenContactRecordingView(*replayOf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "vdtnsim: %v (only binary .contactsb traces can be mapped; drop -mmap for text)\n", err)
+			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 			os.Exit(1)
 		}
 		defer view.Close()
@@ -264,21 +226,6 @@ func main() {
 		// the replay, never extend it).
 		if !set["duration"] && *confFile == "" {
 			cfg.Duration = view.Meta().Duration
-		}
-	case *replayOf != "":
-		var err error
-		recording, err = readRecordingFile(*replayOf)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.ContactSource = vdtn.ContactReplay
-		cfg.Recording = recording
-		// Follow the recording's horizon unless the user chose one — via
-		// the -duration flag or a -config file (a chosen duration may
-		// shorten the replay, never extend it).
-		if !set["duration"] && *confFile == "" {
-			cfg.Duration = recording.Duration
 		}
 	}
 
@@ -386,11 +333,7 @@ func main() {
 		fmt.Printf("\ntrace written to %s\n", traceOut.Name())
 	}
 	if *recordTo != "" {
-		data, err := encodeRecording(recording, *recordTo, strings.ToLower(*recFmt))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
-			os.Exit(1)
-		}
+		data := vdtn.EncodeContactRecordingBinary(recording)
 		if err := os.WriteFile(*recordTo, data, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 			os.Exit(1)

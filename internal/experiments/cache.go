@@ -20,8 +20,8 @@ type CacheEventKind int
 const (
 	// CacheHit: the trace was already memoized in this cache's memory.
 	CacheHit CacheEventKind = iota
-	// CacheHitDisk: the trace was loaded (or mmap-opened) from the
-	// persisted store; Elapsed is the load time.
+	// CacheHitDisk: the trace was opened from the persisted store;
+	// Elapsed is the open (map + validate) time.
 	CacheHitDisk
 	// CacheRecorded: a miss — the recording pass actually ran; Elapsed is
 	// its cost.
@@ -62,43 +62,29 @@ type CacheEvent struct {
 // keys record in parallel (Prewarm exploits this to front-load all of a
 // sweep's recording passes). With Dir set, recordings are additionally
 // persisted on disk in a sharded layout (see traceStore: 2-level fan-out
-// directories fronted by an index file, with transparent migration of
-// legacy flat-dir and text traces) and reloaded on later runs. A damaged
-// binary file (truncation at any byte, bit rot, torn copy) is detected,
-// reported through Warn, and re-recorded — never silently replayed.
-// Legacy text files carry a weaker guarantee: their "end" trailer catches
-// mid-line cuts and count mismatches, but a file cut exactly at a line
-// boundary is indistinguishable from a pre-v2 trace and loads with a
-// warning, which is why the cache writes binary.
-//
-// With Mmap also set, Source serves persisted traces as read-only
-// memory-mapped wireless.RecordingView values instead of decoding them:
-// the transition stream stays in the kernel page cache — one physical
-// copy shared by every concurrent sweep process — and each replaying cell
-// pays only a cursor, no per-cell trace allocation.
+// directories fronted by an index file) and served on later runs as
+// read-only memory-mapped wireless.RecordingView values: the transition
+// stream stays in the kernel page cache — one physical copy shared by
+// every concurrent sweep process — and each replaying cell pays only a
+// cursor. A damaged file (truncation at any byte, bit rot, torn copy) is
+// detected, reported through Warn, and re-recorded — never silently
+// replayed.
 type ContactCache struct {
 	// Dir, when non-empty, is the on-disk persistence directory. It is
 	// created on first write.
 	Dir string
 
-	// Mmap, with Dir set, makes Source return zero-copy mmap-backed views
-	// of the persisted traces instead of decoded recordings. Recording
-	// still returns the materialized form for callers that need it.
-	Mmap bool
-
 	// MaxBytes, when positive, bounds the persisted store's total size:
-	// after each recording is persisted, least-recently-used traces are
-	// evicted until the shards fit the budget (see GC). Zero means
+	// after each trace is persisted or opened, least-recently-used traces
+	// are evicted until the shards fit the budget (see GC). Zero means
 	// unbounded.
 	MaxBytes int64
 
 	// Warn, when non-nil, receives one message per non-fatal cache anomaly:
-	// an unreadable, corrupt, or scenario-mismatched persisted trace, or a
-	// legacy text file whose truncation cannot be detected. Each distinct
-	// (cause, fingerprint) pair is reported once per cache instance — the
-	// same trace probed at several candidate paths (sharded, legacy flat)
-	// warns once, but distinct damaged traces each get their own report.
-	// Nil discards them.
+	// an unreadable, corrupt, or scenario-mismatched persisted trace, or an
+	// index repair. Each distinct (cause, fingerprint) pair is reported
+	// once per cache instance, so distinct damaged traces each get their
+	// own report. Nil discards them.
 	Warn func(msg string)
 
 	mu      sync.Mutex
@@ -108,16 +94,12 @@ type ContactCache struct {
 	warned  map[string]bool
 }
 
+// cacheEntry is one fingerprint's memoization slot: an opened view for a
+// disk hit, the in-memory recording for a miss.
 type cacheEntry struct {
 	once sync.Once
-	rec  *wireless.Recording
+	src  wireless.ReplaySource
 	err  error
-
-	// The mmap view is materialized separately from the slurped recording:
-	// Source-only consumers never pay for the decoded slice, and
-	// Recording-only consumers never map the file.
-	viewOnce sync.Once
-	view     *wireless.RecordingView
 }
 
 // entry returns (creating if needed) the memoization slot for key.
@@ -154,27 +136,23 @@ func (cc *ContactCache) store() *traceStore {
 	return cc.disk
 }
 
-// Recording returns the contact trace for cfg's mobility process,
-// recording it on first use. The returned recording is shared and must be
-// treated as immutable.
-func (cc *ContactCache) Recording(cfg sim.Config) (*wireless.Recording, error) {
-	return cc.recordingWith(context.Background(), cfg, nil)
+// Source returns a replay source for cfg's contact process, recording it
+// on first use: with Dir set, a shared read-only mmap view of the
+// persisted trace when one is usable, otherwise the in-memory recording
+// (persisted on the way when Dir is set). The returned source is shared
+// and must be treated as immutable.
+func (cc *ContactCache) Source(cfg sim.Config) (wireless.ReplaySource, error) {
+	return cc.sourceWith(context.Background(), cfg, nil)
 }
 
-// RecordingContext is Recording under a context: a cancelled ctx
-// interrupts an in-flight recording pass promptly (between two events of
-// its mobility simulation) and returns ctx.Err(). A cancelled pass is not
-// memoized — a later call with a live context records the key again.
-func (cc *ContactCache) RecordingContext(ctx context.Context, cfg sim.Config) (*wireless.Recording, error) {
-	return cc.recordingWith(ctx, cfg, nil)
-}
-
-// recordingWith is Recording with a cache-event hook: note (when non-nil)
-// learns whether this lookup hit memory, loaded from disk, or ran the
-// recording pass. Only the single-flight winner observes the disk-load or
-// recording event; callers that waited behind it (or arrived later)
-// observe a memory hit.
-func (cc *ContactCache) recordingWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (*wireless.Recording, error) {
+// sourceWith is Source with a context — a cancelled ctx interrupts an
+// in-flight recording pass promptly (between two events of its mobility
+// simulation) and returns ctx.Err(), and a cancelled pass is not memoized
+// — and a cache-event hook: note (when non-nil) learns whether this lookup
+// hit memory, opened the persisted trace, or ran the recording pass. Only
+// the single-flight winner observes the disk or recording event; callers
+// that waited behind it (or arrived later) observe a memory hit.
+func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
 	if cfg.Plan != nil {
 		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan scenario")
 	}
@@ -191,7 +169,7 @@ func (cc *ContactCache) recordingWith(ctx context.Context, cfg sim.Config, note 
 				e.err = fmt.Errorf("experiments: recording %s panicked: %v", key, r)
 			}
 		}()
-		e.rec, e.err = cc.load(ctx, key, cfg, note)
+		e.src, e.err = cc.load(ctx, key, cfg, note)
 	})
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// Cancellation is a property of this call's context, not of the
@@ -207,80 +185,60 @@ func (cc *ContactCache) recordingWith(ctx context.Context, cfg sim.Config, note 
 	if !ran && note != nil && e.err == nil {
 		note(CacheEvent{Kind: CacheHit, Fingerprint: key})
 	}
-	return e.rec, e.err
+	return e.src, e.err
 }
 
-// Source returns a replay source for cfg's contact process: with Dir and
-// Mmap set, a shared read-only mmap view of the persisted trace (recording
-// and persisting it first if absent); otherwise the in-memory recording.
-// Every anomaly on the view path — damaged file, scenario mismatch —
-// falls back to the slurp path after reporting through Warn, so Source
-// never fails where Recording would succeed.
-func (cc *ContactCache) Source(cfg sim.Config) (wireless.ReplaySource, error) {
-	return cc.sourceWith(context.Background(), cfg, nil)
-}
-
-// sourceWith is Source with a context (cancellation interrupts a
-// recording pass, as in RecordingContext) and the cache-event hook of
-// recordingWith.
-func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
-	if cfg.Plan != nil {
-		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan scenario")
-	}
-	if cc.Dir == "" || !cc.Mmap {
-		return cc.recordingWith(ctx, cfg, note)
-	}
-	key := scenario.ContactFingerprint(cfg)
-	e := cc.entry(key)
-	ran := false
-	e.viewOnce.Do(func() {
-		ran = true
-		// The budget check runs once per view materialization (the
-		// recording path GCs again on persist), never on memoized hits —
-		// a GC pass walks the whole store.
+// load fills one cache entry: an opened view of the persisted trace if
+// usable, else the contacts-only recording pass — persisted when Dir is
+// set, and served from memory rather than re-read from the file it just
+// wrote.
+func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
+	st := cc.store()
+	start := time.Now()
+	if st != nil {
+		// The budget check runs once per loaded key, never on memoized
+		// hits — a GC pass walks the whole store.
 		defer cc.gcAfterUse()
-		start := time.Now()
-		if v := cc.openView(key, cfg); v != nil {
-			e.view = v
+		if v := cc.openView(st, key, cfg); v != nil {
 			if note != nil {
 				note(CacheEvent{Kind: CacheHitDisk, Fingerprint: key, Elapsed: time.Since(start)})
 			}
-			return
+			return v, nil
 		}
-		// No usable persisted copy: record (and persist) through the slurp
-		// path, then map the freshly written shard. A second openView
-		// failure here means persistence itself failed (full disk,
-		// read-only dir) and the in-memory fallback below serves the key.
-		if _, err := cc.recordingWith(ctx, cfg, note); err != nil {
-			return
-		}
-		e.view = cc.openView(key, cfg)
-	})
-	if e.view != nil {
-		if !ran && note != nil {
-			note(CacheEvent{Kind: CacheHit, Fingerprint: key})
-		}
-		return e.view, nil
 	}
-	if ran {
-		// This call already delivered its events inside the viewOnce; the
-		// in-memory fallback must not double-report the key as a hit.
-		note = nil
+	rec, err := sim.RecordContactsContext(ctx, contactCanonical(cfg))
+	if err != nil {
+		return nil, err
 	}
-	return cc.recordingWith(ctx, cfg, note)
+	if note != nil {
+		note(CacheEvent{Kind: CacheRecorded, Fingerprint: key, Elapsed: time.Since(start)})
+	}
+	cc.mu.Lock()
+	cc.records++
+	cc.mu.Unlock()
+	if st != nil {
+		// Persistence is an optimization: a full disk must not fail a run
+		// that already holds a valid recording, so errors are swallowed.
+		st.put(key, wireless.EncodeBinary(rec))
+	}
+	return rec, nil
 }
 
 // openView maps and verifies the persisted trace for key. nil means no
-// usable copy (absent, damaged, or recorded for a different scenario);
-// damage and mismatch are surfaced via Warn, and the mapping is always
-// released on the rejection paths — a failed validation must not leak an
-// mmap for the life of the sweep.
-func (cc *ContactCache) openView(key string, cfg sim.Config) *wireless.RecordingView {
-	st := cc.store()
-	path := st.locate(key)
+// usable copy (absent, unreadable, damaged, or recorded for a different
+// scenario); every cause except plain absence is surfaced via Warn, and
+// the mapping is always released on the rejection paths — a failed
+// validation must not leak an mmap for the life of the sweep.
+func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wireless.RecordingView {
+	path := st.shardPath(key)
 	v, err := wireless.OpenRecordingView(path)
 	if err != nil {
-		if !os.IsNotExist(err) {
+		var pathErr *os.PathError
+		switch {
+		case os.IsNotExist(err):
+		case errors.As(err, &pathErr):
+			cc.warnf("io:"+key, "contact cache: reading %s: %v; re-recording", path, err)
+		default:
 			cc.warnf("corrupt:"+key, "contact cache: rejecting %s: %v; re-recording", path, err)
 		}
 		return nil
@@ -290,10 +248,11 @@ func (cc *ContactCache) openView(key string, cfg sim.Config) *wireless.Recording
 		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
 		return nil
 	}
-	fi, statErr := os.Stat(path)
-	if statErr == nil {
+	if fi, err := os.Stat(path); err == nil {
 		st.touch(key, fi.Size())
 	}
+	// If the index had lost this trace (crash between shard rename and
+	// index flush), this serve is the repair — count it through Warn.
 	st.noteServed(key)
 	return v
 }
@@ -318,14 +277,14 @@ func contactCanonical(cfg sim.Config) sim.Config {
 	return c
 }
 
-// Prewarm runs the recording passes for every distinct contact process in
-// cfgs over its own worker pool, so a sweep's cells find their traces
-// already in memory instead of serializing behind first-touch
-// single-flight. Configurations the cache cannot serve (contact-plan or
-// non-live contact sources) are skipped. workers <= 0 defaults to
-// GOMAXPROCS. The returned error joins every failed recording; a failure
-// is also memoized per key, so later Recording calls for that key report
-// it again with their own context.
+// Prewarm loads every distinct contact process in cfgs — opening its
+// persisted trace or running its recording pass — over its own worker
+// pool, so a sweep's cells find their traces already in memory instead of
+// serializing behind first-touch single-flight. Configurations the cache
+// cannot serve (contact-plan or non-live contact sources) are skipped.
+// workers <= 0 defaults to GOMAXPROCS. The returned error joins every
+// failed recording; a failure is also memoized per key, so later Source
+// calls for that key report it again.
 func (cc *ContactCache) Prewarm(cfgs []sim.Config, workers int) error {
 	return cc.prewarm(context.Background(), cfgs, workers, nil, nil)
 }
@@ -342,7 +301,7 @@ func (cc *ContactCache) PrewarmContext(ctx context.Context, cfgs []sim.Config, w
 // prewarm is Prewarm with a context, a stop hook — when stop becomes
 // true, remaining un-started recordings are skipped (the sweep runner
 // stops warming a cache whose sweep has already failed or been
-// cancelled) — and the cache-event hook of recordingWith.
+// cancelled) — and the cache-event hook of sourceWith.
 func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers int, stop func() bool, note func(CacheEvent)) error {
 	seen := make(map[string]bool)
 	var distinct []sim.Config
@@ -377,7 +336,7 @@ func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers 
 				if stop != nil && stop() {
 					continue
 				}
-				if _, err := cc.recordingWith(ctx, distinct[i], note); err != nil {
+				if _, err := cc.sourceWith(ctx, distinct[i], note); err != nil {
 					errs[i] = fmt.Errorf("experiments: prewarm %s: %w",
 						scenario.ContactFingerprint(distinct[i]), err)
 				}
@@ -390,98 +349,6 @@ func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers 
 	close(next)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// load fills one cache entry: from disk if persisted, else by running the
-// contacts-only recording pass (and persisting it when Dir is set).
-func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, note func(CacheEvent)) (*wireless.Recording, error) {
-	st := cc.store()
-	start := time.Now()
-	if st != nil {
-		if rec := cc.fromDisk(key, cfg, st); rec != nil {
-			if note != nil {
-				note(CacheEvent{Kind: CacheHitDisk, Fingerprint: key, Elapsed: time.Since(start)})
-			}
-			return rec, nil
-		}
-	}
-	rec, err := sim.RecordContactsContext(ctx, contactCanonical(cfg))
-	if err != nil {
-		return nil, err
-	}
-	if note != nil {
-		note(CacheEvent{Kind: CacheRecorded, Fingerprint: key, Elapsed: time.Since(start)})
-	}
-	cc.mu.Lock()
-	cc.records++
-	cc.mu.Unlock()
-	if st != nil {
-		// Persistence is an optimization: a full disk must not fail a run
-		// that already holds a valid recording, so errors are swallowed.
-		st.put(key, wireless.EncodeBinary(rec))
-		cc.gcAfterUse()
-	}
-	return rec, nil
-}
-
-// fromDisk tries the persisted copies of key: the sharded (or
-// still-flat) binary file first, then the legacy flat text file — which
-// is upgraded into the shard on success and then retired. nil means a
-// miss — absent, unreadable, damaged, or recorded for a different
-// scenario — and every cause except plain absence is surfaced via Warn.
-// The binary file is decoded strictly (the cache only ever writes binary
-// there, so anything else in it is damage); the trailer-less legacy
-// tolerance applies to .contacts text files alone.
-func (cc *ContactCache) fromDisk(key string, cfg sim.Config, st *traceStore) *wireless.Recording {
-	binPath := st.locate(key)
-	if rec := cc.readTrace(key, cfg, binPath, false); rec != nil {
-		fi, err := os.Stat(binPath)
-		if err == nil {
-			st.touch(key, fi.Size())
-		}
-		// If the index had lost this trace (crash between shard rename and
-		// index flush), this serve is the repair — count it through Warn.
-		st.noteServed(key)
-		return rec
-	}
-	rec := cc.readTrace(key, cfg, st.flatTextPath(key), true)
-	if rec != nil {
-		// Upgrade write-through: later runs take the fast binary path, and
-		// the flat text file is retired into the shard.
-		st.put(key, wireless.EncodeBinary(rec))
-	}
-	return rec
-}
-
-// readTrace loads and verifies one persisted trace file, sniffing the
-// format by magic. nil means unusable; only os.IsNotExist stays silent.
-// Warnings dedupe per (cause, fingerprint), not per path, so probing the
-// same damaged trace at several candidate locations reports once.
-func (cc *ContactCache) readTrace(key string, cfg sim.Config, path string, legacyOK bool) *wireless.Recording {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			cc.warnf("io:"+key, "contact cache: reading %s: %v; re-recording", path, err)
-		}
-		return nil
-	}
-	var rec *wireless.Recording
-	if legacyOK {
-		rec, err = wireless.DecodeRecordingLegacy(data, func(msg string) {
-			cc.warnf("legacy:"+key, "contact cache: %s: %s", path, msg)
-		})
-	} else {
-		rec, err = wireless.DecodeRecording(data)
-	}
-	if err != nil {
-		cc.warnf("corrupt:"+key, "contact cache: rejecting %s: %v; re-recording", path, err)
-		return nil
-	}
-	if err := sim.ReplayCompatible(cfg, rec); err != nil {
-		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
-		return nil
-	}
-	return rec
 }
 
 // warnf formats and delivers one warning through the hook, at most once
@@ -529,19 +396,6 @@ func (cc *ContactCache) GC() (removed int, freed int64, err error) {
 	return st.gc(cc.MaxBytes, keep)
 }
 
-// MigrateDir upgrades a whole legacy cache directory into the sharded
-// layout at once (the per-key migration in Recording/Source handles the
-// same upgrade lazily): flat .contactsb files move into their shards,
-// legacy .contacts text traces are re-encoded binary and retired. It
-// returns how many traces were migrated.
-func (cc *ContactCache) MigrateDir() (moved int, err error) {
-	st := cc.store()
-	if st == nil {
-		return 0, nil
-	}
-	return st.migrate(func(msg string) { cc.warnf("migrate:"+msg, "%s", msg) })
-}
-
 // Close releases every mmap-backed view the cache opened and flushes the
 // store index. The cache must not serve replays after Close (live cursors
 // would read unmapped pages).
@@ -549,8 +403,8 @@ func (cc *ContactCache) Close() error {
 	cc.mu.Lock()
 	var views []*wireless.RecordingView
 	for _, e := range cc.entries {
-		if e.view != nil {
-			views = append(views, e.view)
+		if v, ok := e.src.(*wireless.RecordingView); ok {
+			views = append(views, v)
 		}
 	}
 	disk := cc.disk
@@ -580,15 +434,4 @@ func (cc *ContactCache) Recorded() uint64 {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	return cc.records
-}
-
-// ShardPath returns where key's trace is (or would be) persisted in the
-// sharded layout — exported for the CLIs' diagnostics and the migration
-// gate in CI.
-func (cc *ContactCache) ShardPath(key string) string {
-	st := cc.store()
-	if st == nil {
-		return ""
-	}
-	return st.shardPath(key)
 }

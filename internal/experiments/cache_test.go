@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +50,24 @@ func cacheExperiment() Experiment {
 	}
 }
 
+// traceOf serves cfg through cc.Source and returns the served source plus
+// the trace in slice form, whichever shape the cache served it in.
+func traceOf(t *testing.T, cc *ContactCache, cfg sim.Config) (wireless.ReplaySource, *wireless.Recording) {
+	t.Helper()
+	src, err := cc.Source(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch s := src.(type) {
+	case *wireless.Recording:
+		return src, s
+	case *wireless.RecordingView:
+		return src, s.Materialize()
+	}
+	t.Fatalf("Source returned %T", src)
+	return nil, nil
+}
+
 // TestCachedRunMatchesUncached is the harness-level equivalence guarantee:
 // the cached table is identical — every cell, bit for bit — to the
 // uncached one.
@@ -84,10 +102,7 @@ func TestCacheNeverCrossesSeeds(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		cfg := cacheConfig()
 		cfg.Seed = seed
-		rec, err := cache.Recording(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src, rec := traceOf(t, cache, cfg)
 		for other, prev := range recs {
 			if reflect.DeepEqual(prev, rec.Transitions) {
 				t.Fatalf("seed %d received seed %d's contact trace", seed, other)
@@ -95,11 +110,11 @@ func TestCacheNeverCrossesSeeds(t *testing.T) {
 		}
 		recs[seed] = rec.Transitions
 
-		again, err := cache.Recording(cfg)
+		again, err := cache.Source(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again != rec {
+		if again != src {
 			t.Fatalf("seed %d: repeated lookup did not hit the cache", seed)
 		}
 	}
@@ -123,7 +138,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 				cfg := cacheConfig()
 				cfg.Seed = uint64(1 + (w+i)%3)
 				cfg.TTL = units.Minutes(float64(10 + i)) // must not affect the key
-				if _, err := cache.Recording(cfg); err != nil {
+				if _, err := cache.Source(cfg); err != nil {
 					errs <- err
 				}
 			}
@@ -157,17 +172,17 @@ func TestCacheRaceUnderWorkerPool(t *testing.T) {
 	}
 }
 
-// TestCacheDiskPersistence: a second cache pointed at the same directory
-// serves the trace from disk without re-recording, and the loaded trace
-// replays identically.
+// TestCacheDiskPersistence: a miss is served from memory, and a second
+// cache pointed at the same directory serves the trace from disk — as an
+// mmap view — without re-recording, holding exactly the recorded trace.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
 
 	first := &ContactCache{Dir: dir}
-	rec, err := first.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
+	src, rec := traceOf(t, first, cfg)
+	if _, ok := src.(*wireless.Recording); !ok {
+		t.Fatalf("miss served %T, want the in-memory *wireless.Recording", src)
 	}
 	if first.Recorded() != 1 {
 		t.Fatalf("first cache ran %d recordings, want 1", first.Recorded())
@@ -182,8 +197,11 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 
 	second := &ContactCache{Dir: dir}
-	loaded, err := second.Recording(cfg)
-	if err != nil {
+	src, loaded := traceOf(t, second, cfg)
+	if _, ok := src.(*wireless.RecordingView); !ok {
+		t.Fatalf("disk hit served %T, want *wireless.RecordingView", src)
+	}
+	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if second.Recorded() != 0 {
@@ -198,15 +216,77 @@ func TestCacheDiskPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := &ContactCache{Dir: dir}
-	refreshed, err := third.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, refreshed := traceOf(t, third, cfg)
 	if third.Recorded() != 1 {
 		t.Fatal("corrupt disk entry was not re-recorded")
 	}
 	if !reflect.DeepEqual(rec.Transitions, refreshed.Transitions) {
 		t.Fatal("re-recorded trace differs from the original")
+	}
+}
+
+// cacheEventCounter tallies a sweep's cache events by kind and
+// fingerprint; the runner serializes observer calls.
+type cacheEventCounter struct {
+	BaseObserver
+	events map[CacheEventKind]map[string]int
+}
+
+func (c *cacheEventCounter) CacheEvent(ev CacheEvent) {
+	if c.events == nil {
+		c.events = make(map[CacheEventKind]map[string]int)
+	}
+	if c.events[ev.Kind] == nil {
+		c.events[ev.Kind] = make(map[string]int)
+	}
+	c.events[ev.Kind][ev.Fingerprint]++
+}
+
+// TestRunnerOpensEachPersistedTraceOnce: a Runner sweep over a prewarmed
+// store opens every persisted trace exactly once — the prewarm pool and
+// the cells share one load per fingerprint — records nothing, and yields
+// the uncached table.
+func TestRunnerOpensEachPersistedTraceOnce(t *testing.T) {
+	exp := cacheExperiment()
+	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 4, BaseConfig: cacheConfig}
+	plain := mustRun(t, exp, opt)
+
+	dir := t.TempDir()
+	cfgs, err := CellConfigs(exp, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := &ContactCache{Dir: dir}
+	if err := warm.Prewarm(cfgs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := &ContactCache{Dir: dir}
+	defer cache.Close()
+	opt.ContactCache = cache
+	counter := &cacheEventCounter{}
+	var mem MemorySink
+	r := Runner{Options: opt, Observer: counter, Sink: &mem}
+	if err := r.Run(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.Results().DefaultTable(); !reflect.DeepEqual(plain.Series, got.Series) {
+		t.Fatal("sweep over the prewarmed store diverged from the uncached table")
+	}
+	if n := len(counter.events[CacheRecorded]); n != 0 || cache.Recorded() != 0 {
+		t.Fatalf("sweep over the prewarmed store recorded %d traces (%d passes)", n, cache.Recorded())
+	}
+	disk := counter.events[CacheHitDisk]
+	if len(disk) != len(opt.Seeds) {
+		t.Fatalf("disk hits for %d fingerprints, want %d (one per seed): %v", len(disk), len(opt.Seeds), disk)
+	}
+	for key, n := range disk {
+		if n != 1 {
+			t.Fatalf("fingerprint %s opened from disk %d times, want once", key, n)
+		}
 	}
 }
 
@@ -220,123 +300,39 @@ func TestCachePersistErrorsAreBestEffort(t *testing.T) {
 	}
 	defer os.Chmod(dir, 0o755)
 	cache := &ContactCache{Dir: filepath.Join(dir, "sub")}
-	rec, err := cache.Recording(cacheConfig())
+	src, err := cache.Source(cacheConfig())
 	if err != nil {
 		t.Fatalf("unwritable cache dir failed the lookup: %v", err)
 	}
-	if len(rec.Transitions) == 0 {
+	if src.Meta().Transitions == 0 {
 		t.Fatal("no recording despite best-effort persistence")
 	}
 }
 
-// TestCacheCrossFormatHit: a legacy text-era trace file is served to the
-// binary-era cache without re-recording, upgraded to a binary copy on the
-// way, and a trailer-less pre-v2 file is called out through the warning
-// hook.
-func TestCacheCrossFormatHit(t *testing.T) {
-	dir := t.TempDir()
-	cfg := cacheConfig()
-	key := scenario.ContactFingerprint(cfg)
-
-	rec, err := (&ContactCache{}).Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v2 text file (with trailer) on disk at its legacy flat location,
-	// no binary sibling; the upgrade must land in the sharded layout.
-	textPath := filepath.Join(dir, key+".contacts")
-	binPath := filepath.Join(dir, key[:2], key+".contactsb")
-	if err := os.WriteFile(textPath, []byte(rec.Format()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var warnings []string
-	cache := &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
-	loaded, err := cache.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Recorded() != 0 {
-		t.Fatal("text-era trace did not serve a binary-era cache")
-	}
-	if !reflect.DeepEqual(rec, loaded) {
-		t.Fatal("text trace loaded differently from the recorded one")
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("trailer-bearing text file warned: %v", warnings)
-	}
-	// The hit must have upgraded the entry to the binary format.
-	data, err := os.ReadFile(binPath)
-	if err != nil {
-		t.Fatalf("no binary upgrade written: %v", err)
-	}
-	upgraded, err := wireless.DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rec, upgraded) {
-		t.Fatal("binary upgrade changed the recording")
-	}
-
-	// A pre-v2 legacy file (no end trailer) still loads, but warns that
-	// truncation cannot be detected.
-	legacy := strings.Replace(rec.Format(), fmt.Sprintf("end %d\n", len(rec.Transitions)), "", 1)
-	if err := os.WriteFile(textPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(binPath); err != nil {
-		t.Fatal(err)
-	}
-	cache = &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
-	loaded, err = cache.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Recorded() != 0 || !reflect.DeepEqual(rec, loaded) {
-		t.Fatal("legacy trailer-less trace not served from disk")
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "end trailer") {
-		t.Fatalf("legacy file warnings = %v, want one about the missing end trailer", warnings)
-	}
-}
-
-// TestCacheRejectsTruncatedFiles: a persisted trace cut short — the torn
-// write PR 1's text format could not detect — is rejected and re-recorded
-// in both formats, never replayed as a shorter trace.
+// TestCacheRejectsTruncatedFiles: a persisted trace cut short is rejected
+// and re-recorded, never replayed as a shorter trace — and so is a trace
+// in the retired line-oriented text format, which the binary-only store no
+// longer reads.
 func TestCacheRejectsTruncatedFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
 	key := scenario.ContactFingerprint(cfg)
 
 	first := &ContactCache{Dir: dir}
-	rec, err := first.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binPath := first.ShardPath(key)
+	_, rec := traceOf(t, first, cfg)
+	binPath := first.store().shardPath(key)
 
 	for name, data := range map[string][]byte{
 		"binary": wireless.EncodeBinary(rec),
-		"text":   []byte(rec.Format()),
+		"text":   []byte("# vdtn contact recording\nscan 1\nduration 1800\nend 0\n"),
 	} {
 		t.Run(name, func(t *testing.T) {
-			// Cut mid-line: a text trace cut exactly on a line boundary is
-			// indistinguishable from a legacy trailer-less file, which the
-			// disk loader tolerates by design (with a warning) — the reason
-			// the persisted format is binary, where every cut is detected.
-			cut := len(data) / 2
-			for cut > 1 && data[cut-1] == '\n' {
-				cut--
-			}
-			if err := os.WriteFile(binPath, data[:cut], 0o644); err != nil {
+			if err := os.WriteFile(binPath, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var warnings []string
 			cache := &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
-			refreshed, err := cache.Recording(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, refreshed := traceOf(t, cache, cfg)
 			if cache.Recorded() != 1 {
 				t.Fatal("truncated trace was not re-recorded")
 			}
@@ -361,7 +357,7 @@ func TestCacheSurfacesIOErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
 	key := scenario.ContactFingerprint(cfg)
-	// A directory where the sharded trace file should be: ReadFile fails
+	// A directory where the sharded trace file should be: opening it fails
 	// with a real I/O error, not absence.
 	if err := os.MkdirAll(filepath.Join(dir, key[:2], key+".contactsb"), 0o755); err != nil {
 		t.Fatal(err)
@@ -369,7 +365,7 @@ func TestCacheSurfacesIOErrors(t *testing.T) {
 
 	var warnings []string
 	cache := &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
-	if _, err := cache.Recording(cfg); err != nil {
+	if _, err := cache.Source(cfg); err != nil {
 		t.Fatalf("I/O error on the persisted copy failed the lookup: %v", err)
 	}
 	if cache.Recorded() != 1 {
@@ -414,7 +410,7 @@ func TestPrewarmRecordsInParallelOnce(t *testing.T) {
 }
 
 // TestPrewarmRace hammers Prewarm from several goroutines racing each
-// other and direct Recording lookups; under -race this is the pre-recording
+// other and direct Source lookups; under -race this is the pre-recording
 // pass's safety test, and single-flight must still hold.
 func TestPrewarmRace(t *testing.T) {
 	cache := &ContactCache{}
@@ -441,7 +437,7 @@ func TestPrewarmRace(t *testing.T) {
 			defer wg.Done()
 			cfg := cacheConfig()
 			cfg.Seed = uint64(1 + w)
-			if _, err := cache.Recording(cfg); err != nil {
+			if _, err := cache.Source(cfg); err != nil {
 				errs <- err
 			}
 		}(w)
@@ -557,7 +553,7 @@ func TestCacheRejectsPlanScenarios(t *testing.T) {
 	}
 	cfg := cacheConfig()
 	cfg.Plan = plan
-	if _, err := (&ContactCache{}).Recording(cfg); err == nil {
+	if _, err := (&ContactCache{}).Source(cfg); err == nil {
 		t.Fatal("cache accepted a contact-plan scenario")
 	}
 }

@@ -25,7 +25,7 @@ func TestCacheIndexRepairAfterCrash(t *testing.T) {
 	key := scenario.ContactFingerprint(cfg)
 
 	writer := &ContactCache{Dir: dir}
-	if _, err := writer.Recording(cfg); err != nil {
+	if _, err := writer.Source(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if err := writer.Close(); err != nil {
@@ -39,7 +39,7 @@ func TestCacheIndexRepairAfterCrash(t *testing.T) {
 	var warns []string
 	after := &ContactCache{Dir: dir, Warn: func(msg string) { warns = append(warns, msg) }}
 	defer after.Close()
-	if _, err := after.Recording(cfg); err != nil {
+	if _, err := after.Source(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if after.Recorded() != 0 {
@@ -49,7 +49,7 @@ func TestCacheIndexRepairAfterCrash(t *testing.T) {
 		t.Fatalf("repair warnings = %v, want one naming %s", warns, key)
 	}
 	// Dedup per cause: serving the same trace again reports nothing new.
-	if _, err := (&ContactCache{Dir: dir, Warn: func(string) {}}).Recording(cfg); err != nil {
+	if _, err := (&ContactCache{Dir: dir, Warn: func(string) {}}).Source(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(warns) != 1 {
@@ -123,18 +123,18 @@ func TestCacheRecordingContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := cc.RecordingContext(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := cc.sourceWith(ctx, cfg, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled recording returned %v, want context.Canceled", err)
 	}
 	if cc.Len() != 0 {
 		t.Fatalf("cancelled recording stayed memoized (%d entries)", cc.Len())
 	}
-	if _, err := os.Stat(cc.ShardPath(scenario.ContactFingerprint(cfg))); !os.IsNotExist(err) {
+	if _, err := os.Stat(cc.store().shardPath(scenario.ContactFingerprint(cfg))); !os.IsNotExist(err) {
 		t.Fatalf("cancelled recording persisted a trace: stat err %v", err)
 	}
 
-	rec, err := cc.RecordingContext(context.Background(), cfg)
-	if err != nil || rec == nil {
+	src, err := cc.sourceWith(context.Background(), cfg, nil)
+	if err != nil || src == nil {
 		t.Fatalf("recording after a cancelled pass: %v", err)
 	}
 	if cc.Recorded() != 1 {
@@ -153,7 +153,7 @@ func TestCacheRecordingContextCancellation(t *testing.T) {
 	if err := cc.PrewarmContext(ctx2, []sim.Config{cfg2}, 2); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled prewarm returned %v", err)
 	}
-	if _, err := cc.Recording(cfg2); err != nil {
+	if _, err := cc.Source(cfg2); err != nil {
 		t.Fatalf("recording after cancelled prewarm: %v", err)
 	}
 }

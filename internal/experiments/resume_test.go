@@ -298,9 +298,9 @@ func TestJSONLFooterNeverLies(t *testing.T) {
 // TestConcurrentRunnersSharedCacheDir is the shared-store half of the
 // crash-safety work, run under -race in CI: two Runners splitting one
 // grid between them, each with its own ContactCache over the same
-// directory (one mmap, one slurp — the two persisted-serve paths),
-// recording and loading concurrently with flock-serialized writes. Both
-// halves must come out bit-identical to the single-runner reference.
+// directory, recording and opening traces concurrently with
+// flock-serialized writes. Both halves must come out bit-identical to the
+// single-runner reference.
 func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 	exp := gridExperiment()
 	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
@@ -322,7 +322,7 @@ func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cache := &ContactCache{Dir: dir, Mmap: i == 1, MaxBytes: 64 << 20}
+			cache := &ContactCache{Dir: dir, MaxBytes: 64 << 20}
 			defer cache.Close()
 			var mem MemorySink
 			r := Runner{
@@ -369,7 +369,7 @@ func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range cfgs {
-		if _, err := probe.Recording(cfg); err != nil {
+		if _, err := probe.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -276,7 +276,7 @@ func TestRunnerCancellation(t *testing.T) {
 	exp := tinyExperiment()
 	dir := t.TempDir()
 	full, err := RunE(exp, Options{Seeds: []uint64{1, 2}, BaseConfig: tinyBase,
-		ContactCache: &ContactCache{Dir: dir, Mmap: true}})
+		ContactCache: &ContactCache{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestRunnerCancellation(t *testing.T) {
 	// mmap views shared across workers.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cache := &ContactCache{Dir: dir, Mmap: true}
+	cache := &ContactCache{Dir: dir}
 	defer cache.Close()
 	obs := &cancelAfterN{cancel: cancel, after: 3}
 	sink := &orderSink{}

@@ -2,23 +2,20 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
-
-	"vdtn/internal/wireless"
 )
 
 // traceStore is the on-disk half of ContactCache: a sharded directory of
 // persisted contact traces keyed by scenario fingerprint.
 //
-// Layout. A flat directory — PR 1's layout — degrades once fleets reach
-// thousands of fingerprints (directory scans, lock contention, tooling
-// that chokes on huge listings), so traces live under a 2-level fan-out
-// keyed by the first two hex characters of the fingerprint:
+// Layout. A flat directory degrades once fleets reach thousands of
+// fingerprints (directory scans, lock contention, tooling that chokes on
+// huge listings), so traces live under a 2-level fan-out keyed by the
+// first two hex characters of the fingerprint:
 //
 //	<dir>/ab/abcdef0123456789.contactsb
 //	<dir>/index.json
@@ -28,12 +25,6 @@ import (
 // by. The index is advisory — the shard files are the source of truth, a
 // missing or stale index is rebuilt from them, and a fingerprint absent
 // from the index falls back to the file's mtime.
-//
-// Migration. Legacy layouts are upgraded transparently on first touch:
-// a flat <dir>/<key>.contactsb is renamed into its shard, and a legacy
-// <dir>/<key>.contacts text trace is decoded, re-encoded binary into the
-// shard and then removed. MigrateDir runs the same upgrade over a whole
-// directory at once.
 type traceStore struct {
 	dir string
 
@@ -65,7 +56,7 @@ const indexFile = "index.json"
 // lockFile names the advisory flock file: one per shard directory
 // (serializing trace installs against GC evictions of that shard) and one
 // at the store root (serializing index.json rewrites). The dot prefix
-// keeps it out of the trace glob and the migration scan.
+// keeps it out of the trace glob.
 const lockFile = ".lock"
 
 // indexDoc is the serialized form of the index.
@@ -91,43 +82,11 @@ func shardOf(key string) string {
 	return key[:2]
 }
 
-func (s *traceStore) flatBinPath(key string) string {
-	return filepath.Join(s.dir, key+".contactsb")
-}
-
-func (s *traceStore) flatTextPath(key string) string {
-	return filepath.Join(s.dir, key+".contacts")
-}
-
-// locate returns the path key's binary trace should be read from,
-// migrating a legacy flat-dir file into its shard first (best-effort: if
-// the rename fails, the flat path is still served so a read-only cache
-// directory keeps working).
-func (s *traceStore) locate(key string) string {
-	shard := s.shardPath(key)
-	if _, err := os.Stat(shard); err == nil {
-		return shard
-	}
-	flat := s.flatBinPath(key)
-	fi, err := os.Stat(flat)
-	if err != nil || fi.IsDir() {
-		return shard
-	}
-	if err := os.MkdirAll(filepath.Dir(shard), 0o755); err != nil {
-		return flat
-	}
-	if err := os.Rename(flat, shard); err != nil {
-		return flat
-	}
-	s.touch(key, fi.Size())
-	return shard
-}
-
 // put persists one encoded trace into its shard via a temp file and
 // rename, so concurrent processes sharing the directory never observe a
-// torn file, then retires any flat-dir leftovers for the key. Errors are
-// swallowed by the caller's contract: persistence is an optimization and
-// must never fail a run that already holds a valid recording.
+// torn file. Errors are swallowed by the caller's contract: persistence is
+// an optimization and must never fail a run that already holds a valid
+// recording.
 func (s *traceStore) put(key string, data []byte) (path string, ok bool) {
 	path = s.shardPath(key)
 	// Cross-process exclusion against a concurrent GC of this shard: the
@@ -138,10 +97,6 @@ func (s *traceStore) put(key string, data []byte) (path string, ok bool) {
 	if !writeAtomic(filepath.Dir(path), path, data) {
 		return path, false
 	}
-	// The sharded copy is now authoritative; flat-dir leftovers would only
-	// double the cache's footprint and re-trigger migration probes.
-	os.Remove(s.flatBinPath(key))
-	os.Remove(s.flatTextPath(key))
 	s.touch(key, int64(len(data)))
 	s.mu.Lock()
 	// This process just wrote the trace; a heal marker from the first
@@ -152,10 +107,6 @@ func (s *traceStore) put(key string, data []byte) (path string, ok bool) {
 	s.flush()
 	return path, true
 }
-
-// retireFlatText removes a legacy flat text trace once its content has
-// been re-encoded into a shard.
-func (s *traceStore) retireFlatText(key string) { os.Remove(s.flatTextPath(key)) }
 
 // touch records a use of key in the index (in memory; flush persists).
 func (s *traceStore) touch(key string, size int64) {
@@ -226,11 +177,6 @@ func (s *traceStore) healLocked() {
 	}
 	for key := range s.idx {
 		if onDisk[key] {
-			continue
-		}
-		// A legacy flat-dir binary still counts as present: locate will
-		// migrate it into its shard on first touch.
-		if fi, statErr := os.Stat(s.flatBinPath(key)); statErr == nil && !fi.IsDir() {
 			continue
 		}
 		delete(s.idx, key)
@@ -381,71 +327,6 @@ func (s *traceStore) gc(maxBytes int64, keep map[string]bool) (removed int, free
 	}
 	s.flush()
 	return removed, freed, err
-}
-
-// migrate upgrades every legacy flat-dir file into the sharded layout:
-// flat .contactsb files are renamed into their shard; flat .contacts text
-// traces are decoded (tolerating pre-trailer files via warn), re-encoded
-// binary into their shard, and removed. Returns how many traces moved.
-func (s *traceStore) migrate(warn func(msg string)) (moved int, err error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := e.Name()
-		switch filepath.Ext(name) {
-		case ".contactsb":
-			key := trimExt(name)
-			if _, statErr := os.Stat(s.shardPath(key)); statErr == nil {
-				// A sharded copy already exists; the flat file is a stale
-				// duplicate that locate will never probe again.
-				os.Remove(filepath.Join(s.dir, name))
-				continue
-			}
-			if s.locate(key) == s.shardPath(key) {
-				moved++
-			} else {
-				err = fmt.Errorf("experiments: could not move %s into its shard", name)
-			}
-		case ".contacts":
-			key := trimExt(name)
-			if _, statErr := os.Stat(s.shardPath(key)); statErr == nil {
-				// A binary sibling already migrated; the text copy is
-				// redundant history.
-				s.retireFlatText(key)
-				continue
-			}
-			data, readErr := os.ReadFile(filepath.Join(s.dir, name))
-			if readErr != nil {
-				err = readErr
-				continue
-			}
-			rec, decErr := wireless.DecodeRecordingLegacy(data, func(msg string) {
-				if warn != nil {
-					warn(fmt.Sprintf("contact cache: %s: %s", name, msg))
-				}
-			})
-			if decErr != nil {
-				if warn != nil {
-					warn(fmt.Sprintf("contact cache: not migrating %s: %v", name, decErr))
-				}
-				continue
-			}
-			if _, ok := s.put(key, wireless.EncodeBinary(rec)); ok {
-				moved++
-			} else {
-				err = fmt.Errorf("experiments: could not upgrade %s into its shard", name)
-			}
-		}
-	}
-	return moved, err
 }
 
 // writeAtomic writes data to path via a temp file and rename, creating dir

@@ -26,130 +26,6 @@ func seedTrace(t *testing.T, cfg sim.Config) (key string, rec *wireless.Recordin
 	return key, rec
 }
 
-// TestCacheMigratesLegacyFlatDir is the flat-dir → sharded migration gate:
-// a cache directory laid out the way PRs 1-2 wrote it — flat .contactsb
-// binaries and legacy .contacts text files — must serve a sweep without a
-// single re-recording pass, and come out the other side in the sharded
-// layout with the flat files retired.
-func TestCacheMigratesLegacyFlatDir(t *testing.T) {
-	dir := t.TempDir()
-	exp := cacheExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
-
-	// Build the legacy flat directory: seed 1 as flat binary, seed 2 as
-	// legacy text.
-	for seed, asText := range map[uint64]bool{1: false, 2: true} {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		key, rec := seedTrace(t, cfg)
-		if asText {
-			if err := os.WriteFile(filepath.Join(dir, key+".contacts"), []byte(rec.Format()), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if err := os.WriteFile(filepath.Join(dir, key+".contactsb"), wireless.EncodeBinary(rec), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	plain := mustRun(t, exp, opt)
-
-	cache := &ContactCache{Dir: dir}
-	opt.ContactCache = cache
-	migrated, err := RunE(exp, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Series, migrated.DefaultTable().Series) {
-		t.Fatal("sweep over the migrated legacy cache diverged from the uncached table")
-	}
-	if cache.Recorded() != 0 {
-		t.Fatalf("legacy flat-dir traces did not serve the sweep: %d re-recordings", cache.Recorded())
-	}
-
-	// The directory must now be sharded, with no flat trace files left.
-	sharded, err := filepath.Glob(filepath.Join(dir, "??", "*.contactsb"))
-	if err != nil || len(sharded) != 2 {
-		t.Fatalf("sharded traces = %v (err %v), want 2", sharded, err)
-	}
-	for _, pattern := range []string{"*.contactsb", "*.contacts"} {
-		if flat, _ := filepath.Glob(filepath.Join(dir, pattern)); len(flat) != 0 {
-			t.Fatalf("flat files survived migration: %v", flat)
-		}
-	}
-
-	// And a third cache over the migrated directory serves purely from the
-	// shards.
-	after := &ContactCache{Dir: dir}
-	for _, seed := range []uint64{1, 2} {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		if _, err := after.Recording(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if after.Recorded() != 0 {
-		t.Fatalf("migrated shards did not serve a later cache: %d re-recordings", after.Recorded())
-	}
-}
-
-// TestCacheMigrateDirSweep: the one-shot MigrateDir upgrade moves every
-// legacy file at once, without waiting for per-key first touches.
-func TestCacheMigrateDirSweep(t *testing.T) {
-	dir := t.TempDir()
-	var keys []string
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		key, rec := seedTrace(t, cfg)
-		keys = append(keys, key)
-		name := key + ".contactsb"
-		data := wireless.EncodeBinary(rec)
-		if seed == 3 {
-			name = key + ".contacts"
-			data = []byte(rec.Format())
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cache := &ContactCache{Dir: dir}
-	moved, err := cache.MigrateDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 3 {
-		t.Fatalf("MigrateDir moved %d traces, want 3", moved)
-	}
-	for _, key := range keys {
-		if _, err := os.Stat(cache.ShardPath(key)); err != nil {
-			t.Fatalf("trace %s not in its shard after MigrateDir: %v", key, err)
-		}
-	}
-	if flat, _ := filepath.Glob(filepath.Join(dir, "*.contacts*")); len(flat) != 0 {
-		t.Fatalf("flat files survived MigrateDir: %v", flat)
-	}
-
-	// A stale flat duplicate of an already-sharded trace is removed, not
-	// re-counted as a migration.
-	stale := filepath.Join(dir, keys[0]+".contactsb")
-	if err := os.WriteFile(stale, []byte("stale duplicate"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	moved, err = cache.MigrateDir()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Fatalf("re-running MigrateDir over a stale duplicate reported %d moves", moved)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale flat duplicate survived MigrateDir (err %v)", err)
-	}
-}
-
 // TestCacheGCEvictsLRU: the size-bounded GC removes least-recently-used
 // traces first (index order, falling back to file mtime) and stops as soon
 // as the store fits the budget.
@@ -161,12 +37,12 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := cacheConfig()
 		cfg.Seed = seed
-		if _, err := warm.Recording(cfg); err != nil {
+		if _, err := warm.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 		key := scenario.ContactFingerprint(cfg)
 		keys = append(keys, key)
-		fi, err := os.Stat(warm.ShardPath(key))
+		fi, err := os.Stat(warm.store().shardPath(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +58,7 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	base := time.Now().Add(-time.Hour)
 	for i, key := range keys {
 		when := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(warm.ShardPath(key), when, when); err != nil {
+		if err := os.Chtimes(warm.store().shardPath(key), when, when); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,11 +72,11 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	if removed != 1 || freed != sizes[0] {
 		t.Fatalf("GC removed %d traces (%d bytes), want 1 (%d bytes)", removed, freed, sizes[0])
 	}
-	if _, err := os.Stat(gc.ShardPath(keys[0])); !os.IsNotExist(err) {
+	if _, err := os.Stat(gc.store().shardPath(keys[0])); !os.IsNotExist(err) {
 		t.Fatalf("least-recently-used trace %s survived GC (err %v)", keys[0], err)
 	}
 	for _, key := range keys[1:] {
-		if _, err := os.Stat(gc.ShardPath(key)); err != nil {
+		if _, err := os.Stat(gc.store().shardPath(key)); err != nil {
 			t.Fatalf("recently-used trace %s evicted: %v", key, err)
 		}
 	}
@@ -210,16 +86,16 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	hot := &ContactCache{Dir: dir, MaxBytes: 1}
 	cfg := cacheConfig()
 	cfg.Seed = 2
-	if _, err := hot.Recording(cfg); err != nil {
+	if _, err := hot.Source(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := hot.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(hot.ShardPath(keys[1])); err != nil {
+	if _, err := os.Stat(hot.store().shardPath(keys[1])); err != nil {
 		t.Fatalf("hot trace %s evicted by GC: %v", keys[1], err)
 	}
-	if _, err := os.Stat(hot.ShardPath(keys[2])); !os.IsNotExist(err) {
+	if _, err := os.Stat(hot.store().shardPath(keys[2])); !os.IsNotExist(err) {
 		t.Fatalf("cold trace %s survived a 1-byte budget (err %v)", keys[2], err)
 	}
 }
@@ -235,12 +111,12 @@ func TestCacheGCHonorsIndexOrder(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		cfg := cacheConfig()
 		cfg.Seed = seed
-		if _, err := warm.Recording(cfg); err != nil {
+		if _, err := warm.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 		key := scenario.ContactFingerprint(cfg)
 		keys = append(keys, key)
-		fi, err := os.Stat(warm.ShardPath(key))
+		fi, err := os.Stat(warm.store().shardPath(key))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,10 +143,10 @@ func TestCacheGCHonorsIndexOrder(t *testing.T) {
 	if _, _, err := gc.GC(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(gc.ShardPath(keys[1])); !os.IsNotExist(err) {
+	if _, err := os.Stat(gc.store().shardPath(keys[1])); !os.IsNotExist(err) {
 		t.Fatalf("index-stale trace %s survived GC (err %v)", keys[1], err)
 	}
-	if _, err := os.Stat(gc.ShardPath(keys[0])); err != nil {
+	if _, err := os.Stat(gc.store().shardPath(keys[0])); err != nil {
 		t.Fatalf("index-fresh trace %s evicted: %v", keys[0], err)
 	}
 }
@@ -289,7 +165,7 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 		cfgs[i] = cacheConfig()
 		cfgs[i].Seed = uint64(i + 1)
 		key := scenario.ContactFingerprint(cfgs[i])
-		path := cache.ShardPath(key)
+		path := cache.store().shardPath(key)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +174,7 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 		}
 	}
 	for _, cfg := range cfgs {
-		if _, err := cache.Recording(cfg); err != nil {
+		if _, err := cache.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +188,7 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 	}
 	// Same keys again: memoized entries, no fresh warnings.
 	for _, cfg := range cfgs {
-		if _, err := cache.Recording(cfg); err != nil {
+		if _, err := cache.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,10 +197,10 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 	}
 }
 
-// TestCacheMmapSourceServesViews: with Dir+Mmap, Source returns a shared
-// mmap-backed RecordingView; the sweep over views is bit-identical to the
-// uncached table; and the view is the same instance for every cell of a
-// key.
+// TestCacheMmapSourceServesViews: with Dir set, Source serves a persisted
+// trace as a shared mmap-backed RecordingView; the sweep over views is
+// bit-identical to the uncached table; and the view is the same instance
+// for every cell of a key.
 func TestCacheMmapSourceServesViews(t *testing.T) {
 	dir := t.TempDir()
 	exp := cacheExperiment()
@@ -332,7 +208,12 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 
 	plain := mustRun(t, exp, opt)
 
-	cache := &ContactCache{Dir: dir, Mmap: true}
+	// The first sweep records and persists; the second cache serves the
+	// persisted traces.
+	if _, err := RunE(exp, Options{Seeds: opt.Seeds, BaseConfig: cacheConfig, ContactCache: &ContactCache{Dir: dir}}); err != nil {
+		t.Fatal(err)
+	}
+	cache := &ContactCache{Dir: dir}
 	defer cache.Close()
 	opt.ContactCache = cache
 	mapped, err := RunE(exp, opt)
@@ -341,6 +222,9 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Series, mapped.DefaultTable().Series) {
 		t.Fatal("mmap-served sweep diverged from the uncached table")
+	}
+	if cache.Recorded() != 0 {
+		t.Fatalf("sweep over the persisted store ran %d recording passes", cache.Recorded())
 	}
 
 	cfg := cacheConfig()
@@ -359,22 +243,18 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	if again != src {
 		t.Fatal("Source returned a second view for one fingerprint")
 	}
-	// The view decodes to exactly the recording the slurp path holds.
-	rec, err := cache.Recording(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(view.Materialize(), rec) {
-		t.Fatal("mmap view holds a different trace than the decoded recording")
+	// The view decodes to exactly the trace the recording pass produces.
+	if _, rec := seedTrace(t, cfg); !reflect.DeepEqual(view.Materialize(), rec) {
+		t.Fatal("mmap view holds a different trace than the recording pass")
 	}
 }
 
 // TestCacheMmapFallsBack: Source degrades gracefully — no Dir means the
 // in-memory recording; a scenario-mismatched persisted trace is rejected
 // (closing the view on the failure path), warned about once, re-recorded,
-// and then served as a fresh view.
+// and served from memory without re-reading the file it just wrote.
 func TestCacheMmapFallsBack(t *testing.T) {
-	memory := &ContactCache{Mmap: true}
+	memory := &ContactCache{}
 	cfg := cacheConfig()
 	src, err := memory.Source(cfg)
 	if err != nil {
@@ -395,9 +275,9 @@ func TestCacheMmapFallsBack(t *testing.T) {
 	}
 	key := scenario.ContactFingerprint(cfg)
 	var warnings []string
-	cache := &ContactCache{Dir: dir, Mmap: true, Warn: func(msg string) { warnings = append(warnings, msg) }}
+	cache := &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
 	defer cache.Close()
-	path := cache.ShardPath(key)
+	path := cache.store().shardPath(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +289,11 @@ func TestCacheMmapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, ok := src.(*wireless.RecordingView)
-	if !ok {
-		t.Fatalf("Source after mismatch returned %T, want a fresh view", src)
+	if _, ok := src.(*wireless.Recording); !ok {
+		t.Fatalf("Source after mismatch returned %T, want the re-recorded *wireless.Recording", src)
 	}
-	if got := view.Meta().ScanInterval; got != cfg.ScanInterval {
-		t.Fatalf("served view has scan interval %v, want the re-recorded %v", got, cfg.ScanInterval)
+	if got := src.Meta().ScanInterval; got != cfg.ScanInterval {
+		t.Fatalf("served trace has scan interval %v, want the re-recorded %v", got, cfg.ScanInterval)
 	}
 	if cache.Recorded() != 1 {
 		t.Fatalf("mismatched trace triggered %d recordings, want 1", cache.Recorded())
@@ -442,12 +321,12 @@ func TestCacheGCInjectedClock(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := cacheConfig()
 		cfg.Seed = seed
-		if _, err := warm.Recording(cfg); err != nil {
+		if _, err := warm.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
 		key := scenario.ContactFingerprint(cfg)
 		keys = append(keys, key)
-		fi, err := os.Stat(warm.ShardPath(key))
+		fi, err := os.Stat(warm.store().shardPath(key))
 		if err != nil {
 			t.Fatal(err)
 		}

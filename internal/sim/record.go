@@ -124,20 +124,14 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 	return rec, nil
 }
 
-// ReplayCompatible reports whether rec can drive cfg's contact process:
-// the trace must be structurally valid, recorded at cfg's scan interval,
-// cover at least cfg's horizon, and reference only nodes the scenario has.
-// Config.Validate applies the same checks in replay mode; the experiment
-// harness's contact cache applies them to disk-loaded traces before
-// serving them, so a stale or misfiled cache entry re-records instead of
-// failing every cell that touches it.
-func ReplayCompatible(cfg Config, rec *wireless.Recording) error {
-	return ReplaySourceCompatible(cfg, rec)
-}
-
-// ReplaySourceCompatible is ReplayCompatible over any trace source. An
-// in-memory *Recording is structurally validated here (it may hold
-// anything); a streaming source such as a wireless.RecordingView proved
+// ReplaySourceCompatible reports whether src can drive cfg's contact
+// process: the trace must be structurally valid, recorded at cfg's scan
+// interval, cover at least cfg's horizon, and reference only nodes the
+// scenario has. Config.Validate applies it in replay mode; the experiment
+// harness's contact cache applies it to persisted traces before serving
+// them, so a stale or misfiled cache entry re-records instead of failing
+// every cell that touches it. An in-memory *Recording is structurally
+// validated here (it may hold anything); a wireless.RecordingView proved
 // its structure when it was opened, so only the scenario-fit checks run —
 // which is what makes view-driven replay allocation-free per cell.
 func ReplaySourceCompatible(cfg Config, src wireless.ReplaySource) error {

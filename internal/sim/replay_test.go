@@ -186,19 +186,16 @@ func TestReplayAcrossProtocols(t *testing.T) {
 }
 
 // TestRecordingFormatRoundTripsThroughReplay: a recording that has been
-// serialized and parsed back drives the same replay as the original.
+// persisted and read back drives the same replay as the original.
 func TestRecordingFormatRoundTripsThroughReplay(t *testing.T) {
 	cfg := replayConfig(11)
 	rec, err := RecordContacts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := wireless.ParseRecording(rec.Format())
-	if err != nil {
-		t.Fatal(err)
-	}
+	parsed := openViewOf(t, rec).Materialize()
 	if !reflect.DeepEqual(rec, parsed) {
-		t.Fatal("recording changed across Format/ParseRecording")
+		t.Fatal("recording changed across EncodeBinary/OpenRecordingView")
 	}
 
 	cfg.ContactSource = ContactReplay

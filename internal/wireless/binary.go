@@ -1,9 +1,7 @@
-// Binary contact-trace codec (v2 of the on-disk trace formats; the
-// line-oriented text form in recording.go is v1). The experiment harness
-// persists one trace per (scenario, seed) fingerprint; on large fleets the
-// text format's float formatting and parsing dominate cache-dir load time,
-// so the persisted form is binary and the text form is kept for
-// inspection and back-compat.
+// Binary contact-trace codec, version 2: the one persisted form of a
+// Recording. The experiment harness persists one trace per (scenario,
+// seed) fingerprint and the vdtnsim CLI records and replays traces in it;
+// RecordingView (view.go) is its only decoder.
 //
 // Layout (all fixed-width integers little-endian):
 //
@@ -24,8 +22,8 @@
 // truncated file fails the CRC (and the count no longer matches the
 // decoded stream), and any bit flip fails the CRC. The varint time deltas
 // are lossless — bit patterns, not values, are delta-coded — so for any
-// recording that passes Validate, DecodeBinary(EncodeBinary(r)) reproduces
-// r exactly, including times that have no short decimal form.
+// recording that passes Validate, decoding EncodeBinary(r) reproduces r
+// exactly, including times that have no short decimal form.
 package wireless
 
 import (
@@ -49,10 +47,9 @@ const (
 // recording) decodes back, keeping the round trip exact.
 const maxBinaryNode = math.MaxInt / 2
 
-// IsBinaryRecording reports whether data starts with the binary codec's
-// magic — the sniff DecodeRecording and the contact cache use to pick a
-// decoder. Text traces start with '#' or a directive line, never the magic.
-func IsBinaryRecording(data []byte) bool {
+// isBinaryRecording reports whether data starts with the binary codec's
+// magic.
+func isBinaryRecording(data []byte) bool {
 	return len(data) >= len(binaryMagic) && string(data[:len(binaryMagic)]) == binaryMagic
 }
 
@@ -84,9 +81,8 @@ func EncodeBinary(r *Recording) []byte {
 
 // binEnvelope is a binary trace whose container has been verified: magic,
 // version, CRC32 and the count sanity bound all checked. The transition
-// stream itself is still raw bytes — decode it with a binCursor (see
-// stream.go), which every consumer (DecodeBinary, RecordingReader,
-// RecordingView) shares so their acceptance behaviour cannot drift apart.
+// stream itself is still raw bytes — RecordingView decodes it with a
+// binCursor (see stream.go).
 type binEnvelope struct {
 	scanInterval float64
 	duration     float64
@@ -99,7 +95,7 @@ type binEnvelope struct {
 // flip fails the CRC (the count is covered by it too) and is reported as
 // an error — never handed to a decoder as a plausible shorter trace.
 func parseBinaryEnvelope(data []byte) (binEnvelope, error) {
-	if !IsBinaryRecording(data) {
+	if !isBinaryRecording(data) {
 		return binEnvelope{}, fmt.Errorf("wireless: not a binary contact recording (bad magic)")
 	}
 	if len(data) < binaryHeaderLen+binaryFooterLen {
@@ -129,62 +125,4 @@ func parseBinaryEnvelope(data []byte) (binEnvelope, error) {
 		return binEnvelope{}, fmt.Errorf("wireless: binary recording declares %d transitions in a %d-byte stream", count, len(env.stream))
 	}
 	return env, nil
-}
-
-// DecodeBinary reads the binary codec back into a validated Recording.
-// Integrity is checked before the stream is trusted: a short read, torn
-// write or bit flip fails the CRC or the transition count and is reported
-// as an error — never decoded as a plausible shorter trace. To decode
-// incrementally without materializing the transition slice, use
-// RecordingReader; for shared zero-copy replay, OpenRecordingView.
-func DecodeBinary(data []byte) (*Recording, error) {
-	env, err := parseBinaryEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	rec := &Recording{ScanInterval: env.scanInterval, Duration: env.duration}
-	if env.count > 0 { // keep Transitions nil for empty traces (round-trip exactness)
-		rec.Transitions = make([]Transition, 0, env.count)
-	}
-	cur := binCursor{p: env.stream}
-	for {
-		tr, ok, err := cur.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rec.Transitions = append(rec.Transitions, tr)
-	}
-	if uint64(len(rec.Transitions)) != env.count {
-		return nil, fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
-			env.count, len(rec.Transitions))
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-	}
-	return rec, nil
-}
-
-// DecodeRecording decodes a persisted contact trace in either format,
-// sniffing by magic: the binary codec when present, otherwise the strict
-// text form (end trailer required; see DecodeRecordingLegacy for
-// pre-trailer files).
-func DecodeRecording(data []byte) (*Recording, error) {
-	if IsBinaryRecording(data) {
-		return DecodeBinary(data)
-	}
-	return ParseRecording(string(data))
-}
-
-// DecodeRecordingLegacy decodes like DecodeRecording but tolerates text
-// traces without the end trailer (pre-v2 files), reporting the lost
-// truncation detection through warn — the one policy shared by every
-// disk-loading consumer (the contact cache, the CLIs).
-func DecodeRecordingLegacy(data []byte, warn func(msg string)) (*Recording, error) {
-	if IsBinaryRecording(data) {
-		return DecodeBinary(data)
-	}
-	return ParseRecordingLegacy(string(data), warn)
 }

@@ -9,23 +9,25 @@ import (
 	"testing"
 )
 
+// decode reads an encoded trace back through the codec's only decoder.
+func decode(data []byte) (*Recording, error) {
+	v, err := NewRecordingView(data)
+	if err != nil {
+		return nil, err
+	}
+	return v.Materialize(), nil
+}
+
 // TestBinaryRoundTrip: the binary codec reproduces a live-captured
-// recording exactly, and agrees bit for bit with the text codec.
+// recording exactly.
 func TestBinaryRoundTrip(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
-	dec, err := DecodeBinary(EncodeBinary(rec))
+	dec, err := decode(EncodeBinary(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(rec, dec) {
 		t.Fatalf("binary round trip changed the recording:\nin:  %+v\nout: %+v", rec, dec)
-	}
-	viaText, err := ParseRecording(rec.Format())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaText, dec) {
-		t.Fatal("binary and text round trips disagree")
 	}
 
 	// Times with no short decimal form and an empty trace.
@@ -34,7 +36,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 			Transitions: []Transition{{Time: 0.30000000000000004, A: 1, B: 2, Up: true}}},
 		{ScanInterval: 1, Duration: 10},
 	} {
-		dec, err := DecodeBinary(EncodeBinary(rec))
+		dec, err := decode(EncodeBinary(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,8 +72,7 @@ func randomRecording(rng *rand.Rand) *Recording {
 }
 
 // TestBinaryRoundTripRandomized is the codec's property test: across many
-// random traces, binary and text round trips are both exact and agree
-// with each other.
+// random traces, the round trip is exact and re-encoding is deterministic.
 func TestBinaryRoundTripRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
@@ -80,19 +81,12 @@ func TestBinaryRoundTripRandomized(t *testing.T) {
 			t.Fatalf("case %d: generator produced an invalid trace: %v", i, err)
 		}
 		enc := EncodeBinary(rec)
-		dec, err := DecodeBinary(enc)
+		dec, err := decode(enc)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(rec, dec) {
 			t.Fatalf("case %d: binary round trip changed the recording", i)
-		}
-		viaText, err := ParseRecording(rec.Format())
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(viaText, dec) {
-			t.Fatalf("case %d: binary and text round trips disagree", i)
 		}
 		// Determinism: re-encoding the decoded trace is byte-identical.
 		if string(EncodeBinary(dec)) != string(enc) {
@@ -102,7 +96,7 @@ func TestBinaryRoundTripRandomized(t *testing.T) {
 }
 
 // TestTruncationRejectedAtEveryOffset is the integrity guarantee the
-// formats exist for: a trace cut short at ANY byte offset is an error,
+// format exists for: a trace cut short at ANY byte offset is an error,
 // never decoded as a plausible shorter trace.
 func TestTruncationRejectedAtEveryOffset(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
@@ -112,22 +106,9 @@ func TestTruncationRejectedAtEveryOffset(t *testing.T) {
 
 	enc := EncodeBinary(rec)
 	for i := 0; i < len(enc); i++ {
-		if _, err := DecodeBinary(enc[:i]); err == nil {
+		if _, err := NewRecordingView(enc[:i]); err == nil {
 			t.Fatalf("binary prefix of %d/%d bytes decoded cleanly", i, len(enc))
 		}
-	}
-
-	// Text: every prefix must fail the strict parser. The sole exception
-	// is dropping the final newline, which loses no content (the trailer
-	// is still complete and matching).
-	text := rec.Format()
-	for i := 0; i < len(text)-1; i++ {
-		if _, err := ParseRecording(text[:i]); err == nil {
-			t.Fatalf("text prefix of %d/%d bytes parsed cleanly", i, len(text))
-		}
-	}
-	if _, err := ParseRecording(text[:len(text)-1]); err != nil {
-		t.Fatalf("dropping only the trailing newline must still parse, got %v", err)
 	}
 }
 
@@ -141,7 +122,7 @@ func TestBinaryRejectsBitFlips(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(flipped, enc)
 			flipped[i] ^= 1 << bit
-			if _, err := DecodeBinary(flipped); err == nil {
+			if _, err := NewRecordingView(flipped); err == nil {
 				t.Fatalf("flip of byte %d bit %d decoded cleanly", i, bit)
 			}
 		}
@@ -156,73 +137,13 @@ func TestBinaryRejectsWrongVersion(t *testing.T) {
 	enc[len(binaryMagic)] = 3 // bump the version field...
 	// ...and re-seal the CRC so only the version check can object.
 	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
-	_, err := DecodeBinary(enc)
+	_, err := NewRecordingView(enc)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version accepted or misreported: %v", err)
 	}
 }
 
-// TestDecodeRecordingSniffs: the format sniffer routes both encodings to
-// the right decoder and garbage to an error.
-func TestDecodeRecordingSniffs(t *testing.T) {
-	rec, _ := liveRecording(t, crossingEntities(), 90)
-	fromBin, err := DecodeRecording(EncodeBinary(rec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromText, err := DecodeRecording([]byte(rec.Format()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromBin, rec) || !reflect.DeepEqual(fromText, rec) {
-		t.Fatal("sniffer decoded a different recording")
-	}
-	if _, err := DecodeRecording([]byte("garbage\n")); err == nil {
-		t.Fatal("garbage decoded cleanly")
-	}
-}
-
-// TestParseRecordingTrailer pins the text trailer contract: required by
-// the strict parser, tolerated-with-warning by the legacy parser, and a
-// lying trailer is an error for both.
-func TestParseRecordingTrailer(t *testing.T) {
-	withTrailer := "scan 1\nduration 10\n1 0 1 up\nend 1\n"
-	if _, err := ParseRecording(withTrailer); err != nil {
-		t.Fatal(err)
-	}
-
-	noTrailer := "scan 1\nduration 10\n1 0 1 up\n"
-	if _, err := ParseRecording(noTrailer); err == nil {
-		t.Fatal("strict parser accepted a trailer-less trace")
-	}
-	var warned []string
-	rec, err := ParseRecordingLegacy(noTrailer, func(msg string) { warned = append(warned, msg) })
-	if err != nil {
-		t.Fatalf("legacy parser rejected a trailer-less trace: %v", err)
-	}
-	if len(rec.Transitions) != 1 {
-		t.Fatalf("legacy parse read %d transitions, want 1", len(rec.Transitions))
-	}
-	if len(warned) != 1 || !strings.Contains(warned[0], "end trailer") {
-		t.Fatalf("legacy warnings = %v, want one about the missing trailer", warned)
-	}
-
-	for name, text := range map[string]string{
-		"undercount":    "scan 1\nduration 10\n1 0 1 up\nend 0\n",
-		"overcount":     "scan 1\nduration 10\n1 0 1 up\nend 2\n",
-		"bad count":     "scan 1\nduration 10\nend x\n",
-		"content after": "scan 1\nduration 10\nend 0\n1 0 1 up\n",
-	} {
-		if _, err := ParseRecording(text); err == nil {
-			t.Errorf("%s accepted: %q", name, text)
-		}
-		if _, err := ParseRecordingLegacy(text, nil); err == nil {
-			t.Errorf("%s accepted by the legacy parser: %q", name, text)
-		}
-	}
-}
-
-// --- benchmarks: the load-time motivation for the binary codec ----------
+// --- benchmarks ------------------------------------------------------------
 
 // benchRecording is a fleet-scale synthetic trace (size comparable to a
 // 12-hour fig5 recording).
@@ -245,23 +166,14 @@ func benchRecording() *Recording {
 	return rec
 }
 
-func BenchmarkRecordingDecodeBinary(b *testing.B) {
+// BenchmarkRecordingOpenView measures the decoder's open pass: envelope,
+// CRC, and the full decode + structural validation of the stream.
+func BenchmarkRecordingOpenView(b *testing.B) {
 	enc := EncodeBinary(benchRecording())
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBinary(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRecordingParseText(b *testing.B) {
-	text := benchRecording().Format()
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseRecording(text); err != nil {
+		if _, err := NewRecordingView(enc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -272,13 +184,5 @@ func BenchmarkRecordingEncodeBinary(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EncodeBinary(rec)
-	}
-}
-
-func BenchmarkRecordingFormatText(b *testing.B) {
-	rec := benchRecording()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = rec.Format()
 	}
 }

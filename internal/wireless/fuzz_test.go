@@ -1,13 +1,12 @@
 package wireless
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 )
 
 // fuzzSeedRecordings are the hand-picked traces whose encodings (and
-// mutations of them) seed both fuzz corpora: the empty trace, fractional
+// mutations of them) seed the fuzz corpus: the empty trace, fractional
 // ticks, times with no short decimal form, repeated pairs, and a
 // large-gap node pair.
 func fuzzSeedRecordings() []*Recording {
@@ -34,17 +33,16 @@ func encodeEqual(a, b *Recording) bool {
 	return string(EncodeBinary(a)) == string(EncodeBinary(b))
 }
 
-// FuzzDecodeBinary is the binary codec's robustness target. For arbitrary
-// bytes the decoder must never panic, and the three decoders — slurping
-// DecodeBinary, streaming RecordingReader, zero-copy RecordingView — must
-// agree exactly: the same accept/reject verdict and, on accept, the same
-// transitions. An accepted input must be structurally valid (never a
-// silently-short or silently-invalid trace) and re-encode
-// deterministically.
+// FuzzDecodeBinary is the binary codec's robustness target, run against
+// its only decoder, NewRecordingView. For arbitrary bytes the view must
+// never panic. An accepted input must materialize to a structurally valid
+// trace (never a silently-short or silently-invalid one) whose MaxNode and
+// length the view reports, and that trace must re-encode to bytes the
+// view reopens to the same transitions.
 func FuzzDecodeBinary(f *testing.F) {
 	// Seeds: valid encodings, truncations at awkward offsets (inside the
 	// header, mid-stream, inside the footer), bit flips, and non-binary
-	// junk — the corpus the PR 2 truncation/bit-flip tests sweep.
+	// junk — the corpus the truncation/bit-flip tests sweep.
 	rng := rand.New(rand.NewSource(1))
 	for _, rec := range fuzzSeedRecordings() {
 		enc := EncodeBinary(rec)
@@ -65,115 +63,26 @@ func FuzzDecodeBinary(f *testing.F) {
 	f.Add([]byte("# vdtn contact recording\nscan 1\nduration 10\nend 0\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, decErr := DecodeBinary(data)
-		view, viewErr := NewRecordingView(data)
-		if (decErr == nil) != (viewErr == nil) {
-			t.Fatalf("decoders disagree: DecodeBinary err=%v, NewRecordingView err=%v", decErr, viewErr)
-		}
-
-		var streamed *Recording
-		streamErr := func() error {
-			rdr, err := NewRecordingReader(data)
-			if err != nil {
-				return err
-			}
-			meta := rdr.Meta()
-			streamed = &Recording{ScanInterval: meta.ScanInterval, Duration: meta.Duration}
-			for {
-				tr, err := rdr.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				streamed.Transitions = append(streamed.Transitions, tr)
-			}
-		}()
-		if (decErr == nil) != (streamErr == nil) {
-			t.Fatalf("decoders disagree: DecodeBinary err=%v, RecordingReader err=%v", decErr, streamErr)
-		}
-		if decErr != nil {
+		view, err := NewRecordingView(data)
+		if err != nil {
 			return
 		}
-
-		// Accepted: the trace must be structurally valid — a decode that
-		// yields an invalid or shorter-than-declared trace is the silent
-		// corruption the format exists to rule out.
+		rec := view.Materialize()
 		if err := rec.Validate(); err != nil {
 			t.Fatalf("accepted trace fails Validate: %v", err)
 		}
-		if !encodeEqual(rec, streamed) {
-			t.Fatal("streaming reader yielded different transitions than DecodeBinary")
-		}
-		if mat := view.Materialize(); !encodeEqual(rec, mat) {
-			t.Fatal("view materialized different transitions than DecodeBinary")
-		}
 		if view.MaxNode() != rec.MaxNode() || view.Len() != len(rec.Transitions) {
-			t.Fatalf("view MaxNode/Len (%d, %d) disagree with the recording (%d, %d)",
+			t.Fatalf("view MaxNode/Len (%d, %d) disagree with the materialized trace (%d, %d)",
 				view.MaxNode(), view.Len(), rec.MaxNode(), len(rec.Transitions))
 		}
 
-		// Deterministic re-encode, and the re-encoding decodes back.
-		enc := EncodeBinary(rec)
-		again, err := DecodeBinary(enc)
+		// The re-encoding reopens to the same transitions.
+		again, err := NewRecordingView(EncodeBinary(rec))
 		if err != nil {
 			t.Fatalf("re-encoded accepted trace rejected: %v", err)
 		}
-		if !encodeEqual(rec, again) {
+		if !encodeEqual(rec, again.Materialize()) {
 			t.Fatal("re-encode round trip changed the trace")
-		}
-	})
-}
-
-// FuzzParseRecording is the text parser's robustness target: arbitrary
-// input must never panic either parser; an accepted trace must be
-// structurally valid and round-trip exactly through Format; and the
-// legacy parser must accept everything the strict parser accepts, without
-// warnings.
-func FuzzParseRecording(f *testing.F) {
-	for _, rec := range fuzzSeedRecordings() {
-		text := rec.Format()
-		f.Add(text)
-		f.Add(text[:len(text)/2])
-		f.Add(text + "1 0 1 up\n")
-	}
-	f.Add("")
-	f.Add("# comment only\n")
-	f.Add("scan 1\nduration 10\n1 0 1 up\n")              // no trailer (legacy)
-	f.Add("scan 1\nduration 10\n1 0 1 up\nend 2\n")       // lying trailer
-	f.Add("scan 1e309\nduration -0\nNaN 0 1 up\nend 1\n") // float edge cases
-
-	f.Fuzz(func(t *testing.T, text string) {
-		rec, err := ParseRecording(text)
-		var warned bool
-		legacyRec, legacyErr := ParseRecordingLegacy(text, func(string) { warned = true })
-		if err != nil {
-			// The legacy parser is strictly more permissive, but only about
-			// the missing trailer; everything else rejects identically.
-			if legacyErr == nil && !warned {
-				t.Fatal("legacy parser silently accepted what the strict parser rejected")
-			}
-			return
-		}
-		if legacyErr != nil {
-			t.Fatalf("legacy parser rejected a strictly-valid trace: %v", legacyErr)
-		}
-		if warned {
-			t.Fatal("legacy parser warned on a trailer-bearing trace")
-		}
-		if !encodeEqual(rec, legacyRec) {
-			t.Fatal("strict and legacy parsers disagree on an accepted trace")
-		}
-		if err := rec.Validate(); err != nil {
-			t.Fatalf("accepted trace fails Validate: %v", err)
-		}
-		again, err := ParseRecording(rec.Format())
-		if err != nil {
-			t.Fatalf("formatted accepted trace rejected: %v", err)
-		}
-		if !encodeEqual(rec, again) {
-			t.Fatal("Format round trip changed the trace")
 		}
 	})
 }

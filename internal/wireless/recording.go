@@ -7,12 +7,6 @@
 // (scenario, seed) pair is reused across every series and x-axis cell.
 package wireless
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
-
 // Transition is one contact state change, as fired by the proximity scan
 // (or a contact plan). A < B always; Time is the scan tick the transition
 // fired on.
@@ -50,52 +44,17 @@ func (r *Recording) MaxNode() int {
 // Validate reports the first structural defect: non-positive scan interval
 // or duration, unordered or negative pairs, timestamps outside [0, Duration]
 // or decreasing, or a transition repeating the pair's current state (two
-// ups or two downs in a row).
+// ups or two downs in a row). It applies the streaming validator every
+// decoded view passes at open, so a slice and a view obey one rule set.
 func (r *Recording) Validate() error {
-	if r.ScanInterval <= 0 {
-		return fmt.Errorf("wireless: recording has non-positive scan interval %v", r.ScanInterval)
+	val, err := newStreamValidator(r.ScanInterval, r.Duration)
+	if err != nil {
+		return err
 	}
-	if r.Duration <= 0 {
-		return fmt.Errorf("wireless: recording has non-positive duration %v", r.Duration)
-	}
-	// Pair-state tracking: fleet-scale traces validate on every cache-dir
-	// load, so the common small-id case uses a dense bitmap instead of a
-	// map (several times faster); huge or sparse id spaces — including
-	// absurd ids from corrupt input, where stride*stride would overflow —
-	// fall back to the map.
-	var dense []bool
-	var sparse map[pairKey]bool
-	stride := r.MaxNode() + 1
-	if stride > 0 && stride <= 1<<11 {
-		dense = make([]bool, stride*stride)
-	} else {
-		sparse = make(map[pairKey]bool)
-	}
-	last := 0.0
-	for i, tr := range r.Transitions {
-		switch {
-		case tr.A < 0 || tr.B <= tr.A:
-			return fmt.Errorf("wireless: recording transition %d has bad pair (%d, %d)", i, tr.A, tr.B)
-		case tr.Time < last:
-			return fmt.Errorf("wireless: recording transition %d at %v before predecessor at %v", i, tr.Time, last)
-		case tr.Time > r.Duration:
-			return fmt.Errorf("wireless: recording transition %d at %v beyond duration %v", i, tr.Time, r.Duration)
+	for _, tr := range r.Transitions {
+		if err := val.check(tr); err != nil {
+			return err
 		}
-		var up bool
-		if dense != nil {
-			up = dense[tr.A*stride+tr.B]
-		} else {
-			up = sparse[pairKey{tr.A, tr.B}]
-		}
-		if up == tr.Up {
-			return fmt.Errorf("wireless: recording transition %d repeats state up=%v of pair (%d, %d)", i, tr.Up, tr.A, tr.B)
-		}
-		if dense != nil {
-			dense[tr.A*stride+tr.B] = tr.Up
-		} else {
-			sparse[pairKey{tr.A, tr.B}] = tr.Up
-		}
-		last = tr.Time
 	}
 	return nil
 }
@@ -126,128 +85,4 @@ func (r *Recording) Windows() []ContactWindow {
 		}
 	}
 	return kept
-}
-
-// Format renders the recording in its line-oriented text form:
-//
-//	# vdtn contact recording
-//	scan <interval>
-//	duration <seconds>
-//	<time> <nodeA> <nodeB> up|down
-//	end <transition count>
-//
-// Floats use the shortest exact decimal representation, so
-// ParseRecording(Format()) round-trips bit-identically. The final
-// "end <count>" trailer makes truncation detectable: without it, any
-// prefix of a trace would parse cleanly and silently replay wrong
-// contacts.
-func (r *Recording) Format() string {
-	var sb strings.Builder
-	sb.WriteString("# vdtn contact recording\n")
-	fmt.Fprintf(&sb, "scan %s\n", formatFloat(r.ScanInterval))
-	fmt.Fprintf(&sb, "duration %s\n", formatFloat(r.Duration))
-	for _, tr := range r.Transitions {
-		dir := "down"
-		if tr.Up {
-			dir = "up"
-		}
-		fmt.Fprintf(&sb, "%s %d %d %s\n", formatFloat(tr.Time), tr.A, tr.B, dir)
-	}
-	fmt.Fprintf(&sb, "end %d\n", len(r.Transitions))
-	return sb.String()
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// ParseRecording reads the Format text form back into a validated
-// Recording. The "end <count>" trailer is required: a file cut short —
-// torn rename, partial copy — is reported as an error, never replayed as
-// a shorter trace. For files written before the trailer existed, use
-// ParseRecordingLegacy.
-func ParseRecording(text string) (*Recording, error) {
-	return parseRecording(text, false, nil)
-}
-
-// ParseRecordingLegacy parses like ParseRecording but tolerates a missing
-// "end <count>" trailer, for traces written before the trailer existed.
-// When the trailer is absent, warn (if non-nil) is told that truncation of
-// this file cannot be detected. A present-but-mismatching trailer is still
-// an error.
-func ParseRecordingLegacy(text string, warn func(msg string)) (*Recording, error) {
-	return parseRecording(text, true, warn)
-}
-
-func parseRecording(text string, legacy bool, warn func(string)) (*Recording, error) {
-	rec := &Recording{}
-	trailer := -1 // transition count the end trailer declares; -1 = not seen
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if trailer >= 0 {
-			return nil, fmt.Errorf("wireless: recording line %d: content after the end trailer", lineNo+1)
-		}
-		fields := strings.Fields(line)
-		switch {
-		case fields[0] == "end" && len(fields) == 2:
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("wireless: recording line %d: bad end count %q", lineNo+1, fields[1])
-			}
-			trailer = n
-		case fields[0] == "scan" && len(fields) == 2:
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("wireless: recording line %d: bad scan interval %q", lineNo+1, fields[1])
-			}
-			rec.ScanInterval = v
-		case fields[0] == "duration" && len(fields) == 2:
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("wireless: recording line %d: bad duration %q", lineNo+1, fields[1])
-			}
-			rec.Duration = v
-		case len(fields) == 4:
-			t, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil {
-				return nil, fmt.Errorf("wireless: recording line %d: bad time %q", lineNo+1, fields[0])
-			}
-			a, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("wireless: recording line %d: bad node %q", lineNo+1, fields[1])
-			}
-			b, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("wireless: recording line %d: bad node %q", lineNo+1, fields[2])
-			}
-			var upFlag bool
-			switch fields[3] {
-			case "up":
-				upFlag = true
-			case "down":
-				upFlag = false
-			default:
-				return nil, fmt.Errorf("wireless: recording line %d: want up|down, got %q", lineNo+1, fields[3])
-			}
-			rec.Transitions = append(rec.Transitions, Transition{Time: t, A: a, B: b, Up: upFlag})
-		default:
-			return nil, fmt.Errorf("wireless: recording line %d: unrecognized %q", lineNo+1, line)
-		}
-	}
-	switch {
-	case trailer >= 0 && trailer != len(rec.Transitions):
-		return nil, fmt.Errorf("wireless: recording truncated: end trailer declares %d transitions, read %d",
-			trailer, len(rec.Transitions))
-	case trailer < 0 && !legacy:
-		return nil, fmt.Errorf("wireless: recording has no end trailer: truncated, or a pre-v2 file (use ParseRecordingLegacy)")
-	case trailer < 0 && legacy:
-		if warn != nil {
-			warn("recording has no end trailer (pre-v2 file): truncation cannot be detected")
-		}
-	}
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }

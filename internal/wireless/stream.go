@@ -1,18 +1,14 @@
 // Streaming access to binary contact traces: the incremental decoder
-// (binCursor), the one-transition-at-a-time validator (streamValidator),
-// the RecordingReader built from the two, and the ReplaySource interface
-// that lets replay consume a trace without a materialized []Transition.
-//
-// DecodeBinary, RecordingReader and RecordingView all decode through the
-// same binCursor and apply the same structural rules, so a byte sequence
-// is either accepted by all of them with identical transitions or rejected
-// by all of them — the property the fuzz suite pins.
+// (binCursor), the one-transition-at-a-time validator (streamValidator)
+// that both RecordingView and Recording.Validate run, and the ReplaySource
+// interface that lets replay consume a trace without a materialized
+// []Transition.
 package wireless
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 )
@@ -116,15 +112,14 @@ func (c *binCursor) next() (Transition, bool, error) {
 	}, true, nil
 }
 
-// streamValidator applies Recording.Validate's structural rules to a
-// transition stream incrementally, so streaming consumers enforce exactly
-// the invariants the slurping decoder does without holding the trace.
-// Like Validate, pair state lives in a dense bitmap for the common
-// small-id case — grown geometrically as higher ids appear, since a
-// stream's MaxNode is unknown up front — with a map fallback for huge or
-// sparse id spaces. The state structure is the only allocation and is
-// paid once per validation pass (once per view open), never per replay
-// cell.
+// streamValidator applies the structural trace rules to a transition
+// stream incrementally: a view checks its stream at open and
+// Recording.Validate checks its slice, one transition at a time. Pair
+// state lives in a dense bitmap for the common small-id case — grown
+// geometrically as higher ids appear, since a stream's MaxNode is unknown
+// up front — with a map fallback for huge or sparse id spaces (including
+// absurd ids from corrupt input). The state structure is the only
+// allocation, paid once per validation pass.
 type streamValidator struct {
 	duration float64
 	last     float64
@@ -135,8 +130,8 @@ type streamValidator struct {
 	sparse map[pairKey]bool
 }
 
-// streamDenseMax mirrors Validate's dense-path cutoff: beyond this stride
-// the bitmap (stride²  bools) costs more than the map.
+// streamDenseMax is the dense-path cutoff: beyond this stride the bitmap
+// (stride² bools) costs more than the map.
 const streamDenseMax = 1 << 11
 
 func newStreamValidator(scanInterval, duration float64) (*streamValidator, error) {
@@ -154,8 +149,7 @@ func newStreamValidator(scanInterval, duration float64) (*streamValidator, error
 	}, nil
 }
 
-// check admits one transition or reports the first structural defect, with
-// the same rules (and messages) as Recording.Validate.
+// check admits one transition or reports the first structural defect.
 func (v *streamValidator) check(tr Transition) error {
 	switch {
 	case tr.A < 0 || tr.B <= tr.A:
@@ -220,115 +214,11 @@ func (v *streamValidator) grow(b int) {
 	v.stride = stride
 }
 
-// RecordingReader streams the transitions of a binary contact trace one at
-// a time, never materializing the slice — the decoder for traces too large
-// to slurp. The container (magic, version, CRC32, count bound) is verified
-// before the first transition is yielded, and every transition passes the
-// same per-entry and structural checks DecodeBinary applies, so the reader
-// can never hand out a prefix of a damaged trace.
-type RecordingReader struct {
-	meta    RecordingMeta
-	cur     binCursor
-	val     *streamValidator
-	unmap   func() error
-	failed  error
-	maxNode int
-}
-
-// NewRecordingReader starts streaming the binary trace held in data. The
-// container is verified up front; transitions decode lazily in Next.
-func NewRecordingReader(data []byte) (*RecordingReader, error) {
-	env, err := parseBinaryEnvelope(data)
-	if err != nil {
-		return nil, err
-	}
-	val, err := newStreamValidator(env.scanInterval, env.duration)
-	if err != nil {
-		return nil, fmt.Errorf("wireless: binary recording invalid: %w", err)
-	}
-	return &RecordingReader{
-		meta:    RecordingMeta{ScanInterval: env.scanInterval, Duration: env.duration, Transitions: int(env.count)},
-		cur:     binCursor{p: env.stream},
-		val:     val,
-		maxNode: -1,
-	}, nil
-}
-
-// OpenRecording opens the binary trace at path for streaming, mapping the
-// file into memory where the platform allows (a shared page-cached copy,
-// no heap) and falling back to a plain read elsewhere. Close releases the
-// mapping; the reader must not be used after Close.
-func OpenRecording(path string) (*RecordingReader, error) {
-	data, unmap, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := NewRecordingReader(data)
-	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
-		return nil, err
-	}
-	r.unmap = unmap
-	return r, nil
-}
-
-// Meta returns the trace's header fields and declared transition count.
-func (r *RecordingReader) Meta() RecordingMeta { return r.meta }
-
-// MaxNode returns the highest node id among the transitions yielded so
-// far (-1 before the first); after a clean drain to io.EOF it is the
-// trace's MaxNode.
-func (r *RecordingReader) MaxNode() int { return r.maxNode }
-
-// Next returns the next transition. It returns io.EOF after the final
-// transition of an intact trace, and a descriptive error — sticky across
-// further calls — if the stream turns out damaged (a count that lies about
-// the stream length, a malformed entry, a structural violation).
-func (r *RecordingReader) Next() (Transition, error) {
-	if r.failed != nil {
-		return Transition{}, r.failed
-	}
-	tr, ok, err := r.cur.next()
-	if err != nil {
-		r.failed = err
-		return Transition{}, err
-	}
-	if !ok {
-		if r.cur.n != r.meta.Transitions {
-			r.failed = fmt.Errorf("wireless: binary recording truncated: footer declares %d transitions, stream held %d",
-				r.meta.Transitions, r.cur.n)
-			return Transition{}, r.failed
-		}
-		r.failed = io.EOF
-		return Transition{}, io.EOF
-	}
-	if err := r.val.check(tr); err != nil {
-		r.failed = fmt.Errorf("wireless: binary recording invalid: %w", err)
-		return Transition{}, r.failed
-	}
-	if tr.B > r.maxNode {
-		r.maxNode = tr.B
-	}
-	return tr, nil
-}
-
-// Close releases the file mapping, if any. Safe to call more than once.
-func (r *RecordingReader) Close() error {
-	unmap := r.unmap
-	r.unmap = nil
-	r.failed = fmt.Errorf("wireless: recording reader closed")
-	r.cur.p = nil
-	if unmap != nil {
-		return unmap()
-	}
-	return nil
-}
-
 // mapFile returns the contents of path, memory-mapped read-only when the
 // platform supports it (see mmap_unix.go), plus the unmap function (nil
-// when the bytes are heap-backed and need no release).
+// when the bytes are heap-backed and need no release). Every failure to
+// get at the bytes is an *os.PathError, so callers can tell an unreadable
+// file from a damaged one.
 func mapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -339,6 +229,9 @@ func mapFile(path string) ([]byte, func() error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if !fi.Mode().IsRegular() {
+		return nil, nil, &os.PathError{Op: "read", Path: path, Err: errors.New("not a regular file")}
+	}
 	size := fi.Size()
 	if size == 0 {
 		// mmap rejects empty ranges; an empty file fails envelope parsing
@@ -346,13 +239,16 @@ func mapFile(path string) ([]byte, func() error, error) {
 		return nil, nil, nil
 	}
 	if size != int64(int(size)) {
-		return nil, nil, fmt.Errorf("wireless: %s: %d bytes does not fit this platform's address space", path, size)
+		return nil, nil, &os.PathError{Op: "read", Path: path, Err: fmt.Errorf("%d bytes do not fit this platform's address space", size)}
 	}
 	data, unmap, err := mmapReadOnly(f, int(size))
-	if err == nil && unmap != nil {
+	if err != nil {
+		return nil, nil, &os.PathError{Op: "read", Path: path, Err: err}
+	}
+	if unmap != nil {
 		// Only genuinely mapped pages take access-pattern hints; the
 		// heap-backed fallback (unmap == nil) has nothing to advise.
 		adviseReplayAccess(data)
 	}
-	return data, unmap, err
+	return data, unmap, nil
 }

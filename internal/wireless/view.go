@@ -6,17 +6,19 @@ import (
 )
 
 // RecordingView is a read-only, fully validated view of a binary contact
-// trace that replays without materializing a []Transition. Opened over a
-// memory-mapped file (OpenRecordingView), the transition stream lives in
-// the kernel page cache: concurrent sweep processes replaying the same
-// persisted trace share one physical copy, and each replaying cell pays
-// only a cursor — zero per-cell allocation proportional to the trace.
+// trace that replays without materializing a []Transition — the codec's
+// only decoder. Opened over a memory-mapped file (OpenRecordingView), the
+// transition stream lives in the kernel page cache: concurrent sweep
+// processes replaying the same persisted trace share one physical copy,
+// and each replaying cell pays only a cursor — zero per-cell allocation
+// proportional to the trace. Callers that need the slice form call
+// Materialize.
 //
-// Every integrity and structural check DecodeBinary performs runs once at
-// open (CRC32, transition count, per-entry decode checks, time ordering,
-// state alternation), so a view that opened cleanly is exactly as trusted
-// as a decoded *Recording and its cursors cannot fail mid-replay. The view
-// is immutable and safe for concurrent cursors; Close (unmapping the file)
+// Every integrity and structural check runs once at open (CRC32,
+// transition count, per-entry decode checks, time ordering, state
+// alternation), so a view that opened cleanly is exactly as trusted as a
+// validated *Recording and its cursors cannot fail mid-replay. The view is
+// immutable and safe for concurrent cursors; Close (unmapping the file)
 // must not race live cursors.
 type RecordingView struct {
 	meta    RecordingMeta
@@ -54,9 +56,9 @@ func OpenRecordingView(path string) (*RecordingView, error) {
 	return v, nil
 }
 
-// newRecordingView runs the full decode + structural validation pass —
-// the work DecodeBinary does, minus building the slice — and captures the
-// trace's MaxNode along the way.
+// newRecordingView runs the full decode + structural validation pass,
+// without building the slice, and captures the trace's MaxNode along the
+// way.
 func newRecordingView(data []byte, unmap func() error) (*RecordingView, error) {
 	env, err := parseBinaryEnvelope(data)
 	if err != nil {
@@ -116,7 +118,8 @@ func (v *RecordingView) Cursor() TransitionCursor {
 
 // Materialize decodes the view into a standalone in-memory Recording —
 // for callers that need the slice form (plan export, inspection) of a
-// trace they otherwise replay zero-copy.
+// trace they otherwise replay zero-copy. The result is independent of the
+// view's backing memory and stays valid after Close.
 func (v *RecordingView) Materialize() *Recording {
 	rec := &Recording{ScanInterval: v.meta.ScanInterval, Duration: v.meta.Duration}
 	if v.meta.Transitions > 0 {

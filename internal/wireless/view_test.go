@@ -3,7 +3,6 @@ package wireless
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,7 +23,7 @@ func writeTempTrace(t *testing.T, rec *Recording) string {
 }
 
 // TestRecordingViewMatchesDecode: a view over encoded bytes exposes
-// exactly what DecodeBinary materializes — metadata, MaxNode, and the
+// exactly the recording it was encoded from — metadata, MaxNode, and the
 // transition stream — without building the slice.
 func TestRecordingViewMatchesDecode(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
@@ -98,82 +97,34 @@ func TestOpenRecordingView(t *testing.T) {
 }
 
 // TestViewRejectsWhatDecodeRejects: for every truncation offset of a real
-// trace, the view and the streaming reader reach the same verdict as
-// DecodeBinary — the three decoders share one acceptance set.
+// trace, the mmap-backed open path reaches the same verdict as decoding
+// the bytes in memory, and the complete file is the only one accepted.
 func TestViewRejectsWhatDecodeRejects(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
 	enc := EncodeBinary(rec)
+	path := filepath.Join(t.TempDir(), "trace.contactsb")
 	for i := 0; i <= len(enc); i++ {
 		data := enc[:i]
-		_, decErr := DecodeBinary(data)
-		_, viewErr := NewRecordingView(data)
-		if (decErr == nil) != (viewErr == nil) {
-			t.Fatalf("prefix %d/%d: DecodeBinary err=%v, NewRecordingView err=%v", i, len(enc), decErr, viewErr)
-		}
-		rdr, rdrErr := NewRecordingReader(data)
-		if rdrErr == nil {
-			rdrErr = drainReader(rdr)
-			if rdrErr == io.EOF {
-				rdrErr = nil
-			}
-		}
-		if (decErr == nil) != (rdrErr == nil) {
-			t.Fatalf("prefix %d/%d: DecodeBinary err=%v, RecordingReader err=%v", i, len(enc), decErr, rdrErr)
-		}
-	}
-}
-
-// drainReader consumes rdr to its end, returning io.EOF on a clean drain
-// or the first failure.
-func drainReader(rdr *RecordingReader) error {
-	for {
-		if _, err := rdr.Next(); err != nil {
-			return err
-		}
-	}
-}
-
-// TestRecordingReaderStreams: OpenRecording yields the exact transition
-// sequence incrementally, ends with io.EOF, and stays failed after Close.
-func TestRecordingReaderStreams(t *testing.T) {
-	rec, _ := liveRecording(t, crossingEntities(), 120)
-	path := writeTempTrace(t, rec)
-
-	rdr, err := OpenRecording(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rdr.Meta().Transitions != len(rec.Transitions) {
-		t.Fatalf("reader meta declares %d transitions, want %d", rdr.Meta().Transitions, len(rec.Transitions))
-	}
-	var got []Transition
-	for {
-		tr, err := rdr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+		_, memErr := NewRecordingView(data)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, tr)
-	}
-	if !reflect.DeepEqual(got, rec.Transitions) {
-		t.Fatal("streamed transitions differ from the recording")
-	}
-	if _, err := rdr.Next(); err != io.EOF {
-		t.Fatalf("post-EOF Next = %v, want io.EOF", err)
-	}
-	if err := rdr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rdr.Next(); err == nil || err == io.EOF {
-		t.Fatalf("Next after Close = %v, want a closed error", err)
+		v, fileErr := OpenRecordingView(path)
+		if fileErr == nil {
+			v.Close()
+		}
+		if (memErr == nil) != (fileErr == nil) {
+			t.Fatalf("prefix %d/%d: NewRecordingView err=%v, OpenRecordingView err=%v", i, len(enc), memErr, fileErr)
+		}
+		if (memErr == nil) != (i == len(enc)) {
+			t.Fatalf("prefix %d/%d: verdict err=%v", i, len(enc), memErr)
+		}
 	}
 }
 
 // TestReaderRejectsLyingCount: a file whose CRC is valid but whose footer
 // count disagrees with the stream — constructible by an attacker or a
-// buggy writer, not by truncation — is rejected by all three decoders.
+// buggy writer, not by truncation — is rejected by the trace reader.
 func TestReaderRejectsLyingCount(t *testing.T) {
 	rec := &Recording{ScanInterval: 1, Duration: 10, Transitions: []Transition{
 		{Time: 1, A: 0, B: 1, Up: true},
@@ -184,24 +135,14 @@ func TestReaderRejectsLyingCount(t *testing.T) {
 	binary.LittleEndian.PutUint64(enc[len(enc)-12:len(enc)-4], 1)
 	binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.ChecksumIEEE(enc[:len(enc)-4]))
 
-	if _, err := DecodeBinary(enc); err == nil {
-		t.Fatal("DecodeBinary accepted a lying count")
-	}
 	if _, err := NewRecordingView(enc); err == nil {
 		t.Fatal("NewRecordingView accepted a lying count")
-	}
-	rdr, err := NewRecordingReader(enc)
-	if err != nil {
-		t.Fatal(err) // the envelope itself is fine; the stream must fail
-	}
-	if err := drainReader(rdr); err == io.EOF || err == nil {
-		t.Fatal("RecordingReader drained a lying count cleanly")
 	}
 }
 
 // TestViewHugeNodeIDs: absurd node ids (legal per the codec, possible in
 // corrupt-but-CRC-valid input) must not hang or blow up the streaming
-// validator's growing bitmap — it falls back to the map, like Validate.
+// validator's growing bitmap — it falls back to the map.
 func TestViewHugeNodeIDs(t *testing.T) {
 	for _, b64 := range []int64{4294967295, 3037000500, 1 << 40} {
 		b := int(b64)

@@ -223,22 +223,20 @@ type (
 	ContactSource = sim.ContactSource
 	// ContactCache memoizes recorded traces by scenario fingerprint for
 	// the experiment harness (ExperimentOptions.ContactCache). With Dir
-	// set it persists traces in a sharded, index-fronted directory; with
-	// Mmap also set it serves them as zero-copy ContactRecordingView
-	// values, and MaxBytes bounds the store with LRU eviction.
+	// set it persists traces in a sharded, index-fronted directory and
+	// serves them on later runs as zero-copy ContactRecordingView values;
+	// MaxBytes bounds the store with LRU eviction.
 	ContactCache = experiments.ContactCache
 	// ContactReplaySource is a contact trace a replay run can consume:
 	// either an in-memory *ContactRecording or a *ContactRecordingView.
 	// Assign one to Config.ReplaySource (with ContactSource ContactReplay).
 	ContactReplaySource = wireless.ReplaySource
 	// ContactRecordingView is a read-only mmap-backed view of a persisted
-	// binary trace: validated once at open, replayed with zero per-run
-	// trace allocation, shareable across concurrent runs and — through
-	// the page cache — across processes.
+	// binary trace — the only decoder of the trace format: validated once
+	// at open, replayed with zero per-run trace allocation, shareable
+	// across concurrent runs and — through the page cache — across
+	// processes. Materialize yields the in-memory ContactRecording.
 	ContactRecordingView = wireless.RecordingView
-	// ContactRecordingReader streams a binary trace transition by
-	// transition without materializing it (for traces too large to slurp).
-	ContactRecordingReader = wireless.RecordingReader
 	// ContactRecordingMeta is a trace's fixed-size description (scan
 	// interval, horizon, transition count).
 	ContactRecordingMeta = wireless.RecordingMeta
@@ -269,51 +267,21 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*ContactRecording, 
 	return sim.RecordContactsContext(ctx, cfg)
 }
 
-// ParseContactRecording reads the text form written by
-// ContactRecording.Format. The "end <count>" trailer is required so a
-// truncated file is detected; use DecodeContactRecordingLegacy for files
-// written before the trailer existed.
-func ParseContactRecording(text string) (*ContactRecording, error) {
-	return wireless.ParseRecording(text)
-}
-
 // EncodeContactRecordingBinary renders rec in the integrity-checked binary
 // codec (magic + version header, varint-delta transition stream, count and
-// CRC32 footer) — the format the contact cache persists, several times
-// faster to load than the text form.
+// CRC32 footer) — the one persisted trace format; OpenContactRecordingView
+// reads it back.
 func EncodeContactRecordingBinary(rec *ContactRecording) []byte {
 	return wireless.EncodeBinary(rec)
 }
 
-// DecodeContactRecording reads a persisted contact trace in either the
-// binary or the text format, sniffing by magic. Truncated or corrupt data
-// in either format is reported as an error, never decoded as a shorter
-// trace.
-func DecodeContactRecording(data []byte) (*ContactRecording, error) {
-	return wireless.DecodeRecording(data)
-}
-
-// DecodeContactRecordingLegacy decodes like DecodeContactRecording but
-// tolerates text traces written before the "end <count>" trailer existed;
-// warn (if non-nil) is told that such a file's truncation cannot be
-// detected.
-func DecodeContactRecordingLegacy(data []byte, warn func(msg string)) (*ContactRecording, error) {
-	return wireless.DecodeRecordingLegacy(data, warn)
-}
-
 // OpenContactRecordingView memory-maps the binary trace at path and
-// validates it once (CRC32, count, structural rules — everything
-// DecodeContactRecording checks). The returned view replays bit-identically
-// to the decoded recording; Close releases the mapping.
+// validates it once (CRC32, count, structural rules). The returned view
+// replays bit-identically to the recording it was encoded from; Close
+// releases the mapping. Truncated or corrupt files are reported as errors,
+// never decoded as a shorter trace.
 func OpenContactRecordingView(path string) (*ContactRecordingView, error) {
 	return wireless.OpenRecordingView(path)
-}
-
-// OpenContactRecording opens the binary trace at path for incremental
-// streaming — transitions decode one at a time, integrity-checked, without
-// ever materializing the trace.
-func OpenContactRecording(path string) (*ContactRecordingReader, error) {
-	return wireless.OpenRecording(path)
 }
 
 // RecordingPlan converts a recording into a contact plan (open contacts
