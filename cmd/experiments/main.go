@@ -111,8 +111,6 @@ func run() int {
 		seeds    = flag.Int("seeds", 0, "number of replication seeds 1..n (0 = the spec's own seeds, else 1)")
 		scale    = flag.Float64("scale", 0, "duration scale (0 = the spec's own scale, else 1 = the paper's 12 h)")
 		work     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		scanWork = flag.Int("scan-workers", 0, "scan-worker goroutines per cell (0 = serial; capped by -total-parallelism; traces are byte-identical at any setting)")
-		totalPar = flag.Int("total-parallelism", 0, "shared goroutine budget split between sweep workers and their scan workers (0 = GOMAXPROCS)")
 		outDir   = flag.String("out", "", "directory for CSV + JSON results output (optional)")
 		outJSONL = flag.String("out-jsonl", "", "directory for streaming JSONL results (one <id>.jsonl per experiment, written cell by cell)")
 		metric   = flag.String("metric", "", "render tables under this metric instead of each experiment's default (see -list-metrics)")
@@ -230,7 +228,6 @@ func run() int {
 
 	opt := vdtn.ExperimentOptions{
 		Seeds: seedList, Scale: *scale, Workers: *work, LazyRecord: *lazy,
-		ScanWorkers: *scanWork, TotalParallelism: *totalPar,
 	}
 	if *useCC || *ccDir != "" || *warm {
 		// One cache across all experiments: sweeps over the same scenario

@@ -57,7 +57,7 @@ const ctlUsage = `usage: vdtnctl <command> [-addr host:port] [args]
 
 commands:
   submit -spec file [-seeds n] [-scale f] [-metric m] [-workers n]
-         [-scan-workers n] [-total-parallelism n] [-cache-dir dir]
+         [-cache-dir dir]
                        submit a sweep job; prints its meta
   list                 list all jobs
   status <job>         one job's state and progress
@@ -114,8 +114,6 @@ func ctlSubmit(args []string) int {
 		scale    = fs.Float64("scale", 0, "duration scale (0 = the spec's own)")
 		metric   = fs.String("metric", "", "metric override")
 		workers  = fs.Int("workers", 0, "sweep workers (0 = GOMAXPROCS)")
-		scanW    = fs.Int("scan-workers", 0, "per-cell scan workers (0 = serial)")
-		totalPar = fs.Int("total-parallelism", 0, "shared goroutine budget (0 = GOMAXPROCS)")
 		cacheDir = fs.String("cache-dir", "", "persist contact traces in this directory")
 	)
 	fs.Parse(args)
@@ -127,8 +125,7 @@ func ctlSubmit(args []string) int {
 		return ctlFail("%v", err)
 	}
 	opts := service.Options{
-		Scale: *scale, Workers: *workers, ScanWorkers: *scanW,
-		TotalParallelism: *totalPar, Metric: *metric, CacheDir: *cacheDir,
+		Scale: *scale, Workers: *workers, Metric: *metric, CacheDir: *cacheDir,
 	}
 	for i := 0; i < *seeds; i++ {
 		opts.Seeds = append(opts.Seeds, uint64(i+1))

@@ -90,7 +90,6 @@ func main() {
 		rangeM    = flag.Float64("range", 30, "radio range in metres")
 		copies    = flag.Int("copies", 12, "Spray and Wait copy budget N")
 		warmupMin = flag.Float64("warmup", 0, "exclude messages created before this many minutes")
-		scanWork  = flag.Int("scan-workers", 0, "worker goroutines for the contact scan (0 or 1 = serial; traces are byte-identical at any setting)")
 		contacts  = flag.String("contacts", "", "contact-plan file (\"start end a b\" lines); replaces mobility")
 		recordTo  = flag.String("record-contacts", "", "run live and write the contact trace to this file for later -replay-contacts")
 		replayOf  = flag.String("replay-contacts", "", "replay a recorded contact trace instead of simulating mobility (scenario flags must match the recording run)")
@@ -169,10 +168,6 @@ func main() {
 	if *confFile == "" || set["warmup"] {
 		cfg.Warmup = units.Minutes(*warmupMin)
 	}
-	// Scenario files never carry ScanWorkers — it is a host throughput
-	// knob, not part of the scenario, and has no effect on the trace.
-	cfg.ScanWorkers = *scanWork
-
 	if *dumpConf {
 		data, err := scenario.Save("vdtnsim", cfg)
 		if err != nil {

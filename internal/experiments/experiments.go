@@ -258,52 +258,19 @@ type Options struct {
 	// Results are identical either way; only the wall clock moves. Mainly
 	// for benchmarking the two schedules against each other.
 	LazyRecord bool
-
-	// ScanWorkers overrides sim.Config.ScanWorkers for every cell: the
-	// per-run parallel proximity-scan fan-out. 0 keeps whatever the base
-	// config (or a sweep axis) set. Like the sim knob itself, this never
-	// changes results or cache keys — cached sweeps replay most cells and
-	// ignore it there.
-	ScanWorkers int
-
-	// TotalParallelism is the sweep's shared goroutine budget: cell
-	// workers × per-cell scan workers never exceeds it. 0 defaults to
-	// GOMAXPROCS. Both Workers and ScanWorkers default from GOMAXPROCS
-	// when unset, so without a shared budget a 32-cell sweep on an 8-core
-	// box could oversubscribe quadratically; with it, Workers is clamped
-	// to the budget and each cell's ScanWorkers to budget/Workers.
-	TotalParallelism int
 }
 
 func (o Options) normalized() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{1}
 	}
-	if o.TotalParallelism <= 0 {
-		o.TotalParallelism = runtime.GOMAXPROCS(0)
-	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	// The shared budget wins over both per-dimension knobs: cell workers
-	// first (sweep throughput beats per-cell latency), scan workers with
-	// whatever is left (see scanWorkerCap).
-	o.Workers = min(o.Workers, o.TotalParallelism)
 	if o.Scale <= 0 {
 		o.Scale = 1
 	}
 	return o
-}
-
-// scanWorkerCap is the per-cell scan-worker allowance under the shared
-// parallelism budget: the budget divided among the concurrent cell
-// workers, never below 1 (1 = the serial scan, which runs inline on the
-// cell's own goroutine and adds no parallelism).
-func (o Options) scanWorkerCap() int {
-	if o.Workers <= 0 || o.TotalParallelism <= 0 {
-		return 1 // un-normalized options: stay serial
-	}
-	return max(1, o.TotalParallelism/o.Workers)
 }
 
 // normalizedFor resolves the run options against exp's spec-level
@@ -400,15 +367,6 @@ func cellConfig(exp Experiment, opt Options, j job) (sim.Config, error) {
 			return sim.Config{}, err
 		}
 	}
-	// Scan-worker fan-out: the Options override wins over the base
-	// config, and either is clamped to the cell's share of the sweep's
-	// parallelism budget. Results are unaffected — ScanWorkers is a
-	// throughput knob outside every determinism key — so the clamp can
-	// never perturb a sweep, only pace it.
-	if opt.ScanWorkers > 0 {
-		cfg.ScanWorkers = opt.ScanWorkers
-	}
-	cfg.ScanWorkers = min(cfg.ScanWorkers, opt.scanWorkerCap())
 	return cfg, nil
 }
 

@@ -7,29 +7,25 @@ import (
 )
 
 // TestReadJSONLPrefixWorkerKnobsNeverPoisonResume pins the service-level
-// resume rule inherited from the cache-key rule: Workers, ScanWorkers and
-// TotalParallelism are throughput knobs, not sweep identity — a stream
-// written under one setting must read, and resume, under any other. The
-// JSONL header deliberately excludes them, so this is the regression
-// gate on that exclusion.
+// resume rule inherited from the cache-key rule: Workers is a throughput
+// knob, not sweep identity — a stream written under one setting must
+// read, and resume, under any other. The JSONL header deliberately
+// excludes it, so this is the regression gate on that exclusion.
 func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 	exp := tinyExperiment()
-	wrote := Options{Seeds: []uint64{1, 2}, Workers: 1, ScanWorkers: 1, TotalParallelism: 1, BaseConfig: tinyBase}
+	wrote := Options{Seeds: []uint64{1, 2}, Workers: 1, BaseConfig: tinyBase}
 	data := fullJSONLStream(t, exp, wrote)
 	cells := len(exp.Scenarios) * len(exp.Xs) * len(wrote.Seeds)
 
 	reads := []Options{
 		{Seeds: wrote.Seeds, BaseConfig: tinyBase},
 		{Seeds: wrote.Seeds, Workers: 7, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, ScanWorkers: 3, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, TotalParallelism: 2, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, Workers: 5, ScanWorkers: 2, TotalParallelism: 3, BaseConfig: tinyBase},
+		{Seeds: wrote.Seeds, Workers: 2, BaseConfig: tinyBase},
 	}
 	for i, opt := range reads {
 		p, err := ReadJSONLPrefix(data, exp, opt)
 		if err != nil {
-			t.Fatalf("read %d (workers=%d scan=%d total=%d): %v",
-				i, opt.Workers, opt.ScanWorkers, opt.TotalParallelism, err)
+			t.Fatalf("read %d (workers=%d): %v", i, opt.Workers, err)
 		}
 		if len(p.Cells) != cells || !p.Footer || !p.Complete {
 			t.Fatalf("read %d: got %d cells footer=%v complete=%v, want %d/true/true",
@@ -47,13 +43,13 @@ func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 		}
 	}
 
-	// And a real resume across worker-knob changes stays byte-identical:
-	// truncate mid-sweep, re-read under different knobs, finish under
-	// them too.
+	// And a real resume across a worker-count change stays
+	// byte-identical: truncate mid-sweep, re-read under a different
+	// count, finish under it too.
 	ends := lineEnds(data)
 	cut := ends[1+cells/2] // header + half the cells
 	part := append([]byte(nil), data[:cut]...)
-	resumeOpt := Options{Seeds: wrote.Seeds, Workers: 4, ScanWorkers: 2, TotalParallelism: 4, BaseConfig: tinyBase}
+	resumeOpt := Options{Seeds: wrote.Seeds, Workers: 4, BaseConfig: tinyBase}
 	p, err := ReadJSONLPrefix(part, exp, resumeOpt)
 	if err != nil {
 		t.Fatal(err)
@@ -65,6 +61,6 @@ func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), data) {
-		t.Fatal("resumed stream under different worker knobs is not byte-identical to the original")
+		t.Fatal("resumed stream under a different worker count is not byte-identical to the original")
 	}
 }

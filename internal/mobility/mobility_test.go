@@ -332,11 +332,11 @@ func TestRandomWaypointSparseQueriesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMapWalkParallelQueriesBitIdentical pins the property the parallel
-// scan's phase 1 rests on: walkers sharing one road graph can be queried
-// from concurrent goroutines (each walker owned by exactly one goroutine,
-// non-decreasing times — the scan's access pattern) and produce exactly
-// the positions a serial sweep produces. The shared state is the graph's
+// TestMapWalkParallelQueriesBitIdentical pins the property concurrent
+// runs sharing one loaded map rest on: walkers sharing one road graph can
+// be queried from concurrent goroutines (each walker owned by exactly one
+// goroutine, non-decreasing times — the scan's access pattern) and
+// produce exactly the positions a serial sweep produces. The shared state is the graph's
 // shortest-path cache, which is locked internally; per-walker RNG streams
 // make each walker's draw sequence independent of the others' schedules.
 // Run under -race in CI, this is the mobility layer's concurrency audit.

@@ -40,7 +40,8 @@ func (q *pq) Pop() any {
 // and every caller observes the same (immutable) tree. Holding the lock
 // through the Dijkstra build serializes tree construction, which is fine:
 // cache misses are rare at steady state (sources repeat), and correctness
-// under the parallel scan matters more than first-touch latency.
+// across concurrent runs sharing one graph matters more than first-touch
+// latency.
 func (g *Graph) shortestTree(src int) *ssspTree {
 	g.ssspMu.Lock()
 	defer g.ssspMu.Unlock()

@@ -40,13 +40,15 @@ type Graph struct {
 	m    int              // number of undirected edges
 
 	// Shortest-path cache, one tree per queried source. Guarded by ssspMu:
-	// a graph is assembled single-threaded, but the parallel proximity scan
-	// (sim.Config.ScanWorkers) queries mobility models — and through them
-	// ShortestPath/Distance — from several goroutines at once. The trees
-	// themselves are immutable after construction and safe to read without
-	// the lock; only the cache map needs guarding. Tree contents are a pure
-	// function of the graph, so which goroutine populates an entry never
-	// affects results.
+	// a graph is assembled single-threaded, but a loaded *Graph is a
+	// shareable value — a sweep's BaseConfig may hand one map to every
+	// cell, the contact cache copies it into recording configs, and
+	// callers may run sim.Run in goroutines — so concurrent runs query
+	// ShortestPath/Distance on it at once. The trees themselves are
+	// immutable after construction and safe to read without the lock;
+	// only the cache map needs guarding. Tree contents are a pure function
+	// of the graph, so which goroutine populates an entry never affects
+	// results.
 	ssspMu sync.Mutex
 	sssp   map[int]*ssspTree
 }

@@ -45,9 +45,9 @@ type jobEntry struct {
 
 // Manager is the sweep scheduler: submitted jobs enter a FIFO queue
 // drained by one loop goroutine running one sweep at a time (each sweep
-// already parallelizes internally under its TotalParallelism budget;
-// running several at once would just fight over the same cores and
-// interleave their cache recordings).
+// already runs its cells on parallel workers; running several at once
+// would just fight over the same cores and interleave their cache
+// recordings).
 //
 // Durability contract: every state transition snapshots meta.json
 // atomically, and the results stream is the same crash-tolerant JSONL

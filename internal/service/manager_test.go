@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -253,7 +255,9 @@ func TestManagerCancelQueuedAndRunning(t *testing.T) {
 // store is reopened, finish byte-identical to an uninterrupted run. The
 // cut matrix covers every lifecycle window: nothing flushed, header
 // only, mid-cells, a torn line, all cells but no footer, and a complete
-// stream (where resumption must leave the bytes untouched).
+// stream (where resumption must leave the bytes untouched). One more case
+// writes meta.json as an older daemon did, with the retired scan_workers
+// and total_parallelism options, which must load and resume unchanged.
 func TestManagerCrashResumeByteIdentical(t *testing.T) {
 	golden := refStream(t, []byte(tinySpec), Options{})
 	ends := lineEnds(golden)
@@ -262,16 +266,18 @@ func TestManagerCrashResumeByteIdentical(t *testing.T) {
 		t.Fatalf("golden has %d lines, want %d", len(ends), cells+2)
 	}
 	cuts := []struct {
-		name    string
-		cut     int
-		resumed int
+		name       string
+		cut        int
+		resumed    int
+		legacyMeta bool
 	}{
-		{"empty", 0, 0},
-		{"header-only", ends[0], 0},
-		{"one-cell", ends[1], 1},
-		{"torn-line", ends[2] + 7, 2},
-		{"all-cells-no-footer", ends[cells], cells},
-		{"complete", len(golden), cells},
+		{"empty", 0, 0, false},
+		{"header-only", ends[0], 0, false},
+		{"one-cell", ends[1], 1, false},
+		{"torn-line", ends[2] + 7, 2, false},
+		{"all-cells-no-footer", ends[cells], cells, false},
+		{"complete", len(golden), cells, false},
+		{"retired-worker-keys", ends[2], 2, true},
 	}
 	for _, tc := range cuts {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,6 +293,9 @@ func TestManagerCrashResumeByteIdentical(t *testing.T) {
 			}
 			if err := store.Create(meta, []byte(tinySpec)); err != nil {
 				t.Fatal(err)
+			}
+			if tc.legacyMeta {
+				writeLegacyMeta(t, store, meta)
 			}
 			if err := os.WriteFile(store.ResultsPath(meta.ID), golden[:tc.cut], 0o644); err != nil {
 				t.Fatal(err)
@@ -308,6 +317,28 @@ func TestManagerCrashResumeByteIdentical(t *testing.T) {
 				t.Fatalf("resumed stream differs from golden (cut %d)", tc.cut)
 			}
 		})
+	}
+}
+
+// writeLegacyMeta rewrites meta's meta.json with the scan_workers and
+// total_parallelism options an older daemon persisted.
+func writeLegacyMeta(t *testing.T, store *Store, meta Meta) {
+	t.Helper()
+	data, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["options"] = map[string]any{"scan_workers": 4, "total_parallelism": 8}
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(store.jobDir(meta.ID), "meta.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

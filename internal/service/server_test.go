@@ -91,6 +91,15 @@ func TestServerSubmitBareSpecAndEnvelope(t *testing.T) {
 		t.Fatalf("envelope options not applied: %+v", wrapped.Options)
 	}
 
+	// An envelope from an older client, still carrying the retired
+	// scan_workers and total_parallelism options: accepted, keys ignored.
+	legacyEnv := fmt.Sprintf(`{"spec": %s, "options": {"seeds": [7], "scan_workers": 4, "total_parallelism": 8, "metric": "avg_delay_min"}}`, tinySpec)
+	var legacy Meta
+	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", []byte(legacyEnv), http.StatusCreated, &legacy)
+	if legacy.ID != "j000003" || legacy.Cells != 2 {
+		t.Fatalf("legacy envelope submit meta = %+v", legacy)
+	}
+
 	// Rejections: malformed spec, unknown metric, oversized body.
 	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", []byte(`{"sweep": [`), http.StatusBadRequest, nil)
 	badMetric := fmt.Sprintf(`{"spec": %s, "options": {"metric": "nope"}}`, tinySpec)
@@ -102,16 +111,19 @@ func TestServerSubmitBareSpecAndEnvelope(t *testing.T) {
 	// its overridden seeds and metric.
 	fin1 := waitStateHTTP(t, srv.URL, bare.ID, 60*time.Second)
 	fin2 := waitStateHTTP(t, srv.URL, wrapped.ID, 60*time.Second)
-	if fin1.State != StateDone || fin2.State != StateDone {
-		t.Fatalf("finals: %+v / %+v", fin1, fin2)
-	}
-	got, err := os.ReadFile(m.ResultsPath(wrapped.ID))
-	if err != nil {
-		t.Fatal(err)
+	fin3 := waitStateHTTP(t, srv.URL, legacy.ID, 60*time.Second)
+	if fin1.State != StateDone || fin2.State != StateDone || fin3.State != StateDone {
+		t.Fatalf("finals: %+v / %+v / %+v", fin1, fin2, fin3)
 	}
 	want := refStream(t, []byte(tinySpec), Options{Seeds: []uint64{7}, Metric: "avg_delay_min"})
-	if !bytes.Equal(got, want) {
-		t.Fatal("envelope job stream differs from reference under the same options")
+	for _, id := range []string{wrapped.ID, legacy.ID} {
+		got, err := os.ReadFile(m.ResultsPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("envelope job %s stream differs from reference under the same options", id)
+		}
 	}
 }
 

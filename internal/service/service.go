@@ -9,8 +9,8 @@
 //     the exact artifact cmd/experiments -out-jsonl writes, byte for
 //     byte, because both drive the same JSONLSink.
 //   - Manager is the scheduler: a FIFO queue drained by one loop
-//     goroutine running one sweep at a time under the job's
-//     TotalParallelism budget, with per-job cooperative cancellation
+//     goroutine running one sweep at a time on the job's cell workers,
+//     with per-job cooperative cancellation
 //     (the Runner's context) and crash recovery — on open, every job
 //     that was queued or running when the previous process died is
 //     re-admitted, and its results.jsonl is picked back up through
@@ -57,10 +57,11 @@ func (s State) Terminal() bool {
 // Options are a job's run options — the JSON face of the
 // experiments.Options knobs a sweep accepts, carried in the POST /v1/jobs
 // envelope and persisted in meta.json so a restarted daemon resumes the
-// job under identical options. Worker-count knobs (Workers, ScanWorkers,
-// TotalParallelism) never affect the result stream's bytes — the same
-// rule that keeps them out of the JSONL header and every cache key — so
-// a resume after editing them is still byte-identical.
+// job under identical options. Workers never affects the result stream's
+// bytes — the same rule that keeps it out of the JSONL header and every
+// cache key — so a resume after editing it is still byte-identical.
+// Unknown keys are ignored, so jobs persisted with the retired
+// scan_workers and total_parallelism knobs still load.
 type Options struct {
 	// Seeds are the replication seeds; empty uses the spec's own list.
 	Seeds []uint64 `json:"seeds,omitempty"`
@@ -68,10 +69,6 @@ type Options struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Workers bounds sweep parallelism; 0 = GOMAXPROCS.
 	Workers int `json:"workers,omitempty"`
-	// ScanWorkers sets the per-cell parallel scan fan-out; 0 = serial.
-	ScanWorkers int `json:"scan_workers,omitempty"`
-	// TotalParallelism caps workers × scan workers; 0 = GOMAXPROCS.
-	TotalParallelism int `json:"total_parallelism,omitempty"`
 	// Metric overrides the experiment's default metric (must name a
 	// known metric; it becomes part of the stream header).
 	Metric string `json:"metric,omitempty"`
@@ -83,11 +80,9 @@ type Options struct {
 // runOptions translates the wire options into the Runner's.
 func (o Options) runOptions() experiments.Options {
 	return experiments.Options{
-		Seeds:            o.Seeds,
-		Scale:            o.Scale,
-		Workers:          o.Workers,
-		ScanWorkers:      o.ScanWorkers,
-		TotalParallelism: o.TotalParallelism,
+		Seeds:   o.Seeds,
+		Scale:   o.Scale,
+		Workers: o.Workers,
 	}
 }
 

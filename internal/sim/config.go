@@ -207,16 +207,6 @@ type Config struct {
 	Rate         units.BitRate
 	ScanInterval float64
 
-	// ScanWorkers fans the per-tick proximity scan (mobility evaluation
-	// and pair discovery) out over this many goroutines. 0 and 1 run the
-	// scan inline on the event loop; values >= 2 enable the parallel tick
-	// pipeline. A pure throughput knob: results and event traces are
-	// byte-identical for every value, so ScanWorkers is deliberately NOT
-	// part of the contact fingerprint or any determinism key (see
-	// docs/DETERMINISM.md). Live and Record contact sources use it;
-	// Replay never scans.
-	ScanWorkers int
-
 	// MsgIntervalLo/Hi bound the uniform inter-creation time in seconds;
 	// MsgSizeLo/Hi bound the uniform message size; TTL is the message
 	// lifetime in seconds. Message sources and destinations are distinct
@@ -321,8 +311,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: non-positive rate %v", float64(c.Rate))
 	case c.ScanInterval <= 0:
 		return fmt.Errorf("sim: non-positive scan interval %v", c.ScanInterval)
-	case c.ScanWorkers < 0:
-		return fmt.Errorf("sim: negative scan workers %d", c.ScanWorkers)
 	case c.MsgIntervalLo <= 0 || c.MsgIntervalHi < c.MsgIntervalLo:
 		return fmt.Errorf("sim: bad message interval [%v, %v]", c.MsgIntervalLo, c.MsgIntervalHi)
 	case c.MsgSizeLo <= 0 || c.MsgSizeHi < c.MsgSizeLo:

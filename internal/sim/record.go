@@ -72,10 +72,7 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 		Range:        cfg.Range,
 		Rate:         cfg.Rate,
 		ScanInterval: cfg.ScanInterval,
-		ScanWorkers:  cfg.ScanWorkers,
 	})
-	// Release the scan worker pool on every exit path (no-op when serial).
-	defer medium.Stop()
 	src := xrand.NewSource(cfg.Seed)
 	walkCfg := mobility.MapWalkConfig{
 		SpeedLoMs: cfg.SpeedLo,

@@ -130,7 +130,6 @@ func New(cfg Config) (*World, error) {
 		Range:        cfg.Range,
 		Rate:         cfg.Rate,
 		ScanInterval: cfg.ScanInterval,
-		ScanWorkers:  cfg.ScanWorkers,
 	})
 
 	walkCfg := mobility.MapWalkConfig{
@@ -240,10 +239,6 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	// Release the parallel-scan worker pool (if ScanWorkers built one) on
-	// every exit path, including cancellation; a no-op for serial runs.
-	defer w.medium.Stop()
-
 	switch {
 	case w.cfg.Plan != nil:
 		windows := w.cfg.Plan.Windows()

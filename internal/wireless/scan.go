@@ -69,13 +69,11 @@ type scanState struct {
 
 	grid gridState
 
-	movers     []int32       // entity indexes re-queried this tick
-	newCell    []cellKey     // phase-1 staging: observed grid cell, by entity index
-	carry      []pairEntry   // static-static pairs carried from prev (sorted)
-	wpairs     [][]pairEntry // per-worker mover-pair shards, each sorted (serial: shard 0)
-	mergeSrc   [][]pairEntry // k-way merge head scratch
-	curr, prev []pairEntry   // in-range pairs this and last tick, ascending
-	downs, ups []pairKey     // per-tick transition staging
+	movers     []int32     // entity indexes re-queried this tick
+	carry      []pairEntry // static-static pairs carried from prev (sorted)
+	pairs      []pairEntry // in-range pairs involving a mover (sorted)
+	curr, prev []pairEntry // in-range pairs this and last tick, ascending
+	downs, ups []pairKey   // per-tick transition staging
 }
 
 // gridState is the spatial hash: buckets of entity indexes keyed by grid
@@ -273,11 +271,6 @@ func comparePairEntries(a, b pairEntry) int {
 func (m *Medium) growScanState() {
 	sc := &m.sc
 	sc.grid.init(len(m.entities))
-	if sc.wpairs == nil {
-		// One pair shard per worker; the serial path uses shard 0 only.
-		sc.wpairs = make([][]pairEntry, max(1, m.cfg.ScanWorkers))
-		sc.mergeSrc = make([][]pairEntry, 0, len(sc.wpairs)+1)
-	}
 	for i := len(sc.pos); i < len(m.entities); i++ {
 		e := m.entities[i]
 		h, _ := e.(StaticUntiler)
@@ -288,117 +281,54 @@ func (m *Medium) growScanState() {
 		sc.staticTil = append(sc.staticTil, math.Inf(-1))
 		sc.cell = append(sc.cell, cellKey{})
 		sc.isMover = append(sc.isMover, false)
-		sc.newCell = append(sc.newCell, cellKey{})
 	}
 }
 
-// moveBucket relocates entity index i from grid cell `from` to `to`.
-// Bucket order is not meaningful (removal swap-deletes); determinism comes
-// from sorting the pair set before transitions fire.
-func (m *Medium) moveBucket(i int32, from, to cellKey) {
-	m.sc.grid.remove(i, from)
-	m.sc.grid.add(i, to)
-}
-
-// evalPositions refreshes the cached position, static-until hint and
-// observed grid cell for the given movers. Every write lands at the
-// mover's own entity index, and a mover's mobility model and RNG stream
-// are private to it, so disjoint mover slices can be evaluated from
-// different goroutines concurrently (phase 1 of the parallel scan). The
-// grid itself is NOT touched here: bucket surgery is serial, applied by
-// scan after all positions are known.
-func (m *Medium) evalPositions(now float64, movers []int32) {
-	sc := &m.sc
-	cell := m.cfg.Range
-	for _, i := range movers {
-		e := m.entities[i]
-		p := e.Position(now)
-		til := now
-		if h := sc.hint[i]; h != nil {
-			til = h.StaticUntil(now)
-		}
-		sc.pos[i] = p
-		sc.staticTil[i] = til
-		sc.newCell[i] = cellKey{int64(math.Floor(p.X / cell)), int64(math.Floor(p.Y / cell))}
-	}
-}
-
-// findPairs appends every in-range pair involving one of the given movers
-// to buf, via the mover's 3x3 cell neighbourhood. Mover-mover pairs are
-// enumerated from both ends; the smaller-index end claims the pair, so the
-// union over any partition of the movers holds each pair exactly once —
-// that disjointness is what lets phase 2 shard movers across workers and
-// still merge shards without cross-shard duplicates. Read-only on all
-// shared state (grid, positions, mover flags), so disjoint mover slices
-// can run concurrently.
-func (m *Medium) findPairs(movers []int32, buf []pairEntry) []pairEntry {
+// findPairs appends every in-range pair involving a mover to sc.pairs,
+// via the mover's 3x3 cell neighbourhood. Mover-mover pairs are
+// enumerated from both ends; the smaller-index end claims the pair, so
+// each pair is found exactly once.
+func (m *Medium) findPairs() {
 	sc := &m.sc
 	r2 := m.cfg.Range * m.cfg.Range
-	for _, i := range movers {
+	pairs := sc.pairs[:0]
+	for _, i := range sc.movers {
 		base := sc.cell[i]
 		pi := sc.pos[i]
 		idi := sc.ids[i]
 		for dx := int64(-1); dx <= 1; dx++ {
 			for dy := int64(-1); dy <= 1; dy++ {
 				for _, j := range sc.grid.bucket(cellKey{base.x + dx, base.y + dy}) {
-					// Mover-mover pairs are enumerated from both ends;
-					// count them once, at the smaller index.
 					if j == i || (sc.isMover[j] && j < i) {
 						continue
 					}
 					if pi.Dist2(sc.pos[j]) <= r2 {
-						buf = append(buf, pairEntry{ku: packPair(key(idi, sc.ids[j])), a: i, b: j})
+						pairs = append(pairs, pairEntry{ku: packPair(key(idi, sc.ids[j])), a: i, b: j})
 					}
 				}
 			}
 		}
 	}
-	return buf
+	sc.pairs = pairs
 }
 
-// mergeShards k-way merges the sorted carry slice and the first nw sorted
-// per-worker pair shards into sc.curr, ascending by packed pair key. The
-// inputs are mutually disjoint (carry holds only non-mover pairs; the
-// shards partition the mover pairs by claiming index), so the merged
-// sequence — and therefore everything downstream of it — is a pure
-// function of the pair SET, independent of how pairs were distributed
-// over shards. That is the determinism argument for the parallel scan:
-// worker count and goroutine scheduling change only the shard layout,
-// never the merged output. A defensive dedup skips equal keys anyway, so
-// even a (bug-introduced) duplicate could not double-fire a transition.
-// The head scratch holds subslices of persistent buffers; steady-state
-// merges allocate nothing.
-func (m *Medium) mergeShards(nw int) {
+// mergePairs rebuilds sc.curr from the sorted carry and mover pairs,
+// ascending by packed pair key. The two inputs are disjoint (carry holds
+// only non-mover pairs), but equal keys are skipped anyway, so a
+// duplicate could never double-fire a transition.
+func (m *Medium) mergePairs() {
 	sc := &m.sc
-	srcs := sc.mergeSrc[:0]
-	if len(sc.carry) > 0 {
-		srcs = append(srcs, sc.carry)
-	}
-	for w := 0; w < nw; w++ {
-		if len(sc.wpairs[w]) > 0 {
-			srcs = append(srcs, sc.wpairs[w])
-		}
-	}
-	sc.mergeSrc = srcs[:0] // keep any growth for next tick
+	carry, pairs := sc.carry, sc.pairs
 	sc.curr = sc.curr[:0]
-	for {
-		best := -1
-		var bku uint64
-		for s, head := range srcs {
-			if len(head) == 0 {
-				continue
-			}
-			if best < 0 || head[0].ku < bku {
-				best, bku = s, head[0].ku
-			}
+	for len(carry) > 0 || len(pairs) > 0 {
+		var pe pairEntry
+		if len(pairs) == 0 || (len(carry) > 0 && carry[0].ku <= pairs[0].ku) {
+			pe, carry = carry[0], carry[1:]
+		} else {
+			pe, pairs = pairs[0], pairs[1:]
 		}
-		if best < 0 {
-			return
-		}
-		pe := srcs[best][0]
-		srcs[best] = srcs[best][1:]
 		if n := len(sc.curr); n > 0 && sc.curr[n-1].ku == pe.ku {
-			continue // defensive: inputs are disjoint by construction
+			continue
 		}
 		sc.curr = append(sc.curr, pe)
 	}
@@ -413,65 +343,48 @@ func (m *Medium) mergeShards(nw int) {
 // changed) plus every in-range pair involving at least one mover, found
 // through the mover's 3x3 cell neighbourhood. The carried pairs are
 // already sorted (a subsequence of the previous sorted set), so only the
-// mover pairs are sorted before a k-way merge rebuilds the full set.
+// mover pairs are sorted before a two-way merge rebuilds the full set.
 // Diffing it against the previous tick's yields the transitions; downs
 // fire first (freeing the endpoints' radios before new-contact handlers
 // try to start transfers on this same tick), then ups, each ascending by
 // pair — the exact firing order of the original full-rescan
 // implementation, so runs are byte-identical.
-//
-// With Config.ScanWorkers >= 2 the two independent per-mover stages run on
-// a worker pool: phase 1 evaluates mover positions in parallel (writes go
-// to per-entity slots; each entity's model and RNG stream are private),
-// and phase 2 shards pair discovery over the then-read-only grid into
-// per-worker sorted buffers. Everything between and after the phases —
-// grid surgery, carry, merge, diff, transition firing — stays on the
-// event-loop goroutine. The serial path is the same pipeline with one
-// inline "worker", so both paths produce identical transition sequences
-// by construction.
 func (m *Medium) scan(now float64) {
 	sc := &m.sc
 	if len(sc.pos) < len(m.entities) {
 		m.growScanState()
 	}
 
-	// Identify this tick's movers: entities whose cached position is not
-	// covered by a static-until hint.
+	// Re-query every entity whose cached position is not covered by a
+	// static-until hint, and move it to its new grid cell. Bucket order
+	// is not meaningful (removal swap-deletes); determinism comes from
+	// sorting the pair set before transitions fire.
+	cell := m.cfg.Range
 	sc.movers = sc.movers[:0]
-	for i := range m.entities {
+	for n, e := range m.entities {
+		i := int32(n)
 		if sc.seen[i] && sc.staticTil[i] > now {
 			continue
 		}
-		sc.movers = append(sc.movers, int32(i))
-	}
-
-	// Phase 1: observe mover positions, hints and target cells. A tick
-	// with no movers skips the pool dispatch entirely.
-	var pool *scanPool
-	if len(sc.movers) > 0 {
-		pool = m.scanPoolReady()
-	}
-	if pool != nil {
-		pool.run(phasePositions, now)
-	} else {
-		m.evalPositions(now, sc.movers)
-	}
-
-	// Apply the observed cells to the grid, in entity order (bucket order
-	// is not semantic, but keeping surgery serial keeps the grid simple
-	// and race-free).
-	for _, i := range sc.movers {
-		ck := sc.newCell[i]
+		p := e.Position(now)
+		til := now
+		if h := sc.hint[i]; h != nil {
+			til = h.StaticUntil(now)
+		}
+		sc.pos[i] = p
+		sc.staticTil[i] = til
+		ck := cellKey{int64(math.Floor(p.X / cell)), int64(math.Floor(p.Y / cell))}
 		switch {
 		case !sc.seen[i]:
 			sc.seen[i] = true
-			sc.cell[i] = ck
 			sc.grid.add(i, ck)
 		case ck != sc.cell[i]:
-			m.moveBucket(i, sc.cell[i], ck)
-			sc.cell[i] = ck
+			sc.grid.remove(i, sc.cell[i])
+			sc.grid.add(i, ck)
 		}
+		sc.cell[i] = ck
 		sc.isMover[i] = true
+		sc.movers = append(sc.movers, i)
 	}
 
 	// Densify the grid once the occupied bounding box is known to be
@@ -496,18 +409,9 @@ func (m *Medium) scan(now float64) {
 		}
 	}
 
-	// Phase 2: find every in-range pair involving a mover through the
-	// (now read-only) grid, then merge the sorted shards with the carry.
-	nShards := 1
-	if pool != nil {
-		pool.run(phasePairs, now)
-		nShards = pool.workers
-	} else {
-		buf := m.findPairs(sc.movers, sc.wpairs[0][:0])
-		slices.SortFunc(buf, comparePairEntries)
-		sc.wpairs[0] = buf
-	}
-	m.mergeShards(nShards)
+	m.findPairs()
+	slices.SortFunc(sc.pairs, comparePairEntries)
+	m.mergePairs()
 
 	// Diff against the previous tick: both slices are ascending, so one
 	// merge walk splits the symmetric difference into downs and ups.
@@ -542,65 +446,4 @@ func (m *Medium) scan(now float64) {
 	for _, i := range sc.movers {
 		sc.isMover[i] = false
 	}
-}
-
-// proximityPairsReference is the original full-rescan pair computation: it
-// queries every entity's position each call and rebuilds the grid and pair
-// set from scratch. It is retained as the oracle for the grid equivalence
-// property tests and as the "before" leg of the scan benchmarks; the live
-// scan no longer uses it.
-func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
-	n := len(m.entities)
-	pos := make([]geo.Point, n)
-	for i, e := range m.entities {
-		pos[i] = e.Position(now)
-	}
-	cell := m.cfg.Range
-	grid := make(map[cellKey][]int, n)
-	ck := func(p geo.Point) cellKey {
-		return cellKey{int64(math.Floor(p.X / cell)), int64(math.Floor(p.Y / cell))}
-	}
-	for i, p := range pos {
-		k := ck(p)
-		grid[k] = append(grid[k], i)
-	}
-	r2 := m.cfg.Range * m.cfg.Range
-	pairs := make(map[pairKey]bool, len(m.connected))
-	for i, p := range pos {
-		base := ck(p)
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for _, j := range grid[cellKey{base.x + dx, base.y + dy}] {
-					if j <= i {
-						continue
-					}
-					if pos[i].Dist2(pos[j]) <= r2 {
-						pairs[key(m.entities[i].ID(), m.entities[j].ID())] = true
-					}
-				}
-			}
-		}
-	}
-	return pairs
-}
-
-// scanReference replays the pre-adjacency scan algorithm end to end
-// (full position rescan, fresh maps, map-diff plus sort) without firing
-// transitions. It exists so the scan benchmarks can measure the old cost
-// on the same scenario state the incremental scan runs on.
-func (m *Medium) scanReference(now float64) (downs, ups []pairKey) {
-	curr := m.proximityPairsReference(now)
-	for k, up := range m.connected {
-		if up && !curr[k] {
-			downs = append(downs, k)
-		}
-	}
-	slices.SortFunc(downs, comparePairs)
-	for k := range curr {
-		if !m.connected[k] {
-			ups = append(ups, k)
-		}
-	}
-	slices.SortFunc(ups, comparePairs)
-	return downs, ups
 }

@@ -1,0 +1,68 @@
+package wireless
+
+import (
+	"math"
+	"slices"
+
+	"vdtn/internal/geo"
+)
+
+// proximityPairsReference is the original full-rescan pair computation: it
+// queries every entity's position each call and rebuilds the grid and pair
+// set from scratch. It is the oracle for the grid equivalence property
+// tests and the "before" leg of the scan benchmarks.
+func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
+	n := len(m.entities)
+	pos := make([]geo.Point, n)
+	for i, e := range m.entities {
+		pos[i] = e.Position(now)
+	}
+	cell := m.cfg.Range
+	grid := make(map[cellKey][]int, n)
+	ck := func(p geo.Point) cellKey {
+		return cellKey{int64(math.Floor(p.X / cell)), int64(math.Floor(p.Y / cell))}
+	}
+	for i, p := range pos {
+		k := ck(p)
+		grid[k] = append(grid[k], i)
+	}
+	r2 := m.cfg.Range * m.cfg.Range
+	pairs := make(map[pairKey]bool, len(m.connected))
+	for i, p := range pos {
+		base := ck(p)
+		for dx := int64(-1); dx <= 1; dx++ {
+			for dy := int64(-1); dy <= 1; dy++ {
+				for _, j := range grid[cellKey{base.x + dx, base.y + dy}] {
+					if j <= i {
+						continue
+					}
+					if pos[i].Dist2(pos[j]) <= r2 {
+						pairs[key(m.entities[i].ID(), m.entities[j].ID())] = true
+					}
+				}
+			}
+		}
+	}
+	return pairs
+}
+
+// scanReference replays the pre-adjacency scan algorithm end to end
+// (full position rescan, fresh maps, map-diff plus sort) without firing
+// transitions. It exists so the scan benchmarks can measure the old cost
+// on the same scenario state the incremental scan runs on.
+func (m *Medium) scanReference(now float64) (downs, ups []pairKey) {
+	curr := m.proximityPairsReference(now)
+	for k, up := range m.connected {
+		if up && !curr[k] {
+			downs = append(downs, k)
+		}
+	}
+	slices.SortFunc(downs, comparePairs)
+	for k := range curr {
+		if !m.connected[k] {
+			ups = append(ups, k)
+		}
+	}
+	slices.SortFunc(ups, comparePairs)
+	return downs, ups
+}

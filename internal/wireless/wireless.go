@@ -21,13 +21,6 @@
 // Every contact transition — scanned, planned or replayed — updates a
 // sorted per-node adjacency cache, so PeersOf is an O(1) lookup of an
 // O(degree) slice instead of a walk over the global contact set.
-//
-// The scan can additionally be spread over a worker pool
-// (Config.ScanWorkers): mover positions evaluate in parallel and pair
-// discovery shards into per-worker sorted buffers joined by a
-// deterministic k-way merge, so the emitted transitions — and therefore
-// the trace bytes — are identical at every worker count. See
-// docs/DETERMINISM.md ("Parallel scans stay byte-identical").
 package wireless
 
 import (
@@ -67,14 +60,6 @@ type Config struct {
 	Rate units.BitRate
 	// ScanInterval is the proximity-scan period in seconds (> 0).
 	ScanInterval float64
-	// ScanWorkers is the number of goroutines the proximity scan fans
-	// mobility evaluation and pair discovery out over. 0 and 1 run the
-	// scan inline on the event loop; values >= 2 enable the sharded tick
-	// pipeline. Contact transitions are byte-identical for every value —
-	// worker count is a throughput knob, never part of the determinism
-	// key (see docs/DETERMINISM.md). A medium that has scanned with
-	// ScanWorkers >= 2 owns a worker pool; Stop releases it.
-	ScanWorkers int
 }
 
 // Validate reports the first invalid field, if any.
@@ -86,8 +71,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("wireless: non-positive rate %v", float64(c.Rate))
 	case c.ScanInterval <= 0:
 		return fmt.Errorf("wireless: non-positive scan interval %v", c.ScanInterval)
-	case c.ScanWorkers < 0:
-		return fmt.Errorf("wireless: negative scan workers %d", c.ScanWorkers)
 	}
 	return nil
 }
@@ -127,7 +110,6 @@ type Medium struct {
 	busy      map[int]*Transfer
 
 	sc       scanState // live-scan working set, reused across ticks
-	pool     *scanPool // parallel-scan workers, lazily built, nil when serial
 	stopScan func()
 	planned  bool
 
@@ -355,17 +337,12 @@ func (m *Medium) replayTick(now float64) {
 	}
 }
 
-// Stop halts scanning (in-flight transfers keep running to completion) and
-// releases the parallel-scan worker pool, if one was built. Stop is
-// idempotent; a later Start rebuilds the pool lazily on its first tick.
+// Stop halts scanning (in-flight transfers keep running to completion).
+// Stop is idempotent.
 func (m *Medium) Stop() {
 	if m.stopScan != nil {
 		m.stopScan()
 		m.stopScan = nil
-	}
-	if m.pool != nil {
-		m.pool.close()
-		m.pool = nil
 	}
 }
 
