@@ -13,7 +13,6 @@
 //	experiments -dump-spec fig5                 # print a figure as a spec file
 //	experiments -figure all -contact-cache      # one mobility sim per seed
 //	experiments -cache-dir traces/ -seeds 5     # persist traces across runs
-//	experiments -figure all -prewarm -seeds 5   # record all traces up front
 //	experiments -cache-dir traces/ -cache-max-mb 256  # LRU-bounded store
 //	experiments -spec grid.json -progress       # per-cell progress on stderr
 //	experiments -figure fig5 -out-jsonl r/      # stream cells as JSON lines
@@ -61,11 +60,10 @@
 // replays them on later runs through read-only memory-mapped views —
 // concurrent processes share one page-cached copy of each trace, and
 // cells replay with no per-cell trace allocation. -cache-max-mb bounds the
-// store, evicting
-// least-recently-used traces. -prewarm records the traces of every
-// selected experiment in parallel before the first sweep starts, instead
-// of on first touch inside it. A failing cell exits non-zero naming its
-// (series, x, seed) coordinates.
+// store, evicting least-recently-used traces. Each sweep records the
+// distinct traces it needs on a concurrent pool running ahead of its cell
+// workers, so cells rarely wait behind a recording pass. A failing cell
+// exits non-zero naming its (series, x, seed) coordinates.
 package main
 
 import (
@@ -120,8 +118,6 @@ func run() int {
 		dump     = flag.String("dump-spec", "", "print the named experiment as a JSON sweep spec and exit")
 		useCC    = flag.Bool("contact-cache", false, "record each (scenario, seed) mobility process once and replay it across cells")
 		ccDir    = flag.String("cache-dir", "", "persist recorded contact traces in this directory (implies -contact-cache)")
-		warm     = flag.Bool("prewarm", false, "pre-record all contact traces across the selected experiments before the first sweep (implies -contact-cache)")
-		lazy     = flag.Bool("lazy-record", false, "record contact traces on first touch inside the sweep instead of the parallel pre-recording pass")
 		ccMax    = flag.Float64("cache-max-mb", 0, "bound the persisted cache directory to this many MB, evicting least-recently-used traces (0 = unbounded)")
 		resume   = flag.Bool("resume", false, "resume interrupted sweeps from their -out-jsonl streams: completed cells are kept, only missing ones run, and the finished file is byte-identical to an uninterrupted run's")
 	)
@@ -227,9 +223,9 @@ func run() int {
 	}
 
 	opt := vdtn.ExperimentOptions{
-		Seeds: seedList, Scale: *scale, Workers: *work, LazyRecord: *lazy,
+		Seeds: seedList, Scale: *scale, Workers: *work,
 	}
-	if *useCC || *ccDir != "" || *warm {
+	if *useCC || *ccDir != "" {
 		// One cache across all experiments: sweeps over the same scenario
 		// replay the traces the first one recorded. The deferred Close is
 		// the single cleanup path every exit below flows through — it
@@ -241,36 +237,6 @@ func run() int {
 			Warn:     func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) },
 		}
 		defer opt.ContactCache.Close()
-	}
-
-	if *warm {
-		// Record every distinct trace of every selected experiment up
-		// front, so even the first experiment's sweep starts fully warmed.
-		var cfgs []vdtn.Config
-		for _, e := range todo {
-			cc, err := vdtn.ExperimentCellConfigs(e, opt)
-			if err != nil {
-				return fail("%v", err)
-			}
-			cfgs = append(cfgs, cc...)
-		}
-		start := time.Now()
-		if err := opt.ContactCache.PrewarmContext(ctx, cfgs, *work); err != nil {
-			if ctx.Err() != nil {
-				// SIGINT during the pre-recording pass: the in-flight
-				// recordings stopped at their next event checkpoint and
-				// nothing was memoized torn; the deferred cache Close still
-				// flushes whatever completed.
-				fmt.Fprintln(os.Stderr, "experiments: interrupted during prewarm")
-				return 130
-			}
-			return fail("%v", err)
-		}
-		fmt.Printf("prewarmed %d contact traces in %v\n\n",
-			opt.ContactCache.Len(), time.Since(start).Round(time.Millisecond))
-		// Every key the sweeps can touch is now memoized, so the per-run
-		// prewarm pool would only re-fingerprint cells to hit the cache.
-		opt.LazyRecord = true
 	}
 
 	for _, dir := range []string{*outDir, *outJSONL} {

@@ -14,6 +14,9 @@
 //	vdtnsim -replay-contacts run.contactsb -ttl 90 # re-run it, bit-identically
 //	vdtnsim -contacts-info run.contactsb           # inspect a recorded trace
 //
+// -record-contacts records the trace from mobility alone, then runs the
+// scenario replaying it; the printed metrics equal a live run's, as do
+// those of a later -replay-contacts run with the same scenario flags.
 // Contact traces are written in the integrity-checked binary codec (magic
 // + CRC32; see internal/wireless/FORMAT.md) and read back through a
 // read-only memory-mapped view, validated once at open. A trace damaged
@@ -91,7 +94,7 @@ func main() {
 		copies    = flag.Int("copies", 12, "Spray and Wait copy budget N")
 		warmupMin = flag.Float64("warmup", 0, "exclude messages created before this many minutes")
 		contacts  = flag.String("contacts", "", "contact-plan file (\"start end a b\" lines); replaces mobility")
-		recordTo  = flag.String("record-contacts", "", "run live and write the contact trace to this file for later -replay-contacts")
+		recordTo  = flag.String("record-contacts", "", "record the contact trace from mobility alone, write it to this file for later -replay-contacts, and run the scenario replaying it")
 		replayOf  = flag.String("replay-contacts", "", "replay a recorded contact trace instead of simulating mobility (scenario flags must match the recording run)")
 		inspect   = flag.String("contacts-info", "", "print a summary of a recorded contact trace and exit")
 		confFile  = flag.String("config", "", "load the scenario from a JSON file (other flags still override)")
@@ -201,20 +204,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vdtnsim: -record-contacts and -replay-contacts are mutually exclusive")
 		os.Exit(2)
 	}
-	var recording *vdtn.ContactRecording
-	switch {
-	case *recordTo != "":
-		recording = &vdtn.ContactRecording{}
-		cfg.ContactSource = vdtn.ContactRecord
-		cfg.Recording = recording
-	case *replayOf != "":
+	if *replayOf != "" {
 		view, err := vdtn.OpenContactRecordingView(*replayOf)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 			os.Exit(1)
 		}
 		defer view.Close()
-		cfg.ContactSource = vdtn.ContactReplay
 		cfg.ReplaySource = view
 		// Follow the trace's horizon unless the user chose one — via the
 		// -duration flag or a -config file (a chosen duration may shorten
@@ -285,7 +281,20 @@ func main() {
 	// its next event-loop checkpoint and the partial event trace (if any)
 	// is still flushed before the non-zero exit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	result, err := vdtn.RunContext(ctx, cfg)
+	var recording *vdtn.ContactRecording
+	var err error
+	if *recordTo != "" {
+		// The contacts-only pass produces the trace, and the run replays
+		// it: bit-identical to a live run, without simulating mobility
+		// twice.
+		if recording, err = vdtn.RecordContactsContext(ctx, cfg); err == nil {
+			cfg.ReplaySource = recording
+		}
+	}
+	var result vdtn.Result
+	if err == nil {
+		result, err = vdtn.RunContext(ctx, cfg)
+	}
 	stopSignals()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)

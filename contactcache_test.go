@@ -46,14 +46,11 @@ func writeArtifact(tb testing.TB, path string, art map[string]any) {
 // horizon — and returns the comparison:
 //
 //   - cached vs uncached sweep wall clock;
-//   - a sweep served from the persisted store (mmap views, no recording);
-//   - prewarmed vs lazy recording schedule (recording passes run in
-//     parallel ahead of the sweep vs on first touch inside it).
+//   - a sweep served from the persisted store (mmap views, no recording).
 //
 // It fails tb unless the cached and store-served tables are bit-identical
-// to the uncached one, the store-served sweep records nothing, the cached
-// run is not much slower, and the prewarmed schedule is not much slower
-// than the lazy one.
+// to the uncached one, the store-served sweep records nothing, and the
+// cached run is not much slower.
 func contactCacheArtifact(tb testing.TB) map[string]any {
 	exp, ok := vdtn.ExperimentByID("fig5")
 	if !ok {
@@ -112,39 +109,6 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 		tb.Errorf("cached run much slower than uncached: %.2fx", speedup)
 	}
 
-	// Lazy vs prewarmed schedule: identical tables, only wall clock moves.
-	// Best-of-3 per schedule, so scheduler noise does not drown a ~2 s
-	// measurement.
-	timedRun := func(lazy bool) (vdtn.ExperimentTable, time.Duration) {
-		o := opt
-		o.LazyRecord = lazy
-		var tbl vdtn.ExperimentTable
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			o.ContactCache = &vdtn.ContactCache{}
-			s := time.Now()
-			res, err := vdtn.RunExperimentE(exp, o)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if d := time.Since(s); d < best {
-				best = d
-			}
-			tbl = res.DefaultTable()
-		}
-		return tbl, best
-	}
-	lazyTbl, lazyDur := timedRun(true)
-	warmTbl, warmDur := timedRun(false)
-	if !reflect.DeepEqual(lazyTbl.Series, warmTbl.Series) {
-		tb.Fatal("prewarmed table diverged from the lazy one")
-	}
-	tb.Logf("recording schedule: lazy %v, prewarmed %v",
-		lazyDur.Round(time.Millisecond), warmDur.Round(time.Millisecond))
-	if float64(warmDur) > 1.5*float64(lazyDur) {
-		tb.Errorf("prewarmed sweep much slower than the lazy one: %v vs %v", warmDur, lazyDur)
-	}
-
 	return map[string]any{
 		"benchmark":         "contact-trace cache: cached vs uncached experiment run",
 		"experiment":        exp.ID,
@@ -159,7 +123,5 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 		"recordings":        cache.Recorded(),
 		"tables_equal":      true,
 		"tables_equal_mmap": true,
-		"lazy_ms":           lazyDur.Milliseconds(),
-		"prewarmed_ms":      warmDur.Milliseconds(),
 	}
 }

@@ -153,8 +153,8 @@ func (cc *ContactCache) Source(cfg sim.Config) (wireless.ReplaySource, error) {
 // the single-flight winner observes the disk or recording event; callers
 // that waited behind it (or arrived later) observe a memory hit.
 func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
-	if cfg.Plan != nil {
-		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan scenario")
+	if !cacheable(cfg) {
+		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan or replay scenario")
 	}
 	key := scenario.ContactFingerprint(cfg)
 	e := cc.entry(key)
@@ -277,25 +277,21 @@ func contactCanonical(cfg sim.Config) sim.Config {
 	return c
 }
 
+// cacheable reports whether the cache can serve cfg's contact process: it
+// comes from mobility, neither from a contact plan nor from a trace the
+// caller already supplied.
+func cacheable(cfg sim.Config) bool { return cfg.Plan == nil && cfg.ReplaySource == nil }
+
 // Prewarm loads every distinct contact process in cfgs — opening its
 // persisted trace or running its recording pass — over its own worker
 // pool, so a sweep's cells find their traces already in memory instead of
 // serializing behind first-touch single-flight. Configurations the cache
-// cannot serve (contact-plan or non-live contact sources) are skipped.
+// cannot serve (see cacheable) are skipped.
 // workers <= 0 defaults to GOMAXPROCS. The returned error joins every
 // failed recording; a failure is also memoized per key, so later Source
 // calls for that key report it again.
 func (cc *ContactCache) Prewarm(cfgs []sim.Config, workers int) error {
 	return cc.prewarm(context.Background(), cfgs, workers, nil, nil)
-}
-
-// PrewarmContext is Prewarm under a context: cancellation interrupts the
-// in-flight recording passes promptly — between two events of their
-// mobility simulations, not minutes later at the end of a pass — skips
-// the rest, and returns the joined errors (each wrapping ctx.Err()).
-// Cancelled passes are not memoized, so a later run records them cleanly.
-func (cc *ContactCache) PrewarmContext(ctx context.Context, cfgs []sim.Config, workers int) error {
-	return cc.prewarm(ctx, cfgs, workers, func() bool { return ctx.Err() != nil }, nil)
 }
 
 // prewarm is Prewarm with a context, a stop hook — when stop becomes
@@ -306,7 +302,7 @@ func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers 
 	seen := make(map[string]bool)
 	var distinct []sim.Config
 	for _, cfg := range cfgs {
-		if cfg.Plan != nil || cfg.ContactSource != sim.ContactLive {
+		if !cacheable(cfg) {
 			continue
 		}
 		key := scenario.ContactFingerprint(cfg)

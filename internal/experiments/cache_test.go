@@ -495,37 +495,6 @@ func TestRunEReportsCellCoordinates(t *testing.T) {
 	}
 }
 
-// TestRunELazyMatchesPrewarmed: the pre-recording pass is a scheduling
-// change only — the lazy table is bit-identical.
-func TestRunELazyMatchesPrewarmed(t *testing.T) {
-	exp := cacheExperiment()
-	base := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
-
-	lazy := base
-	lazy.ContactCache = &ContactCache{}
-	lazy.LazyRecord = true
-	lazyRes, err := RunE(exp, lazy)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm := base
-	warm.ContactCache = &ContactCache{}
-	warmRes, err := RunE(exp, warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full-Result equality, cell for cell — stronger than comparing one
-	// metric's table.
-	if !reflect.DeepEqual(lazyRes.Cells, warmRes.Cells) {
-		t.Fatal("prewarmed results diverged from the lazy ones")
-	}
-	if lazy.ContactCache.Recorded() != warm.ContactCache.Recorded() {
-		t.Fatalf("recording passes differ: lazy %d, prewarmed %d",
-			lazy.ContactCache.Recorded(), warm.ContactCache.Recorded())
-	}
-}
-
 // TestCellConfigs: the materialized cell list covers every (series, x,
 // seed) combination in aggregation order.
 func TestCellConfigs(t *testing.T) {
@@ -545,7 +514,8 @@ func TestCellConfigs(t *testing.T) {
 	}
 }
 
-// TestCacheRejectsPlanScenarios: plan-mode cells cannot be cached.
+// TestCacheRejectsPlanScenarios: plan-mode and replay cells cannot be
+// cached.
 func TestCacheRejectsPlanScenarios(t *testing.T) {
 	plan, err := contactplan.New([]contactplan.Contact{{A: 0, B: 1, Start: 0, End: 10}})
 	if err != nil {
@@ -555,5 +525,10 @@ func TestCacheRejectsPlanScenarios(t *testing.T) {
 	cfg.Plan = plan
 	if _, err := (&ContactCache{}).Source(cfg); err == nil {
 		t.Fatal("cache accepted a contact-plan scenario")
+	}
+	cfg.Plan = nil
+	cfg.ReplaySource = &wireless.Recording{}
+	if _, err := (&ContactCache{}).Source(cfg); err == nil {
+		t.Fatal("cache accepted a replay scenario")
 	}
 }

@@ -141,17 +141,17 @@ func TestCacheRecordingContextCancellation(t *testing.T) {
 		t.Fatalf("recorded %d passes, want exactly 1", cc.Recorded())
 	}
 
-	// PrewarmContext under a cancelled context skips and reports, and the
-	// keys stay recordable afterwards.
+	// The prewarm pool under a cancelled context reports the cancellation
+	// of its recording passes, and the keys stay recordable afterwards.
 	cfg2 := cfg
 	cfg2.Seed = 4
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := cc.PrewarmContext(ctx2, []sim.Config{}, 2); err != nil {
+	if err := cc.prewarm(ctx2, []sim.Config{}, 2, nil, nil); err != nil {
 		t.Fatalf("empty prewarm errored: %v", err)
 	}
-	if err := cc.PrewarmContext(ctx2, []sim.Config{cfg2}, 2); err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled prewarm returned %v", err)
+	if err := cc.prewarm(ctx2, []sim.Config{cfg2}, 2, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled prewarm returned %v, want context.Canceled", err)
 	}
 	if _, err := cc.Source(cfg2); err != nil {
 		t.Fatalf("recording after cancelled prewarm: %v", err)

@@ -250,14 +250,6 @@ type Options struct {
 	// cell. Results are bit-identical to uncached runs. The cache may be
 	// shared across experiments and is safe for concurrent use.
 	ContactCache *ContactCache
-
-	// LazyRecord disables the concurrent pre-recording pool the runner
-	// starts when ContactCache is set (ContactCache.Prewarm): recordings
-	// then happen only on first touch inside the cell workers, where cells
-	// sharing a trace serialize behind its single-flight recording.
-	// Results are identical either way; only the wall clock moves. Mainly
-	// for benchmarking the two schedules against each other.
-	LazyRecord bool
 }
 
 func (o Options) normalized() Options {
@@ -402,12 +394,11 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 	// hands back either the shared in-memory recording or, for a trace
 	// persisted by an earlier run, a zero-copy mmap view every cell (and
 	// process) replays from the page cache.
-	if opt.ContactCache != nil && cfg.Plan == nil && cfg.ContactSource == sim.ContactLive {
+	if opt.ContactCache != nil && cacheable(cfg) {
 		src, rerr := opt.ContactCache.sourceWith(ctx, cfg, note)
 		if rerr != nil {
 			return sim.Result{}, rerr
 		}
-		cfg.ContactSource = sim.ContactReplay
 		cfg.ReplaySource = src
 	}
 	w, nerr := sim.New(cfg)
@@ -443,8 +434,8 @@ func CellConfigs(exp Experiment, opt Options) ([]sim.Config, error) {
 // (unknown axis or metric, empty sweep) is rejected before any cell runs.
 // When opt.ContactCache is set, the distinct contact traces the sweep
 // needs are recorded by a parallel prewarm pool running alongside the
-// cell workers (see Options.LazyRecord to disable). Use a Runner directly
-// for cancellation, progress observation, or streaming sinks.
+// cell workers. Use a Runner directly for cancellation, progress
+// observation, or streaming sinks.
 func RunE(exp Experiment, opt Options) (*Results, error) {
 	var mem MemorySink
 	r := Runner{Options: opt, Sink: &mem}

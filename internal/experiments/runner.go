@@ -274,14 +274,14 @@ func (r *Runner) runCells(ctx context.Context, exp Experiment, opt Options, jobs
 	var failed atomic.Bool
 	stop := func() bool { return failed.Load() || ctx.Err() != nil }
 	var prewarmed chan struct{}
-	if opt.ContactCache != nil && !opt.LazyRecord {
+	if opt.ContactCache != nil {
 		var cfgs []sim.Config
 		// Resumed cells are already on disk and never simulate, so only the
 		// remaining cells' traces are worth recording.
 		for _, j := range jobs[resume:] {
 			// A cell whose config cannot materialize is skipped here; its
 			// worker reports the error with full coordinates below.
-			if cfg, err := cellConfig(exp, opt, j); err == nil && cfg.Plan == nil && cfg.ContactSource == sim.ContactLive {
+			if cfg, err := cellConfig(exp, opt, j); err == nil && cacheable(cfg) {
 				cfgs = append(cfgs, cfg)
 			}
 		}

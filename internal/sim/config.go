@@ -13,37 +13,6 @@ import (
 	"vdtn/internal/xrand"
 )
 
-// ContactSource selects where a run's contact process comes from.
-type ContactSource int
-
-const (
-	// ContactLive detects contacts by proximity scanning over the mobility
-	// models — the paper's mode, and the default.
-	ContactLive ContactSource = iota
-	// ContactRecord runs live and additionally captures every contact
-	// transition into Config.Recording, for later replay.
-	ContactRecord
-	// ContactReplay drives contacts from Config.Recording instead of
-	// mobility and proximity scanning. A replayed run is bit-identical to
-	// the live run that recorded the trace (same seed, same Result, same
-	// trace events), but skips all position and proximity work.
-	ContactReplay
-)
-
-// String names the contact source.
-func (s ContactSource) String() string {
-	switch s {
-	case ContactLive:
-		return "live"
-	case ContactRecord:
-		return "record"
-	case ContactReplay:
-		return "replay"
-	default:
-		return fmt.Sprintf("ContactSource(%d)", int(s))
-	}
-}
-
 // ProtocolKind selects the routing protocol for a scenario.
 type ProtocolKind int
 
@@ -151,7 +120,7 @@ type Config struct {
 	Duration float64
 
 	// Map is the road network; nil selects roadmap.HelsinkiLike().
-	// Ignored in contact-plan mode.
+	// Ignored in contact-plan and replay runs.
 	Map *roadmap.Graph
 
 	// Plan, when non-nil, switches the scenario to contact-plan mode:
@@ -166,24 +135,17 @@ type Config struct {
 	// with Plan for fully deterministic micro-scenarios.
 	Script []ScriptedMessage
 
-	// ContactSource selects live proximity scanning (default), recording,
-	// or replay of a recorded contact trace. Mutually exclusive with Plan.
-	ContactSource ContactSource
-	// Recording is the contact trace buffer: ContactRecord resets and
-	// fills it during the run, ContactReplay reads it (unless ReplaySource
-	// is set). It must be non-nil when ContactSource is ContactRecord, and
-	// in ContactReplay mode exactly one of Recording and ReplaySource must
-	// be set. Replayed recordings must match the scenario's scan interval
-	// and node count; RecordContacts produces a matching trace from the
-	// scenario's mobility alone.
-	Recording *wireless.Recording
-	// ReplaySource, when non-nil in ContactReplay mode, drives the replay
-	// from a streaming trace source — typically a zero-copy
-	// wireless.RecordingView over a persisted .contactsb file — instead of
-	// a materialized Recording. Views validate once at open and replay
+	// ReplaySource, when non-nil, drives the contact process from a
+	// recorded trace instead of mobility and proximity scanning: an
+	// in-memory *wireless.Recording (RecordContacts produces one from the
+	// scenario's mobility alone) or a zero-copy *wireless.RecordingView
+	// over a persisted .contactsb file. A replayed run is bit-identical to
+	// the live run (same Result, same trace events) but skips all
+	// position and proximity work. Views validate once at open and replay
 	// with no per-run trace allocation, so concurrent sweep cells (and
 	// concurrent processes, via the page cache) share one copy of the
-	// trace. Ignored outside replay mode.
+	// trace. The trace must match the scenario's scan interval and node
+	// count and cover its horizon. Mutually exclusive with Plan.
 	ReplaySource wireless.ReplaySource
 
 	// Vehicles is the number of mobile nodes (ids 0..Vehicles-1).
@@ -330,31 +292,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: contact plan references node %d, scenario has %d nodes",
 			c.Plan.MaxNode(), c.Vehicles+c.Relays)
 	}
-	switch c.ContactSource {
-	case ContactLive:
-		// Recording/ReplaySource are ignored; allow leftover pointers.
-	case ContactRecord:
-		if c.Recording == nil {
-			return fmt.Errorf("sim: contact source %v needs Config.Recording", c.ContactSource)
-		}
+	if c.ReplaySource != nil {
 		if c.Plan != nil {
-			return fmt.Errorf("sim: contact source %v is exclusive with a contact plan", c.ContactSource)
+			return fmt.Errorf("sim: a replay source is exclusive with a contact plan")
 		}
-	case ContactReplay:
-		if c.Recording == nil && c.ReplaySource == nil {
-			return fmt.Errorf("sim: contact source %v needs Config.Recording or Config.ReplaySource", c.ContactSource)
-		}
-		if c.Recording != nil && c.ReplaySource != nil {
-			return fmt.Errorf("sim: contact source %v with both Config.Recording and Config.ReplaySource set", c.ContactSource)
-		}
-		if c.Plan != nil {
-			return fmt.Errorf("sim: contact source %v is exclusive with a contact plan", c.ContactSource)
-		}
-		if err := ReplaySourceCompatible(c, c.replaySource()); err != nil {
+		if err := ReplaySourceCompatible(c, c.ReplaySource); err != nil {
 			return err
 		}
-	default:
-		return fmt.Errorf("sim: unknown contact source %d", int(c.ContactSource))
 	}
 	for i, s := range c.Script {
 		n := c.Vehicles + c.Relays
@@ -372,15 +316,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// replaySource returns the trace source a ContactReplay run drives from:
-// the streaming source when set, else the materialized recording (which
-// implements the same interface).
-func (c Config) replaySource() wireless.ReplaySource {
-	if c.ReplaySource != nil {
-		return c.ReplaySource
-	}
-	return c.Recording
-}
+// live reports whether cfg's contacts come from mobility and proximity
+// scanning, i.e. neither a contact plan nor a replay source drives them.
+func (c Config) live() bool { return c.Plan == nil && c.ReplaySource == nil }
 
 // ScriptedMessage is one deterministic traffic entry (see Config.Script).
 type ScriptedMessage struct {

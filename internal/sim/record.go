@@ -8,7 +8,6 @@ import (
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/mobility"
-	"vdtn/internal/roadmap"
 	"vdtn/internal/wireless"
 	"vdtn/internal/xrand"
 )
@@ -25,98 +24,46 @@ func (e *mobileEntity) Position(now float64) geo.Point { return e.mob.Position(n
 
 // RecordContacts simulates only the mobility and proximity layer of cfg —
 // no routers, buffers or traffic — and returns the contact trace the full
-// scenario would produce. The trace is bit-identical to what a complete
-// live run records, because the contact process depends solely on the
-// per-node mobility streams (independent of the traffic and policy
-// streams) and the scan tick sequence, both of which are reproduced here
-// exactly. Running the returned recording through ContactReplay therefore
-// yields the same Result as a live run at a fraction of the cost — the
-// contract the experiment harness's contact cache is built on.
+// scenario would produce. The trace is bit-identical to the contact
+// process of a complete live run, because that process depends solely on
+// the per-node mobility streams (independent of the traffic and policy
+// streams) and the scan tick sequence, both of which New assembles the
+// same way. Replaying the returned recording via Config.ReplaySource
+// therefore yields the same Result as a live run at a fraction of the
+// cost — the contract the experiment harness's contact cache is built on.
 func RecordContacts(cfg Config) (*wireless.Recording, error) {
-	rec, err := RecordContactsContext(context.Background(), cfg)
-	if err != nil {
-		// Background contexts cannot cancel, so every error here is a
-		// validation error, reported as before contexts existed.
-		return nil, err
-	}
-	return rec, nil
+	return RecordContactsContext(context.Background(), cfg)
 }
 
 // RecordContactsContext is RecordContacts checking ctx between events, the
 // same cooperative checkpointing as World.RunContext: cancellation stops
 // the pass at an event boundary within cancelCheckStride events and
 // returns (nil, ctx.Err()) — a recording pass over a long horizon no
-// longer pins a SIGINT'd process for the rest of the pass. An
-// uncancellable context skips the checkpoint polling entirely, so the
-// plain RecordContacts path stays allocation-identical to before.
+// longer pins a SIGINT'd process for the rest of the pass.
 func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Plan != nil {
-		return nil, fmt.Errorf("sim: cannot record contacts of a contact-plan scenario")
+	if !cfg.live() {
+		return nil, fmt.Errorf("sim: cannot record the contacts of a contact-plan or replay scenario")
 	}
-	if cfg.ContactSource == ContactReplay {
-		return nil, fmt.Errorf("sim: cannot record contacts of a replay scenario")
+	graph, err := scenarioMap(cfg)
+	if err != nil {
+		return nil, err
 	}
-	graph := cfg.Map
-	if graph == nil {
-		graph = roadmap.HelsinkiLike()
-	}
-	if err := graph.Validate(); err != nil {
-		return nil, fmt.Errorf("sim: scenario map invalid: %w", err)
-	}
-
 	sched := event.NewScheduler()
-	medium := wireless.NewMedium(sched, wireless.Config{
-		Range:        cfg.Range,
-		Rate:         cfg.Rate,
-		ScanInterval: cfg.ScanInterval,
-	})
-	src := xrand.NewSource(cfg.Seed)
-	walkCfg := mobility.MapWalkConfig{
-		SpeedLoMs: cfg.SpeedLo,
-		SpeedHiMs: cfg.SpeedHi,
-		PauseLoS:  cfg.PauseLo,
-		PauseHiS:  cfg.PauseHi,
+	medium := newMedium(sched, cfg)
+	for id, mob := range mobilityModels(cfg, graph, xrand.NewSource(cfg.Seed)) {
+		medium.Add(&mobileEntity{id: id, mob: mob})
 	}
-	// Same ids, same mobility streams, same registration order as New.
-	for i := 0; i < cfg.Vehicles; i++ {
-		medium.Add(&mobileEntity{
-			id:  i,
-			mob: mobility.NewMapWalk(graph, src.StreamN("mobility", i), walkCfg),
-		})
-	}
-	if cfg.Relays > 0 {
-		sites := roadmap.RelaySites(graph, cfg.Relays)
-		for i := 0; i < cfg.Relays; i++ {
-			medium.Add(&mobileEntity{
-				id:  cfg.Vehicles + i,
-				mob: mobility.Stationary{At: graph.Vertex(sites[i])},
-			})
-		}
-	}
-
 	rec := &wireless.Recording{Duration: cfg.Duration}
 	medium.RecordTo(rec)
 	medium.Start(0)
-	if done := ctx.Done(); done == nil {
-		sched.RunUntil(cfg.Duration)
-	} else {
-		cancelled := sched.RunUntilCheck(cfg.Duration, cancelCheckStride, func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-		if cancelled {
-			// A torn trace must never escape: the recording stops between
-			// scan ticks, so it would be a valid-looking prefix — silently
-			// wrong for any run longer than the cut.
-			return nil, ctx.Err()
-		}
+	if err := runUntil(ctx, sched, cfg.Duration); err != nil {
+		// A torn trace must never escape: the recording stops between
+		// scan ticks, so it would be a valid-looking prefix — silently
+		// wrong for any run longer than the cut.
+		return nil, err
 	}
 	return rec, nil
 }
@@ -158,7 +105,7 @@ func ReplaySourceCompatible(cfg Config, src wireless.ReplaySource) error {
 // the plan text format or scenario JSON. Contacts still open at the end of
 // the trace are closed at its duration, so a plan-driven re-run is close
 // to but not bit-identical with a replay (plan windows also fire outside
-// the scan-tick event slots); use ContactReplay when exactness matters.
+// the scan-tick event slots); replay the recording when exactness matters.
 func RecordingPlan(rec *wireless.Recording) (*contactplan.Plan, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err

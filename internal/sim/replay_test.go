@@ -59,18 +59,11 @@ func runTraced(t *testing.T, cfg Config) (Result, []trace.Event) {
 }
 
 // TestReplayEquivalence is the record/replay cache's headline guarantee:
-// for every protocol × policy pair, a run replaying a recorded contact
-// trace is bit-identical — full Result and full event trace — to the live
-// run that recorded it, and recording itself does not perturb the run.
+// for every protocol × policy pair, a run replaying the trace
+// RecordContacts produced — the path the contact cache takes — is
+// bit-identical, full Result and full event trace, to the live run.
 func TestReplayEquivalence(t *testing.T) {
-	protocols := []ProtocolKind{
-		ProtoEpidemic, ProtoSprayAndWait, ProtoSprayAndWaitVanilla,
-		ProtoMaxProp, ProtoPRoPHET, ProtoDirectDelivery, ProtoFirstContact,
-	}
-	policies := []PolicyKind{
-		PolicyFIFOFIFO, PolicyRandomFIFO, PolicyLifetime,
-		PolicySize, PolicyHopMOFO, PolicyFIFOOldestAge,
-	}
+	protocols, policies := protoPolicyPairs()
 	for _, proto := range protocols {
 		for _, pol := range policies {
 			t.Run(proto.String()+"/"+pol.String(), func(t *testing.T) {
@@ -80,27 +73,16 @@ func TestReplayEquivalence(t *testing.T) {
 
 				liveRes, liveEvents := runTraced(t, base)
 
-				recCfg := base
-				rec := &wireless.Recording{}
-				recCfg.ContactSource = ContactRecord
-				recCfg.Recording = rec
-				recRes, recEvents := runTraced(t, recCfg)
-				if liveRes != recRes {
-					t.Fatalf("recording perturbed the run:\nlive:   %+v\nrecord: %+v", liveRes, recRes)
-				}
-				if !reflect.DeepEqual(liveEvents, recEvents) {
-					t.Fatal("recording perturbed the event trace")
+				rec, err := RecordContacts(base)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if len(rec.Transitions) == 0 {
 					t.Fatal("recorded no contact transitions")
 				}
-				if err := rec.Validate(); err != nil {
-					t.Fatalf("recorded trace invalid: %v", err)
-				}
 
 				repCfg := base
-				repCfg.ContactSource = ContactReplay
-				repCfg.Recording = rec
+				repCfg.ReplaySource = rec
 				repRes, repEvents := runTraced(t, repCfg)
 				if liveRes != repRes {
 					t.Fatalf("replay diverged from live run:\nlive:   %+v\nreplay: %+v", liveRes, repRes)
@@ -127,30 +109,35 @@ func eventAt(events []trace.Event, i int) any {
 }
 
 // TestRecordContactsMatchesFullRun pins the contact cache's producer
-// contract: the contacts-only mobility pass records exactly the trace a
-// complete live simulation records, because the contact process is
-// independent of traffic and routing.
+// contract: the contacts-only mobility pass records exactly the contact
+// transitions a complete live simulation fires — same times, pairs,
+// directions and order — because the contact process is independent of
+// traffic and routing.
 func TestRecordContactsMatchesFullRun(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 5} {
 		cfg := replayConfig(seed)
+		_, events := runTraced(t, cfg)
+		var live []wireless.Transition
+		for _, ev := range events {
+			if ev.Kind == trace.ContactUp || ev.Kind == trace.ContactDown {
+				live = append(live, wireless.Transition{Time: ev.Time, A: ev.A, B: ev.B, Up: ev.Kind == trace.ContactUp})
+			}
+		}
 
-		fullCfg := cfg
-		fullRec := &wireless.Recording{}
-		fullCfg.ContactSource = ContactRecord
-		fullCfg.Recording = fullRec
-		w, err := New(fullCfg)
+		rec, err := RecordContacts(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Run()
-
-		onlyRec, err := RecordContacts(cfg)
-		if err != nil {
-			t.Fatal(err)
+		if rec.Duration != cfg.Duration || rec.ScanInterval != cfg.ScanInterval {
+			t.Fatalf("seed %d: recording spans %vs at %vs ticks, scenario %vs at %vs",
+				seed, rec.Duration, rec.ScanInterval, cfg.Duration, cfg.ScanInterval)
 		}
-		if !reflect.DeepEqual(fullRec, onlyRec) {
+		if len(live) == 0 {
+			t.Fatalf("seed %d: live run fired no contact transitions", seed)
+		}
+		if !reflect.DeepEqual(live, rec.Transitions) {
 			t.Fatalf("seed %d: contacts-only pass diverged from full run: %d vs %d transitions",
-				seed, len(onlyRec.Transitions), len(fullRec.Transitions))
+				seed, len(rec.Transitions), len(live))
 		}
 	}
 }
@@ -168,8 +155,7 @@ func TestReplayAcrossProtocols(t *testing.T) {
 	for i, proto := range []ProtocolKind{ProtoEpidemic, ProtoMaxProp, ProtoPRoPHET} {
 		c := cfg
 		c.Protocol = proto
-		c.ContactSource = ContactReplay
-		c.Recording = rec
+		c.ReplaySource = rec
 		live := cfg
 		live.Protocol = proto
 		liveRes, liveEvents := runTraced(t, live)
@@ -198,10 +184,9 @@ func TestRecordingFormatRoundTripsThroughReplay(t *testing.T) {
 		t.Fatal("recording changed across EncodeBinary/OpenRecordingView")
 	}
 
-	cfg.ContactSource = ContactReplay
-	cfg.Recording = parsed
+	cfg.ReplaySource = parsed
 	resParsed, _ := runTraced(t, cfg)
-	cfg.Recording = rec
+	cfg.ReplaySource = rec
 	resOrig, _ := runTraced(t, cfg)
 	if resParsed != resOrig {
 		t.Fatal("parsed recording replayed differently from the original")
@@ -253,38 +238,39 @@ func TestReplayPrefixEquivalence(t *testing.T) {
 	short.Duration = long.Duration / 2
 	liveRes, liveEvents := runTraced(t, short)
 
-	short.ContactSource = ContactReplay
-	short.Recording = rec
+	short.ReplaySource = rec
 	repRes, repEvents := runTraced(t, short)
 	if liveRes != repRes || !reflect.DeepEqual(liveEvents, repEvents) {
 		t.Fatalf("prefix replay diverged from the short live run:\nlive:   %+v\nreplay: %+v", liveRes, repRes)
 	}
 }
 
-// TestReplayConfigValidation covers the new Validate arms.
+// TestReplayConfigValidation covers the ReplaySource arms of Validate.
 func TestReplayConfigValidation(t *testing.T) {
 	rec, err := RecordContacts(replayConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := RecordingPlan(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]func(*Config){
-		"record without recording": func(c *Config) { c.ContactSource = ContactRecord },
-		"replay without recording": func(c *Config) { c.ContactSource = ContactReplay },
-		"unknown source":           func(c *Config) { c.ContactSource = ContactSource(99) },
+		"replay with plan": func(c *Config) {
+			c.ReplaySource = rec
+			c.Plan = plan
+		},
 		"replay scan mismatch": func(c *Config) {
-			c.ContactSource = ContactReplay
-			c.Recording = rec
+			c.ReplaySource = rec
 			c.ScanInterval = rec.ScanInterval * 2
 		},
 		"replay node overflow": func(c *Config) {
-			c.ContactSource = ContactReplay
-			c.Recording = rec
+			c.ReplaySource = rec
 			c.Vehicles = 2
 			c.Relays = 0
 		},
 		"replay beyond recording horizon": func(c *Config) {
-			c.ContactSource = ContactReplay
-			c.Recording = rec
+			c.ReplaySource = rec
 			c.Duration = rec.Duration * 2
 		},
 	}
@@ -297,8 +283,7 @@ func TestReplayConfigValidation(t *testing.T) {
 	}
 
 	ok := replayConfig(1)
-	ok.ContactSource = ContactReplay
-	ok.Recording = rec
+	ok.ReplaySource = rec
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid replay config rejected: %v", err)
 	}

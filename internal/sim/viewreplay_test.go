@@ -58,10 +58,9 @@ func TestViewReplayEquivalence(t *testing.T) {
 				cfg := base
 				cfg.Protocol = proto
 				cfg.Policy = pol
-				cfg.ContactSource = ContactReplay
 
 				memCfg := cfg
-				memCfg.Recording = rec
+				memCfg.ReplaySource = rec
 				memRes, memEvents := runTraced(t, memCfg)
 
 				viewCfg := cfg
@@ -114,8 +113,7 @@ func TestViewReplayConcurrentCells(t *testing.T) {
 		cfg := base
 		cfg.Protocol = c.proto
 		cfg.Policy = c.pol
-		cfg.ContactSource = ContactReplay
-		cfg.Recording = rec
+		cfg.ReplaySource = rec
 		w, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +131,6 @@ func TestViewReplayConcurrentCells(t *testing.T) {
 			cfg := base
 			cfg.Protocol = c.proto
 			cfg.Policy = c.pol
-			cfg.ContactSource = ContactReplay
 			cfg.ReplaySource = view
 			w, err := New(cfg)
 			if err != nil {
@@ -155,9 +152,8 @@ func TestViewReplayConcurrentCells(t *testing.T) {
 	}
 }
 
-// TestReplaySourceValidation covers the Config.ReplaySource arms of
-// Validate: both-set and neither-set are errors, and a view is checked for
-// scenario fit exactly like a recording.
+// TestReplaySourceValidation: a view is checked for scenario fit exactly
+// like a recording.
 func TestReplaySourceValidation(t *testing.T) {
 	rec, err := RecordContacts(replayConfig(1))
 	if err != nil {
@@ -166,22 +162,9 @@ func TestReplaySourceValidation(t *testing.T) {
 	view := openViewOf(t, rec)
 
 	c := replayConfig(1)
-	c.ContactSource = ContactReplay
 	c.ReplaySource = view
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid view replay config rejected: %v", err)
-	}
-
-	both := c
-	both.Recording = rec
-	if err := both.Validate(); err == nil {
-		t.Fatal("config with both Recording and ReplaySource accepted")
-	}
-
-	neither := replayConfig(1)
-	neither.ContactSource = ContactReplay
-	if err := neither.Validate(); err == nil {
-		t.Fatal("replay config with no trace source accepted")
 	}
 
 	overflow := c

@@ -95,17 +95,9 @@ func New(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Plan and replay runs never query positions, so mobility (and the
-	// map behind it) is skipped entirely and every node sits at the origin.
-	planMode := cfg.Plan != nil || cfg.ContactSource == ContactReplay
-	graph := cfg.Map
-	if !planMode {
-		if graph == nil {
-			graph = roadmap.HelsinkiLike()
-		}
-		if err := graph.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: scenario map invalid: %w", err)
-		}
+	graph, err := scenarioMap(cfg)
+	if err != nil {
+		return nil, err
 	}
 
 	w := &World{
@@ -126,46 +118,75 @@ func New(cfg Config) (*World, error) {
 	w.cfg.SweepInterval = sweep
 	w.trafficRng = w.src.Stream("traffic")
 
-	w.medium = wireless.NewMedium(w.sched, wireless.Config{
+	w.medium = newMedium(w.sched, cfg)
+	for id, mob := range mobilityModels(cfg, graph, w.src) {
+		kind, capacity := Vehicle, cfg.VehicleBuffer
+		if id >= cfg.Vehicles {
+			kind, capacity = Relay, cfg.RelayBuffer
+		}
+		r := cfg.buildRouter(id, w.src.StreamN("policy", id))
+		w.addNode(newNode(id, kind, mob, buffer.NewStore(capacity), r))
+	}
+	w.medium.SetHandler(w)
+	return w, nil
+}
+
+// scenarioMap resolves and validates the road network of a live run,
+// defaulting to roadmap.HelsinkiLike. Plan and replay runs never query
+// positions, so their map is taken as given and never built or checked.
+func scenarioMap(cfg Config) (*roadmap.Graph, error) {
+	if !cfg.live() {
+		return cfg.Map, nil
+	}
+	graph := cfg.Map
+	if graph == nil {
+		graph = roadmap.HelsinkiLike()
+	}
+	if err := graph.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: scenario map invalid: %w", err)
+	}
+	return graph, nil
+}
+
+// newMedium builds the scenario's radio medium on sched.
+func newMedium(sched *event.Scheduler, cfg Config) *wireless.Medium {
+	return wireless.NewMedium(sched, wireless.Config{
 		Range:        cfg.Range,
 		Rate:         cfg.Rate,
 		ScanInterval: cfg.ScanInterval,
 	})
+}
 
+// mobilityModels returns every node's mobility model, indexed by node id:
+// vehicles (ids 0..Vehicles-1) walk graph, each on its own "mobility"
+// stream of src, and relays (ids Vehicles..Vehicles+Relays-1) stand at
+// spread-out crossroads. In plan and replay runs every node sits at the
+// origin. New and RecordContacts both assemble their nodes from this, which
+// is what makes a recorded trace match the live run's contact process.
+func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []mobility.Model {
+	mobs := make([]mobility.Model, cfg.Vehicles+cfg.Relays)
+	if !cfg.live() {
+		for i := range mobs {
+			mobs[i] = mobility.Stationary{}
+		}
+		return mobs
+	}
 	walkCfg := mobility.MapWalkConfig{
 		SpeedLoMs: cfg.SpeedLo,
 		SpeedHiMs: cfg.SpeedHi,
 		PauseLoS:  cfg.PauseLo,
 		PauseHiS:  cfg.PauseHi,
 	}
-	// Vehicles: ids 0..Vehicles-1. In contact-plan mode positions are
-	// meaningless, so every node is stationary at the origin.
 	for i := 0; i < cfg.Vehicles; i++ {
-		var mob mobility.Model = mobility.Stationary{}
-		if !planMode {
-			mob = mobility.NewMapWalk(graph, w.src.StreamN("mobility", i), walkCfg)
-		}
-		r := cfg.buildRouter(i, w.src.StreamN("policy", i))
-		w.addNode(newNode(i, Vehicle, mob, buffer.NewStore(cfg.VehicleBuffer), r))
+		mobs[i] = mobility.NewMapWalk(graph, src.StreamN("mobility", i), walkCfg)
 	}
-	// Relays: ids Vehicles..Vehicles+Relays-1, at spread-out crossroads.
 	if cfg.Relays > 0 {
-		var sites []int
-		if !planMode {
-			sites = roadmap.RelaySites(graph, cfg.Relays)
-		}
+		sites := roadmap.RelaySites(graph, cfg.Relays)
 		for i := 0; i < cfg.Relays; i++ {
-			id := cfg.Vehicles + i
-			var mob mobility.Model = mobility.Stationary{}
-			if !planMode {
-				mob = mobility.Stationary{At: graph.Vertex(sites[i])}
-			}
-			r := cfg.buildRouter(id, w.src.StreamN("policy", id))
-			w.addNode(newNode(id, Relay, mob, buffer.NewStore(cfg.RelayBuffer), r))
+			mobs[cfg.Vehicles+i] = mobility.Stationary{At: graph.Vertex(sites[i])}
 		}
 	}
-	w.medium.SetHandler(w)
-	return w, nil
+	return mobs
 }
 
 func (w *World) addNode(n *Node) {
@@ -228,9 +249,7 @@ const cancelCheckStride = 256
 // run's trace (events fire in a deterministic total order). A run whose
 // final event fires before the cancellation is noticed completes normally
 // and returns its Result. RunContext may be called once per World; a
-// cancelled World cannot be resumed. In ContactRecord mode a cancelled
-// run leaves Config.Recording holding the prefix recorded so far —
-// discard it.
+// cancelled World cannot be resumed.
 func (w *World) RunContext(ctx context.Context) (Result, error) {
 	if w.ran {
 		panic("sim: World.Run called twice")
@@ -247,13 +266,9 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 			wins[i] = wireless.ContactWindow{A: c.A, B: c.B, Start: c.Start, End: c.End}
 		}
 		w.medium.StartPlan(wins)
-	case w.cfg.ContactSource == ContactReplay:
-		w.medium.StartReplay(0, w.cfg.replaySource())
+	case w.cfg.ReplaySource != nil:
+		w.medium.StartReplay(0, w.cfg.ReplaySource)
 	default:
-		if w.cfg.ContactSource == ContactRecord {
-			*w.cfg.Recording = wireless.Recording{Duration: w.cfg.Duration}
-			w.medium.RecordTo(w.cfg.Recording)
-		}
 		w.medium.Start(0)
 	}
 	w.sched.Every(w.cfg.SweepInterval, w.cfg.SweepInterval, w.sweep)
@@ -265,22 +280,8 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	} else {
 		w.scheduleNextMessage(0)
 	}
-	if done := ctx.Done(); done == nil {
-		// Uncancellable context: skip the checkpoint polling entirely, so
-		// Run stays exactly as fast as before contexts existed.
-		w.sched.RunUntil(w.cfg.Duration)
-	} else {
-		cancelled := w.sched.RunUntilCheck(w.cfg.Duration, cancelCheckStride, func() bool {
-			select {
-			case <-done:
-				return true
-			default:
-				return false
-			}
-		})
-		if cancelled {
-			return Result{}, ctx.Err()
-		}
+	if err := runUntil(ctx, w.sched, w.cfg.Duration); err != nil {
+		return Result{}, err
 	}
 
 	res := Result{
@@ -296,6 +297,30 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 		res.MeanBufferOccupancy = w.occSum / float64(w.occSamples)
 	}
 	return res, nil
+}
+
+// runUntil fires sched's events up to horizon, checking ctx every
+// cancelCheckStride events, and returns ctx.Err() when the run was cut at
+// an event boundary. An uncancellable context skips the checkpoint polling
+// entirely, so a plain Run or RecordContacts pays nothing for it.
+func runUntil(ctx context.Context, sched *event.Scheduler, horizon float64) error {
+	done := ctx.Done()
+	if done == nil {
+		sched.RunUntil(horizon)
+		return nil
+	}
+	cancelled := sched.RunUntilCheck(horizon, cancelCheckStride, func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	})
+	if cancelled {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // sweep expires TTLs network-wide (the per-store hook accounts the deaths)

@@ -409,34 +409,6 @@ func TestAddAfterStartIsPickedUp(t *testing.T) {
 	}
 }
 
-// TestScanStopStartResumes: stopping the scan and starting a fresh pass
-// later must pick up position changes that happened in between, including
-// for entities whose hint expired while stopped.
-func TestScanStopStartResumes(t *testing.T) {
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{}))
-	m.Add(&hinted{id: 1, at: geo.Point{X: 10, Y: 0}, until: 5,
-		fn: func(now float64) geo.Point { return geo.Point{X: 1000, Y: 0} }})
-	m.Start(0)
-	s.RunUntil(2.5)
-	if !m.Connected(0, 1) {
-		t.Fatal("not connected before stop")
-	}
-	m.Stop()
-	s.RunUntil(30)
-	m.Start(s.Now())
-	s.RunUntil(32)
-	if m.Connected(0, 1) {
-		t.Fatal("stale contact survived a stop/start cycle")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestScanEquivalenceHintedVsUnhinted: the same trajectory with and
 // without static hints must produce the identical transition sequence —
 // the hint is a pure optimization.

@@ -109,9 +109,8 @@ type Medium struct {
 	adj       [][]int       // entity index -> sorted peer ids, updated on every transition
 	busy      map[int]*Transfer
 
-	sc       scanState // live-scan working set, reused across ticks
-	stopScan func()
-	planned  bool
+	sc      scanState // live-scan working set, reused across ticks
+	started bool      // Start, StartPlan or StartReplay has run
 
 	rec           *Recording // transition tap, nil when not recording
 	replayCur     TransitionCursor
@@ -167,10 +166,11 @@ func (m *Medium) SetHandler(h ContactHandler) { m.handler = h }
 
 // Start begins periodic proximity scanning at time `from`.
 func (m *Medium) Start(from float64) {
-	if m.stopScan != nil || m.planned {
+	if m.started {
 		panic("wireless: Start called twice")
 	}
-	m.stopScan = m.sched.Every(from, m.cfg.ScanInterval, m.scan)
+	m.started = true
+	m.sched.Every(from, m.cfg.ScanInterval, m.scan)
 }
 
 // ContactWindow is one scheduled contact for plan-driven operation.
@@ -199,10 +199,10 @@ type planEvent struct {
 // first (freeing the endpoints' radios), then all ups, each ascending by
 // node pair. One scheduler event is dispatched per distinct instant.
 func (m *Medium) StartPlan(windows []ContactWindow) {
-	if m.stopScan != nil || m.planned {
+	if m.started {
 		panic("wireless: StartPlan after Start")
 	}
-	m.planned = true
+	m.started = true
 	events := make([]planEvent, 0, 2*len(windows))
 	for _, win := range windows {
 		if _, ok := m.byID[win.A]; !ok {
@@ -260,7 +260,7 @@ func (m *Medium) RecordTo(rec *Recording) {
 	if rec == nil {
 		panic("wireless: RecordTo(nil)")
 	}
-	if m.stopScan != nil || m.planned {
+	if m.started {
 		panic("wireless: RecordTo after Start")
 	}
 	rec.ScanInterval = m.cfg.ScanInterval
@@ -284,7 +284,7 @@ func (m *Medium) RecordTo(rec *Recording) {
 // range is pre-checked via MaxNode by the sim layer). Start, StartPlan and
 // StartReplay are mutually exclusive.
 func (m *Medium) StartReplay(from float64, src ReplaySource) {
-	if m.stopScan != nil || m.planned {
+	if m.started {
 		panic("wireless: StartReplay after Start")
 	}
 	if scan := src.Meta().ScanInterval; scan != m.cfg.ScanInterval {
@@ -302,7 +302,8 @@ func (m *Medium) StartReplay(from float64, src ReplaySource) {
 	}
 	m.replayCur = src.Cursor()
 	m.replayNext, m.replayHas = m.replayCur.Next()
-	m.stopScan = m.sched.Every(from, m.cfg.ScanInterval, m.replayTick)
+	m.started = true
+	m.sched.Every(from, m.cfg.ScanInterval, m.replayTick)
 }
 
 // checkReplayNodes panics if a replayed transition references an entity
@@ -334,15 +335,6 @@ func (m *Medium) replayTick(now float64) {
 		case !tr.Up && m.connected[k]:
 			m.drop(now, k)
 		}
-	}
-}
-
-// Stop halts scanning (in-flight transfers keep running to completion).
-// Stop is idempotent.
-func (m *Medium) Stop() {
-	if m.stopScan != nil {
-		m.stopScan()
-		m.stopScan = nil
 	}
 }
 

@@ -32,24 +32,25 @@
 //
 // A run's contact process — when node pairs enter and leave radio range —
 // depends only on the seed, the map, the fleet and the mobility and radio
-// parameters, never on traffic or routing. Config.ContactSource exploits
-// that:
+// parameters, never on traffic or routing. RecordContacts exploits that:
+// it produces the trace from mobility alone (no routing, no traffic) at a
+// fraction of a full run's cost. Setting Config.ReplaySource to that
+// recording, or to a ContactRecordingView of a persisted one, drives a
+// run's contacts from the trace instead of mobility. A replayed run is
+// bit-identical to the live run — same Result, same event trace — but
+// skips all position and proximity work; a nil ReplaySource scans live,
+// as in the paper.
 //
-//   - ContactLive (default): contacts come from proximity scanning over
-//     the mobility models, as in the paper.
-//   - ContactRecord: run live and capture every contact transition into
-//     Config.Recording.
-//   - ContactReplay: drive contacts from Config.Recording instead of
-//     mobility. A replayed run is bit-identical to the live run that
-//     recorded the trace — same Result, same event trace — but skips all
-//     position and proximity work.
+//	rec, err := vdtn.RecordContacts(cfg)
+//	if err != nil { ... }
+//	cfg.ReplaySource = rec
+//	result, err := vdtn.Run(cfg) // identical to the live run's result
 //
-// RecordContacts produces the trace from mobility alone (no routing, no
-// traffic) at a fraction of a full run's cost. The experiment harness
-// builds on this: ExperimentOptions.ContactCache records each distinct
-// (scenario, seed) mobility process once — keyed by ContactFingerprint —
-// and replays it for every series and x-axis cell that shares it, making
-// multi-cell sweeps several times faster with provably unchanged results.
+// The experiment harness builds on this: ExperimentOptions.ContactCache
+// records each distinct (scenario, seed) mobility process once — keyed by
+// ContactFingerprint — and replays it for every series and x-axis cell
+// that shares it, making multi-cell sweeps several times faster with
+// provably unchanged results.
 //
 //	cache := &vdtn.ContactCache{}
 //	opt := vdtn.ExperimentOptions{Seeds: []uint64{1, 2, 3}, ContactCache: cache}
@@ -211,16 +212,14 @@ func ParseContactPlan(text string) (*ContactPlan, error) {
 	return contactplan.Parse(text)
 }
 
-// Contact recording and replay: capture a live run's contact transitions
+// Contact recording and replay: capture a scenario's contact transitions
 // and re-drive later runs from the trace, bit-identically (see the package
-// comment). Select via Config.ContactSource and Config.Recording.
+// comment). Select via Config.ReplaySource.
 type (
 	// ContactRecording is a captured contact transition trace.
 	ContactRecording = wireless.Recording
 	// ContactTransition is one recorded contact state change.
 	ContactTransition = wireless.Transition
-	// ContactSource selects live scanning, recording, or replay.
-	ContactSource = sim.ContactSource
 	// ContactCache memoizes recorded traces by scenario fingerprint for
 	// the experiment harness (ExperimentOptions.ContactCache). With Dir
 	// set it persists traces in a sharded, index-fronted directory and
@@ -229,7 +228,7 @@ type (
 	ContactCache = experiments.ContactCache
 	// ContactReplaySource is a contact trace a replay run can consume:
 	// either an in-memory *ContactRecording or a *ContactRecordingView.
-	// Assign one to Config.ReplaySource (with ContactSource ContactReplay).
+	// Assign one to Config.ReplaySource.
 	ContactReplaySource = wireless.ReplaySource
 	// ContactRecordingView is a read-only mmap-backed view of a persisted
 	// binary trace — the only decoder of the trace format: validated once
@@ -240,13 +239,6 @@ type (
 	// ContactRecordingMeta is a trace's fixed-size description (scan
 	// interval, horizon, transition count).
 	ContactRecordingMeta = wireless.RecordingMeta
-)
-
-// Contact sources.
-const (
-	ContactLive   = sim.ContactLive
-	ContactRecord = sim.ContactRecord
-	ContactReplay = sim.ContactReplay
 )
 
 // Contact-cache event kinds delivered to experiment observers.
