@@ -10,8 +10,8 @@ import (
 // dropping policies discussed in the DTN buffer-management literature the
 // paper builds on (Lindgren & Phanse's evaluation of queueing policies,
 // the ONE simulator's policy set). They are not part of the paper's
-// evaluation, but they make the policy framework complete and feed the
-// "ext-policies" ablation experiment.
+// evaluation; internal/sim pairs them into the extended PolicyKinds that
+// the "ext-policies" experiment sweeps.
 
 // SizeASCSchedule transmits the smallest messages first, maximizing the
 // number of messages exchanged during a short contact window.
@@ -110,15 +110,4 @@ func (OldestAgeDrop) Victim(now float64, msgs []*bundle.Message) int {
 		}
 	}
 	return best
-}
-
-// ExtendedPolicies returns the literature policy pairs beyond Table I,
-// for the ext-policies ablation: each pairs a scheduling rationale with
-// its natural dropping counterpart.
-func ExtendedPolicies() []Policy {
-	return []Policy{
-		{Schedule: SizeASCSchedule{}, Drop: SizeDESCDrop{}},
-		{Schedule: HopCountASCSchedule{}, Drop: MOFODrop{}},
-		{Schedule: FIFOSchedule{}, Drop: OldestAgeDrop{}},
-	}
 }

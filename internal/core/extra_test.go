@@ -90,19 +90,6 @@ func TestOldestAgeDropPicksOldestCreation(t *testing.T) {
 	}
 }
 
-func TestExtendedPoliciesComplete(t *testing.T) {
-	ps := ExtendedPolicies()
-	if len(ps) != 3 {
-		t.Fatalf("ExtendedPolicies = %d entries", len(ps))
-	}
-	want := []string{"SizeASC-SizeDESC", "HopASC-MOFO", "FIFO-OldestAge"}
-	for i, p := range ps {
-		if p.Name() != want[i] {
-			t.Fatalf("policy %d = %q, want %q", i, p.Name(), want[i])
-		}
-	}
-}
-
 // Property: every scheduling policy produces a permutation of its input,
 // and every drop policy returns a valid index — across random message
 // populations.

@@ -1,0 +1,127 @@
+package routing
+
+import (
+	"vdtn/internal/buffer"
+	"vdtn/internal/bundle"
+	"vdtn/internal/core"
+)
+
+// base is the buffer and queue plumbing every router shares: the node it
+// is bound to, its buffer, the eviction policy, and the per-peer send
+// queues. Its methods implement the Router calls on which the protocols
+// agree; a protocol that differs overrides the method.
+type base struct {
+	self   int
+	buf    *buffer.Store
+	drop   core.DropPolicy
+	queues queueSet
+}
+
+func newBase(drop core.DropPolicy) base {
+	return base{drop: drop, queues: newQueueSet()}
+}
+
+// Attach implements Router.
+func (b *base) Attach(self int, buf *buffer.Store) {
+	b.self = self
+	b.buf = buf
+}
+
+// ContactDown implements Router.
+func (b *base) ContactDown(now float64, p Peer) { b.queues.drop(p.ID()) }
+
+// OnAbort implements Router: the replica stays buffered and is retried
+// first if the contact resumes.
+func (b *base) OnAbort(now float64, p Peer, s *Send) { b.queues.push(p.ID(), s.Msg) }
+
+// OnSent implements Router with the paper's rule: a node that hands a
+// message to its final destination discards its own copy. Otherwise the
+// replica stays (replication, not handoff).
+func (b *base) OnSent(now float64, p Peer, s *Send, delivered bool) {
+	if delivered {
+		b.buf.Remove(s.Msg.ID)
+	}
+}
+
+// Receive implements Router: store unless expired or already held,
+// evicting per the dropping policy.
+func (b *base) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
+	if m.Expired(now) {
+		return false, nil
+	}
+	return b.store(now, m)
+}
+
+// AddMessage implements Router.
+func (b *base) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
+	return b.store(now, m)
+}
+
+func (b *base) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
+	b.buf.Expire(now)
+	evicted, ok := b.buf.Add(now, m, b.drop)
+	return ok, evicted
+}
+
+// next pops p's queue up to the first message still worth sending: still
+// buffered, not expired, not yet delivered to p, and accepted by wants.
+// Queue entries are checked here, not when queued, because the buffer
+// changes while they wait. It returns nil when the queue runs out.
+func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send {
+	m := b.queues.pop(p.ID(), func(m *bundle.Message) bool {
+		return b.buf.Has(m.ID) && !m.Expired(now) && !p.HasDelivered(m.ID) && wants(m)
+	})
+	if m == nil {
+		return nil
+	}
+	return &Send{Msg: m}
+}
+
+// policyRouter is the core of the protocols the paper's Table I policies
+// govern (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact): the
+// scheduling policy orders each send queue, the dropping policy evicts,
+// and the protocol supplies only its relay rule — whether a replica that
+// is not destined to p should go to p.
+type policyRouter struct {
+	base
+	schedule core.SchedulingPolicy
+	relay    func(m *bundle.Message, p Peer) bool
+}
+
+func newPolicyRouter(name string, pol core.Policy, relay func(*bundle.Message, Peer) bool) policyRouter {
+	if pol.Schedule == nil || pol.Drop == nil {
+		panic("routing: " + name + " with incomplete policy")
+	}
+	return policyRouter{base: newBase(pol.Drop), schedule: pol.Schedule, relay: relay}
+}
+
+// ContactUp implements Router. The policy routers keep no encounter
+// state; the contact work is building the send queue.
+func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
+
+// Refresh implements Router: it (re)builds the send queue for p —
+// messages destined to p first ("exchange deliverable messages first"),
+// then those the relay rule accepts, each group in scheduling-policy
+// order.
+func (r *policyRouter) Refresh(now float64, p Peer) {
+	r.buf.Expire(now)
+	var deliverable, rest []*bundle.Message
+	for _, m := range r.buf.Messages() {
+		switch {
+		case p.HasDelivered(m.ID):
+			continue
+		case m.To == p.ID():
+			deliverable = append(deliverable, m)
+		case r.relay(m, p):
+			rest = append(rest, m)
+		}
+	}
+	r.schedule.Order(now, deliverable)
+	r.schedule.Order(now, rest)
+	r.queues.set(p.ID(), append(deliverable, rest...))
+}
+
+// NextSend implements Router.
+func (r *policyRouter) NextSend(now float64, p Peer) *Send {
+	return r.next(now, p, func(m *bundle.Message) bool { return m.To == p.ID() || r.relay(m, p) })
+}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/detmap"
 	"vdtn/internal/units"
@@ -29,9 +28,8 @@ type MaxPropConfig struct {
 // *and* drops by the same priority order (drops from the low-priority
 // tail), so it takes no external scheduling/dropping policy.
 type MaxProp struct {
-	cfg  MaxPropConfig
-	self int
-	buf  *buffer.Store
+	base
+	cfg MaxPropConfig
 
 	meet        map[int]float64         // own meeting likelihoods, sum 1
 	peerVectors map[int]map[int]float64 // node id -> snapshot of its vector
@@ -42,29 +40,22 @@ type MaxProp struct {
 	// Adaptive threshold statistics: bytes moved per completed contact.
 	bytesMoved   units.Bytes
 	contactCount int
-
-	queues queueSet
 }
 
 // NewMaxProp returns a MaxProp router.
 func NewMaxProp(cfg MaxPropConfig) *MaxProp {
-	return &MaxProp{
+	mx := &MaxProp{
 		cfg:         cfg,
 		meet:        make(map[int]float64),
 		peerVectors: make(map[int]map[int]float64),
 		acked:       make(map[bundle.ID]bool),
-		queues:      newQueueSet(),
 	}
+	mx.base = newBase(maxPropDrop{mx})
+	return mx
 }
 
 // Name implements Router.
 func (mx *MaxProp) Name() string { return "MaxProp" }
-
-// Attach implements Router.
-func (mx *MaxProp) Attach(self int, buf *buffer.Store) {
-	mx.self = self
-	mx.buf = buf
-}
 
 // MeetingLikelihood returns f(self, node), for tests and diagnostics.
 func (mx *MaxProp) MeetingLikelihood(node int) float64 { return mx.meet[node] }
@@ -278,21 +269,11 @@ func (q *costPQ) Pop() any {
 	return it
 }
 
-// ContactDown implements Router.
-func (mx *MaxProp) ContactDown(now float64, p Peer) { mx.queues.drop(p.ID()) }
-
 // NextSend implements Router.
 func (mx *MaxProp) NextSend(now float64, p Peer) *Send {
-	m := mx.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !mx.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) || mx.acked[m.ID] {
-			return false
-		}
-		return m.To == p.ID() || !p.Has(m.ID)
+	return mx.next(now, p, func(m *bundle.Message) bool {
+		return !mx.acked[m.ID] && (m.To == p.ID() || !p.Has(m.ID))
 	})
-	if m == nil {
-		return nil
-	}
-	return &Send{Msg: m}
 }
 
 // OnSent implements Router.
@@ -311,11 +292,6 @@ func (mx *MaxProp) OnDelivered(now float64, m *bundle.Message) {
 	mx.acked[m.ID] = true
 }
 
-// OnAbort implements Router.
-func (mx *MaxProp) OnAbort(now float64, p Peer, s *Send) {
-	mx.queues.push(p.ID(), s.Msg)
-}
-
 // Receive implements Router: MaxProp refuses replicas it knows are
 // delivered and evicts by its own reverse-priority order.
 func (mx *MaxProp) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
@@ -324,17 +300,6 @@ func (mx *MaxProp) Receive(now float64, m *bundle.Message, from Peer) (bool, []*
 	}
 	mx.bytesMoved += m.Size
 	return mx.store(now, m)
-}
-
-// AddMessage implements Router.
-func (mx *MaxProp) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	return mx.store(now, m)
-}
-
-func (mx *MaxProp) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	mx.buf.Expire(now)
-	evicted, ok := mx.buf.Add(now, m, maxPropDrop{mx})
-	return ok, evicted
 }
 
 // maxPropDrop evicts in reverse MaxProp priority: known-delivered replicas

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
 )
@@ -45,13 +44,11 @@ func DefaultProphetConfig() ProphetConfig {
 // for the destination exceeds our own, and offers are made in decreasing
 // order of the peer's predictability.
 type Prophet struct {
-	cfg  ProphetConfig
-	self int
-	buf  *buffer.Store
+	base
+	cfg ProphetConfig
 
 	preds    map[int]float64 // destination node id -> delivery predictability
 	lastAged float64
-	queues   queueSet
 }
 
 // NewProphet returns a PRoPHET router. Zero-valued config fields are
@@ -77,17 +74,11 @@ func NewProphet(cfg ProphetConfig) *Prophet {
 		cfg.Gamma <= 0 || cfg.Gamma > 1 || cfg.TimeUnit <= 0 {
 		panic("routing: invalid PRoPHET parameters")
 	}
-	return &Prophet{cfg: cfg, preds: make(map[int]float64), queues: newQueueSet()}
+	return &Prophet{base: newBase(cfg.Drop), cfg: cfg, preds: make(map[int]float64)}
 }
 
 // Name implements Router.
 func (pr *Prophet) Name() string { return "PRoPHET" }
-
-// Attach implements Router.
-func (pr *Prophet) Attach(self int, buf *buffer.Store) {
-	pr.self = self
-	pr.buf = buf
-}
 
 // Predictability returns P(self, dest) after aging to time now.
 func (pr *Prophet) Predictability(now float64, dest int) float64 {
@@ -187,53 +178,9 @@ func (pr *Prophet) grtrMaxQueue(now float64, p Peer, remote *Prophet) []*bundle.
 	return append(deliverable, offers...)
 }
 
-// ContactDown implements Router.
-func (pr *Prophet) ContactDown(now float64, p Peer) { pr.queues.drop(p.ID()) }
-
 // NextSend implements Router.
 func (pr *Prophet) NextSend(now float64, p Peer) *Send {
-	m := pr.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !pr.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		return m.To == p.ID() || !p.Has(m.ID)
-	})
-	if m == nil {
-		return nil
-	}
-	return &Send{Msg: m}
-}
-
-// OnSent implements Router: PRoPHET keeps its replica after forwarding
-// (replication, not handoff), but discards it once the destination has it.
-func (pr *Prophet) OnSent(now float64, p Peer, s *Send, delivered bool) {
-	if delivered {
-		pr.buf.Remove(s.Msg.ID)
-	}
-}
-
-// OnAbort implements Router.
-func (pr *Prophet) OnAbort(now float64, p Peer, s *Send) {
-	pr.queues.push(p.ID(), s.Msg)
-}
-
-// Receive implements Router.
-func (pr *Prophet) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
-	if m.Expired(now) {
-		return false, nil
-	}
-	return pr.store(now, m)
-}
-
-// AddMessage implements Router.
-func (pr *Prophet) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	return pr.store(now, m)
-}
-
-func (pr *Prophet) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	pr.buf.Expire(now)
-	evicted, ok := pr.buf.Add(now, m, pr.cfg.Drop)
-	return ok, evicted
+	return pr.next(now, p, func(m *bundle.Message) bool { return m.To == p.ID() || !p.Has(m.ID) })
 }
 
 func sortByID(msgs []*bundle.Message) {

@@ -11,6 +11,19 @@
 // whether to accept an incoming replica. This keeps every protocol unit-
 // testable without a full simulation.
 //
+// The protocols share one core (base.go). Every router embeds base, which
+// holds the node id, the buffer, the eviction policy and the per-peer send
+// queues, and supplies the Router calls the protocols agree on: Attach,
+// ContactDown, OnAbort, Receive, AddMessage, the paper's OnSent rule (a
+// node that delivers a message drops its own copy) and the send-queue pop
+// with its liveness checks. The four protocols the Table I policies govern
+// (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact) embed
+// policyRouter on top of base, which owns their one ContactUp, Refresh and
+// NextSend; each passes only its relay rule and overrides the calls where
+// it differs. MaxProp and PRoPHET embed base alone and build their own
+// queues. Both cores are unexported: a router written outside this
+// package implements Router from scratch (see examples/customprotocol).
+//
 // Protocol metadata exchange (PRoPHET predictability vectors, MaxProp
 // likelihood vectors and ack lists) happens by direct access to the peer's
 // router at contact time. This is the standard simulator shortcut (the ONE

@@ -779,6 +779,7 @@ func TestAllRoutersNextSendInvariant(t *testing.T) {
 		return []Router{
 			NewEpidemic(core.Lifetime()),
 			NewSprayAndWait(core.Lifetime(), 12, true),
+			NewSprayAndWait(core.Lifetime(), 12, false),
 			NewProphet(DefaultProphetConfig()),
 			NewMaxProp(MaxPropConfig{}),
 			NewDirectDelivery(core.FIFOFIFO()),

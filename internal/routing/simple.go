@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
 )
@@ -10,73 +9,19 @@ import (
 // and hands each one over only when it meets the destination itself.
 // Zero replication — the delivery-ratio floor every multi-copy protocol
 // should beat.
-type DirectDelivery struct {
-	pol    core.Policy
-	self   int
-	buf    *buffer.Store
-	queues queueSet
-}
+type DirectDelivery struct{ policyRouter }
 
 // NewDirectDelivery returns a DirectDelivery router. The policy orders
 // deliverable messages and governs eviction (the paper's policies apply
 // even to this degenerate protocol).
 func NewDirectDelivery(pol core.Policy) *DirectDelivery {
-	if pol.Schedule == nil || pol.Drop == nil {
-		panic("routing: DirectDelivery with incomplete policy")
-	}
-	return &DirectDelivery{pol: pol, queues: newQueueSet()}
+	return &DirectDelivery{newPolicyRouter("DirectDelivery", pol, func(*bundle.Message, Peer) bool {
+		return false
+	})}
 }
 
 // Name implements Router.
 func (d *DirectDelivery) Name() string { return "DirectDelivery" }
-
-// Attach implements Router.
-func (d *DirectDelivery) Attach(self int, buf *buffer.Store) {
-	d.self = self
-	d.buf = buf
-}
-
-// ContactUp implements Router.
-func (d *DirectDelivery) ContactUp(now float64, p Peer) { d.Refresh(now, p) }
-
-// Refresh implements Router.
-func (d *DirectDelivery) Refresh(now float64, p Peer) {
-	d.buf.Expire(now)
-	var deliverable []*bundle.Message
-	for _, m := range d.buf.Messages() {
-		if m.To == p.ID() && !p.HasDelivered(m.ID) {
-			deliverable = append(deliverable, m)
-		}
-	}
-	d.pol.Schedule.Order(now, deliverable)
-	d.queues.set(p.ID(), deliverable)
-}
-
-// ContactDown implements Router.
-func (d *DirectDelivery) ContactDown(now float64, p Peer) { d.queues.drop(p.ID()) }
-
-// NextSend implements Router.
-func (d *DirectDelivery) NextSend(now float64, p Peer) *Send {
-	m := d.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		return d.buf.Has(m.ID) && !m.Expired(now) && m.To == p.ID() && !p.HasDelivered(m.ID)
-	})
-	if m == nil {
-		return nil
-	}
-	return &Send{Msg: m}
-}
-
-// OnSent implements Router.
-func (d *DirectDelivery) OnSent(now float64, p Peer, s *Send, delivered bool) {
-	if delivered {
-		d.buf.Remove(s.Msg.ID)
-	}
-}
-
-// OnAbort implements Router.
-func (d *DirectDelivery) OnAbort(now float64, p Peer, s *Send) {
-	d.queues.push(p.ID(), s.Msg)
-}
 
 // Receive implements Router: DirectDelivery never accepts relays — only
 // the destination takes a message off the source, and deliveries are
@@ -85,104 +30,23 @@ func (d *DirectDelivery) Receive(now float64, m *bundle.Message, from Peer) (boo
 	return false, nil
 }
 
-// AddMessage implements Router.
-func (d *DirectDelivery) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	d.buf.Expire(now)
-	evicted, ok := d.buf.Add(now, m, d.pol.Drop)
-	return ok, evicted
-}
-
 // FirstContact forwards the single copy of each message to the first
 // usable contact and deletes its own replica — the message hops through
 // the network with exactly one live copy (Jain, Fall, Patra 2004 baseline).
-type FirstContact struct {
-	pol    core.Policy
-	self   int
-	buf    *buffer.Store
-	queues queueSet
-}
+type FirstContact struct{ policyRouter }
 
-// NewFirstContact returns a FirstContact router.
+// NewFirstContact returns a FirstContact router. A replica never goes
+// back to a node it already passed through.
 func NewFirstContact(pol core.Policy) *FirstContact {
-	if pol.Schedule == nil || pol.Drop == nil {
-		panic("routing: FirstContact with incomplete policy")
-	}
-	return &FirstContact{pol: pol, queues: newQueueSet()}
+	return &FirstContact{newPolicyRouter("FirstContact", pol, func(m *bundle.Message, p Peer) bool {
+		return !p.Has(m.ID) && !m.HasVisited(p.ID())
+	})}
 }
 
 // Name implements Router.
 func (f *FirstContact) Name() string { return "FirstContact" }
 
-// Attach implements Router.
-func (f *FirstContact) Attach(self int, buf *buffer.Store) {
-	f.self = self
-	f.buf = buf
-}
-
-// ContactUp implements Router.
-func (f *FirstContact) ContactUp(now float64, p Peer) { f.Refresh(now, p) }
-
-// Refresh implements Router.
-func (f *FirstContact) Refresh(now float64, p Peer) {
-	f.buf.Expire(now)
-	var deliverable, rest []*bundle.Message
-	for _, m := range f.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case p.Has(m.ID) || m.HasVisited(p.ID()):
-			continue
-		default:
-			rest = append(rest, m)
-		}
-	}
-	f.pol.Schedule.Order(now, deliverable)
-	f.pol.Schedule.Order(now, rest)
-	f.queues.set(p.ID(), append(deliverable, rest...))
-}
-
-// ContactDown implements Router.
-func (f *FirstContact) ContactDown(now float64, p Peer) { f.queues.drop(p.ID()) }
-
-// NextSend implements Router.
-func (f *FirstContact) NextSend(now float64, p Peer) *Send {
-	m := f.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !f.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		return m.To == p.ID() || (!p.Has(m.ID) && !m.HasVisited(p.ID()))
-	})
-	if m == nil {
-		return nil
-	}
-	return &Send{Msg: m}
-}
-
 // OnSent implements Router: the copy moves — the sender always forgets it.
 func (f *FirstContact) OnSent(now float64, p Peer, s *Send, delivered bool) {
 	f.buf.Remove(s.Msg.ID)
-}
-
-// OnAbort implements Router.
-func (f *FirstContact) OnAbort(now float64, p Peer, s *Send) {
-	f.queues.push(p.ID(), s.Msg)
-}
-
-// Receive implements Router.
-func (f *FirstContact) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
-	if m.Expired(now) {
-		return false, nil
-	}
-	f.buf.Expire(now)
-	evicted, ok := f.buf.Add(now, m, f.pol.Drop)
-	return ok, evicted
-}
-
-// AddMessage implements Router.
-func (f *FirstContact) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	f.buf.Expire(now)
-	evicted, ok := f.buf.Add(now, m, f.pol.Drop)
-	return ok, evicted
 }

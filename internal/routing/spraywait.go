@@ -3,7 +3,6 @@ package routing
 import (
 	"fmt"
 
-	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
 )
@@ -22,24 +21,20 @@ import (
 // Transmission order and overflow eviction follow the injected
 // scheduling-dropping policy, as in the paper.
 type SprayAndWait struct {
-	pol    core.Policy
+	policyRouter
 	copies int
 	binary bool
-	self   int
-	buf    *buffer.Store
-	queues queueSet
 }
 
 // NewSprayAndWait returns a Spray-and-Wait router with the given copy
 // budget. binary selects the binary variant (the paper's choice).
 func NewSprayAndWait(pol core.Policy, copies int, binary bool) *SprayAndWait {
-	if pol.Schedule == nil || pol.Drop == nil {
-		panic("routing: SprayAndWait with incomplete policy")
-	}
 	if copies < 1 {
 		panic(fmt.Sprintf("routing: SprayAndWait with %d copies", copies))
 	}
-	return &SprayAndWait{pol: pol, copies: copies, binary: binary, queues: newQueueSet()}
+	// Only replicas still holding more than one copy spray.
+	relay := func(m *bundle.Message, p Peer) bool { return m.Copies > 1 && !p.Has(m.ID) }
+	return &SprayAndWait{policyRouter: newPolicyRouter("SprayAndWait", pol, relay), copies: copies, binary: binary}
 }
 
 // Name implements Router.
@@ -50,68 +45,17 @@ func (s *SprayAndWait) Name() string {
 	return "SprayAndWaitVanilla"
 }
 
-// Policy returns the combined policy in force.
-func (s *SprayAndWait) Policy() core.Policy { return s.pol }
-
-// Copies returns the configured copy budget N.
-func (s *SprayAndWait) Copies() int { return s.copies }
-
-// Attach implements Router.
-func (s *SprayAndWait) Attach(self int, buf *buffer.Store) {
-	s.self = self
-	s.buf = buf
-}
-
-// ContactUp implements Router. Spray and Wait keeps no encounter state;
-// the contact work is building the send queue.
-func (s *SprayAndWait) ContactUp(now float64, p Peer) { s.Refresh(now, p) }
-
-// Refresh implements Router: deliverable messages first, then — only for
-// replicas still holding more than one copy — spray candidates the peer
-// lacks; both groups in scheduling-policy order.
-func (s *SprayAndWait) Refresh(now float64, p Peer) {
-	s.buf.Expire(now)
-	var deliverable, spray []*bundle.Message
-	for _, m := range s.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case m.Copies > 1 && !p.Has(m.ID):
-			spray = append(spray, m)
-		}
-	}
-	s.pol.Schedule.Order(now, deliverable)
-	s.pol.Schedule.Order(now, spray)
-	s.queues.set(p.ID(), append(deliverable, spray...))
-}
-
-// ContactDown implements Router.
-func (s *SprayAndWait) ContactDown(now float64, p Peer) { s.queues.drop(p.ID()) }
-
-// NextSend implements Router.
+// NextSend implements Router: a spray hands over part of the budget.
 func (s *SprayAndWait) NextSend(now float64, p Peer) *Send {
-	m := s.queues.pop(p.ID(), func(m *bundle.Message) bool {
-		if !s.buf.Has(m.ID) || m.Expired(now) || p.HasDelivered(m.ID) {
-			return false
-		}
-		if m.To == p.ID() {
-			return true
-		}
-		return m.Copies > 1 && !p.Has(m.ID)
-	})
-	if m == nil {
-		return nil
+	send := s.policyRouter.NextSend(now, p)
+	if send == nil || send.Msg.To == p.ID() {
+		return send // delivery: budget irrelevant
 	}
-	if m.To == p.ID() {
-		return &Send{Msg: m} // delivery: budget irrelevant
-	}
-	give := m.Copies / 2 // binary: floor(n/2)
+	send.TransferCopies = send.Msg.Copies / 2 // binary: floor(n/2)
 	if !s.binary {
-		give = 1 // source spray: single copies
+		send.TransferCopies = 1 // source spray: single copies
 	}
-	return &Send{Msg: m, TransferCopies: give}
+	return send
 }
 
 // OnSent implements Router: on delivery the local replica is discarded
@@ -132,28 +76,9 @@ func (s *SprayAndWait) OnSent(now float64, p Peer, send *Send, delivered bool) {
 	}
 }
 
-// OnAbort implements Router.
-func (s *SprayAndWait) OnAbort(now float64, p Peer, send *Send) {
-	s.queues.push(p.ID(), send.Msg)
-}
-
-// Receive implements Router.
-func (s *SprayAndWait) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
-	if m.Expired(now) {
-		return false, nil
-	}
-	return s.store(now, m)
-}
-
 // AddMessage implements Router: a locally created message starts with the
 // full copy budget.
 func (s *SprayAndWait) AddMessage(now float64, m *bundle.Message) (bool, []*bundle.Message) {
 	m.Copies = s.copies
 	return s.store(now, m)
-}
-
-func (s *SprayAndWait) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
-	s.buf.Expire(now)
-	evicted, ok := s.buf.Add(now, m, s.pol.Drop)
-	return ok, evicted
 }

@@ -5,6 +5,7 @@ import (
 
 	"vdtn/internal/roadmap"
 	"vdtn/internal/units"
+	"vdtn/internal/xrand"
 )
 
 // quickConfig is a scaled-down scenario for fast integration tests:
@@ -218,6 +219,17 @@ func TestPolicyVariantsRun(t *testing.T) {
 		r := mustRun(t, c)
 		if r.Delivered == 0 {
 			t.Errorf("%v: delivered nothing", pol)
+		}
+	}
+}
+
+// TestPolicyKindNamesMatchCore: the series label a PolicyKind prints is
+// the name of the core policy pair it builds, for all six kinds.
+func TestPolicyKindNamesMatchCore(t *testing.T) {
+	_, policies := protoPolicyPairs()
+	for _, k := range policies {
+		if got := k.build(xrand.New(1)).Name(); k.String() != got {
+			t.Errorf("PolicyKind %q builds policy %q", k, got)
 		}
 	}
 }
