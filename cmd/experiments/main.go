@@ -56,11 +56,11 @@
 // results are bit-identical to uncached runs, several times faster on
 // multi-cell sweeps. -cache-dir additionally persists the traces on disk
 // in the integrity-checked binary format (and implies -contact-cache),
-// laid out as a 2-level sharded directory fronted by an index file, and
-// replays them on later runs through read-only memory-mapped views —
-// concurrent processes share one page-cached copy of each trace, and
-// cells replay with no per-cell trace allocation. -cache-max-mb bounds the
-// store, evicting least-recently-used traces. Each sweep records the
+// laid out as a 2-level sharded directory, and replays them on later
+// runs through read-only memory-mapped views — concurrent processes share
+// one page-cached copy of each trace, and cells replay with no per-cell
+// trace allocation. -cache-max-mb bounds the store, evicting the traces
+// whose files were least recently used (by mtime). Each sweep records the
 // distinct traces it needs on a concurrent pool running ahead of its cell
 // workers, so cells rarely wait behind a recording pass. A failing cell
 // exits non-zero naming its (series, x, seed) coordinates.
@@ -126,7 +126,7 @@ func run() int {
 
 	// SIGINT/SIGTERM cancel the run cooperatively: cells stop at their
 	// next event checkpoint, partial artifacts flush below, and the
-	// deferred cache Close still writes the store index.
+	// deferred cache Close still releases the mapped traces.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 

@@ -62,13 +62,13 @@ type CacheEvent struct {
 // keys record in parallel (Prewarm exploits this to front-load all of a
 // sweep's recording passes). With Dir set, recordings are additionally
 // persisted on disk in a sharded layout (see traceStore: 2-level fan-out
-// directories fronted by an index file) and served on later runs as
-// read-only memory-mapped wireless.RecordingView values: the transition
-// stream stays in the kernel page cache — one physical copy shared by
-// every concurrent sweep process — and each replaying cell pays only a
-// cursor. A damaged file (truncation at any byte, bit rot, torn copy) is
-// detected, reported through Warn, and re-recorded — never silently
-// replayed.
+// directories, each file's mtime its last-use stamp) and served on later
+// runs as read-only memory-mapped wireless.RecordingView values: the
+// transition stream stays in the kernel page cache — one physical copy
+// shared by every concurrent sweep process — and each replaying cell pays
+// only a cursor. A damaged file (truncation at any byte, bit rot, torn
+// copy) is detected, reported through Warn, and re-recorded — never
+// silently replayed.
 type ContactCache struct {
 	// Dir, when non-empty, is the on-disk persistence directory. It is
 	// created on first write.
@@ -81,10 +81,10 @@ type ContactCache struct {
 	MaxBytes int64
 
 	// Warn, when non-nil, receives one message per non-fatal cache anomaly:
-	// an unreadable, corrupt, or scenario-mismatched persisted trace, or an
-	// index repair. Each distinct (cause, fingerprint) pair is reported
-	// once per cache instance, so distinct damaged traces each get their
-	// own report. Nil discards them.
+	// an unreadable, corrupt, or scenario-mismatched persisted trace. Each
+	// distinct (cause, fingerprint) pair is reported once per cache
+	// instance, so distinct damaged traces each get their own report. Nil
+	// discards them.
 	Warn func(msg string)
 
 	mu      sync.Mutex
@@ -126,12 +126,6 @@ func (cc *ContactCache) store() *traceStore {
 	defer cc.mu.Unlock()
 	if cc.disk == nil {
 		cc.disk = newTraceStore(cc.Dir)
-		// Index repairs (a crash left index.json disagreeing with the
-		// shards) surface through the cache's Warn hook, deduped per
-		// fingerprint like every other anomaly.
-		cc.disk.repaired = func(key, cause string) {
-			cc.warnf("index:"+key, "contact cache: index.json %s for %s; repaired from the shard", cause, key)
-		}
 	}
 	return cc.disk
 }
@@ -224,11 +218,12 @@ func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, no
 	return rec, nil
 }
 
-// openView maps and verifies the persisted trace for key. nil means no
-// usable copy (absent, unreadable, damaged, or recorded for a different
-// scenario); every cause except plain absence is surfaced via Warn, and
-// the mapping is always released on the rejection paths — a failed
-// validation must not leak an mmap for the life of the sweep.
+// openView maps and verifies the persisted trace for key and stamps its
+// last use. nil means no usable copy (absent, unreadable, damaged, or
+// recorded for a different scenario); every cause except plain absence is
+// surfaced via Warn, and the mapping is always released on the rejection
+// paths — a failed validation must not leak an mmap for the life of the
+// sweep.
 func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wireless.RecordingView {
 	path := st.shardPath(key)
 	v, err := wireless.OpenRecordingView(path)
@@ -248,12 +243,7 @@ func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wi
 		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
 		return nil
 	}
-	if fi, err := os.Stat(path); err == nil {
-		st.touch(key, fi.Size())
-	}
-	// If the index had lost this trace (crash between shard rename and
-	// index flush), this serve is the repair — count it through Warn.
-	st.noteServed(key)
+	st.stamp(key)
 	return v
 }
 
@@ -392,9 +382,8 @@ func (cc *ContactCache) GC() (removed int, freed int64, err error) {
 	return st.gc(cc.MaxBytes, keep)
 }
 
-// Close releases every mmap-backed view the cache opened and flushes the
-// store index. The cache must not serve replays after Close (live cursors
-// would read unmapped pages).
+// Close releases every mmap-backed view the cache opened. The cache must
+// not serve replays after Close (live cursors would read unmapped pages).
 func (cc *ContactCache) Close() error {
 	cc.mu.Lock()
 	var views []*wireless.RecordingView
@@ -403,16 +392,12 @@ func (cc *ContactCache) Close() error {
 			views = append(views, v)
 		}
 	}
-	disk := cc.disk
 	cc.mu.Unlock()
 	var errs []error
 	for _, v := range views {
 		if err := v.Close(); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	if disk != nil {
-		disk.flush()
 	}
 	return errors.Join(errs...)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -530,5 +531,53 @@ func TestCacheRejectsPlanScenarios(t *testing.T) {
 	cfg.ReplaySource = &wireless.Recording{}
 	if _, err := (&ContactCache{}).Source(cfg); err == nil {
 		t.Fatal("cache accepted a replay scenario")
+	}
+}
+
+// TestCacheRecordingContextCancellation: a cancelled recording pass
+// returns ctx.Err() promptly and is not memoized — the same cache records
+// the key cleanly on the next call with a live context (the resumed-sweep
+// path), and the cancelled pass never persists a torn trace.
+func TestCacheRecordingContextCancellation(t *testing.T) {
+	dir := t.TempDir()
+	cc := &ContactCache{Dir: dir}
+	defer cc.Close()
+	cfg := cacheConfig()
+	cfg.Seed = 3
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := cc.sourceWith(ctx, cfg, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled recording returned %v, want context.Canceled", err)
+	}
+	if cc.Len() != 0 {
+		t.Fatalf("cancelled recording stayed memoized (%d entries)", cc.Len())
+	}
+	if _, err := os.Stat(cc.store().shardPath(scenario.ContactFingerprint(cfg))); !os.IsNotExist(err) {
+		t.Fatalf("cancelled recording persisted a trace: stat err %v", err)
+	}
+
+	src, err := cc.sourceWith(context.Background(), cfg, nil)
+	if err != nil || src == nil {
+		t.Fatalf("recording after a cancelled pass: %v", err)
+	}
+	if cc.Recorded() != 1 {
+		t.Fatalf("recorded %d passes, want exactly 1", cc.Recorded())
+	}
+
+	// The prewarm pool under a cancelled context reports the cancellation
+	// of its recording passes, and the keys stay recordable afterwards.
+	cfg2 := cfg
+	cfg2.Seed = 4
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if err := cc.prewarm(ctx2, []sim.Config{}, 2, nil, nil); err != nil {
+		t.Fatalf("empty prewarm errored: %v", err)
+	}
+	if err := cc.prewarm(ctx2, []sim.Config{cfg2}, 2, nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled prewarm returned %v, want context.Canceled", err)
+	}
+	if _, err := cc.Source(cfg2); err != nil {
+		t.Fatalf("recording after cancelled prewarm: %v", err)
 	}
 }

@@ -14,9 +14,9 @@ import (
 // contract: every writer already lands its data via temp-file + rename,
 // so a reader can never observe a torn file even unlocked; the flock only
 // serializes writers against the GC so an eviction pass in one process
-// cannot remove a shard another process is in the middle of installing
-// and index-touching. Any failure to acquire therefore degrades to a
-// no-op release rather than failing the caller.
+// cannot remove a trace another process is in the middle of installing
+// and stamping. Any failure to acquire therefore degrades to a no-op
+// release rather than failing the caller.
 func lockExclusive(path string) (unlock func()) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return func() {}

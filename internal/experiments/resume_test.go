@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,7 +14,7 @@ import (
 
 // fullJSONLStream runs exp to completion into a fresh JSONL stream and
 // returns its bytes — the reference every resume must reproduce exactly.
-func fullJSONLStream(t *testing.T, exp Experiment, opt Options) []byte {
+func fullJSONLStream(t testing.TB, exp Experiment, opt Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	r := Runner{Options: opt, Sink: NewJSONLSink(&buf)}
@@ -76,6 +77,52 @@ func TestReadJSONLPrefixEveryTruncation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadJSONLPrefix is the resume reader's robustness target. For
+// arbitrary bytes ReadJSONLPrefix must never panic, and whatever it
+// accepts must be self-consistent: Offset lies inside the input, and
+// re-reading just the input's first Offset bytes recovers the same cells.
+// The corpus is a real grid-sweep stream, cut at and around every line
+// boundary and bit-flipped.
+func FuzzReadJSONLPrefix(f *testing.F) {
+	exp := gridExperiment()
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	full := fullJSONLStream(f, exp, opt)
+	f.Add(full)
+	for _, end := range lineEnds(full) {
+		for _, cut := range []int{end - 2, end - 1, end, end + 1} {
+			if cut >= 0 && cut <= len(full) {
+				f.Add(full[:cut])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 16; i++ {
+		flipped := append([]byte(nil), full...)
+		flipped[rng.Intn(len(flipped))] ^= 1 << rng.Intn(8)
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadJSONLPrefix(data, exp, opt)
+		if err != nil {
+			return
+		}
+		if p.Offset < 0 || p.Offset > int64(len(data)) {
+			t.Fatalf("Offset %d outside the %d-byte input", p.Offset, len(data))
+		}
+		again, err := ReadJSONLPrefix(data[:p.Offset], exp, opt)
+		if err != nil {
+			t.Fatalf("re-reading the accepted %d-byte prefix failed: %v", p.Offset, err)
+		}
+		if again.Offset != p.Offset || !reflect.DeepEqual(again.Cells, p.Cells) {
+			t.Fatalf("re-read prefix holds %d cells at offset %d, want %d at %d",
+				len(again.Cells), again.Offset, len(p.Cells), p.Offset)
+		}
+	})
 }
 
 // TestRunnerResumeByteIdentical is the tentpole contract end to end: a

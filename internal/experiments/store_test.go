@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,15 +26,13 @@ func seedTrace(t *testing.T, cfg sim.Config) (key string, rec *wireless.Recordin
 	return key, rec
 }
 
-// TestCacheGCEvictsLRU: the size-bounded GC removes least-recently-used
-// traces first (index order, falling back to file mtime) and stops as soon
-// as the store fits the budget.
-func TestCacheGCEvictsLRU(t *testing.T) {
-	dir := t.TempDir()
+// persistSeeds records and persists the traces of cacheConfig under seeds
+// 1..n through one cache over dir, returning their fingerprints and file
+// sizes in seed order.
+func persistSeeds(t *testing.T, dir string, n int) (keys []string, sizes []int64) {
+	t.Helper()
 	warm := &ContactCache{Dir: dir}
-	var keys []string
-	var sizes []int64
-	for seed := uint64(1); seed <= 3; seed++ {
+	for seed := uint64(1); seed <= uint64(n); seed++ {
 		cfg := cacheConfig()
 		cfg.Seed = seed
 		if _, err := warm.Source(cfg); err != nil {
@@ -48,20 +46,30 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 		}
 		sizes = append(sizes, fi.Size())
 	}
+	return keys, sizes
+}
 
-	// Make mtimes the LRU signal: seed 1 oldest, seed 3 newest. The index
-	// written during recording has second-granularity same-time entries, so
-	// remove it and let the mtime fallback order the eviction.
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-		t.Fatal(err)
-	}
+// ageTraces backdates the persisted traces' mtimes into the past in keys
+// order, so keys[0] is the least recently used.
+func ageTraces(t *testing.T, dir string, keys []string) {
+	t.Helper()
+	st := newTraceStore(dir)
 	base := time.Now().Add(-time.Hour)
 	for i, key := range keys {
 		when := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(warm.store().shardPath(key), when, when); err != nil {
+		if err := os.Chtimes(st.shardPath(key), when, when); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestCacheGCEvictsLRU: the size-bounded GC removes least-recently-used
+// traces first (oldest file mtime) and stops as soon as the store fits the
+// budget.
+func TestCacheGCEvictsLRU(t *testing.T) {
+	dir := t.TempDir()
+	keys, sizes := persistSeeds(t, dir, 3)
+	ageTraces(t, dir, keys) // seed 1 oldest, seed 3 newest
 
 	// Budget for exactly the two newest traces.
 	gc := &ContactCache{Dir: dir, MaxBytes: sizes[1] + sizes[2]}
@@ -100,54 +108,115 @@ func TestCacheGCEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestCacheGCHonorsIndexOrder: when the index disagrees with mtimes, the
-// index wins — last-use recorded there is the LRU signal.
-func TestCacheGCHonorsIndexOrder(t *testing.T) {
+// TestCacheGCIgnoresStaleIndex: an index.json left by an older store that
+// contradicts the shard mtimes is ignored — GC follows the mtimes and
+// neither deletes nor rewrites the stale file.
+func TestCacheGCIgnoresStaleIndex(t *testing.T) {
 	dir := t.TempDir()
-	warm := &ContactCache{Dir: dir}
-	var keys []string
-	var total int64
-	var maxSize int64
-	for seed := uint64(1); seed <= 2; seed++ {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		if _, err := warm.Source(cfg); err != nil {
-			t.Fatal(err)
-		}
-		key := scenario.ContactFingerprint(cfg)
-		keys = append(keys, key)
-		fi, err := os.Stat(warm.store().shardPath(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-		if fi.Size() > maxSize {
-			maxSize = fi.Size()
-		}
-	}
-	// Index says keys[1] is ancient and keys[0] fresh; mtimes say nothing
-	// (both just written).
-	doc := indexDoc{Version: 1, Entries: map[string]indexEntry{
-		keys[0]: {Size: 1, Used: time.Now().Unix()},
-		keys[1]: {Size: 1, Used: 1},
-	}}
-	data, err := json.Marshal(doc)
-	if err != nil {
+	keys, sizes := persistSeeds(t, dir, 2)
+	ageTraces(t, dir, keys)
+	// The stale index says the opposite: keys[1] ancient, keys[0] fresh.
+	stale := fmt.Sprintf(`{"version": 1, "entries": {"%s": {"size": 1, "used": %d}, "%s": {"size": 1, "used": 1}}}`+"\n",
+		keys[0], time.Now().Unix(), keys[1])
+	indexPath := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(indexPath, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), data, 0o644); err != nil {
+	staleAt := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(indexPath, staleAt, staleAt); err != nil {
 		t.Fatal(err)
 	}
 
-	gc := &ContactCache{Dir: dir, MaxBytes: maxSize}
-	if _, _, err := gc.GC(); err != nil {
+	gc := &ContactCache{Dir: dir, MaxBytes: max(sizes[0], sizes[1])}
+	if removed, _, err := gc.GC(); err != nil || removed != 1 {
+		t.Fatalf("GC removed %d traces (err %v), want 1", removed, err)
+	}
+	if _, err := os.Stat(gc.store().shardPath(keys[0])); !os.IsNotExist(err) {
+		t.Fatalf("oldest-mtime trace %s survived GC (err %v)", keys[0], err)
+	}
+	if _, err := os.Stat(gc.store().shardPath(keys[1])); err != nil {
+		t.Fatalf("newest-mtime trace %s evicted: %v", keys[1], err)
+	}
+	data, err := os.ReadFile(indexPath)
+	if err != nil {
+		t.Fatalf("GC deleted the stale index: %v", err)
+	}
+	fi, err := os.Stat(indexPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(gc.store().shardPath(keys[1])); !os.IsNotExist(err) {
-		t.Fatalf("index-stale trace %s survived GC (err %v)", keys[1], err)
+	if string(data) != stale || !fi.ModTime().Equal(staleAt) {
+		t.Fatalf("GC rewrote the stale index (mtime %v, want %v):\n%s", fi.ModTime(), staleAt, data)
+	}
+}
+
+// TestCacheServeRefreshesRecency: a disk serve in one process is a use
+// every later process sees. Cache A persists seeds 1 and 2 (seed 1 the
+// older), a fresh cache B serves seed 1 from disk, and a third cache with
+// a one-trace budget must then evict seed 2 and keep seed 1.
+func TestCacheServeRefreshesRecency(t *testing.T) {
+	dir := t.TempDir()
+	keys, sizes := persistSeeds(t, dir, 2)
+	ageTraces(t, dir, keys)
+
+	b := &ContactCache{Dir: dir}
+	cfg := cacheConfig()
+	cfg.Seed = 1
+	if _, err := b.Source(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if b.Recorded() != 0 {
+		t.Fatal("cache B re-recorded seed 1 instead of serving it from disk")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gc := &ContactCache{Dir: dir, MaxBytes: max(sizes[0], sizes[1])}
+	if removed, _, err := gc.GC(); err != nil || removed != 1 {
+		t.Fatalf("GC removed %d traces (err %v), want 1", removed, err)
 	}
 	if _, err := os.Stat(gc.store().shardPath(keys[0])); err != nil {
-		t.Fatalf("index-fresh trace %s evicted: %v", keys[0], err)
+		t.Fatalf("recently served seed-1 trace evicted: %v", err)
+	}
+	if _, err := os.Stat(gc.store().shardPath(keys[1])); !os.IsNotExist(err) {
+		t.Fatalf("least-recently-used seed-2 trace survived GC (err %v)", err)
+	}
+}
+
+// TestStoreEvictConcurrentlyRemoved: two processes sharing a directory can
+// list the store at once and pick the same victim. A victim already gone
+// when this process removes it counts as freed, so eviction stops as soon
+// as the store fits instead of taking the next trace too — and reports no
+// error and no bytes freed by itself.
+func TestStoreEvictConcurrentlyRemoved(t *testing.T) {
+	st := newTraceStore(t.TempDir())
+	clock := time.Unix(1_000_000, 0)
+	st.now = func() time.Time { return clock }
+	keys := []string{"aa00000000000001", "bb00000000000002", "cc00000000000003"}
+	for _, key := range keys {
+		clock = clock.Add(time.Minute)
+		if _, ok := st.put(key, make([]byte, 100)); !ok {
+			t.Fatalf("put %s failed", key)
+		}
+	}
+	listing, err := st.list()
+	if err != nil || len(listing) != len(keys) {
+		t.Fatalf("listed %d traces (err %v), want %d", len(listing), err, len(keys))
+	}
+	// The other process's GC evicts the shared LRU victim first.
+	if err := os.Remove(st.shardPath(keys[0])); err != nil {
+		t.Fatal(err)
+	}
+
+	removed, freed, err := st.evict(listing, 200, nil)
+	if err != nil || removed != 0 || freed != 0 {
+		t.Fatalf("evict = (%d, %d, %v), want (0, 0, nil): the store already fit", removed, freed, err)
+	}
+	for _, key := range keys[1:] {
+		if _, err := os.Stat(st.shardPath(key)); err != nil {
+			t.Fatalf("trace %s over-evicted: %v", key, err)
+		}
 	}
 }
 
@@ -308,41 +377,29 @@ func TestCacheMmapFallsBack(t *testing.T) {
 }
 
 // TestCacheGCInjectedClock: eviction order follows the store's injected
-// clock, with no wall-clock or file-mtime involvement. The traces are
-// touched in reverse creation order under a hand-advanced clock, so if
-// either mtimes (all written within the same second) or the recording
-// cache's wall-clock stamps leaked into the LRU signal, the wrong trace
-// would be evicted.
+// clock, stamped into the shard mtimes. The traces are stamped in reverse
+// creation order under a hand-advanced clock far in the past, so if the
+// wall-clock mtimes the recordings left leaked into the LRU signal, the
+// wrong trace would be evicted.
 func TestCacheGCInjectedClock(t *testing.T) {
 	dir := t.TempDir()
-	warm := &ContactCache{Dir: dir}
-	var keys []string
-	var sizes []int64
-	for seed := uint64(1); seed <= 3; seed++ {
-		cfg := cacheConfig()
-		cfg.Seed = seed
-		if _, err := warm.Source(cfg); err != nil {
-			t.Fatal(err)
-		}
-		key := scenario.ContactFingerprint(cfg)
-		keys = append(keys, key)
-		fi, err := os.Stat(warm.store().shardPath(key))
+	keys, sizes := persistSeeds(t, dir, 3)
+
+	st := newTraceStore(dir)
+	clock := time.Unix(1_000_000, 0)
+	st.now = func() time.Time { return clock }
+
+	// Most recent use order: keys[2] (oldest), keys[1], keys[0] (newest).
+	for i := len(keys) - 1; i >= 0; i-- {
+		clock = clock.Add(1000 * time.Second)
+		st.stamp(keys[i])
+		fi, err := os.Stat(st.shardPath(keys[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes = append(sizes, fi.Size())
-	}
-
-	st := newTraceStore(dir)
-	var clock int64 = 1_000_000
-	st.now = func() int64 { return clock }
-
-	// Most recent use order: keys[2] (oldest), keys[1], keys[0] (newest) —
-	// the reverse of creation order and far in the "past" relative to the
-	// wall-clock stamps the recordings wrote.
-	for i := len(keys) - 1; i >= 0; i-- {
-		clock += 1000
-		st.touch(keys[i], sizes[i])
+		if !fi.ModTime().Equal(clock) {
+			t.Fatalf("trace %s stamped with mtime %v, want the injected clock %v", keys[i], fi.ModTime(), clock)
+		}
 	}
 
 	removed, freed, err := st.gc(sizes[0]+sizes[1], nil)
@@ -353,11 +410,11 @@ func TestCacheGCInjectedClock(t *testing.T) {
 		t.Fatalf("GC removed %d traces (%d bytes), want 1 (%d bytes)", removed, freed, sizes[2])
 	}
 	if _, err := os.Stat(st.shardPath(keys[2])); !os.IsNotExist(err) {
-		t.Fatalf("least-recently-touched trace %s survived GC (err %v)", keys[2], err)
+		t.Fatalf("least-recently-stamped trace %s survived GC (err %v)", keys[2], err)
 	}
 	for _, key := range keys[:2] {
 		if _, err := os.Stat(st.shardPath(key)); err != nil {
-			t.Fatalf("recently-touched trace %s evicted: %v", key, err)
+			t.Fatalf("recently-stamped trace %s evicted: %v", key, err)
 		}
 	}
 }

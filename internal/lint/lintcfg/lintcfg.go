@@ -106,13 +106,13 @@ type LockOrderSpec struct {
 }
 
 // LockOrder models the trace store's documented hierarchy
-// (internal/experiments/store.go): the per-shard flock serializing trace
-// installs against GC evictions is outermost, the store's in-memory
-// index mutex comes next, and the store-root flock around index.json
-// rewrites is innermost. put holds its shard flock while touching the
-// index under mu and flushing under the root flock; the GC must
-// therefore never take a shard flock while holding mu — the inversion
-// its own comment warns would deadlock the process.
+// (internal/experiments/store.go, docs/DETERMINISM.md): the per-shard
+// flock serializing trace installs against GC evictions is outermost, a
+// store mutex would come next, and any other lockExclusive flock is
+// innermost. The store today takes only the shard flock; the inner
+// classes keep any lock added back under it from being taken the other
+// way round — a GC holding such a lock while taking a shard flock would
+// deadlock against a writer that holds its shard flock first.
 var LockOrder = LockOrderSpec{
 	Packages: []string{"vdtn/internal/experiments"},
 	Classes: []LockClass{

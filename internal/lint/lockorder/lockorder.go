@@ -2,12 +2,14 @@
 // lock hierarchies — concretely, the trace store's shard → mu → root
 // order from internal/experiments/store.go.
 //
-// The store's own GC comment spells out the stakes: put holds its shard
-// flock while touching the index under s.mu, so a GC (or heal) helper
-// that takes a shard flock while holding s.mu deadlocks two runners
-// sharing a cache directory. That inversion type-checks, builds, and
-// passes every test that doesn't race two processes over one directory —
-// the million-node regime is exactly where it would finally fire.
+// The stakes: put holds its shard flock around a trace install, so any
+// lock a writer takes under that flock must never be held by a GC helper
+// while it takes a shard flock, or two runners sharing a cache directory
+// deadlock. That inversion type-checks, builds, and passes every test
+// that doesn't race two processes over one directory — the million-node
+// regime is exactly where it would finally fire. The store now takes only
+// the shard flock; the inner classes guard against one being added back
+// the wrong way round.
 //
 // The analyzer classifies acquisitions through the lintcfg.LockOrder
 // spec (lock-returning helper functions, sync.Mutex fields), summarizes

@@ -434,8 +434,8 @@ func (m *Manager) executeSweep(ctx context.Context, e *jobEntry, meta Meta) erro
 	opt := meta.Options.runOptions()
 	if meta.Options.CacheDir != "" {
 		// Jobs naming the same directory share recorded traces through
-		// the store's cross-process locking; Close flushes its index even
-		// on failure or interruption.
+		// the store's cross-process locking; Close releases the mapped
+		// traces even on failure or interruption.
 		cc := &experiments.ContactCache{
 			Dir:  meta.Options.CacheDir,
 			Warn: func(msg string) { m.cfg.logf("service: job %s: %s", meta.ID, msg) },

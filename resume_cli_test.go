@@ -48,7 +48,7 @@ const killSpec = `{
 // header, mid-cells, and after the run already finished (where -resume
 // must keep a complete file untouched, not re-run or corrupt it). A
 // shared -cache-dir across the killed and resumed runs additionally
-// drags the store's crash-stale index through its self-healing path.
+// makes the resumed run serve whatever traces the killed one persisted.
 func TestExperimentsKillAndResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills the real CLI")

@@ -222,9 +222,9 @@ type (
 	ContactTransition = wireless.Transition
 	// ContactCache memoizes recorded traces by scenario fingerprint for
 	// the experiment harness (ExperimentOptions.ContactCache). With Dir
-	// set it persists traces in a sharded, index-fronted directory and
-	// serves them on later runs as zero-copy ContactRecordingView values;
-	// MaxBytes bounds the store with LRU eviction.
+	// set it persists traces in a sharded directory and serves them on
+	// later runs as zero-copy ContactRecordingView values; MaxBytes bounds
+	// the store with LRU eviction by file mtime.
 	ContactCache = experiments.ContactCache
 	// ContactReplaySource is a contact trace a replay run can consume:
 	// either an in-memory *ContactRecording or a *ContactRecordingView.
