@@ -20,6 +20,7 @@ package contactplan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +50,8 @@ type Plan struct {
 
 // New validates and normalizes a contact list into a plan. Windows of the
 // same pair that overlap or touch are merged. Errors: self-contacts,
-// negative ids or times, and windows that do not end after they start.
+// negative ids or times, non-finite (NaN or infinite) times, and windows
+// that do not end after they start.
 func New(contacts []Contact) (*Plan, error) {
 	cs := make([]Contact, 0, len(contacts))
 	for i, c := range contacts {
@@ -59,6 +61,8 @@ func New(contacts []Contact) (*Plan, error) {
 			return nil, fmt.Errorf("contactplan: window %d is a self-contact of node %d", i, c.A)
 		case c.A < 0:
 			return nil, fmt.Errorf("contactplan: window %d has negative node id %d", i, c.A)
+		case math.IsNaN(c.Start) || math.IsInf(c.Start, 0) || math.IsNaN(c.End) || math.IsInf(c.End, 0):
+			return nil, fmt.Errorf("contactplan: window %d has non-finite time [%v, %v]", i, c.Start, c.End)
 		case c.Start < 0:
 			return nil, fmt.Errorf("contactplan: window %d starts at negative time %v", i, c.Start)
 		case c.End <= c.Start:

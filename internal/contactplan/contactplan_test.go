@@ -1,6 +1,7 @@
 package contactplan
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -10,6 +11,7 @@ func TestNewValidates(t *testing.T) {
 		"self contact":  {{A: 1, B: 1, Start: 0, End: 10}},
 		"negative id":   {{A: -1, B: 2, Start: 0, End: 10}},
 		"negative time": {{A: 0, B: 1, Start: -5, End: 10}},
+		"infinite end":  {{A: 0, B: 1, Start: 0, End: math.Inf(1)}},
 		"zero length":   {{A: 0, B: 1, Start: 10, End: 10}},
 		"inverted":      {{A: 0, B: 1, Start: 10, End: 5}},
 	}
@@ -92,12 +94,15 @@ func TestParse(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := map[string]string{
-		"wrong arity": "10 20 0",
-		"bad start":   "x 20 0 1",
-		"bad end":     "10 y 0 1",
-		"bad node a":  "10 20 z 1",
-		"bad node b":  "10 20 0 z",
-		"self":        "10 20 3 3",
+		"wrong arity":  "10 20 0",
+		"bad start":    "x 20 0 1",
+		"bad end":      "10 y 0 1",
+		"bad node a":   "10 20 z 1",
+		"bad node b":   "10 20 0 z",
+		"self":         "10 20 3 3",
+		"NaN end":      "0 NaN 1 2",
+		"NaN start":    "NaN 5 1 2",
+		"infinite end": "0 +Inf 1 2",
 	}
 	for name, text := range bad {
 		if _, err := Parse(text); err == nil {

@@ -6,6 +6,7 @@ import (
 	"vdtn/internal/geo"
 	"vdtn/internal/mobility"
 	"vdtn/internal/routing"
+	"vdtn/internal/wireless"
 )
 
 // Kind distinguishes the two node classes of the scenario.
@@ -25,19 +26,41 @@ func (k Kind) String() string {
 	return "vehicle"
 }
 
-// staticUntiler mirrors wireless.StaticUntiler structurally, so mobility
-// models can offer the scan-skip hint without importing the radio layer.
-type staticUntiler interface {
-	StaticUntil(now float64) float64
+// mobileEntity is what the medium's proximity scan sees of a node: an id
+// and a mobility model. RecordContacts registers it alone; Node embeds it.
+type mobileEntity struct {
+	id   int
+	mob  mobility.Model
+	hint wireless.StaticUntiler // mob's static-until hint, nil if it has none
+}
+
+func newMobileEntity(id int, mob mobility.Model) mobileEntity {
+	hint, _ := mob.(wireless.StaticUntiler)
+	return mobileEntity{id: id, mob: mob, hint: hint}
+}
+
+// ID implements wireless.Entity.
+func (e *mobileEntity) ID() int { return e.id }
+
+// Position implements wireless.Entity.
+func (e *mobileEntity) Position(now float64) geo.Point { return e.mob.Position(now) }
+
+// StaticUntil implements wireless.StaticUntiler by forwarding the
+// mobility model's hint: the proximity scan skips this entity while its
+// position is pinned (a stationary relay forever, a paused walker until
+// the pause ends). Models without the hint never promise stillness.
+func (e *mobileEntity) StaticUntil(now float64) float64 {
+	if e.hint != nil {
+		return e.hint.StaticUntil(now)
+	}
+	return now
 }
 
 // Node is one network participant: mobility + buffer + router + the
 // delivery bookkeeping of the node as a destination.
 type Node struct {
-	id     int
+	mobileEntity
 	kind   Kind
-	mob    mobility.Model
-	hint   staticUntiler // mob's static-until hint, nil if it has none
 	buf    *buffer.Store
 	router routing.Router
 
@@ -47,35 +70,15 @@ type Node struct {
 }
 
 func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing.Router) *Node {
-	hint, _ := mob.(staticUntiler)
 	n := &Node{
-		id:        id,
-		kind:      kind,
-		mob:       mob,
-		hint:      hint,
-		buf:       buf,
-		router:    r,
-		delivered: make(map[bundle.ID]float64),
+		mobileEntity: newMobileEntity(id, mob),
+		kind:         kind,
+		buf:          buf,
+		router:       r,
+		delivered:    make(map[bundle.ID]float64),
 	}
 	r.Attach(id, buf)
 	return n
-}
-
-// ID implements wireless.Entity.
-func (n *Node) ID() int { return n.id }
-
-// Position implements wireless.Entity.
-func (n *Node) Position(now float64) geo.Point { return n.mob.Position(now) }
-
-// StaticUntil implements wireless.StaticUntiler by forwarding the
-// mobility model's hint: the proximity scan skips this node while its
-// position is pinned (a stationary relay forever, a paused walker until
-// the pause ends). Models without the hint never promise stillness.
-func (n *Node) StaticUntil(now float64) float64 {
-	if n.hint != nil {
-		return n.hint.StaticUntil(now)
-	}
-	return now
 }
 
 // Kind returns the node class.

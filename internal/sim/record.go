@@ -6,21 +6,9 @@ import (
 
 	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
-	"vdtn/internal/geo"
-	"vdtn/internal/mobility"
 	"vdtn/internal/wireless"
 	"vdtn/internal/xrand"
 )
-
-// mobileEntity is the contacts-only stand-in for a Node: just an id and a
-// mobility model, enough for the medium's proximity scan.
-type mobileEntity struct {
-	id  int
-	mob mobility.Model
-}
-
-func (e *mobileEntity) ID() int                        { return e.id }
-func (e *mobileEntity) Position(now float64) geo.Point { return e.mob.Position(now) }
 
 // RecordContacts simulates only the mobility and proximity layer of cfg —
 // no routers, buffers or traffic — and returns the contact trace the full
@@ -54,10 +42,10 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 	sched := event.NewScheduler()
 	medium := newMedium(sched, cfg)
 	for id, mob := range mobilityModels(cfg, graph, xrand.NewSource(cfg.Seed)) {
-		medium.Add(&mobileEntity{id: id, mob: mob})
+		e := newMobileEntity(id, mob)
+		medium.Add(&e)
 	}
-	rec := &wireless.Recording{Duration: cfg.Duration}
-	medium.RecordTo(rec)
+	medium.StartRecording()
 	medium.Start(0)
 	if err := runUntil(ctx, sched, cfg.Duration); err != nil {
 		// A torn trace must never escape: the recording stops between
@@ -65,7 +53,7 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 		// wrong for any run longer than the cut.
 		return nil, err
 	}
-	return rec, nil
+	return medium.TakeRecording(cfg.Duration), nil
 }
 
 // ReplaySourceCompatible reports whether src can drive cfg's contact

@@ -34,7 +34,7 @@ func runTraced(t *testing.T, cfg Config) (Result, []trace.Event) {
 	t.Helper()
 	var lg trace.Log
 	var w *World
-	// Piggyback the medium's adjacency-vs-connected-map invariant on every
+	// Piggyback the medium's adjacency invariant on every
 	// contact transition, so every protocol × policy × contact-source
 	// combination that flows through here audits the adjacency cache at
 	// each point it changes.

@@ -7,6 +7,8 @@
 // (scenario, seed) pair is reused across every series and x-axis cell.
 package wireless
 
+import "slices"
+
 // Transition is one contact state change, as fired by the proximity scan
 // (or a contact plan). A < B always; Time is the scan tick the transition
 // fired on.
@@ -29,6 +31,32 @@ type Recording struct {
 	Duration     float64
 	Transitions  []Transition
 }
+
+// recordingChunk is the recording tap's chunk length, in transitions. The
+// tap fills fixed-size chunks and copies them once, at exact length, when
+// the recording is taken, instead of regrowing one slice: a long pass
+// would otherwise copy its trace several times over and leave the freed
+// copies resident.
+const recordingChunk = 4096
+
+// recordingTap collects a medium's transitions between StartRecording and
+// TakeRecording.
+type recordingTap struct {
+	chunks [][]Transition
+}
+
+func (t *recordingTap) add(tr Transition) {
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == recordingChunk {
+		t.chunks = append(t.chunks, make([]Transition, 0, recordingChunk))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], tr)
+}
+
+// take returns the collected transitions as one slice of exact length (nil
+// when there are none).
+func (t *recordingTap) take() []Transition { return slices.Concat(t.chunks...) }
 
 // MaxNode returns the highest node id referenced; -1 for an empty trace.
 func (r *Recording) MaxNode() int {

@@ -29,11 +29,10 @@ func liveRecording(t *testing.T, entities []*scripted, horizon float64) (*Record
 	for _, e := range entities {
 		m.Add(e)
 	}
-	rec := &Recording{Duration: horizon}
-	m.RecordTo(rec)
+	m.StartRecording()
 	m.Start(0)
 	s.RunUntil(horizon)
-	return rec, h
+	return m.TakeRecording(horizon), h
 }
 
 func crossingEntities() []*scripted {
@@ -88,10 +87,10 @@ func TestReplayMatchesLiveScan(t *testing.T) {
 		}})
 	}
 	// Re-record while replaying: the round trip must reproduce the trace.
-	rerec := &Recording{Duration: 120}
-	m.RecordTo(rerec)
+	m.StartRecording()
 	m.StartReplay(0, rec)
 	s.RunUntil(120)
+	rerec := m.TakeRecording(120)
 
 	if !reflect.DeepEqual(h.ups, live.ups) || !reflect.DeepEqual(h.downs, live.downs) {
 		t.Fatalf("replay events diverged:\nlive ups %v downs %v\nreplay ups %v downs %v",

@@ -2,9 +2,9 @@ package wireless
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
-	"vdtn/internal/detmap"
 	"vdtn/internal/geo"
 )
 
@@ -19,17 +19,13 @@ type StaticUntiler interface {
 	StaticUntil(now float64) float64
 }
 
-// cellKey addresses one cell of the uniform spatial hash grid
-// (cell size = radio range).
+// cellKey addresses one cell of the uniform spatial grid (cell size =
+// radio range), in unbounded cell coordinates.
 type cellKey struct{ x, y int64 }
 
-// pack collapses the cell coordinates into one uint64 map key: the
-// runtime's fast-path uint64 map access beats hashing the 16-byte struct,
-// and the 3x3 neighbourhood walk is the scan's hottest map consumer.
-// Truncating to 32 bits per axis collides only for cells 2^32 apart
-// (at 30 m cells, ~1.3e11 m — far beyond any scenario geometry).
-func (c cellKey) pack() uint64 {
-	return uint64(uint32(c.x))<<32 | uint64(uint32(c.y))
+// cellOf returns the cell of the given size that holds p.
+func cellOf(p geo.Point, size float64) cellKey {
+	return cellKey{int64(math.Floor(p.X / size)), int64(math.Floor(p.Y / size))}
 }
 
 // packPair collapses a pairKey into one uint64 whose numeric order equals
@@ -64,7 +60,7 @@ type scanState struct {
 	ids       []int           // entity id, by entity index
 	hint      []StaticUntiler // nil when the entity offers no hint
 	staticTil []float64       // position constant through this time
-	cell      []cellKey       // current grid cell of pos
+	slot      []int32         // current grid slot of pos
 	isMover   []bool          // re-queried this tick (cleared at scan end)
 
 	grid gridState
@@ -76,166 +72,65 @@ type scanState struct {
 	downs, ups []pairKey   // per-tick transition staging
 }
 
-// gridState is the spatial hash: buckets of entity indexes keyed by grid
-// cell, persisting across ticks (an entity moves buckets only when its
-// position crosses a cell border). Compact geometries — every scenario in
-// practice — use a dense row-major array over the occupied bounding box,
-// so the scan's 3x3 neighbourhood walk is direct indexing instead of nine
-// hash lookups per mover. Geometries too spread out for a dense array
-// (area over denseCellCap cells) fall back to a hash map; membership is
-// identical either way, and bucket order never matters (the pair set is
-// sorted before transitions fire), so the representations are
-// byte-equivalent.
+// gridState is the spatial grid: a flat power-of-two table of buckets of
+// entity indexes, persisting across ticks (an entity moves buckets only
+// when its position crosses into another slot). Cell (x, y) lives at slot
+// (x mod w, y mod h), row-major, so a geometry wider than the table wraps
+// and cells a table width apart share a slot. Wrapping costs no
+// correctness: with w, h >= 3 the 3x3 neighbourhood of any cell covers
+// nine distinct slots, so the walk meets every entity at most once, and the
+// distance test rejects the wrapped strangers. The table size depends on
+// the entity count alone, so memory stays bounded for any geometry. Bucket
+// order never matters: the pair set is sorted before transitions fire.
 type gridState struct {
-	dense      bool
-	minX, minY int64     // dense array origin, in cell coordinates
-	w, h       int64     // dense array extent, in cells
-	cells      [][]int32 // dense buckets, row-major: (x-minX) + (y-minY)*w
-	m          map[uint64][]int32
-
-	// Occupied-cell bounding box, grown monotonically on every insert;
-	// drives the dense/sparse decision and the dense extent.
-	occValid                           bool
-	occMinX, occMaxX, occMinY, occMaxY int64
+	wBits        uint      // log2 of the table width w
+	wMask, hMask int64     // w-1 and h-1
+	cells        [][]int32 // buckets, row-major: x&wMask | (y&hMask)<<wBits
 }
 
-// gridPad is the dense-array margin, in cells, beyond the occupied
-// bounding box, so small drifts don't force a rebuild.
-const gridPad = 4
+// gridMinSlots is the smallest table: 64x64 cells, about 1.9 km square at
+// the paper's 30 m range.
+const gridMinSlots = 1 << 12
 
-// denseCellCap bounds the dense array's cell count for n entities:
-// generous for any bounded scenario map, while pathological geometries
-// (two clusters a continent apart) stay on the hash map.
-func denseCellCap(n int) int64 { return 8*int64(n) + 1024 }
-
-func (g *gridState) init(n int) {
-	if g.m == nil {
-		g.m = make(map[uint64][]int32, n/2+1)
+// gridSlots returns the table size for n entities: the smallest power of
+// two that is at least gridMinSlots and at least two slots per entity.
+func gridSlots(n int) int {
+	slots := gridMinSlots
+	for slots < 2*n {
+		slots <<= 1
 	}
+	return slots
 }
 
-func (g *gridState) noteOccupied(ck cellKey) {
-	if !g.occValid {
-		g.occValid = true
-		g.occMinX, g.occMaxX, g.occMinY, g.occMaxY = ck.x, ck.x, ck.y, ck.y
-		return
-	}
-	g.occMinX, g.occMaxX = min(g.occMinX, ck.x), max(g.occMaxX, ck.x)
-	g.occMinY, g.occMaxY = min(g.occMinY, ck.y), max(g.occMaxY, ck.y)
+// reset replaces the table with an empty one of the given power-of-two
+// size, as square as the power allows (w = h or w = 2h).
+func (g *gridState) reset(slots int) {
+	k := uint(bits.TrailingZeros(uint(slots)))
+	g.wBits = (k + 1) / 2
+	g.wMask = 1<<g.wBits - 1
+	g.hMask = 1<<(k-g.wBits) - 1
+	g.cells = make([][]int32, slots)
 }
 
-func (g *gridState) denseIdx(ck cellKey) int64 {
-	return (ck.x - g.minX) + (ck.y-g.minY)*g.w
+// slot returns the table slot of cell ck. The masks take x mod w and
+// y mod h for negative coordinates too (two's complement).
+func (g *gridState) slot(ck cellKey) int32 {
+	return int32(ck.x&g.wMask | (ck.y&g.hMask)<<g.wBits)
 }
 
-func (g *gridState) inDense(ck cellKey) bool {
-	return ck.x >= g.minX && ck.x < g.minX+g.w &&
-		ck.y >= g.minY && ck.y < g.minY+g.h
+func (g *gridState) add(i, s int32) {
+	g.cells[s] = append(g.cells[s], i)
 }
 
-// bucket returns the cell's bucket for the neighbourhood walk (nil when
-// empty or out of the dense extent — an out-of-extent cell is necessarily
-// unoccupied, since the extent covers the occupied bounding box).
-func (g *gridState) bucket(ck cellKey) []int32 {
-	if g.dense {
-		if !g.inDense(ck) {
-			return nil
-		}
-		return g.cells[g.denseIdx(ck)]
-	}
-	return g.m[ck.pack()]
-}
-
-func (g *gridState) add(i int32, ck cellKey) {
-	g.noteOccupied(ck)
-	if g.dense {
-		if !g.inDense(ck) {
-			g.reshape(len(g.cells)) // grow the extent (or go sparse)
-			if !g.dense {
-				g.m[ck.pack()] = append(g.m[ck.pack()], i)
-				return
-			}
-		}
-		idx := g.denseIdx(ck)
-		g.cells[idx] = append(g.cells[idx], i)
-		return
-	}
-	g.m[ck.pack()] = append(g.m[ck.pack()], i)
-}
-
-// remove swap-deletes entity index i from its cell's bucket.
-func (g *gridState) remove(i int32, ck cellKey) {
-	var b []int32
-	var idx int64
-	if g.dense {
-		idx = g.denseIdx(ck)
-		b = g.cells[idx]
-	} else {
-		b = g.m[ck.pack()]
-	}
+// remove swap-deletes entity index i from slot s's bucket.
+func (g *gridState) remove(i, s int32) {
+	b := g.cells[s]
 	for n, v := range b {
 		if v == i {
 			b[n] = b[len(b)-1]
-			b = b[:len(b)-1]
-			break
+			g.cells[s] = b[:len(b)-1]
+			return
 		}
-	}
-	if g.dense {
-		g.cells[idx] = b
-	} else {
-		g.m[ck.pack()] = b
-	}
-}
-
-// reshape re-homes every bucket for the current occupied bounding box:
-// into a (padded) dense array when it fits denseCellCap for n entities,
-// onto the hash map otherwise. Buckets are moved, not copied.
-func (g *gridState) reshape(n int) {
-	if !g.occValid {
-		return
-	}
-	w := g.occMaxX - g.occMinX + 1 + 2*gridPad
-	h := g.occMaxY - g.occMinY + 1 + 2*gridPad
-	capCells := denseCellCap(n)
-	toDense := w <= capCells && h <= capCells && w*h <= capCells
-
-	// Collect the occupied buckets from the current representation.
-	type occ struct {
-		ck cellKey
-		b  []int32
-	}
-	var bs []occ
-	if g.dense {
-		for y := int64(0); y < g.h; y++ {
-			for x := int64(0); x < g.w; x++ {
-				if b := g.cells[x+y*g.w]; len(b) > 0 {
-					bs = append(bs, occ{cellKey{g.minX + x, g.minY + y}, b})
-				}
-			}
-		}
-	} else {
-		for _, k := range detmap.Keys(g.m) {
-			if b := g.m[k]; len(b) > 0 {
-				bs = append(bs, occ{cellKey{int64(int32(k >> 32)), int64(int32(k))}, b})
-			}
-		}
-	}
-
-	g.dense = toDense
-	if toDense {
-		g.minX, g.minY = g.occMinX-gridPad, g.occMinY-gridPad
-		g.w, g.h = w, h
-		g.cells = make([][]int32, w*h)
-		g.m = make(map[uint64][]int32)
-		for _, o := range bs {
-			g.cells[g.denseIdx(o.ck)] = o.b
-		}
-		return
-	}
-	g.cells = nil
-	g.m = make(map[uint64][]int32, len(bs))
-	for _, o := range bs {
-		g.m[o.ck.pack()] = o.b
 	}
 }
 
@@ -267,10 +162,20 @@ func comparePairEntries(a, b pairEntry) int {
 }
 
 // growScanState sizes the per-entity scan arrays for entities added since
-// the last tick (on the first tick, all of them).
+// the last tick (on the first tick, all of them). When the entity count
+// outgrows the grid table, a larger table replaces it and every placed
+// entity is re-homed from its cached position.
 func (m *Medium) growScanState() {
 	sc := &m.sc
-	sc.grid.init(len(m.entities))
+	if slots := gridSlots(len(m.entities)); slots > len(sc.grid.cells) {
+		sc.grid.reset(slots)
+		for i, placed := range sc.seen {
+			if placed {
+				sc.slot[i] = sc.grid.slot(cellOf(sc.pos[i], m.cfg.Range))
+				sc.grid.add(int32(i), sc.slot[i])
+			}
+		}
+	}
 	for i := len(sc.pos); i < len(m.entities); i++ {
 		e := m.entities[i]
 		h, _ := e.(StaticUntiler)
@@ -279,26 +184,28 @@ func (m *Medium) growScanState() {
 		sc.ids = append(sc.ids, e.ID())
 		sc.hint = append(sc.hint, h)
 		sc.staticTil = append(sc.staticTil, math.Inf(-1))
-		sc.cell = append(sc.cell, cellKey{})
+		sc.slot = append(sc.slot, 0)
 		sc.isMover = append(sc.isMover, false)
 	}
 }
 
 // findPairs appends every in-range pair involving a mover to sc.pairs,
-// via the mover's 3x3 cell neighbourhood. Mover-mover pairs are
-// enumerated from both ends; the smaller-index end claims the pair, so
-// each pair is found exactly once.
+// via the mover's 3x3 cell neighbourhood (nine slots, wrapping at the
+// table edges). Mover-mover pairs are enumerated from both ends; the
+// smaller-index end claims the pair, so each pair is found exactly once.
 func (m *Medium) findPairs() {
 	sc := &m.sc
+	g := &sc.grid
 	r2 := m.cfg.Range * m.cfg.Range
 	pairs := sc.pairs[:0]
 	for _, i := range sc.movers {
-		base := sc.cell[i]
+		sx, sy := int64(sc.slot[i])&g.wMask, int64(sc.slot[i])>>g.wBits
 		pi := sc.pos[i]
 		idi := sc.ids[i]
-		for dx := int64(-1); dx <= 1; dx++ {
-			for dy := int64(-1); dy <= 1; dy++ {
-				for _, j := range sc.grid.bucket(cellKey{base.x + dx, base.y + dy}) {
+		for dy := int64(-1); dy <= 1; dy++ {
+			row := ((sy + dy) & g.hMask) << g.wBits
+			for dx := int64(-1); dx <= 1; dx++ {
+				for _, j := range g.cells[row|(sx+dx)&g.wMask] {
 					if j == i || (sc.isMover[j] && j < i) {
 						continue
 					}
@@ -356,10 +263,9 @@ func (m *Medium) scan(now float64) {
 	}
 
 	// Re-query every entity whose cached position is not covered by a
-	// static-until hint, and move it to its new grid cell. Bucket order
+	// static-until hint, and move it to its new grid slot. Bucket order
 	// is not meaningful (removal swap-deletes); determinism comes from
 	// sorting the pair set before transitions fire.
-	cell := m.cfg.Range
 	sc.movers = sc.movers[:0]
 	for n, e := range m.entities {
 		i := int32(n)
@@ -373,30 +279,18 @@ func (m *Medium) scan(now float64) {
 		}
 		sc.pos[i] = p
 		sc.staticTil[i] = til
-		ck := cellKey{int64(math.Floor(p.X / cell)), int64(math.Floor(p.Y / cell))}
+		s := sc.grid.slot(cellOf(p, m.cfg.Range))
 		switch {
 		case !sc.seen[i]:
 			sc.seen[i] = true
-			sc.grid.add(i, ck)
-		case ck != sc.cell[i]:
-			sc.grid.remove(i, sc.cell[i])
-			sc.grid.add(i, ck)
+			sc.grid.add(i, s)
+		case s != sc.slot[i]:
+			sc.grid.remove(i, sc.slot[i])
+			sc.grid.add(i, s)
 		}
-		sc.cell[i] = ck
+		sc.slot[i] = s
 		sc.isMover[i] = true
 		sc.movers = append(sc.movers, i)
-	}
-
-	// Densify the grid once the occupied bounding box is known to be
-	// compact (checked each tick so late-added entities can flip it; a
-	// no-op once dense — the grid then reshapes itself only when an
-	// entity leaves the extent).
-	if g := &sc.grid; !g.dense && g.occValid {
-		w := g.occMaxX - g.occMinX + 1 + 2*gridPad
-		h := g.occMaxY - g.occMinY + 1 + 2*gridPad
-		if capCells := denseCellCap(len(m.entities)); w <= capCells && h <= capCells && w*h <= capCells {
-			g.reshape(len(m.entities))
-		}
 	}
 
 	// Carry pairs between two non-movers: both endpoints kept last tick's

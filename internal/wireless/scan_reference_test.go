@@ -27,7 +27,7 @@ func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
 		grid[k] = append(grid[k], i)
 	}
 	r2 := m.cfg.Range * m.cfg.Range
-	pairs := make(map[pairKey]bool, len(m.connected))
+	pairs := make(map[pairKey]bool, len(m.sc.prev))
 	for i, p := range pos {
 		base := ck(p)
 		for dx := int64(-1); dx <= 1; dx++ {
@@ -47,19 +47,24 @@ func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
 }
 
 // scanReference replays the pre-adjacency scan algorithm end to end
-// (full position rescan, fresh maps, map-diff plus sort) without firing
+// (full position rescan, fresh maps, diff plus sort) without firing
 // transitions. It exists so the scan benchmarks can measure the old cost
-// on the same scenario state the incremental scan runs on.
+// on the same scenario state the incremental scan runs on. The previous
+// contact set is read from the adjacency lists, each pair once from its
+// lower-id end.
 func (m *Medium) scanReference(now float64) (downs, ups []pairKey) {
 	curr := m.proximityPairsReference(now)
-	for k, up := range m.connected {
-		if up && !curr[k] {
-			downs = append(downs, k)
+	for idx, e := range m.entities {
+		id := e.ID()
+		for _, p := range m.adj[idx] {
+			if k := key(id, p); id < p && !curr[k] {
+				downs = append(downs, k)
+			}
 		}
 	}
 	slices.SortFunc(downs, comparePairs)
 	for k := range curr {
-		if !m.connected[k] {
+		if !m.Connected(k[0], k[1]) {
 			ups = append(ups, k)
 		}
 	}

@@ -58,19 +58,34 @@ func connectedPairs(m *Medium, ids []int) map[pairKey]bool {
 // against both a brute-force O(n²) oracle and the retained full-rescan
 // reference implementation, plus the adjacency invariant. Coordinates are
 // centred on the origin so negative values and the floor-vs-trunc cell
-// mapping are exercised throughout.
+// mapping are exercised throughout. The last trials spread their homes
+// over ±10⁶ m in clusters a whole number of grid-table widths apart, so
+// the clusters share table slots.
 func TestScanMatchesBruteForceOverTime(t *testing.T) {
 	rng := xrand.New(4242)
-	for trial := 0; trial < 8; trial++ {
+	for trial := 0; trial < 12; trial++ {
 		s := event.NewScheduler()
 		m := NewMedium(s, testCfg())
 		m.SetHandler(&recorder{})
 		n := 30 + rng.IntN(40)
 		ids := make([]int, n)
 		posAt := make([]func(now float64) geo.Point, n)
+		var centres []geo.Point
+		if trial >= 8 {
+			for range 3 {
+				centres = append(centres, geo.Point{
+					X: float64(rng.IntN(1041)-520) * 64 * 30,
+					Y: float64(rng.IntN(1041)-520) * 64 * 30,
+				})
+			}
+		}
 		for i := 0; i < n; i++ {
 			ids[i] = i
 			home := geo.Point{X: rng.Float64()*400 - 200, Y: rng.Float64()*400 - 200}
+			if centres != nil {
+				c := centres[i%len(centres)]
+				home = geo.Point{X: c.X + home.X, Y: c.Y + home.Y}
+			}
 			switch i % 3 {
 			case 0: // static forever, with hint
 				m.Add(&hinted{id: i, at: home, until: math.Inf(1)})
@@ -120,8 +135,10 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 // TestScanMatchesReferenceBoundaryGeometry pins the exact boundary
 // semantics against the full-rescan reference: points exactly at Range,
 // points sitting exactly on cell borders (coordinates at multiples of the
-// cell size, positive and negative), and clusters straddling the origin.
+// cell size, positive and negative), clusters straddling the origin, and
+// points one and two grid-table widths apart, which share a table slot.
 func TestScanMatchesReferenceBoundaryGeometry(t *testing.T) {
+	const wrap = 64 * 30 // table width and height for this many entities, in metres
 	pts := []geo.Point{
 		{X: 0, Y: 0},
 		{X: 30, Y: 0},   // exactly at Range, on a cell border
@@ -133,6 +150,17 @@ func TestScanMatchesReferenceBoundaryGeometry(t *testing.T) {
 		{X: -59.999, Y: 0.001},
 		{X: 0, Y: -30},
 		{X: 90, Y: 90},
+		{X: wrap, Y: 0},           // same slot as the origin, out of range
+		{X: 2 * wrap, Y: 0},       // two widths out, same slot again
+		{X: 0, Y: -wrap},          // wraps on the y axis
+		{X: -wrap, Y: -2 * wrap},  // negative, both axes
+		{X: wrap - 15, Y: 0},      // last column; in range of the next two
+		{X: wrap + 5, Y: 0},       // first column of the next lap
+		{X: wrap - 15, Y: 20},     // across the wrap diagonally
+		{X: -wrap + 10, Y: -wrap}, // negative, in range across the wrap
+		{X: -wrap - 10, Y: -wrap},
+		{X: -wrap - 10, Y: -wrap + 30}, // exactly at Range across the wrap
+		{X: 2*wrap - 30, Y: 0},         // at Range of a point two widths out
 	}
 	s := event.NewScheduler()
 	m := NewMedium(s, testCfg())
@@ -144,6 +172,9 @@ func TestScanMatchesReferenceBoundaryGeometry(t *testing.T) {
 	}
 	m.Start(0)
 	s.RunUntil(0.5)
+	if w, h := m.sc.grid.wMask+1, m.sc.grid.hMask+1; w*30 != wrap || h*30 != wrap {
+		t.Fatalf("grid table is %dx%d, the test assumes %d m", w, h, wrap)
+	}
 
 	want := m.proximityPairsReference(0)
 	got := connectedPairs(m, ids)
@@ -390,7 +421,9 @@ func TestAdjacencyAcrossAllContactSources(t *testing.T) {
 
 // TestAddAfterStartIsPickedUp preserves the pre-refactor behavior that an
 // entity registered after Start joins the scan on the next tick (the
-// working set grows on demand).
+// working set grows on demand). It then adds enough entities to outgrow
+// the grid table: the static entities placed before the rebuild are never
+// re-queried, so they must be re-homed into the larger table.
 func TestAddAfterStartIsPickedUp(t *testing.T) {
 	s := event.NewScheduler()
 	m := NewMedium(s, testCfg())
@@ -406,6 +439,70 @@ func TestAddAfterStartIsPickedUp(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+
+	pts := []geo.Point{{}, {X: 10, Y: 0}}
+	rng := xrand.New(9)
+	addStatic := func(count int) {
+		for range count {
+			p := geo.Point{X: rng.Float64()*6000 - 3000, Y: rng.Float64()*6000 - 3000}
+			m.Add(&hinted{id: len(pts), at: p, until: math.Inf(1)})
+			pts = append(pts, p)
+		}
+	}
+	addStatic(1000)
+	s.RunUntil(6)
+	slots := len(m.sc.grid.cells)
+	addStatic(3000)
+	s.RunUntil(7)
+	if len(m.sc.grid.cells) <= slots {
+		t.Fatalf("grid table stayed at %d slots for %d entities", slots, len(pts))
+	}
+	for i := range pts {
+		for j := i + 1; j < len(pts); j++ {
+			if want := pts[i].Dist2(pts[j]) <= 30*30; m.Connected(i, j) != want {
+				t.Fatalf("pair (%d,%d) at dist %v: connected=%v want %v",
+					i, j, pts[i].Dist(pts[j]), !want, want)
+			}
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGridSlotsIndependentOfGeometry is the grid's bounded-memory
+// property: the table size follows the entity count alone, so a fleet
+// spread over 10⁷ m gets the same table as the same fleet in a 400 m
+// cloud, and both scan correctly.
+func TestGridSlotsIndependentOfGeometry(t *testing.T) {
+	var slots []int
+	for _, side := range []float64{400, 1e7} {
+		s := event.NewScheduler()
+		m := NewMedium(s, testCfg())
+		m.SetHandler(&recorder{})
+		rng := xrand.New(3)
+		pts := make([]geo.Point, 500)
+		for i := range pts {
+			pts[i] = geo.Point{X: rng.Float64()*side - side/2, Y: rng.Float64()*side - side/2}
+			if i%2 == 1 { // a partner within range, so both geometries have contacts
+				pts[i] = geo.Point{X: pts[i-1].X + 20, Y: pts[i-1].Y}
+			}
+			m.Add(fixed(i, pts[i]))
+		}
+		m.Start(0)
+		s.RunUntil(0.5)
+		slots = append(slots, len(m.sc.grid.cells))
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				if want := pts[i].Dist2(pts[j]) <= 30*30; m.Connected(i, j) != want {
+					t.Fatalf("side %v: pair (%d,%d) connected=%v want %v", side, i, j, !want, want)
+				}
+			}
+		}
+	}
+	if slots[0] != slots[1] {
+		t.Fatalf("table slots: %d for a 400 m cloud, %d for a 10⁷ m spread", slots[0], slots[1])
 	}
 }
 

@@ -11,7 +11,8 @@
 //
 // Contacts are detected by a periodic proximity scan (default every
 // simulated second — the ONE's granularity class) over a uniform spatial
-// hash grid with cell size equal to the radio range. The scan is
+// grid with cell size equal to the radio range, kept in a wrap-around
+// table whose size depends on the node count alone. The scan is
 // incremental: positions, grid buckets and the in-range pair set persist
 // across ticks, entities whose mobility model reports a static-until hint
 // (parked relays, paused walkers) are skipped entirely, and a steady-state
@@ -19,8 +20,8 @@
 // O(nodes²) and not even O(nodes).
 //
 // Every contact transition — scanned, planned or replayed — updates a
-// sorted per-node adjacency cache, so PeersOf is an O(1) lookup of an
-// O(degree) slice instead of a walk over the global contact set.
+// sorted per-node adjacency list. Those lists are the medium's one contact
+// set: PeersOf returns a node's list, and Connected binary-searches it.
 package wireless
 
 import (
@@ -104,15 +105,14 @@ type Medium struct {
 	byID     map[int]Entity
 	handler  ContactHandler
 
-	connected map[pairKey]bool
-	idxOf     map[int]int32 // entity id -> index into entities/adj
-	adj       [][]int       // entity index -> sorted peer ids, updated on every transition
-	busy      map[int]*Transfer
+	idxOf map[int]int32 // entity id -> index into entities/adj
+	adj   [][]int       // entity index -> sorted peer ids: the contact set
+	busy  map[int]*Transfer
 
 	sc      scanState // live-scan working set, reused across ticks
 	started bool      // Start, StartPlan or StartReplay has run
 
-	rec           *Recording // transition tap, nil when not recording
+	rec           *recordingTap // nil when not recording
 	replayCur     TransitionCursor
 	replayNext    Transition
 	replayHas     bool
@@ -131,12 +131,11 @@ func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
 		panic(err.Error())
 	}
 	return &Medium{
-		sched:     sched,
-		cfg:       cfg,
-		byID:      make(map[int]Entity),
-		connected: make(map[pairKey]bool),
-		idxOf:     make(map[int]int32),
-		busy:      make(map[int]*Transfer),
+		sched: sched,
+		cfg:   cfg,
+		byID:  make(map[int]Entity),
+		idxOf: make(map[int]int32),
+		busy:  make(map[int]*Transfer),
 	}
 }
 
@@ -237,9 +236,9 @@ func (m *Medium) StartPlan(windows []ContactWindow) {
 		m.sched.At(batch[0].t, func(now float64) {
 			for _, ev := range batch {
 				switch {
-				case ev.up && !m.connected[ev.k]:
+				case ev.up && !m.Connected(ev.k[0], ev.k[1]):
 					m.raise(now, ev.k)
-				case !ev.up && m.connected[ev.k]:
+				case !ev.up && m.Connected(ev.k[0], ev.k[1]):
 					// The guards keep overlapping windows (merged
 					// upstream, but this is a public API) idempotent.
 					m.drop(now, ev.k)
@@ -250,21 +249,29 @@ func (m *Medium) StartPlan(windows []ContactWindow) {
 	}
 }
 
-// RecordTo taps every subsequent contact transition into rec, stamping the
-// medium's scan interval on it. Install the tap before Start (or StartPlan /
+// StartRecording taps every subsequent contact transition until
+// TakeRecording collects them. Install the tap before Start (or StartPlan /
 // StartReplay). A trace recorded from a scan- or replay-driven run drives a
 // bit-identical re-run via StartReplay; a trace recorded from StartPlan may
 // hold off-tick transition times, which replay quantizes to the next scan
-// tick. Recording costs one slice append per transition.
-func (m *Medium) RecordTo(rec *Recording) {
-	if rec == nil {
-		panic("wireless: RecordTo(nil)")
-	}
+// tick.
+func (m *Medium) StartRecording() {
 	if m.started {
-		panic("wireless: RecordTo after Start")
+		panic("wireless: StartRecording after Start")
 	}
-	rec.ScanInterval = m.cfg.ScanInterval
-	m.rec = rec
+	m.rec = &recordingTap{}
+}
+
+// TakeRecording removes the tap StartRecording installed and returns the
+// transitions it collected as a Recording stamped with the medium's scan
+// interval and the given duration.
+func (m *Medium) TakeRecording(duration float64) *Recording {
+	if m.rec == nil {
+		panic("wireless: TakeRecording without StartRecording")
+	}
+	rec := &Recording{ScanInterval: m.cfg.ScanInterval, Duration: duration, Transitions: m.rec.take()}
+	m.rec = nil
+	return rec
 }
 
 // StartReplay drives contacts from a recorded transition trace instead of
@@ -330,16 +337,23 @@ func (m *Medium) replayTick(now float64) {
 		}
 		k := key(tr.A, tr.B)
 		switch {
-		case tr.Up && !m.connected[k]:
+		case tr.Up && !m.Connected(k[0], k[1]):
 			m.raise(now, k)
-		case !tr.Up && m.connected[k]:
+		case !tr.Up && m.Connected(k[0], k[1]):
 			m.drop(now, k)
 		}
 	}
 }
 
 // Connected reports whether nodes a and b are currently in contact.
-func (m *Medium) Connected(a, b int) bool { return m.connected[key(a, b)] }
+func (m *Medium) Connected(a, b int) bool {
+	i, ok := m.idxOf[a]
+	if !ok {
+		return false
+	}
+	_, found := slices.BinarySearch(m.adj[i], b)
+	return found
+}
 
 // Busy reports whether node id is currently part of a transfer.
 func (m *Medium) Busy(id int) bool { return m.busy[id] != nil }
@@ -348,9 +362,9 @@ func (m *Medium) Busy(id int) bool { return m.busy[id] != nil }
 func (m *Medium) Rate() units.BitRate { return m.cfg.Rate }
 
 // PeersOf returns the ids currently in contact with node id, in ascending
-// order. The slice is the medium's incrementally-maintained adjacency
-// cache: it is valid until the next contact transition and must not be
-// modified or retained by the caller.
+// order. The slice is the medium's own adjacency list for the node: it is
+// valid until the next contact transition and must not be modified or
+// retained by the caller.
 func (m *Medium) PeersOf(id int) []int {
 	i, ok := m.idxOf[id]
 	if !ok {
@@ -363,7 +377,7 @@ func (m *Medium) PeersOf(id int) []int {
 func insertPeer(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
 	if i < len(s) && s[i] == v {
-		return s // already present (unreachable: raise guards on connected)
+		return s // already present (unreachable: every raise is of an absent pair)
 	}
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
@@ -375,7 +389,7 @@ func insertPeer(s []int, v int) []int {
 func removePeer(s []int, v int) []int {
 	i := sort.SearchInts(s, v)
 	if i >= len(s) || s[i] != v {
-		return s // not present (unreachable: drop guards on connected)
+		return s // not present (unreachable: every drop is of a present pair)
 	}
 	copy(s[i:], s[i+1:])
 	return s[:len(s)-1]
@@ -384,15 +398,14 @@ func removePeer(s []int, v int) []int {
 // raise fires a contact-up transition: state, adjacency, counters,
 // recording tap, handler. All three contact sources (scan, plan, replay)
 // funnel through here so a recorded run and its replay see identical
-// side-effect order — and so the adjacency cache is maintained uniformly.
+// side-effect order — and so the adjacency lists are maintained uniformly.
 func (m *Medium) raise(now float64, k pairKey) {
-	m.connected[k] = true
 	ia, ib := m.idxOf[k[0]], m.idxOf[k[1]]
 	m.adj[ia] = insertPeer(m.adj[ia], k[1])
 	m.adj[ib] = insertPeer(m.adj[ib], k[0])
 	m.ContactsSeen++
 	if m.rec != nil {
-		m.rec.Transitions = append(m.rec.Transitions, Transition{Time: now, A: k[0], B: k[1], Up: true})
+		m.rec.add(Transition{Time: now, A: k[0], B: k[1], Up: true})
 	}
 	if m.handler != nil {
 		m.handler.ContactUp(now, m.entities[ia], m.entities[ib])
@@ -401,31 +414,26 @@ func (m *Medium) raise(now float64, k pairKey) {
 
 // drop fires a contact-down transition, aborting any transfer on the pair.
 func (m *Medium) drop(now float64, k pairKey) {
-	delete(m.connected, k)
 	ia, ib := m.idxOf[k[0]], m.idxOf[k[1]]
 	m.adj[ia] = removePeer(m.adj[ia], k[1])
 	m.adj[ib] = removePeer(m.adj[ib], k[0])
 	m.abortPair(now, k)
 	if m.rec != nil {
-		m.rec.Transitions = append(m.rec.Transitions, Transition{Time: now, A: k[0], B: k[1], Up: false})
+		m.rec.add(Transition{Time: now, A: k[0], B: k[1], Up: false})
 	}
 	if m.handler != nil {
 		m.handler.ContactDown(now, m.entities[ia], m.entities[ib])
 	}
 }
 
-// CheckInvariants verifies the adjacency cache against the connected set:
-// every peer slice must be strictly ascending, self-free, and mirror a
-// live connected pair symmetrically, and the total degree must equal
-// twice the connected-pair count (so no pair is missing from the cache).
-// It exists for the equivalence suites and property tests; it is not
-// called on any hot path.
+// CheckInvariants verifies the adjacency lists: every peer slice must be
+// strictly ascending, self-free, and mirrored by the slice of each peer,
+// which must be a registered node. It exists for the equivalence suites
+// and property tests; it is not called on any hot path.
 func (m *Medium) CheckInvariants() error {
-	degree := 0
 	for idx, e := range m.entities {
 		id := e.ID()
 		peers := m.adj[idx]
-		degree += len(peers)
 		for i, p := range peers {
 			if p == id {
 				return fmt.Errorf("wireless: node %d adjacent to itself", id)
@@ -433,17 +441,10 @@ func (m *Medium) CheckInvariants() error {
 			if i > 0 && peers[i-1] >= p {
 				return fmt.Errorf("wireless: adjacency of %d not strictly ascending: %v", id, peers)
 			}
-			if !m.connected[key(id, p)] {
-				return fmt.Errorf("wireless: adjacency (%d,%d) not in connected set", id, p)
-			}
-			back := m.adj[m.idxOf[p]]
-			if j := sort.SearchInts(back, id); j >= len(back) || back[j] != id {
+			if !m.Connected(p, id) {
 				return fmt.Errorf("wireless: adjacency (%d,%d) not symmetric", id, p)
 			}
 		}
-	}
-	if degree != 2*len(m.connected) {
-		return fmt.Errorf("wireless: total degree %d, connected pairs %d", degree, len(m.connected))
 	}
 	return nil
 }
