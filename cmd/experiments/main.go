@@ -39,8 +39,8 @@
 // cells stop at their next event-loop checkpoint, every artifact the
 // completed cells support is still flushed — partial CSV and JSON
 // artifacts marked incomplete, JSONL streams footed with the
-// interruption — the contact cache's index is written, and the exit code
-// is non-zero.
+// interruption — the contact cache's mapped traces are released, and the
+// exit code is non-zero.
 //
 // -resume (with -out-jsonl) picks an interrupted sweep back up from its
 // JSONL stream: the stream is validated against the sweep, completed
@@ -94,7 +94,7 @@ func (s *specFlags) Set(v string) error {
 
 // fail reports an error on stderr and returns the process exit code, so
 // every exit flows through run's single return path — deferred cleanup
-// (closing the contact cache, flushing its index) always executes.
+// (closing the contact cache, releasing its mapped traces) always executes.
 func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	return 1
@@ -229,8 +229,7 @@ func run() int {
 		// One cache across all experiments: sweeps over the same scenario
 		// replay the traces the first one recorded. The deferred Close is
 		// the single cleanup path every exit below flows through — it
-		// releases mapped views and flushes the sharded store's index even
-		// when a sweep fails or is interrupted.
+		// releases mapped views even when a sweep fails or is interrupted.
 		opt.ContactCache = &vdtn.ContactCache{
 			Dir:      *ccDir,
 			MaxBytes: int64(*ccMax * 1e6),

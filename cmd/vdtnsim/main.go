@@ -43,45 +43,12 @@ import (
 	"vdtn/internal/units"
 )
 
-var protocols = map[string]vdtn.ProtocolKind{
-	"epidemic":         vdtn.ProtoEpidemic,
-	"spraywait":        vdtn.ProtoSprayAndWait,
-	"spraywaitvanilla": vdtn.ProtoSprayAndWaitVanilla,
-	"maxprop":          vdtn.ProtoMaxProp,
-	"prophet":          vdtn.ProtoPRoPHET,
-	"direct":           vdtn.ProtoDirectDelivery,
-	"firstcontact":     vdtn.ProtoFirstContact,
-}
-
-var policies = map[string]vdtn.PolicyKind{
-	"fifo":      vdtn.PolicyFIFOFIFO,
-	"random":    vdtn.PolicyRandomFIFO,
-	"lifetime":  vdtn.PolicyLifetime,
-	"size":      vdtn.PolicySize,
-	"hopmofo":   vdtn.PolicyHopMOFO,
-	"oldestage": vdtn.PolicyFIFOOldestAge,
-}
-
-func keys[V any](m map[string]V) string {
-	var ks []string
-	for k := range m {
-		ks = append(ks, k)
-	}
-	// Sorted for stable help output.
-	for i := 0; i < len(ks); i++ {
-		for j := i + 1; j < len(ks); j++ {
-			if ks[j] < ks[i] {
-				ks[i], ks[j] = ks[j], ks[i]
-			}
-		}
-	}
-	return strings.Join(ks, "|")
-}
-
 func main() {
+	protoNames := strings.Join(scenario.ProtocolNames(), "|")
+	polNames := strings.Join(scenario.PolicyNames(), "|")
 	var (
-		protoName = flag.String("protocol", "epidemic", "routing protocol: "+keys(protocols))
-		polName   = flag.String("policy", "fifo", "scheduling-dropping policy: "+keys(policies))
+		protoName = flag.String("protocol", "epidemic", "routing protocol: "+protoNames)
+		polName   = flag.String("policy", "fifo", "scheduling-dropping policy: "+polNames)
 		ttlMin    = flag.Float64("ttl", 60, "message TTL in minutes")
 		durationH = flag.Float64("duration", 12, "simulated duration in hours")
 		seed      = flag.Uint64("seed", 1, "master random seed")
@@ -105,14 +72,14 @@ func main() {
 	)
 	flag.Parse()
 
-	proto, ok := protocols[strings.ToLower(*protoName)]
+	proto, ok := scenario.ProtocolByName(strings.ToLower(*protoName))
 	if !ok {
-		fmt.Fprintf(os.Stderr, "vdtnsim: unknown protocol %q (want %s)\n", *protoName, keys(protocols))
+		fmt.Fprintf(os.Stderr, "vdtnsim: unknown protocol %q (want %s)\n", *protoName, protoNames)
 		os.Exit(2)
 	}
-	pol, ok := policies[strings.ToLower(*polName)]
+	pol, ok := scenario.PolicyByName(strings.ToLower(*polName))
 	if !ok {
-		fmt.Fprintf(os.Stderr, "vdtnsim: unknown policy %q (want %s)\n", *polName, keys(policies))
+		fmt.Fprintf(os.Stderr, "vdtnsim: unknown policy %q (want %s)\n", *polName, polNames)
 		os.Exit(2)
 	}
 

@@ -3,7 +3,11 @@ package vdtn_test
 import (
 	"encoding/json"
 	"os"
+	"os/exec"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,16 +45,42 @@ func writeArtifact(tb testing.TB, path string, art map[string]any) {
 	}
 }
 
+// cacheArtifactRuns is how many times contactCacheArtifact times each
+// sweep; the artifact records the min, median and max of the runs.
+const cacheArtifactRuns = 3
+
+// spread summarizes repeated measurements as their min, median and max.
+func spread[T int64 | float64](runs []T) map[string]T {
+	s := slices.Clone(runs)
+	slices.Sort(s)
+	return map[string]T{"min": s[0], "median": s[len(s)/2], "max": s[len(s)-1]}
+}
+
+// hostBlock describes the machine and source an artifact was measured on,
+// in the same form BENCH_scan.json records.
+func hostBlock() map[string]any {
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return map[string]any{
+		"nproc":      runtime.NumCPU(),
+		"gomaxprocs": runtime.GOMAXPROCS(0),
+		"go":         runtime.Version(),
+		"commit":     commit,
+	}
+}
+
 // contactCacheArtifact measures the contact cache on a multi-series,
 // multi-x experiment — fig5's full 3-series × 5-TTL sweep at a scaled
-// horizon — and returns the comparison:
+// horizon — and returns the comparison with the host it ran on:
 //
-//   - cached vs uncached sweep wall clock;
+//   - cached vs uncached sweep wall clock, cacheArtifactRuns times each;
 //   - a sweep served from the persisted store (mmap views, no recording).
 //
-// It fails tb unless the cached and store-served tables are bit-identical
-// to the uncached one, the store-served sweep records nothing, and the
-// cached run is not much slower.
+// It fails tb unless every cached and the store-served table are
+// bit-identical to the uncached one, the store-served sweep records
+// nothing, and the cached run is not much slower in the median.
 func contactCacheArtifact(tb testing.TB) map[string]any {
 	exp, ok := vdtn.ExperimentByID("fig5")
 	if !ok {
@@ -59,33 +89,43 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 	opt := vdtn.ExperimentOptions{Seeds: []uint64{1, 2}, Scale: 0.25}
 	cells := len(exp.Scenarios) * len(exp.Xs) * len(opt.Seeds)
 
-	start := time.Now()
-	plainRes, err := vdtn.RunExperimentE(exp, opt)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	uncached := time.Since(start)
-	plain := plainRes.DefaultTable()
+	var uncachedMs, cachedMs []int64
+	var speedups []float64
+	var plain vdtn.ExperimentTable
+	var cache *vdtn.ContactCache
+	var ccDir string
+	for range cacheArtifactRuns {
+		start := time.Now()
+		plainRes, err := vdtn.RunExperimentE(exp, opt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		uncached := time.Since(start)
+		plain = plainRes.DefaultTable()
 
-	// Cached run, persisting the fig5 fleet's traces for the store-served
-	// sweep below.
-	ccDir := tb.TempDir()
-	cache := &vdtn.ContactCache{Dir: ccDir}
-	opt.ContactCache = cache
-	start = time.Now()
-	cachedRes, err := vdtn.RunExperimentE(exp, opt)
-	if err != nil {
-		tb.Fatal(err)
+		// Cached run, persisting the fig5 fleet's traces for the
+		// store-served sweep below.
+		ccDir = tb.TempDir()
+		cache = &vdtn.ContactCache{Dir: ccDir}
+		copt := opt
+		copt.ContactCache = cache
+		start = time.Now()
+		cachedRes, err := vdtn.RunExperimentE(exp, copt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cached := time.Since(start)
+		cache.Close()
+		if !reflect.DeepEqual(plain.Series, cachedRes.DefaultTable().Series) {
+			tb.Fatal("cached experiment table diverged from the uncached one")
+		}
+		uncachedMs = append(uncachedMs, uncached.Milliseconds())
+		cachedMs = append(cachedMs, cached.Milliseconds())
+		speedups = append(speedups, float64(uncached)/float64(cached))
 	}
-	cachedDur := time.Since(start)
-	cache.Close()
 
-	if !reflect.DeepEqual(plain.Series, cachedRes.DefaultTable().Series) {
-		tb.Fatal("cached experiment table diverged from the uncached one")
-	}
-
-	// Sweep served from the persisted traces: bit-identical table, zero
-	// re-recordings.
+	// Sweep served from the last run's persisted traces: bit-identical
+	// table, zero re-recordings.
 	stored := &vdtn.ContactCache{Dir: ccDir}
 	sopt := opt
 	sopt.ContactCache = stored
@@ -100,25 +140,27 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 		tb.Fatalf("store-served sweep re-recorded %d traces despite the persisted cache", stored.Recorded())
 	}
 	stored.Close()
-	speedup := float64(uncached) / float64(cachedDur)
-	tb.Logf("%d cells: uncached %v, cached %v (%.2fx, %d recording passes)",
-		cells, uncached.Round(time.Millisecond), cachedDur.Round(time.Millisecond), speedup, cache.Recorded())
-	// Expected speedup is ~4x; the loose bound only catches a genuinely
+	speedup := spread(speedups)
+	tb.Logf("%d cells over %d runs: uncached %v ms, cached %v ms, speedup %v (%d recording passes)",
+		cells, cacheArtifactRuns, uncachedMs, cachedMs, speedups, cache.Recorded())
+	// Expected speedup is ~2x; the loose bound only catches a genuinely
 	// regressed cache, not scheduler noise on shared CI runners.
-	if speedup < 0.7 {
-		tb.Errorf("cached run much slower than uncached: %.2fx", speedup)
+	if speedup["median"] < 0.7 {
+		tb.Errorf("cached run much slower than uncached: median %.2fx", speedup["median"])
 	}
 
 	return map[string]any{
 		"benchmark":         "contact-trace cache: cached vs uncached experiment run",
+		"host":              hostBlock(),
+		"runs":              cacheArtifactRuns,
 		"experiment":        exp.ID,
 		"series":            len(exp.Scenarios),
 		"x_points":          len(exp.Xs),
 		"seeds":             len(opt.Seeds),
 		"cells":             cells,
 		"scale":             opt.Scale,
-		"uncached_ms":       uncached.Milliseconds(),
-		"cached_ms":         cachedDur.Milliseconds(),
+		"uncached_ms":       spread(uncachedMs),
+		"cached_ms":         spread(cachedMs),
 		"speedup":           speedup,
 		"recordings":        cache.Recorded(),
 		"tables_equal":      true,

@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -519,4 +522,60 @@ func TestSpecFileIsValidScenarioFile(t *testing.T) {
 	if cfg.Vehicles != sim.DefaultConfig().Vehicles {
 		t.Fatalf("base config vehicles = %d", cfg.Vehicles)
 	}
+}
+
+// FuzzLoadSpec is the spec loader's robustness target. For arbitrary bytes
+// LoadSpec must never panic, and every spec it accepts must survive the
+// dump → reload workflow: SpecJSON re-emits it and LoadSpec reloads that
+// to an equal Experiment. The corpus is the example sweep files, the
+// dumped spec of every catalog experiment, and empty lists the dump omits.
+func FuzzLoadSpec(f *testing.F) {
+	files, err := filepath.Glob("../../examples/sweeps/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no example sweeps: %v", err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	for _, exp := range Catalog() {
+		data, err := SpecJSON(exp)
+		if err != nil {
+			f.Fatalf("%s: %v", exp.ID, err)
+		}
+		f.Add(data)
+	}
+	for _, field := range []string{"contacts", "script"} {
+		f.Add([]byte(`{"` + field + `": [], "sweep": {"id": "x", "axis": "ttl_min", "values": [1]}}`))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		exp, err := LoadSpec(data)
+		if err != nil {
+			return
+		}
+		dumped, err := SpecJSON(exp)
+		if err != nil {
+			t.Fatalf("accepted spec does not re-emit: %v", err)
+		}
+		reloaded, err := LoadSpec(dumped)
+		if err != nil {
+			t.Fatalf("re-emitted spec does not reload: %v\n%s", err, dumped)
+		}
+		if !reflect.DeepEqual(exp.Base(), reloaded.Base()) {
+			t.Fatalf("round trip changed the base config\n%s", dumped)
+		}
+		if again, err := SpecJSON(reloaded); err != nil || !bytes.Equal(again, dumped) {
+			t.Fatalf("reloaded spec re-emits differently (%v):\n%s\nthen:\n%s", err, dumped, again)
+		}
+		// Base is a closure and baseSpec may differ only in empty lists the
+		// dump omits; both are covered above.
+		exp.Base, exp.baseSpec, reloaded.Base, reloaded.baseSpec = nil, nil, nil, nil
+		if !reflect.DeepEqual(exp, reloaded) {
+			t.Fatalf("round trip changed the sweep:\n%+v\nthen:\n%+v", exp, reloaded)
+		}
+	})
 }

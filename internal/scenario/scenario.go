@@ -180,12 +180,18 @@ func PolicyByName(name string) (sim.PolicyKind, bool) {
 	return p, ok
 }
 
+// ProtocolNames returns the schema protocol names in ascending order.
+func ProtocolNames() []string { return detmap.Keys(protocolNames) }
+
+// PolicyNames returns the schema policy names in ascending order.
+func PolicyNames() []string { return detmap.Keys(policyNames) }
+
 // ProtocolName returns the schema name of a protocol kind ("" if the kind
 // is outside the schema). Sorted iteration makes the reverse lookup a
 // function: if two names ever aliased one kind, the map's random order
 // would pick a different winner per process.
 func ProtocolName(kind sim.ProtocolKind) string {
-	for _, name := range detmap.Keys(protocolNames) {
+	for _, name := range ProtocolNames() {
 		if protocolNames[name] == kind {
 			return name
 		}
@@ -196,7 +202,7 @@ func ProtocolName(kind sim.ProtocolKind) string {
 // PolicyName returns the schema name of a policy kind ("" if the kind is
 // outside the schema).
 func PolicyName(kind sim.PolicyKind) string {
-	for _, name := range detmap.Keys(policyNames) {
+	for _, name := range PolicyNames() {
 		if policyNames[name] == kind {
 			return name
 		}
@@ -227,7 +233,7 @@ func (f File) Config() (sim.Config, error) {
 	if f.Vehicles != 0 {
 		c.Vehicles = f.Vehicles
 	}
-	if f.Relays != 0 || f.Contacts != nil {
+	if f.Relays != 0 || len(f.Contacts) > 0 {
 		c.Relays = f.Relays
 	}
 	if f.VehicleBufferMB != 0 {

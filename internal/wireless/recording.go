@@ -60,13 +60,11 @@ func (t *recordingTap) take() []Transition { return slices.Concat(t.chunks...) }
 
 // MaxNode returns the highest node id referenced; -1 for an empty trace.
 func (r *Recording) MaxNode() int {
-	max := -1
+	n := -1
 	for _, tr := range r.Transitions {
-		if tr.B > max {
-			max = tr.B
-		}
+		n = max(n, tr.A, tr.B)
 	}
-	return max
+	return n
 }
 
 // Validate reports the first structural defect: non-positive scan interval

@@ -135,6 +135,11 @@ func TestReplayAbortsTransfersOnRecordedDowns(t *testing.T) {
 }
 
 func TestStartReplayPanics(t *testing.T) {
+	view, err := NewRecordingView(EncodeBinary(&Recording{ScanInterval: 1, Duration: 5,
+		Transitions: []Transition{{Time: 3, A: 0, B: 9, Up: true}}}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]func(*Medium){
 		"after Start": func(m *Medium) {
 			m.Start(0)
@@ -146,6 +151,11 @@ func TestStartReplayPanics(t *testing.T) {
 		"unknown node": func(m *Medium) {
 			m.StartReplay(0, &Recording{ScanInterval: 1, Duration: 1,
 				Transitions: []Transition{{Time: 0, A: 0, B: 9, Up: true}}})
+		},
+		// No tick runs here: a view's unknown node must panic in
+		// StartReplay itself, not at the tick that first references it.
+		"unknown node in view": func(m *Medium) {
+			m.StartReplay(0, view)
 		},
 	}
 	for name, fn := range cases {

@@ -28,12 +28,12 @@ func cellOf(p geo.Point, size float64) cellKey {
 	return cellKey{int64(math.Floor(p.X / size)), int64(math.Floor(p.Y / size))}
 }
 
-// packPair collapses a pairKey into one uint64 whose numeric order equals
-// the key's lexicographic order, so the scan's sort, merge and diff run on
-// single-word comparisons. Entity ids fit in 32 bits (Medium.Add enforces
-// it), and key() guarantees k[0] < k[1].
-func packPair(k pairKey) uint64 {
-	return uint64(uint32(k[0]))<<32 | uint64(uint32(k[1]))
+// packPair collapses the pair (a, b), a < b, into one uint64 whose numeric
+// order equals the pair's lexicographic order, so the scan's sort, merge
+// and diff run on single-word comparisons. Node ids are dense, so they fit
+// in 32 bits.
+func packPair(a, b int32) uint64 {
+	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
 // unpackPair restores the pairKey from its packed form.
@@ -41,23 +41,15 @@ func unpackPair(u uint64) pairKey {
 	return pairKey{int(u >> 32), int(uint32(u))}
 }
 
-// pairEntry is one in-range pair in the scan's working set: the packed
-// pair key that orders and fires transitions, plus both entity indexes so
-// the carry check needs no id->index map lookups.
-type pairEntry struct {
-	ku   uint64
-	a, b int32
-}
-
 // scanState is the live scan's working set. Everything here is allocated
 // on the first tick and reused for every subsequent one, so a steady-state
 // scan performs no allocations: the position cache and grid are updated
 // incrementally as entities move, and the pair/diff slices are truncated
-// and refilled in place.
+// and refilled in place. Per-entity slices are indexed by node id, and
+// pair sets hold packed pair keys (packPair).
 type scanState struct {
 	seen      []bool          // entity has been placed in the grid
-	pos       []geo.Point     // last observed position, by entity index
-	ids       []int           // entity id, by entity index
+	pos       []geo.Point     // last observed position
 	hint      []StaticUntiler // nil when the entity offers no hint
 	staticTil []float64       // position constant through this time
 	slot      []int32         // current grid slot of pos
@@ -65,16 +57,16 @@ type scanState struct {
 
 	grid gridState
 
-	movers     []int32     // entity indexes re-queried this tick
-	carry      []pairEntry // static-static pairs carried from prev (sorted)
-	pairs      []pairEntry // in-range pairs involving a mover (sorted)
-	curr, prev []pairEntry // in-range pairs this and last tick, ascending
-	downs, ups []pairKey   // per-tick transition staging
+	movers     []int32   // node ids re-queried this tick
+	carry      []uint64  // static-static pairs carried from prev (sorted)
+	pairs      []uint64  // in-range pairs involving a mover (sorted)
+	curr, prev []uint64  // in-range pairs this and last tick, ascending
+	downs, ups []pairKey // per-tick transition staging
 }
 
 // gridState is the spatial grid: a flat power-of-two table of buckets of
-// entity indexes, persisting across ticks (an entity moves buckets only
-// when its position crosses into another slot). Cell (x, y) lives at slot
+// node ids, persisting across ticks (an entity moves buckets only when its
+// position crosses into another slot). Cell (x, y) lives at slot
 // (x mod w, y mod h), row-major, so a geometry wider than the table wraps
 // and cells a table width apart share a slot. Wrapping costs no
 // correctness: with w, h >= 3 the 3x3 neighbourhood of any cell covers
@@ -122,7 +114,7 @@ func (g *gridState) add(i, s int32) {
 	g.cells[s] = append(g.cells[s], i)
 }
 
-// remove swap-deletes entity index i from slot s's bucket.
+// remove swap-deletes node i from slot s's bucket.
 func (g *gridState) remove(i, s int32) {
 	b := g.cells[s]
 	for n, v := range b {
@@ -151,16 +143,6 @@ func comparePairs(a, b pairKey) int {
 	return 0
 }
 
-func comparePairEntries(a, b pairEntry) int {
-	switch {
-	case a.ku < b.ku:
-		return -1
-	case a.ku > b.ku:
-		return 1
-	}
-	return 0
-}
-
 // growScanState sizes the per-entity scan arrays for entities added since
 // the last tick (on the first tick, all of them). When the entity count
 // outgrows the grid table, a larger table replaces it and every placed
@@ -177,11 +159,9 @@ func (m *Medium) growScanState() {
 		}
 	}
 	for i := len(sc.pos); i < len(m.entities); i++ {
-		e := m.entities[i]
-		h, _ := e.(StaticUntiler)
+		h, _ := m.entities[i].(StaticUntiler)
 		sc.seen = append(sc.seen, false)
 		sc.pos = append(sc.pos, geo.Point{})
-		sc.ids = append(sc.ids, e.ID())
 		sc.hint = append(sc.hint, h)
 		sc.staticTil = append(sc.staticTil, math.Inf(-1))
 		sc.slot = append(sc.slot, 0)
@@ -201,7 +181,6 @@ func (m *Medium) findPairs() {
 	for _, i := range sc.movers {
 		sx, sy := int64(sc.slot[i])&g.wMask, int64(sc.slot[i])>>g.wBits
 		pi := sc.pos[i]
-		idi := sc.ids[i]
 		for dy := int64(-1); dy <= 1; dy++ {
 			row := ((sy + dy) & g.hMask) << g.wBits
 			for dx := int64(-1); dx <= 1; dx++ {
@@ -210,7 +189,7 @@ func (m *Medium) findPairs() {
 						continue
 					}
 					if pi.Dist2(sc.pos[j]) <= r2 {
-						pairs = append(pairs, pairEntry{ku: packPair(key(idi, sc.ids[j])), a: i, b: j})
+						pairs = append(pairs, packPair(min(i, j), max(i, j)))
 					}
 				}
 			}
@@ -220,24 +199,24 @@ func (m *Medium) findPairs() {
 }
 
 // mergePairs rebuilds sc.curr from the sorted carry and mover pairs,
-// ascending by packed pair key. The two inputs are disjoint (carry holds
-// only non-mover pairs), but equal keys are skipped anyway, so a
-// duplicate could never double-fire a transition.
+// ascending. The two inputs are disjoint (carry holds only non-mover
+// pairs), but equal keys are skipped anyway, so a duplicate could never
+// double-fire a transition.
 func (m *Medium) mergePairs() {
 	sc := &m.sc
 	carry, pairs := sc.carry, sc.pairs
 	sc.curr = sc.curr[:0]
 	for len(carry) > 0 || len(pairs) > 0 {
-		var pe pairEntry
-		if len(pairs) == 0 || (len(carry) > 0 && carry[0].ku <= pairs[0].ku) {
-			pe, carry = carry[0], carry[1:]
+		var ku uint64
+		if len(pairs) == 0 || (len(carry) > 0 && carry[0] <= pairs[0]) {
+			ku, carry = carry[0], carry[1:]
 		} else {
-			pe, pairs = pairs[0], pairs[1:]
+			ku, pairs = pairs[0], pairs[1:]
 		}
-		if n := len(sc.curr); n > 0 && sc.curr[n-1].ku == pe.ku {
+		if n := len(sc.curr); n > 0 && sc.curr[n-1] == ku {
 			continue
 		}
-		sc.curr = append(sc.curr, pe)
+		sc.curr = append(sc.curr, ku)
 	}
 }
 
@@ -297,14 +276,14 @@ func (m *Medium) scan(now float64) {
 	// position, so membership is unchanged and the previous (sorted) set
 	// already holds the answer.
 	sc.carry = sc.carry[:0]
-	for _, pe := range sc.prev {
-		if !sc.isMover[pe.a] && !sc.isMover[pe.b] {
-			sc.carry = append(sc.carry, pe)
+	for _, ku := range sc.prev {
+		if !sc.isMover[ku>>32] && !sc.isMover[uint32(ku)] {
+			sc.carry = append(sc.carry, ku)
 		}
 	}
 
 	m.findPairs()
-	slices.SortFunc(sc.pairs, comparePairEntries)
+	slices.Sort(sc.pairs)
 	m.mergePairs()
 
 	// Diff against the previous tick: both slices are ascending, so one
@@ -312,7 +291,7 @@ func (m *Medium) scan(now float64) {
 	sc.downs, sc.ups = sc.downs[:0], sc.ups[:0]
 	i, j := 0, 0
 	for i < len(sc.prev) && j < len(sc.curr) {
-		switch pu, cu := sc.prev[i].ku, sc.curr[j].ku; {
+		switch pu, cu := sc.prev[i], sc.curr[j]; {
 		case pu < cu:
 			sc.downs = append(sc.downs, unpackPair(pu))
 			i++
@@ -324,10 +303,10 @@ func (m *Medium) scan(now float64) {
 		}
 	}
 	for ; i < len(sc.prev); i++ {
-		sc.downs = append(sc.downs, unpackPair(sc.prev[i].ku))
+		sc.downs = append(sc.downs, unpackPair(sc.prev[i]))
 	}
 	for ; j < len(sc.curr); j++ {
-		sc.ups = append(sc.ups, unpackPair(sc.curr[j].ku))
+		sc.ups = append(sc.ups, unpackPair(sc.curr[j]))
 	}
 	for _, k := range sc.downs {
 		m.drop(now, k)

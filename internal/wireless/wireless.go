@@ -22,12 +22,14 @@
 // Every contact transition — scanned, planned or replayed — updates a
 // sorted per-node adjacency list. Those lists are the medium's one contact
 // set: PeersOf returns a node's list, and Connected binary-searches it.
+//
+// Node ids are dense: the medium's entities are 0..n-1, added in id order,
+// so a node's id is its index into every per-node table.
 package wireless
 
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -38,7 +40,7 @@ import (
 
 // Entity is a radio-equipped node tracked by the medium.
 type Entity interface {
-	// ID returns the node's unique non-negative id.
+	// ID returns the node's id, which is its index in the medium.
 	ID() int
 	// Position returns the node position at time now. The medium queries
 	// positions with non-decreasing timestamps.
@@ -96,27 +98,25 @@ func key(a, b int) pairKey {
 	return pairKey{a, b}
 }
 
-// Medium owns contact state and in-flight transfers.
+// Medium owns contact state and in-flight transfers. Its nodes are
+// 0..n-1, and every per-node slice below is indexed by node id.
 // The zero value is not usable; use NewMedium.
 type Medium struct {
 	sched    *event.Scheduler
 	cfg      Config
 	entities []Entity
-	byID     map[int]Entity
 	handler  ContactHandler
 
-	idxOf map[int]int32 // entity id -> index into entities/adj
-	adj   [][]int       // entity index -> sorted peer ids: the contact set
-	busy  map[int]*Transfer
+	adj  [][]int     // sorted peer ids: the contact set
+	busy []*Transfer // the node's in-flight transfer, nil when idle
 
 	sc      scanState // live-scan working set, reused across ticks
 	started bool      // Start, StartPlan or StartReplay has run
 
-	rec           *recordingTap // nil when not recording
-	replayCur     TransitionCursor
-	replayNext    Transition
-	replayHas     bool
-	replayChecked bool // node ids pre-validated at StartReplay; skip per-tick checks
+	rec        *recordingTap // nil when not recording
+	replayCur  TransitionCursor
+	replayNext Transition
+	replayHas  bool
 
 	// Counters for tests and reports.
 	ContactsSeen       uint64 // ContactUp events
@@ -130,33 +130,20 @@ func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Medium{
-		sched: sched,
-		cfg:   cfg,
-		byID:  make(map[int]Entity),
-		idxOf: make(map[int]int32),
-		busy:  make(map[int]*Transfer),
-	}
+	return &Medium{sched: sched, cfg: cfg}
 }
 
-// Add registers an entity. Panics on duplicate or negative ids, which are
-// always scenario-assembly bugs.
+// Add registers an entity. Ids are dense: the entity's id must equal the
+// number of entities already added, so the medium's nodes are 0..n-1 in
+// order. Any other id — duplicate, skipped or negative — panics as a
+// scenario-assembly bug.
 func (m *Medium) Add(e Entity) {
-	id := e.ID()
-	if id < 0 {
-		panic(fmt.Sprintf("wireless: negative entity id %d", id))
+	if id := e.ID(); id != len(m.entities) {
+		panic(fmt.Sprintf("wireless: entity id %d added as node %d", id, len(m.entities)))
 	}
-	if id > math.MaxUint32 {
-		// The scan packs two ids into one uint64 pair key.
-		panic(fmt.Sprintf("wireless: entity id %d exceeds 32 bits", id))
-	}
-	if _, dup := m.byID[id]; dup {
-		panic(fmt.Sprintf("wireless: duplicate entity id %d", id))
-	}
-	m.idxOf[id] = int32(len(m.entities))
 	m.entities = append(m.entities, e)
 	m.adj = append(m.adj, nil)
-	m.byID[id] = e
+	m.busy = append(m.busy, nil)
 }
 
 // SetHandler installs the contact lifecycle handler. Must be called before
@@ -204,11 +191,8 @@ func (m *Medium) StartPlan(windows []ContactWindow) {
 	m.started = true
 	events := make([]planEvent, 0, 2*len(windows))
 	for _, win := range windows {
-		if _, ok := m.byID[win.A]; !ok {
-			panic(fmt.Sprintf("wireless: plan references unknown node %d", win.A))
-		}
-		if _, ok := m.byID[win.B]; !ok {
-			panic(fmt.Sprintf("wireless: plan references unknown node %d", win.B))
+		if !m.has(win.A) || !m.has(win.B) {
+			panic(fmt.Sprintf("wireless: plan window (%d,%d) references an unknown node", win.A, win.B))
 		}
 		k := key(win.A, win.B)
 		events = append(events,
@@ -285,10 +269,8 @@ func (m *Medium) TakeRecording(duration float64) *Recording {
 // src is either an in-memory *Recording or a zero-copy *RecordingView
 // (any ReplaySource); the medium takes one cursor from it, so any number
 // of replaying media may share one source. The source's scan interval must
-// equal the medium's, and every referenced node must be registered;
-// violations panic as scenario-assembly bugs — eagerly for an in-memory
-// recording, at the offending tick for a streamed source (a view's node
-// range is pre-checked via MaxNode by the sim layer). Start, StartPlan and
+// equal the medium's, and its MaxNode must be a registered node; either
+// violation panics here, as a scenario-assembly bug. Start, StartPlan and
 // StartReplay are mutually exclusive.
 func (m *Medium) StartReplay(from float64, src ReplaySource) {
 	if m.started {
@@ -298,30 +280,13 @@ func (m *Medium) StartReplay(from float64, src ReplaySource) {
 		panic(fmt.Sprintf("wireless: recording scan interval %v, medium %v",
 			scan, m.cfg.ScanInterval))
 	}
-	if rec, ok := src.(*Recording); ok {
-		// Materialized traces are cheap to pre-check, preserving the
-		// fail-at-assembly contract for direct library use — and sparing
-		// the per-tick re-check in the replay hot loop.
-		for _, tr := range rec.Transitions {
-			m.checkReplayNodes(tr)
-		}
-		m.replayChecked = true
+	if n := src.MaxNode(); n >= len(m.entities) {
+		panic(fmt.Sprintf("wireless: recording references unknown node %d", n))
 	}
 	m.replayCur = src.Cursor()
 	m.replayNext, m.replayHas = m.replayCur.Next()
 	m.started = true
 	m.sched.Every(from, m.cfg.ScanInterval, m.replayTick)
-}
-
-// checkReplayNodes panics if a replayed transition references an entity
-// the medium does not have — a scenario-assembly bug.
-func (m *Medium) checkReplayNodes(tr Transition) {
-	if _, ok := m.byID[tr.A]; !ok {
-		panic(fmt.Sprintf("wireless: recording references unknown node %d", tr.A))
-	}
-	if _, ok := m.byID[tr.B]; !ok {
-		panic(fmt.Sprintf("wireless: recording references unknown node %d", tr.B))
-	}
 }
 
 // replayTick applies the recorded transitions due at this scan tick. A
@@ -332,9 +297,6 @@ func (m *Medium) replayTick(now float64) {
 	for m.replayHas && m.replayNext.Time <= now {
 		tr := m.replayNext
 		m.replayNext, m.replayHas = m.replayCur.Next()
-		if !m.replayChecked {
-			m.checkReplayNodes(tr)
-		}
 		k := key(tr.A, tr.B)
 		switch {
 		case tr.Up && !m.Connected(k[0], k[1]):
@@ -345,13 +307,15 @@ func (m *Medium) replayTick(now float64) {
 	}
 }
 
+// has reports whether id is a registered node.
+func (m *Medium) has(id int) bool { return uint(id) < uint(len(m.entities)) }
+
 // Connected reports whether nodes a and b are currently in contact.
 func (m *Medium) Connected(a, b int) bool {
-	i, ok := m.idxOf[a]
-	if !ok {
+	if !m.has(a) {
 		return false
 	}
-	_, found := slices.BinarySearch(m.adj[i], b)
+	_, found := slices.BinarySearch(m.adj[a], b)
 	return found
 }
 
@@ -366,11 +330,10 @@ func (m *Medium) Rate() units.BitRate { return m.cfg.Rate }
 // valid until the next contact transition and must not be modified or
 // retained by the caller.
 func (m *Medium) PeersOf(id int) []int {
-	i, ok := m.idxOf[id]
-	if !ok {
+	if !m.has(id) {
 		return nil
 	}
-	return m.adj[i]
+	return m.adj[id]
 }
 
 // insertPeer adds v to the sorted peer slice s, keeping it sorted.
@@ -400,29 +363,29 @@ func removePeer(s []int, v int) []int {
 // funnel through here so a recorded run and its replay see identical
 // side-effect order — and so the adjacency lists are maintained uniformly.
 func (m *Medium) raise(now float64, k pairKey) {
-	ia, ib := m.idxOf[k[0]], m.idxOf[k[1]]
-	m.adj[ia] = insertPeer(m.adj[ia], k[1])
-	m.adj[ib] = insertPeer(m.adj[ib], k[0])
+	a, b := k[0], k[1]
+	m.adj[a] = insertPeer(m.adj[a], b)
+	m.adj[b] = insertPeer(m.adj[b], a)
 	m.ContactsSeen++
 	if m.rec != nil {
-		m.rec.add(Transition{Time: now, A: k[0], B: k[1], Up: true})
+		m.rec.add(Transition{Time: now, A: a, B: b, Up: true})
 	}
 	if m.handler != nil {
-		m.handler.ContactUp(now, m.entities[ia], m.entities[ib])
+		m.handler.ContactUp(now, m.entities[a], m.entities[b])
 	}
 }
 
 // drop fires a contact-down transition, aborting any transfer on the pair.
 func (m *Medium) drop(now float64, k pairKey) {
-	ia, ib := m.idxOf[k[0]], m.idxOf[k[1]]
-	m.adj[ia] = removePeer(m.adj[ia], k[1])
-	m.adj[ib] = removePeer(m.adj[ib], k[0])
+	a, b := k[0], k[1]
+	m.adj[a] = removePeer(m.adj[a], b)
+	m.adj[b] = removePeer(m.adj[b], a)
 	m.abortPair(now, k)
 	if m.rec != nil {
-		m.rec.add(Transition{Time: now, A: k[0], B: k[1], Up: false})
+		m.rec.add(Transition{Time: now, A: a, B: b, Up: false})
 	}
 	if m.handler != nil {
-		m.handler.ContactDown(now, m.entities[ia], m.entities[ib])
+		m.handler.ContactDown(now, m.entities[a], m.entities[b])
 	}
 }
 
@@ -431,9 +394,7 @@ func (m *Medium) drop(now float64, k pairKey) {
 // which must be a registered node. It exists for the equivalence suites
 // and property tests; it is not called on any hot path.
 func (m *Medium) CheckInvariants() error {
-	for idx, e := range m.entities {
-		id := e.ID()
-		peers := m.adj[idx]
+	for id, peers := range m.adj {
 		for i, p := range peers {
 			if p == id {
 				return fmt.Errorf("wireless: node %d adjacent to itself", id)
@@ -488,10 +449,10 @@ func (m *Medium) StartTransfer(now float64, from, to int, size units.Bytes, onDo
 // finish clears busy state for a transfer's endpoints.
 func (m *Medium) finish(t *Transfer) {
 	if m.busy[t.From] == t {
-		delete(m.busy, t.From)
+		m.busy[t.From] = nil
 	}
 	if m.busy[t.To] == t {
-		delete(m.busy, t.To)
+		m.busy[t.To] = nil
 	}
 }
 

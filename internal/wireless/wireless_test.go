@@ -1,6 +1,7 @@
 package wireless
 
 import (
+	"slices"
 	"testing"
 
 	"vdtn/internal/event"
@@ -150,18 +151,20 @@ func TestPeersOf(t *testing.T) {
 	s := event.NewScheduler()
 	m := NewMedium(s, testCfg())
 	m.SetHandler(&recorder{})
+	m.Add(fixed(0, geo.Point{X: 500, Y: 500}))
+	m.Add(fixed(1, geo.Point{X: 0, Y: 10}))
+	m.Add(fixed(2, geo.Point{X: 10, Y: 0}))
 	m.Add(fixed(3, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	m.Add(fixed(2, geo.Point{X: 0, Y: 10}))
-	m.Add(fixed(9, geo.Point{X: 500, Y: 500}))
 	m.Start(0)
 	s.RunUntil(0.5)
-	got := m.PeersOf(3)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := m.PeersOf(3); !slices.Equal(got, []int{1, 2}) {
 		t.Fatalf("PeersOf(3) = %v, want [1 2]", got)
 	}
-	if got := m.PeersOf(9); len(got) != 0 {
-		t.Fatalf("PeersOf(9) = %v", got)
+	if got := m.PeersOf(1); !slices.Equal(got, []int{2, 3}) {
+		t.Fatalf("PeersOf(1) = %v, want [2 3]", got)
+	}
+	if got := m.PeersOf(0); len(got) != 0 {
+		t.Fatalf("PeersOf(0) = %v", got)
 	}
 }
 
@@ -317,16 +320,21 @@ func TestContactUpHandlerCanStartTransferImmediately(t *testing.T) {
 	}
 }
 
+// TestDuplicateEntityPanics: node ids are dense, so Add accepts only the
+// next id in order — a duplicate, a skipped or a negative id panics.
 func TestDuplicateEntityPanics(t *testing.T) {
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.Add(fixed(1, geo.Point{}))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate id did not panic")
-		}
-	}()
-	m.Add(fixed(1, geo.Point{X: 5}))
+	for name, id := range map[string]int{"duplicate": 0, "skipped": 2, "negative": -1} {
+		t.Run(name, func(t *testing.T) {
+			m := NewMedium(event.NewScheduler(), testCfg())
+			m.Add(fixed(0, geo.Point{}))
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("id %d after id 0 did not panic", id)
+				}
+			}()
+			m.Add(fixed(id, geo.Point{X: 5}))
+		})
+	}
 }
 
 func TestSelfTransferPanics(t *testing.T) {
