@@ -17,6 +17,7 @@
 //	experiments -spec grid.json -progress       # per-cell progress on stderr
 //	experiments -figure fig5 -out-jsonl r/      # stream cells as JSON lines
 //	experiments -spec grid.json -out-jsonl r/ -resume  # finish an interrupted sweep
+//	experiments -figure fig5 -cpuprofile cpu.out  # profile with runtime/pprof
 //
 // Tables print to stdout; -out additionally writes one CSV and one JSON
 // results artifact per experiment (the JSON carries every cell's complete
@@ -80,6 +81,7 @@ import (
 	"time"
 
 	"vdtn"
+	"vdtn/internal/profiling"
 )
 
 // specFlags collects repeatable -spec arguments.
@@ -102,7 +104,7 @@ func fail(format string, args ...any) int {
 
 func main() { os.Exit(run()) }
 
-func run() int {
+func run() (code int) {
 	var specs specFlags
 	var (
 		figure   = flag.String("figure", "all", `experiment id ("fig4".."fig9", "ablation-*", a loaded spec id, or "all")`)
@@ -120,6 +122,8 @@ func run() int {
 		ccDir    = flag.String("cache-dir", "", "persist recorded contact traces in this directory (implies -contact-cache)")
 		ccMax    = flag.Float64("cache-max-mb", 0, "bound the persisted cache directory to this many MB, evicting least-recently-used traces (0 = unbounded)")
 		resume   = flag.Bool("resume", false, "resume interrupted sweeps from their -out-jsonl streams: completed cells are kept, only missing ones run, and the finished file is byte-identical to an uninterrupted run's")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
 	flag.Var(&specs, "spec", "load a sweep spec file (repeatable); with -figure all, only the loaded specs run")
 	flag.Parse()
@@ -129,6 +133,16 @@ func run() int {
 	// deferred cache Close still releases the mapped traces.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+
+	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		return fail("%v", err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil && code == 0 {
+			code = fail("%v", err)
+		}
+	}()
 
 	registry := vdtn.NewExperimentRegistry()
 	var loaded []vdtn.Experiment

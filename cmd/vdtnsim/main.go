@@ -13,6 +13,7 @@
 //	vdtnsim -record-contacts run.contactsb         # capture the contact trace
 //	vdtnsim -replay-contacts run.contactsb -ttl 90 # re-run it, bit-identically
 //	vdtnsim -contacts-info run.contactsb           # inspect a recorded trace
+//	vdtnsim -policy lifetime -cpuprofile cpu.out   # profile with runtime/pprof
 //
 // -record-contacts records the trace from mobility alone, then runs the
 // scenario replaying it; the printed metrics equal a live run's, as do
@@ -36,6 +37,7 @@ import (
 	"syscall"
 
 	"vdtn"
+	"vdtn/internal/profiling"
 	"vdtn/internal/reports"
 	"vdtn/internal/scenario"
 	"vdtn/internal/stats"
@@ -69,6 +71,8 @@ func main() {
 		traceFile = flag.String("trace", "", "write the full event trace as TSV to this file")
 		analyze   = flag.Bool("analyze", false, "print offline trace analysis (contacts, paths, fates)")
 		verbose   = flag.Bool("v", false, "also print scenario parameters")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
 	flag.Parse()
 
@@ -248,8 +252,12 @@ func main() {
 	// its next event-loop checkpoint and the partial event trace (if any)
 	// is still flushed before the non-zero exit.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	stopProfiles, err := profiling.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
+		os.Exit(1)
+	}
 	var recording *vdtn.ContactRecording
-	var err error
 	if *recordTo != "" {
 		// The contacts-only pass produces the trace, and the run replays
 		// it: bit-identical to a live run, without simulating mobility
@@ -263,6 +271,9 @@ func main() {
 		result, err = vdtn.RunContext(ctx, cfg)
 	}
 	stopSignals()
+	if perr := stopProfiles(); perr != nil && err == nil {
+		err = perr
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 		if errors.Is(err, context.Canceled) {

@@ -3,13 +3,23 @@
 // dropping policy (internal/core) and whose contents are handed to
 // scheduling policies at contact opportunities.
 //
-// The store keeps replicas in insertion order and indexes them by message
-// id; all iteration orders are deterministic so that simulation runs are
+// The store keeps replicas in insertion order and holds no map: message
+// ids are minted densely from 1, so membership is a bitset indexed by id
+// (bundle.IDSet), and the rarer lookups by id scan the buffer. Every
+// insertion also gets an increasing insertion number, which lets a caller
+// holding its own view of the buffer (a router's sorted send order) pick
+// up exactly the replicas added since it last looked, and tell a replica
+// removed and re-added from the one it saw before. A lower bound on the
+// stored deadlines makes Expire free while nothing can have expired. All
+// iteration orders are deterministic so that simulation runs are
 // reproducible bit-for-bit.
 package buffer
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
@@ -21,8 +31,12 @@ import (
 type Store struct {
 	capacity units.Bytes
 	used     units.Bytes
-	byID     map[bundle.ID]int // id -> index into order
 	order    []*bundle.Message // insertion order, nil-free
+	seqs     []uint64          // seqs[i] is order[i]'s insertion number, increasing
+	ids      bundle.IDSet      // the ids in order
+	live     []uint64          // bitset over insertion numbers: those in seqs
+	lastSeq  uint64            // insertion number of the latest Add
+	deadline float64           // lower bound on every stored ExpiresAt
 	onExpire func(now float64, dead []*bundle.Message)
 }
 
@@ -38,10 +52,7 @@ func NewStore(capacity units.Bytes) *Store {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: non-positive capacity %d", capacity))
 	}
-	return &Store{
-		capacity: capacity,
-		byID:     make(map[bundle.ID]int),
-	}
+	return &Store{capacity: capacity, deadline: math.Inf(1)}
 }
 
 // Capacity returns the configured capacity in bytes.
@@ -62,18 +73,45 @@ func (s *Store) Occupancy() float64 {
 }
 
 // Has reports whether a replica of id is stored.
-func (s *Store) Has(id bundle.ID) bool {
-	_, ok := s.byID[id]
-	return ok
-}
+func (s *Store) Has(id bundle.ID) bool { return s.ids.Has(id) }
 
 // Get returns the stored replica of id, if any.
 func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
-	i, ok := s.byID[id]
-	if !ok {
+	i := s.index(id)
+	if i < 0 {
 		return nil, false
 	}
 	return s.order[i], true
+}
+
+// Stored reports whether the replica stored under insertion number seq
+// is still held. Numbers start at 1 and grow with every Add, so a replica
+// removed and stored again holds a new one.
+func (s *Store) Stored(seq uint64) bool {
+	w := seq / 64
+	return w < uint64(len(s.live)) && s.live[w]&(1<<(seq%64)) != 0
+}
+
+// LastSeq returns the insertion number of the latest Add, 0 before any.
+func (s *Store) LastSeq() uint64 { return s.lastSeq }
+
+// AddedSince returns the replicas stored with an insertion number above
+// seq, in insertion order, with their numbers. Both slices alias the
+// store and are valid only until its next change.
+func (s *Store) AddedSince(seq uint64) ([]*bundle.Message, []uint64) {
+	i := len(s.seqs)
+	for i > 0 && s.seqs[i-1] > seq {
+		i--
+	}
+	return s.order[i:], s.seqs[i:]
+}
+
+// index returns id's position in insertion order, or -1 if absent.
+func (s *Store) index(id bundle.ID) int {
+	if !s.ids.Has(id) {
+		return -1
+	}
+	return slices.IndexFunc(s.order, func(m *bundle.Message) bool { return m.ID == id })
 }
 
 // Messages returns the stored replicas in insertion order. The slice is
@@ -111,16 +149,23 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 		}
 		evicted = append(evicted, s.removeAt(v))
 	}
-	s.byID[m.ID] = len(s.order)
+	s.ids.Add(m.ID)
 	s.order = append(s.order, m)
+	s.lastSeq++
+	s.seqs = append(s.seqs, s.lastSeq)
+	if s.lastSeq/64 == uint64(len(s.live)) {
+		s.live = append(s.live, 0)
+	}
+	s.live[s.lastSeq/64] |= 1 << (s.lastSeq % 64)
 	s.used += m.Size
+	s.deadline = min(s.deadline, m.ExpiresAt())
 	return evicted, true
 }
 
 // Remove deletes and returns the replica of id, or nil if absent.
 func (s *Store) Remove(id bundle.ID) *bundle.Message {
-	i, ok := s.byID[id]
-	if !ok {
+	i := s.index(id)
+	if i < 0 {
 		return nil
 	}
 	return s.removeAt(i)
@@ -132,23 +177,29 @@ func (s *Store) removeAt(i int) *bundle.Message {
 	copy(s.order[i:], s.order[i+1:])
 	s.order[len(s.order)-1] = nil
 	s.order = s.order[:len(s.order)-1]
-	delete(s.byID, m.ID)
-	for j := i; j < len(s.order); j++ {
-		s.byID[s.order[j].ID] = j
-	}
+	s.live[s.seqs[i]/64] &^= 1 << (s.seqs[i] % 64)
+	s.seqs = append(s.seqs[:i], s.seqs[i+1:]...)
+	s.ids.Remove(m.ID)
 	s.used -= m.Size
 	return m
 }
 
 // Expire removes and returns every replica whose TTL has run out at now,
 // in insertion order. The simulator calls this from its periodic sweep and
-// before policy decisions, so policies never see dead messages.
+// before policy decisions, so policies never see dead messages. While now
+// is below the earliest stored deadline nothing can have expired, and
+// Expire returns at once; otherwise it scans and tightens the bound.
 func (s *Store) Expire(now float64) []*bundle.Message {
+	if now < s.deadline {
+		return nil
+	}
 	var dead []*bundle.Message
+	s.deadline = math.Inf(1)
 	for i := 0; i < len(s.order); {
-		if s.order[i].Expired(now) {
+		if m := s.order[i]; m.Expired(now) {
 			dead = append(dead, s.removeAt(i))
 		} else {
+			s.deadline = min(s.deadline, m.ExpiresAt())
 			i++
 		}
 	}
@@ -161,17 +212,34 @@ func (s *Store) Expire(now float64) []*bundle.Message {
 // check panics if internal invariants are violated; used by tests.
 func (s *Store) check() {
 	var used units.Bytes
+	deadline := math.Inf(1)
 	for i, m := range s.order {
 		used += m.Size
-		if j, ok := s.byID[m.ID]; !ok || j != i {
-			panic(fmt.Sprintf("buffer: index desync for %v: byID=%d, order=%d", m.ID, j, i))
+		deadline = min(deadline, m.ExpiresAt())
+		if j := s.index(m.ID); j != i {
+			panic(fmt.Sprintf("buffer: index desync for %v: found at %d, stored at %d", m.ID, j, i))
 		}
+		if s.seqs[i] == 0 || s.seqs[i] > s.lastSeq || (i > 0 && s.seqs[i] <= s.seqs[i-1]) {
+			panic(fmt.Sprintf("buffer: insertion numbers out of order at %d: %v", i, s.seqs))
+		}
+	}
+	live := 0
+	for _, w := range s.live {
+		live += bits.OnesCount64(w)
+	}
+	for _, seq := range s.seqs {
+		if !s.Stored(seq) {
+			live = -1
+		}
+	}
+	if s.ids.Len() != len(s.order) || len(s.seqs) != len(s.order) || live != len(s.order) {
+		panic("buffer: id set, live numbers and slice length differ")
 	}
 	if used != s.used {
 		panic(fmt.Sprintf("buffer: used accounting drifted: %d != %d", used, s.used))
 	}
-	if len(s.byID) != len(s.order) {
-		panic("buffer: map and slice length differ")
+	if s.deadline > deadline {
+		panic(fmt.Sprintf("buffer: deadline bound %v above earliest deadline %v", s.deadline, deadline))
 	}
 	if s.used > s.capacity {
 		panic("buffer: capacity exceeded")

@@ -1,6 +1,8 @@
 package buffer
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,41 +204,158 @@ func withReceived(m *bundle.Message, at float64) *bundle.Message {
 }
 
 // Property: whatever sequence of adds/removes/expiries happens, the buffer
-// never exceeds capacity and its internal accounting stays consistent.
+// never exceeds capacity and its internal accounting stays consistent: the
+// dense id index, the insertion numbers and the deadline bound (check), and
+// membership against a model. Ids include 0 and sparse large values,
+// removed replicas are stored again under the same pointer, and some
+// expiries land exactly on a stored deadline.
 func TestPropertyCapacityInvariant(t *testing.T) {
 	if err := quick.Check(func(seed uint64, opsRaw uint8) bool {
 		rng := xrand.New(seed)
 		ops := int(opsRaw)%200 + 20
 		s := NewStore(units.MB(10))
 		now := 0.0
-		nextID := bundle.ID(1)
+		nextID := bundle.ID(0)
+		var removed []*bundle.Message
+		seqs := map[*bundle.Message]uint64{} // model: stored replica -> insertion number
+		seen := uint64(0)
 		policies := []core.DropPolicy{core.FIFODrop{}, core.LifetimeASCDrop{}, nil}
+		var gone []uint64 // insertion numbers of removed replicas
+		forget := func(dead []*bundle.Message) {
+			for _, m := range dead {
+				gone = append(gone, seqs[m])
+				delete(seqs, m)
+				removed = append(removed, m)
+			}
+		}
 		for i := 0; i < ops; i++ {
 			now += rng.Float64() * 60
-			switch rng.IntN(4) {
-			case 0, 1: // add
+			var stored *bundle.Message
+			switch rng.IntN(6) {
+			case 0, 1: // add a fresh message, now and then under a sparse large id
+				id := nextID
+				nextID++
+				if rng.IntN(5) == 0 {
+					id = bundle.ID(1<<16 + rng.IntN(1<<16))
+				}
 				size := units.Bytes(rng.UniformInt(100_000, 4_000_000))
 				ttl := 60 + rng.Float64()*10000
-				m := bundle.New(nextID, 0, 1, size, now, ttl)
-				nextID++
-				s.Add(now, m, policies[rng.IntN(len(policies))])
-			case 2: // remove random known id
+				stored = bundle.New(id, 0, 1, size, now, ttl)
+			case 2: // store a removed replica again, same pointer
+				if len(removed) > 0 {
+					stored = removed[rng.IntN(len(removed))]
+				}
+			case 3: // remove random known id
 				if s.Len() > 0 {
 					victim := s.Messages()[rng.IntN(s.Len())]
-					s.Remove(victim.ID)
+					forget([]*bundle.Message{s.Remove(victim.ID)})
 				}
-			case 3: // expire
-				s.Expire(now)
+			case 4: // expire
+				forget(s.Expire(now))
+			case 5: // expire exactly at a stored deadline
+				if s.Len() > 0 {
+					m := s.Messages()[rng.IntN(s.Len())]
+					now = max(now, m.ExpiresAt())
+					dead := s.Expire(now)
+					if m.ExpiresAt() == now && !slices.Contains(dead, m) {
+						return false
+					}
+					forget(dead)
+				}
 			}
-			if s.Used() > s.Capacity() {
+			if stored != nil && !s.Has(stored.ID) {
+				evicted, ok := s.Add(now, stored, policies[rng.IntN(len(policies))])
+				forget(evicted)
+				if ok {
+					seqs[stored] = s.LastSeq()
+					removed = slices.DeleteFunc(removed, func(m *bundle.Message) bool { return m == stored })
+				}
+			}
+			if s.Used() > s.Capacity() || s.Len() != len(seqs) {
 				return false
 			}
+			for m, seq := range seqs {
+				if got, ok := s.Get(m.ID); !ok || got != m || !s.Stored(seq) {
+					return false
+				}
+			}
+			for _, seq := range gone {
+				if s.Stored(seq) {
+					return false
+				}
+			}
+			added, addedSeqs := s.AddedSince(seen)
+			for j, m := range added {
+				if seqs[m] != addedSeqs[j] || addedSeqs[j] <= seen {
+					return false
+				}
+			}
+			for m, seq := range seqs {
+				if seq > seen && !slices.Contains(added, m) {
+					return false
+				}
+			}
+			seen = s.LastSeq()
 			s.check()
 		}
 		return true
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestNegativeIDPanics(t *testing.T) {
+	s := NewStore(units.MB(1))
+	if s.Has(-1) || s.Remove(-1) != nil {
+		t.Fatal("negative id reported stored")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("storing a negative id did not panic")
+		}
+	}()
+	s.Add(0, msg(-1, units.KB(1), 0, 60), nil)
+}
+
+// A replica removed and stored again under the same pointer gets a new
+// insertion number, so a caller tracking numbers sees it as new.
+func TestReAddGetsNewSeq(t *testing.T) {
+	s := NewStore(units.MB(10))
+	m := msg(0, units.MB(1), 0, 3600)
+	s.Add(0, m, nil)
+	s.Add(0, msg(1, units.MB(1), 0, 3600), nil)
+	first := s.LastSeq() - 1
+	s.Remove(0)
+	if s.Stored(first) || !s.Stored(first+1) {
+		t.Fatal("Stored wrong after Remove")
+	}
+	s.Add(1, m, nil)
+	if s.Stored(first) || !s.Stored(s.LastSeq()) {
+		t.Fatalf("re-added replica still under %d, or not under %d", first, s.LastSeq())
+	}
+	if added, _ := s.AddedSince(first); len(added) != 2 || added[1] != m {
+		t.Fatalf("AddedSince(%d) = %v", first, added)
+	}
+	s.check()
+}
+
+// Expire skips its scan while now is below every deadline, and tightens
+// the bound when it does scan.
+func TestExpireDeadlineBound(t *testing.T) {
+	s := NewStore(units.MB(10))
+	s.Add(0, msg(1, units.MB(1), 0, 500), nil)
+	s.Add(0, msg(2, units.MB(1), 0, 100), nil)
+	if s.deadline != 100 {
+		t.Fatalf("bound %v, want 100", s.deadline)
+	}
+	s.Remove(2) // the bound stays a lower bound
+	if dead := s.Expire(100); len(dead) != 0 || s.deadline != 500 {
+		t.Fatalf("Expire(100) = %v, bound %v; want nothing and 500", dead, s.deadline)
+	}
+	if dead := s.Expire(500); len(dead) != 1 || !math.IsInf(s.deadline, 1) {
+		t.Fatalf("Expire(500) = %v, bound %v", dead, s.deadline)
+	}
+	s.check()
 }
 
 // Property: Add either stores the message or leaves the store unchanged

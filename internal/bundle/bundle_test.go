@@ -141,3 +141,32 @@ func TestFactorySequence(t *testing.T) {
 		t.Fatalf("Minted = %d", f.Minted())
 	}
 }
+
+func TestIDSet(t *testing.T) {
+	var s IDSet
+	ids := []ID{0, 63, 64, 1000}
+	for _, id := range ids {
+		if s.Has(id) || !s.Add(id) || s.Add(id) || !s.Has(id) {
+			t.Fatalf("adding %v to %v went wrong", id, s.words)
+		}
+	}
+	for _, id := range []ID{1, 62, 65, 999, 1001, 1 << 20} {
+		if s.Has(id) {
+			t.Fatalf("%v reported present", id)
+		}
+	}
+	s.Remove(64)
+	s.Remove(65) // absent: no-op
+	if s.Has(64) || !s.Has(63) || s.Len() != 3 {
+		t.Fatalf("after Remove(64): Has(64)=%v Has(63)=%v Len=%d", s.Has(64), s.Has(63), s.Len())
+	}
+	if s.Has(-1) || s.Has(-64) {
+		t.Fatal("negative id reported present")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adding a negative id did not panic")
+		}
+	}()
+	s.Add(-1)
+}

@@ -1,0 +1,46 @@
+package bundle
+
+import "fmt"
+
+// IDSet is a set of message ids kept as a bitset indexed by id. Factory
+// mints ids densely from 1, so the set takes one bit per id minted up to
+// the largest it holds, and membership is one load and a mask. The zero
+// value is an empty set. Adding a negative id panics; it is never a member.
+type IDSet struct {
+	words []uint64
+	n     int
+}
+
+// Has reports whether id is in the set.
+func (s *IDSet) Has(id ID) bool {
+	w := uint64(id) / 64 // a negative id lands far past the end
+	return w < uint64(len(s.words)) && s.words[w]&(1<<(uint64(id)%64)) != 0
+}
+
+// Add inserts id and reports whether it was absent.
+func (s *IDSet) Add(id ID) bool {
+	if id < 0 {
+		panic(fmt.Sprintf("bundle: negative message id %d", id))
+	}
+	if s.Has(id) {
+		return false
+	}
+	w := int(id / 64)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
+	}
+	s.words[w] |= 1 << (id % 64)
+	s.n++
+	return true
+}
+
+// Remove deletes id if present.
+func (s *IDSet) Remove(id ID) {
+	if s.Has(id) {
+		s.words[id/64] &^= 1 << (id % 64)
+		s.n--
+	}
+}
+
+// Len returns the number of ids in the set.
+func (s *IDSet) Len() int { return s.n }

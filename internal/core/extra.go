@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sort"
-
-	"vdtn/internal/bundle"
-)
+import "vdtn/internal/bundle"
 
 // This file extends the paper's Table I with the other scheduling and
 // dropping policies discussed in the DTN buffer-management literature the
@@ -21,13 +17,11 @@ type SizeASCSchedule struct{}
 func (SizeASCSchedule) Name() string { return "SizeASC" }
 
 // Order implements SchedulingPolicy.
-func (SizeASCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].Size != msgs[j].Size {
-			return msgs[i].Size < msgs[j].Size
-		}
-		return msgs[i].ID < msgs[j].ID
-	})
+func (s SizeASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(now, msgs, s.Compare) }
+
+// Compare implements SchedulingPolicy: smaller first.
+func (SizeASCSchedule) Compare(now float64, a, b *bundle.Message) int {
+	return byKey(a.Size, b.Size, a, b)
 }
 
 // HopCountASCSchedule transmits the least-travelled messages first — a
@@ -39,13 +33,13 @@ type HopCountASCSchedule struct{}
 func (HopCountASCSchedule) Name() string { return "HopASC" }
 
 // Order implements SchedulingPolicy.
-func (HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].HopCount != msgs[j].HopCount {
-			return msgs[i].HopCount < msgs[j].HopCount
-		}
-		return msgs[i].ID < msgs[j].ID
-	})
+func (s HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) {
+	sortBy(now, msgs, s.Compare)
+}
+
+// Compare implements SchedulingPolicy: fewer hops first.
+func (HopCountASCSchedule) Compare(now float64, a, b *bundle.Message) int {
+	return byKey(a.HopCount, b.HopCount, a, b)
 }
 
 // MOFODrop ("Most Forwarded First") evicts the replica this node has

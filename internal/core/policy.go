@@ -13,7 +13,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/xrand"
@@ -23,9 +24,36 @@ import (
 // opportunity. Order sorts msgs in place into transmission order (first
 // element transmitted first). Implementations must be deterministic given
 // their inputs (the Random policy draws from an injected stream).
+//
+// Compare is the side-effect-free order behind Order: negative when a goes
+// before b at now. It must be a total order on distinct message ids (ties
+// broken by id), so the order of a set of messages does not depend on the
+// order they arrive in. Routers keep their buffer sorted by Compare and
+// hand Order input that is already in Compare order; a deterministic
+// Order then returns it untouched. A policy whose Order draws from a
+// stream (Random) returns the order it shuffles from.
 type SchedulingPolicy interface {
 	Name() string
 	Order(now float64, msgs []*bundle.Message)
+	Compare(now float64, a, b *bundle.Message) int
+}
+
+// sortBy sorts msgs by cmp at now, stably. Input already in order, the
+// common case when a router passes its pre-sorted view, is left untouched
+// after one linear check.
+func sortBy(now float64, msgs []*bundle.Message, cmp func(now float64, a, b *bundle.Message) int) {
+	c := func(a, b *bundle.Message) int { return cmp(now, a, b) }
+	if !slices.IsSortedFunc(msgs, c) {
+		slices.SortStableFunc(msgs, c)
+	}
+}
+
+// byKey orders by ka against kb, then by message id.
+func byKey[K cmp.Ordered](ka, kb K, a, b *bundle.Message) int {
+	if c := cmp.Compare(ka, kb); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // DropPolicy selects buffer-overflow victims. Victim returns the index into
@@ -57,13 +85,11 @@ type FIFOSchedule struct{}
 func (FIFOSchedule) Name() string { return "FIFO" }
 
 // Order implements SchedulingPolicy.
-func (FIFOSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].ReceivedAt != msgs[j].ReceivedAt {
-			return msgs[i].ReceivedAt < msgs[j].ReceivedAt
-		}
-		return msgs[i].ID < msgs[j].ID // deterministic tie-break
-	})
+func (s FIFOSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(now, msgs, s.Compare) }
+
+// Compare implements SchedulingPolicy: earlier buffer arrival first.
+func (FIFOSchedule) Compare(now float64, a, b *bundle.Message) int {
+	return byKey(a.ReceivedAt, b.ReceivedAt, a, b)
 }
 
 // RandomSchedule transmits messages in uniformly random order, the paper's
@@ -88,6 +114,12 @@ func (r RandomSchedule) Order(now float64, msgs []*bundle.Message) {
 	r.Rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 }
 
+// Compare implements SchedulingPolicy with the FIFO order Order shuffles
+// from; it draws nothing.
+func (RandomSchedule) Compare(now float64, a, b *bundle.Message) int {
+	return FIFOSchedule{}.Compare(now, a, b)
+}
+
 // LifetimeDESCSchedule transmits messages with the longest remaining TTL
 // first. Exchanged messages therefore have long remaining lifetimes, which
 // raises their chance of being relayed further before expiring — the
@@ -98,14 +130,15 @@ type LifetimeDESCSchedule struct{}
 func (LifetimeDESCSchedule) Name() string { return "LifetimeDESC" }
 
 // Order implements SchedulingPolicy.
-func (LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool {
-		ri, rj := msgs[i].RemainingTTL(now), msgs[j].RemainingTTL(now)
-		if ri != rj {
-			return ri > rj
-		}
-		return msgs[i].ID < msgs[j].ID
-	})
+func (s LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) {
+	sortBy(now, msgs, s.Compare)
+}
+
+// Compare implements SchedulingPolicy: more remaining TTL at now first.
+// It compares RemainingTTL(now), not the deadlines, because two distinct
+// deadlines can round to the same remaining lifetime.
+func (LifetimeDESCSchedule) Compare(now float64, a, b *bundle.Message) int {
+	return byKey(b.RemainingTTL(now), a.RemainingTTL(now), a, b)
 }
 
 // --- Dropping policies ---------------------------------------------------

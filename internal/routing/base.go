@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"slices"
+
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
@@ -17,9 +19,7 @@ type base struct {
 	queues queueSet
 }
 
-func newBase(drop core.DropPolicy) base {
-	return base{drop: drop, queues: newQueueSet()}
-}
+func newBase(drop core.DropPolicy) base { return base{drop: drop} }
 
 // Attach implements Router.
 func (b *base) Attach(self int, buf *buffer.Store) {
@@ -82,10 +82,26 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 // scheduling policy orders each send queue, the dropping policy evicts,
 // and the protocol supplies only its relay rule — whether a replica that
 // is not destined to p should go to p.
+//
+// The router keeps its buffer in schedule order (sorted), so a Refresh
+// filters an already ordered view instead of copying and sorting the
+// buffer per peer. Each entry carries the insertion number the store gave
+// the replica: an entry whose number the store no longer holds is gone,
+// and replicas numbered above seen are new.
 type policyRouter struct {
 	base
 	schedule core.SchedulingPolicy
 	relay    func(m *bundle.Message, p Peer) bool
+
+	sorted     []viewEntry
+	seen       uint64            // the store's LastSeq when sorted was last synced
+	deliv, rel []*bundle.Message // Refresh's reused group buffers
+}
+
+// viewEntry is one buffered replica in the sorted view.
+type viewEntry struct {
+	m   *bundle.Message
+	seq uint64
 }
 
 func newPolicyRouter(name string, pol core.Policy, relay func(*bundle.Message, Peer) bool) policyRouter {
@@ -105,8 +121,10 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 // order.
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
-	var deliverable, rest []*bundle.Message
-	for _, m := range r.buf.Messages() {
+	r.sync(now)
+	deliverable, rest := r.deliv[:0], r.rel[:0]
+	for _, e := range r.sorted {
+		m := e.m
 		switch {
 		case p.HasDelivered(m.ID):
 			continue
@@ -116,9 +134,40 @@ func (r *policyRouter) Refresh(now float64, p Peer) {
 			rest = append(rest, m)
 		}
 	}
+	// Both groups arrive in Compare order, so a deterministic Order
+	// leaves them as they are; Random still shuffles each, drawing
+	// exactly as it would from any other input order.
 	r.schedule.Order(now, deliverable)
 	r.schedule.Order(now, rest)
-	r.queues.set(p.ID(), append(deliverable, rest...))
+	r.queues.set(p.ID(), deliverable, rest)
+	r.deliv, r.rel = deliverable, rest
+}
+
+// sync brings the sorted view up to date with the buffer at now: it drops
+// replicas the buffer no longer holds under the same insertion number,
+// then inserts those stored since the last sync at their Compare place.
+func (r *policyRouter) sync(now float64) {
+	kept := r.sorted[:0]
+	for _, e := range r.sorted {
+		if r.buf.Stored(e.seq) {
+			kept = append(kept, e)
+		}
+	}
+	clear(r.sorted[len(kept):])
+	cmp := func(a, b viewEntry) int { return r.schedule.Compare(now, a.m, b.m) }
+	// A view sorted at an earlier time falls out of order only when two
+	// remaining lifetimes round to one value at now.
+	if !slices.IsSortedFunc(kept, cmp) {
+		slices.SortFunc(kept, cmp)
+	}
+	msgs, seqs := r.buf.AddedSince(r.seen)
+	for i, m := range msgs {
+		e := viewEntry{m, seqs[i]}
+		at, _ := slices.BinarySearchFunc(kept, e, cmp)
+		kept = slices.Insert(kept, at, e)
+	}
+	r.seen = r.buf.LastSeq()
+	r.sorted = kept
 }
 
 // NextSend implements Router.

@@ -32,6 +32,8 @@
 package routing
 
 import (
+	"slices"
+
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 )
@@ -101,40 +103,70 @@ type Router interface {
 	AddMessage(now float64, m *bundle.Message) (accepted bool, evicted []*bundle.Message)
 }
 
-// queueSet tracks per-peer send queues between ContactUp and ContactDown.
-// Queues hold buffered replicas in transmission order; entries are
-// revalidated at pop time because buffer contents change while queued
-// (TTL expiry, evictions, copies delivered elsewhere).
-type queueSet struct {
-	queues map[int][]*bundle.Message
+// queueSet tracks per-peer send queues between ContactUp and ContactDown,
+// indexed by peer id (node ids are dense). Queues hold buffered replicas
+// in transmission order; entries are revalidated at pop time because
+// buffer contents change while queued (TTL expiry, evictions, copies
+// delivered elsewhere).
+type queueSet []sendQueue
+
+// sendQueue is one peer's queue: msgs[head:] are still to be offered. A
+// rebuild reuses msgs' storage; ContactDown releases it.
+type sendQueue struct {
+	msgs []*bundle.Message
+	head int
 }
 
-func newQueueSet() queueSet {
-	return queueSet{queues: make(map[int][]*bundle.Message)}
+// at returns peer's queue, growing the set to hold it.
+func (q *queueSet) at(peer int) *sendQueue {
+	if peer >= len(*q) {
+		*q = append(*q, make([]sendQueue, peer+1-len(*q))...)
+	}
+	return &(*q)[peer]
 }
 
-func (q *queueSet) set(peer int, msgs []*bundle.Message) { q.queues[peer] = msgs }
+// set replaces peer's queue with the concatenation of groups.
+func (q *queueSet) set(peer int, groups ...[]*bundle.Message) {
+	sq := q.at(peer)
+	clear(sq.msgs)
+	sq.msgs, sq.head = sq.msgs[:0], 0
+	for _, g := range groups {
+		sq.msgs = append(sq.msgs, g...)
+	}
+}
 
-func (q *queueSet) drop(peer int) { delete(q.queues, peer) }
+func (q *queueSet) drop(peer int) {
+	if peer < len(*q) {
+		(*q)[peer] = sendQueue{}
+	}
+}
 
 // pop returns the first queued message satisfying valid, discarding
 // entries that fail it. Returns nil when the queue is exhausted.
 func (q *queueSet) pop(peer int, valid func(*bundle.Message) bool) *bundle.Message {
-	queue := q.queues[peer]
-	for len(queue) > 0 {
-		m := queue[0]
-		queue = queue[1:]
+	if peer >= len(*q) {
+		return nil
+	}
+	sq := &(*q)[peer]
+	for sq.head < len(sq.msgs) {
+		m := sq.msgs[sq.head]
+		sq.head++
 		if valid(m) {
-			q.queues[peer] = queue
 			return m
 		}
 	}
-	q.queues[peer] = queue
 	return nil
 }
 
 // push re-queues a message at the front (used after an aborted transfer so
-// the replica is retried first if the contact resumes).
+// the replica is retried first if the contact resumes). It reuses the slot
+// of the entry popped last when there is one.
 func (q *queueSet) push(peer int, m *bundle.Message) {
-	q.queues[peer] = append([]*bundle.Message{m}, q.queues[peer]...)
+	sq := q.at(peer)
+	if sq.head > 0 {
+		sq.head--
+		sq.msgs[sq.head] = m
+		return
+	}
+	sq.msgs = slices.Insert(sq.msgs, 0, m)
 }

@@ -65,7 +65,7 @@ func drain(r Router, now float64, p Peer) []bundle.ID {
 // --- queueSet ------------------------------------------------------------
 
 func TestQueueSetPopValidates(t *testing.T) {
-	q := newQueueSet()
+	var q queueSet
 	a := msgTo(1, 0, 9, 0, 60)
 	b := msgTo(2, 0, 9, 0, 60)
 	c := msgTo(3, 0, 9, 0, 60)
@@ -84,7 +84,7 @@ func TestQueueSetPopValidates(t *testing.T) {
 }
 
 func TestQueueSetPushFront(t *testing.T) {
-	q := newQueueSet()
+	var q queueSet
 	a := msgTo(1, 0, 9, 0, 60)
 	b := msgTo(2, 0, 9, 0, 60)
 	q.set(7, []*bundle.Message{a})

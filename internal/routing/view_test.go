@@ -1,0 +1,160 @@
+package routing
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"vdtn/internal/buffer"
+	"vdtn/internal/bundle"
+	"vdtn/internal/core"
+	"vdtn/internal/units"
+	"vdtn/internal/xrand"
+)
+
+// TestPropertySortedViewMatchesBuffer drives a policy router through
+// random AddMessage, Receive, OnSent, Expire, same-pointer re-add and
+// Refresh steps under all five schedules. After every step the router's
+// sorted view, synced at that step's time, must equal a fresh stable sort
+// of buf.Messages() by the schedule's Compare; and every Refresh must
+// build exactly the queue the copy-filter-sort Refresh built, leaving a
+// Random schedule's stream where that Refresh left it.
+func TestPropertySortedViewMatchesBuffer(t *testing.T) {
+	schedules := []func(*xrand.Rand) core.SchedulingPolicy{
+		func(*xrand.Rand) core.SchedulingPolicy { return core.FIFOSchedule{} },
+		func(r *xrand.Rand) core.SchedulingPolicy { return core.RandomSchedule{Rng: r} },
+		func(*xrand.Rand) core.SchedulingPolicy { return core.LifetimeDESCSchedule{} },
+		func(*xrand.Rand) core.SchedulingPolicy { return core.SizeASCSchedule{} },
+		func(*xrand.Rand) core.SchedulingPolicy { return core.HopCountASCSchedule{} },
+	}
+	for _, mkSchedule := range schedules {
+		for seed := uint64(1); seed <= 12; seed++ {
+			name := fmt.Sprintf("%s/seed%d", mkSchedule(nil).Name(), seed)
+			t.Run(name, func(t *testing.T) { driveView(t, seed, mkSchedule) })
+		}
+	}
+}
+
+func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.SchedulingPolicy) {
+	rng := xrand.New(seed)
+	polRng := xrand.New(seed + 1000)
+	schedule := mkSchedule(polRng)
+	pol := core.Policy{Schedule: schedule, Drop: core.LifetimeASCDrop{}}
+	var r *policyRouter
+	var router Router
+	if seed%2 == 0 {
+		e := NewEpidemic(pol)
+		r, router = &e.policyRouter, e
+	} else {
+		s := NewSprayAndWait(pol, 6, true)
+		r, router = &s.policyRouter, s
+	}
+	buf := buffer.NewStore(units.MB(8)) // small enough to evict
+	router.Attach(0, buf)
+	peers := []*fakePeer{newPeer(1, nil), newPeer(2, nil), newPeer(3, nil)}
+
+	now := 0.0
+	nextID := bundle.ID(1)
+	fresh := func() *bundle.Message {
+		m := bundle.New(nextID, 0, 1+rng.IntN(4), units.Bytes(rng.UniformInt(200_000, 2_000_000)),
+			now-rng.Float64()*600, 60+rng.Float64()*3000)
+		nextID++
+		return m
+	}
+	buffered := func() *bundle.Message {
+		msgs := buf.Messages()
+		if len(msgs) == 0 {
+			return nil
+		}
+		return msgs[rng.IntN(len(msgs))]
+	}
+	for step := 0; step < 250; step++ {
+		now += rng.Float64() * 30
+		p := peers[rng.IntN(len(peers))]
+		op := rng.IntN(6)
+		switch op {
+		case 0: // a burst of local messages between two syncs
+			for k := rng.IntN(3) + 1; k > 0; k-- {
+				router.AddMessage(now, fresh())
+			}
+		case 1: // a relayed replica
+			m := fresh()
+			m.HopCount = rng.IntN(4)
+			wire := m.ForwardTo(0, now)
+			wire.Copies = 1 + rng.IntN(4)
+			router.Receive(now, wire, p)
+		case 2: // a finished transfer
+			if m := buffered(); m != nil {
+				delivered := m.To == p.id
+				if delivered {
+					p.delivered[m.ID] = true
+				} else if rng.IntN(2) == 0 {
+					p.buf.Add(now, m.ForwardTo(p.id, now), nil)
+				}
+				router.OnSent(now, p, &Send{Msg: m, TransferCopies: m.Copies / 2}, delivered)
+			}
+		case 3:
+			buf.Expire(now)
+		case 4: // the same pointer removed and stored again
+			if m := buffered(); m != nil {
+				buf.Remove(m.ID)
+				router.AddMessage(now, m)
+			}
+		case 5:
+			state := *polRng
+			router.Refresh(now, p)
+			want, after := oldRefresh(now, buf, r.relay, p, mkSchedule, state)
+			sq := r.queues.at(p.id)
+			if got := sq.msgs[sq.head:]; !slices.Equal(got, want) {
+				t.Fatalf("step %d: Refresh queued %v, copy-filter-sort Refresh %v", step, msgIDs(got), msgIDs(want))
+			}
+			if after != *polRng {
+				t.Fatalf("step %d: Refresh drew differently from copy-filter-sort Refresh", step)
+			}
+		}
+
+		r.sync(now)
+		want := buf.Messages()
+		slices.SortStableFunc(want, func(a, b *bundle.Message) int { return schedule.Compare(now, a, b) })
+		got := make([]*bundle.Message, len(r.sorted))
+		for i, e := range r.sorted {
+			got[i] = e.m
+			if !buf.Stored(e.seq) {
+				t.Fatalf("step %d (op %d): view entry %v under %d, which the buffer no longer holds", step, op, e.m.ID, e.seq)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d (op %d): view %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
+		}
+	}
+}
+
+// oldRefresh is Refresh as it was before the sorted view: copy the buffer,
+// filter in insertion order, sort each group with Order. It runs the
+// schedule on a copy of the stream state the real Refresh started from
+// and returns the queue and the state it ends in.
+func oldRefresh(now float64, buf *buffer.Store, relay func(*bundle.Message, Peer) bool, p Peer,
+	mkSchedule func(*xrand.Rand) core.SchedulingPolicy, state xrand.Rand) ([]*bundle.Message, xrand.Rand) {
+	var deliverable, rest []*bundle.Message
+	for _, m := range buf.Messages() {
+		switch {
+		case p.HasDelivered(m.ID):
+		case m.To == p.ID():
+			deliverable = append(deliverable, m)
+		case relay(m, p):
+			rest = append(rest, m)
+		}
+	}
+	s := mkSchedule(&state)
+	s.Order(now, deliverable)
+	s.Order(now, rest)
+	return append(deliverable, rest...), state
+}
+
+func msgIDs(msgs []*bundle.Message) []bundle.ID {
+	out := make([]bundle.ID, len(msgs))
+	for i, m := range msgs {
+		out[i] = m.ID
+	}
+	return out
+}

@@ -61,6 +61,18 @@ type submitEnvelope struct {
 	Options Options         `json:"options"`
 }
 
+// decodeSubmitBody splits a POST /v1/jobs body into the spec and the run
+// options: an envelope with a non-empty "spec" gives both, and anything
+// else is a bare spec with default options. It never fails; whether the
+// spec is a valid sweep is for Submit to decide.
+func decodeSubmitBody(body []byte) (spec []byte, opts Options) {
+	var env submitEnvelope
+	if err := json.Unmarshal(body, &env); err == nil && len(env.Spec) > 0 {
+		return env.Spec, env.Options
+	}
+	return body, Options{}
+}
+
 func submitJob(m *Manager, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
 	if err != nil {
@@ -71,13 +83,7 @@ func submitJob(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Errorf("service: spec body over %d bytes", maxSpecBytes))
 		return
 	}
-	spec := body
-	var opts Options
-	var env submitEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && len(env.Spec) > 0 {
-		spec, opts = env.Spec, env.Options
-	}
-	meta, err := m.Submit(spec, opts)
+	meta, err := m.Submit(decodeSubmitBody(body))
 	if err != nil {
 		writeErrorStatus(w, http.StatusBadRequest, err)
 		return

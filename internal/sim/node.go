@@ -64,9 +64,9 @@ type Node struct {
 	buf    *buffer.Store
 	router routing.Router
 
-	// delivered records message ids this node received as destination,
-	// with the delivery time; the node refuses duplicates forever after.
-	delivered map[bundle.ID]float64
+	// delivered is the set of message ids this node received as
+	// destination; the node refuses duplicates forever after.
+	delivered bundle.IDSet
 }
 
 func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing.Router) *Node {
@@ -75,7 +75,6 @@ func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing
 		kind:         kind,
 		buf:          buf,
 		router:       r,
-		delivered:    make(map[bundle.ID]float64),
 	}
 	r.Attach(id, buf)
 	return n
@@ -92,17 +91,11 @@ func (n *Node) Buffer() *buffer.Store { return n.buf }
 
 // DeliveredCount returns how many distinct messages this node has received
 // as their destination.
-func (n *Node) DeliveredCount() int { return len(n.delivered) }
+func (n *Node) DeliveredCount() int { return n.delivered.Len() }
 
 // markDelivered records the first arrival of id; it reports whether this
 // was indeed the first.
-func (n *Node) markDelivered(id bundle.ID, now float64) bool {
-	if _, dup := n.delivered[id]; dup {
-		return false
-	}
-	n.delivered[id] = now
-	return true
-}
+func (n *Node) markDelivered(id bundle.ID) bool { return n.delivered.Add(id) }
 
 // peerView adapts a Node into the routing.Peer a remote router sees.
 type peerView struct {
@@ -116,10 +109,7 @@ func (p peerView) ID() int { return p.n.id }
 func (p peerView) Has(id bundle.ID) bool { return p.n.buf.Has(id) }
 
 // HasDelivered implements routing.Peer.
-func (p peerView) HasDelivered(id bundle.ID) bool {
-	_, ok := p.n.delivered[id]
-	return ok
-}
+func (p peerView) HasDelivered(id bundle.ID) bool { return p.n.delivered.Has(id) }
 
 // Router implements routing.Peer.
 func (p peerView) Router() routing.Router { return p.n.router }

@@ -454,7 +454,7 @@ func (w *World) completeTransfer(now float64, from, to *Node, send *routing.Send
 	w.emit(trace.Event{Time: now, Kind: trace.TransferComplete, A: from.id, B: to.id, Msg: wire.ID})
 	delivered := wire.To == to.id
 	if delivered {
-		first := to.markDelivered(wire.ID, now)
+		first := to.markDelivered(wire.ID)
 		if w.counted(wire) {
 			w.ledger.MsgDelivered(now-wire.Created, wire.HopCount, first)
 		}
