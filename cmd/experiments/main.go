@@ -47,10 +47,11 @@
 // JSONL stream: the stream is validated against the sweep, completed
 // cells are kept without re-simulating, a torn trailing line from a hard
 // kill is cut, and only the missing cells run — the finished file is
-// byte-identical to an uninterrupted run's. A stream from a different
-// sweep (spec, seeds, or scale) is refused rather than overwritten; a
-// missing or header-less file simply starts fresh, so -resume is safe to
-// pass unconditionally when re-running a sweep.
+// byte-identical to an uninterrupted run's. A complete stream is left
+// untouched (its cells still render the tables). A stream from a
+// different sweep (spec, seeds, or scale) is refused rather than
+// overwritten; a missing or header-less file simply starts fresh, so
+// -resume is safe to pass unconditionally when re-running a sweep.
 //
 // -contact-cache records each distinct (scenario, seed) mobility process
 // once and replays it for every series and x cell that shares it —
@@ -72,7 +73,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"vdtn"
+	"vdtn/internal/experiments"
 	"vdtn/internal/profiling"
 )
 
@@ -282,47 +283,6 @@ func run() (code int) {
 	return 0
 }
 
-// openResume prepares an interrupted run's JSONL stream for resumption:
-// it validates the stream against the sweep, truncates it after the last
-// complete cell line (cutting the torn tail a kill -9 leaves, and the
-// footer — which is rewritten after the appended cells), and returns the
-// validated prefix plus the file positioned for appending. A missing
-// file, or one whose header never reached the disk, is nothing to resume:
-// (nil, nil, nil), and the caller starts the stream over. A stream that
-// does not match the sweep (different spec, seeds, or scale) is an error,
-// never silently overwritten.
-func openResume(path string, e vdtn.Experiment, opt vdtn.ExperimentOptions) (*vdtn.ExperimentSweepPrefix, *os.File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	prefix, err := vdtn.ReadExperimentJSONLPrefix(data, e, opt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("resuming %s: %w", path, err)
-	}
-	if prefix.Offset == 0 {
-		return nil, nil, nil
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := f.Truncate(prefix.Offset); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(prefix.Offset, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	fmt.Fprintf(os.Stderr, "experiments: resuming %s: reusing %d completed cells, appending at byte offset %d\n",
-		path, len(prefix.Cells), prefix.Offset)
-	return prefix, f, nil
-}
-
 // runOne executes one experiment through the Runner and renders whatever
 // its results support. On cancellation it still renders the partial
 // table and flushes partial artifacts (marked incomplete), reporting
@@ -335,28 +295,33 @@ func runOne(ctx context.Context, e vdtn.Experiment, opt vdtn.ExperimentOptions, 
 	if outJSONL != "" {
 		path := filepath.Join(outJSONL, e.ID+".jsonl")
 		var f *os.File
+		var err error
 		if resume {
-			var err error
-			resumeFrom, f, err = openResume(path, e, opt)
+			// A complete stream comes back with a nil file: its cells are
+			// re-delivered to the tables through ResumeFrom, and its bytes
+			// stay untouched.
+			resumeFrom, f, err = experiments.OpenResume(path, e, opt)
 			if err != nil {
-				return fail("%v", err), false
+				return fail("resuming %s: %v", path, err), false
 			}
-		}
-		if f == nil {
-			// Fresh run (or -resume with nothing usable on disk — a missing
-			// file, or one whose header never flushed): start the stream over.
-			var err error
+			if resumeFrom != nil {
+				fmt.Fprintf(os.Stderr, "experiments: resuming %s: reusing %d completed cells\n",
+					path, len(resumeFrom.Cells))
+			}
+		} else {
 			f, err = os.Create(path)
 			if err != nil {
 				return fail("%v", err), false
 			}
 		}
-		defer func() {
-			if cerr := f.Close(); cerr != nil && code == 0 {
-				code = fail("closing %s: %v", path, cerr)
-			}
-		}()
-		sinks = append(sinks, vdtn.NewExperimentJSONLSinkResume(f, resumeFrom))
+		if f != nil {
+			defer func() {
+				if cerr := f.Close(); cerr != nil && code == 0 {
+					code = fail("closing %s: %v", path, cerr)
+				}
+			}()
+			sinks = append(sinks, vdtn.NewExperimentJSONLSinkResume(f, resumeFrom))
+		}
 	}
 
 	// The live counter is created per sweep so a resumed run's ETA only

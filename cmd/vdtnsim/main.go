@@ -15,9 +15,10 @@
 //	vdtnsim -contacts-info run.contactsb           # inspect a recorded trace
 //	vdtnsim -policy lifetime -cpuprofile cpu.out   # profile with runtime/pprof
 //
-// -record-contacts records the trace from mobility alone, then runs the
-// scenario replaying it; the printed metrics equal a live run's, as do
-// those of a later -replay-contacts run with the same scenario flags.
+// -record-contacts records the trace from mobility alone, encodes it once,
+// then runs the scenario replaying a view of those bytes and writes them
+// out; the printed metrics equal a live run's, as do those of a later
+// -replay-contacts run with the same scenario flags.
 // Contact traces are written in the integrity-checked binary codec (magic
 // + CRC32; see internal/wireless/FORMAT.md) and read back through a
 // read-only memory-mapped view, validated once at open. A trace damaged
@@ -257,13 +258,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 		os.Exit(1)
 	}
-	var recording *vdtn.ContactRecording
+	var recorded []byte
 	if *recordTo != "" {
-		// The contacts-only pass produces the trace, and the run replays
-		// it: bit-identical to a live run, without simulating mobility
-		// twice.
-		if recording, err = vdtn.RecordContactsContext(ctx, cfg); err == nil {
-			cfg.ReplaySource = recording
+		// The contacts-only pass produces the trace, encoded once: the run
+		// replays a view of those bytes — bit-identical to a live run,
+		// without simulating mobility twice — and they are what is written.
+		var rec *vdtn.ContactRecording
+		if rec, err = vdtn.RecordContactsContext(ctx, cfg); err == nil {
+			recorded = vdtn.EncodeContactRecordingBinary(rec)
+			cfg.ReplaySource, err = vdtn.NewContactRecordingView(recorded)
 		}
 	}
 	var result vdtn.Result
@@ -315,12 +318,11 @@ func main() {
 		fmt.Printf("\ntrace written to %s\n", traceOut.Name())
 	}
 	if *recordTo != "" {
-		data := vdtn.EncodeContactRecordingBinary(recording)
-		if err := os.WriteFile(*recordTo, data, 0o644); err != nil {
+		if err := os.WriteFile(*recordTo, recorded, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("contact trace (%d transitions, %d bytes) written to %s\n",
-			len(recording.Transitions), len(data), *recordTo)
+			cfg.ReplaySource.Len(), len(recorded), *recordTo)
 	}
 }

@@ -63,10 +63,11 @@ type CacheEvent struct {
 // sweep's recording passes). With Dir set, recordings are additionally
 // persisted on disk in a sharded layout (see traceStore: 2-level fan-out
 // directories, each file's mtime its last-use stamp) and served on later
-// runs as read-only memory-mapped wireless.RecordingView values: the
-// transition stream stays in the kernel page cache — one physical copy
-// shared by every concurrent sweep process — and each replaying cell pays
-// only a cursor. A damaged file (truncation at any byte, bit rot, torn
+// runs as read-only memory-mapped views, so the transition stream stays in
+// the kernel page cache — one physical copy shared by every concurrent
+// sweep process. Every trace is served as a wireless.RecordingView (a miss
+// serves a view of the bytes it just encoded), and each replaying cell
+// pays only a cursor. A damaged file (truncation at any byte, bit rot, torn
 // copy) is detected, reported through Warn, and re-recorded — never
 // silently replayed.
 type ContactCache struct {
@@ -94,11 +95,11 @@ type ContactCache struct {
 	warned  map[string]bool
 }
 
-// cacheEntry is one fingerprint's memoization slot: an opened view for a
-// disk hit, the in-memory recording for a miss.
+// cacheEntry is one fingerprint's memoization slot: a view of the mapped
+// file for a disk hit, a view of the freshly encoded bytes for a miss.
 type cacheEntry struct {
 	once sync.Once
-	src  wireless.ReplaySource
+	view *wireless.RecordingView
 	err  error
 }
 
@@ -130,12 +131,11 @@ func (cc *ContactCache) store() *traceStore {
 	return cc.disk
 }
 
-// Source returns a replay source for cfg's contact process, recording it
-// on first use: with Dir set, a shared read-only mmap view of the
-// persisted trace when one is usable, otherwise the in-memory recording
-// (persisted on the way when Dir is set). The returned source is shared
-// and must be treated as immutable.
-func (cc *ContactCache) Source(cfg sim.Config) (wireless.ReplaySource, error) {
+// Source returns a view of cfg's contact process, recording it on first
+// use: with Dir set, a shared read-only mmap view of the persisted trace
+// when one is usable, otherwise a view of the recording's binary encoding
+// (persisted on the way when Dir is set). The returned view is shared.
+func (cc *ContactCache) Source(cfg sim.Config) (*wireless.RecordingView, error) {
 	return cc.sourceWith(context.Background(), cfg, nil)
 }
 
@@ -146,7 +146,7 @@ func (cc *ContactCache) Source(cfg sim.Config) (wireless.ReplaySource, error) {
 // hit memory, opened the persisted trace, or ran the recording pass. Only
 // the single-flight winner observes the disk or recording event; callers
 // that waited behind it (or arrived later) observe a memory hit.
-func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
+func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (*wireless.RecordingView, error) {
 	if !cacheable(cfg) {
 		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan or replay scenario")
 	}
@@ -163,7 +163,7 @@ func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note fun
 				e.err = fmt.Errorf("experiments: recording %s panicked: %v", key, r)
 			}
 		}()
-		e.src, e.err = cc.load(ctx, key, cfg, note)
+		e.view, e.err = cc.load(ctx, key, cfg, note)
 	})
 	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 		// Cancellation is a property of this call's context, not of the
@@ -179,14 +179,14 @@ func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note fun
 	if !ran && note != nil && e.err == nil {
 		note(CacheEvent{Kind: CacheHit, Fingerprint: key})
 	}
-	return e.src, e.err
+	return e.view, e.err
 }
 
 // load fills one cache entry: an opened view of the persisted trace if
-// usable, else the contacts-only recording pass — persisted when Dir is
-// set, and served from memory rather than re-read from the file it just
-// wrote.
-func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, note func(CacheEvent)) (wireless.ReplaySource, error) {
+// usable, else the contacts-only recording pass, encoded once — those
+// bytes are persisted when Dir is set and served through a view rather
+// than re-read from the file they were written to.
+func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, note func(CacheEvent)) (*wireless.RecordingView, error) {
 	st := cc.store()
 	start := time.Now()
 	if st != nil {
@@ -210,12 +210,13 @@ func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, no
 	cc.mu.Lock()
 	cc.records++
 	cc.mu.Unlock()
+	data := wireless.EncodeBinary(rec)
 	if st != nil {
 		// Persistence is an optimization: a full disk must not fail a run
 		// that already holds a valid recording, so errors are swallowed.
-		st.put(key, wireless.EncodeBinary(rec))
+		st.put(key, data)
 	}
-	return rec, nil
+	return wireless.NewRecordingView(data)
 }
 
 // openView maps and verifies the persisted trace for key and stamps its
@@ -382,14 +383,15 @@ func (cc *ContactCache) GC() (removed int, freed int64, err error) {
 	return st.gc(cc.MaxBytes, keep)
 }
 
-// Close releases every mmap-backed view the cache opened. The cache must
-// not serve replays after Close (live cursors would read unmapped pages).
+// Close closes every view the cache served, releasing the file mappings.
+// The cache must not serve replays after Close (live cursors would read
+// unmapped pages).
 func (cc *ContactCache) Close() error {
 	cc.mu.Lock()
 	var views []*wireless.RecordingView
 	for _, e := range cc.entries {
-		if v, ok := e.src.(*wireless.RecordingView); ok {
-			views = append(views, v)
+		if e.view != nil {
+			views = append(views, e.view)
 		}
 	}
 	cc.mu.Unlock()

@@ -51,22 +51,15 @@ func cacheExperiment() Experiment {
 	}
 }
 
-// traceOf serves cfg through cc.Source and returns the served source plus
-// the trace in slice form, whichever shape the cache served it in.
-func traceOf(t *testing.T, cc *ContactCache, cfg sim.Config) (wireless.ReplaySource, *wireless.Recording) {
+// traceOf serves cfg through cc.Source and returns the served view plus
+// the trace in slice form.
+func traceOf(t *testing.T, cc *ContactCache, cfg sim.Config) (*wireless.RecordingView, *wireless.Recording) {
 	t.Helper()
-	src, err := cc.Source(cfg)
+	v, err := cc.Source(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	switch s := src.(type) {
-	case *wireless.Recording:
-		return src, s
-	case *wireless.RecordingView:
-		return src, s.Materialize()
-	}
-	t.Fatalf("Source returned %T", src)
-	return nil, nil
+	return v, v.Materialize()
 }
 
 // TestCachedRunMatchesUncached is the harness-level equivalence guarantee:
@@ -173,18 +166,17 @@ func TestCacheRaceUnderWorkerPool(t *testing.T) {
 	}
 }
 
-// TestCacheDiskPersistence: a miss is served from memory, and a second
-// cache pointed at the same directory serves the trace from disk — as an
-// mmap view — without re-recording, holding exactly the recorded trace.
+// TestCacheDiskPersistence: a miss is served as a view of the bytes it
+// encoded, not of the file it wrote, and a second cache pointed at the
+// same directory serves the trace from disk — as an mmap view — without
+// re-recording, holding exactly the recorded trace.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
 
 	first := &ContactCache{Dir: dir}
-	src, rec := traceOf(t, first, cfg)
-	if _, ok := src.(*wireless.Recording); !ok {
-		t.Fatalf("miss served %T, want the in-memory *wireless.Recording", src)
-	}
+	missView, rec := traceOf(t, first, cfg)
+	defer first.Close()
 	if first.Recorded() != 1 {
 		t.Fatalf("first cache ran %d recordings, want 1", first.Recorded())
 	}
@@ -198,10 +190,7 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 
 	second := &ContactCache{Dir: dir}
-	src, loaded := traceOf(t, second, cfg)
-	if _, ok := src.(*wireless.RecordingView); !ok {
-		t.Fatalf("disk hit served %T, want *wireless.RecordingView", src)
-	}
+	_, loaded := traceOf(t, second, cfg)
 	if err := second.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +212,11 @@ func TestCacheDiskPersistence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Transitions, refreshed.Transitions) {
 		t.Fatal("re-recorded trace differs from the original")
+	}
+	// The miss's view reads its own bytes: rewriting the file it
+	// persisted leaves it intact.
+	if !reflect.DeepEqual(missView.Materialize(), rec) {
+		t.Fatal("miss view changed when its persisted file was overwritten")
 	}
 }
 
@@ -528,7 +522,10 @@ func TestCacheRejectsPlanScenarios(t *testing.T) {
 		t.Fatal("cache accepted a contact-plan scenario")
 	}
 	cfg.Plan = nil
-	cfg.ReplaySource = &wireless.Recording{}
+	cfg.ReplaySource, err = wireless.NewRecordingView(wireless.EncodeBinary(&wireless.Recording{ScanInterval: cfg.ScanInterval, Duration: cfg.Duration}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := (&ContactCache{}).Source(cfg); err == nil {
 		t.Fatal("cache accepted a replay scenario")
 	}

@@ -391,9 +391,9 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 	// The fingerprint is taken after the axis settings are applied, so
 	// sweeps that move mobility inputs (fleet size, map) key their cells
 	// correctly and only contact-identical cells share a trace. Source
-	// hands back either the shared in-memory recording or, for a trace
-	// persisted by an earlier run, a zero-copy mmap view every cell (and
-	// process) replays from the page cache.
+	// hands back the trace's shared view: of the bytes a recording pass
+	// just encoded or, for a trace persisted by an earlier run, of the
+	// mapped file every cell (and process) replays from the page cache.
 	if opt.ContactCache != nil && cacheable(cfg) {
 		src, rerr := opt.ContactCache.sourceWith(ctx, cfg, note)
 		if rerr != nil {

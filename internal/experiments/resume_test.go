@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // fullJSONLStream runs exp to completion into a fresh JSONL stream and
@@ -422,5 +426,88 @@ func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 	}
 	if probe.Recorded() != 0 {
 		t.Fatalf("shared store lost %d traces to the concurrent writers", probe.Recorded())
+	}
+}
+
+// TestOpenResume pins the one resume opener the CLI and the daemon share:
+// a missing or header-less file is created fresh, a partial stream is cut
+// at its prefix's Offset and positioned to append, a complete stream comes
+// back with a nil file and untouched bytes, and a foreign stream is an
+// error.
+func TestOpenResume(t *testing.T) {
+	exp := tinyExperiment()
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	data := fullJSONLStream(t, exp, opt)
+	ends := lineEnds(data)
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+
+	open := func(content []byte) (*SweepPrefix, *os.File) {
+		t.Helper()
+		if content != nil {
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, f, err := OpenResume(path, exp, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f != nil {
+			t.Cleanup(func() { f.Close() })
+		}
+		return p, f
+	}
+	fileBytes := func() string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	// Missing and header-less files start over.
+	for name, content := range map[string][]byte{"missing": nil, "header-less": data[:ends[0]-1]} {
+		os.Remove(path)
+		if p, f := open(content); p != nil || f == nil || fileBytes() != "" {
+			t.Fatalf("%s: prefix %v, file %v, bytes %q; want a fresh empty file", name, p, f, fileBytes())
+		}
+	}
+
+	// A partial stream with a torn tail is cut at Offset, positioned there.
+	p, f := open(data[:ends[2]+5])
+	if f == nil || p == nil || len(p.Cells) != 2 || p.Offset != int64(ends[2]) {
+		t.Fatalf("partial: prefix %+v, file %v", p, f)
+	}
+	if pos, err := f.Seek(0, io.SeekCurrent); err != nil || pos != p.Offset {
+		t.Fatalf("partial: positioned at %d (%v), want %d", pos, err, p.Offset)
+	}
+	if fileBytes() != string(data[:ends[2]]) {
+		t.Fatal("partial: file not truncated at the prefix")
+	}
+
+	// A complete stream is final: nil file, bytes and mtime unchanged.
+	stamp := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(path, stamp, stamp); err != nil {
+		t.Fatal(err)
+	}
+	p, f = open(nil)
+	if f != nil || p == nil || !p.Complete || len(p.Cells) != len(ends)-2 {
+		t.Fatalf("complete: prefix %+v, file %v; want the full prefix and no file", p, f)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.ModTime().Equal(stamp) || fileBytes() != string(data) {
+		t.Fatal("complete: the stream was rewritten")
+	}
+
+	// A foreign stream is refused and left alone.
+	foreign := Options{Seeds: []uint64{9}, Workers: 4, BaseConfig: tinyBase}
+	if _, _, err := OpenResume(path, exp, foreign); err == nil || !strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("foreign stream: err %v, want a refusal", err)
+	}
+	if fileBytes() != string(data) {
+		t.Fatal("foreign stream was modified")
 	}
 }

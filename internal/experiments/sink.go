@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
 
 	"vdtn/internal/scenario"
 	"vdtn/internal/sim"
@@ -455,4 +457,54 @@ func (t teeSink) Finish(runErr error) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// OpenResume opens the JSONL stream at path for a sweep that may pick up
+// an earlier attempt of exp under opt. It returns the validated prefix
+// (nil when there is nothing to resume) and the file to write, positioned
+// for appending:
+//
+//   - A missing file, or one whose header never reached the disk, is
+//     created fresh: (nil, f, nil).
+//   - A partial stream is truncated at the prefix's Offset — cutting a
+//     torn trailing line and any interruption footer — and f is
+//     positioned there.
+//   - A complete stream returns its prefix and a nil file: its bytes are
+//     final, and the file is never reopened.
+//   - A stream written for a different sweep is an error, never
+//     overwritten.
+//
+// Hand the prefix to Runner.ResumeFrom and f to NewJSONLSinkResume.
+func OpenResume(path string, exp Experiment, opt Options) (*SweepPrefix, *os.File, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, err
+	}
+	prefix, err := ReadJSONLPrefix(data, exp, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if prefix.Complete {
+		return prefix, nil, nil
+	}
+	if prefix.Offset == 0 {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		return nil, f, nil
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := f.Truncate(prefix.Offset); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	if _, err := f.Seek(prefix.Offset, io.SeekStart); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return prefix, f, nil
 }

@@ -297,19 +297,15 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	}
 
 	cfg := cacheConfig()
-	src, err := cache.Source(cfg)
+	view, err := cache.Source(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	view, ok := src.(*wireless.RecordingView)
-	if !ok {
-		t.Fatalf("Source returned %T, want *wireless.RecordingView", src)
 	}
 	again, err := cache.Source(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != src {
+	if again != view {
 		t.Fatal("Source returned a second view for one fingerprint")
 	}
 	// The view decodes to exactly the trace the recording pass produces.
@@ -318,10 +314,11 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	}
 }
 
-// TestCacheMmapFallsBack: Source degrades gracefully — no Dir means the
-// in-memory recording; a scenario-mismatched persisted trace is rejected
-// (closing the view on the failure path), warned about once, re-recorded,
-// and served from memory without re-reading the file it just wrote.
+// TestCacheMmapFallsBack: Source degrades gracefully — no Dir means a
+// view of the recording's encoding; a scenario-mismatched persisted trace
+// is rejected (closing the view on the failure path), warned about once,
+// re-recorded, and served from memory without re-reading the file it just
+// wrote.
 func TestCacheMmapFallsBack(t *testing.T) {
 	memory := &ContactCache{}
 	cfg := cacheConfig()
@@ -329,8 +326,9 @@ func TestCacheMmapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*wireless.Recording); !ok {
-		t.Fatalf("dirless Source returned %T, want *wireless.Recording", src)
+	_, rec := seedTrace(t, cfg)
+	if !reflect.DeepEqual(src.Materialize(), rec) {
+		t.Fatal("dirless Source served a different trace than the recording pass")
 	}
 
 	// A persisted trace recorded at a different scan interval: guaranteed
@@ -358,8 +356,8 @@ func TestCacheMmapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*wireless.Recording); !ok {
-		t.Fatalf("Source after mismatch returned %T, want the re-recorded *wireless.Recording", src)
+	if !reflect.DeepEqual(src.Materialize(), rec) {
+		t.Fatal("Source after mismatch did not serve the re-recorded trace")
 	}
 	if got := src.Meta().ScanInterval; got != cfg.ScanInterval {
 		t.Fatalf("served trace has scan interval %v, want the re-recorded %v", got, cfg.ScanInterval)

@@ -1,7 +1,6 @@
 // Package mobility implements the movement models of the scenario: the
-// shortest-path map-based random-waypoint walk the paper's vehicles perform,
-// the stationary model of the relay nodes, and a free-space random waypoint
-// for synthetic tests.
+// shortest-path map-based random-waypoint walk the paper's vehicles perform
+// and the stationary model of the relay nodes.
 //
 // Models expose position analytically: Position(now) computes where the
 // node is at a given time from the active route leg, rather than mutating a
@@ -185,87 +184,4 @@ func (w *MapWalk) arrive(at float64) {
 	w.trips++
 	w.paused = true
 	w.pauseEnd = at + w.rng.UniformFloat(w.pauseLo, w.pauseHi)
-}
-
-// RandomWaypoint is a free-space random waypoint model inside a rectangle:
-// no roads, straight lines between uniform random points. It exists for
-// unit tests and for scenarios that want mobility without a map substrate.
-type RandomWaypoint struct {
-	rng              *xrand.Rand
-	area             geo.Rect
-	speedLo, speedHi float64
-	pauseLo, pauseHi float64
-
-	paused    bool
-	pos, dest geo.Point
-	pauseEnd  float64
-	legStart  float64
-	legLen    float64
-	speed     float64
-	lastQuery float64
-}
-
-// NewRandomWaypoint returns a free-space walk in area. Parameters follow
-// MapWalkConfig semantics.
-func NewRandomWaypoint(area geo.Rect, rng *xrand.Rand, cfg MapWalkConfig) *RandomWaypoint {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	w := &RandomWaypoint{
-		rng:     rng,
-		area:    area,
-		speedLo: cfg.SpeedLoMs,
-		speedHi: cfg.SpeedHiMs,
-		pauseLo: cfg.PauseLoS,
-		pauseHi: cfg.PauseHiS,
-		paused:  true,
-	}
-	w.pos = w.randomPoint()
-	w.pauseEnd = 0
-	return w
-}
-
-// StaticUntil mirrors MapWalk.StaticUntil for the free-space walk.
-func (w *RandomWaypoint) StaticUntil(now float64) float64 {
-	if w.paused {
-		return w.pauseEnd
-	}
-	return now
-}
-
-func (w *RandomWaypoint) randomPoint() geo.Point {
-	return geo.Point{
-		X: w.rng.UniformFloat(w.area.Min.X, w.area.Max.X),
-		Y: w.rng.UniformFloat(w.area.Min.Y, w.area.Max.Y),
-	}
-}
-
-// Position returns the position at time now; queries must be
-// non-decreasing in time.
-func (w *RandomWaypoint) Position(now float64) geo.Point {
-	if now < w.lastQuery-timeTolerance {
-		panic(fmt.Sprintf("mobility: time reversed from %v to %v", w.lastQuery, now))
-	}
-	w.lastQuery = now
-	for {
-		if w.paused {
-			if now < w.pauseEnd {
-				return w.pos
-			}
-			w.dest = w.randomPoint()
-			w.legLen = w.pos.Dist(w.dest)
-			w.speed = w.rng.UniformFloat(w.speedLo, w.speedHi)
-			w.legStart = w.pauseEnd
-			w.paused = false
-			continue
-		}
-		arrival := w.legStart + w.legLen/w.speed
-		if now < arrival {
-			t := w.speed * (now - w.legStart) / w.legLen
-			return w.pos.Lerp(w.dest, t)
-		}
-		w.pos = w.dest
-		w.paused = true
-		w.pauseEnd = arrival + w.rng.UniformFloat(w.pauseLo, w.pauseHi)
-	}
 }

@@ -186,57 +186,6 @@ func TestMapWalkInvalidMapPanics(t *testing.T) {
 	NewMapWalk(g, xrand.New(1), paperCfg())
 }
 
-func TestRandomWaypointStaysInArea(t *testing.T) {
-	area := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 1000, Y: 800})
-	w := NewRandomWaypoint(area, xrand.New(5), MapWalkConfig{
-		SpeedLoMs: 5, SpeedHiMs: 15, PauseLoS: 0, PauseHiS: 30,
-	})
-	for now := 0.0; now < 10000; now += 3 {
-		p := w.Position(now)
-		if !area.Contains(p) {
-			t.Fatalf("waypoint walker left area at t=%v: %v", now, p)
-		}
-	}
-}
-
-func TestRandomWaypointContinuity(t *testing.T) {
-	area := geo.NewRect(geo.Point{X: 0, Y: 0}, geo.Point{X: 500, Y: 500})
-	cfg := MapWalkConfig{SpeedLoMs: 5, SpeedHiMs: 10, PauseLoS: 5, PauseHiS: 10}
-	w := NewRandomWaypoint(area, xrand.New(9), cfg)
-	const dt = 0.5
-	prev := w.Position(0)
-	for now := dt; now < 5000; now += dt {
-		p := w.Position(now)
-		if step := prev.Dist(p); step > cfg.SpeedHiMs*dt+1e-6 {
-			t.Fatalf("discontinuity at t=%v: %v m in %v s", now, step, dt)
-		}
-		prev = p
-	}
-}
-
-func TestRandomWaypointTimeReversalPanics(t *testing.T) {
-	area := geo.NewRect(geo.Point{}, geo.Point{X: 100, Y: 100})
-	w := NewRandomWaypoint(area, xrand.New(1), MapWalkConfig{
-		SpeedLoMs: 1, SpeedHiMs: 2, PauseHiS: 1,
-	})
-	w.Position(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("time reversal did not panic")
-		}
-	}()
-	w.Position(1)
-}
-
-func BenchmarkMapWalkPosition(b *testing.B) {
-	g := roadmap.HelsinkiLike()
-	w := NewMapWalk(g, xrand.New(1), paperCfg())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Position(float64(i))
-	}
-}
-
 func TestStationaryStaticUntil(t *testing.T) {
 	s := Stationary{At: geo.Point{X: 1, Y: 2}}
 	if got := s.StaticUntil(42); !math.IsInf(got, 1) {
@@ -307,28 +256,6 @@ func TestMapWalkSparseQueriesBitIdentical(t *testing.T) {
 	if checked == 0 || dense.Trips() != sparse.Trips() {
 		t.Fatalf("checked=%d denseTrips=%d sparseTrips=%d",
 			checked, dense.Trips(), sparse.Trips())
-	}
-}
-
-// TestRandomWaypointSparseQueriesBitIdentical mirrors the MapWalk skip
-// property for the free-space model.
-func TestRandomWaypointSparseQueriesBitIdentical(t *testing.T) {
-	area := geo.Rect{Min: geo.Point{}, Max: geo.Point{X: 500, Y: 500}}
-	cfg := MapWalkConfig{SpeedLoMs: 2, SpeedHiMs: 5, PauseLoS: 10, PauseHiS: 60}
-	dense := NewRandomWaypoint(area, xrand.New(21), cfg)
-	sparse := NewRandomWaypoint(area, xrand.New(21), cfg)
-
-	skipUntil := -1.0
-	for now := 0.0; now <= 3600; now++ {
-		dp := dense.Position(now)
-		if now < skipUntil {
-			continue
-		}
-		sp := sparse.Position(now)
-		if sp != dp {
-			t.Fatalf("t=%v: sparse %v != dense %v", now, sp, dp)
-		}
-		skipUntil = sparse.StaticUntil(now)
 	}
 }
 

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -445,7 +443,7 @@ func (m *Manager) executeSweep(ctx context.Context, e *jobEntry, meta Meta) erro
 	}
 
 	path := m.store.ResultsPath(meta.ID)
-	prefix, f, err := openResume(path, exp, opt)
+	prefix, f, err := experiments.OpenResume(path, exp, opt)
 	if err != nil {
 		return err
 	}
@@ -488,48 +486,6 @@ func (m *Manager) executeSweep(ctx context.Context, e *jobEntry, meta Meta) erro
 		runErr = cerr
 	}
 	return runErr
-}
-
-// openResume opens the job's results stream positioned for this attempt:
-// fresh for a first run, truncated to the validated complete-cell prefix
-// for a resumed one. A complete stream (footer and all) returns a nil
-// file and is never reopened — its bytes are final. A stream that does
-// not match the sweep is an error — never silently overwritten — since
-// it means the durable spec and the durable stream disagree.
-func openResume(path string, exp experiments.Experiment, opt experiments.Options) (*experiments.SweepPrefix, *os.File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, err
-	}
-	if len(data) > 0 {
-		prefix, perr := experiments.ReadJSONLPrefix(data, exp, opt)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		if prefix.Complete {
-			return prefix, nil, nil
-		}
-		if prefix.Offset > 0 {
-			f, oerr := os.OpenFile(path, os.O_RDWR, 0o644)
-			if oerr != nil {
-				return nil, nil, oerr
-			}
-			if terr := f.Truncate(prefix.Offset); terr != nil {
-				f.Close()
-				return nil, nil, terr
-			}
-			if _, serr := f.Seek(prefix.Offset, io.SeekStart); serr != nil {
-				f.Close()
-				return nil, nil, serr
-			}
-			return prefix, f, nil
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, f, nil
 }
 
 // multiObserver fans the runner's (already serialized) observer calls

@@ -136,17 +136,18 @@ type Config struct {
 	Script []ScriptedMessage
 
 	// ReplaySource, when non-nil, drives the contact process from a
-	// recorded trace instead of mobility and proximity scanning: an
-	// in-memory *wireless.Recording (RecordContacts produces one from the
-	// scenario's mobility alone) or a zero-copy *wireless.RecordingView
-	// over a persisted .contactsb file. A replayed run is bit-identical to
-	// the live run (same Result, same trace events) but skips all
-	// position and proximity work. Views validate once at open and replay
-	// with no per-run trace allocation, so concurrent sweep cells (and
-	// concurrent processes, via the page cache) share one copy of the
-	// trace. The trace must match the scenario's scan interval and node
-	// count and cover its horizon. Mutually exclusive with Plan.
-	ReplaySource wireless.ReplaySource
+	// recorded trace instead of mobility and proximity scanning. The view
+	// is either NewRecordingView over the EncodeBinary bytes of a trace
+	// RecordContacts produced from the scenario's mobility alone, or
+	// OpenRecordingView over a persisted .contactsb file. A replayed run is
+	// bit-identical to the live run (same Result, same trace events) but
+	// skips all position and proximity work. The view validated its trace
+	// once at open, so a run checks only its fit and replays with no
+	// per-run trace allocation; concurrent sweep cells (and concurrent
+	// processes, via the page cache) share one copy of the trace. The
+	// trace must match the scenario's scan interval and node count and
+	// cover its horizon. Mutually exclusive with Plan.
+	ReplaySource *wireless.RecordingView
 
 	// Vehicles is the number of mobile nodes (ids 0..Vehicles-1).
 	Vehicles int

@@ -16,9 +16,10 @@ import (
 // process of a complete live run, because that process depends solely on
 // the per-node mobility streams (independent of the traffic and policy
 // streams) and the scan tick sequence, both of which New assembles the
-// same way. Replaying the returned recording via Config.ReplaySource
-// therefore yields the same Result as a live run at a fraction of the
-// cost — the contract the experiment harness's contact cache is built on.
+// same way. Replaying the returned recording — a RecordingView over its
+// EncodeBinary bytes, set as Config.ReplaySource — therefore yields the
+// same Result as a live run at a fraction of the cost: the contract the
+// experiment harness's contact cache is built on.
 func RecordContacts(cfg Config) (*wireless.Recording, error) {
 	return RecordContactsContext(context.Background(), cfg)
 }
@@ -56,23 +57,17 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 	return medium.TakeRecording(cfg.Duration), nil
 }
 
-// ReplaySourceCompatible reports whether src can drive cfg's contact
-// process: the trace must be structurally valid, recorded at cfg's scan
-// interval, cover at least cfg's horizon, and reference only nodes the
-// scenario has. Config.Validate applies it in replay mode; the experiment
-// harness's contact cache applies it to persisted traces before serving
-// them, so a stale or misfiled cache entry re-records instead of failing
-// every cell that touches it. An in-memory *Recording is structurally
-// validated here (it may hold anything); a wireless.RecordingView proved
-// its structure when it was opened, so only the scenario-fit checks run —
-// which is what makes view-driven replay allocation-free per cell.
-func ReplaySourceCompatible(cfg Config, src wireless.ReplaySource) error {
-	if rec, ok := src.(*wireless.Recording); ok {
-		if err := rec.Validate(); err != nil {
-			return err
-		}
-	}
-	meta := src.Meta()
+// ReplaySourceCompatible reports whether v can drive cfg's contact
+// process: the trace must be recorded at cfg's scan interval, cover at
+// least cfg's horizon, and reference only nodes the scenario has.
+// Config.Validate applies it in replay mode; the experiment harness's
+// contact cache applies it to persisted traces before serving them, so a
+// stale or misfiled cache entry re-records instead of failing every cell
+// that touches it. The view proved the trace's structure when it opened,
+// so no replay validates a trace again — which is what makes replay
+// allocation-free per cell.
+func ReplaySourceCompatible(cfg Config, v *wireless.RecordingView) error {
+	meta := v.Meta()
 	if meta.ScanInterval != cfg.ScanInterval {
 		return fmt.Errorf("sim: recording scan interval %v, scenario %v", meta.ScanInterval, cfg.ScanInterval)
 	}
@@ -82,9 +77,9 @@ func ReplaySourceCompatible(cfg Config, src wireless.ReplaySource) error {
 	if cfg.Duration > meta.Duration {
 		return fmt.Errorf("sim: run duration %v exceeds the recording's %v", cfg.Duration, meta.Duration)
 	}
-	if src.MaxNode() >= cfg.Vehicles+cfg.Relays {
+	if v.MaxNode() >= cfg.Vehicles+cfg.Relays {
 		return fmt.Errorf("sim: recording references node %d, scenario has %d nodes",
-			src.MaxNode(), cfg.Vehicles+cfg.Relays)
+			v.MaxNode(), cfg.Vehicles+cfg.Relays)
 	}
 	return nil
 }

@@ -60,8 +60,9 @@ func runTraced(t *testing.T, cfg Config) (Result, []trace.Event) {
 
 // TestReplayEquivalence is the record/replay cache's headline guarantee:
 // for every protocol × policy pair, a run replaying the trace
-// RecordContacts produced — the path the contact cache takes — is
-// bit-identical, full Result and full event trace, to the live run.
+// RecordContacts produced through an mmap-backed view — the path a sweep
+// takes against a persisted contact cache — is bit-identical, full Result
+// and full event trace, to the live run.
 func TestReplayEquivalence(t *testing.T) {
 	protocols, policies := protoPolicyPairs()
 	for _, proto := range protocols {
@@ -82,7 +83,7 @@ func TestReplayEquivalence(t *testing.T) {
 				}
 
 				repCfg := base
-				repCfg.ReplaySource = rec
+				repCfg.ReplaySource = openViewOf(t, rec)
 				repRes, repEvents := runTraced(t, repCfg)
 				if liveRes != repRes {
 					t.Fatalf("replay diverged from live run:\nlive:   %+v\nreplay: %+v", liveRes, repRes)
@@ -151,11 +152,12 @@ func TestReplayAcrossProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := viewOf(t, rec)
 	var contacts uint64
 	for i, proto := range []ProtocolKind{ProtoEpidemic, ProtoMaxProp, ProtoPRoPHET} {
 		c := cfg
 		c.Protocol = proto
-		c.ReplaySource = rec
+		c.ReplaySource = view
 		live := cfg
 		live.Protocol = proto
 		liveRes, liveEvents := runTraced(t, live)
@@ -172,24 +174,25 @@ func TestReplayAcrossProtocols(t *testing.T) {
 }
 
 // TestRecordingFormatRoundTripsThroughReplay: a recording that has been
-// persisted and read back drives the same replay as the original.
+// persisted and mapped back drives the same replay as a view of its
+// freshly encoded bytes.
 func TestRecordingFormatRoundTripsThroughReplay(t *testing.T) {
 	cfg := replayConfig(11)
 	rec, err := RecordContacts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed := openViewOf(t, rec).Materialize()
-	if !reflect.DeepEqual(rec, parsed) {
+	persisted := openViewOf(t, rec)
+	if !reflect.DeepEqual(rec, persisted.Materialize()) {
 		t.Fatal("recording changed across EncodeBinary/OpenRecordingView")
 	}
 
-	cfg.ReplaySource = parsed
-	resParsed, _ := runTraced(t, cfg)
-	cfg.ReplaySource = rec
-	resOrig, _ := runTraced(t, cfg)
-	if resParsed != resOrig {
-		t.Fatal("parsed recording replayed differently from the original")
+	cfg.ReplaySource = persisted
+	resPersisted, _ := runTraced(t, cfg)
+	cfg.ReplaySource = viewOf(t, rec)
+	resFresh, _ := runTraced(t, cfg)
+	if resPersisted != resFresh {
+		t.Fatal("persisted recording replayed differently from the fresh one")
 	}
 }
 
@@ -238,7 +241,7 @@ func TestReplayPrefixEquivalence(t *testing.T) {
 	short.Duration = long.Duration / 2
 	liveRes, liveEvents := runTraced(t, short)
 
-	short.ReplaySource = rec
+	short.ReplaySource = viewOf(t, rec)
 	repRes, repEvents := runTraced(t, short)
 	if liveRes != repRes || !reflect.DeepEqual(liveEvents, repEvents) {
 		t.Fatalf("prefix replay diverged from the short live run:\nlive:   %+v\nreplay: %+v", liveRes, repRes)
@@ -255,22 +258,23 @@ func TestReplayConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	view := viewOf(t, rec)
 	cases := map[string]func(*Config){
 		"replay with plan": func(c *Config) {
-			c.ReplaySource = rec
+			c.ReplaySource = view
 			c.Plan = plan
 		},
 		"replay scan mismatch": func(c *Config) {
-			c.ReplaySource = rec
+			c.ReplaySource = view
 			c.ScanInterval = rec.ScanInterval * 2
 		},
 		"replay node overflow": func(c *Config) {
-			c.ReplaySource = rec
+			c.ReplaySource = view
 			c.Vehicles = 2
 			c.Relays = 0
 		},
 		"replay beyond recording horizon": func(c *Config) {
-			c.ReplaySource = rec
+			c.ReplaySource = view
 			c.Duration = rec.Duration * 2
 		},
 	}
@@ -283,7 +287,7 @@ func TestReplayConfigValidation(t *testing.T) {
 	}
 
 	ok := replayConfig(1)
-	ok.ReplaySource = rec
+	ok.ReplaySource = view
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid replay config rejected: %v", err)
 	}

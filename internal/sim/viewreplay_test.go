@@ -38,18 +38,29 @@ func openViewOf(t *testing.T, rec *wireless.Recording) *wireless.RecordingView {
 	return v
 }
 
-// TestViewReplayEquivalence extends the PR 1 equivalence suite to the
-// zero-copy path: for every protocol × policy pair, a run replaying from
-// an mmap-backed RecordingView is bit-identical — full Result and full
-// event trace — to the run replaying the materialized in-memory recording
-// of the same trace.
+// viewOf opens a heap-backed view over rec's encoding — the path a contact
+// cache miss and vdtnsim -record-contacts take.
+func viewOf(t *testing.T, rec *wireless.Recording) *wireless.RecordingView {
+	t.Helper()
+	v, err := wireless.NewRecordingView(wireless.EncodeBinary(rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestViewReplayEquivalence: a contact cache serves a trace through a view
+// of the bytes it just encoded on a miss and through a view of the mapped
+// file on a hit. For every protocol × policy pair the two runs are
+// bit-identical — full Result and full event trace — so a sweep's first
+// run and its cached reruns fill the same cells.
 func TestViewReplayEquivalence(t *testing.T) {
 	base := replayConfig(7)
 	rec, err := RecordContacts(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := openViewOf(t, rec)
+	fresh, mapped := viewOf(t, rec), openViewOf(t, rec)
 
 	protocols, policies := protoPolicyPairs()
 	for _, proto := range protocols {
@@ -59,24 +70,24 @@ func TestViewReplayEquivalence(t *testing.T) {
 				cfg.Protocol = proto
 				cfg.Policy = pol
 
-				memCfg := cfg
-				memCfg.ReplaySource = rec
-				memRes, memEvents := runTraced(t, memCfg)
+				freshCfg := cfg
+				freshCfg.ReplaySource = fresh
+				freshRes, freshEvents := runTraced(t, freshCfg)
 
-				viewCfg := cfg
-				viewCfg.ReplaySource = view
-				viewRes, viewEvents := runTraced(t, viewCfg)
+				mappedCfg := cfg
+				mappedCfg.ReplaySource = mapped
+				mappedRes, mappedEvents := runTraced(t, mappedCfg)
 
-				if memRes != viewRes {
-					t.Fatalf("view replay diverged from in-memory replay:\nmemory: %+v\nview:   %+v", memRes, viewRes)
+				if freshRes != mappedRes {
+					t.Fatalf("mapped replay diverged from fresh replay:\nfresh:  %+v\nmapped: %+v", freshRes, mappedRes)
 				}
-				if !reflect.DeepEqual(memEvents, viewEvents) {
-					for i := range memEvents {
-						if i >= len(viewEvents) || memEvents[i] != viewEvents[i] {
-							t.Fatalf("event %d diverged: memory %+v, view %+v", i, memEvents[i], eventAt(viewEvents, i))
+				if !reflect.DeepEqual(freshEvents, mappedEvents) {
+					for i := range freshEvents {
+						if i >= len(mappedEvents) || freshEvents[i] != mappedEvents[i] {
+							t.Fatalf("event %d diverged: fresh %+v, mapped %+v", i, freshEvents[i], eventAt(mappedEvents, i))
 						}
 					}
-					t.Fatalf("view trace has %d extra events", len(viewEvents)-len(memEvents))
+					t.Fatalf("mapped trace has %d extra events", len(mappedEvents)-len(freshEvents))
 				}
 			})
 		}
@@ -85,7 +96,7 @@ func TestViewReplayEquivalence(t *testing.T) {
 
 // TestViewReplayConcurrentCells replays many cells concurrently from ONE
 // shared view — the sweep-worker topology — and checks every cell against
-// its in-memory replay. Run under -race this is the view's thread-safety
+// its serial replay. Run under -race this is the view's thread-safety
 // proof: concurrent cursors over one mapped stream, no shared mutable
 // state.
 func TestViewReplayConcurrentCells(t *testing.T) {
@@ -94,7 +105,7 @@ func TestViewReplayConcurrentCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := openViewOf(t, rec)
+	fresh, view := viewOf(t, rec), openViewOf(t, rec)
 
 	protocols, policies := protoPolicyPairs()
 	type cell struct {
@@ -113,7 +124,7 @@ func TestViewReplayConcurrentCells(t *testing.T) {
 		cfg := base
 		cfg.Protocol = c.proto
 		cfg.Policy = c.pol
-		cfg.ReplaySource = rec
+		cfg.ReplaySource = fresh
 		w, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -178,5 +189,25 @@ func TestReplaySourceValidation(t *testing.T) {
 	tooLong.Duration = rec.Duration * 2
 	if err := tooLong.Validate(); err == nil {
 		t.Fatal("run longer than the view's horizon accepted")
+	}
+}
+
+// TestReplayValidateAllocatesNothing: a view proved its trace's structure
+// when it opened, so validating a replay cell only checks the view's fit
+// to the scenario and allocates nothing — no cell re-validates its trace.
+func TestReplayValidateAllocatesNothing(t *testing.T) {
+	rec, err := RecordContacts(replayConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replayConfig(5)
+	cfg.ReplaySource = openViewOf(t, rec)
+	var verr error
+	allocs := testing.AllocsPerRun(100, func() { verr = cfg.Validate() })
+	if verr != nil {
+		t.Fatalf("valid view replay config rejected: %v", verr)
+	}
+	if allocs != 0 {
+		t.Fatalf("Config.Validate of a view replay allocated %v times per call, want 0", allocs)
 	}
 }

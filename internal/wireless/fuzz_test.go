@@ -3,6 +3,10 @@ package wireless
 import (
 	"math/rand"
 	"testing"
+
+	"vdtn/internal/event"
+	"vdtn/internal/geo"
+	"vdtn/internal/units"
 )
 
 // fuzzSeedRecordings are the hand-picked traces whose encodings (and
@@ -38,7 +42,10 @@ func encodeEqual(a, b *Recording) bool {
 // never panic. An accepted input must materialize to a structurally valid
 // trace (never a silently-short or silently-invalid one) whose MaxNode and
 // length the view reports, and that trace must re-encode to bytes the
-// view reopens to the same transitions.
+// view reopens to the same transitions. Views are the only replay input,
+// so an accepted input must also replay: a Medium with nodes
+// 0..MaxNode runs it to its horizon without panicking, its contact set
+// consistent after every tick.
 func FuzzDecodeBinary(f *testing.F) {
 	// Seeds: valid encodings, truncations at awkward offsets (inside the
 	// header, mid-stream, inside the footer), bit flips, and non-binary
@@ -71,9 +78,9 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err := rec.Validate(); err != nil {
 			t.Fatalf("accepted trace fails Validate: %v", err)
 		}
-		if view.MaxNode() != rec.MaxNode() || view.Len() != len(rec.Transitions) {
+		if view.MaxNode() != maxNode(rec.Transitions) || view.Len() != len(rec.Transitions) {
 			t.Fatalf("view MaxNode/Len (%d, %d) disagree with the materialized trace (%d, %d)",
-				view.MaxNode(), view.Len(), rec.MaxNode(), len(rec.Transitions))
+				view.MaxNode(), view.Len(), maxNode(rec.Transitions), len(rec.Transitions))
 		}
 
 		// The re-encoding reopens to the same transitions.
@@ -83,6 +90,30 @@ func FuzzDecodeBinary(f *testing.F) {
 		}
 		if !encodeEqual(rec, again.Materialize()) {
 			t.Fatal("re-encode round trip changed the trace")
+		}
+
+		// The medium holds state per node and fires one event per scan
+		// tick, so the replay is bounded in both; traces beyond the bounds
+		// are held to the decode checks above.
+		const maxReplayNodes, maxReplayTicks = 1 << 12, 1 << 16
+		meta := view.Meta()
+		if view.MaxNode() >= maxReplayNodes || !(meta.Duration/meta.ScanInterval <= maxReplayTicks) {
+			return
+		}
+		s := event.NewScheduler()
+		m := NewMedium(s, Config{Range: 30, Rate: units.Mbit(6), ScanInterval: meta.ScanInterval})
+		m.SetHandler(&recorder{})
+		for id := 0; id <= view.MaxNode(); id++ {
+			m.Add(&scripted{id: id, fn: func(float64) geo.Point { panic("replay queried a position") }})
+		}
+		m.StartReplay(0, view)
+		var broken error
+		s.RunUntilCheck(meta.Duration, 1, func() bool {
+			broken = m.CheckInvariants()
+			return broken != nil
+		})
+		if broken != nil {
+			t.Fatalf("replay at t=%v broke the contact set: %v", s.Now(), broken)
 		}
 	})
 }

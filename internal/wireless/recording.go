@@ -1,7 +1,8 @@
 // Contact-trace recording: the capture side of the medium's record/replay
 // pair. A Recording is the exact sequence of contact up/down transitions a
-// scan-driven run produced, in the order the scan fired them. Replaying it
-// (Medium.StartReplay) reproduces the run's contact process bit-identically
+// scan-driven run produced, in the order the scan fired them. Replaying its
+// binary form (EncodeBinary, then a RecordingView handed to
+// Medium.StartReplay) reproduces the run's contact process bit-identically
 // without touching mobility or the proximity grid — the basis of the
 // experiment harness's contact cache, where one mobility simulation per
 // (scenario, seed) pair is reused across every series and x-axis cell.
@@ -24,8 +25,9 @@ type Transition struct {
 // Transitions are in firing order: non-decreasing time, and within one
 // scan tick downs before ups — exactly as the live scan raises them.
 //
-// A Recording is immutable once captured; concurrent replays may share one
-// instance (each Medium keeps its own replay cursor).
+// A Recording is immutable once captured. Replays read its encoding
+// through a RecordingView, which concurrent replays may share (each Medium
+// keeps its own cursor).
 type Recording struct {
 	ScanInterval float64
 	Duration     float64
@@ -57,15 +59,6 @@ func (t *recordingTap) add(tr Transition) {
 // take returns the collected transitions as one slice of exact length (nil
 // when there are none).
 func (t *recordingTap) take() []Transition { return slices.Concat(t.chunks...) }
-
-// MaxNode returns the highest node id referenced; -1 for an empty trace.
-func (r *Recording) MaxNode() int {
-	n := -1
-	for _, tr := range r.Transitions {
-		n = max(n, tr.A, tr.B)
-	}
-	return n
-}
 
 // Validate reports the first structural defect: non-positive scan interval
 // or duration, unordered or negative pairs, timestamps outside [0, Duration]

@@ -67,8 +67,8 @@ func TestRecordingCapturesScanTransitions(t *testing.T) {
 	if ups != len(h.ups) {
 		t.Fatalf("recorded %d ups, handler saw %d", ups, len(h.ups))
 	}
-	if rec.MaxNode() != 2 {
-		t.Fatalf("MaxNode = %d, want 2", rec.MaxNode())
+	if n := maxNode(rec.Transitions); n != 2 {
+		t.Fatalf("MaxNode = %d, want 2", n)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestReplayMatchesLiveScan(t *testing.T) {
 	}
 	// Re-record while replaying: the round trip must reproduce the trace.
 	m.StartRecording()
-	m.StartReplay(0, rec)
+	m.StartReplay(0, viewOf(t, rec))
 	s.RunUntil(120)
 	rerec := m.TakeRecording(120)
 
@@ -124,7 +124,7 @@ func TestReplayAbortsTransfersOnRecordedDowns(t *testing.T) {
 		m.StartTransfer(now, a.ID(), b.ID(), 30e6, nil, func(float64) { aborted = true })
 	}
 	m.SetHandler(h)
-	m.StartReplay(0, rec)
+	m.StartReplay(0, viewOf(t, rec))
 	s.RunUntil(30)
 	if !aborted {
 		t.Fatal("recorded contact-down did not abort the in-flight transfer")
@@ -135,27 +135,27 @@ func TestReplayAbortsTransfersOnRecordedDowns(t *testing.T) {
 }
 
 func TestStartReplayPanics(t *testing.T) {
-	view, err := NewRecordingView(EncodeBinary(&Recording{ScanInterval: 1, Duration: 5,
-		Transitions: []Transition{{Time: 3, A: 0, B: 9, Up: true}}}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := viewOf(t, &Recording{ScanInterval: 1, Duration: 1})
+	wrongScan := viewOf(t, &Recording{ScanInterval: 2, Duration: 1})
+	unknownFirst := viewOf(t, &Recording{ScanInterval: 1, Duration: 1,
+		Transitions: []Transition{{Time: 0, A: 0, B: 9, Up: true}}})
+	unknownLater := viewOf(t, &Recording{ScanInterval: 1, Duration: 5,
+		Transitions: []Transition{{Time: 3, A: 0, B: 9, Up: true}}})
 	cases := map[string]func(*Medium){
 		"after Start": func(m *Medium) {
 			m.Start(0)
-			m.StartReplay(0, &Recording{ScanInterval: 1, Duration: 1})
+			m.StartReplay(0, empty)
 		},
 		"scan mismatch": func(m *Medium) {
-			m.StartReplay(0, &Recording{ScanInterval: 2, Duration: 1})
+			m.StartReplay(0, wrongScan)
 		},
 		"unknown node": func(m *Medium) {
-			m.StartReplay(0, &Recording{ScanInterval: 1, Duration: 1,
-				Transitions: []Transition{{Time: 0, A: 0, B: 9, Up: true}}})
+			m.StartReplay(0, unknownFirst)
 		},
-		// No tick runs here: a view's unknown node must panic in
-		// StartReplay itself, not at the tick that first references it.
+		// No tick runs here: an unknown node that first appears at a later
+		// tick must still panic in StartReplay itself, not at that tick.
 		"unknown node in view": func(m *Medium) {
-			m.StartReplay(0, view)
+			m.StartReplay(0, unknownLater)
 		},
 	}
 	for name, fn := range cases {
@@ -206,6 +206,8 @@ func TestValidateRejectsGarbage(t *testing.T) {
 		"beyond duration": {ScanInterval: 1, Duration: 10, Transitions: []Transition{up(20, 1, 2)}},
 		"bad interval":    {ScanInterval: 0, Duration: 10},
 		"bad duration":    {ScanInterval: 1, Duration: -1},
+		"NaN interval":    {ScanInterval: math.NaN(), Duration: 10},
+		"NaN duration":    {ScanInterval: 1, Duration: math.NaN()},
 	} {
 		err := rec.Validate()
 		if err == nil {
@@ -222,9 +224,9 @@ func TestValidateRejectsGarbage(t *testing.T) {
 }
 
 // TestValidateHugeNodeIDs: absurd node ids from corrupt input must not
-// panic or hang the pair-state bitmap (stride*stride overflows for ids
-// near 2^32 and 3037000500); Validate falls back to the map and treats
-// them as structurally acceptable, and the codec round-trips them.
+// panic or hang the validator's pair state (a dense stride*stride table
+// would overflow for ids near 2^32 and 3037000500); Validate treats them
+// as structurally acceptable, and the codec round-trips them.
 func TestValidateHugeNodeIDs(t *testing.T) {
 	for _, b64 := range []int64{4294967295, 3037000500, 1 << 40} {
 		b := int(b64)
@@ -236,7 +238,7 @@ func TestValidateHugeNodeIDs(t *testing.T) {
 		if err := rec.Validate(); err != nil {
 			t.Fatalf("id %d: structurally valid trace rejected: %v", b, err)
 		}
-		decoded, err := decode(EncodeBinary(rec))
+		decoded, err := NewRecordingView(EncodeBinary(rec))
 		if err != nil {
 			t.Fatalf("id %d: %v", b, err)
 		}

@@ -166,7 +166,7 @@ func BenchmarkReplay(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLargeInShort(b, n)
-			rec := benchReplayRecording(n)
+			v := viewOf(b, benchReplayRecording(n))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -178,7 +178,7 @@ func BenchmarkReplay(b *testing.B) {
 					m.Add(&parked{id: id})
 				}
 				b.StartTimer()
-				m.StartReplay(0, rec)
+				m.StartReplay(0, v)
 				s.RunUntil(70)
 			}
 		})

@@ -414,7 +414,7 @@ func TestAdjacencyAcrossAllContactSources(t *testing.T) {
 			{Time: 10, A: 0, B: 1, Up: true},
 			{Time: 20, A: 0, B: 1, Up: false},
 		}}
-		m.StartReplay(0, rec)
+		m.StartReplay(0, viewOf(t, rec))
 		check(t, m, s)
 	})
 }

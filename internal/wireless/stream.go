@@ -1,8 +1,7 @@
 // Streaming access to binary contact traces: the incremental decoder
-// (binCursor), the one-transition-at-a-time validator (streamValidator)
-// that both RecordingView and Recording.Validate run, and the ReplaySource
-// interface that lets replay consume a trace without a materialized
-// []Transition.
+// (binCursor) that RecordingView opens with, materializes with and every
+// replaying Medium reads from, and the one-transition-at-a-time validator
+// (streamValidator) that both RecordingView and Recording.Validate run.
 package wireless
 
 import (
@@ -23,49 +22,6 @@ type RecordingMeta struct {
 	Duration float64
 	// Transitions is the number of contact transitions in the trace.
 	Transitions int
-}
-
-// TransitionCursor yields the transitions of one trace in firing order.
-// Next returns false after the final transition. Cursors are single-use
-// and not safe for concurrent use; take one cursor per replaying medium
-// (the backing trace may be shared freely).
-type TransitionCursor interface {
-	Next() (Transition, bool)
-}
-
-// ReplaySource is a contact trace a Medium can replay: metadata, the
-// highest referenced node id, and a fresh transition cursor per consumer.
-// Both the in-memory *Recording and the zero-copy *RecordingView implement
-// it; sources handed to StartReplay must already be structurally valid
-// (Recording.Validate clean — a view validates on open).
-type ReplaySource interface {
-	Meta() RecordingMeta
-	MaxNode() int
-	Cursor() TransitionCursor
-}
-
-// Meta returns the recording's metadata block.
-func (r *Recording) Meta() RecordingMeta {
-	return RecordingMeta{ScanInterval: r.ScanInterval, Duration: r.Duration, Transitions: len(r.Transitions)}
-}
-
-// Cursor returns a fresh cursor over the recording's transitions,
-// implementing ReplaySource.
-func (r *Recording) Cursor() TransitionCursor { return &sliceCursor{trs: r.Transitions} }
-
-// sliceCursor iterates a materialized transition slice.
-type sliceCursor struct {
-	trs []Transition
-	i   int
-}
-
-func (c *sliceCursor) Next() (Transition, bool) {
-	if c.i >= len(c.trs) {
-		return Transition{}, false
-	}
-	tr := c.trs[c.i]
-	c.i++
-	return tr, true
 }
 
 // binCursor decodes the transition stream of a checked binEnvelope one
@@ -112,41 +68,41 @@ func (c *binCursor) next() (Transition, bool, error) {
 	}, true, nil
 }
 
+// mustNext is next over a stream its view already validated. Decode errors
+// are impossible on bytes the open pass accepted, so a failure here means
+// the backing memory changed underneath the view (a truncated or rewritten
+// mapped file) — a scenario-assembly bug, reported by panic like the
+// Medium's other misuse cases.
+func (c *binCursor) mustNext() (Transition, bool) {
+	tr, ok, err := c.next()
+	if err != nil {
+		panic(fmt.Sprintf("wireless: validated recording view failed to decode (backing file changed?): %v", err))
+	}
+	return tr, ok
+}
+
 // streamValidator applies the structural trace rules to a transition
 // stream incrementally: a view checks its stream at open and
-// Recording.Validate checks its slice, one transition at a time. Pair
-// state lives in a dense bitmap for the common small-id case — grown
-// geometrically as higher ids appear, since a stream's MaxNode is unknown
-// up front — with a map fallback for huge or sparse id spaces (including
-// absurd ids from corrupt input). The state structure is the only
-// allocation, paid once per validation pass.
+// Recording.Validate checks its slice, one transition at a time. Its only
+// state is the set of pairs currently up, so memory follows the number of
+// open contacts, never the size of the id space.
 type streamValidator struct {
 	duration float64
 	last     float64
 	i        int
-
-	stride int    // dense bitmap stride; rows/cols are node ids
-	dense  []bool // pair (a, b) up-state at a*stride+b
-	sparse map[pairKey]bool
+	up       map[pairKey]struct{}
 }
 
-// streamDenseMax is the dense-path cutoff: beyond this stride the bitmap
-// (stride² bools) costs more than the map.
-const streamDenseMax = 1 << 11
-
 func newStreamValidator(scanInterval, duration float64) (*streamValidator, error) {
-	if scanInterval <= 0 {
+	// Negated comparisons, so NaN fails too: a NaN scan interval could
+	// never match a medium's, and a NaN horizon would admit any time.
+	if !(scanInterval > 0) {
 		return nil, fmt.Errorf("wireless: recording has non-positive scan interval %v", scanInterval)
 	}
-	if duration <= 0 {
+	if !(duration > 0) {
 		return nil, fmt.Errorf("wireless: recording has non-positive duration %v", duration)
 	}
-	const initialStride = 64
-	return &streamValidator{
-		duration: duration,
-		stride:   initialStride,
-		dense:    make([]bool, initialStride*initialStride),
-	}, nil
+	return &streamValidator{duration: duration, up: make(map[pairKey]struct{})}, nil
 }
 
 // check admits one transition or reports the first structural defect.
@@ -159,59 +115,18 @@ func (v *streamValidator) check(tr Transition) error {
 	case tr.Time > v.duration:
 		return fmt.Errorf("wireless: recording transition %d at %v beyond duration %v", v.i, tr.Time, v.duration)
 	}
-	var up bool
-	if v.sparse != nil {
-		up = v.sparse[pairKey{tr.A, tr.B}]
-	} else {
-		if tr.B >= v.stride {
-			v.grow(tr.B)
-		}
-		if v.sparse != nil { // grow fell back to the map
-			up = v.sparse[pairKey{tr.A, tr.B}]
-		} else {
-			up = v.dense[tr.A*v.stride+tr.B]
-		}
-	}
-	if up == tr.Up {
+	k := pairKey{tr.A, tr.B}
+	if _, up := v.up[k]; up == tr.Up {
 		return fmt.Errorf("wireless: recording transition %d repeats state up=%v of pair (%d, %d)", v.i, tr.Up, tr.A, tr.B)
 	}
-	if v.sparse != nil {
-		v.sparse[pairKey{tr.A, tr.B}] = tr.Up
+	if tr.Up {
+		v.up[k] = struct{}{}
 	} else {
-		v.dense[tr.A*v.stride+tr.B] = tr.Up
+		delete(v.up, k)
 	}
 	v.last = tr.Time
 	v.i++
 	return nil
-}
-
-// grow widens the dense bitmap to cover node id b (geometric doubling, so
-// re-indexing amortizes), or migrates the accumulated state to the map
-// when ids outgrow the dense cutoff (the cutoff check runs before the
-// doubling, so absurd ids from corrupt input cannot overflow the stride).
-func (v *streamValidator) grow(b int) {
-	if b >= streamDenseMax {
-		v.sparse = make(map[pairKey]bool)
-		for i, up := range v.dense {
-			if up {
-				v.sparse[pairKey{i / v.stride, i % v.stride}] = true
-			}
-		}
-		v.dense = nil
-		return
-	}
-	stride := v.stride
-	for b >= stride {
-		stride *= 2
-	}
-	wide := make([]bool, stride*stride)
-	for i, up := range v.dense {
-		if up {
-			wide[(i/v.stride)*stride+i%v.stride] = true
-		}
-	}
-	v.dense = wide
-	v.stride = stride
 }
 
 // mapFile returns the contents of path, memory-mapped read-only when the

@@ -6,20 +6,20 @@ import (
 )
 
 // RecordingView is a read-only, fully validated view of a binary contact
-// trace that replays without materializing a []Transition — the codec's
-// only decoder. Opened over a memory-mapped file (OpenRecordingView), the
-// transition stream lives in the kernel page cache: concurrent sweep
-// processes replaying the same persisted trace share one physical copy,
-// and each replaying cell pays only a cursor — zero per-cell allocation
-// proportional to the trace. Callers that need the slice form call
-// Materialize.
+// trace — the codec's only decoder and the only thing a Medium replays
+// (Medium.StartReplay). A fresh recording enters replay through its
+// encoding (NewRecordingView over EncodeBinary's bytes); a persisted one
+// through OpenRecordingView, where the transition stream lives in the
+// kernel page cache and concurrent sweep processes replaying the same
+// trace share one physical copy. Either way each replaying medium pays
+// only a cursor — zero per-run allocation proportional to the trace.
+// Callers that need the slice form call Materialize.
 //
 // Every integrity and structural check runs once at open (CRC32,
 // transition count, per-entry decode checks, time ordering, state
-// alternation), so a view that opened cleanly is exactly as trusted as a
-// validated *Recording and its cursors cannot fail mid-replay. The view is
-// immutable and safe for concurrent cursors; Close (unmapping the file)
-// must not race live cursors.
+// alternation), so a view that opened cleanly cannot fail mid-replay. The
+// view is immutable and safe for concurrent replays; Close (unmapping the
+// file) must not race them.
 type RecordingView struct {
 	meta    RecordingMeta
 	stream  []byte
@@ -106,14 +106,13 @@ func (v *RecordingView) Len() int { return v.meta.Transitions }
 // MaxNode returns the highest node id referenced; -1 for an empty trace.
 func (v *RecordingView) MaxNode() int { return v.maxNode }
 
-// Cursor returns a fresh cursor over the trace, implementing ReplaySource.
-// Cursors are independent; any number may iterate the shared stream
-// concurrently.
-func (v *RecordingView) Cursor() TransitionCursor {
+// cursor returns a fresh decoder over the trace. Cursors are independent;
+// any number may iterate the shared stream concurrently.
+func (v *RecordingView) cursor() binCursor {
 	if v.closed {
-		panic("wireless: Cursor on a closed RecordingView")
+		panic("wireless: replay of a closed RecordingView")
 	}
-	return &viewCursor{cur: binCursor{p: v.stream}}
+	return binCursor{p: v.stream}
 }
 
 // Materialize decodes the view into a standalone in-memory Recording —
@@ -125,9 +124,9 @@ func (v *RecordingView) Materialize() *Recording {
 	if v.meta.Transitions > 0 {
 		rec.Transitions = make([]Transition, 0, v.meta.Transitions)
 	}
-	c := v.Cursor()
+	c := v.cursor()
 	for {
-		tr, ok := c.Next()
+		tr, ok := c.mustNext()
 		if !ok {
 			return rec
 		}
@@ -136,7 +135,7 @@ func (v *RecordingView) Materialize() *Recording {
 }
 
 // Close releases the file mapping, if any. Idempotent; must not race live
-// cursors (the mapped pages vanish under them).
+// replays (the mapped pages vanish under them).
 func (v *RecordingView) Close() error {
 	v.closeOnce.Do(func() {
 		v.closed = true
@@ -146,21 +145,4 @@ func (v *RecordingView) Close() error {
 		}
 	})
 	return v.closeErr
-}
-
-// viewCursor decodes the validated stream lazily. Decode errors are
-// impossible on bytes the open pass already accepted, so a failure here
-// means the backing memory changed underneath the view (a truncated or
-// rewritten mapped file) — a scenario-assembly bug, reported by panic like
-// the Medium's other misuse cases.
-type viewCursor struct {
-	cur binCursor
-}
-
-func (c *viewCursor) Next() (Transition, bool) {
-	tr, ok, err := c.cur.next()
-	if err != nil {
-		panic(fmt.Sprintf("wireless: validated recording view failed to decode (backing file changed?): %v", err))
-	}
-	return tr, ok
 }

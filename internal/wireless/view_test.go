@@ -22,6 +22,26 @@ func writeTempTrace(t *testing.T, rec *Recording) string {
 	return path
 }
 
+// viewOf opens a view over rec's binary encoding — the form every replay
+// reads.
+func viewOf(tb testing.TB, rec *Recording) *RecordingView {
+	tb.Helper()
+	v, err := NewRecordingView(EncodeBinary(rec))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// maxNode returns the highest node id in trs; -1 when empty.
+func maxNode(trs []Transition) int {
+	n := -1
+	for _, tr := range trs {
+		n = max(n, tr.A, tr.B)
+	}
+	return n
+}
+
 // TestRecordingViewMatchesDecode: a view over encoded bytes exposes
 // exactly the recording it was encoded from — metadata, MaxNode, and the
 // transition stream — without building the slice.
@@ -37,20 +57,20 @@ func TestRecordingViewMatchesDecode(t *testing.T) {
 	if meta.ScanInterval != rec.ScanInterval || meta.Duration != rec.Duration || meta.Transitions != len(rec.Transitions) {
 		t.Fatalf("view meta %+v does not describe the recording", meta)
 	}
-	if v.MaxNode() != rec.MaxNode() {
-		t.Fatalf("view MaxNode = %d, recording %d", v.MaxNode(), rec.MaxNode())
+	if want := maxNode(rec.Transitions); v.MaxNode() != want {
+		t.Fatalf("view MaxNode = %d, recording %d", v.MaxNode(), want)
 	}
 	if got := v.Materialize(); !reflect.DeepEqual(got, rec) {
 		t.Fatalf("view materialized a different recording:\nin:  %+v\nout: %+v", rec, got)
 	}
 
 	// Independent cursors see independent streams.
-	c1, c2 := v.Cursor(), v.Cursor()
-	tr1, ok1 := c1.Next()
+	c1, c2 := v.cursor(), v.cursor()
+	tr1, ok1 := c1.mustNext()
 	if !ok1 || tr1 != rec.Transitions[0] {
 		t.Fatalf("cursor 1 first transition = %+v, want %+v", tr1, rec.Transitions[0])
 	}
-	tr2, ok2 := c2.Next()
+	tr2, ok2 := c2.mustNext()
 	if !ok2 || tr2 != rec.Transitions[0] {
 		t.Fatal("second cursor did not start from the top")
 	}
@@ -66,7 +86,8 @@ func TestRecordingViewEmptyTrace(t *testing.T) {
 	if v.Len() != 0 || v.MaxNode() != -1 {
 		t.Fatalf("empty view: Len=%d MaxNode=%d", v.Len(), v.MaxNode())
 	}
-	if _, ok := v.Cursor().Next(); ok {
+	c := v.cursor()
+	if _, ok := c.mustNext(); ok {
 		t.Fatal("empty view yielded a transition")
 	}
 }
@@ -142,7 +163,7 @@ func TestReaderRejectsLyingCount(t *testing.T) {
 
 // TestViewHugeNodeIDs: absurd node ids (legal per the codec, possible in
 // corrupt-but-CRC-valid input) must not hang or blow up the streaming
-// validator's growing bitmap — it falls back to the map.
+// validator, whose pair state holds only the pairs currently up.
 func TestViewHugeNodeIDs(t *testing.T) {
 	for _, b64 := range []int64{4294967295, 3037000500, 1 << 40} {
 		b := int(b64)
@@ -167,8 +188,8 @@ func TestViewHugeNodeIDs(t *testing.T) {
 	}
 }
 
-// TestViewCursorAfterCloseMisuse: taking a cursor from a closed view is a
-// caller bug and panics instead of reading unmapped memory.
+// TestViewCursorAfterCloseMisuse: replaying a closed view is a caller bug
+// and panics in StartReplay instead of reading unmapped memory.
 func TestViewCursorAfterCloseMisuse(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 90)
 	v, err := OpenRecordingView(writeTempTrace(t, rec))
@@ -176,12 +197,16 @@ func TestViewCursorAfterCloseMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Close()
+	m := NewMedium(event.NewScheduler(), testCfg())
+	for _, e := range crossingEntities() {
+		m.Add(e)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Cursor on a closed view did not panic")
+			t.Fatal("StartReplay of a closed view did not panic")
 		}
 	}()
-	v.Cursor()
+	m.StartReplay(0, v)
 }
 
 // TestMediumReplaysFromView: the Medium replays a RecordingView source

@@ -114,7 +114,7 @@ type Medium struct {
 	started bool      // Start, StartPlan or StartReplay has run
 
 	rec        *recordingTap // nil when not recording
-	replayCur  TransitionCursor
+	replay     binCursor     // StartReplay's position in its view's stream
 	replayNext Transition
 	replayHas  bool
 
@@ -266,25 +266,25 @@ func (m *Medium) TakeRecording(duration float64) *Recording {
 // run that produced the recording: results are bit-identical. Entity
 // positions are never queried.
 //
-// src is either an in-memory *Recording or a zero-copy *RecordingView
-// (any ReplaySource); the medium takes one cursor from it, so any number
-// of replaying media may share one source. The source's scan interval must
+// v is a validated view; the medium takes its own cursor over it, so any
+// number of replaying media may share one view, and a decode failure
+// (the view's backing file changed) panics. The view's scan interval must
 // equal the medium's, and its MaxNode must be a registered node; either
 // violation panics here, as a scenario-assembly bug. Start, StartPlan and
 // StartReplay are mutually exclusive.
-func (m *Medium) StartReplay(from float64, src ReplaySource) {
+func (m *Medium) StartReplay(from float64, v *RecordingView) {
 	if m.started {
 		panic("wireless: StartReplay after Start")
 	}
-	if scan := src.Meta().ScanInterval; scan != m.cfg.ScanInterval {
+	if scan := v.meta.ScanInterval; scan != m.cfg.ScanInterval {
 		panic(fmt.Sprintf("wireless: recording scan interval %v, medium %v",
 			scan, m.cfg.ScanInterval))
 	}
-	if n := src.MaxNode(); n >= len(m.entities) {
+	if n := v.maxNode; n >= len(m.entities) {
 		panic(fmt.Sprintf("wireless: recording references unknown node %d", n))
 	}
-	m.replayCur = src.Cursor()
-	m.replayNext, m.replayHas = m.replayCur.Next()
+	m.replay = v.cursor()
+	m.replayNext, m.replayHas = m.replay.mustNext()
 	m.started = true
 	m.sched.Every(from, m.cfg.ScanInterval, m.replayTick)
 }
@@ -296,7 +296,7 @@ func (m *Medium) StartReplay(from float64, src ReplaySource) {
 func (m *Medium) replayTick(now float64) {
 	for m.replayHas && m.replayNext.Time <= now {
 		tr := m.replayNext
-		m.replayNext, m.replayHas = m.replayCur.Next()
+		m.replayNext, m.replayHas = m.replay.mustNext()
 		k := key(tr.A, tr.B)
 		switch {
 		case tr.Up && !m.Connected(k[0], k[1]):

@@ -213,3 +213,64 @@ func TestExperimentsResumeNeedsJSONL(t *testing.T) {
 		t.Fatalf("stderr does not point at the missing flag: %s", &stderr)
 	}
 }
+
+// TestExperimentsResumeLeavesCompleteStreamUntouched: -resume over a
+// stream that already holds every cell and its footer rewrites nothing —
+// the file keeps its bytes and its mtime — while the table still renders
+// from the reused cells.
+func TestExperimentsResumeLeavesCompleteStreamUntouched(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real CLI")
+	}
+	bin := filepath.Join(t.TempDir(), "experiments")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/experiments")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building cmd/experiments: %v\n%s", err, out)
+	}
+	spec, err := filepath.Abs(filepath.Join("examples", "sweeps", "grid.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonlDir := filepath.Join(t.TempDir(), "jsonl")
+	stream := filepath.Join(jsonlDir, "ttl-copies-grid.jsonl")
+	fresh, err := exec.Command(bin, "-spec", spec, "-out-jsonl", jsonlDir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("first run failed: %v\n%s", err, fresh)
+	}
+	want, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := os.Chtimes(stream, stamp, stamp); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	resumed := exec.Command(bin, "-spec", spec, "-out-jsonl", jsonlDir, "-resume")
+	resumed.Stdout, resumed.Stderr = &stdout, &stderr
+	if err := resumed.Run(); err != nil {
+		t.Fatalf("resume over a complete stream failed: %v\n%s", err, &stderr)
+	}
+	got, err := os.ReadFile(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resume over a complete stream changed its bytes")
+	}
+	fi, err := os.Stat(stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(stamp) {
+		t.Fatalf("resume over a complete stream rewrote it: mtime %v, want %v", fi.ModTime(), stamp)
+	}
+	if !strings.Contains(stderr.String(), "reusing 8 completed cells") {
+		t.Fatalf("stderr does not report the reused cells: %s", &stderr)
+	}
+	table := func(out string) string { return out[:strings.Index(out, "(8/8 runs")] }
+	if !strings.Contains(stdout.String(), "(8/8 runs") || table(stdout.String()) != table(string(fresh)) {
+		t.Fatalf("resumed run did not render the fresh run's table:\n--- fresh ---\n%s--- resumed ---\n%s", fresh, &stdout)
+	}
+}

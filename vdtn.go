@@ -34,16 +34,19 @@
 // depends only on the seed, the map, the fleet and the mobility and radio
 // parameters, never on traffic or routing. RecordContacts exploits that:
 // it produces the trace from mobility alone (no routing, no traffic) at a
-// fraction of a full run's cost. Setting Config.ReplaySource to that
-// recording, or to a ContactRecordingView of a persisted one, drives a
-// run's contacts from the trace instead of mobility. A replayed run is
-// bit-identical to the live run — same Result, same event trace — but
-// skips all position and proximity work; a nil ReplaySource scans live,
-// as in the paper.
+// fraction of a full run's cost. Every replay reads a ContactRecordingView:
+// NewContactRecordingView over the recording's binary encoding, or
+// OpenContactRecordingView over a persisted one. Setting
+// Config.ReplaySource to the view drives a run's contacts from the trace
+// instead of mobility. A replayed run is bit-identical to the live run —
+// same Result, same event trace — but skips all position and proximity
+// work; a nil ReplaySource scans live, as in the paper.
 //
 //	rec, err := vdtn.RecordContacts(cfg)
 //	if err != nil { ... }
-//	cfg.ReplaySource = rec
+//	view, err := vdtn.NewContactRecordingView(vdtn.EncodeContactRecordingBinary(rec))
+//	if err != nil { ... }
+//	cfg.ReplaySource = view
 //	result, err := vdtn.Run(cfg) // identical to the live run's result
 //
 // The experiment harness builds on this: ExperimentOptions.ContactCache
@@ -228,15 +231,12 @@ type (
 	// later runs as zero-copy ContactRecordingView values; MaxBytes bounds
 	// the store with LRU eviction by file mtime.
 	ContactCache = experiments.ContactCache
-	// ContactReplaySource is a contact trace a replay run can consume:
-	// either an in-memory *ContactRecording or a *ContactRecordingView.
-	// Assign one to Config.ReplaySource.
-	ContactReplaySource = wireless.ReplaySource
-	// ContactRecordingView is a read-only mmap-backed view of a persisted
-	// binary trace — the only decoder of the trace format: validated once
-	// at open, replayed with zero per-run trace allocation, shareable
-	// across concurrent runs and — through the page cache — across
-	// processes. Materialize yields the in-memory ContactRecording.
+	// ContactRecordingView is a read-only view of a binary trace — the
+	// only decoder of the trace format and the only thing a replay run
+	// reads (assign one to Config.ReplaySource): validated once at open,
+	// replayed with zero per-run trace allocation, shareable across
+	// concurrent runs and — when mmap-backed, through the page cache —
+	// across processes. Materialize yields the in-memory ContactRecording.
 	ContactRecordingView = wireless.RecordingView
 	// ContactRecordingMeta is a trace's fixed-size description (scan
 	// interval, horizon, transition count).
@@ -267,6 +267,14 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*ContactRecording, 
 // reads it back.
 func EncodeContactRecordingBinary(rec *ContactRecording) []byte {
 	return wireless.EncodeBinary(rec)
+}
+
+// NewContactRecordingView validates the binary trace in data (as
+// EncodeContactRecordingBinary renders it) once and returns a view over
+// those bytes, which must stay unmodified while the view is in use.
+// Corrupt or truncated input is reported as an error.
+func NewContactRecordingView(data []byte) (*ContactRecordingView, error) {
+	return wireless.NewRecordingView(data)
 }
 
 // OpenContactRecordingView memory-maps the binary trace at path and
