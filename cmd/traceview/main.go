@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"vdtn/internal/bundle"
 	"vdtn/internal/reports"
 	"vdtn/internal/trace"
 )
@@ -30,45 +29,46 @@ func main() {
 		os.Exit(2)
 	}
 
-	data, err := os.ReadFile(flag.Arg(0))
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
 		os.Exit(1)
 	}
-	events, err := trace.ParseTSV(string(data))
+	tracker := reports.NewTracker()
+	var n int
+	var last float64
+	err = trace.ReadTSV(f, func(ev trace.Event) {
+		n, last = n+1, ev.Time
+		tracker.Emit(ev)
+	})
+	f.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "traceview: %v\n", err)
 		os.Exit(1)
 	}
-	if len(events) == 0 {
+	if n == 0 {
 		fmt.Fprintln(os.Stderr, "traceview: trace is empty")
 		os.Exit(1)
 	}
 	end := *horizon
 	if end == 0 {
-		end = events[len(events)-1].Time
+		end = last
 	}
 
-	a := reports.Analyze(events, end)
-	fmt.Printf("%d events over %.0f s\n\n%s", len(events), end, a)
+	a := tracker.Analysis(end)
+	fmt.Printf("%d events over %.0f s\n\n%s", n, end, a)
 
 	if *topK > 0 {
 		fmt.Printf("\nbusiest contact pairs:\n")
-		for _, p := range reports.TopPairs(events, *topK) {
+		for _, p := range a.TopPairs(*topK) {
 			fmt.Printf("  %d <-> %d\n", p[0], p[1])
 		}
 	}
 
 	if *paths {
 		fmt.Printf("\ndelivery paths:\n")
-		// Walk delivered ids in creation order via the event stream.
-		seen := map[bundle.ID]bool{}
-		for _, ev := range events {
-			if ev.Kind != trace.Delivered || seen[ev.Msg] {
-				continue
-			}
-			seen[ev.Msg] = true
-			fmt.Printf("  %v: %v\n", ev.Msg, a.DeliveryPath(ev.Msg))
+		for _, id := range a.DeliveredIDs() {
+			fmt.Printf("  %v: %v\n", id, a.DeliveryPath(id))
 		}
 	}
 }

@@ -210,7 +210,7 @@ func main() {
 		}
 	}
 
-	var lg trace.Log
+	tracker := reports.NewTracker()
 	var tw *trace.Writer
 	var traceOut *os.File
 	flushTrace := func() {}
@@ -232,13 +232,13 @@ func main() {
 		if *analyze {
 			cfg.Trace = func(ev trace.Event) {
 				tw.Emit(ev)
-				lg.Append(ev)
+				tracker.Emit(ev)
 			}
 		} else {
 			cfg.Trace = tw.Emit
 		}
 	case *analyze:
-		cfg.Trace = lg.Append
+		cfg.Trace = tracker.Emit
 	}
 
 	if *verbose {
@@ -292,10 +292,10 @@ func main() {
 	fmt.Printf("mean occupancy %8.1f%%\n", 100*result.MeanBufferOccupancy)
 
 	if *analyze {
-		analysis := reports.Analyze(lg.Events(), cfg.Duration)
+		analysis := tracker.Analysis(cfg.Duration)
 		fmt.Printf("\n--- trace analysis ---\n%s", analysis)
 		fmt.Println("busiest pairs:")
-		for _, p := range reports.TopPairs(lg.Events(), 5) {
+		for _, p := range analysis.TopPairs(5) {
 			fmt.Printf("  %d <-> %d\n", p[0], p[1])
 		}
 		if delays := analysis.Delays(); len(delays) > 0 {

@@ -55,8 +55,8 @@ func main() {
 		{Time: 300, From: 1, To: 3, Size: units.KB(600)},
 	}
 
-	var lg vdtn.TraceLog
-	cfg.Trace = lg.Append
+	tracker := vdtn.NewTraceTracker()
+	cfg.Trace = tracker.Emit
 
 	result, err := vdtn.Run(cfg)
 	if err != nil {
@@ -67,7 +67,7 @@ func main() {
 		plan.Len())
 	fmt.Println(result.Report)
 
-	analysis := vdtn.AnalyzeTrace(lg.Events(), cfg.Duration)
+	analysis := tracker.Analysis(cfg.Duration)
 	fmt.Printf("\n--- trace analysis ---\n%s\n", analysis)
 	fmt.Println("delivery paths (messages hop lines via the kiosk, node 4):")
 	for id := vdtn.MessageID(1); id <= 3; id++ {

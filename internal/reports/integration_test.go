@@ -1,6 +1,7 @@
 package reports
 
 import (
+	"reflect"
 	"testing"
 
 	"vdtn/internal/roadmap"
@@ -9,10 +10,12 @@ import (
 	"vdtn/internal/units"
 )
 
-// TestAnalyzeRealRun cross-checks the offline analysis against the
-// authoritative counters of a real simulation run.
+// TestAnalyzeRealRun cross-checks a tracker fed live by a real simulation
+// run against the run's authoritative counters, and against a second
+// tracker replaying the recorded events.
 func TestAnalyzeRealRun(t *testing.T) {
 	var lg trace.Log
+	tracker := NewTracker()
 	c := sim.DefaultConfig()
 	c.Seed = 5
 	c.Duration = units.Hours(2)
@@ -22,7 +25,10 @@ func TestAnalyzeRealRun(t *testing.T) {
 	c.VehicleBuffer = units.MB(20)
 	c.RelayBuffer = units.MB(50)
 	c.TTL = units.Minutes(45)
-	c.Trace = lg.Append
+	c.Trace = func(ev trace.Event) {
+		lg.Append(ev)
+		tracker.Emit(ev)
+	}
 
 	w, err := sim.New(c)
 	if err != nil {
@@ -30,13 +36,27 @@ func TestAnalyzeRealRun(t *testing.T) {
 	}
 	r := w.Run()
 
-	a := Analyze(lg.Events(), c.Duration)
-
-	if a.ContactCount != int(r.Contacts) {
-		t.Fatalf("analysis contacts %d != run %d", a.ContactCount, r.Contacts)
+	a := tracker.Analysis(c.Duration)
+	if batch := analyze(lg.Events(), c.Duration); !reflect.DeepEqual(a, batch) {
+		t.Fatalf("live analysis differs from the batch one:\n%+v\n%+v", a, batch)
 	}
-	if a.TransfersComplete != int(r.TransfersCompleted) {
-		t.Fatalf("analysis completions %d != run %d", a.TransfersComplete, r.TransfersCompleted)
+
+	// Per-kind counts equal the run's ledger and medium counters.
+	for kind, want := range map[trace.Kind]int{
+		trace.ContactUp:        int(r.Contacts),
+		trace.TransferStart:    int(r.TransfersStarted),
+		trace.TransferComplete: int(r.TransfersCompleted),
+		trace.TransferAbort:    int(r.TransfersAborted),
+		trace.Created:          r.Created,
+		trace.Delivered:        r.Delivered + r.DeliveredDuplicate,
+		trace.RelayAccepted:    r.RelayAccepted,
+		trace.RelayRejected:    r.RelayRejected,
+		trace.Dropped:          r.Dropped,
+		trace.Expired:          r.Expired,
+	} {
+		if got := a.Counts[kind]; got != want {
+			t.Errorf("tracker %v count %d != run %d", kind, got, want)
+		}
 	}
 	if a.Created != r.Created {
 		t.Fatalf("analysis created %d != run %d", a.Created, r.Created)
@@ -58,7 +78,7 @@ func TestAnalyzeRealRun(t *testing.T) {
 	if a.ContactDuration.Min < 0 || a.ContactDuration.Max > c.Duration {
 		t.Fatalf("contact durations out of range: %+v", a.ContactDuration)
 	}
-	if len(TopPairs(lg.Events(), 3)) == 0 {
+	if len(a.TopPairs(3)) == 0 {
 		t.Fatal("no busy pairs in a 2h run")
 	}
 }

@@ -1,13 +1,16 @@
-// Package reports derives offline analyses from a simulation trace — the
-// counterpart of the ONE simulator's report modules. Given the event
-// stream of a run (internal/trace), it reconstructs contact statistics
-// (durations, inter-contact times), transfer outcomes, and per-message
-// fates including delivery-path reconstruction.
+// Package reports derives analyses from a simulation trace — the
+// counterpart of the ONE simulator's report modules. A Tracker consumes a
+// run's event stream (internal/trace) one event at a time, live through
+// sim.Config.Trace or read back with trace.ReadTSV, and its Analysis
+// reconstructs contact statistics (durations, inter-contact times),
+// transfer outcomes, and per-message fates including delivery paths.
 package reports
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"vdtn/internal/bundle"
@@ -45,24 +48,21 @@ func (f Fate) String() string {
 	}
 }
 
-// Analysis is the full offline report of one run.
+// Analysis is the full report of one run.
 type Analysis struct {
 	// Horizon is the end-of-run time used to close open contacts.
 	Horizon float64
 
-	// ContactCount is the number of contact-up events.
-	ContactCount int
+	// Counts holds the number of events of each kind, indexed by
+	// trace.Kind: Counts[trace.ContactUp] contacts began,
+	// Counts[trace.TransferAbort] transfers were cut, and so on.
+	Counts [trace.NumKinds]int
 	// ContactDuration summarizes contact lengths in seconds (contacts
 	// still open at the horizon are closed there).
 	ContactDuration stats.Summary
 	// InterContact summarizes, per node pair, the gaps between one
 	// contact ending and the next beginning, in seconds.
 	InterContact stats.Summary
-
-	// TransfersStarted/Completed/Aborted count transfer outcomes.
-	TransfersStarted  int
-	TransfersComplete int
-	TransfersAborted  int
 
 	// Created / Delivered count distinct messages; Fates maps each fate
 	// to the number of messages.
@@ -77,6 +77,8 @@ type Analysis struct {
 	gaps       []float64
 	delays     []float64
 	pathsByMsg map[bundle.ID][]int
+	deliveries []bundle.ID // first-delivery order
+	busiest    [][2]int    // pairs that met, busiest first
 }
 
 // Delays returns the creation-to-delivery time of every delivered message,
@@ -105,100 +107,145 @@ func (a *Analysis) MedianInterContact() float64 {
 	return stats.Percentile(a.gaps, 50)
 }
 
-// Analyze derives the report from a run's event stream. horizon is the
-// simulated end time (used to close contacts still up). Events must be in
-// emission order, as trace.Log keeps them.
-func Analyze(events []trace.Event, horizon float64) *Analysis {
+// Tracker is a streaming trace consumer: it folds each event into one
+// record per message and one per node pair, so a run is analyzed without
+// holding its events. Install Emit as the simulator's trace callback, or
+// pass it to trace.ReadTSV. Events must arrive in emission order.
+type Tracker struct {
+	counts    [trace.NumKinds]int
+	msgs      map[bundle.ID]*message
+	pairs     map[[2]int]*contact
+	durations []float64   // closed contact lengths, in contact-down order
+	gaps      []float64   // inter-contact gaps, in contact-up order
+	delivered []bundle.ID // first-delivery order
+}
+
+// message is what a Tracker knows of one message.
+type message struct {
+	created   bool
+	src       int
+	createdAt float64
+	delivered bool
+	via       edge   // the first delivery
+	live      int    // replicas created or accepted minus dropped or expired
+	edges     []edge // completed transfers, in emission order
+}
+
+// contact is what a Tracker knows of one node pair.
+type contact struct {
+	up       bool
+	upSince  float64
+	wentDown bool
+	lastDown float64
+	count    int // contact-up events
+}
+
+// NewTracker returns an empty tracker.
+func NewTracker() *Tracker {
+	return &Tracker{msgs: make(map[bundle.ID]*message), pairs: make(map[[2]int]*contact)}
+}
+
+// Emit implements trace.Func.
+func (t *Tracker) Emit(ev trace.Event) {
+	t.counts[ev.Kind]++
+	switch ev.Kind {
+	case trace.ContactUp:
+		c := entry(t.pairs, [2]int{ev.A, ev.B})
+		if c.wentDown {
+			t.gaps = append(t.gaps, ev.Time-c.lastDown)
+		}
+		c.up, c.upSince = true, ev.Time
+		c.count++
+	case trace.ContactDown:
+		c := entry(t.pairs, [2]int{ev.A, ev.B})
+		if c.up {
+			t.durations = append(t.durations, ev.Time-c.upSince)
+			c.up = false
+		}
+		c.wentDown, c.lastDown = true, ev.Time
+	case trace.TransferComplete:
+		m := entry(t.msgs, ev.Msg)
+		m.edges = append(m.edges, edge{ev.A, ev.B, ev.Time})
+	case trace.Created:
+		m := entry(t.msgs, ev.Msg)
+		m.created, m.src, m.createdAt = true, ev.A, ev.Time
+		m.live++
+	case trace.Delivered:
+		if m := entry(t.msgs, ev.Msg); !m.delivered {
+			m.delivered, m.via = true, edge{ev.A, ev.B, ev.Time}
+			t.delivered = append(t.delivered, ev.Msg)
+		}
+	case trace.RelayAccepted:
+		entry(t.msgs, ev.Msg).live++
+	case trace.Dropped, trace.Expired:
+		entry(t.msgs, ev.Msg).live--
+	}
+}
+
+// entry returns m[k], adding a zero record under k first if there is none.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
+	}
+	return v
+}
+
+// Analysis reports on the events emitted so far. horizon is the simulated
+// end time, where contacts still up are closed; they are closed in pair
+// order, so equal events always give bit-equal summaries. The tracker is
+// left unchanged and may keep receiving events.
+func (t *Tracker) Analysis(horizon float64) *Analysis {
 	a := &Analysis{
 		Horizon:    horizon,
+		Counts:     t.counts,
+		Delivered:  len(t.delivered),
 		Fates:      make(map[Fate]int),
+		durations:  slices.Clone(t.durations),
+		gaps:       slices.Clone(t.gaps),
 		pathsByMsg: make(map[bundle.ID][]int),
+		deliveries: slices.Clone(t.delivered),
 	}
 
-	type pair [2]int
-	openContacts := make(map[pair]float64) // pair -> up time
-	lastDown := make(map[pair]float64)
-	var durations, gaps []float64
-
-	// Per-message bookkeeping.
-	created := make(map[bundle.ID]int) // id -> source node
-	createdAt := make(map[bundle.ID]float64)
-	delivered := make(map[bundle.ID]bool)
-	liveReplicas := make(map[bundle.ID]int)
-	transfers := make(map[bundle.ID][]edge)
-	deliveredVia := make(map[bundle.ID]edge)
-
-	for _, ev := range events {
-		switch ev.Kind {
-		case trace.ContactUp:
-			k := pair{ev.A, ev.B}
-			openContacts[k] = ev.Time
-			if down, ok := lastDown[k]; ok {
-				gaps = append(gaps, ev.Time-down)
-			}
-			a.ContactCount++
-		case trace.ContactDown:
-			k := pair{ev.A, ev.B}
-			if up, ok := openContacts[k]; ok {
-				durations = append(durations, ev.Time-up)
-				delete(openContacts, k)
-			}
-			lastDown[k] = ev.Time
-		case trace.TransferStart:
-			a.TransfersStarted++
-		case trace.TransferComplete:
-			a.TransfersComplete++
-			transfers[ev.Msg] = append(transfers[ev.Msg], edge{ev.A, ev.B, ev.Time})
-		case trace.TransferAbort:
-			a.TransfersAborted++
-		case trace.Created:
-			created[ev.Msg] = ev.A
-			createdAt[ev.Msg] = ev.Time
-			liveReplicas[ev.Msg]++
-		case trace.Delivered:
-			if !delivered[ev.Msg] {
-				delivered[ev.Msg] = true
-				deliveredVia[ev.Msg] = edge{ev.A, ev.B, ev.Time}
-			}
-		case trace.RelayAccepted:
-			liveReplicas[ev.Msg]++
-		case trace.Dropped, trace.Expired:
-			liveReplicas[ev.Msg]--
+	pairs := slices.SortedFunc(maps.Keys(t.pairs), func(p, q [2]int) int {
+		return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1]))
+	})
+	for _, p := range pairs {
+		c := t.pairs[p]
+		if c.up {
+			a.durations = append(a.durations, horizon-c.upSince)
+		}
+		if c.count > 0 {
+			a.busiest = append(a.busiest, p)
 		}
 	}
-	// Close contacts still open at the horizon.
-	for _, up := range openContacts {
-		durations = append(durations, horizon-up)
+	slices.SortStableFunc(a.busiest, func(p, q [2]int) int {
+		return cmp.Compare(t.pairs[q].count, t.pairs[p].count)
+	})
+	if len(a.durations) > 0 {
+		a.ContactDuration = stats.Summarize(a.durations)
 	}
-
-	a.Created = len(created)
-	a.Delivered = len(delivered)
-	a.durations = durations
-	a.gaps = gaps
-	if len(durations) > 0 {
-		a.ContactDuration = stats.Summarize(durations)
-	}
-	if len(gaps) > 0 {
-		a.InterContact = stats.Summarize(gaps)
+	if len(a.gaps) > 0 {
+		a.InterContact = stats.Summarize(a.gaps)
 	}
 
 	// Fates, delays and delivery paths, in deterministic id order.
-	ids := make([]bundle.ID, 0, len(created))
-	for id := range created {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var hops []float64
-	for _, id := range ids {
-		src := created[id]
+	for _, id := range slices.Sorted(maps.Keys(t.msgs)) {
+		m := t.msgs[id]
+		if !m.created {
+			continue
+		}
+		a.Created++
 		switch {
-		case delivered[id]:
+		case m.delivered:
 			a.Fates[FateDelivered]++
-			a.delays = append(a.delays, deliveredVia[id].time-createdAt[id])
-			path := reconstructPath(src, deliveredVia[id], transfers[id])
+			a.delays = append(a.delays, m.via.time-m.createdAt)
+			path := reconstructPath(m.src, m.via, m.edges)
 			a.pathsByMsg[id] = path
 			hops = append(hops, float64(len(path)-1))
-		case liveReplicas[id] > 0:
+		case m.live > 0:
 			a.Fates[FatePending]++
 		default:
 			a.Fates[FateDead]++
@@ -251,11 +298,23 @@ func (a *Analysis) DeliveryPath(id bundle.ID) []int {
 	return a.pathsByMsg[id]
 }
 
+// DeliveredIDs returns the ids of the delivered messages in the order they
+// were first delivered. The slice is freshly allocated.
+func (a *Analysis) DeliveredIDs() []bundle.ID {
+	return slices.Clone(a.deliveries)
+}
+
+// TopPairs returns the k node pairs with the most contacts, busiest first
+// (ties in pair order). The slice is freshly allocated.
+func (a *Analysis) TopPairs(k int) [][2]int {
+	return slices.Clone(a.busiest[:min(k, len(a.busiest))])
+}
+
 // String renders the analysis as a readable block.
 func (a *Analysis) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "contacts        %d (mean %s, median %s, max %s)\n",
-		a.ContactCount,
+		a.Counts[trace.ContactUp],
 		units.FormatDuration(a.ContactDuration.Mean),
 		units.FormatDuration(a.MedianContactDuration()),
 		units.FormatDuration(a.ContactDuration.Max))
@@ -265,7 +324,7 @@ func (a *Analysis) String() string {
 			units.FormatDuration(a.MedianInterContact()), len(a.gaps))
 	}
 	fmt.Fprintf(&sb, "transfers       %d started, %d completed, %d aborted\n",
-		a.TransfersStarted, a.TransfersComplete, a.TransfersAborted)
+		a.Counts[trace.TransferStart], a.Counts[trace.TransferComplete], a.Counts[trace.TransferAbort])
 	fmt.Fprintf(&sb, "messages        %d created, %d delivered", a.Created, a.Delivered)
 	fmt.Fprintf(&sb, " (%d pending, %d dead)\n", a.Fates[FatePending], a.Fates[FateDead])
 	if a.Delivered > 0 {
@@ -273,33 +332,4 @@ func (a *Analysis) String() string {
 			a.PathHops.Mean, a.PathHops.Max)
 	}
 	return sb.String()
-}
-
-// TopPairs returns the k node pairs with the most contacts, busiest
-// first (ties by pair order).
-func TopPairs(events []trace.Event, k int) [][2]int {
-	counts := make(map[[2]int]int)
-	for _, ev := range events {
-		if ev.Kind == trace.ContactUp {
-			counts[[2]int{ev.A, ev.B}]++
-		}
-	}
-	pairs := make([][2]int, 0, len(counts))
-	for p := range counts {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		ci, cj := counts[pairs[i]], counts[pairs[j]]
-		if ci != cj {
-			return ci > cj
-		}
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	if k < len(pairs) {
-		pairs = pairs[:k]
-	}
-	return pairs
 }

@@ -6,8 +6,19 @@ import (
 	"testing"
 
 	"vdtn/internal/bundle"
+	"vdtn/internal/stats"
 	"vdtn/internal/trace"
 )
+
+// analyze feeds recorded events, in emission order, through a Tracker and
+// reports at horizon.
+func analyze(events []trace.Event, horizon float64) *Analysis {
+	t := NewTracker()
+	for _, ev := range events {
+		t.Emit(ev)
+	}
+	return t.Analysis(horizon)
+}
 
 // ev builds an event tersely.
 func ev(t float64, k trace.Kind, a, b int, msg int64) trace.Event {
@@ -22,9 +33,9 @@ func TestContactDurations(t *testing.T) {
 		ev(150, trace.ContactDown, 1, 2, 0), // 50 s, gap 60 s
 		ev(900, trace.ContactUp, 3, 4, 0),   // open at horizon: 100 s
 	}
-	a := Analyze(events, 1000)
-	if a.ContactCount != 3 {
-		t.Fatalf("ContactCount = %d", a.ContactCount)
+	a := analyze(events, 1000)
+	if a.Counts[trace.ContactUp] != 3 {
+		t.Fatalf("contacts = %d", a.Counts[trace.ContactUp])
 	}
 	if a.ContactDuration.N != 3 {
 		t.Fatalf("durations N = %d", a.ContactDuration.N)
@@ -44,8 +55,8 @@ func TestContactDurations(t *testing.T) {
 }
 
 func TestNoContactsNoPanic(t *testing.T) {
-	a := Analyze(nil, 100)
-	if a.ContactCount != 0 || a.Created != 0 {
+	a := analyze(nil, 100)
+	if a.Counts != [trace.NumKinds]int{} || a.Created != 0 {
 		t.Fatalf("empty analysis = %+v", a)
 	}
 	if a.MedianContactDuration() != 0 || a.MedianInterContact() != 0 {
@@ -61,8 +72,8 @@ func TestTransferCounts(t *testing.T) {
 		ev(3, trace.TransferStart, 0, 1, 2),
 		ev(4, trace.TransferAbort, 0, 1, 2),
 	}
-	a := Analyze(events, 10)
-	if a.TransfersStarted != 2 || a.TransfersComplete != 1 || a.TransfersAborted != 1 {
+	a := analyze(events, 10)
+	if a.Counts[trace.TransferStart] != 2 || a.Counts[trace.TransferComplete] != 1 || a.Counts[trace.TransferAbort] != 1 {
 		t.Fatalf("transfer counts: %+v", a)
 	}
 }
@@ -81,7 +92,7 @@ func TestMessageFates(t *testing.T) {
 		// M3: created, still sitting in a buffer -> pending.
 		ev(3, trace.Created, 5, 6, 3),
 	}
-	a := Analyze(events, 100)
+	a := analyze(events, 100)
 	if a.Created != 3 || a.Delivered != 1 {
 		t.Fatalf("created %d delivered %d", a.Created, a.Delivered)
 	}
@@ -103,7 +114,7 @@ func TestDeliveryPathReconstruction(t *testing.T) {
 		ev(30, trace.TransferComplete, 7, 9, 1),
 		ev(30, trace.Delivered, 7, 9, 1),
 	}
-	a := Analyze(events, 100)
+	a := analyze(events, 100)
 	path := a.DeliveryPath(1)
 	want := []int{0, 3, 7, 9}
 	if len(path) != len(want) {
@@ -129,7 +140,7 @@ func TestDirectDeliveryPath(t *testing.T) {
 		ev(30, trace.TransferComplete, 5, 8, 1),
 		ev(30, trace.Delivered, 5, 8, 1),
 	}
-	a := Analyze(events, 100)
+	a := analyze(events, 100)
 	path := a.DeliveryPath(1)
 	if len(path) != 2 || path[0] != 5 || path[1] != 8 {
 		t.Fatalf("direct path = %v, want [5 8]", path)
@@ -143,17 +154,49 @@ func TestTopPairs(t *testing.T) {
 		ev(3, trace.ContactDown, 1, 2, 0),
 		ev(4, trace.ContactUp, 1, 2, 0),
 		ev(5, trace.ContactUp, 5, 6, 0),
+		ev(6, trace.ContactDown, 7, 8, 0), // never up: not a busy pair
 	}
-	top := TopPairs(events, 2)
+	a := analyze(events, 10)
+	top := a.TopPairs(2)
 	if len(top) != 2 {
 		t.Fatalf("TopPairs = %v", top)
 	}
-	if top[0] != [2]int{1, 2} {
-		t.Fatalf("busiest pair = %v, want [1 2]", top[0])
+	if top[0] != [2]int{1, 2} || top[1] != [2]int{3, 4} {
+		t.Fatalf("busiest pairs = %v, want [[1 2] [3 4]] (ties in pair order)", top)
 	}
-	all := TopPairs(events, 10)
+	all := a.TopPairs(10)
 	if len(all) != 3 {
 		t.Fatalf("TopPairs(10) = %v", all)
+	}
+	all[0] = [2]int{9, 9}
+	if a.TopPairs(1)[0] != [2]int{1, 2} {
+		t.Fatal("TopPairs aliases the analysis")
+	}
+}
+
+// TestOpenContactsCloseInPairOrder: contacts still up at the horizon are
+// closed in pair order, so the order-dependent duration mean and std are
+// the same bits on every call, whatever the map iteration order.
+func TestOpenContactsCloseInPairOrder(t *testing.T) {
+	const horizon = 1000.0
+	var events []trace.Event
+	var want []float64
+	for i := range 40 {
+		up := 0.1 * float64(i+1)
+		events = append(events, ev(up, trace.ContactUp, 39-i, 40+i, 0))
+	}
+	// Pair order is ascending in the first node: the last contact up
+	// closes first.
+	for i := 39; i >= 0; i-- {
+		want = append(want, horizon-0.1*float64(i+1))
+	}
+	wantSum := stats.Summarize(want)
+	for range 200 {
+		got := analyze(events, horizon).ContactDuration
+		if math.Float64bits(got.Mean) != math.Float64bits(wantSum.Mean) ||
+			math.Float64bits(got.Std) != math.Float64bits(wantSum.Std) {
+			t.Fatalf("ContactDuration = %+v, want %+v (closed in pair order)", got, wantSum)
+		}
 	}
 }
 
@@ -165,7 +208,7 @@ func TestStringRendering(t *testing.T) {
 		ev(20, trace.TransferComplete, 0, 2, 1),
 		ev(20, trace.Delivered, 0, 2, 1),
 	}
-	s := Analyze(events, 100).String()
+	s := analyze(events, 100).String()
 	for _, want := range []string{"contacts", "transfers", "messages", "delivery paths"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report missing %q:\n%s", want, s)

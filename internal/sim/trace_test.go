@@ -3,33 +3,47 @@ package sim
 import (
 	"testing"
 
+	"vdtn/internal/bundle"
+	"vdtn/internal/reports"
 	"vdtn/internal/trace"
 )
 
 // TestTraceConsistency runs a traced scenario and cross-checks the event
-// stream against the run's ledger and medium counters — the trace is only
-// useful if it is exact.
+// stream, as a tracker counts it live, against the run's ledger and medium
+// counters — the trace is only useful if it is exact.
 func TestTraceConsistency(t *testing.T) {
-	var lg trace.Log
+	tracker := reports.NewTracker()
+	var prev trace.Event
+	n := 0
+	first := make(map[bundle.ID]trace.Kind) // kind of the first event naming each message id
 	c := quickConfig(33)
-	c.Trace = lg.Append
+	c.Trace = func(ev trace.Event) {
+		// Event stream must be time-ordered.
+		if n > 0 && ev.Time < prev.Time {
+			t.Fatalf("trace out of order at %d: %v after %v", n, ev, prev)
+		}
+		prev = ev
+		n++
+		tracker.Emit(ev)
+
+		// Per-message sanity: every delivered message was created first.
+		if _, ok := first[ev.Msg]; !ok {
+			first[ev.Msg] = ev.Kind
+		}
+		if ev.Kind == trace.Delivered && first[ev.Msg] != trace.Created {
+			t.Fatalf("message %v delivered without creation event", ev.Msg)
+		}
+	}
 	w, err := New(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := w.Run()
 
-	if lg.Len() == 0 {
+	if n == 0 {
 		t.Fatal("trace recorded nothing")
 	}
-
-	// Event stream must be time-ordered.
-	evs := lg.Events()
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			t.Fatalf("trace out of order at %d: %v after %v", i, evs[i], evs[i-1])
-		}
-	}
+	a := tracker.Analysis(c.Duration)
 
 	// Counts must match the authoritative counters.
 	checks := []struct {
@@ -49,24 +63,24 @@ func TestTraceConsistency(t *testing.T) {
 		{trace.Expired, r.Expired, "expiries"},
 	}
 	for _, c := range checks {
-		if got := lg.Count(c.kind); got != c.want {
+		if got := a.Counts[c.kind]; got != c.want {
 			t.Errorf("trace %s = %d, ledger says %d", c.name, got, c.want)
 		}
 	}
 
 	// Contact lifecycle: downs never exceed ups.
-	if lg.Count(trace.ContactDown) > lg.Count(trace.ContactUp) {
+	if a.Counts[trace.ContactDown] > a.Counts[trace.ContactUp] {
 		t.Error("more contact downs than ups")
 	}
 
-	// Per-message sanity: every delivered message was created first.
-	for _, ev := range evs {
-		if ev.Kind != trace.Delivered {
-			continue
-		}
-		life := lg.OfMessage(ev.Msg)
-		if len(life) == 0 || life[0].Kind != trace.Created {
-			t.Fatalf("message %v delivered without creation event", ev.Msg)
+	// The tracker agrees: every delivered message counts towards the
+	// delivered fate, and none was delivered before its creation.
+	if a.Fates[reports.FateDelivered] != a.Delivered {
+		t.Fatalf("%d messages delivered, %d of them created", a.Delivered, a.Fates[reports.FateDelivered])
+	}
+	for _, d := range a.Delays() {
+		if d < 0 {
+			t.Fatalf("message delivered %v s before its creation", -d)
 		}
 	}
 }

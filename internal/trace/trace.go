@@ -6,13 +6,16 @@
 //
 // The simulator emits events through a plain callback (sim.Config.Trace),
 // so tracing costs nothing when disabled; this package provides the event
-// vocabulary and two consumers — an in-memory Log and a streaming TSV
-// Writer.
+// vocabulary, an in-memory Log, and the TSV format: Writer streams it out
+// and ReadTSV streams it back in.
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,6 +49,9 @@ const (
 	Dropped
 	// Expired: Msg's TTL ran out at node A.
 	Expired
+
+	// NumKinds is the number of event kinds, for arrays indexed by Kind.
+	NumKinds = iota
 )
 
 var kindNames = [...]string{
@@ -106,90 +112,65 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Count returns how many events of kind k were recorded.
-func (l *Log) Count(k Kind) int {
-	n := 0
-	for _, ev := range l.events {
-		if ev.Kind == k {
-			n++
+// ReadTSV reads back the TSV format Writer produces, so traces recorded in
+// one session can be analyzed offline in another (cmd/traceview). It calls
+// emit once per row, in file order, without holding the trace. The header
+// row is required; unknown kinds, non-finite times and a time earlier than
+// the previous row's fail loudly, naming the line.
+func ReadTSV(r io.Reader, emit Func) error {
+	sc := bufio.NewScanner(r)
+	prev := math.Inf(-1)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if line == 1 && !strings.HasPrefix(text, "time\tkind") {
+			return fmt.Errorf("trace: missing TSV header")
 		}
-	}
-	return n
-}
-
-// OfMessage returns the events touching message id, in order — the
-// replica's life across the network.
-func (l *Log) OfMessage(id bundle.ID) []Event {
-	var out []Event
-	for _, ev := range l.events {
-		if ev.Msg == id {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// WriteTSV renders the log as tab-separated rows:
-// time, kind, a, b, msg.
-func (l *Log) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "time\tkind\ta\tb\tmsg"); err != nil {
-		return err
-	}
-	for _, ev := range l.events {
-		if _, err := fmt.Fprintf(w, "%.3f\t%s\t%d\t%d\t%s\n",
-			ev.Time, ev.Kind, ev.A, ev.B, ev.Msg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ParseTSV reads back the TSV format produced by WriteTSV / Writer, so
-// traces recorded in one session can be analyzed offline in another
-// (cmd/traceview). The header row is required; unknown kinds fail loudly.
-func ParseTSV(text string) ([]Event, error) {
-	kindByName := make(map[string]Kind, len(kindNames))
-	for k, name := range kindNames {
-		kindByName[name] = Kind(k)
-	}
-	var events []Event
-	lines := strings.Split(text, "\n")
-	if len(lines) == 0 || !strings.HasPrefix(strings.TrimSpace(lines[0]), "time\tkind") {
-		return nil, fmt.Errorf("trace: missing TSV header")
-	}
-	for i, raw := range lines[1:] {
-		line := strings.TrimSpace(raw)
-		if line == "" {
+		if line == 1 || text == "" {
 			continue
 		}
-		fields := strings.Split(line, "\t")
+		fields := strings.Split(text, "\t")
 		if len(fields) != 5 {
-			return nil, fmt.Errorf("trace: line %d: want 5 columns, got %d", i+2, len(fields))
+			return fmt.Errorf("trace: line %d: want 5 columns, got %d", line, len(fields))
 		}
 		t, err := strconv.ParseFloat(fields[0], 64)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad time %q", i+2, fields[0])
+			return fmt.Errorf("trace: line %d: bad time %q", line, fields[0])
 		}
-		kind, ok := kindByName[fields[1]]
-		if !ok {
-			return nil, fmt.Errorf("trace: line %d: unknown kind %q", i+2, fields[1])
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return fmt.Errorf("trace: line %d: non-finite time %q", line, fields[0])
+		}
+		if t < prev {
+			return fmt.Errorf("trace: line %d: time %s before the previous row's %g", line, fields[0], prev)
+		}
+		prev = t
+		kind := Kind(slices.Index(kindNames[:], fields[1]))
+		if kind < 0 {
+			return fmt.Errorf("trace: line %d: unknown kind %q", line, fields[1])
 		}
 		a, err := strconv.Atoi(fields[2])
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad node %q", i+2, fields[2])
+			return fmt.Errorf("trace: line %d: bad node %q", line, fields[2])
 		}
 		b, err := strconv.Atoi(fields[3])
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad node %q", i+2, fields[3])
+			return fmt.Errorf("trace: line %d: bad node %q", line, fields[3])
 		}
 		msgText := strings.TrimPrefix(fields[4], "M")
 		msg, err := strconv.ParseInt(msgText, 10, 64)
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: bad message id %q", i+2, fields[4])
+			return fmt.Errorf("trace: line %d: bad message id %q", line, fields[4])
 		}
-		events = append(events, Event{Time: t, Kind: kind, A: a, B: b, Msg: bundle.ID(msg)})
+		emit(Event{Time: t, Kind: kind, A: a, B: b, Msg: bundle.ID(msg)})
 	}
-	return events, nil
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("trace: line %d: %w", line+1, err)
+	}
+	if line == 0 {
+		return fmt.Errorf("trace: missing TSV header")
+	}
+	return nil
 }
 
 // Writer is a streaming trace consumer emitting one TSV row per event.

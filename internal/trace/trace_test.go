@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,20 +41,9 @@ func TestLogAppendAndQuery(t *testing.T) {
 	if l.Len() != 4 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if l.Count(Created) != 2 {
-		t.Fatalf("Count(Created) = %d", l.Count(Created))
-	}
-	if l.Count(Expired) != 0 {
-		t.Fatalf("Count(Expired) = %d", l.Count(Expired))
-	}
-	m1 := l.OfMessage(1)
-	if len(m1) != 3 {
-		t.Fatalf("OfMessage(1) = %d events", len(m1))
-	}
-	for i := 1; i < len(m1); i++ {
-		if m1[i].Time < m1[i-1].Time {
-			t.Fatal("OfMessage out of order")
-		}
+	evs := l.Events()
+	if len(evs) != 4 || evs[1].Kind != TransferStart || evs[3].Kind != Delivered {
+		t.Fatalf("Events = %+v, want emission order", evs)
 	}
 }
 
@@ -67,24 +57,37 @@ func TestLogEventsIsCopy(t *testing.T) {
 	}
 }
 
-func TestWriteTSV(t *testing.T) {
-	var l Log
-	l.Append(Event{Time: 1.5, Kind: ContactUp, A: 1, B: 2})
-	l.Append(Event{Time: 2.25, Kind: Created, A: 0, B: 5, Msg: 7})
+// writeTSV encodes events through a Writer, the one TSV row formatter.
+func writeTSV(t testing.TB, events []Event) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := l.WriteTSV(&sb); err != nil {
+	w := NewWriter(&sb)
+	for _, ev := range events {
+		w.Emit(ev)
+	}
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("TSV lines = %d:\n%s", len(lines), out)
-	}
-	if lines[0] != "time\tkind\ta\tb\tmsg" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[1], "contact_up") || !strings.Contains(lines[2], "M7") {
-		t.Fatalf("rows wrong:\n%s", out)
+	return sb.String()
+}
+
+// readTSV decodes text with ReadTSV, collecting the events.
+func readTSV(text string) ([]Event, error) {
+	var l Log
+	err := ReadTSV(strings.NewReader(text), l.Append)
+	return l.Events(), err
+}
+
+func TestWriteTSV(t *testing.T) {
+	out := writeTSV(t, []Event{
+		{Time: 1.5, Kind: ContactUp, A: 1, B: 2},
+		{Time: 2.25, Kind: Created, A: 0, B: 5, Msg: 7},
+	})
+	want := "time\tkind\ta\tb\tmsg\n" +
+		"1.500\tcontact_up\t1\t2\tM0\n" +
+		"2.250\tcreated\t0\t5\tM7\n"
+	if out != want {
+		t.Fatalf("TSV =\n%s\nwant\n%s", out, want)
 	}
 }
 
@@ -101,46 +104,49 @@ func TestStreamingWriter(t *testing.T) {
 }
 
 func TestParseTSVRoundTrip(t *testing.T) {
-	var l Log
-	l.Append(Event{Time: 1.5, Kind: ContactUp, A: 1, B: 2})
-	l.Append(Event{Time: 2.25, Kind: Created, A: 0, B: 5, Msg: 7})
-	l.Append(Event{Time: 9, Kind: Delivered, A: 3, B: 5, Msg: 7})
-	var sb strings.Builder
-	if err := l.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
+	want := []Event{
+		{Time: 1.5, Kind: ContactUp, A: 1, B: 2},
+		{Time: 2.25, Kind: Created, A: 0, B: 5, Msg: 7},
+		{Time: 9, Kind: Delivered, A: 3, B: 5, Msg: 7},
+		{Time: 9, Kind: Expired, A: 4, B: -1, Msg: 8},
 	}
-	events, err := ParseTSV(sb.String())
+	got, err := readTSV(writeTSV(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != l.Len() {
-		t.Fatalf("round trip count: %d != %d", len(events), l.Len())
-	}
-	for i, ev := range l.Events() {
-		if events[i] != ev {
-			t.Fatalf("event %d drifted: %+v != %+v", i, events[i], ev)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
 	}
 }
 
+// TSVErrorCases are inputs ReadTSV must reject, each with the error it
+// must name. FuzzReadTSV seeds its corpus with them.
+var TSVErrorCases = map[string]struct{ Text, Err string }{
+	"empty":        {"", "missing TSV header"},
+	"no header":    {"1.0\tcontact_up\t1\t2\tM0", "missing TSV header"},
+	"bad columns":  {"time\tkind\ta\tb\tmsg\n1.0\tcontact_up\t1", "line 2: want 5 columns, got 3"},
+	"bad time":     {"time\tkind\ta\tb\tmsg\nx\tcontact_up\t1\t2\tM0", `line 2: bad time "x"`},
+	"unknown kind": {"time\tkind\ta\tb\tmsg\n1\twormhole\t1\t2\tM0", `line 2: unknown kind "wormhole"`},
+	"bad node":     {"time\tkind\ta\tb\tmsg\n1\tcontact_up\tx\t2\tM0", `line 2: bad node "x"`},
+	"bad peer":     {"time\tkind\ta\tb\tmsg\n1\tcontact_up\t1\ty\tM0", `line 2: bad node "y"`},
+	"bad msg":      {"time\tkind\ta\tb\tmsg\n1\tcreated\t1\t2\tMx", `line 2: bad message id "Mx"`},
+	"NaN time":     {"time\tkind\ta\tb\tmsg\n\nNaN\tcreated\t1\t2\tM1", `line 3: non-finite time "NaN"`},
+	"Inf time":     {"time\tkind\ta\tb\tmsg\n1\tcreated\t1\t2\tM1\n-Inf\tcreated\t1\t2\tM2", `line 3: non-finite time "-Inf"`},
+	"time backwards": {"time\tkind\ta\tb\tmsg\n5\tcreated\t1\t2\tM1\n5\tcreated\t1\t2\tM2\n\n4.999\tcreated\t1\t2\tM3",
+		"line 5: time 4.999 before the previous row's 5"},
+}
+
 func TestParseTSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"no header":    "1.0\tcontact_up\t1\t2\tM0",
-		"bad columns":  "time\tkind\ta\tb\tmsg\n1.0\tcontact_up\t1",
-		"bad time":     "time\tkind\ta\tb\tmsg\nx\tcontact_up\t1\t2\tM0",
-		"unknown kind": "time\tkind\ta\tb\tmsg\n1\twormhole\t1\t2\tM0",
-		"bad node":     "time\tkind\ta\tb\tmsg\n1\tcontact_up\tx\t2\tM0",
-		"bad msg":      "time\tkind\ta\tb\tmsg\n1\tcreated\t1\t2\tMx",
-	}
-	for name, text := range cases {
-		if _, err := ParseTSV(text); err == nil {
-			t.Errorf("%s: ParseTSV accepted %q", name, text)
+	for name, c := range TSVErrorCases {
+		_, err := readTSV(c.Text)
+		if err == nil || !strings.Contains(err.Error(), c.Err) {
+			t.Errorf("%s: ReadTSV(%q) = %v, want an error containing %q", name, c.Text, err, c.Err)
 		}
 	}
 }
 
 func TestParseTSVSkipsBlankLines(t *testing.T) {
-	events, err := ParseTSV("time\tkind\ta\tb\tmsg\n\n1\tcreated\t0\t5\tM3\n\n")
+	events, err := readTSV("time\tkind\ta\tb\tmsg\n\n1\tcreated\t0\t5\tM3\n\n")
 	if err != nil {
 		t.Fatal(err)
 	}

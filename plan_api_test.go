@@ -29,8 +29,8 @@ func TestPublicContactPlanScenario(t *testing.T) {
 		{Time: 0, From: 0, To: 2, Size: units.MB(1)},
 	}
 
-	var lg vdtn.TraceLog
-	cfg.Trace = lg.Append
+	tracker := vdtn.NewTraceTracker()
+	cfg.Trace = tracker.Emit
 
 	r, err := vdtn.Run(cfg)
 	if err != nil {
@@ -40,7 +40,7 @@ func TestPublicContactPlanScenario(t *testing.T) {
 		t.Fatalf("delivered %d, want 1 (via relay hop)", r.Delivered)
 	}
 
-	a := vdtn.AnalyzeTrace(lg.Events(), cfg.Duration)
+	a := tracker.Analysis(cfg.Duration)
 	if a.Delivered != 1 || a.Created != 1 {
 		t.Fatalf("analysis: %+v", a)
 	}
@@ -48,11 +48,11 @@ func TestPublicContactPlanScenario(t *testing.T) {
 	if len(path) != 3 || path[0] != 0 || path[1] != 1 || path[2] != 2 {
 		t.Fatalf("delivery path = %v, want [0 1 2]", path)
 	}
-	if n := lg.Count(vdtn.TraceContactUp); n != 2 {
+	if n := a.Counts[vdtn.TraceContactUp]; n != 2 {
 		t.Fatalf("traced %d contact ups, want 2", n)
 	}
-	if pairs := vdtn.TopContactPairs(lg.Events(), 1); len(pairs) != 1 {
-		t.Fatalf("TopContactPairs = %v", pairs)
+	if pairs := a.TopPairs(1); len(pairs) != 1 {
+		t.Fatalf("TopPairs = %v", pairs)
 	}
 }
 

@@ -294,12 +294,12 @@ func RecordingPlan(rec *ContactRecording) (*ContactPlan, error) { return sim.Rec
 // process — what ContactCache keys recorded traces on.
 func ContactFingerprint(cfg Config) string { return scenario.ContactFingerprint(cfg) }
 
-// Tracing and offline analysis. Install a consumer via Config.Trace:
+// Tracing and streaming analysis. Install a consumer via Config.Trace:
 //
-//	var lg vdtn.TraceLog
-//	cfg.Trace = lg.Append
+//	tracker := vdtn.NewTraceTracker()
+//	cfg.Trace = tracker.Emit
 //	vdtn.Run(cfg)
-//	analysis := vdtn.AnalyzeTrace(lg.Events(), cfg.Duration)
+//	analysis := tracker.Analysis(cfg.Duration)
 type (
 	// TraceEvent is one simulation event record.
 	TraceEvent = trace.Event
@@ -309,6 +309,8 @@ type (
 	TraceLog = trace.Log
 	// TraceWriter streams events as TSV.
 	TraceWriter = trace.Writer
+	// TraceTracker analyzes an event stream as it arrives.
+	TraceTracker = reports.Tracker
 	// TraceAnalysis is the offline report derived from a trace.
 	TraceAnalysis = reports.Analysis
 )
@@ -332,16 +334,10 @@ const (
 // install its Emit method as Config.Trace.
 func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
-// AnalyzeTrace derives contact statistics, transfer outcomes, message
-// fates and delivery paths from a recorded event stream.
-func AnalyzeTrace(events []TraceEvent, horizon float64) *TraceAnalysis {
-	return reports.Analyze(events, horizon)
-}
-
-// TopContactPairs returns the k node pairs with the most contacts.
-func TopContactPairs(events []TraceEvent, k int) [][2]int {
-	return reports.TopPairs(events, k)
-}
+// NewTraceTracker returns an empty streaming trace analyzer: install its
+// Emit method as Config.Trace, and its Analysis derives contact statistics,
+// transfer outcomes, message fates and delivery paths from the events.
+func NewTraceTracker() *TraceTracker { return reports.NewTracker() }
 
 // Experiment harness re-exports: the declarative sweep engine that
 // regenerates the paper's figures and runs user-defined sweeps from JSON
