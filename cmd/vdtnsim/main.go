@@ -213,7 +213,7 @@ func main() {
 	tracker := reports.NewTracker()
 	var tw *trace.Writer
 	var traceOut *os.File
-	flushTrace := func() {}
+	flushTrace := func() error { return nil }
 	switch {
 	case *traceFile != "":
 		f, err := os.Create(*traceFile)
@@ -223,11 +223,9 @@ func main() {
 		}
 		traceOut = f
 		buffered := bufio.NewWriter(f)
-		flushTrace = func() {
-			buffered.Flush()
-			f.Close()
+		flushTrace = func() error {
+			return errors.Join(buffered.Flush(), f.Close())
 		}
-		defer flushTrace()
 		tw = trace.NewWriter(buffered)
 		if *analyze {
 			cfg.Trace = func(ev trace.Event) {
@@ -280,7 +278,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vdtnsim: %v\n", err)
 		if errors.Is(err, context.Canceled) {
-			flushTrace()
+			if err := flushTrace(); err != nil {
+				fmt.Fprintf(os.Stderr, "vdtnsim: trace write: %v\n", err)
+			}
 			os.Exit(130)
 		}
 		os.Exit(1)
@@ -311,7 +311,11 @@ func main() {
 		}
 	}
 	if tw != nil {
-		if err := tw.Err(); err != nil {
+		err := tw.Err()
+		if ferr := flushTrace(); err == nil {
+			err = ferr
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "vdtnsim: trace write: %v\n", err)
 			os.Exit(1)
 		}

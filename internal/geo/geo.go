@@ -1,6 +1,6 @@
 // Package geo provides the small 2-D geometry kernel used by the road map
-// and mobility substrates: points in a metric plane (metres), segments,
-// linear interpolation along polylines, and axis-aligned bounding boxes.
+// and mobility substrates: points in a metric plane (metres), linear
+// interpolation, segments, polylines, and axis-aligned bounding boxes.
 //
 // The simulator's coordinate system is a local planar frame in metres, as in
 // the ONE simulator's map files; no geodesy is involved at city scale.
@@ -65,19 +65,6 @@ func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 // At returns the point a fraction t along the segment (t in [0,1]).
 func (s Segment) At(t float64) Point { return s.A.Lerp(s.B, t) }
 
-// AtDistance returns the point d metres from A towards B, clamped to the
-// segment endpoints.
-func (s Segment) AtDistance(d float64) Point {
-	l := s.Length()
-	if l == 0 || d <= 0 {
-		return s.A
-	}
-	if d >= l {
-		return s.B
-	}
-	return s.At(d / l)
-}
-
 // Polyline is a connected chain of points, the geometry of a route.
 type Polyline []Point
 
@@ -88,26 +75,6 @@ func (pl Polyline) Length() float64 {
 		total += pl[i-1].Dist(pl[i])
 	}
 	return total
-}
-
-// AtDistance returns the point d metres along the polyline, clamped to the
-// endpoints. An empty polyline panics; a single-point polyline returns that
-// point.
-func (pl Polyline) AtDistance(d float64) Point {
-	if len(pl) == 0 {
-		panic("geo: AtDistance on empty polyline")
-	}
-	if d <= 0 || len(pl) == 1 {
-		return pl[0]
-	}
-	for i := 1; i < len(pl); i++ {
-		seg := pl[i-1].Dist(pl[i])
-		if d <= seg {
-			return Segment{pl[i-1], pl[i]}.AtDistance(d)
-		}
-		d -= seg
-	}
-	return pl[len(pl)-1]
 }
 
 // Rect is an axis-aligned bounding box.

@@ -6,6 +6,44 @@ import (
 	"testing/quick"
 )
 
+// The route walks below are the reference semantics for a point a
+// distance along a route. The simulator's one walk, mobility.MapWalk,
+// caches segment lengths per leg and must match them bit for bit (see
+// its tests); these keep them pinned here.
+
+// AtDistance returns the point d metres from A towards B, clamped to the
+// segment endpoints.
+func (s Segment) AtDistance(d float64) Point {
+	l := s.Length()
+	if l == 0 || d <= 0 {
+		return s.A
+	}
+	if d >= l {
+		return s.B
+	}
+	return s.At(d / l)
+}
+
+// AtDistance returns the point d metres along the polyline, clamped to the
+// endpoints. An empty polyline panics; a single-point polyline returns that
+// point.
+func (pl Polyline) AtDistance(d float64) Point {
+	if len(pl) == 0 {
+		panic("geo: AtDistance on empty polyline")
+	}
+	if d <= 0 || len(pl) == 1 {
+		return pl[0]
+	}
+	for i := 1; i < len(pl); i++ {
+		seg := pl[i-1].Dist(pl[i])
+		if d <= seg {
+			return Segment{pl[i-1], pl[i]}.AtDistance(d)
+		}
+		d -= seg
+	}
+	return pl[len(pl)-1]
+}
+
 func TestDist(t *testing.T) {
 	a := Point{0, 0}
 	b := Point{3, 4}

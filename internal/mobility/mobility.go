@@ -63,9 +63,12 @@ type MapWalk struct {
 	pauseEnd float64
 
 	route    geo.Polyline
+	segLen   []float64 // route[i].Dist(route[i+1]), filled once per leg
 	routeLen float64
 	legStart float64
 	speed    float64
+	arrival  float64 // legStart + routeLen/speed
+	passed   int     // leading segments the last query's distance was past
 
 	lastQuery float64
 	trips     int // completed trips, for tests/diagnostics
@@ -128,6 +131,9 @@ func (w *MapWalk) Position(now float64) geo.Point {
 	if now < w.lastQuery-timeTolerance {
 		panic(fmt.Sprintf("mobility: time reversed from %v to %v", w.lastQuery, now))
 	}
+	if now < w.lastQuery {
+		w.passed = 0 // a step back inside the tolerance may un-pass a segment
+	}
 	w.lastQuery = now
 	for {
 		if w.paused {
@@ -137,12 +143,46 @@ func (w *MapWalk) Position(now float64) geo.Point {
 			w.depart(w.pauseEnd)
 			continue
 		}
-		arrival := w.legStart + w.routeLen/w.speed
-		if now < arrival {
-			return w.route.AtDistance(w.speed * (now - w.legStart))
+		if now < w.arrival {
+			return w.along(w.speed * (now - w.legStart))
 		}
-		w.arrive(arrival)
+		w.arrive(w.arrival)
 	}
+}
+
+// along returns the point d metres along the route, clamped to its ends:
+// the distance is walked down the cached segment lengths by sequential
+// subtraction, and the segment it ends on is interpolated at d/length.
+//
+// Within a leg d never decreases (Position resets the cursor when it
+// does), and rounded subtraction is monotone, so a segment the previous
+// query's distance was past is past again: for the first w.passed
+// segments only the subtractions are repeated, which keeps the remainder,
+// and so the point, bit-identical to a walk from the start.
+func (w *MapWalk) along(d float64) geo.Point {
+	pl := w.route
+	if d <= 0 || len(pl) == 1 {
+		return pl[0]
+	}
+	i := 0
+	for ; i < w.passed; i++ {
+		d -= w.segLen[i]
+	}
+	for ; i < len(w.segLen); i++ {
+		// d > 0 here: it starts positive and only loses a segment it
+		// exceeds, so d <= seg implies a segment of positive length.
+		seg := w.segLen[i]
+		if d <= seg {
+			w.passed = i
+			if d == seg {
+				return pl[i+1]
+			}
+			return pl[i].Lerp(pl[i+1], d/seg)
+		}
+		d -= seg
+	}
+	w.passed = len(w.segLen)
+	return pl[len(pl)-1]
 }
 
 // StaticUntil reports how long the vehicle is guaranteed to stand still:
@@ -171,12 +211,24 @@ func (w *MapWalk) depart(at float64) {
 	if !ok {
 		panic("mobility: unreachable destination on validated map")
 	}
-	w.route = w.g.PathPolyline(path)
+	w.setRoute(w.g.PathPolyline(path))
 	w.routeLen = dist
 	w.speed = w.rng.UniformFloat(w.speedLo, w.speedHi)
 	w.legStart = at
+	w.arrival = at + dist/w.speed
 	w.paused = false
 	w.at = dest
+}
+
+// setRoute installs the leg's geometry: its segment lengths are measured
+// here, once, and the walk cursor restarts at the first segment.
+func (w *MapWalk) setRoute(route geo.Polyline) {
+	w.route = route
+	w.segLen = w.segLen[:0]
+	for i := 1; i < len(route); i++ {
+		w.segLen = append(w.segLen, route[i-1].Dist(route[i]))
+	}
+	w.passed = 0
 }
 
 // arrive ends the current trip at the destination and starts the pause.

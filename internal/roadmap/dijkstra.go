@@ -1,9 +1,6 @@
 package roadmap
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // ssspTree is a single-source shortest-path tree: for a fixed source, the
 // distance to every vertex and the predecessor on one shortest path.
@@ -20,18 +17,45 @@ type pqItem struct {
 	dist float64
 }
 
+// pq is a binary min-heap on dist. push and pop take container/heap's
+// exact sift steps, so entries leave in the order they would from
+// container/heap — the order that breaks ties in a tree's prev — without
+// boxing each item in an interface.
 type pq []pqItem
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].dist < h[j].dist {
+			j = j2
+		}
+		if !(h[j].dist < h[i].dist) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
 }
 
 // shortestTree returns the (possibly cached) shortest-path tree from src.
@@ -58,9 +82,9 @@ func (g *Graph) shortestTree(src int) *ssspTree {
 		t.prev[i] = -1
 	}
 	t.dist[src] = 0
-	q := pq{{src, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	q := append(g.queue[:0], pqItem{src, 0})
+	for len(q) > 0 {
+		it := q.pop()
 		if it.dist > t.dist[it.v] {
 			continue // stale entry
 		}
@@ -69,10 +93,11 @@ func (g *Graph) shortestTree(src int) *ssspTree {
 			if nd < t.dist[e.to] {
 				t.dist[e.to] = nd
 				t.prev[e.to] = it.v
-				heap.Push(&q, pqItem{e.to, nd})
+				q.push(pqItem{e.to, nd})
 			}
 		}
 	}
+	g.queue = q
 	if g.sssp == nil {
 		g.sssp = make(map[int]*ssspTree)
 	}
@@ -92,14 +117,16 @@ func (g *Graph) ShortestPath(a, b int) (path []int, dist float64, ok bool) {
 	if math.IsInf(t.dist[b], 1) {
 		return nil, 0, false
 	}
-	// Walk predecessors back from b.
-	rev := []int{b}
+	// Walk predecessors back from b twice: once to size the path, once to
+	// fill it from the end.
+	n := 1
 	for v := b; v != a; v = t.prev[v] {
-		rev = append(rev, t.prev[v])
+		n++
 	}
-	path = make([]int, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
+	path = make([]int, n)
+	for v := b; n > 0; v = t.prev[v] {
+		n--
+		path[n] = v
 	}
 	return path, t.dist[b], true
 }

@@ -51,6 +51,13 @@ type Graph struct {
 	// results.
 	ssspMu sync.Mutex
 	sssp   map[int]*ssspTree
+	queue  pq // Dijkstra's heap, reused by every tree build
+
+	// Validate's memoized result, guarded by ssspMu and cleared with the
+	// shortest-path cache: every walker on a map validates it, and the
+	// map changes only while it is assembled.
+	validated bool
+	validErr  error
 }
 
 // New returns an empty graph.
@@ -102,6 +109,7 @@ func (g *Graph) AddEdge(a, b int) {
 func (g *Graph) invalidate() {
 	g.ssspMu.Lock()
 	g.sssp = nil
+	g.validated, g.validErr = false, nil
 	g.ssspMu.Unlock()
 }
 
@@ -200,8 +208,18 @@ func (g *Graph) component(start int) []int {
 // Validate checks structural invariants a usable scenario map must satisfy:
 // at least two vertices, at least one edge, and full connectivity (otherwise
 // some shortest-path movement targets would be unreachable). It returns a
-// descriptive error for the first violated invariant.
+// descriptive error for the first violated invariant. The result is
+// memoized until the graph next changes.
 func (g *Graph) Validate() error {
+	g.ssspMu.Lock()
+	defer g.ssspMu.Unlock()
+	if !g.validated {
+		g.validErr, g.validated = g.validate(), true
+	}
+	return g.validErr
+}
+
+func (g *Graph) validate() error {
 	if len(g.pts) < 2 {
 		return fmt.Errorf("roadmap: map has %d vertices, need at least 2", len(g.pts))
 	}

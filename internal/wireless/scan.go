@@ -29,8 +29,8 @@ func cellOf(p geo.Point, size float64) cellKey {
 }
 
 // packPair collapses the pair (a, b), a < b, into one uint64 whose numeric
-// order equals the pair's lexicographic order, so the scan's sort, merge
-// and diff run on single-word comparisons. Node ids are dense, so they fit
+// order equals the pair's lexicographic order, so the scan sorts its
+// transitions on single-word comparisons. Node ids are dense, so they fit
 // in 32 bits.
 func packPair(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
@@ -44,9 +44,10 @@ func unpackPair(u uint64) pairKey {
 // scanState is the live scan's working set. Everything here is allocated
 // on the first tick and reused for every subsequent one, so a steady-state
 // scan performs no allocations: the position cache and grid are updated
-// incrementally as entities move, and the pair/diff slices are truncated
-// and refilled in place. Per-entity slices are indexed by node id, and
-// pair sets hold packed pair keys (packPair).
+// incrementally as entities move, and the transition slices are truncated
+// and refilled in place. Per-entity slices are indexed by node id. The
+// previous tick's pair set is not kept here: it is the medium's adjacency
+// lists, which only the scan's own transitions change.
 type scanState struct {
 	seen      []bool          // entity has been placed in the grid
 	pos       []geo.Point     // last observed position
@@ -57,27 +58,27 @@ type scanState struct {
 
 	grid gridState
 
-	movers     []int32   // node ids re-queried this tick
-	carry      []uint64  // static-static pairs carried from prev (sorted)
-	pairs      []uint64  // in-range pairs involving a mover (sorted)
-	curr, prev []uint64  // in-range pairs this and last tick, ascending
-	downs, ups []pairKey // per-tick transition staging
+	movers     []int32  // node ids re-queried this tick
+	downs, ups []uint64 // this tick's transitions, packed (packPair)
 }
 
-// gridState is the spatial grid: a flat power-of-two table of buckets of
-// node ids, persisting across ticks (an entity moves buckets only when its
-// position crosses into another slot). Cell (x, y) lives at slot
-// (x mod w, y mod h), row-major, so a geometry wider than the table wraps
-// and cells a table width apart share a slot. Wrapping costs no
-// correctness: with w, h >= 3 the 3x3 neighbourhood of any cell covers
-// nine distinct slots, so the walk meets every entity at most once, and the
-// distance test rejects the wrapped strangers. The table size depends on
-// the entity count alone, so memory stays bounded for any geometry. Bucket
-// order never matters: the pair set is sorted before transitions fire.
+// gridState is the spatial grid: a flat power-of-two table of slots, each
+// the head of a doubly linked list of the node ids in it, persisting
+// across ticks (an entity changes lists only when its position crosses
+// into another slot, and linking or unlinking it is O(1)). Cell (x, y)
+// lives at slot (x mod w, y mod h), row-major, so a geometry wider than
+// the table wraps and cells a table width apart share a slot. Wrapping
+// costs no correctness: with w, h >= 3 the 3x3 neighbourhood of any cell
+// covers nine distinct slots, so the walk meets every entity at most once,
+// and the distance test rejects the wrapped strangers. The table size
+// depends on the entity count alone, so memory stays bounded for any
+// geometry. List order never matters: transitions are sorted before they
+// fire.
 type gridState struct {
-	wBits        uint      // log2 of the table width w
-	wMask, hMask int64     // w-1 and h-1
-	cells        [][]int32 // buckets, row-major: x&wMask | (y&hMask)<<wBits
+	wBits        uint    // log2 of the table width w
+	wMask, hMask int64   // w-1 and h-1
+	head         []int32 // first node in each slot, -1 when empty
+	next, prev   []int32 // per node: its list neighbours, -1 at the ends
 }
 
 // gridMinSlots is the smallest table: 64x64 cells, about 1.9 km square at
@@ -95,13 +96,17 @@ func gridSlots(n int) int {
 }
 
 // reset replaces the table with an empty one of the given power-of-two
-// size, as square as the power allows (w = h or w = 2h).
+// size, as square as the power allows (w = h or w = 2h). Node links are
+// rewritten as nodes are added back.
 func (g *gridState) reset(slots int) {
 	k := uint(bits.TrailingZeros(uint(slots)))
 	g.wBits = (k + 1) / 2
 	g.wMask = 1<<g.wBits - 1
 	g.hMask = 1<<(k-g.wBits) - 1
-	g.cells = make([][]int32, slots)
+	g.head = make([]int32, slots)
+	for s := range g.head {
+		g.head[s] = -1
+	}
 }
 
 // slot returns the table slot of cell ck. The masks take x mod w and
@@ -110,19 +115,34 @@ func (g *gridState) slot(ck cellKey) int32 {
 	return int32(ck.x&g.wMask | (ck.y&g.hMask)<<g.wBits)
 }
 
-func (g *gridState) add(i, s int32) {
-	g.cells[s] = append(g.cells[s], i)
+// near reports whether slots s and t lie in each other's 3x3
+// neighbourhood, the slots the scan's walk from either one visits.
+func (g *gridState) near(s, t int32) bool {
+	dx := (int64(t) - int64(s)) & g.wMask
+	dy := (int64(t)>>g.wBits - int64(s)>>g.wBits) & g.hMask
+	return (dx <= 1 || dx == g.wMask) && (dy <= 1 || dy == g.hMask)
 }
 
-// remove swap-deletes node i from slot s's bucket.
+// add links node i at the head of slot s.
+func (g *gridState) add(i, s int32) {
+	h := g.head[s]
+	g.next[i], g.prev[i] = h, -1
+	if h >= 0 {
+		g.prev[h] = i
+	}
+	g.head[s] = i
+}
+
+// remove unlinks node i from slot s.
 func (g *gridState) remove(i, s int32) {
-	b := g.cells[s]
-	for n, v := range b {
-		if v == i {
-			b[n] = b[len(b)-1]
-			g.cells[s] = b[:len(b)-1]
-			return
-		}
+	n, p := g.next[i], g.prev[i]
+	if p >= 0 {
+		g.next[p] = n
+	} else {
+		g.head[s] = n
+	}
+	if n >= 0 {
+		g.prev[n] = p
 	}
 }
 
@@ -149,7 +169,8 @@ func comparePairs(a, b pairKey) int {
 // entity is re-homed from its cached position.
 func (m *Medium) growScanState() {
 	sc := &m.sc
-	if slots := gridSlots(len(m.entities)); slots > len(sc.grid.cells) {
+	n := len(m.entities)
+	if slots := gridSlots(n); slots > len(sc.grid.head) {
 		sc.grid.reset(slots)
 		for i, placed := range sc.seen {
 			if placed {
@@ -158,7 +179,7 @@ func (m *Medium) growScanState() {
 			}
 		}
 	}
-	for i := len(sc.pos); i < len(m.entities); i++ {
+	for i := len(sc.pos); i < n; i++ {
 		h, _ := m.entities[i].(StaticUntiler)
 		sc.seen = append(sc.seen, false)
 		sc.pos = append(sc.pos, geo.Point{})
@@ -166,75 +187,69 @@ func (m *Medium) growScanState() {
 		sc.staticTil = append(sc.staticTil, math.Inf(-1))
 		sc.slot = append(sc.slot, 0)
 		sc.isMover = append(sc.isMover, false)
+		sc.grid.next = append(sc.grid.next, -1)
+		sc.grid.prev = append(sc.grid.prev, -1)
 	}
 }
 
-// findPairs appends every in-range pair involving a mover to sc.pairs,
-// via the mover's 3x3 cell neighbourhood (nine slots, wrapping at the
-// table edges). Mover-mover pairs are enumerated from both ends; the
-// smaller-index end claims the pair, so each pair is found exactly once.
-func (m *Medium) findPairs() {
+// findTransitions collects this tick's transitions, packed, into sc.downs
+// and sc.ups. A pair whose ends both kept their position keeps its state,
+// so only pairs with a mover are examined, against the adjacency lists,
+// which hold last tick's pair set:
+//   - ups: pairs the mover's 3x3 walk (nine slots, wrapping at the table
+//     edges) finds in range that are not yet connected;
+//   - downs: the mover's connected peers that the walk would no longer
+//     find in range — out of range, or (on a float edge) out of the 3x3
+//     neighbourhood.
+//
+// A pair of two movers is seen from both ends; the smaller id claims it,
+// so each transition is collected exactly once.
+func (m *Medium) findTransitions() {
 	sc := &m.sc
 	g := &sc.grid
 	r2 := m.cfg.Range * m.cfg.Range
-	pairs := sc.pairs[:0]
+	downs, ups := sc.downs[:0], sc.ups[:0]
 	for _, i := range sc.movers {
-		sx, sy := int64(sc.slot[i])&g.wMask, int64(sc.slot[i])>>g.wBits
-		pi := sc.pos[i]
+		si, pi := sc.slot[i], sc.pos[i]
+		for _, p := range m.adj[i] {
+			j := int32(p)
+			if sc.isMover[j] && j < i {
+				continue
+			}
+			if pi.Dist2(sc.pos[j]) > r2 || !g.near(si, sc.slot[j]) {
+				downs = append(downs, packPair(min(i, j), max(i, j)))
+			}
+		}
+		sx, sy := int64(si)&g.wMask, int64(si)>>g.wBits
 		for dy := int64(-1); dy <= 1; dy++ {
 			row := ((sy + dy) & g.hMask) << g.wBits
 			for dx := int64(-1); dx <= 1; dx++ {
-				for _, j := range g.cells[row|(sx+dx)&g.wMask] {
+				for j := g.head[row|(sx+dx)&g.wMask]; j >= 0; j = g.next[j] {
 					if j == i || (sc.isMover[j] && j < i) {
 						continue
 					}
-					if pi.Dist2(sc.pos[j]) <= r2 {
-						pairs = append(pairs, packPair(min(i, j), max(i, j)))
+					if pi.Dist2(sc.pos[j]) <= r2 && !m.Connected(int(i), int(j)) {
+						ups = append(ups, packPair(min(i, j), max(i, j)))
 					}
 				}
 			}
 		}
 	}
-	sc.pairs = pairs
+	sc.downs, sc.ups = downs, ups
 }
 
-// mergePairs rebuilds sc.curr from the sorted carry and mover pairs,
-// ascending. The two inputs are disjoint (carry holds only non-mover
-// pairs), but equal keys are skipped anyway, so a duplicate could never
-// double-fire a transition.
-func (m *Medium) mergePairs() {
-	sc := &m.sc
-	carry, pairs := sc.carry, sc.pairs
-	sc.curr = sc.curr[:0]
-	for len(carry) > 0 || len(pairs) > 0 {
-		var ku uint64
-		if len(pairs) == 0 || (len(carry) > 0 && carry[0] <= pairs[0]) {
-			ku, carry = carry[0], carry[1:]
-		} else {
-			ku, pairs = pairs[0], pairs[1:]
-		}
-		if n := len(sc.curr); n > 0 && sc.curr[n-1] == ku {
-			continue
-		}
-		sc.curr = append(sc.curr, ku)
-	}
-}
-
-// scan recomputes the proximity graph and fires contact transitions.
+// scan updates the proximity graph and fires contact transitions.
 //
 // The scan is incremental: entities whose StaticUntil hint covers this
-// tick keep their cached position and grid cell, so only movers are
-// re-queried and re-bucketed. The current in-range pair set is then the
-// carried-over pairs between two non-movers (their membership cannot have
-// changed) plus every in-range pair involving at least one mover, found
-// through the mover's 3x3 cell neighbourhood. The carried pairs are
-// already sorted (a subsequence of the previous sorted set), so only the
-// mover pairs are sorted before a two-way merge rebuilds the full set.
-// Diffing it against the previous tick's yields the transitions; downs
-// fire first (freeing the endpoints' radios before new-contact handlers
-// try to start transfers on this same tick), then ups, each ascending by
-// pair — the exact firing order of the original full-rescan
-// implementation, so runs are byte-identical.
+// tick keep their cached position and grid slot, so only movers are
+// re-queried and re-linked, and only pairs involving a mover are
+// examined (findTransitions). A tick costs O(nodes) for the hint check
+// plus, per mover, its 3x3 neighbourhood and its peer list — work in
+// proportion to what moved, not to the contact set. Downs fire first
+// (freeing the endpoints' radios before new-contact handlers try to start
+// transfers on this same tick), then ups, each ascending by pair — the
+// exact firing order of the original full-rescan implementation, so runs
+// are byte-identical.
 func (m *Medium) scan(now float64) {
 	sc := &m.sc
 	if len(sc.pos) < len(m.entities) {
@@ -242,9 +257,7 @@ func (m *Medium) scan(now float64) {
 	}
 
 	// Re-query every entity whose cached position is not covered by a
-	// static-until hint, and move it to its new grid slot. Bucket order
-	// is not meaningful (removal swap-deletes); determinism comes from
-	// sorting the pair set before transitions fire.
+	// static-until hint, and move it to its new grid slot.
 	sc.movers = sc.movers[:0]
 	for n, e := range m.entities {
 		i := int32(n)
@@ -272,50 +285,15 @@ func (m *Medium) scan(now float64) {
 		sc.movers = append(sc.movers, i)
 	}
 
-	// Carry pairs between two non-movers: both endpoints kept last tick's
-	// position, so membership is unchanged and the previous (sorted) set
-	// already holds the answer.
-	sc.carry = sc.carry[:0]
-	for _, ku := range sc.prev {
-		if !sc.isMover[ku>>32] && !sc.isMover[uint32(ku)] {
-			sc.carry = append(sc.carry, ku)
-		}
+	m.findTransitions()
+	slices.Sort(sc.downs)
+	slices.Sort(sc.ups)
+	for _, ku := range sc.downs {
+		m.drop(now, unpackPair(ku))
 	}
-
-	m.findPairs()
-	slices.Sort(sc.pairs)
-	m.mergePairs()
-
-	// Diff against the previous tick: both slices are ascending, so one
-	// merge walk splits the symmetric difference into downs and ups.
-	sc.downs, sc.ups = sc.downs[:0], sc.ups[:0]
-	i, j := 0, 0
-	for i < len(sc.prev) && j < len(sc.curr) {
-		switch pu, cu := sc.prev[i], sc.curr[j]; {
-		case pu < cu:
-			sc.downs = append(sc.downs, unpackPair(pu))
-			i++
-		case pu > cu:
-			sc.ups = append(sc.ups, unpackPair(cu))
-			j++
-		default:
-			i, j = i+1, j+1
-		}
+	for _, ku := range sc.ups {
+		m.raise(now, unpackPair(ku))
 	}
-	for ; i < len(sc.prev); i++ {
-		sc.downs = append(sc.downs, unpackPair(sc.prev[i]))
-	}
-	for ; j < len(sc.curr); j++ {
-		sc.ups = append(sc.ups, unpackPair(sc.curr[j]))
-	}
-	for _, k := range sc.downs {
-		m.drop(now, k)
-	}
-	for _, k := range sc.ups {
-		m.raise(now, k)
-	}
-
-	sc.prev, sc.curr = sc.curr, sc.prev
 	for _, i := range sc.movers {
 		sc.isMover[i] = false
 	}

@@ -88,8 +88,8 @@ func skipLargeInShort(b *testing.B, n int) {
 }
 
 // BenchmarkScan measures one tick of the incremental live scan at steady
-// state: static entities carried from the previous tick, movers re-hashed
-// through the persistent grid, transitions diffed from sorted pair sets.
+// state: static entities skipped, movers re-linked in the persistent grid
+// and diffed against the adjacency lists.
 func BenchmarkScan(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

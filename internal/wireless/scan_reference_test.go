@@ -27,7 +27,11 @@ func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
 		grid[k] = append(grid[k], i)
 	}
 	r2 := m.cfg.Range * m.cfg.Range
-	pairs := make(map[pairKey]bool, len(m.sc.prev))
+	links := 0 // twice the previous pair count, which sizes the map
+	for _, peers := range m.adj {
+		links += len(peers)
+	}
+	pairs := make(map[pairKey]bool, links/2)
 	for i, p := range pos {
 		base := ck(p)
 		for dx := int64(-1); dx <= 1; dx++ {

@@ -452,10 +452,10 @@ func TestAddAfterStartIsPickedUp(t *testing.T) {
 	}
 	addStatic(1000)
 	s.RunUntil(6)
-	slots := len(m.sc.grid.cells)
+	slots := len(m.sc.grid.head)
 	addStatic(3000)
 	s.RunUntil(7)
-	if len(m.sc.grid.cells) <= slots {
+	if len(m.sc.grid.head) <= slots {
 		t.Fatalf("grid table stayed at %d slots for %d entities", slots, len(pts))
 	}
 	for i := range pts {
@@ -492,7 +492,7 @@ func TestGridSlotsIndependentOfGeometry(t *testing.T) {
 		}
 		m.Start(0)
 		s.RunUntil(0.5)
-		slots = append(slots, len(m.sc.grid.cells))
+		slots = append(slots, len(m.sc.grid.head))
 		for i := range pts {
 			for j := i + 1; j < len(pts); j++ {
 				if want := pts[i].Dist2(pts[j]) <= 30*30; m.Connected(i, j) != want {

@@ -13,11 +13,13 @@
 // simulated second — the ONE's granularity class) over a uniform spatial
 // grid with cell size equal to the radio range, kept in a wrap-around
 // table whose size depends on the node count alone. The scan is
-// incremental: positions, grid buckets and the in-range pair set persist
-// across ticks, entities whose mobility model reports a static-until hint
-// (parked relays, paused walkers) are skipped entirely, and a steady-state
-// tick allocates nothing — so a scan costs O(movers + contacts), not
-// O(nodes²) and not even O(nodes).
+// incremental: positions and grid cells persist across ticks, entities
+// whose mobility model reports a static-until hint (parked relays, paused
+// walkers) are not re-queried, only pairs with a moving end are examined,
+// against the adjacency lists below, and a steady-state tick allocates
+// nothing. A tick costs one hint check per node plus, per mover, its 3x3
+// grid neighbourhood and its peer list: not O(nodes²), and independent of
+// the contacts between nodes that stood still.
 //
 // Every contact transition — scanned, planned or replayed — updates a
 // sorted per-node adjacency list. Those lists are the medium's one contact

@@ -2,6 +2,7 @@ package vdtn_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -60,5 +61,33 @@ func TestTraceCLIGolden(t *testing.T) {
 	}
 	if !bytes.Equal(withAnalysis, without) {
 		t.Fatal("-trace bytes depend on -analyze")
+	}
+}
+
+// TestVdtnsimTraceWriteErrorFails runs vdtnsim -trace into a full device
+// on a run whose whole trace fits the write buffer, so the only failing
+// write is the final flush. The run must exit 1, name the error on
+// stderr, and not claim the trace was written.
+func TestVdtnsimTraceWriteErrorFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real CLI")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	vdtnsim := buildBinary(t, "./cmd/vdtnsim")
+	cmd := exec.Command(vdtnsim, "-duration", "0.05", "-trace", "/dev/full")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("exit: %v, want status 1\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "trace write") {
+		t.Errorf("stderr does not name the trace write error: %q", stderr.String())
+	}
+	if strings.Contains(string(out), "trace written") {
+		t.Errorf("stdout reports the trace written:\n%s", out)
 	}
 }
