@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B benchmark
-// per table and figure (and per DESIGN.md ablation), each running the full
+// per table and figure (and per catalog ablation), each running the full
 // experiment on a time-scaled scenario and reporting the headline metric.
 //
 // The scale (benchScale of the paper's 12-hour horizon) keeps `go test

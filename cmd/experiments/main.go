@@ -1,6 +1,7 @@
 // Command experiments runs sweep experiments: the paper's evaluation —
-// each figure of Soares et al. (ICPP 2009) and the ablations listed in
-// DESIGN.md — plus any user-defined sweep loaded from a JSON spec file.
+// each figure of Soares et al. (ICPP 2009) and the ablations in the
+// built-in catalog (-list) — plus any user-defined sweep loaded from a
+// JSON spec file.
 //
 // Usage:
 //

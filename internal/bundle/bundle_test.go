@@ -170,3 +170,28 @@ func TestIDSet(t *testing.T) {
 	}()
 	s.Add(-1)
 }
+
+func TestIDSetUnion(t *testing.T) {
+	var a, b IDSet
+	for _, id := range []ID{1, 64, 200} {
+		a.Add(id)
+	}
+	for _, id := range []ID{1, 2, 500} {
+		b.Add(id)
+	}
+	a.Union(&b)
+	for _, id := range []ID{1, 2, 64, 200, 500} {
+		if !a.Has(id) {
+			t.Fatalf("union lost %v", id)
+		}
+	}
+	if a.Len() != 5 || b.Len() != 3 || b.Has(64) {
+		t.Fatalf("Len = %d, %d; union changed its argument", a.Len(), b.Len())
+	}
+	var empty IDSet
+	a.Union(&empty)
+	empty.Union(&a)
+	if a.Len() != 5 || empty.Len() != 5 || !empty.Has(500) {
+		t.Fatalf("union with an empty set: Len = %d, %d", a.Len(), empty.Len())
+	}
+}

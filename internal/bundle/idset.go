@@ -1,6 +1,9 @@
 package bundle
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // IDSet is a set of message ids kept as a bitset indexed by id. Factory
 // mints ids densely from 1, so the set takes one bit per id minted up to
@@ -44,3 +47,14 @@ func (s *IDSet) Remove(id ID) {
 
 // Len returns the number of ids in the set.
 func (s *IDSet) Len() int { return s.n }
+
+// Union adds every id in t to s.
+func (s *IDSet) Union(t *IDSet) {
+	if len(t.words) > len(s.words) {
+		s.words = append(s.words, make([]uint64, len(t.words)-len(s.words))...)
+	}
+	for i, w := range t.words {
+		s.n += bits.OnesCount64(w &^ s.words[i])
+		s.words[i] |= w
+	}
+}

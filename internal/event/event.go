@@ -113,10 +113,16 @@ func (s *Scheduler) At(t float64, fn Func) *Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, s.now))
 	}
-	h := &Handle{time: t, seq: s.seq, fn: fn}
+	h := new(Handle)
+	s.schedule(h, t, fn)
+	return h
+}
+
+// schedule queues h to run fn at t, taking the next sequence number.
+func (s *Scheduler) schedule(h *Handle, t float64, fn Func) {
+	h.time, h.seq, h.fn = t, s.seq, fn
 	s.seq++
 	heap.Push(&s.queue, h)
-	return h
 }
 
 // After schedules fn d seconds from now. Negative d panics.
@@ -126,12 +132,15 @@ func (s *Scheduler) After(d float64, fn Func) *Handle {
 
 // Every schedules fn at start and then every interval seconds until the
 // scheduler stops or the returned stop function is called. interval must be
-// positive. fn observes the tick time via its argument.
+// positive. fn observes the tick time via its argument. Each tick queues
+// the handle that just fired again, taking its sequence number after fn
+// returns, as a fresh At would.
 func (s *Scheduler) Every(start, interval float64, fn Func) (stop func()) {
 	if interval <= 0 {
 		panic("event: Every with non-positive interval")
 	}
 	stopped := false
+	var h *Handle
 	var tick Func
 	tick = func(now float64) {
 		if stopped {
@@ -139,10 +148,10 @@ func (s *Scheduler) Every(start, interval float64, fn Func) (stop func()) {
 		}
 		fn(now)
 		if !stopped {
-			s.At(now+interval, tick)
+			s.schedule(h, now+interval, tick)
 		}
 	}
-	s.At(start, tick)
+	h = s.At(start, tick)
 	return func() { stopped = true }
 }
 

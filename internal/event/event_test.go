@@ -1,6 +1,8 @@
 package event
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -211,6 +213,41 @@ func TestEveryStop(t *testing.T) {
 	s.RunUntil(100)
 	if n != 3 {
 		t.Fatalf("recurring event fired %d times after stop at 3", n)
+	}
+}
+
+// TestEveryTickOrderAmongSameTimeEvents pins where a tick takes its
+// sequence number: after fn returns, so events fn schedules for the next
+// tick's instant, and those scheduled before it, fire first.
+func TestEveryTickOrderAmongSameTimeEvents(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	note := func(name string) Func { return func(float64) { order = append(order, name) } }
+	s.At(1, note("before"))
+	s.Every(0, 1, func(now float64) {
+		order = append(order, fmt.Sprint("tick", now))
+		if now == 0 {
+			s.At(1, note("inside"))
+		}
+	})
+	s.At(1, note("after"))
+	s.RunUntil(1.5)
+	want := []string{"tick0", "before", "after", "inside", "tick1"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+func TestEveryTickAllocatesNothing(t *testing.T) {
+	s := NewScheduler()
+	ticks := 0
+	s.Every(0, 1, func(float64) { ticks++ })
+	s.RunUntil(10)
+	if allocs := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + 1) }); allocs != 0 {
+		t.Fatalf("a tick allocates %v times", allocs)
+	}
+	if ticks != 112 {
+		t.Fatalf("ticked %d times, want 112", ticks)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package experiments defines and runs sweep experiments: the paper's
-// evaluation figures, the DESIGN.md ablations, and any user-defined sweep
+// evaluation figures, the ablations in Catalog, and any user-defined sweep
 // expressed on the same vocabulary — a context-aware Runner over a
 // (series × axis-values × seed) cell grid, pluggable result sinks, and
 // table/CSV/JSON rendering of any metric view.
@@ -474,7 +474,7 @@ func protocolScenarios() []Scenario {
 }
 
 // Catalog returns every built-in experiment — the paper's six figures and
-// the ablations DESIGN.md §5 calls out — expressed on the named axes, so
+// the ablation sweeps — expressed on the named axes, so
 // each round-trips through the sweep spec schema unchanged (see Spec).
 func Catalog() []Experiment {
 	return []Experiment{

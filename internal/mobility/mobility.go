@@ -207,11 +207,11 @@ func (w *MapWalk) depart(at float64) {
 	for dest == w.at {
 		dest = w.g.RandomVertex(w.rng)
 	}
-	path, dist, ok := w.g.ShortestPath(w.at, dest)
+	route, dist, ok := w.g.AppendRoute(w.route[:0], w.at, dest)
 	if !ok {
 		panic("mobility: unreachable destination on validated map")
 	}
-	w.setRoute(w.g.PathPolyline(path))
+	w.setRoute(route)
 	w.routeLen = dist
 	w.speed = w.rng.UniformFloat(w.speedLo, w.speedHi)
 	w.legStart = at

@@ -1,6 +1,11 @@
 package roadmap
 
-import "math"
+import (
+	"math"
+	"slices"
+
+	"vdtn/internal/geo"
+)
 
 // ssspTree is a single-source shortest-path tree: for a fixed source, the
 // distance to every vertex and the predecessor on one shortest path.
@@ -110,18 +115,9 @@ func (g *Graph) shortestTree(src int) *ssspTree {
 // reachable from a. The path from a vertex to itself is [a] with length 0.
 // Results are deterministic: ties are broken by edge insertion order.
 func (g *Graph) ShortestPath(a, b int) (path []int, dist float64, ok bool) {
-	if a < 0 || a >= len(g.pts) || b < 0 || b >= len(g.pts) {
+	t, n := g.pathTo(a, b)
+	if n == 0 {
 		return nil, 0, false
-	}
-	t := g.shortestTree(a)
-	if math.IsInf(t.dist[b], 1) {
-		return nil, 0, false
-	}
-	// Walk predecessors back from b twice: once to size the path, once to
-	// fill it from the end.
-	n := 1
-	for v := b; v != a; v = t.prev[v] {
-		n++
 	}
 	path = make([]int, n)
 	for v := b; n > 0; v = t.prev[v] {
@@ -129,6 +125,41 @@ func (g *Graph) ShortestPath(a, b int) (path []int, dist float64, ok bool) {
 		path[n] = v
 	}
 	return path, t.dist[b], true
+}
+
+// AppendRoute appends the vertex positions of ShortestPath(a, b) to dst
+// and returns the extended polyline, the path's length, and whether b is
+// reachable from a. Passing a reused dst[:0] fills it in place.
+func (g *Graph) AppendRoute(dst geo.Polyline, a, b int) (geo.Polyline, float64, bool) {
+	t, n := g.pathTo(a, b)
+	if n == 0 {
+		return dst, 0, false
+	}
+	k := len(dst)
+	dst = slices.Grow(dst, n)[:k+n]
+	for v := b; n > 0; v = t.prev[v] {
+		n--
+		dst[k+n] = g.pts[v]
+	}
+	return dst, t.dist[b], true
+}
+
+// pathTo returns the shortest-path tree from a and the number of vertices
+// on its path to b, or 0 when either id is out of range or b is
+// unreachable.
+func (g *Graph) pathTo(a, b int) (*ssspTree, int) {
+	if a < 0 || a >= len(g.pts) || b < 0 || b >= len(g.pts) {
+		return nil, 0
+	}
+	t := g.shortestTree(a)
+	if math.IsInf(t.dist[b], 1) {
+		return nil, 0
+	}
+	n := 1
+	for v := b; v != a; v = t.prev[v] {
+		n++
+	}
+	return t, n
 }
 
 // Distance returns the shortest road distance from a to b in metres, or

@@ -49,13 +49,13 @@ const helsinkiSeed = 0x48454C53494E4B49 // "HELSINKI"
 // HelsinkiLike returns the synthetic stand-in for the ONE simulator's
 // "small part of the city of Helsinki" map used by the paper.
 //
-// Substitution note (see DESIGN.md §2): the original WKT street data is not
-// redistributable here, so we generate a road network with the same
-// properties the experiments actually depend on — the ~4500 m x 3400 m
-// extent of the ONE's Helsinki clip, city-block road density (~150
-// intersections, blocks of roughly 250-350 m), irregular (jittered)
-// junction placement, a sprinkling of missing links so blocks vary in
-// shape, and two diagonal arterials. The construction is deterministic.
+// Substitution note: the original WKT street data is not redistributable
+// here, so we generate a road network with the same properties the
+// experiments actually depend on — the ~4500 m x 3400 m extent of the
+// ONE's Helsinki clip, city-block road density (~150 intersections, blocks
+// of roughly 250-350 m), irregular (jittered) junction placement, a
+// sprinkling of missing links so blocks vary in shape, and two diagonal
+// arterials. The construction is deterministic.
 func HelsinkiLike() *Graph {
 	const (
 		width   = 4500.0

@@ -260,12 +260,3 @@ func (g *Graph) Fingerprint() uint64 {
 	}
 	return h.Sum64()
 }
-
-// PathPolyline converts a vertex-id path into its planar geometry.
-func (g *Graph) PathPolyline(ids []int) geo.Polyline {
-	pl := make(geo.Polyline, len(ids))
-	for i, id := range ids {
-		pl[i] = g.pts[id]
-	}
-	return pl
-}

@@ -371,15 +371,31 @@ func TestWKTRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPathPolyline(t *testing.T) {
+func TestAppendRoute(t *testing.T) {
 	g := Grid(2, 3, 100)
 	path, dist, ok := g.ShortestPath(0, 5)
 	if !ok {
 		t.Fatal("no path")
 	}
-	pl := g.PathPolyline(path)
-	if math.Abs(pl.Length()-dist) > 1e-9 {
-		t.Fatalf("polyline length %v != path dist %v", pl.Length(), dist)
+	head := geo.Polyline{{X: -1, Y: -1}}
+	pl, d, ok := g.AppendRoute(head, 0, 5)
+	if !ok || d != dist || len(pl) != 1+len(path) || pl[0] != head[0] {
+		t.Fatalf("AppendRoute = %v %v %v, want %v then path %v of length %v", pl, d, ok, head, path, dist)
+	}
+	for i, v := range path {
+		if pl[1+i] != g.Vertex(v) {
+			t.Fatalf("route point %d = %v, want vertex %d at %v", i, pl[1+i], v, g.Vertex(v))
+		}
+	}
+	if math.Abs(pl[1:].Length()-dist) > 1e-9 {
+		t.Fatalf("polyline length %v != path dist %v", pl[1:].Length(), dist)
+	}
+	// Refilling the same storage allocates nothing.
+	if allocs := testing.AllocsPerRun(10, func() { pl, _, _ = g.AppendRoute(pl[:0], 5, 0) }); allocs != 0 {
+		t.Fatalf("refilling a route allocated %v times", allocs)
+	}
+	if back, _, ok := g.AppendRoute(head, 0, 99); ok || len(back) != 1 {
+		t.Fatalf("out-of-range AppendRoute = %v, %v; want dst unchanged and false", back, ok)
 	}
 }
 

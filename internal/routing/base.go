@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"cmp"
 	"slices"
 
 	"vdtn/internal/buffer"
@@ -17,6 +18,8 @@ type base struct {
 	buf    *buffer.Store
 	drop   core.DropPolicy
 	queues queueSet
+
+	deliv, rest []*bundle.Message // reused group buffers for queue rebuilds
 }
 
 func newBase(drop core.DropPolicy) base { return base{drop: drop} }
@@ -77,6 +80,48 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 	return &Send{Msg: m}
 }
 
+// requeue rebuilds p's send queue from the buffer for MaxProp and PRoPHET.
+// It never queues a replica p has already received as destination; it
+// queues the replicas destined to p first, by id, then those p does not
+// hold that offer accepts, in order's order. order must end in the
+// message id, so that it is total.
+func (b *base) requeue(p Peer, offer func(*bundle.Message) bool, order func(x, y *bundle.Message) int) {
+	deliv, rest := b.deliv[:0], b.rest[:0]
+	for _, m := range b.buf.Messages() {
+		switch {
+		case p.HasDelivered(m.ID):
+		case m.To == p.ID():
+			deliv = append(deliv, m)
+		case !p.Has(m.ID) && offer(m):
+			rest = append(rest, m)
+		}
+	}
+	slices.SortFunc(deliv, byID)
+	slices.SortFunc(rest, order)
+	b.queues.set(p.ID(), deliv, rest)
+	b.deliv, b.rest = deliv, rest
+}
+
+func byID(x, y *bundle.Message) int { return cmp.Compare(x.ID, y.ID) }
+
+// widen returns v extended to at least n entries, new ones set to fill.
+// Node tables are slices indexed by node id (ids are dense) that widen
+// as ids appear.
+func widen[T any](v []T, n int, fill T) []T {
+	for len(v) < n {
+		v = append(v, fill)
+	}
+	return v
+}
+
+// at returns v[i], or def when i is out of range.
+func at[T any](v []T, i int, def T) T {
+	if i >= 0 && i < len(v) {
+		return v[i]
+	}
+	return def
+}
+
 // policyRouter is the core of the protocols the paper's Table I policies
 // govern (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact): the
 // scheduling policy orders each send queue, the dropping policy evicts,
@@ -93,9 +138,8 @@ type policyRouter struct {
 	schedule core.SchedulingPolicy
 	relay    func(m *bundle.Message, p Peer) bool
 
-	sorted     []viewEntry
-	seen       uint64            // the store's LastSeq when sorted was last synced
-	deliv, rel []*bundle.Message // Refresh's reused group buffers
+	sorted []viewEntry
+	seen   uint64 // the store's LastSeq when sorted was last synced
 }
 
 // viewEntry is one buffered replica in the sorted view.
@@ -122,7 +166,7 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
 	r.sync(now)
-	deliverable, rest := r.deliv[:0], r.rel[:0]
+	deliverable, rest := r.deliv[:0], r.rest[:0]
 	for _, e := range r.sorted {
 		m := e.m
 		switch {
@@ -140,7 +184,7 @@ func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.schedule.Order(now, deliverable)
 	r.schedule.Order(now, rest)
 	r.queues.set(p.ID(), deliverable, rest)
-	r.deliv, r.rel = deliverable, rest
+	r.deliv, r.rest = deliverable, rest
 }
 
 // sync brings the sorted view up to date with the buffer at now: it drops

@@ -1,13 +1,11 @@
 package routing
 
 import (
-	"container/heap"
-	"maps"
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"vdtn/internal/bundle"
-	"vdtn/internal/detmap"
 	"vdtn/internal/units"
 )
 
@@ -31,25 +29,26 @@ type MaxProp struct {
 	base
 	cfg MaxPropConfig
 
-	meet        map[int]float64         // own meeting likelihoods, sum 1
-	peerVectors map[int]map[int]float64 // node id -> snapshot of its vector
-	acked       map[bundle.ID]bool      // delivered-message ids (flooded)
+	meet  []float64    // own meeting likelihoods by node id, sum 1; unmet if never met
+	peers [][]float64  // node id -> snapshot of its meet vector; nil if none
+	acked bundle.IDSet // delivered-message ids (flooded)
 
-	costCache map[int]float64 // destination -> path cost; nil = stale
+	cost  []float64 // path cost by destination id, +Inf if unreachable; empty = stale
+	final []bool    // dijkstra's finalized nodes
 
 	// Adaptive threshold statistics: bytes moved per completed contact.
 	bytesMoved   units.Bytes
 	contactCount int
 }
 
+// unmet marks a node never met in a likelihood vector. A met node's
+// likelihood can halve down to 0.0 and it still counts as an edge, so 0
+// cannot be the marker.
+const unmet = -1.0
+
 // NewMaxProp returns a MaxProp router.
 func NewMaxProp(cfg MaxPropConfig) *MaxProp {
-	mx := &MaxProp{
-		cfg:         cfg,
-		meet:        make(map[int]float64),
-		peerVectors: make(map[int]map[int]float64),
-		acked:       make(map[bundle.ID]bool),
-	}
+	mx := &MaxProp{cfg: cfg}
 	mx.base = newBase(maxPropDrop{mx})
 	return mx
 }
@@ -57,11 +56,12 @@ func NewMaxProp(cfg MaxPropConfig) *MaxProp {
 // Name implements Router.
 func (mx *MaxProp) Name() string { return "MaxProp" }
 
-// MeetingLikelihood returns f(self, node), for tests and diagnostics.
-func (mx *MaxProp) MeetingLikelihood(node int) float64 { return mx.meet[node] }
+// MeetingLikelihood returns f(self, node), 0 if never met, for tests and
+// diagnostics.
+func (mx *MaxProp) MeetingLikelihood(node int) float64 { return max(at(mx.meet, node, 0), 0) }
 
 // Acked reports whether id is known to be delivered.
-func (mx *MaxProp) Acked(id bundle.ID) bool { return mx.acked[id] }
+func (mx *MaxProp) Acked(id bundle.ID) bool { return mx.acked.Has(id) }
 
 // ContactUp implements Router.
 func (mx *MaxProp) ContactUp(now float64, p Peer) {
@@ -70,99 +70,76 @@ func (mx *MaxProp) ContactUp(now float64, p Peer) {
 	mx.contactCount++
 
 	// Incremental averaging: bump the met peer, re-normalize to sum 1.
-	// Both passes walk sorted keys: float addition and division round
-	// per-operation, so iteration order would otherwise leak the runtime's
-	// map randomization into the likelihoods (and from there into every
-	// queue comparison downstream).
-	mx.meet[peerID]++
+	// The sum runs in id order: float addition rounds per operation, so
+	// the order is part of the result.
+	mx.meet = widen(mx.meet, peerID+1, unmet)
+	mx.meet[peerID] = max(mx.meet[peerID], 0) + 1
 	sum := 0.0
-	for _, k := range detmap.Keys(mx.meet) {
-		sum += mx.meet[k]
+	for _, f := range mx.meet {
+		if f != unmet {
+			sum += f
+		}
 	}
-	for _, k := range detmap.Keys(mx.meet) {
-		mx.meet[k] /= sum
+	for i, f := range mx.meet {
+		if f != unmet {
+			mx.meet[i] = f / sum
+		}
 	}
 
 	if remote, ok := p.Router().(*MaxProp); ok {
 		// Exchange routing metadata: snapshot the peer's likelihood vector
 		// and union its acknowledgment list into ours.
-		snap := make(map[int]float64, len(remote.meet))
-		maps.Copy(snap, remote.meet)
-		mx.peerVectors[peerID] = snap
-		maps.Copy(mx.acked, remote.acked)
+		mx.peers = widen(mx.peers, peerID+1, nil)
+		mx.peers[peerID] = append(mx.peers[peerID][:0], remote.meet...)
+		mx.acked.Union(&remote.acked)
 		// Delete acked messages: they are already delivered.
 		for _, m := range mx.buf.Messages() {
-			if mx.acked[m.ID] {
+			if mx.acked.Has(m.ID) {
 				mx.buf.Remove(m.ID)
 			}
 		}
 	}
-	mx.costCache = nil
-
-	mx.queues.set(peerID, mx.buildQueue(now, p))
+	mx.cost = mx.cost[:0]
+	mx.Refresh(now, p)
 }
 
 // Refresh implements Router: rebuild the priority queue for p without
-// touching meeting likelihoods or exchanging metadata.
+// touching meeting likelihoods or exchanging metadata. Messages destined
+// to p go first; the rest follow in MaxProp priority order, except those
+// known to be delivered and those that already passed through p (the
+// previous-intermediary rule). An acked replica destined to p may be
+// queued; NextSend skips it.
 func (mx *MaxProp) Refresh(now float64, p Peer) {
-	mx.queues.set(p.ID(), mx.buildQueue(now, p))
+	mx.requeue(p, func(m *bundle.Message) bool {
+		return !mx.acked.Has(m.ID) && !m.HasVisited(p.ID())
+	}, mx.priority())
 }
 
-// buildQueue orders candidates for p: messages destined to p first, then
-// everything else p should get, in MaxProp priority order.
-func (mx *MaxProp) buildQueue(now float64, p Peer) []*bundle.Message {
-	peerID := p.ID()
-	var deliverable, rest []*bundle.Message
-	for _, m := range mx.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID) || mx.acked[m.ID]:
-			continue
-		case m.To == peerID:
-			deliverable = append(deliverable, m)
-		case p.Has(m.ID):
-			continue
-		case m.HasVisited(peerID):
-			// Previous-intermediary rule: don't hand a replica back to a
-			// node it already passed through.
-			continue
-		default:
-			rest = append(rest, m)
-		}
-	}
-	sortByID(deliverable)
-	mx.sortByPriority(rest)
-	return append(deliverable, rest...)
-}
-
-// sortByPriority orders msgs best-first: below the hop threshold by hop
-// count (young messages get their head start), then by delivery cost.
-func (mx *MaxProp) sortByPriority(msgs []*bundle.Message) {
+// priority returns the MaxProp order, best first: below the hop
+// threshold by hop count (young messages get their head start), then by
+// delivery cost, ties by id.
+func (mx *MaxProp) priority() func(a, b *bundle.Message) int {
 	t := mx.hopThreshold()
-	cost := func(m *bundle.Message) float64 { return mx.Cost(m.To) }
-	sort.SliceStable(msgs, func(i, j int) bool {
-		a, b := msgs[i], msgs[j]
+	return func(a, b *bundle.Message) int {
 		aHead, bHead := a.HopCount < t, b.HopCount < t
-		if aHead != bHead {
-			return aHead
+		switch {
+		case aHead && !bHead:
+			return -1
+		case bHead && !aHead:
+			return 1
+		case aHead:
+			return byHops(a, b)
 		}
-		if aHead {
-			if a.HopCount != b.HopCount {
-				return a.HopCount < b.HopCount
-			}
-			return a.ID < b.ID
-		}
-		ca, cb := cost(a), cost(b)
-		if ca != cb {
-			return ca < cb
-		}
-		return a.ID < b.ID
-	})
+		return cmp.Or(cmp.Compare(mx.Cost(a.To), mx.Cost(b.To)), byID(a, b))
+	}
 }
+
+func byHops(a, b *bundle.Message) int { return cmp.Or(cmp.Compare(a.HopCount, b.HopCount), byID(a, b)) }
 
 // hopThreshold computes the adaptive head-start threshold: the lowest-hop
 // messages totalling min(avg bytes per contact, half the buffer) are the
 // protected head-start zone, and the threshold is the first hop count
-// beyond it (MaxProp §4.4, reconstructed; see DESIGN.md).
+// beyond it (MaxProp §4.4, reconstructed).
 func (mx *MaxProp) hopThreshold() int {
 	protect := mx.cfg.InitialThresholdBytes
 	if mx.contactCount > 0 {
@@ -175,12 +152,7 @@ func (mx *MaxProp) hopThreshold() int {
 		return 0
 	}
 	msgs := mx.buf.Messages()
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].HopCount != msgs[j].HopCount {
-			return msgs[i].HopCount < msgs[j].HopCount
-		}
-		return msgs[i].ID < msgs[j].ID
-	})
+	slices.SortFunc(msgs, byHops)
 	var cum units.Bytes
 	for _, m := range msgs {
 		cum += m.Size
@@ -205,74 +177,50 @@ func (mx *MaxProp) Cost(dest int) float64 {
 	if dest == mx.self {
 		return 0
 	}
-	if mx.costCache == nil {
-		mx.costCache = mx.dijkstra()
+	if len(mx.cost) == 0 {
+		mx.dijkstra()
 	}
-	if c, ok := mx.costCache[dest]; ok {
-		return c
-	}
-	return math.Inf(1)
+	return at(mx.cost, dest, math.Inf(1))
 }
 
-// dijkstra runs cheapest-path over the likelihood graph from self.
-func (mx *MaxProp) dijkstra() map[int]float64 {
-	vector := func(node int) map[int]float64 {
-		if node == mx.self {
-			return mx.meet
-		}
-		return mx.peerVectors[node]
+// dijkstra fills mx.cost with the cheapest path costs from self. Each
+// round scans the array for the next node to finalize, in (cost, id)
+// order, and relaxes the edges to every node its vector has met.
+func (mx *MaxProp) dijkstra() {
+	n := max(len(mx.meet), mx.self+1)
+	for _, v := range mx.peers {
+		n = max(n, len(v))
 	}
-	dist := map[int]float64{mx.self: 0}
-	done := map[int]bool{}
-	q := &costPQ{{mx.self, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(costItem)
-		if done[it.node] {
-			continue
+	mx.cost = widen(mx.cost[:0], n, math.Inf(1))
+	mx.final = widen(mx.final[:0], n, false)
+	mx.cost[mx.self] = 0
+	for {
+		u := -1
+		for v, c := range mx.cost {
+			if !mx.final[v] && !math.IsInf(c, 1) && (u < 0 || c < mx.cost[u]) {
+				u = v
+			}
 		}
-		done[it.node] = true
-		// Sorted expansion keeps the heap's insertion sequence — and with
-		// it the pop order of equal-cost nodes — identical across runs.
-		vec := vector(it.node)
-		for _, nb := range detmap.Keys(vec) {
-			nd := it.dist + (1 - vec[nb])
-			if old, ok := dist[nb]; !ok || nd < old {
-				dist[nb] = nd
-				heap.Push(q, costItem{nb, nd})
+		if u < 0 {
+			return
+		}
+		mx.final[u] = true
+		vec := at(mx.peers, u, nil)
+		if u == mx.self {
+			vec = mx.meet
+		}
+		for v, f := range vec {
+			if c := mx.cost[u] + (1 - f); f != unmet && c < mx.cost[v] {
+				mx.cost[v] = c
 			}
 		}
 	}
-	return dist
-}
-
-type costItem struct {
-	node int
-	dist float64
-}
-
-type costPQ []costItem
-
-func (q costPQ) Len() int { return len(q) }
-func (q costPQ) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node
-}
-func (q costPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *costPQ) Push(x any)   { *q = append(*q, x.(costItem)) }
-func (q *costPQ) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // NextSend implements Router.
 func (mx *MaxProp) NextSend(now float64, p Peer) *Send {
 	return mx.next(now, p, func(m *bundle.Message) bool {
-		return !mx.acked[m.ID] && (m.To == p.ID() || !p.Has(m.ID))
+		return !mx.acked.Has(m.ID) && (m.To == p.ID() || !p.Has(m.ID))
 	})
 }
 
@@ -281,7 +229,7 @@ func (mx *MaxProp) OnSent(now float64, p Peer, s *Send, delivered bool) {
 	mx.bytesMoved += s.Msg.Size
 	if delivered {
 		// Destination reached: flood an acknowledgment and drop our copy.
-		mx.acked[s.Msg.ID] = true
+		mx.acked.Add(s.Msg.ID)
 		mx.buf.Remove(s.Msg.ID)
 	}
 }
@@ -289,13 +237,13 @@ func (mx *MaxProp) OnSent(now float64, p Peer, s *Send, delivered bool) {
 // OnDelivered records the acknowledgment at the destination itself, so
 // acks flood outward from both endpoints of the delivering contact.
 func (mx *MaxProp) OnDelivered(now float64, m *bundle.Message) {
-	mx.acked[m.ID] = true
+	mx.acked.Add(m.ID)
 }
 
 // Receive implements Router: MaxProp refuses replicas it knows are
 // delivered and evicts by its own reverse-priority order.
 func (mx *MaxProp) Receive(now float64, m *bundle.Message, from Peer) (bool, []*bundle.Message) {
-	if m.Expired(now) || mx.acked[m.ID] {
+	if m.Expired(now) || mx.acked.Has(m.ID) {
 		return false, nil
 	}
 	mx.bytesMoved += m.Size
@@ -314,7 +262,7 @@ func (maxPropDrop) Name() string { return "MaxProp" }
 func (d maxPropDrop) Victim(now float64, msgs []*bundle.Message) int {
 	mx := d.mx
 	for i, m := range msgs {
-		if mx.acked[m.ID] {
+		if mx.acked.Has(m.ID) {
 			return i
 		}
 	}

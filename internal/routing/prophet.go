@@ -1,8 +1,8 @@
 package routing
 
 import (
+	"cmp"
 	"math"
-	"sort"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
@@ -47,7 +47,7 @@ type Prophet struct {
 	base
 	cfg ProphetConfig
 
-	preds    map[int]float64 // destination node id -> delivery predictability
+	preds    []float64 // destination node id -> delivery predictability; 0 = none
 	lastAged float64
 }
 
@@ -74,7 +74,7 @@ func NewProphet(cfg ProphetConfig) *Prophet {
 		cfg.Gamma <= 0 || cfg.Gamma > 1 || cfg.TimeUnit <= 0 {
 		panic("routing: invalid PRoPHET parameters")
 	}
-	return &Prophet{base: newBase(cfg.Drop), cfg: cfg, preds: make(map[int]float64)}
+	return &Prophet{base: newBase(cfg.Drop), cfg: cfg}
 }
 
 // Name implements Router.
@@ -83,24 +83,22 @@ func (pr *Prophet) Name() string { return "PRoPHET" }
 // Predictability returns P(self, dest) after aging to time now.
 func (pr *Prophet) Predictability(now float64, dest int) float64 {
 	pr.age(now)
-	return pr.preds[dest]
+	return at(pr.preds, dest, 0)
 }
 
-// age applies the exponential decay P *= gamma^k with k elapsed time units.
+// age applies the exponential decay P *= gamma^k with k elapsed time units,
+// zeroing entries that fall below 1e-6.
 func (pr *Prophet) age(now float64) {
 	elapsed := now - pr.lastAged
 	if elapsed <= 0 {
 		return
 	}
 	factor := math.Pow(pr.cfg.Gamma, elapsed/pr.cfg.TimeUnit)
-	//vdtnlint:unordered-ok each key is scaled (or deleted) independently; no cross-key reads, so order cannot affect the result
 	for d, p := range pr.preds {
-		p *= factor
-		if p < 1e-6 { // garbage-collect vanished entries
-			delete(pr.preds, d)
-		} else {
-			pr.preds[d] = p
+		if p *= factor; p < 1e-6 {
+			p = 0
 		}
+		pr.preds[d] = p
 	}
 	pr.lastAged = now
 }
@@ -113,14 +111,15 @@ func (pr *Prophet) ContactUp(now float64, p Peer) {
 	pr.age(now)
 
 	peerID := p.ID()
+	pr.preds = widen(pr.preds, peerID+1, 0)
 	pr.preds[peerID] += (1 - pr.preds[peerID]) * pr.cfg.PInit
 
 	if remote, ok := p.Router().(*Prophet); ok {
 		remote.age(now)
 		pab := pr.preds[peerID]
-		//vdtnlint:unordered-ok one commutative update per distinct destination; pab is captured before the loop, so no entry read is order-dependent
+		pr.preds = widen(pr.preds, len(remote.preds), 0)
 		for d, pbd := range remote.preds {
-			if d == pr.self {
+			if pbd == 0 || d == pr.self {
 				continue
 			}
 			pr.preds[d] += (1 - pr.preds[d]) * pab * pbd * pr.cfg.Beta
@@ -130,59 +129,23 @@ func (pr *Prophet) ContactUp(now float64, p Peer) {
 }
 
 // Refresh implements Router: rebuild the GRTRMax queue from current buffer
-// and predictability state, with no encounter updates.
+// and predictability state, with no encounter updates. Deliverable
+// messages go first, then those for which the peer's predictability beats
+// ours, in decreasing order of the peer's predictability (GRTRMax). A
+// peer running another protocol exchanges no predictabilities, so it gets
+// only the messages destined to it.
 func (pr *Prophet) Refresh(now float64, p Peer) {
-	peerID := p.ID()
+	offer, order := func(*bundle.Message) bool { return false }, byID
 	if remote, ok := p.Router().(*Prophet); ok {
-		pr.queues.set(peerID, pr.grtrMaxQueue(now, p, remote))
-		return
-	}
-	// Peer runs a different protocol: fall back to direct delivery
-	// towards it (predictability exchange impossible).
-	var deliverable []*bundle.Message
-	for _, m := range pr.buf.Messages() {
-		if m.To == peerID && !p.HasDelivered(m.ID) {
-			deliverable = append(deliverable, m)
+		offer = func(m *bundle.Message) bool { return at(remote.preds, m.To, 0) > at(pr.preds, m.To, 0) }
+		order = func(a, b *bundle.Message) int {
+			return cmp.Or(cmp.Compare(at(remote.preds, b.To, 0), at(remote.preds, a.To, 0)), byID(a, b))
 		}
 	}
-	sortByID(deliverable)
-	pr.queues.set(peerID, deliverable)
-}
-
-// grtrMaxQueue builds the send queue: deliverable messages first, then
-// messages for which the peer's predictability beats ours, in decreasing
-// order of the peer's predictability (GRTRMax).
-func (pr *Prophet) grtrMaxQueue(now float64, p Peer, remote *Prophet) []*bundle.Message {
-	peerID := p.ID()
-	var deliverable, offers []*bundle.Message
-	for _, m := range pr.buf.Messages() {
-		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == peerID:
-			deliverable = append(deliverable, m)
-		case p.Has(m.ID):
-			continue
-		case remote.preds[m.To] > pr.preds[m.To]:
-			offers = append(offers, m)
-		}
-	}
-	sortByID(deliverable)
-	sort.SliceStable(offers, func(i, j int) bool {
-		pi, pj := remote.preds[offers[i].To], remote.preds[offers[j].To]
-		if pi != pj {
-			return pi > pj
-		}
-		return offers[i].ID < offers[j].ID
-	})
-	return append(deliverable, offers...)
+	pr.requeue(p, offer, order)
 }
 
 // NextSend implements Router.
 func (pr *Prophet) NextSend(now float64, p Peer) *Send {
 	return pr.next(now, p, func(m *bundle.Message) bool { return m.To == p.ID() || !p.Has(m.ID) })
-}
-
-func sortByID(msgs []*bundle.Message) {
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].ID < msgs[j].ID })
 }

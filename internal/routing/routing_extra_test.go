@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vdtn/internal/buffer"
@@ -63,7 +64,7 @@ func TestMaxPropPriorityHeadStartBeforeCost(t *testing.T) {
 	old.HopCount = 9
 
 	msgs := []*bundle.Message{old, young}
-	mx.sortByPriority(msgs)
+	slices.SortFunc(msgs, mx.priority())
 	// The young message wins despite its destination costing +Inf while
 	// the old one's costs 0 — the head start trumps cost, which is the
 	// whole point of MaxProp's threshold.
@@ -90,7 +91,7 @@ func TestMaxPropCostOrderingAboveThreshold(t *testing.T) {
 	to7 := bundle.New(1, 9, 7, units.KB(100), 0, 3600) // cost 0.25
 	to2 := bundle.New(2, 9, 2, units.KB(100), 0, 3600) // cost 0.75
 	msgs := []*bundle.Message{to2, to7}
-	mx.sortByPriority(msgs)
+	slices.SortFunc(msgs, mx.priority())
 	if msgs[0].ID != 1 {
 		t.Fatalf("cheapest-destination message not first: got %v", msgs[0].ID)
 	}
@@ -116,7 +117,7 @@ func TestProphetAgingGarbageCollects(t *testing.T) {
 	if p := pr.Predictability(1e7, 1); p != 0 {
 		t.Fatalf("ancient predictability = %v, want GC to 0", p)
 	}
-	if len(pr.preds) != 0 {
+	if slices.ContainsFunc(pr.preds, func(p float64) bool { return p != 0 }) {
 		t.Fatalf("preds table not garbage-collected: %v", pr.preds)
 	}
 }

@@ -705,7 +705,7 @@ func TestMaxPropDropsAckedFirst(t *testing.T) {
 	m2 := bundle.New(2, 9, 8, units.KB(900), 0, 3600)
 	mx.Receive(1, m1.ForwardTo(0, 1), p)
 	mx.Receive(1, m2.ForwardTo(0, 1), p)
-	mx.acked[1] = true // delivered elsewhere, not yet purged
+	mx.acked.Add(1) // delivered elsewhere, not yet purged
 	incoming := bundle.New(3, 9, 7, units.KB(900), 1, 3600)
 	_, evicted := mx.Receive(2, incoming.ForwardTo(0, 2), p)
 	if len(evicted) != 1 || evicted[0].ID != 1 {

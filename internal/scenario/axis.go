@@ -97,9 +97,9 @@ func mustRegister(name, label string, movesContacts bool, apply func(c *sim.Conf
 	}
 }
 
-// The built-in axes: every parameter the paper's figures and the DESIGN.md
-// ablations sweep, plus the obvious neighbours. Labels reproduce the
-// pre-refactor tables byte for byte.
+// The built-in axes (docs/SWEEPS.md lists them): every parameter the
+// paper's figures and the catalog's ablations sweep, plus the obvious
+// neighbours. Labels reproduce the pre-refactor tables byte for byte.
 func init() {
 	mustRegister("ttl_min", "ttl(min)", false, func(c *sim.Config, v float64) {
 		c.TTL = units.Minutes(v)

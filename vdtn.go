@@ -417,8 +417,7 @@ const (
 func ExperimentMetrics() []ExperimentMetric { return experiments.Metrics() }
 
 // Experiments returns the built-in catalog: the paper's Figures 4-9 and
-// the ablations described in DESIGN.md, expressed on the named sweep
-// axes.
+// the ablation sweeps, expressed on the named sweep axes.
 func Experiments() []Experiment { return experiments.Catalog() }
 
 // ExperimentByID finds one built-in experiment ("fig4" ... "fig9",
