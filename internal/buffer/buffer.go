@@ -5,20 +5,19 @@
 //
 // The store keeps replicas in insertion order and holds no map: message
 // ids are minted densely from 1, so membership is a bitset indexed by id
-// (bundle.IDSet), and the rarer lookups by id scan the buffer. Every
-// insertion also gets an increasing insertion number, which lets a caller
-// holding its own view of the buffer (a router's sorted send order) pick
-// up exactly the replicas added since it last looked, and tell a replica
-// removed and re-added from the one it saw before. A lower bound on the
-// stored deadlines makes Expire free while nothing can have expired. All
-// iteration orders are deterministic so that simulation runs are
-// reproducible bit-for-bit.
+// (bundle.IDSet), and the rarer lookups by id scan the buffer. A store can
+// also keep its replicas in one caller-chosen order (SortBy): a policy
+// router sorts its buffer by its schedule once and reads the sorted
+// replicas at every send-queue rebuild (Sorted). An Add inserts at the
+// binary-search position and a removal deletes by pointer, so the order
+// holds as replicas come and go. A lower bound on the stored deadlines
+// makes Expire free while nothing can have expired. All iteration orders
+// are deterministic so that simulation runs are reproducible bit-for-bit.
 package buffer
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 
 	"vdtn/internal/bundle"
@@ -31,12 +30,11 @@ import (
 type Store struct {
 	capacity units.Bytes
 	used     units.Bytes
-	order    []*bundle.Message // insertion order, nil-free
-	seqs     []uint64          // seqs[i] is order[i]'s insertion number, increasing
-	ids      bundle.IDSet      // the ids in order
-	live     []uint64          // bitset over insertion numbers: those in seqs
-	lastSeq  uint64            // insertion number of the latest Add
-	deadline float64           // lower bound on every stored ExpiresAt
+	order    []*bundle.Message              // insertion order, nil-free
+	ids      bundle.IDSet                   // the ids in order
+	cmp      func(a, b *bundle.Message) int // SortBy's order, nil if none
+	sorted   []*bundle.Message              // order's replicas sorted by cmp
+	deadline float64                        // lower bound on every stored ExpiresAt
 	onExpire func(now float64, dead []*bundle.Message)
 }
 
@@ -84,26 +82,23 @@ func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
 	return s.order[i], true
 }
 
-// Stored reports whether the replica stored under insertion number seq
-// is still held. Numbers start at 1 and grow with every Add, so a replica
-// removed and stored again holds a new one.
-func (s *Store) Stored(seq uint64) bool {
-	w := seq / 64
-	return w < uint64(len(s.live)) && s.live[w]&(1<<(seq%64)) != 0
+// SortBy makes the store keep its replicas sorted by cmp too, for Sorted.
+// cmp must be a total order (no two distinct replicas compare equal) that
+// reads only fields fixed while a replica is stored. A router calls it
+// once, when it is attached.
+func (s *Store) SortBy(cmp func(a, b *bundle.Message) int) {
+	s.cmp = cmp
+	s.sorted = slices.SortedStableFunc(slices.Values(s.order), cmp)
 }
 
-// LastSeq returns the insertion number of the latest Add, 0 before any.
-func (s *Store) LastSeq() uint64 { return s.lastSeq }
-
-// AddedSince returns the replicas stored with an insertion number above
-// seq, in insertion order, with their numbers. Both slices alias the
-// store and are valid only until its next change.
-func (s *Store) AddedSince(seq uint64) ([]*bundle.Message, []uint64) {
-	i := len(s.seqs)
-	for i > 0 && s.seqs[i-1] > seq {
-		i--
+// Sorted lends the stored replicas in SortBy's order, or in insertion
+// order if SortBy was never called. The slice is read-only and valid only
+// until the store next changes.
+func (s *Store) Sorted() []*bundle.Message {
+	if s.cmp == nil {
+		return s.order
 	}
-	return s.order[i:], s.seqs[i:]
+	return s.sorted
 }
 
 // index returns id's position in insertion order, or -1 if absent.
@@ -151,12 +146,10 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 	}
 	s.ids.Add(m.ID)
 	s.order = append(s.order, m)
-	s.lastSeq++
-	s.seqs = append(s.seqs, s.lastSeq)
-	if s.lastSeq/64 == uint64(len(s.live)) {
-		s.live = append(s.live, 0)
+	if s.cmp != nil {
+		i, _ := slices.BinarySearchFunc(s.sorted, m, s.cmp)
+		s.sorted = slices.Insert(s.sorted, i, m)
 	}
-	s.live[s.lastSeq/64] |= 1 << (s.lastSeq % 64)
 	s.used += m.Size
 	s.deadline = min(s.deadline, m.ExpiresAt())
 	return evicted, true
@@ -171,14 +164,15 @@ func (s *Store) Remove(id bundle.ID) *bundle.Message {
 	return s.removeAt(i)
 }
 
-// removeAt removes the replica at index i in insertion order.
+// removeAt removes the replica at index i in insertion order, and the
+// same pointer from the sorted replicas.
 func (s *Store) removeAt(i int) *bundle.Message {
 	m := s.order[i]
-	copy(s.order[i:], s.order[i+1:])
-	s.order[len(s.order)-1] = nil
-	s.order = s.order[:len(s.order)-1]
-	s.live[s.seqs[i]/64] &^= 1 << (s.seqs[i] % 64)
-	s.seqs = append(s.seqs[:i], s.seqs[i+1:]...)
+	s.order = slices.Delete(s.order, i, i+1)
+	if s.cmp != nil {
+		j := slices.Index(s.sorted, m)
+		s.sorted = slices.Delete(s.sorted, j, j+1)
+	}
 	s.ids.Remove(m.ID)
 	s.used -= m.Size
 	return m
@@ -219,21 +213,12 @@ func (s *Store) check() {
 		if j := s.index(m.ID); j != i {
 			panic(fmt.Sprintf("buffer: index desync for %v: found at %d, stored at %d", m.ID, j, i))
 		}
-		if s.seqs[i] == 0 || s.seqs[i] > s.lastSeq || (i > 0 && s.seqs[i] <= s.seqs[i-1]) {
-			panic(fmt.Sprintf("buffer: insertion numbers out of order at %d: %v", i, s.seqs))
-		}
 	}
-	live := 0
-	for _, w := range s.live {
-		live += bits.OnesCount64(w)
+	if s.ids.Len() != len(s.order) {
+		panic("buffer: id set and slice length differ")
 	}
-	for _, seq := range s.seqs {
-		if !s.Stored(seq) {
-			live = -1
-		}
-	}
-	if s.ids.Len() != len(s.order) || len(s.seqs) != len(s.order) || live != len(s.order) {
-		panic("buffer: id set, live numbers and slice length differ")
+	if s.cmp != nil && !slices.Equal(s.sorted, slices.SortedStableFunc(slices.Values(s.order), s.cmp)) {
+		panic("buffer: sorted replicas are not a stable sort of the insertion order")
 	}
 	if used != s.used {
 		panic(fmt.Sprintf("buffer: used accounting drifted: %d != %d", used, s.used))

@@ -205,30 +205,43 @@ func withReceived(m *bundle.Message, at float64) *bundle.Message {
 
 // Property: whatever sequence of adds/removes/expiries happens, the buffer
 // never exceeds capacity and its internal accounting stays consistent: the
-// dense id index, the insertion numbers and the deadline bound (check), and
-// membership against a model. Ids include 0 and sparse large values,
-// removed replicas are stored again under the same pointer, and some
-// expiries land exactly on a stored deadline.
+// dense id index, the deadline bound and the sorted replicas (check), and
+// membership against a model. Each built-in schedule has a leg whose store
+// starts sorting by its Compare at a random step: before it Sorted() must
+// equal Messages(), and from then on a stable sort of Messages(). Ids
+// include 0 and sparse large values, removed replicas are stored again
+// under the same pointer, every drop policy evicts, and some expiries land
+// exactly on a stored deadline.
 func TestPropertyCapacityInvariant(t *testing.T) {
+	schedules := []core.SchedulingPolicy{core.FIFOSchedule{}, core.RandomSchedule{}, core.LifetimeDESCSchedule{},
+		core.SizeASCSchedule{}, core.HopCountASCSchedule{}}
+	for _, schedule := range schedules {
+		t.Run(schedule.Name(), func(t *testing.T) { checkCapacityInvariant(t, schedule) })
+	}
+}
+
+func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 	if err := quick.Check(func(seed uint64, opsRaw uint8) bool {
 		rng := xrand.New(seed)
 		ops := int(opsRaw)%200 + 20
+		sortAt := rng.IntN(ops)
 		s := NewStore(units.MB(10))
 		now := 0.0
 		nextID := bundle.ID(0)
 		var removed []*bundle.Message
-		seqs := map[*bundle.Message]uint64{} // model: stored replica -> insertion number
-		seen := uint64(0)
-		policies := []core.DropPolicy{core.FIFODrop{}, core.LifetimeASCDrop{}, nil}
-		var gone []uint64 // insertion numbers of removed replicas
+		held := map[*bundle.Message]bool{} // model: the stored replicas
+		policies := []core.DropPolicy{core.FIFODrop{}, core.LifetimeASCDrop{}, core.MOFODrop{},
+			core.SizeDESCDrop{}, core.OldestAgeDrop{}, nil}
 		forget := func(dead []*bundle.Message) {
 			for _, m := range dead {
-				gone = append(gone, seqs[m])
-				delete(seqs, m)
+				delete(held, m)
 				removed = append(removed, m)
 			}
 		}
 		for i := 0; i < ops; i++ {
+			if i == sortAt {
+				s.SortBy(schedule.Compare)
+			}
 			now += rng.Float64() * 60
 			var stored *bundle.Message
 			switch rng.IntN(6) {
@@ -240,7 +253,10 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 				}
 				size := units.Bytes(rng.UniformInt(100_000, 4_000_000))
 				ttl := 60 + rng.Float64()*10000
-				stored = bundle.New(id, 0, 1, size, now, ttl)
+				stored = bundle.New(id, 0, 1, size, now-rng.Float64()*600, ttl)
+				stored.ReceivedAt = now
+				stored.HopCount = rng.IntN(4)
+				stored.Forwards = rng.IntN(3)
 			case 2: // store a removed replica again, same pointer
 				if len(removed) > 0 {
 					stored = removed[rng.IntN(len(removed))]
@@ -267,35 +283,26 @@ func TestPropertyCapacityInvariant(t *testing.T) {
 				evicted, ok := s.Add(now, stored, policies[rng.IntN(len(policies))])
 				forget(evicted)
 				if ok {
-					seqs[stored] = s.LastSeq()
+					held[stored] = true
 					removed = slices.DeleteFunc(removed, func(m *bundle.Message) bool { return m == stored })
 				}
 			}
-			if s.Used() > s.Capacity() || s.Len() != len(seqs) {
+			if s.Used() > s.Capacity() || s.Len() != len(held) {
 				return false
 			}
-			for m, seq := range seqs {
-				if got, ok := s.Get(m.ID); !ok || got != m || !s.Stored(seq) {
+			for m := range held {
+				if got, ok := s.Get(m.ID); !ok || got != m {
 					return false
 				}
 			}
-			for _, seq := range gone {
-				if s.Stored(seq) {
-					return false
-				}
+			want := s.Messages()
+			if i >= sortAt {
+				slices.SortStableFunc(want, schedule.Compare)
 			}
-			added, addedSeqs := s.AddedSince(seen)
-			for j, m := range added {
-				if seqs[m] != addedSeqs[j] || addedSeqs[j] <= seen {
-					return false
-				}
+			if !slices.Equal(s.Sorted(), want) {
+				t.Logf("seed %d step %d: Sorted() %v, want %v", seed, i, s.Sorted(), want)
+				return false
 			}
-			for m, seq := range seqs {
-				if seq > seen && !slices.Contains(added, m) {
-					return false
-				}
-			}
-			seen = s.LastSeq()
 			s.check()
 		}
 		return true
@@ -315,28 +322,6 @@ func TestNegativeIDPanics(t *testing.T) {
 		}
 	}()
 	s.Add(0, msg(-1, units.KB(1), 0, 60), nil)
-}
-
-// A replica removed and stored again under the same pointer gets a new
-// insertion number, so a caller tracking numbers sees it as new.
-func TestReAddGetsNewSeq(t *testing.T) {
-	s := NewStore(units.MB(10))
-	m := msg(0, units.MB(1), 0, 3600)
-	s.Add(0, m, nil)
-	s.Add(0, msg(1, units.MB(1), 0, 3600), nil)
-	first := s.LastSeq() - 1
-	s.Remove(0)
-	if s.Stored(first) || !s.Stored(first+1) {
-		t.Fatal("Stored wrong after Remove")
-	}
-	s.Add(1, m, nil)
-	if s.Stored(first) || !s.Stored(s.LastSeq()) {
-		t.Fatalf("re-added replica still under %d, or not under %d", first, s.LastSeq())
-	}
-	if added, _ := s.AddedSince(first); len(added) != 2 || added[1] != m {
-		t.Fatalf("AddedSince(%d) = %v", first, added)
-	}
-	s.check()
 }
 
 // Expire skips its scan while now is below every deadline, and tightens

@@ -17,10 +17,10 @@ type SizeASCSchedule struct{}
 func (SizeASCSchedule) Name() string { return "SizeASC" }
 
 // Order implements SchedulingPolicy.
-func (s SizeASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(now, msgs, s.Compare) }
+func (s SizeASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
 
 // Compare implements SchedulingPolicy: smaller first.
-func (SizeASCSchedule) Compare(now float64, a, b *bundle.Message) int {
+func (SizeASCSchedule) Compare(a, b *bundle.Message) int {
 	return byKey(a.Size, b.Size, a, b)
 }
 
@@ -33,12 +33,10 @@ type HopCountASCSchedule struct{}
 func (HopCountASCSchedule) Name() string { return "HopASC" }
 
 // Order implements SchedulingPolicy.
-func (s HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sortBy(now, msgs, s.Compare)
-}
+func (s HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
 
 // Compare implements SchedulingPolicy: fewer hops first.
-func (HopCountASCSchedule) Compare(now float64, a, b *bundle.Message) int {
+func (HopCountASCSchedule) Compare(a, b *bundle.Message) int {
 	return byKey(a.HopCount, b.HopCount, a, b)
 }
 

@@ -60,9 +60,10 @@ func permutations(msgs []*bundle.Message, fn func([]*bundle.Message)) {
 }
 
 // TestScheduleOrderIndependentOfInputOrder pins what routers rely on when
-// they hand Order a pre-sorted view instead of buffer order: for every
-// schedule, every permutation of one message set orders to the same
-// output, and Random consumes the same draws whatever the input order.
+// they hand Order their buffer's sorted replicas instead of insertion
+// order: for every schedule, every permutation of one message set orders
+// to the same output, and Random consumes the same draws whatever the
+// input order.
 func TestScheduleOrderIndependentOfInputOrder(t *testing.T) {
 	const now, seed = 1000.0, 42
 	msgs := orderFixture()
@@ -108,13 +109,13 @@ func TestScheduleCompareAgreesWithOrder(t *testing.T) {
 		out := slices.Clone(msgs)
 		s.Order(now, out)
 		for i := 1; i < len(out); i++ {
-			if s.Compare(now, out[i-1], out[i]) >= 0 {
+			if s.Compare(out[i-1], out[i]) >= 0 {
 				t.Fatalf("%s: Order output %v not strictly ascending under Compare at %d", s.Name(), ids(out), i)
 			}
 		}
 		for _, a := range msgs {
 			for _, b := range msgs {
-				ab, ba := s.Compare(now, a, b), s.Compare(now, b, a)
+				ab, ba := s.Compare(a, b), s.Compare(b, a)
 				if (a == b) != (ab == 0) || ab != -ba {
 					t.Fatalf("%s: Compare(%v,%v)=%d, Compare(%v,%v)=%d is not a strict total order", s.Name(), a.ID, b.ID, ab, b.ID, a.ID, ba)
 				}
@@ -125,20 +126,20 @@ func TestScheduleCompareAgreesWithOrder(t *testing.T) {
 	random := RandomSchedule{Rng: xrand.New(5)}
 	for _, a := range msgs {
 		for _, b := range msgs {
-			if random.Compare(now, a, b) != (FIFOSchedule{}).Compare(now, a, b) {
+			if random.Compare(a, b) != (FIFOSchedule{}).Compare(a, b) {
 				t.Fatalf("Random Compare(%v,%v) differs from FIFO's", a.ID, b.ID)
 			}
 		}
 	}
 	before := *random.Rng
-	random.Compare(now, msgs[0], msgs[1])
+	random.Compare(msgs[0], msgs[1])
 	if *random.Rng != before {
 		t.Fatal("Random Compare drew from its stream")
 	}
 	got := slices.Clone(msgs)
 	random.Order(now, got)
 	want := slices.Clone(msgs)
-	slices.SortFunc(want, func(a, b *bundle.Message) int { return random.Compare(now, a, b) })
+	slices.SortFunc(want, random.Compare)
 	xrand.New(5).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
 	if !slices.Equal(got, want) {
 		t.Fatalf("Random Order = %v, want its Compare order shuffled: %v", ids(got), ids(want))
@@ -154,9 +155,9 @@ func TestSortBySortedInputUntouched(t *testing.T) {
 		s.Order(now, sorted)
 		in := slices.Clone(sorted)
 		calls := 0
-		sortBy(now, in, func(now float64, a, b *bundle.Message) int {
+		sortBy(in, func(a, b *bundle.Message) int {
 			calls++
-			return s.Compare(now, a, b)
+			return s.Compare(a, b)
 		})
 		if !slices.Equal(in, sorted) || calls != len(in)-1 {
 			t.Fatalf("%s: sorted input took %d comparisons (want %d) and came back %v", s.Name(), calls, len(in)-1, ids(in))
@@ -165,7 +166,7 @@ func TestSortBySortedInputUntouched(t *testing.T) {
 		// Unsorted input still sorts, stably.
 		in = slices.Clone(sorted)
 		slices.Reverse(in)
-		sortBy(now, in, s.Compare)
+		sortBy(in, s.Compare)
 		if !slices.Equal(in, sorted) {
 			t.Fatalf("%s: reversed input sorted to %v, want %v", s.Name(), ids(in), ids(sorted))
 		}

@@ -26,25 +26,26 @@ import (
 // their inputs (the Random policy draws from an injected stream).
 //
 // Compare is the side-effect-free order behind Order: negative when a goes
-// before b at now. It must be a total order on distinct message ids (ties
-// broken by id), so the order of a set of messages does not depend on the
-// order they arrive in. Routers keep their buffer sorted by Compare and
-// hand Order input that is already in Compare order; a deterministic
-// Order then returns it untouched. A policy whose Order draws from a
-// stream (Random) returns the order it shuffles from.
+// before b. It must be a total order on distinct message ids (ties broken
+// by id), so the order of a set of messages does not depend on the order
+// they arrive in, and it may read only fields fixed while a replica is
+// stored, so the order does not depend on the time either. Routers keep
+// their buffer sorted by Compare (buffer.Store.SortBy) and hand Order input
+// that is already in Compare order; a deterministic Order then returns it
+// untouched. A policy whose Order draws from a stream (Random) returns the
+// order it shuffles from.
 type SchedulingPolicy interface {
 	Name() string
 	Order(now float64, msgs []*bundle.Message)
-	Compare(now float64, a, b *bundle.Message) int
+	Compare(a, b *bundle.Message) int
 }
 
-// sortBy sorts msgs by cmp at now, stably. Input already in order, the
-// common case when a router passes its pre-sorted view, is left untouched
-// after one linear check.
-func sortBy(now float64, msgs []*bundle.Message, cmp func(now float64, a, b *bundle.Message) int) {
-	c := func(a, b *bundle.Message) int { return cmp(now, a, b) }
-	if !slices.IsSortedFunc(msgs, c) {
-		slices.SortStableFunc(msgs, c)
+// sortBy sorts msgs by cmp, stably. Input already in order, the common
+// case when a router passes its buffer's sorted replicas, is left
+// untouched after one linear check.
+func sortBy(msgs []*bundle.Message, cmp func(a, b *bundle.Message) int) {
+	if !slices.IsSortedFunc(msgs, cmp) {
+		slices.SortStableFunc(msgs, cmp)
 	}
 }
 
@@ -85,10 +86,10 @@ type FIFOSchedule struct{}
 func (FIFOSchedule) Name() string { return "FIFO" }
 
 // Order implements SchedulingPolicy.
-func (s FIFOSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(now, msgs, s.Compare) }
+func (s FIFOSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
 
 // Compare implements SchedulingPolicy: earlier buffer arrival first.
-func (FIFOSchedule) Compare(now float64, a, b *bundle.Message) int {
+func (FIFOSchedule) Compare(a, b *bundle.Message) int {
 	return byKey(a.ReceivedAt, b.ReceivedAt, a, b)
 }
 
@@ -116,9 +117,7 @@ func (r RandomSchedule) Order(now float64, msgs []*bundle.Message) {
 
 // Compare implements SchedulingPolicy with the FIFO order Order shuffles
 // from; it draws nothing.
-func (RandomSchedule) Compare(now float64, a, b *bundle.Message) int {
-	return FIFOSchedule{}.Compare(now, a, b)
-}
+func (RandomSchedule) Compare(a, b *bundle.Message) int { return FIFOSchedule{}.Compare(a, b) }
 
 // LifetimeDESCSchedule transmits messages with the longest remaining TTL
 // first. Exchanged messages therefore have long remaining lifetimes, which
@@ -130,15 +129,14 @@ type LifetimeDESCSchedule struct{}
 func (LifetimeDESCSchedule) Name() string { return "LifetimeDESC" }
 
 // Order implements SchedulingPolicy.
-func (s LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) {
-	sortBy(now, msgs, s.Compare)
-}
+func (s LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
 
-// Compare implements SchedulingPolicy: more remaining TTL at now first.
-// It compares RemainingTTL(now), not the deadlines, because two distinct
-// deadlines can round to the same remaining lifetime.
-func (LifetimeDESCSchedule) Compare(now float64, a, b *bundle.Message) int {
-	return byKey(b.RemainingTTL(now), a.RemainingTTL(now), a, b)
+// Compare implements SchedulingPolicy: more remaining TTL first. At any
+// one instant remaining lifetime is the deadline minus now, so Compare
+// orders by deadline, latest first. Two distinct deadlines stay apart even
+// where their remaining lifetimes round to one value.
+func (LifetimeDESCSchedule) Compare(a, b *bundle.Message) int {
+	return byKey(b.ExpiresAt(), a.ExpiresAt(), a, b)
 }
 
 // --- Dropping policies ---------------------------------------------------
@@ -173,13 +171,14 @@ type LifetimeASCDrop struct{}
 // Name implements DropPolicy.
 func (LifetimeASCDrop) Name() string { return "LifetimeASC" }
 
-// Victim implements DropPolicy.
+// Victim implements DropPolicy: the earliest deadline, which is the least
+// remaining TTL at any now.
 func (LifetimeASCDrop) Victim(now float64, msgs []*bundle.Message) int {
 	best := 0
 	for i, m := range msgs[1:] {
 		j := i + 1
-		ri, rb := m.RemainingTTL(now), msgs[best].RemainingTTL(now)
-		if ri < rb || (ri == rb && m.ID < msgs[best].ID) {
+		di, db := m.ExpiresAt(), msgs[best].ExpiresAt()
+		if di < db || (di == db && m.ID < msgs[best].ID) {
 			best = j
 		}
 	}

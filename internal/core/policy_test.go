@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -71,8 +72,8 @@ func TestLifetimeDESCOrdersByRemainingTTL(t *testing.T) {
 }
 
 func TestLifetimeDESCIsTimeDependent(t *testing.T) {
-	// Ordering is on *remaining* TTL, so it is a function of now: a young
-	// short-TTL message can outrank an old long-TTL one, but the relative
+	// Ordering is on *remaining* TTL, that is on the deadline: a young
+	// short-TTL message can outrank an old long-TTL one, and the relative
 	// order of two messages never changes as time passes (both age at the
 	// same rate) — verify the policy uses remaining lifetime, not total TTL.
 	a := mk(1, 0, 0, units.Minutes(60))    // expires 3600
@@ -81,6 +82,29 @@ func TestLifetimeDESCIsTimeDependent(t *testing.T) {
 	LifetimeDESCSchedule{}.Order(3500, msgs)
 	if msgs[0].ID != 2 {
 		t.Fatalf("remaining-TTL ordering wrong: got %v first (total-TTL ordering?)", msgs[0].ID)
+	}
+}
+
+// TestLifetimePoliciesOrderRoundingTiesByDeadline pins the time-free
+// order. At now = 2^-41 the deadlines 4098 and the next float above it
+// leave remaining lifetimes that both round to 4098, yet the later
+// deadline must still be scheduled first and the earlier one dropped
+// first, whichever of the two has the smaller id.
+func TestLifetimePoliciesOrderRoundingTiesByDeadline(t *testing.T) {
+	now := math.Ldexp(1, -41)
+	for _, id := range [][2]bundle.ID{{1, 2}, {2, 1}} {
+		early, late := mk(id[0], 0, 0, 4098), mk(id[1], 0, 0, math.Nextafter(4098, math.Inf(1)))
+		if early.RemainingTTL(now) != late.RemainingTTL(now) {
+			t.Fatal("fixture: remaining lifetimes do not round to a tie")
+		}
+		msgs := []*bundle.Message{early, late}
+		LifetimeDESCSchedule{}.Order(now, msgs)
+		if msgs[0] != late {
+			t.Errorf("ids %v: LifetimeDESC sent %v first, want the later deadline %v", id, msgs[0].ID, late.ID)
+		}
+		if v := msgs[(LifetimeASCDrop{}).Victim(now, msgs)]; v != early {
+			t.Errorf("ids %v: LifetimeASC dropped %v, want the earlier deadline %v", id, v.ID, early.ID)
+		}
 	}
 }
 

@@ -87,7 +87,7 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 // message id, so that it is total.
 func (b *base) requeue(p Peer, offer func(*bundle.Message) bool, order func(x, y *bundle.Message) int) {
 	deliv, rest := b.deliv[:0], b.rest[:0]
-	for _, m := range b.buf.Messages() {
+	for _, m := range b.buf.Sorted() {
 		switch {
 		case p.HasDelivered(m.ID):
 		case m.To == p.ID():
@@ -128,24 +128,13 @@ func at[T any](v []T, i int, def T) T {
 // and the protocol supplies only its relay rule — whether a replica that
 // is not destined to p should go to p.
 //
-// The router keeps its buffer in schedule order (sorted), so a Refresh
-// filters an already ordered view instead of copying and sorting the
-// buffer per peer. Each entry carries the insertion number the store gave
-// the replica: an entry whose number the store no longer holds is gone,
-// and replicas numbered above seen are new.
+// The router has its buffer keep the schedule order (buffer.Store.SortBy),
+// so a Refresh filters the already ordered replicas instead of copying
+// and sorting the buffer per peer.
 type policyRouter struct {
 	base
 	schedule core.SchedulingPolicy
 	relay    func(m *bundle.Message, p Peer) bool
-
-	sorted []viewEntry
-	seen   uint64 // the store's LastSeq when sorted was last synced
-}
-
-// viewEntry is one buffered replica in the sorted view.
-type viewEntry struct {
-	m   *bundle.Message
-	seq uint64
 }
 
 func newPolicyRouter(name string, pol core.Policy, relay func(*bundle.Message, Peer) bool) policyRouter {
@@ -153,6 +142,12 @@ func newPolicyRouter(name string, pol core.Policy, relay func(*bundle.Message, P
 		panic("routing: " + name + " with incomplete policy")
 	}
 	return policyRouter{base: newBase(pol.Drop), schedule: pol.Schedule, relay: relay}
+}
+
+// Attach implements Router and has buf keep the schedule order.
+func (r *policyRouter) Attach(self int, buf *buffer.Store) {
+	r.base.Attach(self, buf)
+	buf.SortBy(r.schedule.Compare)
 }
 
 // ContactUp implements Router. The policy routers keep no encounter
@@ -165,10 +160,8 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 // order.
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
-	r.sync(now)
 	deliverable, rest := r.deliv[:0], r.rest[:0]
-	for _, e := range r.sorted {
-		m := e.m
+	for _, m := range r.buf.Sorted() {
 		switch {
 		case p.HasDelivered(m.ID):
 			continue
@@ -185,33 +178,6 @@ func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.schedule.Order(now, rest)
 	r.queues.set(p.ID(), deliverable, rest)
 	r.deliv, r.rest = deliverable, rest
-}
-
-// sync brings the sorted view up to date with the buffer at now: it drops
-// replicas the buffer no longer holds under the same insertion number,
-// then inserts those stored since the last sync at their Compare place.
-func (r *policyRouter) sync(now float64) {
-	kept := r.sorted[:0]
-	for _, e := range r.sorted {
-		if r.buf.Stored(e.seq) {
-			kept = append(kept, e)
-		}
-	}
-	clear(r.sorted[len(kept):])
-	cmp := func(a, b viewEntry) int { return r.schedule.Compare(now, a.m, b.m) }
-	// A view sorted at an earlier time falls out of order only when two
-	// remaining lifetimes round to one value at now.
-	if !slices.IsSortedFunc(kept, cmp) {
-		slices.SortFunc(kept, cmp)
-	}
-	msgs, seqs := r.buf.AddedSince(r.seen)
-	for i, m := range msgs {
-		e := viewEntry{m, seqs[i]}
-		at, _ := slices.BinarySearchFunc(kept, e, cmp)
-		kept = slices.Insert(kept, at, e)
-	}
-	r.seen = r.buf.LastSeq()
-	r.sorted = kept
 }
 
 // NextSend implements Router.

@@ -3,19 +3,10 @@ package routing
 import (
 	"cmp"
 	"math"
-	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/units"
 )
-
-// MaxPropConfig parameterizes the MaxProp router.
-type MaxPropConfig struct {
-	// InitialThresholdBytes seeds the adaptive hop-count threshold before
-	// any transfer statistics exist. Zero means "no head-start zone until
-	// the first contacts complete", which matches a cold-started node.
-	InitialThresholdBytes units.Bytes
-}
 
 // MaxProp implements the router of Burgess et al. (INFOCOM 2006), built
 // from the mechanisms the paper's §II lists: incremental-averaging meeting
@@ -27,7 +18,6 @@ type MaxPropConfig struct {
 // tail), so it takes no external scheduling/dropping policy.
 type MaxProp struct {
 	base
-	cfg MaxPropConfig
 
 	meet  []float64    // own meeting likelihoods by node id, sum 1; unmet if never met
 	peers [][]float64  // node id -> snapshot of its meet vector; nil if none
@@ -39,6 +29,7 @@ type MaxProp struct {
 	// Adaptive threshold statistics: bytes moved per completed contact.
 	bytesMoved   units.Bytes
 	contactCount int
+	hopBytes     []units.Bytes // hopThreshold's tally: buffered bytes by hop count
 }
 
 // unmet marks a node never met in a likelihood vector. A met node's
@@ -46,9 +37,10 @@ type MaxProp struct {
 // cannot be the marker.
 const unmet = -1.0
 
-// NewMaxProp returns a MaxProp router.
-func NewMaxProp(cfg MaxPropConfig) *MaxProp {
-	mx := &MaxProp{cfg: cfg}
+// NewMaxProp returns a MaxProp router. Like a cold-started node, it has
+// no head-start zone until its contacts have moved bytes.
+func NewMaxProp() *MaxProp {
+	mx := &MaxProp{}
 	mx.base = newBase(maxPropDrop{mx})
 	return mx
 }
@@ -139,35 +131,31 @@ func byHops(a, b *bundle.Message) int { return cmp.Or(cmp.Compare(a.HopCount, b.
 // hopThreshold computes the adaptive head-start threshold: the lowest-hop
 // messages totalling min(avg bytes per contact, half the buffer) are the
 // protected head-start zone, and the threshold is the first hop count
-// beyond it (MaxProp §4.4, reconstructed).
+// beyond it (MaxProp §4.4, reconstructed). That is 1 + the smallest hop
+// count h whose replicas at <= h hops total at least the zone, or the
+// largest hop count + 1 if none does. The byte sums are integers, so a
+// tally by hop count finds h exactly without sorting the buffer.
 func (mx *MaxProp) hopThreshold() int {
-	protect := mx.cfg.InitialThresholdBytes
-	if mx.contactCount > 0 {
-		protect = mx.bytesMoved / units.Bytes(mx.contactCount)
+	if mx.contactCount == 0 {
+		return 0
 	}
-	if half := mx.buf.Capacity() / 2; protect > half {
-		protect = half
-	}
+	protect := min(mx.bytesMoved/units.Bytes(mx.contactCount), mx.buf.Capacity()/2)
 	if protect <= 0 {
 		return 0
 	}
-	msgs := mx.buf.Messages()
-	slices.SortFunc(msgs, byHops)
+	tally := mx.hopBytes[:0]
+	for _, m := range mx.buf.Sorted() {
+		tally = widen(tally, m.HopCount+1, 0)
+		tally[m.HopCount] += m.Size
+	}
+	mx.hopBytes = tally
 	var cum units.Bytes
-	for _, m := range msgs {
-		cum += m.Size
-		if cum >= protect {
-			return m.HopCount + 1
+	for h, b := range tally {
+		if cum += b; cum >= protect {
+			return h + 1
 		}
 	}
-	// Everything fits in the protected zone.
-	maxHop := 0
-	for _, m := range msgs {
-		if m.HopCount > maxHop {
-			maxHop = m.HopCount
-		}
-	}
-	return maxHop + 1
+	return max(len(tally), 1) // everything fits in the protected zone
 }
 
 // Cost returns the MaxProp delivery cost to dest: the cheapest path cost

@@ -26,7 +26,6 @@ import (
 
 type refMaxProp struct {
 	base
-	cfg MaxPropConfig
 
 	meet        map[int]float64
 	peerVectors map[int]map[int]float64
@@ -37,9 +36,8 @@ type refMaxProp struct {
 	contactCount int
 }
 
-func newRefMaxProp(cfg MaxPropConfig) *refMaxProp {
+func newRefMaxProp() *refMaxProp {
 	mx := &refMaxProp{
-		cfg:         cfg,
 		meet:        make(map[int]float64),
 		peerVectors: make(map[int]map[int]float64),
 		acked:       make(map[bundle.ID]bool),
@@ -128,7 +126,7 @@ func (mx *refMaxProp) sortByPriority(msgs []*bundle.Message) {
 }
 
 func (mx *refMaxProp) hopThreshold() int {
-	protect := mx.cfg.InitialThresholdBytes
+	var protect units.Bytes
 	if mx.contactCount > 0 {
 		protect = mx.bytesMoved / units.Bytes(mx.contactCount)
 	}
@@ -417,15 +415,15 @@ type refNet struct {
 	log   []string
 }
 
-func newRefNet(kinds []nodeKind, ref bool, mp MaxPropConfig, pc ProphetConfig, capacity units.Bytes) *refNet {
+func newRefNet(kinds []nodeKind, ref bool, pc ProphetConfig, capacity units.Bytes) *refNet {
 	n := &refNet{open: make([][]bool, len(kinds))}
 	for id, k := range kinds {
 		var r Router
 		switch {
 		case k == kindMaxProp && ref:
-			r = newRefMaxProp(mp)
+			r = newRefMaxProp()
 		case k == kindMaxProp:
-			r = NewMaxProp(mp)
+			r = NewMaxProp()
 		case k == kindProphet && ref:
 			r = newRefProphet(NewProphet(pc).cfg)
 		case k == kindProphet:
@@ -593,13 +591,37 @@ func compareNets(t *testing.T, got, want *refNet) {
 func TestDenseTablesMatchReferenceRandomContacts(t *testing.T) {
 	kinds := []nodeKind{kindMaxProp, kindProphet, kindMaxProp, kindOther, kindProphet,
 		kindMaxProp, kindProphet, kindMaxProp, kindProphet, kindMaxProp}
-	for _, mp := range []MaxPropConfig{{}, {InitialThresholdBytes: units.MB(1)}} {
-		for seed := uint64(1); seed <= 6; seed++ {
-			got := newRefNet(kinds, false, mp, ProphetConfig{}, units.MB(5))
-			want := newRefNet(kinds, true, mp, ProphetConfig{}, units.MB(5))
-			randomRun(got, seed, 3000)
-			randomRun(want, seed, 3000)
-			compareNets(t, got, want)
+	for seed := uint64(1); seed <= 12; seed++ {
+		got := newRefNet(kinds, false, ProphetConfig{}, units.MB(5))
+		want := newRefNet(kinds, true, ProphetConfig{}, units.MB(5))
+		randomRun(got, seed, 3000)
+		randomRun(want, seed, 3000)
+		compareNets(t, got, want)
+	}
+}
+
+// TestHopThresholdMatchesReferenceAtZoneEdges compares MaxProp's hop
+// threshold, found from a byte tally by hop count, with the reference's
+// sort over random buffers. Sizes and zones are multiples of 100 kB, so
+// the zone often equals a running byte sum exactly, where the threshold
+// must still be the hop count that reaches it plus one.
+func TestHopThresholdMatchesReferenceAtZoneEdges(t *testing.T) {
+	rng := xrand.New(1)
+	for trial := range 2000 {
+		buf := buffer.NewStore(units.MB(5))
+		mx, ref := NewMaxProp(), newRefMaxProp()
+		mx.Attach(0, buf)
+		ref.Attach(0, buf)
+		for id := range rng.IntN(12) {
+			m := bundle.New(bundle.ID(id+1), 0, 1, units.KB(100)*units.Bytes(1+rng.IntN(5)), 0, 1e9)
+			m.HopCount = rng.IntN(5)
+			buf.Add(0, m, nil)
+		}
+		zone := units.KB(100) * units.Bytes(rng.IntN(30))
+		mx.contactCount, mx.bytesMoved = 1, zone
+		ref.contactCount, ref.bytesMoved = 1, zone
+		if got, want := mx.hopThreshold(), ref.hopThreshold(); got != want {
+			t.Fatalf("trial %d, zone %d over %d replicas: threshold %d, reference %d", trial, zone, buf.Len(), got, want)
 		}
 	}
 }
@@ -611,7 +633,7 @@ func TestDenseTablesMatchReferenceRandomContacts(t *testing.T) {
 func TestMaxPropMatchesReferenceAtZeroLikelihood(t *testing.T) {
 	kinds := []nodeKind{kindMaxProp, kindMaxProp, kindMaxProp, kindOther, kindMaxProp}
 	run := func(ref bool) *refNet {
-		n := newRefNet(kinds, ref, MaxPropConfig{}, ProphetConfig{}, units.MB(5))
+		n := newRefNet(kinds, ref, ProphetConfig{}, units.MB(5))
 		rng := xrand.New(1)
 		n.add(0, bundle.New(1, 0, 1, units.KB(100), 0, 1e9))
 		n.add(0, bundle.New(2, 0, 4, units.KB(100), 0, 1e9))
@@ -644,7 +666,7 @@ func TestProphetMatchesReferenceAtAgingCutoff(t *testing.T) {
 	cfg := ProphetConfig{PInit: 1e-6 * (1 << 19), Gamma: 0.5, TimeUnit: 1}
 	kinds := []nodeKind{kindProphet, kindProphet, kindProphet}
 	run := func(ref bool) *refNet {
-		n := newRefNet(kinds, ref, MaxPropConfig{}, cfg, units.MB(5))
+		n := newRefNet(kinds, ref, cfg, units.MB(5))
 		n.add(1, bundle.New(1, 1, 2, units.KB(100), 0, 1e9))
 		n.up(0, 1)
 		n.down(0, 1)
@@ -663,7 +685,7 @@ func TestProphetMatchesReferenceAtAgingCutoff(t *testing.T) {
 	if p := pr.Predictability(19, 1); p != 0 {
 		t.Fatalf("P(1) at t=20 read back at t=19 = %v, want 0 (aging never runs backwards)", p)
 	}
-	fresh := newRefNet(kinds, false, MaxPropConfig{}, cfg, units.MB(5))
+	fresh := newRefNet(kinds, false, cfg, units.MB(5))
 	fresh.up(0, 1)
 	if p := fresh.nodes[0].router.(*Prophet).Predictability(19, 1); p != 1e-6 {
 		t.Fatalf("P(1) at the cut-off = %v, want exactly 1e-6 kept", p)

@@ -18,14 +18,14 @@
 // node that delivers a message drops its own copy) and the send-queue pop
 // with its liveness checks. The four protocols the Table I policies govern
 // (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact) embed
-// policyRouter on top of base, which owns their one ContactUp, Refresh and
-// NextSend; each passes only its relay rule and overrides the calls where
-// it differs. MaxProp and PRoPHET embed base alone and build their queues
-// through its one requeue: replicas destined to the peer first, by id,
-// then the ones the protocol offers, in its own order. Their node tables
-// are slices indexed by node id. Both cores are unexported: a router
-// written outside this package implements Router from scratch (see
-// examples/customprotocol).
+// policyRouter on top of base, which has the buffer keep the schedule's
+// order and owns their one ContactUp, Refresh and NextSend; each passes
+// only its relay rule and overrides the calls where it differs. MaxProp
+// and PRoPHET embed base alone and build their queues through its one
+// requeue: replicas destined to the peer first, by id, then the ones the
+// protocol offers, in its own order. Their node tables are slices indexed
+// by node id. Both cores are unexported: a router written outside this
+// package implements Router from scratch (see examples/customprotocol).
 //
 // Protocol metadata exchange (PRoPHET predictability vectors, MaxProp
 // likelihood vectors and ack lists) happens by direct access to the peer's

@@ -17,10 +17,10 @@ func newTestRand(seed uint64) *xrand.Rand { return xrand.New(seed) }
 // --- MaxProp: adaptive threshold and priority order -----------------------
 
 func TestMaxPropThresholdAdaptsToTransfers(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	buf := buffer.NewStore(units.MB(10))
 	mx.Attach(0, buf)
-	p := newPeer(1, NewMaxProp(MaxPropConfig{}))
+	p := newPeer(1, NewMaxProp())
 
 	// Cold start: no head-start zone.
 	if got := mx.hopThreshold(); got != 0 {
@@ -42,14 +42,14 @@ func TestMaxPropThresholdAdaptsToTransfers(t *testing.T) {
 }
 
 func TestMaxPropPriorityHeadStartBeforeCost(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	buf := buffer.NewStore(units.MB(100))
 	mx.Attach(0, buf)
 
 	// Know destination 7 perfectly (cost 0); leave 8 unknown (+Inf).
 	// The same contact receives 2 MB, so the adaptive head-start zone is
 	// 2 MB and, with only a hop-1 message buffered, the threshold is 2.
-	p7 := newPeer(7, NewMaxProp(MaxPropConfig{}))
+	p7 := newPeer(7, NewMaxProp())
 	mx.ContactUp(0, p7)
 	carried := bundle.New(3, 9, 7, units.MB(2), 0, 3600)
 	mx.Receive(1, carried.ForwardTo(0, 1), p7)
@@ -74,13 +74,13 @@ func TestMaxPropPriorityHeadStartBeforeCost(t *testing.T) {
 }
 
 func TestMaxPropCostOrderingAboveThreshold(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{}) // threshold 0: pure cost ordering
+	mx := NewMaxProp() // threshold 0: pure cost ordering
 	buf := buffer.NewStore(units.MB(100))
 	mx.Attach(0, buf)
 
 	// f(7) = 0.75, f(2) = 0.25 after three contacts.
-	p7 := newPeer(7, NewMaxProp(MaxPropConfig{}))
-	p2 := newPeer(2, NewMaxProp(MaxPropConfig{}))
+	p7 := newPeer(7, NewMaxProp())
+	p2 := newPeer(2, NewMaxProp())
 	mx.ContactUp(0, p7)
 	mx.ContactDown(0, p7)
 	mx.ContactUp(1, p2)

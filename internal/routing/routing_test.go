@@ -536,10 +536,10 @@ func TestProphetInvalidParamsPanic(t *testing.T) {
 // --- MaxProp -------------------------------------------------------------
 
 func TestMaxPropMeetingLikelihoods(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	attach(mx, 0)
-	p1 := newPeer(1, NewMaxProp(MaxPropConfig{}))
-	p2 := newPeer(2, NewMaxProp(MaxPropConfig{}))
+	p1 := newPeer(1, NewMaxProp())
+	p2 := newPeer(2, NewMaxProp())
 
 	mx.ContactUp(0, p1)
 	if f := mx.MeetingLikelihood(1); math.Abs(f-1.0) > 1e-9 {
@@ -562,14 +562,14 @@ func TestMaxPropMeetingLikelihoods(t *testing.T) {
 }
 
 func TestMaxPropCostDirectAndPath(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	attach(mx, 0)
-	b := NewMaxProp(MaxPropConfig{})
+	b := NewMaxProp()
 	bBuf := buffer.NewStore(units.MB(100))
 	b.Attach(1, bBuf)
 
 	// B has met node 2 only: f_b(2) = 1.
-	two := newPeer(2, NewMaxProp(MaxPropConfig{}))
+	two := newPeer(2, NewMaxProp())
 	b.ContactUp(0, two)
 	b.ContactDown(0, two)
 
@@ -596,9 +596,9 @@ func TestMaxPropCostDirectAndPath(t *testing.T) {
 }
 
 func TestMaxPropAckPropagation(t *testing.T) {
-	a := NewMaxProp(MaxPropConfig{})
+	a := NewMaxProp()
 	aBuf := attach(a, 0)
-	b := NewMaxProp(MaxPropConfig{})
+	b := NewMaxProp()
 	bBuf := buffer.NewStore(units.MB(100))
 	b.Attach(1, bBuf)
 
@@ -618,7 +618,7 @@ func TestMaxPropAckPropagation(t *testing.T) {
 }
 
 func TestMaxPropOnSentDeliveredCreatesAck(t *testing.T) {
-	a := NewMaxProp(MaxPropConfig{})
+	a := NewMaxProp()
 	buf := attach(a, 0)
 	m := msgTo(1, 0, 5, 0, 3600)
 	a.AddMessage(0, m)
@@ -633,9 +633,9 @@ func TestMaxPropOnSentDeliveredCreatesAck(t *testing.T) {
 }
 
 func TestMaxPropVisitedNodeNotReoffered(t *testing.T) {
-	a := NewMaxProp(MaxPropConfig{})
+	a := NewMaxProp()
 	attach(a, 0)
-	b := NewMaxProp(MaxPropConfig{})
+	b := NewMaxProp()
 	bBuf := buffer.NewStore(units.MB(100))
 	b.Attach(3, bBuf)
 
@@ -652,7 +652,7 @@ func TestMaxPropVisitedNodeNotReoffered(t *testing.T) {
 }
 
 func TestMaxPropRejectsAckedReceive(t *testing.T) {
-	a := NewMaxProp(MaxPropConfig{})
+	a := NewMaxProp()
 	attach(a, 0)
 	a.OnDelivered(0, msgTo(1, 5, 9, 0, 3600))
 	ok, _ := a.Receive(1, msgTo(1, 5, 9, 0, 3600).ForwardTo(0, 1), newPeer(5, nil))
@@ -662,7 +662,7 @@ func TestMaxPropRejectsAckedReceive(t *testing.T) {
 }
 
 func TestMaxPropHopThresholdColdStart(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	attach(mx, 0)
 	if got := mx.hopThreshold(); got != 0 {
 		t.Fatalf("cold-start threshold = %d, want 0", got)
@@ -670,12 +670,12 @@ func TestMaxPropHopThresholdColdStart(t *testing.T) {
 }
 
 func TestMaxPropDropOrder(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	buf := buffer.NewStore(units.MB(2))
 	mx.Attach(0, buf)
 
 	// Know destination 7 well (cost 0), destination 8 not at all (cost inf).
-	p7 := newPeer(7, NewMaxProp(MaxPropConfig{}))
+	p7 := newPeer(7, NewMaxProp())
 	mx.ContactUp(0, p7)
 	mx.ContactDown(0, p7)
 
@@ -697,7 +697,7 @@ func TestMaxPropDropOrder(t *testing.T) {
 }
 
 func TestMaxPropDropsAckedFirst(t *testing.T) {
-	mx := NewMaxProp(MaxPropConfig{})
+	mx := NewMaxProp()
 	buf := buffer.NewStore(units.MB(2))
 	mx.Attach(0, buf)
 	p := newPeer(7, nil)
@@ -781,7 +781,7 @@ func TestAllRoutersNextSendInvariant(t *testing.T) {
 			NewSprayAndWait(core.Lifetime(), 12, true),
 			NewSprayAndWait(core.Lifetime(), 12, false),
 			NewProphet(DefaultProphetConfig()),
-			NewMaxProp(MaxPropConfig{}),
+			NewMaxProp(),
 			NewDirectDelivery(core.FIFOFIFO()),
 			NewFirstContact(core.FIFOFIFO()),
 		}

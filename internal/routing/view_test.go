@@ -14,11 +14,11 @@ import (
 
 // TestPropertySortedViewMatchesBuffer drives a policy router through
 // random AddMessage, Receive, OnSent, Expire, same-pointer re-add and
-// Refresh steps under all five schedules. After every step the router's
-// sorted view, synced at that step's time, must equal a fresh stable sort
-// of buf.Messages() by the schedule's Compare; and every Refresh must
-// build exactly the queue the copy-filter-sort Refresh built, leaving a
-// Random schedule's stream where that Refresh left it.
+// Refresh steps under all five schedules. After every step the buffer's
+// sorted replicas, which the router's Refresh filters, must equal a fresh
+// stable sort of buf.Messages() by the schedule's Compare; and every
+// Refresh must build exactly the queue the copy-filter-sort Refresh built,
+// leaving a Random schedule's stream where that Refresh left it.
 func TestPropertySortedViewMatchesBuffer(t *testing.T) {
 	schedules := []func(*xrand.Rand) core.SchedulingPolicy{
 		func(*xrand.Rand) core.SchedulingPolicy { return core.FIFOSchedule{} },
@@ -73,7 +73,7 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 		p := peers[rng.IntN(len(peers))]
 		op := rng.IntN(6)
 		switch op {
-		case 0: // a burst of local messages between two syncs
+		case 0: // a burst of local messages between two Refreshes
 			for k := rng.IntN(3) + 1; k > 0; k-- {
 				router.AddMessage(now, fresh())
 			}
@@ -113,23 +113,15 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 			}
 		}
 
-		r.sync(now)
 		want := buf.Messages()
-		slices.SortStableFunc(want, func(a, b *bundle.Message) int { return schedule.Compare(now, a, b) })
-		got := make([]*bundle.Message, len(r.sorted))
-		for i, e := range r.sorted {
-			got[i] = e.m
-			if !buf.Stored(e.seq) {
-				t.Fatalf("step %d (op %d): view entry %v under %d, which the buffer no longer holds", step, op, e.m.ID, e.seq)
-			}
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("step %d (op %d): view %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
+		slices.SortStableFunc(want, schedule.Compare)
+		if got := buf.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("step %d (op %d): sorted buffer %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
 		}
 	}
 }
 
-// oldRefresh is Refresh as it was before the sorted view: copy the buffer,
+// oldRefresh is Refresh as it was before any sorted order: copy the buffer,
 // filter in insertion order, sort each group with Order. It runs the
 // schedule on a copy of the stream state the real Refresh started from
 // and returns the queue and the state it ends in.

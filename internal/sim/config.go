@@ -341,7 +341,7 @@ func (c Config) buildRouter(node int, rnd *xrand.Rand) routing.Router {
 	case ProtoSprayAndWaitVanilla:
 		return routing.NewSprayAndWait(c.Policy.build(rnd), c.SprayCopies, false)
 	case ProtoMaxProp:
-		return routing.NewMaxProp(routing.MaxPropConfig{})
+		return routing.NewMaxProp()
 	case ProtoPRoPHET:
 		return routing.NewProphet(routing.DefaultProphetConfig())
 	case ProtoDirectDelivery:

@@ -130,8 +130,8 @@ type (
 	// Rand is the per-node deterministic random stream.
 	Rand = xrand.Rand
 	// SchedulingPolicy orders transmissions at a contact: Order sorts a
-	// group, and Compare is the total order (ties broken by message id)
-	// routers keep their buffers sorted by.
+	// group, and Compare is the time-free total order (ties broken by
+	// message id) routers keep their buffers sorted by.
 	SchedulingPolicy = core.SchedulingPolicy
 	// DropPolicy picks buffer-overflow victims.
 	DropPolicy = core.DropPolicy
