@@ -10,8 +10,9 @@ import (
 // Figures 4-9 — on time-scaled runs of the actual experiment catalog.
 // They are the repository's regression net: if a refactor silently breaks
 // a protocol or policy, the claim orderings flip long before anyone reads
-// EXPERIMENTS.md. They run multi-seed scaled scenarios (~a minute in
-// total), so they are skipped under -short.
+// the figures (README, "Quick start: reproduce a paper figure", lists
+// them). They run multi-seed scaled scenarios (~a minute in total), so
+// they are skipped under -short.
 
 // claimCache shares one contact cache across all claim tests: every
 // figure sweeps the same scenario at the same seeds, so the whole suite

@@ -36,6 +36,8 @@ type Store struct {
 	sorted   []*bundle.Message              // order's replicas sorted by cmp
 	deadline float64                        // lower bound on every stored ExpiresAt
 	onExpire func(now float64, dead []*bundle.Message)
+
+	evicted, dead []*bundle.Message // what Add and Expire return, reused
 }
 
 // SetExpireHook installs fn to be called with every batch of replicas
@@ -118,7 +120,9 @@ func (s *Store) Messages() []*bundle.Message {
 }
 
 // Add stores m, evicting victims chosen by drop until m fits. It returns
-// the evicted replicas (in eviction order) and whether m was stored.
+// the evicted replicas (in eviction order) and whether m was stored. The
+// evicted slice is the store's own and is reused by the next Add: read it
+// before adding again.
 //
 // Add refuses — returning (nil, false) without evicting anything — if a
 // replica of the same message is already stored, or if m alone exceeds the
@@ -134,16 +138,19 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 	if m.Size > s.capacity {
 		return nil, false
 	}
+	if s.used+m.Size > s.capacity && drop == nil {
+		return nil, false
+	}
+	clear(s.evicted)
+	evicted = s.evicted[:0]
 	for s.used+m.Size > s.capacity {
-		if drop == nil {
-			return evicted, false
-		}
 		v := drop.Victim(now, s.order)
 		if v < 0 || v >= len(s.order) {
 			panic(fmt.Sprintf("buffer: drop policy %s returned victim %d of %d", drop.Name(), v, len(s.order)))
 		}
 		evicted = append(evicted, s.removeAt(v))
 	}
+	s.evicted = evicted
 	s.ids.Add(m.ID)
 	s.order = append(s.order, m)
 	if s.cmp != nil {
@@ -182,12 +189,15 @@ func (s *Store) removeAt(i int) *bundle.Message {
 // in insertion order. The simulator calls this from its periodic sweep and
 // before policy decisions, so policies never see dead messages. While now
 // is below the earliest stored deadline nothing can have expired, and
-// Expire returns at once; otherwise it scans and tightens the bound.
+// Expire returns at once; otherwise it scans and tightens the bound. The
+// returned slice, which is also what the expire hook sees, is the store's
+// own and is reused by the next Expire: read it before expiring again.
 func (s *Store) Expire(now float64) []*bundle.Message {
 	if now < s.deadline {
 		return nil
 	}
-	var dead []*bundle.Message
+	clear(s.dead)
+	dead := s.dead[:0]
 	s.deadline = math.Inf(1)
 	for i := 0; i < len(s.order); {
 		if m := s.order[i]; m.Expired(now) {
@@ -197,6 +207,7 @@ func (s *Store) Expire(now float64) []*bundle.Message {
 			i++
 		}
 	}
+	s.dead = dead
 	if len(dead) > 0 && s.onExpire != nil {
 		s.onExpire(now, dead)
 	}

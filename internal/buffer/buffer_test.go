@@ -89,6 +89,12 @@ func TestEvictionFIFO(t *testing.T) {
 	if !s.Has(2) || !s.Has(3) || s.Has(1) {
 		t.Fatal("wrong survivors")
 	}
+	// The evicted slice is reused: the next eviction reports only its
+	// own victim, M3 (received at its creation, time 0).
+	evicted, _ = s.Add(400, msg(4, units.MB(2), 0, 3600), core.FIFODrop{})
+	if len(evicted) != 1 || evicted[0].ID != 3 {
+		t.Fatalf("second eviction returned %v, want [M3]", evicted)
+	}
 	s.check()
 }
 
@@ -183,6 +189,10 @@ func TestExpire(t *testing.T) {
 	}
 	if more := s.Expire(200); len(more) != 0 {
 		t.Fatalf("second Expire removed %v", more)
+	}
+	// The returned slice is reused: a later expiry reports only its own.
+	if last := s.Expire(500); len(last) != 1 || last[0].ID != 2 {
+		t.Fatalf("Expire(500) = %v, want [M2]", last)
 	}
 	s.check()
 }

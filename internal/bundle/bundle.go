@@ -5,14 +5,15 @@
 //
 // A Message value represents one *replica*. Replication copies the message
 // (Clone), so per-replica state — the buffer arrival time FIFO policies key
-// on, the Spray-and-Wait copy budget, the hop count and visited-node list —
-// evolves independently at each carrying node, exactly as it does in a real
-// store-carry-forward network.
+// on, the Spray-and-Wait copy budget, the hop count and the set of nodes
+// visited — evolves independently at each carrying node, exactly as it
+// does in a real store-carry-forward network. The visited set is a
+// NodeSet: for node ids below 64, forwarding a replica allocates the
+// replica and nothing else.
 package bundle
 
 import (
 	"fmt"
-	"slices"
 
 	"vdtn/internal/units"
 )
@@ -38,11 +39,11 @@ type Message struct {
 	HopCount   int     // hops traversed from the source to the current node
 	Copies     int     // Spray-and-Wait logical copy budget held by this replica
 	Forwards   int     // times the current node relayed this replica onward
-	Visited    []int   // node ids this replica passed through, source first
+	Visited    NodeSet // node ids this replica passed through, source included
 }
 
 // New creates the original replica of a message at its source.
-// The source is recorded as the first visited node.
+// The source is recorded as a visited node.
 func New(id ID, from, to int, size units.Bytes, created, ttl float64) *Message {
 	if size <= 0 {
 		panic(fmt.Sprintf("bundle: message %v with non-positive size %d", id, size))
@@ -50,7 +51,7 @@ func New(id ID, from, to int, size units.Bytes, created, ttl float64) *Message {
 	if ttl <= 0 {
 		panic(fmt.Sprintf("bundle: message %v with non-positive TTL %v", id, ttl))
 	}
-	return &Message{
+	m := &Message{
 		ID:         id,
 		From:       from,
 		To:         to,
@@ -59,8 +60,9 @@ func New(id ID, from, to int, size units.Bytes, created, ttl float64) *Message {
 		TTL:        ttl,
 		ReceivedAt: created,
 		Copies:     1,
-		Visited:    []int{from},
 	}
+	m.Visited.Add(from)
+	return m
 }
 
 // Clone returns an independent replica: identical message identity and
@@ -68,12 +70,12 @@ func New(id ID, from, to int, size units.Bytes, created, ttl float64) *Message {
 // HopCount, Copies and Visited for the receiving node.
 func (m *Message) Clone() *Message {
 	c := *m
-	c.Visited = slices.Clone(m.Visited)
+	c.Visited = m.Visited.clone()
 	return &c
 }
 
 // ForwardTo returns the replica as it arrives at node `at` at time now:
-// hop count incremented, node appended to the visited list, buffer arrival
+// hop count incremented, node added to the visited set, buffer arrival
 // stamped. The copy budget is left at the original value; routers that
 // split budgets (Spray and Wait) adjust it afterwards.
 func (m *Message) ForwardTo(at int, now float64) *Message {
@@ -81,9 +83,7 @@ func (m *Message) ForwardTo(at int, now float64) *Message {
 	c.HopCount++
 	c.ReceivedAt = now
 	c.Forwards = 0 // the receiving node has not relayed it yet
-	if !c.HasVisited(at) {
-		c.Visited = append(c.Visited, at)
-	}
+	c.Visited.Add(at)
 	return c
 }
 
@@ -103,7 +103,7 @@ func (m *Message) Age(now float64) float64 { return now - m.Created }
 
 // HasVisited reports whether the replica passed through node id.
 // MaxProp uses this to avoid re-forwarding to previous intermediaries.
-func (m *Message) HasVisited(id int) bool { return slices.Contains(m.Visited, id) }
+func (m *Message) HasVisited(id int) bool { return m.Visited.Has(id) }
 
 // String renders a compact debug form.
 func (m *Message) String() string {

@@ -1,9 +1,11 @@
 package bundle
 
 import (
+	"slices"
 	"testing"
 
 	"vdtn/internal/units"
+	"vdtn/internal/xrand"
 )
 
 func TestNewMessage(t *testing.T) {
@@ -17,8 +19,8 @@ func TestNewMessage(t *testing.T) {
 	if m.Copies != 1 {
 		t.Fatalf("Copies = %d, want 1", m.Copies)
 	}
-	if len(m.Visited) != 1 || m.Visited[0] != 3 {
-		t.Fatalf("Visited = %v, want [3]", m.Visited)
+	if m.Visited.Len() != 1 || !m.HasVisited(3) {
+		t.Fatalf("Visited = %+v, want {3}", m.Visited)
 	}
 	if m.HopCount != 0 {
 		t.Fatalf("HopCount = %d, want 0", m.HopCount)
@@ -67,11 +69,11 @@ func TestCloneIndependence(t *testing.T) {
 	m := New(1, 0, 5, units.MB(1), 0, 3600)
 	m.Copies = 12
 	c := m.Clone()
-	c.Visited = append(c.Visited, 2)
+	c.Visited.Add(2)
 	c.Copies = 6
 	c.HopCount = 3
-	if len(m.Visited) != 1 {
-		t.Fatalf("clone mutated original Visited: %v", m.Visited)
+	if m.Visited.Len() != 1 || m.HasVisited(2) {
+		t.Fatalf("clone mutated original Visited: %+v", m.Visited)
 	}
 	if m.Copies != 12 || m.HopCount != 0 {
 		t.Fatalf("clone mutated original scalar state: %+v", m)
@@ -92,7 +94,7 @@ func TestForwardTo(t *testing.T) {
 		t.Fatalf("ReceivedAt = %v", got.ReceivedAt)
 	}
 	if !got.HasVisited(3) || !got.HasVisited(0) {
-		t.Fatalf("Visited = %v", got.Visited)
+		t.Fatalf("Visited = %+v", got.Visited)
 	}
 	if got.Copies != 12 {
 		t.Fatalf("ForwardTo changed copy budget: %d", got.Copies)
@@ -103,14 +105,69 @@ func TestForwardTo(t *testing.T) {
 	}
 	// Re-visiting doesn't duplicate the entry.
 	again := got.ForwardTo(3, 300)
-	n := 0
-	for _, v := range again.Visited {
-		if v == 3 {
-			n++
+	if n := again.Visited.Len(); n != 2 {
+		t.Fatalf("after revisiting node 3 the set holds %d nodes: %+v", n, again.Visited)
+	}
+}
+
+// TestNodeSetMatchesSliceSemantics replays hop sequences through both the
+// NodeSet and the visited slice it replaced (append unless present),
+// across the word boundary at 63/64, far ids and negative ones. At every
+// hop the replica is forwarded to two nodes, as a carrier replicates to
+// two peers: each copy must agree with its own slice on membership of
+// every probe and on the size, and the original must stay untouched.
+func TestNodeSetMatchesSliceSemantics(t *testing.T) {
+	ids := []int{0, 63, 64, 500, -1, 1, 65, 1000, -7}
+	probes := []int{-8, -7, -2, -1, 0, 1, 2, 62, 63, 64, 65, 66, 499, 500, 501, 1000}
+	agree := func(trial int, m *Message, visited []int) {
+		t.Helper()
+		for _, p := range probes {
+			if got, want := m.HasVisited(p), slices.Contains(visited, p); got != want {
+				t.Fatalf("trial %d: path %v: HasVisited(%d) = %v, slice says %v", trial, visited, p, got, want)
+			}
+		}
+		if m.Visited.Len() != len(visited) {
+			t.Fatalf("trial %d: path %v: Len %d", trial, visited, m.Visited.Len())
 		}
 	}
-	if n != 1 {
-		t.Fatalf("node 3 appears %d times in %v", n, again.Visited)
+	visit := func(visited []int, at int) []int {
+		if slices.Contains(visited, at) {
+			return visited
+		}
+		return append(slices.Clip(visited), at)
+	}
+	rng := xrand.New(7)
+	for trial := 0; trial < 300; trial++ {
+		src := ids[rng.IntN(len(ids))]
+		m := New(1, src, 9999, units.KB(1), 0, 60)
+		visited := []int{src}
+		for hop := 0; hop < 10; hop++ {
+			a, b := ids[rng.IntN(len(ids))], ids[rng.IntN(len(ids))]
+			ma, mb := m.ForwardTo(a, float64(hop)), m.ForwardTo(b, float64(hop))
+			agree(trial, m, visited)
+			va, vb := visit(visited, a), visit(visited, b)
+			agree(trial, ma, va)
+			agree(trial, mb, vb)
+			m, visited = ma, va
+			if rng.IntN(2) == 0 {
+				m, visited = mb, vb
+			}
+		}
+	}
+}
+
+// TestForwardToAllocatesOnlyTheReplica: with node ids below 64 — every
+// scenario of the paper — forwarding allocates the new replica and
+// nothing else.
+func TestForwardToAllocatesOnlyTheReplica(t *testing.T) {
+	m := New(1, 3, 40, units.KB(1), 0, 60)
+	m = m.ForwardTo(17, 1)
+	var sink *Message
+	if allocs := testing.AllocsPerRun(100, func() { sink = m.ForwardTo(44, 2) }); allocs != 1 {
+		t.Fatalf("ForwardTo allocates %v objects, want 1", allocs)
+	}
+	if !sink.HasVisited(3) || !sink.HasVisited(17) || !sink.HasVisited(44) {
+		t.Fatalf("forwarded replica's set %+v", sink.Visited)
 	}
 }
 

@@ -7,75 +7,122 @@
 // function of its inputs — the property every experiment in this repository
 // leans on. Handles returned by the scheduling calls support cancellation,
 // which the wireless substrate uses to abort in-flight transfers when a
-// contact breaks.
+// contact breaks. A cancel takes the event off the list at once, and a
+// handle that has fired or been cancelled can be queued again with
+// Scheduler.Schedule, so a substrate that reuses its handles schedules
+// without allocating.
 package event
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Func is an event body. It runs with the clock set to the event's time.
 type Func func(now float64)
 
-// Handle identifies a scheduled event and allows cancelling it.
-// A nil *Handle is inert: Cancel and Scheduled are no-ops.
+// Handle identifies a scheduled event and allows cancelling it. The zero
+// Handle is not queued and may be passed to Scheduler.Schedule; so may one
+// whose event has fired or been cancelled. A nil *Handle is inert: Cancel
+// and Scheduled are no-ops.
 type Handle struct {
 	time  float64
 	seq   uint64
-	index int // heap index, -1 once fired or cancelled
+	pos   int // heap index + 1; 0 while not queued
 	fn    Func
+	sched *Scheduler
 }
 
 // Cancel removes the event from the schedule. Cancelling an event that has
 // already fired or been cancelled is a no-op. Cancel reports whether the
 // event was actually descheduled by this call.
 func (h *Handle) Cancel() bool {
-	if h == nil || h.index < 0 || h.fn == nil {
+	if h == nil || h.pos == 0 {
 		return false
 	}
+	h.sched.queue.remove(h.pos - 1)
 	h.fn = nil // break reference cycles promptly
 	return true
 }
 
 // Scheduled reports whether the event is still pending.
-func (h *Handle) Scheduled() bool { return h != nil && h.index >= 0 && h.fn != nil }
+func (h *Handle) Scheduled() bool { return h != nil && h.pos != 0 }
 
 // Time returns the simulation time the event fires at.
 func (h *Handle) Time() float64 { return h.time }
 
-// eventQueue is a binary min-heap over (time, seq).
+// eventQueue is a binary min-heap over (time, seq), a total order, so
+// the order events leave it in does not depend on its layout. Each
+// handle's pos tracks its slot.
 type eventQueue []*Handle
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func before(a, b *Handle) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
+func (q eventQueue) swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	q[i].pos = i + 1
+	q[j].pos = j + 1
 }
 
-func (q *eventQueue) Push(x any) {
-	h := x.(*Handle)
-	h.index = len(*q)
+// up sifts entry j towards the root.
+func (q eventQueue) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !before(q[j], q[i]) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts entry i towards the leaves of q[:n]. It reports whether
+// the entry moved.
+func (q eventQueue) down(i, n int) bool {
+	i0 := i
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && before(q[j2], q[j]) {
+			j = j2
+		}
+		if !before(q[j], q[i]) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (q *eventQueue) push(h *Handle) {
 	*q = append(*q, h)
+	h.pos = len(*q)
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	h := old[n-1]
-	old[n-1] = nil
-	h.index = -1
-	*q = old[:n-1]
-	return h
+// pop removes and returns the earliest entry. q must not be empty.
+func (q *eventQueue) pop() *Handle { return q.remove(0) }
+
+// remove takes entry i off the heap and returns it, marked not queued.
+func (q *eventQueue) remove(i int) *Handle {
+	h := *q
+	n := len(h) - 1
+	if i != n {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	e := h[n]
+	h[n] = nil
+	e.pos = 0
+	*q = h[:n]
+	return e
 }
 
 // Scheduler owns the simulation clock and the future-event list.
@@ -96,8 +143,8 @@ func NewScheduler() *Scheduler {
 // Now returns the current simulation time in seconds.
 func (s *Scheduler) Now() float64 { return s.now }
 
-// Len returns the number of pending events (including cancelled events not
-// yet drained from the heap).
+// Len returns the number of pending events. Cancelled events are not
+// counted: Cancel takes them off the list.
 func (s *Scheduler) Len() int { return len(s.queue) }
 
 // Fired returns the number of events executed so far.
@@ -107,22 +154,33 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 // always a logic error in the calling substrate, and silently reordering
 // time would invalidate an experiment.
 func (s *Scheduler) At(t float64, fn Func) *Handle {
+	h := new(Handle)
+	s.Schedule(h, t, fn)
+	return h
+}
+
+// Schedule queues h to run fn at absolute time t, as At would, without
+// allocating: h is the caller's, and may be a zero Handle or one whose
+// event has fired or been cancelled. Scheduling a handle that is still
+// queued panics, as do a nil fn and a time in the past.
+func (s *Scheduler) Schedule(h *Handle, t float64, fn Func) {
 	if fn == nil {
-		panic("event: At with nil func")
+		panic("event: scheduling a nil func")
 	}
 	if t < s.now {
 		panic(fmt.Sprintf("event: scheduling at %v before now %v", t, s.now))
 	}
-	h := new(Handle)
 	s.schedule(h, t, fn)
-	return h
 }
 
 // schedule queues h to run fn at t, taking the next sequence number.
 func (s *Scheduler) schedule(h *Handle, t float64, fn Func) {
-	h.time, h.seq, h.fn = t, s.seq, fn
+	if h.pos != 0 {
+		panic("event: scheduling a handle that is still queued")
+	}
+	h.time, h.seq, h.fn, h.sched = t, s.seq, fn, s
 	s.seq++
-	heap.Push(&s.queue, h)
+	s.queue.push(h)
 }
 
 // After schedules fn d seconds from now. Negative d panics.
@@ -158,19 +216,16 @@ func (s *Scheduler) Every(start, interval float64, fn Func) (stop func()) {
 // Step fires the single earliest pending event, advancing the clock to its
 // time. It reports false if no events remain.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		h := heap.Pop(&s.queue).(*Handle)
-		if h.fn == nil { // cancelled
-			continue
-		}
-		s.now = h.time
-		fn := h.fn
-		h.fn = nil
-		s.fired++
-		fn(s.now)
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	h := s.queue.pop()
+	s.now = h.time
+	fn := h.fn
+	h.fn = nil
+	s.fired++
+	fn(s.now)
+	return true
 }
 
 // RunUntil executes events in order until the clock would pass horizon or
@@ -202,18 +257,7 @@ func (s *Scheduler) RunUntilCheck(horizon float64, stride uint64, check func() b
 	s.stopped = false
 	var fired uint64
 	for !s.stopped {
-		// Peek for the next live event.
-		var next *Handle
-		for len(s.queue) > 0 {
-			top := s.queue[0]
-			if top.fn == nil {
-				heap.Pop(&s.queue)
-				continue
-			}
-			next = top
-			break
-		}
-		if next == nil || next.time > horizon {
+		if len(s.queue) == 0 || s.queue[0].time > horizon {
 			break
 		}
 		s.Step()

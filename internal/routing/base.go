@@ -18,6 +18,7 @@ type base struct {
 	buf    *buffer.Store
 	drop   core.DropPolicy
 	queues queueSet
+	send   Send // what next returns, overwritten by every call
 
 	deliv, rest []*bundle.Message // reused group buffers for queue rebuilds
 }
@@ -69,7 +70,9 @@ func (b *base) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
 // next pops p's queue up to the first message still worth sending: still
 // buffered, not expired, not yet delivered to p, and accepted by wants.
 // Queue entries are checked here, not when queued, because the buffer
-// changes while they wait. It returns nil when the queue runs out.
+// changes while they wait. It returns nil when the queue runs out, and
+// otherwise the router's one Send, reset whole: the simulator is done
+// with the previous one before it asks again (see Router.NextSend).
 func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send {
 	m := b.queues.pop(p.ID(), func(m *bundle.Message) bool {
 		return b.buf.Has(m.ID) && !m.Expired(now) && !p.HasDelivered(m.ID) && wants(m)
@@ -77,7 +80,8 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 	if m == nil {
 		return nil
 	}
-	return &Send{Msg: m}
+	b.send = Send{Msg: m}
+	return &b.send
 }
 
 // requeue rebuilds p's send queue from the buffer for MaxProp and PRoPHET.

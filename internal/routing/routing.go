@@ -88,6 +88,13 @@ type Router interface {
 	// NextSend returns the next transmission for p, or nil if the router
 	// has nothing (more) to offer p right now. The returned message must
 	// be in the router's buffer.
+	//
+	// The router may reuse the returned Send's storage on a later call:
+	// the simulator reads it, and hands it back to OnSent or OnAbort,
+	// only until that transfer completes or aborts, and a node's radio
+	// carries one transfer at a time, so it never calls NextSend on the
+	// same router in between. The built-in routers return one Send,
+	// reset whole on every call; returning a fresh Send is equally valid.
 	NextSend(now float64, p Peer) *Send
 
 	// OnSent reports that the transfer of s to p completed. delivered is
@@ -111,10 +118,17 @@ type Router interface {
 // in transmission order; entries are revalidated at pop time because
 // buffer contents change while queued (TTL expiry, evictions, copies
 // delivered elsewhere).
-type queueSet []sendQueue
+//
+// A dropped queue's storage, cleared, goes on a free list that the next
+// new queue draws from, so a router never holds more backing arrays than
+// the most contacts it has had open at once, however long the run.
+type queueSet struct {
+	peers []sendQueue
+	free  [][]*bundle.Message // dropped queues' storage, empty and cleared
+}
 
 // sendQueue is one peer's queue: msgs[head:] are still to be offered. A
-// rebuild reuses msgs' storage; ContactDown releases it.
+// rebuild reuses msgs' storage; ContactDown hands it to the free list.
 type sendQueue struct {
 	msgs []*bundle.Message
 	head int
@@ -122,15 +136,20 @@ type sendQueue struct {
 
 // at returns peer's queue, growing the set to hold it.
 func (q *queueSet) at(peer int) *sendQueue {
-	if peer >= len(*q) {
-		*q = append(*q, make([]sendQueue, peer+1-len(*q))...)
+	if peer >= len(q.peers) {
+		q.peers = append(q.peers, make([]sendQueue, peer+1-len(q.peers))...)
 	}
-	return &(*q)[peer]
+	return &q.peers[peer]
 }
 
 // set replaces peer's queue with the concatenation of groups.
 func (q *queueSet) set(peer int, groups ...[]*bundle.Message) {
 	sq := q.at(peer)
+	if sq.msgs == nil && len(q.free) > 0 {
+		n := len(q.free) - 1
+		sq.msgs, q.free[n] = q.free[n], nil
+		q.free = q.free[:n]
+	}
 	clear(sq.msgs)
 	sq.msgs, sq.head = sq.msgs[:0], 0
 	for _, g := range groups {
@@ -138,19 +157,26 @@ func (q *queueSet) set(peer int, groups ...[]*bundle.Message) {
 	}
 }
 
+// drop ends peer's queue and keeps its storage for the next one.
 func (q *queueSet) drop(peer int) {
-	if peer < len(*q) {
-		(*q)[peer] = sendQueue{}
+	if peer >= len(q.peers) {
+		return
 	}
+	sq := &q.peers[peer]
+	if sq.msgs != nil {
+		clear(sq.msgs)
+		q.free = append(q.free, sq.msgs[:0])
+	}
+	*sq = sendQueue{}
 }
 
 // pop returns the first queued message satisfying valid, discarding
 // entries that fail it. Returns nil when the queue is exhausted.
 func (q *queueSet) pop(peer int, valid func(*bundle.Message) bool) *bundle.Message {
-	if peer >= len(*q) {
+	if peer >= len(q.peers) {
 		return nil
 	}
-	sq := &(*q)[peer]
+	sq := &q.peers[peer]
 	for sq.head < len(sq.msgs) {
 		m := sq.msgs[sq.head]
 		sq.head++

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vdtn/internal/buffer"
@@ -94,7 +95,66 @@ func TestQueueSetPushFront(t *testing.T) {
 	}
 }
 
+// TestQueueSetReusesDroppedStorage: a queue dropped at ContactDown leaves
+// its backing array, cleared, for the next queue set up, so contacts that
+// come and go allocate no queue storage once warm, and the free list never
+// holds more arrays than queues were open at once.
+func TestQueueSetReusesDroppedStorage(t *testing.T) {
+	var q queueSet
+	msgs := []*bundle.Message{msgTo(1, 0, 9, 0, 60), msgTo(2, 0, 9, 0, 60), msgTo(3, 0, 9, 0, 60)}
+	q.set(4, msgs)
+	q.set(5, msgs[:1])
+	arr := &q.peers[4].msgs[:1][0]
+	q.drop(4)
+	q.drop(5)
+	if len(q.free) != 2 {
+		t.Fatalf("free list holds %d arrays after dropping 2 queues", len(q.free))
+	}
+	for _, f := range q.free {
+		if len(f) != 0 || slices.ContainsFunc(f[:cap(f)], func(m *bundle.Message) bool { return m != nil }) {
+			t.Fatalf("dropped storage not cleared: %v", f[:cap(f)])
+		}
+	}
+	q.set(6, msgs[:2])
+	q.set(7, msgs)
+	if got := &q.peers[7].msgs[0]; got != arr {
+		t.Fatal("the second new queue did not reuse the first dropped array (LIFO)")
+	}
+	if len(q.free) != 0 {
+		t.Fatalf("free list holds %d arrays with 2 queues open", len(q.free))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		q.drop(6)
+		q.set(8, msgs)
+		q.drop(8)
+		q.set(6, msgs)
+	})
+	if allocs != 0 || len(q.free) != 0 {
+		t.Fatalf("contact churn allocates %v times, leaves %d free arrays", allocs, len(q.free))
+	}
+}
+
 // --- Epidemic ------------------------------------------------------------
+
+// TestEpidemicNextSendAllocatesNothing: with its queue built, each NextSend
+// pops the next replica into the router's one Send without allocating.
+func TestEpidemicNextSendAllocatesNothing(t *testing.T) {
+	e := NewEpidemic(core.FIFOFIFO())
+	attach(e, 0)
+	peer := newPeer(1, NewEpidemic(core.FIFOFIFO()))
+	for i := 1; i <= 200; i++ {
+		e.AddMessage(0, msgTo(bundle.ID(i), 0, 9, 0, 3600))
+	}
+	e.ContactUp(10, peer)
+	var last *Send
+	allocs := testing.AllocsPerRun(100, func() { last = e.NextSend(10, peer) })
+	if allocs != 0 {
+		t.Fatalf("NextSend allocates %v times", allocs)
+	}
+	if last == nil || last.Msg.ID != 101 || last.TransferCopies != 0 {
+		t.Fatalf("101st send = %+v, want M101", last)
+	}
+}
 
 func TestEpidemicSendsWhatPeerLacks(t *testing.T) {
 	e := NewEpidemic(core.FIFOFIFO())
@@ -329,6 +389,28 @@ func TestSprayAndWaitWaitPhase(t *testing.T) {
 	s.ContactUp(20, dest)
 	if send := s.NextSend(20, dest); send == nil {
 		t.Fatal("wait-phase replica not offered to destination")
+	}
+}
+
+// TestSprayAndWaitSendResetWhole: the router hands out one reused Send,
+// reset whole per call, so a delivery after a spray carries no stale
+// copy budget.
+func TestSprayAndWaitSendResetWhole(t *testing.T) {
+	s := NewSprayAndWait(core.FIFOFIFO(), 12, true)
+	attach(s, 0)
+	relay := newPeer(1, NewSprayAndWait(core.FIFOFIFO(), 12, true))
+	dest := newPeer(9, NewSprayAndWait(core.FIFOFIFO(), 12, true))
+	s.AddMessage(0, msgTo(1, 0, 9, 0, 3600))
+	s.ContactUp(10, relay)
+	spray := s.NextSend(10, relay)
+	if spray == nil || spray.TransferCopies != 6 {
+		t.Fatalf("spray = %+v, want 6 copies handed over", spray)
+	}
+	s.OnAbort(10, relay, spray)
+	s.ContactUp(20, dest)
+	deliver := s.NextSend(20, dest)
+	if deliver == nil || deliver.Msg.ID != 1 || deliver.TransferCopies != 0 {
+		t.Fatalf("delivery send = %+v, want M1 with no copy budget", deliver)
 	}
 }
 

@@ -65,6 +65,10 @@ type World struct {
 	factory    *bundle.Factory
 	ledger     stats.Ledger
 
+	// sends holds each node's in-flight transmission, indexed by the
+	// sending node's id: a radio carries one transfer at a time.
+	sends []*routing.Send
+
 	genEnd float64
 	ran    bool
 
@@ -128,6 +132,8 @@ func New(cfg Config) (*World, error) {
 		w.addNode(newNode(id, kind, mob, buffer.NewStore(capacity), r))
 	}
 	w.medium.SetHandler(w)
+	w.medium.SetTransferHandler(w)
+	w.sends = make([]*routing.Send, len(w.nodes))
 	return w, nil
 }
 
@@ -420,31 +426,44 @@ func (w *World) tryStart(now float64, from, to *Node) bool {
 	if send == nil {
 		return false
 	}
-	started := w.medium.StartTransfer(now, from.id, to.id, send.Msg.Size,
-		func(doneNow float64) { w.completeTransfer(doneNow, from, to, send) },
-		func(abortNow float64) {
-			w.emit(trace.Event{Time: abortNow, Kind: trace.TransferAbort, A: from.id, B: to.id, Msg: send.Msg.ID})
-			from.router.OnAbort(abortNow, peerView{to}, send)
-			if w.counted(send.Msg) {
-				w.ledger.MsgAborted()
-			}
-			// The abort implies the contact broke; radios are free again,
-			// so both ends may resume talking to other neighbours.
-			w.pump(abortNow, from, to)
-		})
-	if !started {
+	if !w.medium.StartTransfer(from.id, to.id, send.Msg.Size) {
 		// Unreachable given the guards above, but never lose the popped
 		// message if the medium refuses.
 		from.router.OnAbort(now, peerView{to}, send)
 		return false
 	}
+	w.sends[from.id] = send
 	w.emit(trace.Event{Time: now, Kind: trace.TransferStart, A: from.id, B: to.id, Msg: send.Msg.ID})
 	return true
 }
 
-// completeTransfer lands a finished transfer: deliver or relay, notify the
-// sender, and keep the radios busy with follow-up work.
-func (w *World) completeTransfer(now float64, from, to *Node, send *routing.Send) {
+// takeSend returns and forgets node from's in-flight transmission.
+func (w *World) takeSend(from int) *routing.Send {
+	send := w.sends[from]
+	w.sends[from] = nil
+	return send
+}
+
+// TransferAborted implements wireless.TransferHandler.
+func (w *World) TransferAborted(now float64, fromID, toID int) {
+	from, to := w.nodes[fromID], w.nodes[toID]
+	send := w.takeSend(fromID)
+	w.emit(trace.Event{Time: now, Kind: trace.TransferAbort, A: from.id, B: to.id, Msg: send.Msg.ID})
+	from.router.OnAbort(now, peerView{to}, send)
+	if w.counted(send.Msg) {
+		w.ledger.MsgAborted()
+	}
+	// The abort implies the contact broke; radios are free again,
+	// so both ends may resume talking to other neighbours.
+	w.pump(now, from, to)
+}
+
+// TransferDone implements wireless.TransferHandler: it lands a finished
+// transfer — deliver or relay, notify the sender — and keeps the radios
+// busy with follow-up work.
+func (w *World) TransferDone(now float64, fromID, toID int) {
+	from, to := w.nodes[fromID], w.nodes[toID]
+	send := w.takeSend(fromID)
 	wire := send.Msg.ForwardTo(to.id, now)
 	wire.Copies = 1
 	if send.TransferCopies > 0 {

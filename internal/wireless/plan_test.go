@@ -2,6 +2,7 @@ package wireless
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"vdtn/internal/event"
@@ -48,13 +49,14 @@ func TestStartPlanAbortsAtWindowEnd(t *testing.T) {
 	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 0, End: 5}})
 	s.RunUntil(0.5)
 
-	aborted := false
+	out := &outcomes{}
+	m.SetTransferHandler(out)
 	// 7.5 MB needs 10 s at 6 Mbit/s; the window closes at 5.
-	if !m.StartTransfer(s.Now(), 0, 1, units.MB(7.5), nil, func(float64) { aborted = true }) {
+	if !m.StartTransfer(0, 1, units.MB(7.5)) {
 		t.Fatal("transfer refused")
 	}
 	s.RunUntil(20)
-	if !aborted {
+	if want := []outcome{{0, 1, 5}}; !slices.Equal(out.aborted, want) {
 		t.Fatal("transfer survived the window end")
 	}
 	if m.Busy(0) || m.Busy(1) {
@@ -123,7 +125,8 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 		m.Add(fixed(i, geo.Point{X: 9999 * float64(i), Y: 0}))
 	}
 
-	aborted := false
+	out := &outcomes{}
+	m.SetTransferHandler(out)
 	started := false
 	log.onUp = func(now float64, a, b Entity) {
 		if a.ID() != 1 || b.ID() != 2 {
@@ -137,7 +140,7 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 		if m.Busy(1) {
 			t.Error("up(1,2) fired while node 1 still busy on the old contact")
 		}
-		started = m.StartTransfer(now, 1, 2, units.MB(1), nil, nil)
+		started = m.StartTransfer(1, 2, units.MB(1))
 	}
 
 	// Adversarial order: the window that *opens* at t=20 is inserted
@@ -150,12 +153,12 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 	s.RunUntil(10.5)
 	// A transfer on (0,1) too large to finish by t=20: it must be aborted
 	// by the window end before (1,2) rises.
-	if !m.StartTransfer(s.Now(), 0, 1, units.MB(100), nil, func(float64) { aborted = true }) {
+	if !m.StartTransfer(0, 1, units.MB(100)) {
 		t.Fatal("transfer on (0,1) refused")
 	}
 	s.RunUntil(40)
 
-	if !aborted {
+	if want := []outcome{{0, 1, 20}}; !slices.Equal(out.aborted, want) {
 		t.Fatal("transfer on (0,1) survived its window end")
 	}
 	if !started {

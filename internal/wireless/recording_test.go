@@ -118,15 +118,16 @@ func TestReplayAbortsTransfersOnRecordedDowns(t *testing.T) {
 	m.Add(fixed(0, geo.Point{}))
 	m.Add(fixed(1, geo.Point{}))
 	h := &recorder{}
-	aborted := false
+	out := &outcomes{}
 	h.onUp = func(now float64, a, b Entity) {
 		// 30 MB at 6 Mbit/s is 40 s — cannot finish before the down at 5 s.
-		m.StartTransfer(now, a.ID(), b.ID(), 30e6, nil, func(float64) { aborted = true })
+		m.StartTransfer(a.ID(), b.ID(), 30e6)
 	}
 	m.SetHandler(h)
+	m.SetTransferHandler(out)
 	m.StartReplay(0, viewOf(t, rec))
 	s.RunUntil(30)
-	if !aborted {
+	if len(out.aborted) != 1 {
 		t.Fatal("recorded contact-down did not abort the in-flight transfer")
 	}
 	if m.TransfersAborted != 1 {

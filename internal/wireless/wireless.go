@@ -57,6 +57,16 @@ type ContactHandler interface {
 	ContactDown(now float64, a, b Entity)
 }
 
+// TransferHandler receives transfer outcomes: TransferDone when a
+// transfer's last byte lands, TransferAborted when its contact breaks
+// first. Both run with the endpoints' radios already free, so the handler
+// may start new transfers, and name the transfer by its sending and
+// receiving node.
+type TransferHandler interface {
+	TransferDone(now float64, from, to int)
+	TransferAborted(now float64, from, to int)
+}
+
 // Config parameterizes the medium.
 type Config struct {
 	// Range is the radio transmission range in metres (> 0).
@@ -80,15 +90,17 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Transfer is an in-flight message transfer between two connected nodes.
-type Transfer struct {
-	From, To int
-	Size     units.Bytes
-	Started  float64
-
-	handle  *event.Handle
-	onDone  func(now float64)
-	onAbort func(now float64)
+// transfer is an in-flight message transfer between two connected nodes.
+// Records are reused: a finished one goes back on the medium's free list,
+// keeping its scheduler handle and its bound completion method, so
+// starting a transfer allocates nothing once the list holds a record. A
+// record returns to the list only after the outcome handler returns, so a
+// transfer the handler starts never takes over the record being reported.
+type transfer struct {
+	m        *Medium
+	from, to int
+	handle   event.Handle
+	fire     event.Func // complete, bound once per record
 }
 
 type pairKey [2]int
@@ -108,9 +120,11 @@ type Medium struct {
 	cfg      Config
 	entities []Entity
 	handler  ContactHandler
+	xfers    TransferHandler
 
 	adj  [][]int     // sorted peer ids: the contact set
-	busy []*Transfer // the node's in-flight transfer, nil when idle
+	busy []*transfer // the node's in-flight transfer, nil when idle
+	free []*transfer // finished records, reused by StartTransfer
 
 	sc      scanState // live-scan working set, reused across ticks
 	started bool      // Start, StartPlan or StartReplay has run
@@ -151,6 +165,10 @@ func (m *Medium) Add(e Entity) {
 // SetHandler installs the contact lifecycle handler. Must be called before
 // Start.
 func (m *Medium) SetHandler(h ContactHandler) { m.handler = h }
+
+// SetTransferHandler installs the handler told of every transfer's
+// outcome. Must be called before the first StartTransfer.
+func (m *Medium) SetTransferHandler(h TransferHandler) { m.xfers = h }
 
 // Start begins periodic proximity scanning at time `from`.
 func (m *Medium) Start(from float64) {
@@ -412,11 +430,12 @@ func (m *Medium) CheckInvariants() error {
 	return nil
 }
 
-// StartTransfer begins moving size bytes from node `from` to node `to`.
-// It returns false without side effects if the pair is not in contact or
-// either radio is already busy. Otherwise the transfer completes after
-// size·8/rate seconds (onDone), unless the contact breaks first (onAbort).
-func (m *Medium) StartTransfer(now float64, from, to int, size units.Bytes, onDone, onAbort func(now float64)) bool {
+// StartTransfer begins moving size bytes from node `from` to node `to`
+// at the scheduler's current time. It returns false without side effects
+// if the pair is not in contact or either radio is already busy.
+// Otherwise the transfer completes after size·8/rate seconds
+// (TransferDone), unless the contact breaks first (TransferAborted).
+func (m *Medium) StartTransfer(from, to int, size units.Bytes) bool {
 	if from == to {
 		panic("wireless: transfer to self")
 	}
@@ -426,36 +445,36 @@ func (m *Medium) StartTransfer(now float64, from, to int, size units.Bytes, onDo
 	if !m.Connected(from, to) || m.Busy(from) || m.Busy(to) {
 		return false
 	}
-	t := &Transfer{
-		From:    from,
-		To:      to,
-		Size:    size,
-		Started: now,
-		onDone:  onDone,
-		onAbort: onAbort,
+	var t *transfer
+	if n := len(m.free); n > 0 {
+		t, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		t = &transfer{m: m}
+		t.fire = t.complete
 	}
-	dur := m.cfg.Rate.TransferTime(size)
-	t.handle = m.sched.After(dur, func(fireNow float64) {
-		m.finish(t)
-		m.TransfersCompleted++
-		if t.onDone != nil {
-			t.onDone(fireNow)
-		}
-	})
+	t.from, t.to = from, to
+	m.sched.Schedule(&t.handle, m.sched.Now()+m.cfg.Rate.TransferTime(size), t.fire)
 	m.busy[from] = t
 	m.busy[to] = t
 	m.TransfersStarted++
 	return true
 }
 
+// complete lands t when its last byte arrives.
+func (t *transfer) complete(now float64) {
+	m := t.m
+	m.finish(t)
+	m.TransfersCompleted++
+	if m.xfers != nil {
+		m.xfers.TransferDone(now, t.from, t.to)
+	}
+	m.free = append(m.free, t)
+}
+
 // finish clears busy state for a transfer's endpoints.
-func (m *Medium) finish(t *Transfer) {
-	if m.busy[t.From] == t {
-		m.busy[t.From] = nil
-	}
-	if m.busy[t.To] == t {
-		m.busy[t.To] = nil
-	}
+func (m *Medium) finish(t *transfer) {
+	m.busy[t.from] = nil
+	m.busy[t.to] = nil
 }
 
 // abortPair aborts the transfer (if any) riding the broken contact (a, b).
@@ -467,7 +486,8 @@ func (m *Medium) abortPair(now float64, k pairKey) {
 	t.handle.Cancel()
 	m.finish(t)
 	m.TransfersAborted++
-	if t.onAbort != nil {
-		t.onAbort(now)
+	if m.xfers != nil {
+		m.xfers.TransferAborted(now, t.from, t.to)
 	}
+	m.free = append(m.free, t)
 }

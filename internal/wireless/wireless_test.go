@@ -40,6 +40,23 @@ func (r *recorder) ContactDown(now float64, a, b Entity) {
 	r.downs = append(r.downs, [2]int{a.ID(), b.ID()})
 }
 
+// outcome is one transfer outcome a TransferHandler saw.
+type outcome struct {
+	from, to int
+	at       float64
+}
+
+// outcomes is a TransferHandler that logs every outcome in order.
+type outcomes struct{ done, aborted []outcome }
+
+func (o *outcomes) TransferDone(now float64, from, to int) {
+	o.done = append(o.done, outcome{from, to, now})
+}
+
+func (o *outcomes) TransferAborted(now float64, from, to int) {
+	o.aborted = append(o.aborted, outcome{from, to, now})
+}
+
 func testCfg() Config {
 	return Config{Range: 30, Rate: units.Mbit(6), ScanInterval: 1}
 }
@@ -177,11 +194,9 @@ func TestTransferCompletes(t *testing.T) {
 	m.Start(0)
 	s.RunUntil(0.5)
 
-	var doneAt float64
-	aborted := false
-	ok := m.StartTransfer(s.Now(), 0, 1, units.MB(1.5), // 2 s at 6 Mbit/s
-		func(now float64) { doneAt = now },
-		func(now float64) { aborted = true })
+	out := &outcomes{}
+	m.SetTransferHandler(out)
+	ok := m.StartTransfer(0, 1, units.MB(1.5)) // 2 s at 6 Mbit/s
 	if !ok {
 		t.Fatal("StartTransfer refused")
 	}
@@ -189,11 +204,11 @@ func TestTransferCompletes(t *testing.T) {
 		t.Fatal("endpoints not busy during transfer")
 	}
 	s.RunUntil(5)
-	if aborted {
+	if len(out.aborted) != 0 {
 		t.Fatal("transfer aborted")
 	}
-	if doneAt != 2.5 {
-		t.Fatalf("transfer completed at %v, want 2.5", doneAt)
+	if want := []outcome{{0, 1, 2.5}}; !slices.Equal(out.done, want) {
+		t.Fatalf("completions %v, want %v", out.done, want)
 	}
 	if m.Busy(0) || m.Busy(1) {
 		t.Fatal("endpoints busy after completion")
@@ -211,7 +226,7 @@ func TestTransferRefusedWhenNotConnected(t *testing.T) {
 	m.Add(fixed(1, geo.Point{X: 500, Y: 0}))
 	m.Start(0)
 	s.RunUntil(0.5)
-	if m.StartTransfer(s.Now(), 0, 1, units.KB(1), nil, nil) {
+	if m.StartTransfer(0, 1, units.KB(1)) {
 		t.Fatal("transfer started without contact")
 	}
 }
@@ -225,14 +240,14 @@ func TestTransferRefusedWhenBusy(t *testing.T) {
 	m.Add(fixed(2, geo.Point{X: 0, Y: 10}))
 	m.Start(0)
 	s.RunUntil(0.5)
-	if !m.StartTransfer(s.Now(), 0, 1, units.MB(10), nil, nil) {
+	if !m.StartTransfer(0, 1, units.MB(10)) {
 		t.Fatal("first transfer refused")
 	}
 	// 0 and 1 are now busy; 2 is idle but its peers are busy.
-	if m.StartTransfer(s.Now(), 2, 0, units.KB(1), nil, nil) {
+	if m.StartTransfer(2, 0, units.KB(1)) {
 		t.Fatal("transfer to busy receiver started")
 	}
-	if m.StartTransfer(s.Now(), 1, 2, units.KB(1), nil, nil) {
+	if m.StartTransfer(1, 2, units.KB(1)) {
 		t.Fatal("transfer from busy sender started")
 	}
 }
@@ -250,19 +265,18 @@ func TestTransferAbortOnContactBreak(t *testing.T) {
 	m.Start(0)
 	s.RunUntil(0.5)
 
-	done := false
-	var abortAt float64 = -1
+	out := &outcomes{}
+	m.SetTransferHandler(out)
 	// 100 Mbit => ~16.7 s at 6 Mbit/s: cannot finish before separation.
-	if !m.StartTransfer(s.Now(), 0, 1, units.MB(12.5), func(float64) { done = true },
-		func(now float64) { abortAt = now }) {
+	if !m.StartTransfer(0, 1, units.MB(12.5)) {
 		t.Fatal("transfer refused")
 	}
 	s.RunUntil(30)
-	if done {
+	if len(out.done) != 0 {
 		t.Fatal("doomed transfer completed")
 	}
-	if abortAt < 0 {
-		t.Fatal("abort callback never fired")
+	if len(out.aborted) != 1 || out.aborted[0].from != 0 || out.aborted[0].to != 1 {
+		t.Fatalf("aborts %v, want one of 0->1", out.aborted)
 	}
 	if m.Busy(0) || m.Busy(1) {
 		t.Fatal("busy after abort")
@@ -286,20 +300,20 @@ func TestAbortOnlyAffectsBrokenPair(t *testing.T) {
 	m.Start(0)
 	s.RunUntil(0.5)
 
-	okDone := false
-	if !m.StartTransfer(s.Now(), 0, 1, units.MB(1.5), func(float64) { okDone = true }, nil) {
+	out := &outcomes{}
+	m.SetTransferHandler(out)
+	if !m.StartTransfer(0, 1, units.MB(1.5)) {
 		t.Fatal("stable-pair transfer refused")
 	}
-	doomedAborted := false
-	if !m.StartTransfer(s.Now(), 2, 3, units.MB(12.5), nil, func(float64) { doomedAborted = true }) {
+	if !m.StartTransfer(2, 3, units.MB(12.5)) {
 		t.Fatal("doomed-pair transfer refused")
 	}
 	s.RunUntil(30)
-	if !okDone {
-		t.Fatal("stable pair's transfer was lost")
+	if len(out.done) != 1 || out.done[0].from != 0 {
+		t.Fatalf("completions %v: stable pair's transfer was lost", out.done)
 	}
-	if !doomedAborted {
-		t.Fatal("doomed pair's transfer not aborted")
+	if len(out.aborted) != 1 || out.aborted[0].from != 2 {
+		t.Fatalf("aborts %v: doomed pair's transfer not aborted", out.aborted)
 	}
 }
 
@@ -308,7 +322,7 @@ func TestContactUpHandlerCanStartTransferImmediately(t *testing.T) {
 	m := NewMedium(s, testCfg())
 	started := false
 	rec := &recorder{onUp: func(now float64, a, b Entity) {
-		started = m.StartTransfer(now, a.ID(), b.ID(), units.KB(10), nil, nil)
+		started = m.StartTransfer(a.ID(), b.ID(), units.KB(10))
 	}}
 	m.SetHandler(rec)
 	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
@@ -345,7 +359,7 @@ func TestSelfTransferPanics(t *testing.T) {
 			t.Fatal("self transfer did not panic")
 		}
 	}()
-	m.StartTransfer(0, 1, 1, units.KB(1), nil, nil)
+	m.StartTransfer(1, 1, units.KB(1))
 }
 
 // Property: against a brute-force O(n²) oracle, the grid scan finds exactly
@@ -397,3 +411,111 @@ func BenchmarkScan45Nodes(b *testing.B) { benchScan(b, 45) }
 // BenchmarkScan500Nodes measures the spatial grid at 11x the paper's
 // density, where a naive O(n²) scan would dominate the whole simulation.
 func BenchmarkScan500Nodes(b *testing.B) { benchScan(b, 500) }
+
+// restarter keeps a transfer on the air between from and to: each
+// contact-up and each completion starts the next one. It counts outcomes
+// without recording them, so it allocates nothing itself.
+type restarter struct {
+	m             *Medium
+	from, to      int
+	size          units.Bytes
+	done, aborted int
+}
+
+func (r *restarter) ContactUp(float64, Entity, Entity)   { r.m.StartTransfer(r.from, r.to, r.size) }
+func (r *restarter) ContactDown(float64, Entity, Entity) {}
+func (r *restarter) TransferDone(float64, int, int) {
+	r.done++
+	r.m.StartTransfer(r.from, r.to, r.size)
+}
+func (r *restarter) TransferAborted(float64, int, int) { r.aborted++ }
+
+// TestTransferCyclesAllocateNothing: once a finished transfer record is on
+// the free list, neither a start→complete nor a start→abort cycle
+// allocates. The completion handler restarts the transfer inside the
+// callback, which is where the simulator's pump starts the next one.
+func TestTransferCyclesAllocateNothing(t *testing.T) {
+	t.Run("complete", func(t *testing.T) {
+		s := event.NewScheduler()
+		m := NewMedium(s, testCfg())
+		r := &restarter{m: m, from: 0, to: 1, size: units.KB(375)} // 0.5 s
+		m.SetHandler(r)
+		m.SetTransferHandler(r)
+		m.Add(fixed(0, geo.Point{}))
+		m.Add(fixed(1, geo.Point{X: 10}))
+		m.Start(0)
+		s.RunUntil(3)
+		if allocs := testing.AllocsPerRun(50, func() { s.RunUntil(s.Now() + 1) }); allocs != 0 {
+			t.Fatalf("a second of back-to-back transfers allocates %v times", allocs)
+		}
+		if r.done < 100 || r.aborted != 0 {
+			t.Fatalf("completed %d, aborted %d", r.done, r.aborted)
+		}
+	})
+	t.Run("abort", func(t *testing.T) {
+		s := event.NewScheduler()
+		m := NewMedium(s, testCfg())
+		r := &restarter{m: m, from: 1, to: 0, size: units.MB(12.5)} // 16.7 s
+		m.SetHandler(r)
+		m.SetTransferHandler(r)
+		m.Add(fixed(0, geo.Point{}))
+		// In range on even seconds, out of range on odd ones.
+		m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
+			if int(now)%2 == 0 {
+				return geo.Point{X: 10}
+			}
+			return geo.Point{X: 1000}
+		}})
+		m.Start(0)
+		s.RunUntil(4.5)
+		if allocs := testing.AllocsPerRun(50, func() { s.RunUntil(s.Now() + 2) }); allocs != 0 {
+			t.Fatalf("a contact's start→abort cycle allocates %v times", allocs)
+		}
+		if r.aborted < 50 || r.done != 0 {
+			t.Fatalf("aborted %d, completed %d", r.aborted, r.done)
+		}
+	})
+}
+
+// abortRelay starts a transfer from 0 to 2 inside the abort handler,
+// the way the simulator's pump moves a freed radio to another contact.
+type abortRelay struct {
+	outcomes
+	m       *Medium
+	started bool
+}
+
+func (h *abortRelay) TransferAborted(now float64, from, to int) {
+	h.outcomes.TransferAborted(now, from, to)
+	h.started = h.m.StartTransfer(0, 2, units.MB(1.5)) // 2 s
+}
+
+// TestAbortHandlerCanStartTransfer: the aborted transfer's radios are free
+// when the handler runs, and a transfer the handler starts runs to
+// completion on its own record.
+func TestAbortHandlerCanStartTransfer(t *testing.T) {
+	s := event.NewScheduler()
+	m := NewMedium(s, testCfg())
+	h := &abortRelay{m: m}
+	m.SetHandler(&recorder{})
+	m.SetTransferHandler(h)
+	for id := range 3 {
+		m.Add(fixed(id, geo.Point{}))
+	}
+	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 0, End: 5}, {A: 0, B: 2, Start: 0, End: 20}})
+	s.RunUntil(1)
+	if !m.StartTransfer(0, 1, units.MB(12.5)) {
+		t.Fatal("transfer on (0,1) refused")
+	}
+	s.RunUntil(5)
+	if !h.started || !m.Busy(0) || !m.Busy(2) || m.Busy(1) {
+		t.Fatalf("after the abort: started %v, busy %v %v %v", h.started, m.Busy(0), m.Busy(1), m.Busy(2))
+	}
+	s.RunUntil(20)
+	if want := []outcome{{0, 1, 5}}; !slices.Equal(h.aborted, want) {
+		t.Fatalf("aborts %v, want %v", h.aborted, want)
+	}
+	if want := []outcome{{0, 2, 7}}; !slices.Equal(h.done, want) {
+		t.Fatalf("completions %v, want %v", h.done, want)
+	}
+}

@@ -119,7 +119,9 @@ type (
 	Router = routing.Router
 	// Peer is a router's view of a connected remote node.
 	Peer = routing.Peer
-	// Send is one transmission decision.
+	// Send is one transmission decision. A Router may hand out the same
+	// Send from every NextSend call: the simulator reads it only until
+	// that transfer completes or aborts (see Router.NextSend).
 	Send = routing.Send
 	// Buffer is a node's capacity-bounded message store.
 	Buffer = buffer.Store
