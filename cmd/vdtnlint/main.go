@@ -1,5 +1,5 @@
 // Command vdtnlint runs the repo's determinism & safety analyzers
-// (internal/lint/...): detmaprange, detsource, detgo, ctxloop, lockorder.
+// (internal/lint/...): detmaprange, detsource, detgo, ctxloop.
 //
 // It speaks two protocols:
 //
@@ -41,7 +41,6 @@ import (
 	"vdtn/internal/lint/detgo"
 	"vdtn/internal/lint/detmaprange"
 	"vdtn/internal/lint/detsource"
-	"vdtn/internal/lint/lockorder"
 )
 
 var analyzers = []*lint.Analyzer{
@@ -49,7 +48,6 @@ var analyzers = []*lint.Analyzer{
 	detsource.Analyzer,
 	detgo.Analyzer,
 	ctxloop.Analyzer,
-	lockorder.Analyzer,
 }
 
 func main() {

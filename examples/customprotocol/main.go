@@ -105,10 +105,10 @@ func (r *FreshFlood) OnSent(now float64, p vdtn.Peer, s *vdtn.Send, delivered bo
 	}
 }
 
-// OnAbort implements vdtn.Router.
-func (r *FreshFlood) OnAbort(now float64, p vdtn.Peer, s *vdtn.Send) {
-	r.queue[p.ID()] = append([]*vdtn.Message{s.Msg}, r.queue[p.ID()]...)
-}
+// OnAbort implements vdtn.Router and does nothing: the replica stays
+// buffered, and ContactDown, which always follows an abort, drops p's
+// queue.
+func (r *FreshFlood) OnAbort(now float64, p vdtn.Peer, s *vdtn.Send) {}
 
 // Receive implements vdtn.Router: store with the paper's Lifetime ASC
 // eviction, so the oldest-to-expire replicas go first under pressure.

@@ -183,34 +183,21 @@ func (s *Scheduler) schedule(h *Handle, t float64, fn Func) {
 	s.queue.push(h)
 }
 
-// After schedules fn d seconds from now. Negative d panics.
-func (s *Scheduler) After(d float64, fn Func) *Handle {
-	return s.At(s.now+d, fn)
-}
-
 // Every schedules fn at start and then every interval seconds until the
-// scheduler stops or the returned stop function is called. interval must be
-// positive. fn observes the tick time via its argument. Each tick queues
-// the handle that just fired again, taking its sequence number after fn
-// returns, as a fresh At would.
-func (s *Scheduler) Every(start, interval float64, fn Func) (stop func()) {
+// scheduler stops. interval must be positive. fn observes the tick time
+// via its argument. Each tick queues the handle that just fired again,
+// taking its sequence number after fn returns, as a fresh At would.
+func (s *Scheduler) Every(start, interval float64, fn Func) {
 	if interval <= 0 {
 		panic("event: Every with non-positive interval")
 	}
-	stopped := false
-	var h *Handle
+	h := new(Handle)
 	var tick Func
 	tick = func(now float64) {
-		if stopped {
-			return
-		}
 		fn(now)
-		if !stopped {
-			s.schedule(h, now+interval, tick)
-		}
+		s.schedule(h, now+interval, tick)
 	}
-	h = s.At(start, tick)
-	return func() { stopped = true }
+	s.Schedule(h, start, tick)
 }
 
 // Step fires the single earliest pending event, advancing the clock to its

@@ -61,11 +61,11 @@ func TestAfterRelative(t *testing.T) {
 	s := NewScheduler()
 	var at float64
 	s.At(5, func(now float64) {
-		s.After(2.5, func(now2 float64) { at = now2 })
+		s.At(s.Now()+2.5, func(now2 float64) { at = now2 })
 	})
 	s.Run()
 	if at != 7.5 {
-		t.Fatalf("After fired at %v, want 7.5", at)
+		t.Fatalf("event 2.5 s after now fired at %v, want 7.5", at)
 	}
 }
 
@@ -200,22 +200,6 @@ func TestEvery(t *testing.T) {
 	}
 }
 
-func TestEveryStop(t *testing.T) {
-	s := NewScheduler()
-	n := 0
-	var stop func()
-	stop = s.Every(0, 1, func(now float64) {
-		n++
-		if n == 3 {
-			stop()
-		}
-	})
-	s.RunUntil(100)
-	if n != 3 {
-		t.Fatalf("recurring event fired %d times after stop at 3", n)
-	}
-}
-
 // TestEveryTickOrderAmongSameTimeEvents pins where a tick takes its
 // sequence number: after fn returns, so events fn schedules for the next
 // tick's instant, and those scheduled before it, fire first.
@@ -268,7 +252,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	chain = func(now float64) {
 		depth++
 		if depth < 100 {
-			s.After(1, chain)
+			s.At(now+1, chain)
 		}
 	}
 	s.At(0, chain)

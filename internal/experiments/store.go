@@ -80,6 +80,10 @@ func (s *traceStore) stamp(key string) {
 // directory. Writers (put) and the GC's evictions hold it around their
 // file mutations; readers never need it — every write is temp+rename
 // atomic, the lock only orders writers against removals.
+//
+// The store takes only the per-shard flock, holds one shard's at a time,
+// and takes no other lock while holding it, so concurrent runners sharing
+// a directory cannot deadlock on it.
 func (s *traceStore) lockShard(key string) (unlock func()) {
 	return lockExclusive(filepath.Join(s.dir, shardOf(key), lockFile))
 }

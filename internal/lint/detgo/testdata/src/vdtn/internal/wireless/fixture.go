@@ -38,8 +38,8 @@ func justifiedFanOut(shard func(i int)) {
 	wg.Wait()
 }
 
-// Other sync primitives are not detgo's concern (lockorder audits mutex
-// ordering; a mutex alone cannot reorder events).
+// Other sync primitives are not detgo's concern: a mutex alone cannot
+// reorder events.
 func mutexesAreSilent(mu *sync.Mutex, work func()) {
 	mu.Lock()
 	work()

@@ -1,7 +1,7 @@
 // Package lintcfg is the shared configuration layer of the vdtnlint
 // analyzer suite: it declares which packages are determinism-critical,
-// which lock hierarchies the lockorder analyzer models, and where the
-// written contract lives. Analyzers consult this package instead of
+// which packages have their goroutines audited, and where the written
+// contract lives. Analyzers consult this package instead of
 // hard-coding paths so the policy has exactly one home.
 package lintcfg
 
@@ -21,7 +21,7 @@ const DocPath = "docs/DETERMINISM.md"
 // randomness substrate. internal/experiments is absent too — sweep
 // orchestration may time itself and read the environment; its
 // determinism obligations (sink byte-stability, cache integrity) are
-// pinned by golden tests and by the lockorder analyzer.
+// pinned by golden tests.
 var CriticalPackages = []string{
 	"vdtn/internal/sim",
 	"vdtn/internal/wireless",
@@ -65,62 +65,6 @@ func inSet(pkgs []string, path string) bool {
 		}
 	}
 	return false
-}
-
-// A LockClass is one level of a documented lock hierarchy. Lower ranks
-// are acquired first (outermost): with the trace store's shard → mu →
-// root order, acquiring a lower-ranked class while a higher-ranked one is
-// held is an inversion.
-type LockClass struct {
-	// Name labels the class in diagnostics ("shard", "mu", "root").
-	Name string
-
-	// Rank orders acquisition: a class may only be acquired while every
-	// held class has a strictly lower rank.
-	Rank int
-
-	// Funcs name the functions whose call acquires this class and returns
-	// an unlock func. Methods are written "(*recv).name", package-level
-	// functions bare.
-	Funcs []string
-
-	// Mutexes name sync.Mutex struct fields, written "Type.field"; the
-	// class is acquired by field.Lock() and released by field.Unlock().
-	Mutexes []string
-}
-
-// LockOrderSpec declares one package's lock hierarchy for the lockorder
-// analyzer.
-type LockOrderSpec struct {
-	// Packages lists the import paths the hierarchy applies to.
-	Packages []string
-
-	// Classes lists the hierarchy's levels, any rank order.
-	Classes []LockClass
-
-	// Exempt names functions whose bodies implement a lock class: the
-	// helper wrapping the raw primitive is classified by its own name at
-	// call sites, so the primitive calls inside it must not be
-	// re-classified as a different class.
-	Exempt []string
-}
-
-// LockOrder models the trace store's documented hierarchy
-// (internal/experiments/store.go, docs/DETERMINISM.md): the per-shard
-// flock serializing trace installs against GC evictions is outermost, a
-// store mutex would come next, and any other lockExclusive flock is
-// innermost. The store today takes only the shard flock; the inner
-// classes keep any lock added back under it from being taken the other
-// way round — a GC holding such a lock while taking a shard flock would
-// deadlock against a writer that holds its shard flock first.
-var LockOrder = LockOrderSpec{
-	Packages: []string{"vdtn/internal/experiments"},
-	Classes: []LockClass{
-		{Name: "shard", Rank: 1, Funcs: []string{"(*traceStore).lockShard"}},
-		{Name: "mu", Rank: 2, Mutexes: []string{"traceStore.mu"}},
-		{Name: "root", Rank: 3, Funcs: []string{"lockExclusive"}},
-	},
-	Exempt: []string{"(*traceStore).lockShard"},
 }
 
 // CheckpointFuncs name scheduler-level checkpoint primitives: a loop that

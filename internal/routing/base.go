@@ -34,9 +34,11 @@ func (b *base) Attach(self int, buf *buffer.Store) {
 // ContactDown implements Router.
 func (b *base) ContactDown(now float64, p Peer) { b.queues.drop(p.ID()) }
 
-// OnAbort implements Router: the replica stays buffered and is retried
-// first if the contact resumes.
-func (b *base) OnAbort(now float64, p Peer, s *Send) { b.queues.push(p.ID(), s.Msg) }
+// OnAbort implements Router and does nothing: the replica stays
+// buffered, and an abort only ever comes from contact loss, so the next
+// call naming p is ContactDown, which drops p's queue. A later ContactUp
+// rebuilds it in schedule order.
+func (b *base) OnAbort(now float64, p Peer, s *Send) {}
 
 // OnSent implements Router with the paper's rule: a node that hands a
 // message to its final destination discards its own copy. Otherwise the

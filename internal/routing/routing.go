@@ -35,8 +35,6 @@
 package routing
 
 import (
-	"slices"
-
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 )
@@ -102,6 +100,7 @@ type Router interface {
 	OnSent(now float64, p Peer, s *Send, delivered bool)
 
 	// OnAbort reports that the transfer of s to p was cut by contact loss.
+	// The contact is already gone: the next call naming p is ContactDown.
 	OnAbort(now float64, p Peer, s *Send)
 
 	// Receive offers an incoming replica m (already stamped by
@@ -185,17 +184,4 @@ func (q *queueSet) pop(peer int, valid func(*bundle.Message) bool) *bundle.Messa
 		}
 	}
 	return nil
-}
-
-// push re-queues a message at the front (used after an aborted transfer so
-// the replica is retried first if the contact resumes). It reuses the slot
-// of the entry popped last when there is one.
-func (q *queueSet) push(peer int, m *bundle.Message) {
-	sq := q.at(peer)
-	if sq.head > 0 {
-		sq.head--
-		sq.msgs[sq.head] = m
-		return
-	}
-	sq.msgs = slices.Insert(sq.msgs, 0, m)
 }

@@ -84,17 +84,6 @@ func TestQueueSetPopValidates(t *testing.T) {
 	}
 }
 
-func TestQueueSetPushFront(t *testing.T) {
-	var q queueSet
-	a := msgTo(1, 0, 9, 0, 60)
-	b := msgTo(2, 0, 9, 0, 60)
-	q.set(7, []*bundle.Message{a})
-	q.push(7, b)
-	if got := q.pop(7, func(*bundle.Message) bool { return true }); got != b {
-		t.Fatalf("pushed message not first: got %v", got)
-	}
-}
-
 // TestQueueSetReusesDroppedStorage: a queue dropped at ContactDown leaves
 // its backing array, cleared, for the next queue set up, so contacts that
 // come and go allocate no queue storage once warm, and the free list never
@@ -289,6 +278,10 @@ func TestEpidemicReceiveEvictsByPolicy(t *testing.T) {
 	}
 }
 
+// TestEpidemicAbortRequeuesFirst drives an abort in the order the
+// simulator produces it: the contact breaks, so OnAbort is followed by
+// ContactDown, and the aborted replica is offered first again at the next
+// ContactUp because the schedule puts it first, not because of the abort.
 func TestEpidemicAbortRequeuesFirst(t *testing.T) {
 	e := NewEpidemic(core.FIFOFIFO())
 	attach(e, 0)
@@ -303,8 +296,10 @@ func TestEpidemicAbortRequeuesFirst(t *testing.T) {
 		t.Fatalf("first send = %v", s.Msg.ID)
 	}
 	e.OnAbort(11, peer, s)
+	e.ContactDown(11, peer)
+	e.ContactUp(12, peer)
 	if got := e.NextSend(12, peer); got.Msg.ID != 1 {
-		t.Fatalf("after abort, next send = %v, want M1 retried", got.Msg.ID)
+		t.Fatalf("after abort and reconnect, next send = %v, want M1 first by schedule", got.Msg.ID)
 	}
 }
 

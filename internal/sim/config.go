@@ -191,10 +191,6 @@ type Config struct {
 	// examples use). rnd is the node's policy stream.
 	NewRouter func(node int, rnd *xrand.Rand) routing.Router
 
-	// SweepInterval is the periodic TTL-sweep period in seconds
-	// (0 = 30 s).
-	SweepInterval float64
-
 	// Warmup excludes messages created before this time (seconds) from
 	// all statistics: the network runs, but the ledger only counts the
 	// steady state. Zero disables warm-up (the paper measures from a cold
@@ -236,7 +232,6 @@ func DefaultConfig() Config {
 		Protocol:      ProtoEpidemic,
 		Policy:        PolicyFIFOFIFO,
 		SprayCopies:   12,
-		SweepInterval: 30,
 	}
 }
 
@@ -284,8 +279,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: message generation end %v outside run", c.MessageGenEnd)
 	case c.NewRouter == nil && (c.Protocol == ProtoSprayAndWait || c.Protocol == ProtoSprayAndWaitVanilla) && c.SprayCopies < 1:
 		return fmt.Errorf("sim: SprayAndWait needs a positive copy budget, got %d", c.SprayCopies)
-	case c.SweepInterval < 0:
-		return fmt.Errorf("sim: negative sweep interval %v", c.SweepInterval)
 	case c.Warmup < 0 || c.Warmup >= c.Duration:
 		return fmt.Errorf("sim: warmup %v outside the run duration %v", c.Warmup, c.Duration)
 	}

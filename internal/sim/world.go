@@ -70,6 +70,8 @@ type World struct {
 	sends []*routing.Send
 
 	genEnd float64
+	gen    event.Handle // the traffic generator's next creation
+	genFn  event.Func   // w.generate, bound once
 	ran    bool
 
 	// Buffer occupancy sampling (at every sweep tick).
@@ -112,14 +114,10 @@ func New(cfg Config) (*World, error) {
 		factory: bundle.NewFactory(),
 		genEnd:  cfg.MessageGenEnd,
 	}
+	w.genFn = w.generate
 	if w.genEnd == 0 {
 		w.genEnd = cfg.Duration
 	}
-	sweep := cfg.SweepInterval
-	if sweep == 0 {
-		sweep = 30
-	}
-	w.cfg.SweepInterval = sweep
 	w.trafficRng = w.src.Stream("traffic")
 
 	w.medium = newMedium(w.sched, cfg)
@@ -277,7 +275,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	default:
 		w.medium.Start(0)
 	}
-	w.sched.Every(w.cfg.SweepInterval, w.cfg.SweepInterval, w.sweep)
+	w.sched.Every(sweepInterval, sweepInterval, w.sweep)
 	if len(w.cfg.Script) > 0 {
 		for _, s := range w.cfg.Script {
 			s := s
@@ -329,6 +327,9 @@ func runUntil(ctx context.Context, sched *event.Scheduler, horizon float64) erro
 	return nil
 }
 
+// sweepInterval is the period of the network-wide TTL sweep, in seconds.
+const sweepInterval = 30
+
 // sweep expires TTLs network-wide (the per-store hook accounts the deaths)
 // and samples buffer occupancy.
 func (w *World) sweep(now float64) {
@@ -346,16 +347,21 @@ func (w *World) sweep(now float64) {
 // --- traffic generation ----------------------------------------------------
 
 // scheduleNextMessage chains message-creation events with uniform gaps.
+// The chain holds one event at a time, so it reuses one handle.
 func (w *World) scheduleNextMessage(now float64) {
 	gap := w.trafficRng.UniformFloat(w.cfg.MsgIntervalLo, w.cfg.MsgIntervalHi)
 	t := now + gap
 	if t > w.genEnd {
 		return
 	}
-	w.sched.At(t, func(tn float64) {
-		w.createMessage(tn)
-		w.scheduleNextMessage(tn)
-	})
+	w.sched.Schedule(&w.gen, t, w.genFn)
+}
+
+// generate is the traffic generator's event: create one message, then
+// schedule the next.
+func (w *World) generate(now float64) {
+	w.createMessage(now)
+	w.scheduleNextMessage(now)
 }
 
 // createMessage generates one message between distinct random vehicles.
@@ -427,10 +433,9 @@ func (w *World) tryStart(now float64, from, to *Node) bool {
 		return false
 	}
 	if !w.medium.StartTransfer(from.id, to.id, send.Msg.Size) {
-		// Unreachable given the guards above, but never lose the popped
-		// message if the medium refuses.
-		from.router.OnAbort(now, peerView{to}, send)
-		return false
+		// The guards above are StartTransfer's own, and a router call
+		// cannot change the medium.
+		panic("sim: medium refused a transfer it had room for")
 	}
 	w.sends[from.id] = send
 	w.emit(trace.Event{Time: now, Kind: trace.TransferStart, A: from.id, B: to.id, Msg: send.Msg.ID})

@@ -115,7 +115,10 @@ type (
 // replicas in it, and the deterministic random stream the simulator hands
 // each node.
 type (
-	// Router is the routing-protocol interface.
+	// Router is the routing-protocol interface. A transfer aborts only
+	// when its contact breaks, so OnAbort is always followed by
+	// ContactDown for the same peer: a queue kept for that peer is
+	// dropped there, and re-queueing the aborted replica gains nothing.
 	Router = routing.Router
 	// Peer is a router's view of a connected remote node.
 	Peer = routing.Peer
