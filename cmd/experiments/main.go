@@ -41,8 +41,8 @@
 // cells stop at their next event-loop checkpoint, every artifact the
 // completed cells support is still flushed — partial CSV and JSON
 // artifacts marked incomplete, JSONL streams footed with the
-// interruption — the contact cache's mapped traces are released, and the
-// exit code is non-zero.
+// interruption — the contact cache's views are closed, and the exit code
+// is non-zero.
 //
 // -resume (with -out-jsonl) picks an interrupted sweep back up from its
 // JSONL stream: the stream is validated against the sweep, completed
@@ -60,13 +60,13 @@
 // multi-cell sweeps. -cache-dir additionally persists the traces on disk
 // in the integrity-checked binary format (and implies -contact-cache),
 // laid out as a 2-level sharded directory, and replays them on later
-// runs through read-only memory-mapped views — concurrent processes share
-// one page-cached copy of each trace, and cells replay with no per-cell
-// trace allocation. -cache-max-mb bounds the store, evicting the traces
-// whose files were least recently used (by mtime). Each sweep records the
-// distinct traces it needs on a concurrent pool running ahead of its cell
-// workers, so cells rarely wait behind a recording pass. A failing cell
-// exits non-zero naming its (series, x, seed) coordinates.
+// runs through read-only views, each file read and validated once, so
+// cells replay with no per-cell trace allocation. -cache-max-mb bounds the
+// store, evicting the traces whose files were least recently used (by
+// mtime). Each sweep records the distinct traces it needs on a concurrent
+// pool running ahead of its cell workers, so cells rarely wait behind a
+// recording pass. A failing cell exits non-zero naming its (series, x,
+// seed) coordinates.
 package main
 
 import (
@@ -98,7 +98,7 @@ func (s *specFlags) Set(v string) error {
 
 // fail reports an error on stderr and returns the process exit code, so
 // every exit flows through run's single return path — deferred cleanup
-// (closing the contact cache, releasing its mapped traces) always executes.
+// (closing the contact cache) always executes.
 func fail(format string, args ...any) int {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	return 1
@@ -132,7 +132,7 @@ func run() (code int) {
 
 	// SIGINT/SIGTERM cancel the run cooperatively: cells stop at their
 	// next event checkpoint, partial artifacts flush below, and the
-	// deferred cache Close still releases the mapped traces.
+	// deferred cache Close still runs.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
@@ -229,6 +229,10 @@ func run() (code int) {
 
 	// -seeds 0 leaves Seeds empty so a spec's own seed list (or the {1}
 	// default) applies; an explicit flag overrides the spec.
+	if *seeds < 0 {
+		fmt.Fprintf(os.Stderr, "experiments: negative -seeds %d\n", *seeds)
+		return 2
+	}
 	var seedList []uint64
 	for i := 0; i < *seeds; i++ {
 		seedList = append(seedList, uint64(i+1))
@@ -241,11 +245,15 @@ func run() (code int) {
 	opt := vdtn.ExperimentOptions{
 		Seeds: seedList, Scale: *scale, Workers: *work,
 	}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
 	if *useCC || *ccDir != "" {
 		// One cache across all experiments: sweeps over the same scenario
 		// replay the traces the first one recorded. The deferred Close is
 		// the single cleanup path every exit below flows through — it
-		// releases mapped views even when a sweep fails or is interrupted.
+		// closes the views even when a sweep fails or is interrupted.
 		opt.ContactCache = &vdtn.ContactCache{
 			Dir:      *ccDir,
 			MaxBytes: int64(*ccMax * 1e6),

@@ -1,24 +1,16 @@
 // Command vdtnlint runs the repo's determinism & safety analyzers
 // (internal/lint/...): detmaprange, detsource, detgo, ctxloop.
 //
-// It speaks two protocols:
+// It runs as a vet tool, driven by the go command:
 //
-//   - As a vet tool, driven by the go command:
+//	go vet -vettool=$(pwd)/bin/vdtnlint ./...
 //
-//     go vet -vettool=$(pwd)/bin/vdtnlint ./...
-//
-//     The go command probes the tool with -flags and -V=full, then invokes
-//     it once per package with a JSON *.cfg file describing the unit
-//     (sources, import map, export data) — the same contract
-//     golang.org/x/tools/go/analysis/unitchecker implements. This mode
-//     gets the build cache and per-package parallelism for free.
-//
-//   - Standalone, over package patterns:
-//
-//     vdtnlint ./...
-//
-//     resolves the patterns itself via `go list -export` and prints every
-//     diagnostic with its analyzer name.
+// The go command probes the tool with -flags and -V=full, then invokes it
+// once per package with a JSON *.cfg file describing the unit (sources,
+// import map, export data) — the same contract
+// golang.org/x/tools/go/analysis/unitchecker implements — so the build
+// cache and per-package parallelism come for free. Run without a *.cfg
+// argument, it prints its usage and exits 2.
 //
 // Exit status is nonzero iff diagnostics were reported (or loading failed).
 package main
@@ -70,15 +62,12 @@ func main() {
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		os.Exit(unitcheck(args[n-1]))
 	}
-	patterns := args
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	os.Exit(standalone(patterns))
+	usage()
+	os.Exit(2)
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: vdtnlint [packages]\n       go vet -vettool=$(command -v vdtnlint) [packages]\n\nAnalyzers (see docs/DETERMINISM.md):\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(command -v vdtnlint) [packages]\n\nAnalyzers (see docs/DETERMINISM.md):\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}
@@ -203,29 +192,4 @@ func loadUnit(cfg *vetConfig) (*lint.Unit, error) {
 		return nil, err
 	}
 	return &lint.Unit{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
-}
-
-func standalone(patterns []string) int {
-	units, err := lint.LoadPackages("", patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "vdtnlint: %v\n", err)
-		return 1
-	}
-	found := 0
-	for _, unit := range units {
-		diags, err := lint.Run(unit, analyzers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "vdtnlint: %s: %v\n", unit.Pkg.Path(), err)
-			return 1
-		}
-		for _, d := range diags {
-			fmt.Printf("%s: %s [%s]\n", unit.Fset.Position(d.Pos), d.Message, d.Analyzer)
-		}
-		found += len(diags)
-	}
-	if found > 0 {
-		fmt.Fprintf(os.Stderr, "vdtnlint: %d finding(s)\n", found)
-		return 2
-	}
-	return 0
 }

@@ -20,8 +20,8 @@
 // out; the printed metrics equal a live run's, as do those of a later
 // -replay-contacts run with the same scenario flags.
 // Contact traces are written in the integrity-checked binary codec (magic
-// + CRC32; see internal/wireless/FORMAT.md) and read back through a
-// read-only memory-mapped view, validated once at open. A trace damaged
+// + CRC32; see internal/wireless/FORMAT.md) and read back into a
+// read-only view, validated once at open. A trace damaged
 // anywhere — truncation, bit rot, torn copy — is rejected, never replayed
 // as a shorter run.
 package main

@@ -76,7 +76,7 @@ func hostBlock() map[string]any {
 // horizon — and returns the comparison with the host it ran on:
 //
 //   - cached vs uncached sweep wall clock, cacheArtifactRuns times each;
-//   - a sweep served from the persisted store (mmap views, no recording).
+//   - a sweep served from the persisted store (views read from disk, no recording).
 //
 // It fails tb unless every cached and the store-served table are
 // bit-identical to the uncached one, the store-served sweep records

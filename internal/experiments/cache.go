@@ -63,9 +63,8 @@ type CacheEvent struct {
 // sweep's recording passes). With Dir set, recordings are additionally
 // persisted on disk in a sharded layout (see traceStore: 2-level fan-out
 // directories, each file's mtime its last-use stamp) and served on later
-// runs as read-only memory-mapped views, so the transition stream stays in
-// the kernel page cache — one physical copy shared by every concurrent
-// sweep process. Every trace is served as a wireless.RecordingView (a miss
+// runs as views of the file, read into memory and validated once per
+// fingerprint. Every trace is served as a wireless.RecordingView (a miss
 // serves a view of the bytes it just encoded), and each replaying cell
 // pays only a cursor. A damaged file (truncation at any byte, bit rot, torn
 // copy) is detected, reported through Warn, and re-recorded — never
@@ -95,8 +94,8 @@ type ContactCache struct {
 	warned  map[string]bool
 }
 
-// cacheEntry is one fingerprint's memoization slot: a view of the mapped
-// file for a disk hit, a view of the freshly encoded bytes for a miss.
+// cacheEntry is one fingerprint's memoization slot: a view of the file's
+// bytes for a disk hit, a view of the freshly encoded bytes for a miss.
 type cacheEntry struct {
 	once sync.Once
 	view *wireless.RecordingView
@@ -132,9 +131,9 @@ func (cc *ContactCache) store() *traceStore {
 }
 
 // Source returns a view of cfg's contact process, recording it on first
-// use: with Dir set, a shared read-only mmap view of the persisted trace
-// when one is usable, otherwise a view of the recording's binary encoding
-// (persisted on the way when Dir is set). The returned view is shared.
+// use: with Dir set, a view of the persisted trace when one is usable,
+// otherwise a view of the recording's binary encoding (persisted on the
+// way when Dir is set). The returned view is shared.
 func (cc *ContactCache) Source(cfg sim.Config) (*wireless.RecordingView, error) {
 	return cc.sourceWith(context.Background(), cfg, nil)
 }
@@ -219,12 +218,10 @@ func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, no
 	return wireless.NewRecordingView(data)
 }
 
-// openView maps and verifies the persisted trace for key and stamps its
+// openView reads and verifies the persisted trace for key and stamps its
 // last use. nil means no usable copy (absent, unreadable, damaged, or
 // recorded for a different scenario); every cause except plain absence is
-// surfaced via Warn, and the mapping is always released on the rejection
-// paths — a failed validation must not leak an mmap for the life of the
-// sweep.
+// surfaced via Warn.
 func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wireless.RecordingView {
 	path := st.shardPath(key)
 	v, err := wireless.OpenRecordingView(path)
@@ -240,7 +237,6 @@ func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wi
 		return nil
 	}
 	if err := sim.ReplaySourceCompatible(contactCanonical(cfg), v); err != nil {
-		v.Close()
 		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
 		return nil
 	}
@@ -383,25 +379,17 @@ func (cc *ContactCache) GC() (removed int, freed int64, err error) {
 	return st.gc(cc.MaxBytes, keep)
 }
 
-// Close closes every view the cache served, releasing the file mappings.
-// The cache must not serve replays after Close (live cursors would read
-// unmapped pages).
+// Close closes every view the cache served. The cache must not serve
+// replays after Close: a replay of a closed view panics.
 func (cc *ContactCache) Close() error {
 	cc.mu.Lock()
-	var views []*wireless.RecordingView
+	defer cc.mu.Unlock()
 	for _, e := range cc.entries {
 		if e.view != nil {
-			views = append(views, e.view)
+			e.view.Close()
 		}
 	}
-	cc.mu.Unlock()
-	var errs []error
-	for _, v := range views {
-		if err := v.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // Len returns the number of distinct contact traces held.

@@ -168,8 +168,8 @@ func TestCacheRaceUnderWorkerPool(t *testing.T) {
 
 // TestCacheDiskPersistence: a miss is served as a view of the bytes it
 // encoded, not of the file it wrote, and a second cache pointed at the
-// same directory serves the trace from disk — as an mmap view — without
-// re-recording, holding exactly the recorded trace.
+// same directory serves the trace from disk — as a view of the file —
+// without re-recording, holding exactly the recorded trace.
 func TestCacheDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()

@@ -154,12 +154,8 @@ func (e Experiment) validate() error {
 			return fmt.Errorf("experiments: %s: grid axis %q sweeps no values", e.ID, g.Axis)
 		}
 	}
-	seenSeeds := map[uint64]bool{}
-	for _, s := range e.Seeds {
-		if seenSeeds[s] {
-			return fmt.Errorf("experiments: %s: duplicate seed %d", e.ID, s)
-		}
-		seenSeeds[s] = true
+	if s, dup := duplicateSeed(e.Seeds); dup {
+		return fmt.Errorf("experiments: %s: duplicate seed %d", e.ID, s)
 	}
 	if e.Scale < 0 {
 		return fmt.Errorf("experiments: %s: negative scale %v", e.ID, e.Scale)
@@ -232,11 +228,14 @@ func (e Experiment) seriesName(si, ci int) string {
 // Options controls a run of the harness.
 type Options struct {
 	// Seeds are the replication seeds; each cell runs once per seed.
-	// Empty defaults to {1}.
+	// Empty defaults to the experiment's own seeds, else {1}; a seed
+	// listed twice is an error.
 	Seeds []uint64
-	// Workers bounds parallelism; 0 defaults to GOMAXPROCS.
+	// Workers bounds parallelism; 0 defaults to GOMAXPROCS, negative is
+	// an error.
 	Workers int
-	// Scale multiplies the simulated duration (1 = the paper's 12 h).
+	// Scale multiplies the simulated duration (1 = the paper's 12 h; 0
+	// defers to the experiment's own scale, else 1; negative is an error).
 	// Benchmarks use a smaller scale; the shape of the results is
 	// preserved, absolute delays shrink with the horizon.
 	Scale float64
@@ -252,6 +251,35 @@ type Options struct {
 	ContactCache *ContactCache
 }
 
+// Validate reports run options that cannot mean what they say: a negative
+// (or NaN) Scale or a negative Workers, which would otherwise fall back to
+// a default, and a seed listed twice, whose replication would run twice
+// and count twice in every mean and confidence interval.
+func (o Options) Validate() error {
+	if !(o.Scale >= 0) {
+		return fmt.Errorf("experiments: invalid scale %v", o.Scale)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("experiments: negative worker count %d", o.Workers)
+	}
+	if s, dup := duplicateSeed(o.Seeds); dup {
+		return fmt.Errorf("experiments: duplicate seed %d", s)
+	}
+	return nil
+}
+
+// duplicateSeed returns the first seed that seeds lists twice.
+func duplicateSeed(seeds []uint64) (uint64, bool) {
+	seen := make(map[uint64]bool, len(seeds))
+	for _, s := range seeds {
+		if seen[s] {
+			return s, true
+		}
+		seen[s] = true
+	}
+	return 0, false
+}
+
 func (o Options) normalized() Options {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{1}
@@ -265,17 +293,21 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// normalizedFor resolves the run options against exp's spec-level
-// defaults: explicit Options win, then the experiment's own Seeds/Scale
-// (spec files carry them), then the global defaults ({1}, GOMAXPROCS, 1).
-func (o Options) normalizedFor(exp Experiment) Options {
+// normalizedFor validates the run options and resolves them against
+// exp's spec-level defaults: explicit Options win, then the experiment's
+// own Seeds/Scale (spec files carry them), then the global defaults ({1},
+// GOMAXPROCS, 1).
+func (o Options) normalizedFor(exp Experiment) (Options, error) {
+	if err := o.Validate(); err != nil {
+		return Options{}, err
+	}
 	if len(o.Seeds) == 0 {
 		o.Seeds = append([]uint64(nil), exp.Seeds...)
 	}
-	if o.Scale <= 0 {
+	if o.Scale == 0 {
 		o.Scale = exp.Scale
 	}
-	return o.normalized()
+	return o.normalized(), nil
 }
 
 // base resolves the scenario template for exp: explicit Options override,
@@ -393,7 +425,7 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 	// correctly and only contact-identical cells share a trace. Source
 	// hands back the trace's shared view: of the bytes a recording pass
 	// just encoded or, for a trace persisted by an earlier run, of the
-	// mapped file every cell (and process) replays from the page cache.
+	// file's bytes, read once and replayed by every cell.
 	if opt.ContactCache != nil && cacheable(cfg) {
 		src, rerr := opt.ContactCache.sourceWith(ctx, cfg, note)
 		if rerr != nil {
@@ -413,7 +445,10 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 // ContactCache.Prewarm wants when pre-recording traces across several
 // experiments before any of them runs.
 func CellConfigs(exp Experiment, opt Options) ([]sim.Config, error) {
-	opt = opt.normalizedFor(exp)
+	opt, err := opt.normalizedFor(exp)
+	if err != nil {
+		return nil, err
+	}
 	jobs := cellJobs(exp, opt)
 	cfgs := make([]sim.Config, len(jobs))
 	for i, j := range jobs {
@@ -431,7 +466,8 @@ func CellConfigs(exp Experiment, opt Options) ([]sim.Config, error) {
 // with a memory sink: cells run on a worker pool; the first failing cell
 // (in aggregation order) aborts the sweep and is reported with its
 // (series, grid, x, seed) coordinates. A structurally bad experiment
-// (unknown axis or metric, empty sweep) is rejected before any cell runs.
+// (unknown axis or metric, empty sweep) or invalid options (see
+// Options.Validate) are rejected before any cell runs.
 // When opt.ContactCache is set, the distinct contact traces the sweep
 // needs are recorded by a parallel prewarm pool running alongside the
 // cell workers. Use a Runner directly for cancellation, progress

@@ -209,8 +209,11 @@ func (d *delivery) deliver(ji int, r sim.Result) error {
 func (r *Runner) Run(ctx context.Context, exp Experiment) (err error) {
 	start := time.Now()
 	obs := &observed{obs: r.Observer}
-	opt := r.Options.normalizedFor(exp)
 	if err := exp.validate(); err != nil {
+		return err
+	}
+	opt, err := r.Options.normalizedFor(exp)
+	if err != nil {
 		return err
 	}
 	jobs := cellJobs(exp, opt)

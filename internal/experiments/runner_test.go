@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -270,7 +271,7 @@ func TestGridMatchesManualSingleAxisSweeps(t *testing.T) {
 // TestRunnerCancellation: a sweep cancelled mid-flight returns ctx.Err(),
 // and its sink holds only complete, valid cells forming a prefix of the
 // aggregation order — bit-identical to the same cells of an
-// uninterrupted run. Exercised with the mmap-backed cache shared across
+// uninterrupted run. Exercised with the disk-backed cache shared across
 // concurrent cells (the -race configuration the issue calls for).
 func TestRunnerCancellation(t *testing.T) {
 	exp := tinyExperiment()
@@ -283,7 +284,7 @@ func TestRunnerCancellation(t *testing.T) {
 
 	// Cancel after the third finished cell: the traces are persisted
 	// already, so cancellation lands mid-sweep while cells replay from
-	// mmap views shared across workers.
+	// disk-served views shared across workers.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cache := &ContactCache{Dir: dir}
@@ -605,5 +606,47 @@ func TestGridSpecRoundTrip(t *testing.T) {
 	}}`)
 	if _, err := LoadSpec(dup); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate-axis spec loaded: %v", err)
+	}
+}
+
+// TestInvalidOptionsRejected: a negative or NaN scale, a negative worker
+// count and a seed listed twice are errors from every entry point, before
+// any cell runs or the sink starts, instead of silently falling back to a
+// default or running one replication twice.
+func TestInvalidOptionsRejected(t *testing.T) {
+	fig5, ok := ByID("fig5")
+	if !ok {
+		t.Fatal("fig5 missing from the catalog")
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"negative scale", Options{Scale: -0.5, Seeds: []uint64{1, 2}}, "invalid scale"},
+		{"NaN scale", Options{Scale: math.NaN()}, "invalid scale"},
+		{"negative workers", Options{Workers: -1}, "negative worker count"},
+		{"duplicate seeds", Options{Seeds: []uint64{1, 2, 1}}, "duplicate seed 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.opt.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want %q", err, tc.want)
+			}
+			if cfgs, err := CellConfigs(fig5, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CellConfigs = %d cells, %v; want %q", len(cfgs), err, tc.want)
+			}
+			if _, err := RunE(fig5, tc.opt); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunE = %v, want %q", err, tc.want)
+			}
+			obs := &recordingObserver{}
+			sink := &orderSink{}
+			r := Runner{Options: tc.opt, Sink: sink, Observer: obs}
+			if err := r.Run(context.Background(), fig5); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Runner.Run = %v, want %q", err, tc.want)
+			}
+			if sink.mem.Results() != nil || obs.sweeps != 0 {
+				t.Fatal("rejected options reached the sink or observer")
+			}
+		})
 	}
 }

@@ -302,7 +302,10 @@ func ReadJSONLPrefix(data []byte, exp Experiment, opt Options) (*SweepPrefix, er
 	if err := exp.validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.normalizedFor(exp)
+	opt, err := opt.normalizedFor(exp)
+	if err != nil {
+		return nil, err
+	}
 	jobs := cellJobs(exp, opt)
 
 	var want bytes.Buffer

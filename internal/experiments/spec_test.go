@@ -348,6 +348,29 @@ func TestSpecBaseScenarioFields(t *testing.T) {
 	}
 }
 
+// TestSpecBaseExplicitZeros: "relays": 0 and zero pause bounds in a
+// spec's base reach every cell, instead of falling back to the paper's 5
+// relays and 5–15 min pauses.
+func TestSpecBaseExplicitZeros(t *testing.T) {
+	spec := `{
+		"relays": 0, "pause_lo_min": 0, "pause_hi_min": 0,
+		"sweep": {"id": "norelays", "axis": "ttl_min", "values": [60, 120]}
+	}`
+	exp, err := LoadSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs, err := CellConfigs(exp, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		if cfg.Relays != 0 || cfg.PauseLo != 0 || cfg.PauseHi != 0 {
+			t.Fatalf("cell %d: relays %d, pauses [%v, %v], want all 0", i, cfg.Relays, cfg.PauseLo, cfg.PauseHi)
+		}
+	}
+}
+
 // TestSpecValidation: malformed specs fail at load with a pointed error,
 // never mid-sweep.
 func TestSpecValidation(t *testing.T) {

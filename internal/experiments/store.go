@@ -123,9 +123,8 @@ func trimExt(name string) string {
 
 // gc evicts least-recently-used traces until the store's total size fits
 // maxBytes. Keys in keep (the cache's hot in-memory entries) are never
-// evicted. On unix an mmap'd view of an evicted file stays valid — the
-// kernel keeps the pages until the last mapping goes away — so GC cannot
-// tear a trace out from under a running sweep.
+// evicted. A view holds its own copy of the file's bytes, so evicting a
+// file cannot tear a trace out from under a running sweep.
 func (s *traceStore) gc(maxBytes int64, keep map[string]bool) (removed int, freed int64, err error) {
 	traces, err := s.list()
 	if err != nil {

@@ -266,11 +266,11 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 	}
 }
 
-// TestCacheMmapSourceServesViews: with Dir set, Source serves a persisted
-// trace as a shared mmap-backed RecordingView; the sweep over views is
+// TestCacheDiskSourceServesViews: with Dir set, Source serves a persisted
+// trace as a shared RecordingView read from its file; the sweep over views is
 // bit-identical to the uncached table; and the view is the same instance
 // for every cell of a key.
-func TestCacheMmapSourceServesViews(t *testing.T) {
+func TestCacheDiskSourceServesViews(t *testing.T) {
 	dir := t.TempDir()
 	exp := cacheExperiment()
 	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
@@ -285,12 +285,12 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	cache := &ContactCache{Dir: dir}
 	defer cache.Close()
 	opt.ContactCache = cache
-	mapped, err := RunE(exp, opt)
+	served, err := RunE(exp, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Series, mapped.DefaultTable().Series) {
-		t.Fatal("mmap-served sweep diverged from the uncached table")
+	if !reflect.DeepEqual(plain.Series, served.DefaultTable().Series) {
+		t.Fatal("disk-served sweep diverged from the uncached table")
 	}
 	if cache.Recorded() != 0 {
 		t.Fatalf("sweep over the persisted store ran %d recording passes", cache.Recorded())
@@ -310,16 +310,16 @@ func TestCacheMmapSourceServesViews(t *testing.T) {
 	}
 	// The view decodes to exactly the trace the recording pass produces.
 	if _, rec := seedTrace(t, cfg); !reflect.DeepEqual(view.Materialize(), rec) {
-		t.Fatal("mmap view holds a different trace than the recording pass")
+		t.Fatal("disk view holds a different trace than the recording pass")
 	}
 }
 
-// TestCacheMmapFallsBack: Source degrades gracefully — no Dir means a
+// TestCacheSourceFallsBack: Source degrades gracefully — no Dir means a
 // view of the recording's encoding; a scenario-mismatched persisted trace
-// is rejected (closing the view on the failure path), warned about once,
+// is rejected, warned about once,
 // re-recorded, and served from memory without re-reading the file it just
 // wrote.
-func TestCacheMmapFallsBack(t *testing.T) {
+func TestCacheSourceFallsBack(t *testing.T) {
 	memory := &ContactCache{}
 	cfg := cacheConfig()
 	src, err := memory.Source(cfg)

@@ -12,8 +12,8 @@
 // The framework is intentionally shaped like golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) but is self-contained: it depends only on
 // the standard library, so the module stays dependency-free. Drivers are
-// cmd/vdtnlint (both the `go vet -vettool` unitchecker protocol and a
-// standalone package-pattern mode) and the linttest fixture harness.
+// cmd/vdtnlint (the `go vet -vettool` unitchecker protocol) and the
+// linttest fixture harness.
 package lint
 
 import (

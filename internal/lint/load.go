@@ -17,24 +17,17 @@ import (
 	"strings"
 )
 
-// The loaders here turn package patterns or fixture directories into
-// type-checked Units without golang.org/x/tools: `go list -export -json`
-// resolves packages and produces compiler export data for dependencies,
-// and go/importer's public "gc" importer reads that export data back.
+// The loader here turns fixture directories into type-checked Units
+// without golang.org/x/tools: `go list -export -json` resolves imported
+// packages and produces compiler export data for them, and go/importer's
+// public "gc" importer reads that export data back.
 // This is the same division of labor go vet itself uses — the build
 // system compiles, the analyzer only type-checks the unit's own source.
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir        string
 	ImportPath string
-	Name       string
-	GoFiles    []string
-	CgoFiles   []string
 	Export     string
-	DepOnly    bool
-	Module     *struct{ Path string }
-	Error      *struct{ Err string }
 }
 
 // goList runs `go list -export -json -deps` over patterns in dir and
@@ -73,56 +66,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 		}
 		return os.Open(file)
 	})
-}
-
-// LoadPackages loads, parses, and type-checks every package matched by
-// patterns (resolved by the go tool relative to dir; dir "" means the
-// current directory). Only packages of the surrounding module are
-// returned as Units — dependencies contribute export data, not source.
-func LoadPackages(dir string, patterns []string) ([]*Unit, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	var units []*Unit
-	for _, p := range pkgs {
-		if p.DepOnly || p.Module == nil {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
-		}
-		if len(p.CgoFiles) > 0 {
-			return nil, fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		fset := token.NewFileSet()
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
-		}
-		info := NewTypesInfo()
-		conf := types.Config{Importer: exportImporter(fset, exports)}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
-		}
-		units = append(units, &Unit{Fset: fset, Files: files, Pkg: pkg, TypesInfo: info})
-	}
-	sort.Slice(units, func(i, j int) bool { return units[i].Pkg.Path() < units[j].Pkg.Path() })
-	return units, nil
 }
 
 // LoadDir loads one package from the .go files directly inside dir,

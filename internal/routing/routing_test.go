@@ -164,6 +164,29 @@ func TestEpidemicSendsWhatPeerLacks(t *testing.T) {
 	_ = buf
 }
 
+// TestSendQueueIsSnapshotAtRefresh: a send queue is the buffer filtered at
+// the last Refresh, not a walk of the buffer at pop time. A replica the
+// peer held at ContactUp and dropped afterwards (an eviction, a delivery,
+// a spray's last copy) is not offered until the next Refresh, which is
+// what keeps a pop-time walk of Sorted() from reproducing the queue.
+func TestSendQueueIsSnapshotAtRefresh(t *testing.T) {
+	e := NewEpidemic(core.FIFOFIFO())
+	attach(e, 0)
+	peer := newPeer(1, NewEpidemic(core.FIFOFIFO()))
+	e.AddMessage(0, msgTo(1, 0, 9, 0, 3600))
+	peer.buf.Add(0, msgTo(1, 0, 9, 0, 3600), nil)
+
+	e.ContactUp(10, peer)
+	peer.buf.Remove(1)
+	if s := e.NextSend(11, peer); s != nil {
+		t.Fatalf("NextSend before Refresh = M%d, want nil: the queue was built while the peer held M1", s.Msg.ID)
+	}
+	e.Refresh(12, peer)
+	if s := e.NextSend(12, peer); s == nil || s.Msg.ID != 1 {
+		t.Fatalf("NextSend after Refresh = %+v, want M1", s)
+	}
+}
+
 func TestEpidemicDeliverableFirst(t *testing.T) {
 	e := NewEpidemic(core.FIFOFIFO())
 	attach(e, 0)

@@ -28,24 +28,26 @@ import (
 )
 
 // File is the on-disk scenario schema. Zero-valued fields inherit the
-// paper defaults (sim.DefaultConfig) on load.
+// paper defaults (sim.DefaultConfig) on load, except the pointer fields
+// (seed, relays and the pause bounds), where zero is a meaningful value:
+// absent means the paper default, present means the value, zero included.
 type File struct {
 	// Name is a free-form label carried into run output.
-	Name string `json:"name,omitempty"`
-	Seed uint64 `json:"seed,omitempty"`
+	Name string  `json:"name,omitempty"`
+	Seed *uint64 `json:"seed,omitempty"`
 
 	DurationHours float64 `json:"duration_hours,omitempty"`
 	WarmupMin     float64 `json:"warmup_min,omitempty"`
 
 	Vehicles        int     `json:"vehicles,omitempty"`
-	Relays          int     `json:"relays,omitempty"`
+	Relays          *int    `json:"relays,omitempty"`
 	VehicleBufferMB float64 `json:"vehicle_buffer_mb,omitempty"`
 	RelayBufferMB   float64 `json:"relay_buffer_mb,omitempty"`
 
-	SpeedLoKmh float64 `json:"speed_lo_kmh,omitempty"`
-	SpeedHiKmh float64 `json:"speed_hi_kmh,omitempty"`
-	PauseLoMin float64 `json:"pause_lo_min,omitempty"`
-	PauseHiMin float64 `json:"pause_hi_min,omitempty"`
+	SpeedLoKmh float64  `json:"speed_lo_kmh,omitempty"`
+	SpeedHiKmh float64  `json:"speed_hi_kmh,omitempty"`
+	PauseLoMin *float64 `json:"pause_lo_min,omitempty"`
+	PauseHiMin *float64 `json:"pause_hi_min,omitempty"`
 
 	RangeM   float64 `json:"range_m,omitempty"`
 	RateMbit float64 `json:"rate_mbit,omitempty"`
@@ -220,11 +222,12 @@ func Load(data []byte) (sim.Config, error) {
 }
 
 // Config converts the file into a validated sim.Config, applying paper
-// defaults for zero-valued fields.
+// defaults for zero-valued and absent fields. A contact plan without a
+// relay count has no relays.
 func (f File) Config() (sim.Config, error) {
 	c := sim.DefaultConfig()
-	if f.Seed != 0 {
-		c.Seed = f.Seed
+	if f.Seed != nil {
+		c.Seed = *f.Seed
 	}
 	if f.DurationHours != 0 {
 		c.Duration = units.Hours(f.DurationHours)
@@ -233,8 +236,10 @@ func (f File) Config() (sim.Config, error) {
 	if f.Vehicles != 0 {
 		c.Vehicles = f.Vehicles
 	}
-	if f.Relays != 0 || len(f.Contacts) > 0 {
-		c.Relays = f.Relays
+	if f.Relays != nil {
+		c.Relays = *f.Relays
+	} else if len(f.Contacts) > 0 {
+		c.Relays = 0
 	}
 	if f.VehicleBufferMB != 0 {
 		c.VehicleBuffer = units.MB(f.VehicleBufferMB)
@@ -248,11 +253,11 @@ func (f File) Config() (sim.Config, error) {
 	if f.SpeedHiKmh != 0 {
 		c.SpeedHi = units.KmhToMs(f.SpeedHiKmh)
 	}
-	if f.PauseLoMin != 0 {
-		c.PauseLo = units.Minutes(f.PauseLoMin)
+	if f.PauseLoMin != nil {
+		c.PauseLo = units.Minutes(*f.PauseLoMin)
 	}
-	if f.PauseHiMin != 0 {
-		c.PauseHi = units.Minutes(f.PauseHiMin)
+	if f.PauseHiMin != nil {
+		c.PauseHi = units.Minutes(*f.PauseHiMin)
 	}
 	if f.RangeM != 0 {
 		c.Range = f.RangeM
@@ -325,19 +330,20 @@ func (f File) Config() (sim.Config, error) {
 // Custom router factories, trace callbacks and in-memory maps are not
 // representable and are silently omitted.
 func Save(name string, c sim.Config) ([]byte, error) {
+	pauseLo, pauseHi := c.PauseLo/60, c.PauseHi/60
 	f := File{
 		Name:             name,
-		Seed:             c.Seed,
+		Seed:             &c.Seed,
 		DurationHours:    c.Duration / 3600,
 		WarmupMin:        c.Warmup / 60,
 		Vehicles:         c.Vehicles,
-		Relays:           c.Relays,
+		Relays:           &c.Relays,
 		VehicleBufferMB:  float64(c.VehicleBuffer) / 1e6,
 		RelayBufferMB:    float64(c.RelayBuffer) / 1e6,
 		SpeedLoKmh:       units.MsToKmh(c.SpeedLo),
 		SpeedHiKmh:       units.MsToKmh(c.SpeedHi),
-		PauseLoMin:       c.PauseLo / 60,
-		PauseHiMin:       c.PauseHi / 60,
+		PauseLoMin:       &pauseLo,
+		PauseHiMin:       &pauseHi,
 		RangeM:           c.Range,
 		RateMbit:         float64(c.Rate) / 1e6,
 		ScanSec:          c.ScanInterval,

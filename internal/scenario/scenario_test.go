@@ -14,7 +14,8 @@ func TestLoadEmptyGivesPaperDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := sim.DefaultConfig()
-	if c.Vehicles != def.Vehicles || c.Duration != def.Duration || c.TTL != def.TTL {
+	if c.Vehicles != def.Vehicles || c.Duration != def.Duration || c.TTL != def.TTL ||
+		c.Seed != def.Seed || c.Relays != def.Relays || c.PauseLo != def.PauseLo || c.PauseHi != def.PauseHi {
 		t.Fatalf("empty file did not inherit defaults: %+v", c)
 	}
 }
@@ -127,6 +128,30 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		back.VehicleBuffer != orig.VehicleBuffer || back.Rate != orig.Rate {
 		t.Fatalf("round trip drifted:\nin:  %+v\nout: %+v", orig, back)
 	}
+}
+
+// TestSaveLoadExplicitZeros: seed, relays and the pause bounds take zero
+// as a value, not as "use the default", so a config with no relays, seed 0
+// and no pauses survives Save and Load.
+func TestSaveLoadExplicitZeros(t *testing.T) {
+	orig := sim.DefaultConfig()
+	orig.Seed = 0
+	orig.Relays = 0
+	orig.PauseLo, orig.PauseHi = 0, 0
+
+	data, err := Save("zeros", orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Load(data)
+	if err != nil {
+		t.Fatalf("reload: %v\n%s", err, data)
+	}
+	if back.Seed != 0 || back.Relays != 0 || back.PauseLo != 0 || back.PauseHi != 0 {
+		t.Fatalf("explicit zeros lost: seed %d, relays %d, pauses [%v, %v]\n%s",
+			back.Seed, back.Relays, back.PauseLo, back.PauseHi, data)
+	}
+
 }
 
 func TestSaveLoadPlanRoundTrip(t *testing.T) {

@@ -138,13 +138,17 @@ func (m *Manager) Close() {
 }
 
 // Submit validates and admits a new job: the spec must decode
-// (experiments.LoadSpec) and the metric override, if any, must name a
-// known metric. The spec bytes are persisted verbatim — they are what
+// (experiments.LoadSpec), the run options must pass
+// experiments.Options.Validate, and the metric override, if any, must
+// name a known metric. The spec bytes are persisted verbatim — they are what
 // every (re-)admission re-decodes, so the job's cell grid is stable
 // across restarts.
 func (m *Manager) Submit(spec []byte, opts Options) (Meta, error) {
 	exp, err := experiments.LoadSpec(spec)
 	if err != nil {
+		return Meta{}, err
+	}
+	if err := opts.runOptions().Validate(); err != nil {
 		return Meta{}, err
 	}
 	exp, err = applyMetric(exp, opts.Metric)
@@ -432,8 +436,8 @@ func (m *Manager) executeSweep(ctx context.Context, e *jobEntry, meta Meta) erro
 	opt := meta.Options.runOptions()
 	if meta.Options.CacheDir != "" {
 		// Jobs naming the same directory share recorded traces through
-		// the store's cross-process locking; Close releases the mapped
-		// traces even on failure or interruption.
+		// the store's cross-process locking; Close closes the served
+		// views even on failure or interruption.
 		cc := &experiments.ContactCache{
 			Dir:  meta.Options.CacheDir,
 			Warn: func(msg string) { m.cfg.logf("service: job %s: %s", meta.ID, msg) },

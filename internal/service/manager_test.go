@@ -153,6 +153,11 @@ func TestManagerSubmitValidation(t *testing.T) {
 	if _, err := m.Submit([]byte(tinySpec), Options{Metric: "no-such-metric"}); err == nil {
 		t.Fatal("unknown metric accepted")
 	}
+	for _, bad := range []Options{{Scale: -1}, {Workers: -2}, {Seeds: []uint64{3, 3}}} {
+		if _, err := m.Submit([]byte(tinySpec), bad); err == nil {
+			t.Fatalf("invalid run options %+v accepted", bad)
+		}
+	}
 	if len(m.Jobs()) != 0 {
 		t.Fatalf("rejected submissions left jobs behind: %+v", m.Jobs())
 	}

@@ -100,10 +100,13 @@ func TestServerSubmitBareSpecAndEnvelope(t *testing.T) {
 		t.Fatalf("legacy envelope submit meta = %+v", legacy)
 	}
 
-	// Rejections: malformed spec, unknown metric, oversized body.
+	// Rejections: malformed spec, unknown metric, invalid run options,
+	// oversized body.
 	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", []byte(`{"sweep": [`), http.StatusBadRequest, nil)
 	badMetric := fmt.Sprintf(`{"spec": %s, "options": {"metric": "nope"}}`, tinySpec)
 	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", []byte(badMetric), http.StatusBadRequest, nil)
+	dupSeeds := fmt.Sprintf(`{"spec": %s, "options": {"seeds": [2, 2]}}`, tinySpec)
+	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", []byte(dupSeeds), http.StatusBadRequest, nil)
 	huge := bytes.Repeat([]byte("x"), maxSpecBytes+1)
 	httpJSON(t, http.MethodPost, srv.URL+"/v1/jobs", huge, http.StatusRequestEntityTooLarge, nil)
 

@@ -143,8 +143,8 @@ type Config struct {
 	// bit-identical to the live run (same Result, same trace events) but
 	// skips all position and proximity work. The view validated its trace
 	// once at open, so a run checks only its fit and replays with no
-	// per-run trace allocation; concurrent sweep cells (and concurrent
-	// processes, via the page cache) share one copy of the trace. The
+	// per-run trace allocation; concurrent sweep cells share one copy of
+	// the trace. The
 	// trace must match the scenario's scan interval and node count and
 	// cover its horizon. Mutually exclusive with Plan.
 	ReplaySource *wireless.RecordingView

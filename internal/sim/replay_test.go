@@ -60,9 +60,9 @@ func runTraced(t *testing.T, cfg Config) (Result, []trace.Event) {
 
 // TestReplayEquivalence is the record/replay cache's headline guarantee:
 // for every protocol × policy pair, a run replaying the trace
-// RecordContacts produced through an mmap-backed view — the path a sweep
-// takes against a persisted contact cache — is bit-identical, full Result
-// and full event trace, to the live run.
+// RecordContacts produced through a view opened from its file — the path
+// a sweep takes against a persisted contact cache — is bit-identical, full
+// Result and full event trace, to the live run.
 func TestReplayEquivalence(t *testing.T) {
 	protocols, policies := protoPolicyPairs()
 	for _, proto := range protocols {
@@ -174,7 +174,7 @@ func TestReplayAcrossProtocols(t *testing.T) {
 }
 
 // TestRecordingFormatRoundTripsThroughReplay: a recording that has been
-// persisted and mapped back drives the same replay as a view of its
+// persisted and opened again drives the same replay as a view of its
 // freshly encoded bytes.
 func TestRecordingFormatRoundTripsThroughReplay(t *testing.T) {
 	cfg := replayConfig(11)

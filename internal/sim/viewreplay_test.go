@@ -22,7 +22,7 @@ func protoPolicyPairs() (protocols []ProtocolKind, policies []PolicyKind) {
 		}
 }
 
-// openViewOf encodes rec, persists it, and opens an mmap-backed view —
+// openViewOf encodes rec, persists it, and opens a view of the file —
 // the exact path a sweep process takes against a shared cache directory.
 func openViewOf(t *testing.T, rec *wireless.Recording) *wireless.RecordingView {
 	t.Helper()
@@ -50,8 +50,8 @@ func viewOf(t *testing.T, rec *wireless.Recording) *wireless.RecordingView {
 }
 
 // TestViewReplayEquivalence: a contact cache serves a trace through a view
-// of the bytes it just encoded on a miss and through a view of the mapped
-// file on a hit. For every protocol × policy pair the two runs are
+// of the bytes it just encoded on a miss and through a view opened from the
+// persisted file on a hit. For every protocol × policy pair the two runs are
 // bit-identical — full Result and full event trace — so a sweep's first
 // run and its cached reruns fill the same cells.
 func TestViewReplayEquivalence(t *testing.T) {
@@ -60,7 +60,7 @@ func TestViewReplayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, mapped := viewOf(t, rec), openViewOf(t, rec)
+	fresh, opened := viewOf(t, rec), openViewOf(t, rec)
 
 	protocols, policies := protoPolicyPairs()
 	for _, proto := range protocols {
@@ -74,20 +74,20 @@ func TestViewReplayEquivalence(t *testing.T) {
 				freshCfg.ReplaySource = fresh
 				freshRes, freshEvents := runTraced(t, freshCfg)
 
-				mappedCfg := cfg
-				mappedCfg.ReplaySource = mapped
-				mappedRes, mappedEvents := runTraced(t, mappedCfg)
+				openedCfg := cfg
+				openedCfg.ReplaySource = opened
+				openedRes, openedEvents := runTraced(t, openedCfg)
 
-				if freshRes != mappedRes {
-					t.Fatalf("mapped replay diverged from fresh replay:\nfresh:  %+v\nmapped: %+v", freshRes, mappedRes)
+				if freshRes != openedRes {
+					t.Fatalf("opened replay diverged from fresh replay:\nfresh:  %+v\nopened: %+v", freshRes, openedRes)
 				}
-				if !reflect.DeepEqual(freshEvents, mappedEvents) {
+				if !reflect.DeepEqual(freshEvents, openedEvents) {
 					for i := range freshEvents {
-						if i >= len(mappedEvents) || freshEvents[i] != mappedEvents[i] {
-							t.Fatalf("event %d diverged: fresh %+v, mapped %+v", i, freshEvents[i], eventAt(mappedEvents, i))
+						if i >= len(openedEvents) || freshEvents[i] != openedEvents[i] {
+							t.Fatalf("event %d diverged: fresh %+v, opened %+v", i, freshEvents[i], eventAt(openedEvents, i))
 						}
 					}
-					t.Fatalf("mapped trace has %d extra events", len(mappedEvents)-len(freshEvents))
+					t.Fatalf("opened trace has %d extra events", len(openedEvents)-len(freshEvents))
 				}
 			})
 		}
@@ -97,7 +97,7 @@ func TestViewReplayEquivalence(t *testing.T) {
 // TestViewReplayConcurrentCells replays many cells concurrently from ONE
 // shared view — the sweep-worker topology — and checks every cell against
 // its serial replay. Run under -race this is the view's thread-safety
-// proof: concurrent cursors over one mapped stream, no shared mutable
+// proof: concurrent cursors over one shared stream, no shared mutable
 // state.
 func TestViewReplayConcurrentCells(t *testing.T) {
 	base := replayConfig(9)

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 )
@@ -70,13 +71,13 @@ func (c *binCursor) next() (Transition, bool, error) {
 
 // mustNext is next over a stream its view already validated. Decode errors
 // are impossible on bytes the open pass accepted, so a failure here means
-// the backing memory changed underneath the view (a truncated or rewritten
-// mapped file) — a scenario-assembly bug, reported by panic like the
-// Medium's other misuse cases.
+// a caller changed the bytes handed to NewRecordingView after the view
+// opened — a scenario-assembly bug, reported by panic like the Medium's
+// other misuse cases.
 func (c *binCursor) mustNext() (Transition, bool) {
 	tr, ok, err := c.next()
 	if err != nil {
-		panic(fmt.Sprintf("wireless: validated recording view failed to decode (backing file changed?): %v", err))
+		panic(fmt.Sprintf("wireless: validated recording view failed to decode (backing bytes changed?): %v", err))
 	}
 	return tr, ok
 }
@@ -129,41 +130,29 @@ func (v *streamValidator) check(tr Transition) error {
 	return nil
 }
 
-// mapFile returns the contents of path, memory-mapped read-only when the
-// platform supports it (see mmap_unix.go), plus the unmap function (nil
-// when the bytes are heap-backed and need no release). Every failure to
-// get at the bytes is an *os.PathError, so callers can tell an unreadable
-// file from a damaged one.
-func mapFile(path string) ([]byte, func() error, error) {
+// readFile returns the contents of path. Every failure to get at the bytes
+// is an *os.PathError, so callers can tell an unreadable file from a
+// damaged one.
+func readFile(path string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if !fi.Mode().IsRegular() {
-		return nil, nil, &os.PathError{Op: "read", Path: path, Err: errors.New("not a regular file")}
+		return nil, &os.PathError{Op: "read", Path: path, Err: errors.New("not a regular file")}
 	}
 	size := fi.Size()
-	if size == 0 {
-		// mmap rejects empty ranges; an empty file fails envelope parsing
-		// with the truncation message either way.
-		return nil, nil, nil
-	}
 	if size != int64(int(size)) {
-		return nil, nil, &os.PathError{Op: "read", Path: path, Err: fmt.Errorf("%d bytes do not fit this platform's address space", size)}
+		return nil, &os.PathError{Op: "read", Path: path, Err: fmt.Errorf("%d bytes do not fit this platform's address space", size)}
 	}
-	data, unmap, err := mmapReadOnly(f, int(size))
-	if err != nil {
-		return nil, nil, &os.PathError{Op: "read", Path: path, Err: err}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, &os.PathError{Op: "read", Path: path, Err: err}
 	}
-	if unmap != nil {
-		// Only genuinely mapped pages take access-pattern hints; the
-		// heap-backed fallback (unmap == nil) has nothing to advise.
-		adviseReplayAccess(data)
-	}
-	return data, unmap, nil
+	return data, nil
 }

@@ -1,65 +1,44 @@
 package wireless
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // RecordingView is a read-only, fully validated view of a binary contact
 // trace — the codec's only decoder and the only thing a Medium replays
 // (Medium.StartReplay). A fresh recording enters replay through its
 // encoding (NewRecordingView over EncodeBinary's bytes); a persisted one
-// through OpenRecordingView, where the transition stream lives in the
-// kernel page cache and concurrent sweep processes replaying the same
-// trace share one physical copy. Either way each replaying medium pays
-// only a cursor — zero per-run allocation proportional to the trace.
-// Callers that need the slice form call Materialize.
+// through OpenRecordingView, which reads the file into memory once. Either
+// way each replaying medium pays only a cursor — zero per-run allocation
+// proportional to the trace. Callers that need the slice form call
+// Materialize.
 //
 // Every integrity and structural check runs once at open (CRC32,
 // transition count, per-entry decode checks, time ordering, state
 // alternation), so a view that opened cleanly cannot fail mid-replay. The
-// view is immutable and safe for concurrent replays; Close (unmapping the
-// file) must not race them.
+// view is immutable and safe for concurrent replays; Close must not race
+// them.
 type RecordingView struct {
 	meta    RecordingMeta
 	stream  []byte
 	maxNode int
+	closed  bool
+}
 
-	unmap     func() error
-	closeOnce sync.Once
-	closeErr  error
-	closed    bool
+// OpenRecordingView reads the binary trace at path into memory and
+// validates it once. The view owns its copy of the bytes, so later writes
+// to the file cannot reach it.
+func OpenRecordingView(path string) (*RecordingView, error) {
+	data, err := readFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return NewRecordingView(data)
 }
 
 // NewRecordingView validates the binary trace held in data and returns a
-// view over it without decoding a transition slice. data must stay
-// unmodified for the view's lifetime.
+// view over it without decoding a transition slice: the full decode and
+// structural validation pass runs here, capturing the trace's MaxNode
+// along the way. data must stay unmodified for the view's lifetime.
 func NewRecordingView(data []byte) (*RecordingView, error) {
-	return newRecordingView(data, nil)
-}
-
-// OpenRecordingView memory-maps the binary trace at path (falling back to
-// a plain read on platforms without mmap) and validates it once. Close
-// releases the mapping.
-func OpenRecordingView(path string) (*RecordingView, error) {
-	data, unmap, err := mapFile(path)
-	if err != nil {
-		return nil, err
-	}
-	v, err := newRecordingView(data, unmap)
-	if err != nil {
-		if unmap != nil {
-			unmap()
-		}
-		return nil, err
-	}
-	return v, nil
-}
-
-// newRecordingView runs the full decode + structural validation pass,
-// without building the slice, and captures the trace's MaxNode along the
-// way.
-func newRecordingView(data []byte, unmap func() error) (*RecordingView, error) {
 	env, err := parseBinaryEnvelope(data)
 	if err != nil {
 		return nil, err
@@ -93,7 +72,6 @@ func newRecordingView(data []byte, unmap func() error) (*RecordingView, error) {
 		meta:    RecordingMeta{ScanInterval: env.scanInterval, Duration: env.duration, Transitions: int(env.count)},
 		stream:  env.stream,
 		maxNode: maxNode,
-		unmap:   unmap,
 	}, nil
 }
 
@@ -117,8 +95,8 @@ func (v *RecordingView) cursor() binCursor {
 
 // Materialize decodes the view into a standalone in-memory Recording —
 // for callers that need the slice form (plan export, inspection) of a
-// trace they otherwise replay zero-copy. The result is independent of the
-// view's backing memory and stays valid after Close.
+// trace they otherwise replay through a cursor. The result is independent
+// of the view's bytes and stays valid after Close.
 func (v *RecordingView) Materialize() *Recording {
 	rec := &Recording{ScanInterval: v.meta.ScanInterval, Duration: v.meta.Duration}
 	if v.meta.Transitions > 0 {
@@ -134,15 +112,9 @@ func (v *RecordingView) Materialize() *Recording {
 	}
 }
 
-// Close releases the file mapping, if any. Idempotent; must not race live
-// replays (the mapped pages vanish under them).
+// Close marks the view closed: a replay or Materialize that starts after
+// it panics. Idempotent; must not race live replays.
 func (v *RecordingView) Close() error {
-	v.closeOnce.Do(func() {
-		v.closed = true
-		if v.unmap != nil {
-			v.closeErr = v.unmap()
-			v.unmap = nil
-		}
-	})
-	return v.closeErr
+	v.closed = true
+	return nil
 }

@@ -92,7 +92,7 @@ func TestRecordingViewEmptyTrace(t *testing.T) {
 	}
 }
 
-// TestOpenRecordingView: the mmap-backed open path round-trips a persisted
+// TestOpenRecordingView: the file-backed open path round-trips a persisted
 // trace, Close is idempotent, and a missing file is os.IsNotExist.
 func TestOpenRecordingView(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 90)
@@ -103,7 +103,7 @@ func TestOpenRecordingView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := v.Materialize(); !reflect.DeepEqual(got, rec) {
-		t.Fatal("mmap view materialized a different recording")
+		t.Fatal("opened view materialized a different recording")
 	}
 	if err := v.Close(); err != nil {
 		t.Fatal(err)
@@ -117,8 +117,53 @@ func TestOpenRecordingView(t *testing.T) {
 	}
 }
 
+// TestOpenedViewIgnoresLaterFileWrites: a view holds its own copy of the
+// bytes it validated, so overwriting the file in place after open (same
+// length, no truncation) changes neither what the view materializes nor
+// what a medium replays from it.
+func TestOpenedViewIgnoresLaterFileWrites(t *testing.T) {
+	rec, live := liveRecording(t, crossingEntities(), 120)
+	path := writeTempTrace(t, rec)
+	v, err := OpenRecordingView(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := make([]byte, len(EncodeBinary(rec)))
+	for i := range junk {
+		junk[i] = 0xff
+	}
+	if _, err := f.WriteAt(junk, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := v.Materialize(); !reflect.DeepEqual(got, rec) {
+		t.Fatal("view changed after its file was overwritten")
+	}
+	s := event.NewScheduler()
+	m := NewMedium(s, testCfg())
+	h := &recorder{}
+	m.SetHandler(h)
+	for _, e := range crossingEntities() {
+		m.Add(e)
+	}
+	m.StartReplay(0, v)
+	s.RunUntil(120)
+	if !reflect.DeepEqual(h.ups, live.ups) || !reflect.DeepEqual(h.downs, live.downs) {
+		t.Fatal("replay of the view diverged after its file was overwritten")
+	}
+}
+
 // TestViewRejectsWhatDecodeRejects: for every truncation offset of a real
-// trace, the mmap-backed open path reaches the same verdict as decoding
+// trace, the file-backed open path reaches the same verdict as decoding
 // the bytes in memory, and the complete file is the only one accepted.
 func TestViewRejectsWhatDecodeRejects(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 120)
@@ -189,7 +234,7 @@ func TestViewHugeNodeIDs(t *testing.T) {
 }
 
 // TestViewCursorAfterCloseMisuse: replaying a closed view is a caller bug
-// and panics in StartReplay instead of reading unmapped memory.
+// and panics in StartReplay.
 func TestViewCursorAfterCloseMisuse(t *testing.T) {
 	rec, _ := liveRecording(t, crossingEntities(), 90)
 	v, err := OpenRecordingView(writeTempTrace(t, rec))

@@ -288,7 +288,7 @@ func (m *Medium) TakeRecording(duration float64) *Recording {
 //
 // v is a validated view; the medium takes its own cursor over it, so any
 // number of replaying media may share one view, and a decode failure
-// (the view's backing file changed) panics. The view's scan interval must
+// (bytes changed under a NewRecordingView view) panics. The view's scan interval must
 // equal the medium's, and its MaxNode must be a registered node; either
 // violation panics here, as a scenario-assembly bug. Start, StartPlan and
 // StartReplay are mutually exclusive.

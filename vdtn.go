@@ -36,7 +36,8 @@
 // it produces the trace from mobility alone (no routing, no traffic) at a
 // fraction of a full run's cost. Every replay reads a ContactRecordingView:
 // NewContactRecordingView over the recording's binary encoding, or
-// OpenContactRecordingView over a persisted one. Setting
+// OpenContactRecordingView over a persisted file, which it reads into
+// memory and validates once. Setting
 // Config.ReplaySource to the view drives a run's contacts from the trace
 // instead of mobility. A replayed run is bit-identical to the live run —
 // same Result, same event trace — but skips all position and proximity
@@ -233,15 +234,14 @@ type (
 	// ContactCache memoizes recorded traces by scenario fingerprint for
 	// the experiment harness (ExperimentOptions.ContactCache). With Dir
 	// set it persists traces in a sharded directory and serves them on
-	// later runs as zero-copy ContactRecordingView values; MaxBytes bounds
+	// later runs as ContactRecordingView values; MaxBytes bounds
 	// the store with LRU eviction by file mtime.
 	ContactCache = experiments.ContactCache
 	// ContactRecordingView is a read-only view of a binary trace — the
 	// only decoder of the trace format and the only thing a replay run
 	// reads (assign one to Config.ReplaySource): validated once at open,
 	// replayed with zero per-run trace allocation, shareable across
-	// concurrent runs and — when mmap-backed, through the page cache —
-	// across processes. Materialize yields the in-memory ContactRecording.
+	// concurrent runs. Materialize yields the in-memory ContactRecording.
 	ContactRecordingView = wireless.RecordingView
 	// ContactRecordingMeta is a trace's fixed-size description (scan
 	// interval, horizon, transition count).
@@ -282,11 +282,11 @@ func NewContactRecordingView(data []byte) (*ContactRecordingView, error) {
 	return wireless.NewRecordingView(data)
 }
 
-// OpenContactRecordingView memory-maps the binary trace at path and
+// OpenContactRecordingView reads the binary trace at path into memory and
 // validates it once (CRC32, count, structural rules). The returned view
-// replays bit-identically to the recording it was encoded from; Close
-// releases the mapping. Truncated or corrupt files are reported as errors,
-// never decoded as a shorter trace.
+// replays bit-identically to the recording it was encoded from, whatever
+// happens to the file afterwards. Truncated or corrupt files are reported
+// as errors, never decoded as a shorter trace.
 func OpenContactRecordingView(path string) (*ContactRecordingView, error) {
 	return wireless.OpenRecordingView(path)
 }
