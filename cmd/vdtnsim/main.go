@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 
@@ -41,28 +42,43 @@ import (
 	"vdtn/internal/profiling"
 	"vdtn/internal/reports"
 	"vdtn/internal/scenario"
+	"vdtn/internal/sim"
 	"vdtn/internal/stats"
 	"vdtn/internal/trace"
 	"vdtn/internal/units"
 )
 
+// axisFlags maps each scalar scenario flag to the sweep axis that applies
+// it, so the flag shares the axis's unit conversion.
+var axisFlags = [...]struct{ flag, axis string }{
+	{"ttl", "ttl_min"},
+	{"vehicles", "vehicles"},
+	{"relays", "relays"},
+	{"buf", "vehicle_buffer_mb"},
+	{"relaybuf", "relay_buffer_mb"},
+	{"rate", "rate_mbit"},
+	{"range", "range_m"},
+	{"copies", "copies"},
+	{"warmup", "warmup_min"},
+}
+
 func main() {
-	protoNames := strings.Join(scenario.ProtocolNames(), "|")
-	polNames := strings.Join(scenario.PolicyNames(), "|")
+	protoNames := strings.Join(sim.ProtocolKeys(), "|")
+	polNames := strings.Join(sim.PolicyKeys(), "|")
 	var (
 		protoName = flag.String("protocol", "epidemic", "routing protocol: "+protoNames)
 		polName   = flag.String("policy", "fifo", "scheduling-dropping policy: "+polNames)
-		ttlMin    = flag.Float64("ttl", 60, "message TTL in minutes")
+		_         = flag.Float64("ttl", 60, "message TTL in minutes")
 		durationH = flag.Float64("duration", 12, "simulated duration in hours")
 		seed      = flag.Uint64("seed", 1, "master random seed")
-		vehicles  = flag.Int("vehicles", 40, "number of vehicles")
-		relays    = flag.Int("relays", 5, "number of stationary relay nodes")
-		vbufMB    = flag.Float64("buf", 100, "vehicle buffer size in MB")
-		rbufMB    = flag.Float64("relaybuf", 500, "relay buffer size in MB")
-		rateMbit  = flag.Float64("rate", 6, "link data rate in Mbit/s")
-		rangeM    = flag.Float64("range", 30, "radio range in metres")
-		copies    = flag.Int("copies", 12, "Spray and Wait copy budget N")
-		warmupMin = flag.Float64("warmup", 0, "exclude messages created before this many minutes")
+		_         = flag.Int("vehicles", 40, "number of vehicles")
+		_         = flag.Int("relays", 5, "number of stationary relay nodes")
+		_         = flag.Float64("buf", 100, "vehicle buffer size in MB")
+		_         = flag.Float64("relaybuf", 500, "relay buffer size in MB")
+		_         = flag.Float64("rate", 6, "link data rate in Mbit/s")
+		_         = flag.Float64("range", 30, "radio range in metres")
+		_         = flag.Int("copies", 12, "Spray and Wait copy budget N")
+		_         = flag.Float64("warmup", 0, "exclude messages created before this many minutes")
 		contacts  = flag.String("contacts", "", "contact-plan file (\"start end a b\" lines); replaces mobility")
 		recordTo  = flag.String("record-contacts", "", "record the contact trace from mobility alone, write it to this file for later -replay-contacts, and run the scenario replaying it")
 		replayOf  = flag.String("replay-contacts", "", "replay a recorded contact trace instead of simulating mobility (scenario flags must match the recording run)")
@@ -77,18 +93,18 @@ func main() {
 	)
 	flag.Parse()
 
-	proto, ok := scenario.ProtocolByName(strings.ToLower(*protoName))
+	proto, ok := sim.ParseProtocol(strings.ToLower(*protoName))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "vdtnsim: unknown protocol %q (want %s)\n", *protoName, protoNames)
 		os.Exit(2)
 	}
-	pol, ok := scenario.PolicyByName(strings.ToLower(*polName))
+	pol, ok := sim.ParsePolicy(strings.ToLower(*polName))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "vdtnsim: unknown policy %q (want %s)\n", *polName, polNames)
 		os.Exit(2)
 	}
 
-	cfg := vdtn.PaperConfig(*ttlMin, proto, pol, *seed)
+	cfg := vdtn.DefaultConfig()
 	if *confFile != "" {
 		data, err := os.ReadFile(*confFile)
 		if err != nil {
@@ -110,38 +126,20 @@ func main() {
 	if *confFile == "" || set["policy"] {
 		cfg.Policy = pol
 	}
-	if *confFile == "" || set["ttl"] {
-		cfg.TTL = units.Minutes(*ttlMin)
-	}
 	if *confFile == "" || set["seed"] {
 		cfg.Seed = *seed
 	}
 	if *confFile == "" || set["duration"] {
 		cfg.Duration = units.Hours(*durationH)
 	}
-	if *confFile == "" || set["vehicles"] {
-		cfg.Vehicles = *vehicles
-	}
-	if *confFile == "" || set["relays"] {
-		cfg.Relays = *relays
-	}
-	if *confFile == "" || set["buf"] {
-		cfg.VehicleBuffer = units.MB(*vbufMB)
-	}
-	if *confFile == "" || set["relaybuf"] {
-		cfg.RelayBuffer = units.MB(*rbufMB)
-	}
-	if *confFile == "" || set["rate"] {
-		cfg.Rate = units.Mbit(*rateMbit)
-	}
-	if *confFile == "" || set["range"] {
-		cfg.Range = *rangeM
-	}
-	if *confFile == "" || set["copies"] {
-		cfg.SprayCopies = *copies
-	}
-	if *confFile == "" || set["warmup"] {
-		cfg.Warmup = units.Minutes(*warmupMin)
+	for _, af := range axisFlags {
+		if *confFile == "" || set[af.flag] {
+			// Every axis flag is an int or a float, whose String
+			// round-trips exactly through ParseFloat.
+			v, _ := strconv.ParseFloat(flag.Lookup(af.flag).Value.String(), 64)
+			axis, _ := scenario.AxisByName(af.axis)
+			axis.Apply(&cfg, v)
+		}
 	}
 	if *dumpConf {
 		data, err := scenario.Save("vdtnsim", cfg)

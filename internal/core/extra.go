@@ -16,8 +16,8 @@ type SizeASCSchedule struct{}
 // Name implements SchedulingPolicy.
 func (SizeASCSchedule) Name() string { return "SizeASC" }
 
-// Order implements SchedulingPolicy.
-func (s SizeASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
+// Order implements SchedulingPolicy: msgs arrive in SizeASC order.
+func (SizeASCSchedule) Order(float64, []*bundle.Message) {}
 
 // Compare implements SchedulingPolicy: smaller first.
 func (SizeASCSchedule) Compare(a, b *bundle.Message) int {
@@ -32,8 +32,8 @@ type HopCountASCSchedule struct{}
 // Name implements SchedulingPolicy.
 func (HopCountASCSchedule) Name() string { return "HopASC" }
 
-// Order implements SchedulingPolicy.
-func (s HopCountASCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
+// Order implements SchedulingPolicy: msgs arrive in HopASC order.
+func (HopCountASCSchedule) Order(float64, []*bundle.Message) {}
 
 // Compare implements SchedulingPolicy: fewer hops first.
 func (HopCountASCSchedule) Compare(a, b *bundle.Message) int {

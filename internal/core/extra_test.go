@@ -15,7 +15,7 @@ func TestSizeASCScheduleOrder(t *testing.T) {
 		bundle.New(2, 0, 1, units.KB(500), 0, 3600),
 		bundle.New(3, 0, 1, units.MB(1), 0, 3600),
 	}
-	SizeASCSchedule{}.Order(0, msgs)
+	order(SizeASCSchedule{}, 0, msgs)
 	want := []bundle.ID{2, 3, 1}
 	for i, m := range msgs {
 		if m.ID != want[i] {
@@ -32,7 +32,7 @@ func TestHopCountASCScheduleOrder(t *testing.T) {
 	c := mk(3, 0, 0, 3600)
 	c.HopCount = 2
 	msgs := []*bundle.Message{a, b, c}
-	HopCountASCSchedule{}.Order(0, msgs)
+	order(HopCountASCSchedule{}, 0, msgs)
 	want := []bundle.ID{2, 3, 1}
 	for i, m := range msgs {
 		if m.ID != want[i] {
@@ -121,7 +121,7 @@ func TestAllPoliciesWellFormed(t *testing.T) {
 		now := 2000.0
 		for _, s := range schedules {
 			msgs := build()
-			s.Order(now, msgs)
+			order(s, now, msgs)
 			seen := map[bundle.ID]bool{}
 			for _, m := range msgs {
 				if seen[m.ID] {

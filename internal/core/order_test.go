@@ -60,10 +60,9 @@ func permutations(msgs []*bundle.Message, fn func([]*bundle.Message)) {
 }
 
 // TestScheduleOrderIndependentOfInputOrder pins what routers rely on when
-// they hand Order their buffer's sorted replicas instead of insertion
-// order: for every schedule, every permutation of one message set orders
-// to the same output, and Random consumes the same draws whatever the
-// input order.
+// they sort their buffer by Compare and hand Order the result: for every
+// schedule, every permutation of one message set orders to the same
+// output, and Random consumes the same draws whatever the permutation.
 func TestScheduleOrderIndependentOfInputOrder(t *testing.T) {
 	const now, seed = 1000.0, 42
 	msgs := orderFixture()
@@ -78,12 +77,12 @@ func TestScheduleOrderIndependentOfInputOrder(t *testing.T) {
 		t.Run(mkSchedule(nil).Name(), func(t *testing.T) {
 			refRng := xrand.New(seed)
 			ref := slices.Clone(msgs)
-			mkSchedule(refRng).Order(now, ref)
+			order(mkSchedule(refRng), now, ref)
 			perms := 0
 			permutations(msgs, func(p []*bundle.Message) {
 				perms++
 				rng := xrand.New(seed)
-				mkSchedule(rng).Order(now, p)
+				order(mkSchedule(rng), now, p)
 				if !slices.Equal(p, ref) {
 					t.Fatalf("permutation %d ordered to %v, want %v", perms, ids(p), ids(ref))
 				}
@@ -98,20 +97,20 @@ func TestScheduleOrderIndependentOfInputOrder(t *testing.T) {
 	}
 }
 
-// TestScheduleCompareAgreesWithOrder checks Compare is the order Order
-// produces: a strict total order on the fixture, with Order's output
-// strictly ascending under it, and Random's Compare the FIFO order its
-// shuffle starts from.
+// TestScheduleCompareAgreesWithOrder checks Compare is a strict total
+// order on the fixture, that a deterministic Order leaves input in Compare
+// order untouched, and that Random's Compare is the FIFO order its shuffle
+// starts from.
 func TestScheduleCompareAgreesWithOrder(t *testing.T) {
 	const now = 1000.0
 	msgs := orderFixture()
 	for _, s := range []SchedulingPolicy{FIFOSchedule{}, LifetimeDESCSchedule{}, SizeASCSchedule{}, HopCountASCSchedule{}} {
-		out := slices.Clone(msgs)
+		sorted := slices.Clone(msgs)
+		slices.SortFunc(sorted, s.Compare)
+		out := slices.Clone(sorted)
 		s.Order(now, out)
-		for i := 1; i < len(out); i++ {
-			if s.Compare(out[i-1], out[i]) >= 0 {
-				t.Fatalf("%s: Order output %v not strictly ascending under Compare at %d", s.Name(), ids(out), i)
-			}
+		if !slices.Equal(out, sorted) {
+			t.Fatalf("%s: Order moved Compare-ordered input %v to %v", s.Name(), ids(sorted), ids(out))
 		}
 		for _, a := range msgs {
 			for _, b := range msgs {
@@ -137,38 +136,11 @@ func TestScheduleCompareAgreesWithOrder(t *testing.T) {
 		t.Fatal("Random Compare drew from its stream")
 	}
 	got := slices.Clone(msgs)
-	random.Order(now, got)
+	order(random, now, got)
 	want := slices.Clone(msgs)
 	slices.SortFunc(want, random.Compare)
 	xrand.New(5).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
 	if !slices.Equal(got, want) {
 		t.Fatalf("Random Order = %v, want its Compare order shuffled: %v", ids(got), ids(want))
-	}
-}
-
-// TestSortBySortedInputUntouched checks the fast path: input already in
-// Compare order costs one linear pass of comparisons and no writes.
-func TestSortBySortedInputUntouched(t *testing.T) {
-	const now = 1000.0
-	for _, s := range []SchedulingPolicy{FIFOSchedule{}, LifetimeDESCSchedule{}, SizeASCSchedule{}, HopCountASCSchedule{}} {
-		sorted := orderFixture()
-		s.Order(now, sorted)
-		in := slices.Clone(sorted)
-		calls := 0
-		sortBy(in, func(a, b *bundle.Message) int {
-			calls++
-			return s.Compare(a, b)
-		})
-		if !slices.Equal(in, sorted) || calls != len(in)-1 {
-			t.Fatalf("%s: sorted input took %d comparisons (want %d) and came back %v", s.Name(), calls, len(in)-1, ids(in))
-		}
-
-		// Unsorted input still sorts, stably.
-		in = slices.Clone(sorted)
-		slices.Reverse(in)
-		sortBy(in, s.Compare)
-		if !slices.Equal(in, sorted) {
-			t.Fatalf("%s: reversed input sorted to %v, want %v", s.Name(), ids(in), ids(sorted))
-		}
 	}
 }

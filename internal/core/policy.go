@@ -14,39 +14,30 @@ package core
 
 import (
 	"cmp"
-	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/xrand"
 )
 
 // SchedulingPolicy orders candidate messages for transmission at a contact
-// opportunity. Order sorts msgs in place into transmission order (first
-// element transmitted first). Implementations must be deterministic given
-// their inputs (the Random policy draws from an injected stream).
+// opportunity. Order receives msgs in Compare order and puts them in place
+// into transmission order (first element transmitted first).
+// Implementations must be deterministic given their inputs (the Random
+// policy draws from an injected stream).
 //
 // Compare is the side-effect-free order behind Order: negative when a goes
 // before b. It must be a total order on distinct message ids (ties broken
 // by id), so the order of a set of messages does not depend on the order
 // they arrive in, and it may read only fields fixed while a replica is
 // stored, so the order does not depend on the time either. Routers keep
-// their buffer sorted by Compare (buffer.Store.SortBy) and hand Order input
-// that is already in Compare order; a deterministic Order then returns it
-// untouched. A policy whose Order draws from a stream (Random) returns the
-// order it shuffles from.
+// their buffer sorted by Compare (buffer.Store.SortBy) and hand Order
+// groups filtered from it, so a deterministic Order has nothing left to
+// do; a policy whose Order draws from a stream (Random) shuffles that
+// order.
 type SchedulingPolicy interface {
 	Name() string
 	Order(now float64, msgs []*bundle.Message)
 	Compare(a, b *bundle.Message) int
-}
-
-// sortBy sorts msgs by cmp, stably. Input already in order, the common
-// case when a router passes its buffer's sorted replicas, is left
-// untouched after one linear check.
-func sortBy(msgs []*bundle.Message, cmp func(a, b *bundle.Message) int) {
-	if !slices.IsSortedFunc(msgs, cmp) {
-		slices.SortStableFunc(msgs, cmp)
-	}
 }
 
 // byKey orders by ka against kb, then by message id.
@@ -85,8 +76,8 @@ type FIFOSchedule struct{}
 // Name implements SchedulingPolicy.
 func (FIFOSchedule) Name() string { return "FIFO" }
 
-// Order implements SchedulingPolicy.
-func (s FIFOSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
+// Order implements SchedulingPolicy: msgs arrive in FIFO order.
+func (FIFOSchedule) Order(float64, []*bundle.Message) {}
 
 // Compare implements SchedulingPolicy: earlier buffer arrival first.
 func (FIFOSchedule) Compare(a, b *bundle.Message) int {
@@ -104,14 +95,13 @@ type RandomSchedule struct {
 // Name implements SchedulingPolicy.
 func (RandomSchedule) Name() string { return "Random" }
 
-// Order implements SchedulingPolicy.
+// Order implements SchedulingPolicy: it shuffles msgs from the Compare
+// order they arrive in, so the result depends only on the stream state and
+// the set of messages.
 func (r RandomSchedule) Order(now float64, msgs []*bundle.Message) {
 	if r.Rng == nil {
 		panic("core: RandomSchedule with nil rng")
 	}
-	// Shuffle from a canonical order so the result depends only on the
-	// stream state and the set of messages, not on caller-supplied order.
-	FIFOSchedule{}.Order(now, msgs)
 	r.Rng.Shuffle(len(msgs), func(i, j int) { msgs[i], msgs[j] = msgs[j], msgs[i] })
 }
 
@@ -128,8 +118,8 @@ type LifetimeDESCSchedule struct{}
 // Name implements SchedulingPolicy.
 func (LifetimeDESCSchedule) Name() string { return "LifetimeDESC" }
 
-// Order implements SchedulingPolicy.
-func (s LifetimeDESCSchedule) Order(now float64, msgs []*bundle.Message) { sortBy(msgs, s.Compare) }
+// Order implements SchedulingPolicy: msgs arrive in LifetimeDESC order.
+func (LifetimeDESCSchedule) Order(float64, []*bundle.Message) {}
 
 // Compare implements SchedulingPolicy: more remaining TTL first. At any
 // one instant remaining lifetime is the deadline minus now, so Compare

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +16,12 @@ func mk(id bundle.ID, receivedAt, created, ttl float64) *bundle.Message {
 	m := bundle.New(id, 0, 1, units.KB(500), created, ttl)
 	m.ReceivedAt = receivedAt
 	return m
+}
+
+// order runs s the way routers do: msgs sorted by Compare, then Order.
+func order(s SchedulingPolicy, now float64, msgs []*bundle.Message) {
+	slices.SortFunc(msgs, s.Compare)
+	s.Order(now, msgs)
 }
 
 func ids(msgs []*bundle.Message) []bundle.ID {
@@ -31,7 +38,7 @@ func TestFIFOScheduleOrdersByArrival(t *testing.T) {
 		mk(2, 100, 0, 3600),
 		mk(3, 200, 0, 3600),
 	}
-	FIFOSchedule{}.Order(500, msgs)
+	order(FIFOSchedule{}, 500, msgs)
 	want := []bundle.ID{2, 3, 1}
 	for i, id := range ids(msgs) {
 		if id != want[i] {
@@ -46,7 +53,7 @@ func TestFIFOScheduleTieBreaksOnID(t *testing.T) {
 		mk(2, 100, 0, 3600),
 		mk(5, 100, 0, 3600),
 	}
-	FIFOSchedule{}.Order(500, msgs)
+	order(FIFOSchedule{}, 500, msgs)
 	want := []bundle.ID{2, 5, 9}
 	for i, id := range ids(msgs) {
 		if id != want[i] {
@@ -62,7 +69,7 @@ func TestLifetimeDESCOrdersByRemainingTTL(t *testing.T) {
 		mk(2, 0, 0, units.Minutes(90)),   // expires 5400, remaining 4400
 		mk(3, 0, 900, units.Minutes(10)), // expires 1500, remaining 500
 	}
-	LifetimeDESCSchedule{}.Order(now, msgs)
+	order(LifetimeDESCSchedule{}, now, msgs)
 	want := []bundle.ID{2, 1, 3} // longest remaining TTL first
 	for i, id := range ids(msgs) {
 		if id != want[i] {
@@ -79,7 +86,7 @@ func TestLifetimeDESCIsTimeDependent(t *testing.T) {
 	a := mk(1, 0, 0, units.Minutes(60))    // expires 3600
 	b := mk(2, 0, 3000, units.Minutes(20)) // expires 4200
 	msgs := []*bundle.Message{a, b}
-	LifetimeDESCSchedule{}.Order(3500, msgs)
+	order(LifetimeDESCSchedule{}, 3500, msgs)
 	if msgs[0].ID != 2 {
 		t.Fatalf("remaining-TTL ordering wrong: got %v first (total-TTL ordering?)", msgs[0].ID)
 	}
@@ -98,7 +105,7 @@ func TestLifetimePoliciesOrderRoundingTiesByDeadline(t *testing.T) {
 			t.Fatal("fixture: remaining lifetimes do not round to a tie")
 		}
 		msgs := []*bundle.Message{early, late}
-		LifetimeDESCSchedule{}.Order(now, msgs)
+		order(LifetimeDESCSchedule{}, now, msgs)
 		if msgs[0] != late {
 			t.Errorf("ids %v: LifetimeDESC sent %v first, want the later deadline %v", id, msgs[0].ID, late.ID)
 		}
@@ -139,8 +146,8 @@ func TestRandomScheduleReproducible(t *testing.T) {
 		return msgs
 	}
 	m1, m2 := build(), build()
-	RandomSchedule{Rng: xrand.New(7)}.Order(0, m1)
-	RandomSchedule{Rng: xrand.New(7)}.Order(0, m2)
+	order(RandomSchedule{Rng: xrand.New(7)}, 0, m1)
+	order(RandomSchedule{Rng: xrand.New(7)}, 0, m2)
 	for i := range m1 {
 		if m1[i].ID != m2[i].ID {
 			t.Fatal("RandomSchedule not reproducible for equal streams")
@@ -149,13 +156,14 @@ func TestRandomScheduleReproducible(t *testing.T) {
 }
 
 func TestRandomScheduleCallerOrderIndependent(t *testing.T) {
-	// The shuffled result must not depend on the incoming slice order,
-	// only on the message set and the stream.
+	// Handed over in Compare order, as Order requires, the shuffled
+	// result depends only on the message set and the stream, not on the
+	// order the caller held the messages in.
 	a := []*bundle.Message{mk(1, 10, 0, 60), mk(2, 20, 0, 60), mk(3, 30, 0, 60)}
 	b := []*bundle.Message{a[2], a[0], a[1]}
 	a2 := append([]*bundle.Message(nil), a...)
-	RandomSchedule{Rng: xrand.New(3)}.Order(0, a2)
-	RandomSchedule{Rng: xrand.New(3)}.Order(0, b)
+	order(RandomSchedule{Rng: xrand.New(3)}, 0, a2)
+	order(RandomSchedule{Rng: xrand.New(3)}, 0, b)
 	for i := range a2 {
 		if a2[i].ID != b[i].ID {
 			t.Fatal("RandomSchedule depends on caller slice order")
@@ -230,7 +238,7 @@ func TestLifetimePoliciesAreDuals(t *testing.T) {
 		}
 		now := 1500.0
 		victim := msgs[LifetimeASCDrop{}.Victim(now, msgs)]
-		LifetimeDESCSchedule{}.Order(now, msgs)
+		order(LifetimeDESCSchedule{}, now, msgs)
 		return msgs[len(msgs)-1].ID == victim.ID
 	}, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -40,6 +40,7 @@ func cacheExperiment() Experiment {
 	return Experiment{
 		ID:     "cache-test",
 		Title:  "cache test sweep",
+		Base:   cacheConfig,
 		Axis:   "ttl_min",
 		Xs:     []float64{10, 15, 20},
 		Metric: MetricDeliveryProb,
@@ -67,7 +68,7 @@ func traceOf(t *testing.T, cc *ContactCache, cfg sim.Config) (*wireless.Recordin
 // uncached one.
 func TestCachedRunMatchesUncached(t *testing.T) {
 	exp := cacheExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
+	opt := Options{Seeds: []uint64{1, 2}}
 
 	plain := mustRun(t, exp, opt)
 
@@ -157,7 +158,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 func TestCacheRaceUnderWorkerPool(t *testing.T) {
 	cache := &ContactCache{}
 	exp := cacheExperiment()
-	tbl := mustRun(t, exp, Options{Seeds: []uint64{1, 2, 3}, Workers: 8, BaseConfig: cacheConfig, ContactCache: cache})
+	tbl := mustRun(t, exp, Options{Seeds: []uint64{1, 2, 3}, Workers: 8, ContactCache: cache})
 	if len(tbl.Series) != 3 {
 		t.Fatalf("series = %d, want 3", len(tbl.Series))
 	}
@@ -243,7 +244,7 @@ func (c *cacheEventCounter) CacheEvent(ev CacheEvent) {
 // the uncached table.
 func TestRunnerOpensEachPersistedTraceOnce(t *testing.T) {
 	exp := cacheExperiment()
-	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 4, BaseConfig: cacheConfig}
+	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 4}
 	plain := mustRun(t, exp, opt)
 
 	dir := t.TempDir()
@@ -392,7 +393,7 @@ func TestPrewarmRecordsInParallelOnce(t *testing.T) {
 		t.Fatalf("prewarm held %d traces over %d passes, want 3 over 3", cache.Len(), cache.Recorded())
 	}
 	// The sweep itself now only hits.
-	res, err := RunE(cacheExperiment(), Options{Seeds: []uint64{1, 2, 3}, BaseConfig: cacheConfig, ContactCache: cache})
+	res, err := RunE(cacheExperiment(), Options{Seeds: []uint64{1, 2, 3}, ContactCache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestRunEReportsCellCoordinates(t *testing.T) {
 	exp.Xs = []float64{10, -15, 20}
 	for name, cache := range map[string]*ContactCache{"plain": nil, "cached": {}} {
 		t.Run(name, func(t *testing.T) {
-			_, err := RunE(exp, Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig, ContactCache: cache})
+			_, err := RunE(exp, Options{Seeds: []uint64{1, 2}, ContactCache: cache})
 			if err == nil {
 				t.Fatal("invalid cell did not fail the run")
 			}
@@ -494,7 +495,7 @@ func TestRunEReportsCellCoordinates(t *testing.T) {
 // seed) combination in aggregation order.
 func TestCellConfigs(t *testing.T) {
 	exp := cacheExperiment()
-	cfgs, err := CellConfigs(exp, Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig})
+	cfgs, err := CellConfigs(exp, Options{Seeds: []uint64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

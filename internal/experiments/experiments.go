@@ -116,15 +116,15 @@ type Experiment struct {
 	// Scenarios are the series.
 	Scenarios []Scenario
 	// Base, when non-nil, supplies the scenario template for this
-	// experiment (spec files carry their base scenario here). Nil falls
-	// back to Options.BaseConfig, then sim.DefaultConfig.
+	// experiment (spec files carry their base scenario here). Nil means
+	// sim.DefaultConfig, the paper scenario.
 	Base func() sim.Config
 
 	// baseSpec preserves the scenario file a spec-loaded experiment came
 	// from (sweep/series blocks cleared), so Spec re-emits the base
 	// scenario fields and the dump → edit → reload workflow round-trips
 	// losslessly. Nil for Go-defined experiments, whose base is either
-	// the paper defaults or a code-supplied Base/Options.BaseConfig.
+	// the paper defaults or a code-supplied Base.
 	baseSpec *scenario.File
 }
 
@@ -239,10 +239,6 @@ type Options struct {
 	// Benchmarks use a smaller scale; the shape of the results is
 	// preserved, absolute delays shrink with the horizon.
 	Scale float64
-	// BaseConfig supplies the scenario template; nil falls back to the
-	// experiment's own Base (spec files), then sim.DefaultConfig (the
-	// paper scenario).
-	BaseConfig func() sim.Config
 	// ContactCache, when non-nil, records each distinct (scenario, seed)
 	// mobility process once and replays it for every cell that shares it,
 	// instead of re-simulating vehicle motion and proximity scanning per
@@ -310,18 +306,6 @@ func (o Options) normalizedFor(exp Experiment) (Options, error) {
 	return o.normalized(), nil
 }
 
-// base resolves the scenario template for exp: explicit Options override,
-// then the experiment's own base (spec files), then the paper scenario.
-func (o Options) base(exp Experiment) func() sim.Config {
-	if o.BaseConfig != nil {
-		return o.BaseConfig
-	}
-	if exp.Base != nil {
-		return exp.Base
-	}
-	return sim.DefaultConfig
-}
-
 // job identifies one (series, grid combination, x, seed) cell of a sweep.
 type job struct {
 	scenario int
@@ -364,11 +348,11 @@ func cellResult(exp Experiment, j job, r sim.Result) CellResult {
 // settings. Unknown axes surface here, so the runner reports them with
 // the failing cell's coordinates.
 func cellConfig(exp Experiment, opt Options, j job) (sim.Config, error) {
-	cfg := opt.base(exp)()
-	cfg.Duration *= opt.Scale
-	if cfg.MessageGenEnd > 0 {
-		cfg.MessageGenEnd *= opt.Scale
+	cfg := sim.DefaultConfig()
+	if exp.Base != nil {
+		cfg = exp.Base()
 	}
+	cfg.Duration *= opt.Scale
 	sc := exp.Scenarios[j.scenario]
 	cfg.Protocol = sc.Protocol
 	cfg.Policy = sc.Policy

@@ -27,6 +27,7 @@ func tinyExperiment() Experiment {
 	return Experiment{
 		ID:     "tiny",
 		Title:  "harness test",
+		Base:   tinyBase,
 		Axis:   "ttl_min",
 		Xs:     []float64{10, 20},
 		Metric: MetricDeliveryProb,
@@ -55,7 +56,7 @@ func TestCatalogIntegrity(t *testing.T) {
 			t.Fatalf("experiment %s invalid: %v", e.ID, err)
 		}
 		if _, ok := scenario.AxisByName(e.Axis); !ok {
-			t.Fatalf("experiment %s sweeps unregistered axis %q", e.ID, e.Axis)
+			t.Fatalf("experiment %s sweeps unknown axis %q", e.ID, e.Axis)
 		}
 	}
 	for _, id := range []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9"} {
@@ -136,10 +137,10 @@ func TestUnknownMetricIsErrorNotPanic(t *testing.T) {
 	}
 	exp := tinyExperiment()
 	exp.Metric = "nonsense"
-	if _, err := RunE(exp, Options{BaseConfig: tinyBase}); err == nil || !strings.Contains(err.Error(), "nonsense") {
+	if _, err := RunE(exp, Options{}); err == nil || !strings.Contains(err.Error(), "nonsense") {
 		t.Fatalf("RunE error = %v, want unknown-metric", err)
 	}
-	res, err := RunE(tinyExperiment(), Options{BaseConfig: tinyBase})
+	res, err := RunE(tinyExperiment(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +154,12 @@ func TestUnknownMetricIsErrorNotPanic(t *testing.T) {
 func TestUnknownAxisIsError(t *testing.T) {
 	exp := tinyExperiment()
 	exp.Axis = "warp_factor"
-	if _, err := RunE(exp, Options{BaseConfig: tinyBase}); err == nil || !strings.Contains(err.Error(), "warp_factor") {
+	if _, err := RunE(exp, Options{}); err == nil || !strings.Contains(err.Error(), "warp_factor") {
 		t.Fatalf("RunE error = %v, want unknown-axis", err)
 	}
 	exp = tinyExperiment()
 	exp.Scenarios[0].Set = []Setting{{Axis: "warp_factor", Value: 9}}
-	_, err := RunE(exp, Options{BaseConfig: tinyBase})
+	_, err := RunE(exp, Options{})
 	if err == nil || !strings.Contains(err.Error(), "warp_factor") || !strings.Contains(err.Error(), "series") {
 		t.Fatalf("RunE error = %v, want unknown-axis with cell coordinates", err)
 	}
@@ -166,8 +167,7 @@ func TestUnknownAxisIsError(t *testing.T) {
 
 func TestRunAggregates(t *testing.T) {
 	tbl := mustRun(t, tinyExperiment(), Options{
-		Seeds:      []uint64{1, 2, 3},
-		BaseConfig: tinyBase,
+		Seeds: []uint64{1, 2, 3},
 	})
 	if len(tbl.Series) != 2 {
 		t.Fatalf("series count = %d", len(tbl.Series))
@@ -191,7 +191,7 @@ func TestRunAggregates(t *testing.T) {
 // and any metric view renders from the same finished sweep.
 func TestResultsKeepFullCells(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}}
 	res, err := RunE(exp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestResultsKeepFullCells(t *testing.T) {
 // TestResultsJSONArtifact: the machine-readable artifact carries the full
 // per-seed results and every metric's aggregate.
 func TestResultsJSONArtifact(t *testing.T) {
-	res, err := RunE(tinyExperiment(), Options{Seeds: []uint64{1, 2}, BaseConfig: tinyBase})
+	res, err := RunE(tinyExperiment(), Options{Seeds: []uint64{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestResultsJSONArtifact(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	opts := func(workers int) Options {
-		return Options{Seeds: []uint64{1, 2}, Workers: workers, BaseConfig: tinyBase}
+		return Options{Seeds: []uint64{1, 2}, Workers: workers}
 	}
 	serial := mustRun(t, tinyExperiment(), opts(1))
 	parallel := mustRun(t, tinyExperiment(), opts(8))
@@ -272,7 +272,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
-	tbl := mustRun(t, tinyExperiment(), Options{Seeds: []uint64{1}, BaseConfig: tinyBase})
+	tbl := mustRun(t, tinyExperiment(), Options{Seeds: []uint64{1}})
 	text := tbl.Render()
 	for _, want := range []string{"tiny", "ttl(min)", "FIFO-FIFO", "Lifetime", "10", "20"} {
 		if !strings.Contains(text, want) {
@@ -298,12 +298,12 @@ func TestRenderAndCSV(t *testing.T) {
 func TestScaleShortensRuns(t *testing.T) {
 	exp := tinyExperiment()
 	exp.Xs = []float64{20}
-	full := mustRun(t, exp, Options{Seeds: []uint64{1}, BaseConfig: tinyBase})
+	full := mustRun(t, exp, Options{Seeds: []uint64{1}})
 	_ = full
 	// Scale is applied to duration; a scaled run must still work and
 	// produce fewer created messages, which we can only observe through
 	// the metric staying in range here.
-	scaled := mustRun(t, exp, Options{Seeds: []uint64{1}, Scale: 0.5, BaseConfig: tinyBase})
+	scaled := mustRun(t, exp, Options{Seeds: []uint64{1}, Scale: 0.5})
 	if got := scaled.Series[0].Cells[0].Summary.Mean; got < 0 || got > 1 {
 		t.Fatalf("scaled run metric out of range: %v", got)
 	}
@@ -323,18 +323,23 @@ func TestOptionsNormalization(t *testing.T) {
 	if o.Scale != 1 {
 		t.Fatalf("default scale = %v", o.Scale)
 	}
-	// Base resolution: explicit option first, then the experiment's own
-	// base, then the paper defaults.
+	// Base resolution: the experiment's own base, else the paper
+	// defaults.
 	exp := tinyExperiment()
-	if got := o.base(exp)(); got.Vehicles != sim.DefaultConfig().Vehicles {
-		t.Fatalf("default base vehicles = %d", got.Vehicles)
+	exp.Base = nil
+	baseVehicles := func() int {
+		t.Helper()
+		cfgs, err := CellConfigs(exp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfgs[0].Vehicles
+	}
+	if got := baseVehicles(); got != sim.DefaultConfig().Vehicles {
+		t.Fatalf("default base vehicles = %d", got)
 	}
 	exp.Base = func() sim.Config { c := tinyBase(); c.Vehicles = 7; return c }
-	if got := o.base(exp)(); got.Vehicles != 7 {
-		t.Fatalf("experiment base not used: vehicles = %d", got.Vehicles)
-	}
-	o.BaseConfig = tinyBase
-	if got := o.base(exp)(); got.Vehicles != 8 {
-		t.Fatalf("options base not preferred: vehicles = %d", got.Vehicles)
+	if got := baseVehicles(); got != 7 {
+		t.Fatalf("experiment base not used: vehicles = %d", got)
 	}
 }

@@ -118,7 +118,7 @@ func TestProgressObserverThroughRunner(t *testing.T) {
 	var sb strings.Builder
 	exp := tinyExperiment()
 	r := Runner{
-		Options:  Options{Seeds: []uint64{1}, BaseConfig: tinyBase},
+		Options:  Options{Seeds: []uint64{1}},
 		Observer: &ProgressObserver{W: &sb},
 	}
 	if err := r.Run(context.Background(), exp); err != nil {

@@ -46,7 +46,7 @@ func lineEnds(data []byte) []int {
 // boundary.
 func TestReadJSONLPrefixEveryTruncation(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	data := fullJSONLStream(t, exp, opt)
 	ends := lineEnds(data)
 	cells := len(exp.Scenarios) * len(exp.Xs) * 2
@@ -91,7 +91,7 @@ func TestReadJSONLPrefixEveryTruncation(t *testing.T) {
 // boundary and bit-flipped.
 func FuzzReadJSONLPrefix(f *testing.F) {
 	exp := gridExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	full := fullJSONLStream(f, exp, opt)
 	f.Add(full)
 	for _, end := range lineEnds(full) {
@@ -138,7 +138,7 @@ func FuzzReadJSONLPrefix(f *testing.F) {
 // still see the full sweep: prefix cells are re-delivered, not skipped.
 func TestRunnerResumeByteIdentical(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	full := fullJSONLStream(t, exp, opt)
 	ends := lineEnds(full)
 	cells := len(ends) - 2
@@ -186,7 +186,7 @@ func TestRunnerResumeByteIdentical(t *testing.T) {
 // lying footers, or content after the footer.
 func TestReadJSONLPrefixRejectsCorruption(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	full := fullJSONLStream(t, exp, opt)
 	lines := bytes.SplitAfter(full, []byte("\n"))
 	lines = lines[:len(lines)-1] // drop the empty split tail
@@ -271,7 +271,7 @@ func (w *chokedWriter) Write(p []byte) (int, error) {
 // count after a torn line would be wrong.
 func TestJSONLFooterNeverLies(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 2, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 2}
 
 	countStream := func(data []byte) (cellLines int, footer *jsonlFooter) {
 		lines := bytes.SplitAfter(data, []byte("\n"))
@@ -354,7 +354,7 @@ func TestJSONLFooterNeverLies(t *testing.T) {
 // single-runner reference.
 func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 	exp := gridExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	want, err := RunE(exp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 			defer cache.Close()
 			var mem MemorySink
 			r := Runner{
-				Options: Options{Seeds: opt.Seeds, Workers: opt.Workers, BaseConfig: tinyBase, ContactCache: cache},
+				Options: Options{Seeds: opt.Seeds, Workers: opt.Workers, ContactCache: cache},
 				Sink:    &mem,
 			}
 			errs[i] = r.Run(context.Background(), halves[i])
@@ -436,7 +436,7 @@ func TestConcurrentRunnersSharedCacheDir(t *testing.T) {
 // error.
 func TestOpenResume(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 	data := fullJSONLStream(t, exp, opt)
 	ends := lineEnds(data)
 	path := filepath.Join(t.TempDir(), "sweep.jsonl")
@@ -503,7 +503,7 @@ func TestOpenResume(t *testing.T) {
 	}
 
 	// A foreign stream is refused and left alone.
-	foreign := Options{Seeds: []uint64{9}, Workers: 4, BaseConfig: tinyBase}
+	foreign := Options{Seeds: []uint64{9}, Workers: 4}
 	if _, _, err := OpenResume(path, exp, foreign); err == nil || !strings.Contains(err.Error(), "different sweep") {
 		t.Fatalf("foreign stream: err %v, want a refusal", err)
 	}

@@ -13,14 +13,14 @@ import (
 // excludes it, so this is the regression gate on that exclusion.
 func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 	exp := tinyExperiment()
-	wrote := Options{Seeds: []uint64{1, 2}, Workers: 1, BaseConfig: tinyBase}
+	wrote := Options{Seeds: []uint64{1, 2}, Workers: 1}
 	data := fullJSONLStream(t, exp, wrote)
 	cells := len(exp.Scenarios) * len(exp.Xs) * len(wrote.Seeds)
 
 	reads := []Options{
-		{Seeds: wrote.Seeds, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, Workers: 7, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, Workers: 2, BaseConfig: tinyBase},
+		{Seeds: wrote.Seeds},
+		{Seeds: wrote.Seeds, Workers: 7},
+		{Seeds: wrote.Seeds, Workers: 2},
 	}
 	for i, opt := range reads {
 		p, err := ReadJSONLPrefix(data, exp, opt)
@@ -35,8 +35,8 @@ func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 
 	// Seeds and scale ARE sweep identity: the same reads must refuse.
 	for i, opt := range []Options{
-		{Seeds: []uint64{1, 2, 3}, BaseConfig: tinyBase},
-		{Seeds: wrote.Seeds, Scale: 0.5, BaseConfig: tinyBase},
+		{Seeds: []uint64{1, 2, 3}},
+		{Seeds: wrote.Seeds, Scale: 0.5},
 	} {
 		if _, err := ReadJSONLPrefix(data, exp, opt); err == nil {
 			t.Fatalf("identity-changing read %d unexpectedly accepted", i)
@@ -49,7 +49,7 @@ func TestReadJSONLPrefixWorkerKnobsNeverPoisonResume(t *testing.T) {
 	ends := lineEnds(data)
 	cut := ends[1+cells/2] // header + half the cells
 	part := append([]byte(nil), data[:cut]...)
-	resumeOpt := Options{Seeds: wrote.Seeds, Workers: 4, BaseConfig: tinyBase}
+	resumeOpt := Options{Seeds: wrote.Seeds, Workers: 4}
 	p, err := ReadJSONLPrefix(part, exp, resumeOpt)
 	if err != nil {
 		t.Fatal(err)

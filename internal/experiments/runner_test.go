@@ -36,6 +36,7 @@ func gridExperiment() Experiment {
 	return Experiment{
 		ID:     "tiny-grid",
 		Title:  "grid harness test",
+		Base:   tinyBase,
 		Axis:   "ttl_min",
 		Xs:     []float64{10, 20},
 		Grid:   []GridAxis{{Axis: "vehicles", Values: []float64{6, 8}}},
@@ -109,7 +110,7 @@ func TestRunnerObserverLifecycle(t *testing.T) {
 	obs := &recordingObserver{}
 	var mem MemorySink
 	r := Runner{
-		Options:  Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase, ContactCache: &ContactCache{}},
+		Options:  Options{Seeds: []uint64{1, 2}, Workers: 4, ContactCache: &ContactCache{}},
 		Observer: obs,
 		Sink:     &mem,
 	}
@@ -163,7 +164,7 @@ func TestRunnerObserverLifecycle(t *testing.T) {
 // memory sink reproduces RunE exactly.
 func TestRunnerDeliversCellsInAggregationOrder(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 8, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 8}
 	sink := &orderSink{}
 	r := Runner{Options: opt, Sink: sink}
 	if err := r.Run(context.Background(), exp); err != nil {
@@ -187,7 +188,7 @@ func TestRunnerDeliversCellsInAggregationOrder(t *testing.T) {
 func TestGridSweepCells(t *testing.T) {
 	exp := gridExperiment()
 	cache := &ContactCache{}
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase, ContactCache: cache}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, ContactCache: cache}
 	res, err := RunE(exp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +243,7 @@ func TestGridSweepCells(t *testing.T) {
 // fixed setting — the grid is pure enumeration, not new semantics.
 func TestGridMatchesManualSingleAxisSweeps(t *testing.T) {
 	exp := gridExperiment()
-	opt := Options{Seeds: []uint64{1}, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1}}
 	res, err := RunE(exp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestGridMatchesManualSingleAxisSweeps(t *testing.T) {
 func TestRunnerCancellation(t *testing.T) {
 	exp := tinyExperiment()
 	dir := t.TempDir()
-	full, err := RunE(exp, Options{Seeds: []uint64{1, 2}, BaseConfig: tinyBase,
+	full, err := RunE(exp, Options{Seeds: []uint64{1, 2},
 		ContactCache: &ContactCache{Dir: dir}})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +293,7 @@ func TestRunnerCancellation(t *testing.T) {
 	obs := &cancelAfterN{cancel: cancel, after: 3}
 	sink := &orderSink{}
 	r := Runner{
-		Options:  Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase, ContactCache: cache},
+		Options:  Options{Seeds: []uint64{1, 2}, Workers: 4, ContactCache: cache},
 		Observer: obs,
 		Sink:     sink,
 	}
@@ -352,7 +353,7 @@ func (o *cancelAfterN) CellFinished(CellID, time.Duration, error) {
 // sweep produce identical bytes (the golden gate's property).
 func TestJSONLSinkStream(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, Workers: 4, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
 
 	stream := func() []byte {
 		var buf bytes.Buffer
@@ -411,7 +412,7 @@ func TestJSONLSinkCancelledFooter(t *testing.T) {
 	defer cancel()
 	var buf bytes.Buffer
 	r := Runner{
-		Options:  Options{Seeds: []uint64{1, 2}, Workers: 2, BaseConfig: tinyBase},
+		Options:  Options{Seeds: []uint64{1, 2}, Workers: 2},
 		Observer: &cancelAfterN{cancel: cancel, after: 2},
 		Sink:     NewJSONLSink(&buf),
 	}
@@ -437,7 +438,7 @@ func TestJSONLSinkCancelledFooter(t *testing.T) {
 // TestTeeSinkDuplicates: a tee delivers every event to all sinks.
 func TestTeeSinkDuplicates(t *testing.T) {
 	exp := tinyExperiment()
-	opt := Options{Seeds: []uint64{1}, BaseConfig: tinyBase}
+	opt := Options{Seeds: []uint64{1}}
 	var mem MemorySink
 	var buf bytes.Buffer
 	r := Runner{Options: opt, Sink: TeeSink(&mem, NewJSONLSink(&buf))}
@@ -457,7 +458,7 @@ func TestTeeSinkDuplicates(t *testing.T) {
 func TestSinkErrorAbortsSweep(t *testing.T) {
 	exp := tinyExperiment()
 	r := Runner{
-		Options: Options{Seeds: []uint64{1}, BaseConfig: tinyBase},
+		Options: Options{Seeds: []uint64{1}},
 		Sink:    failingSink{},
 	}
 	err := r.Run(context.Background(), exp)

@@ -103,14 +103,14 @@ func FromSpec(f scenario.File) (Experiment, error) {
 	for i, ss := range f.Series {
 		sc := Scenario{Name: ss.Name, Protocol: base.Protocol, Policy: base.Policy}
 		if ss.Protocol != "" {
-			p, ok := scenario.ProtocolByName(ss.Protocol)
+			p, ok := sim.ParseProtocol(ss.Protocol)
 			if !ok {
 				return Experiment{}, fmt.Errorf("experiments: spec %s: series %d: unknown protocol %q", id, i, ss.Protocol)
 			}
 			sc.Protocol = p
 		}
 		if ss.Policy != "" {
-			p, ok := scenario.PolicyByName(ss.Policy)
+			p, ok := sim.ParsePolicy(ss.Policy)
 			if !ok {
 				return Experiment{}, fmt.Errorf("experiments: spec %s: series %d: unknown policy %q", id, i, ss.Policy)
 			}
@@ -252,8 +252,8 @@ func Spec(exp Experiment) (scenario.File, error) {
 	for _, sc := range exp.Scenarios {
 		f.Series = append(f.Series, scenario.SeriesSpec{
 			Name:     sc.Name,
-			Protocol: scenario.ProtocolName(sc.Protocol),
-			Policy:   scenario.PolicyName(sc.Policy),
+			Protocol: sc.Protocol.Key(),
+			Policy:   sc.Policy.Key(),
 			Set:      settingsMap(sc.Set),
 		})
 	}

@@ -59,11 +59,11 @@ func legacyCellConfigs(exp Experiment, opt Options, apply func(c *sim.Config, x 
 	for si := range exp.Scenarios {
 		for xi := range exp.Xs {
 			for _, seed := range opt.Seeds {
-				cfg := opt.base(exp)()
-				cfg.Duration *= opt.Scale
-				if cfg.MessageGenEnd > 0 {
-					cfg.MessageGenEnd *= opt.Scale
+				cfg := sim.DefaultConfig()
+				if exp.Base != nil {
+					cfg = exp.Base()
 				}
+				cfg.Duration *= opt.Scale
 				cfg.Protocol = exp.Scenarios[si].Protocol
 				cfg.Policy = exp.Scenarios[si].Policy
 				cfg.Seed = seed
@@ -111,7 +111,8 @@ func TestCatalogEquivalentToLegacyClosures(t *testing.T) {
 func TestCatalogRunsBitIdenticalToLegacy(t *testing.T) {
 	exp, _ := ByID("ablation-rate")
 	exp.Xs = []float64{1, 4}
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: tinyBase}
+	exp.Base = tinyBase
+	opt := Options{Seeds: []uint64{1, 2}}
 
 	res, err := RunE(exp, opt)
 	if err != nil {
@@ -302,8 +303,7 @@ func TestBuiltinsDumpAndReloadBitIdentical(t *testing.T) {
 }
 
 // TestSpecBaseScenarioFields: a spec's scalar scenario fields become the
-// experiment's base template, overriding the paper defaults but losing to
-// an explicit Options.BaseConfig.
+// experiment's base template, overriding the paper defaults.
 func TestSpecBaseScenarioFields(t *testing.T) {
 	spec := `{
 		"name": "small-fleet",
@@ -337,14 +337,6 @@ func TestSpecBaseScenarioFields(t *testing.T) {
 	}
 	if cfgs[2].Protocol != sim.ProtoSprayAndWait {
 		t.Fatalf("series protocol not applied: %v", cfgs[2].Protocol)
-	}
-	// Explicit Options.BaseConfig wins over the spec base.
-	over, err := CellConfigs(exp, Options{BaseConfig: tinyBase})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if over[0].Vehicles != 8 {
-		t.Fatalf("Options.BaseConfig did not override the spec base: vehicles %d", over[0].Vehicles)
 	}
 }
 
@@ -499,29 +491,6 @@ func TestRegistryMergesBuiltinsAndSpecs(t *testing.T) {
 	}
 	if _, err := r.AddSpec([]byte(`{"sweep": {"id": "mine", "axis": "ttl_min", "values": [90]}}`)); err == nil {
 		t.Fatal("registry accepted two user specs with one id")
-	}
-}
-
-// TestCustomAxisRegistration: a user-registered axis works in experiment
-// definitions and specs, and name collisions are rejected.
-func TestCustomAxisRegistration(t *testing.T) {
-	if err := scenario.RegisterAxis(scenario.NewAxis("test_gen_end_min", "gen end(min)", false,
-		func(c *sim.Config, v float64) { c.MessageGenEnd = units.Minutes(v) })); err != nil {
-		t.Fatal(err)
-	}
-	if err := scenario.RegisterAxis(scenario.NewAxis("ttl_min", "dup", false, func(c *sim.Config, v float64) {})); err == nil {
-		t.Fatal("duplicate axis registration accepted")
-	}
-	exp, err := LoadSpec([]byte(`{"sweep": {"id": "gen-end", "axis": "test_gen_end_min", "values": [10, 20]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs, err := CellConfigs(exp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfgs[0].MessageGenEnd != units.Minutes(10) || cfgs[1].MessageGenEnd != units.Minutes(20) {
-		t.Fatalf("custom axis not applied: %v, %v", cfgs[0].MessageGenEnd, cfgs[1].MessageGenEnd)
 	}
 }
 

@@ -273,13 +273,13 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 func TestCacheDiskSourceServesViews(t *testing.T) {
 	dir := t.TempDir()
 	exp := cacheExperiment()
-	opt := Options{Seeds: []uint64{1, 2}, BaseConfig: cacheConfig}
+	opt := Options{Seeds: []uint64{1, 2}}
 
 	plain := mustRun(t, exp, opt)
 
 	// The first sweep records and persists; the second cache serves the
 	// persisted traces.
-	if _, err := RunE(exp, Options{Seeds: opt.Seeds, BaseConfig: cacheConfig, ContactCache: &ContactCache{Dir: dir}}); err != nil {
+	if _, err := RunE(exp, Options{Seeds: opt.Seeds, ContactCache: &ContactCache{Dir: dir}}); err != nil {
 		t.Fatal(err)
 	}
 	cache := &ContactCache{Dir: dir}

@@ -41,7 +41,7 @@ type Graph struct {
 
 	// Shortest-path cache, one tree per queried source. Guarded by ssspMu:
 	// a graph is assembled single-threaded, but a loaded *Graph is a
-	// shareable value — a sweep's BaseConfig may hand one map to every
+	// shareable value — a sweep's Base may hand one map to every
 	// cell, the contact cache copies it into recording configs, and
 	// callers may run sim.Run in goroutines — so concurrent runs query
 	// ShortestPath/Distance on it at once. The trees themselves are

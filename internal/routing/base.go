@@ -177,9 +177,9 @@ func (r *policyRouter) Refresh(now float64, p Peer) {
 			rest = append(rest, m)
 		}
 	}
-	// Both groups arrive in Compare order, so a deterministic Order
-	// leaves them as they are; Random still shuffles each, drawing
-	// exactly as it would from any other input order.
+	// Both groups keep the buffer's Compare order, the order Order
+	// takes: a deterministic schedule leaves them as they are, and Random
+	// shuffles each.
 	r.schedule.Order(now, deliverable)
 	r.schedule.Order(now, rest)
 	r.queues.set(p.ID(), deliverable, rest)

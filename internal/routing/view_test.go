@@ -122,9 +122,9 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 }
 
 // oldRefresh is Refresh as it was before any sorted order: copy the buffer,
-// filter in insertion order, sort each group with Order. It runs the
-// schedule on a copy of the stream state the real Refresh started from
-// and returns the queue and the state it ends in.
+// filter in insertion order, sort each group by Compare and hand it to
+// Order. It runs the schedule on a copy of the stream state the real
+// Refresh started from and returns the queue and the state it ends in.
 func oldRefresh(now float64, buf *buffer.Store, relay func(*bundle.Message, Peer) bool, p Peer,
 	mkSchedule func(*xrand.Rand) core.SchedulingPolicy, state xrand.Rand) ([]*bundle.Message, xrand.Rand) {
 	var deliverable, rest []*bundle.Message
@@ -138,8 +138,10 @@ func oldRefresh(now float64, buf *buffer.Store, relay func(*bundle.Message, Peer
 		}
 	}
 	s := mkSchedule(&state)
-	s.Order(now, deliverable)
-	s.Order(now, rest)
+	for _, group := range [][]*bundle.Message{deliverable, rest} {
+		slices.SortStableFunc(group, s.Compare)
+		s.Order(now, group)
+	}
 	return append(deliverable, rest...), state
 }
 

@@ -6,7 +6,8 @@ import (
 	"vdtn/internal/sim"
 )
 
-// TestAxisRegistryBasics: lookups, labels and the sorted listing.
+// TestAxisRegistryBasics: the axis table's lookups, labels and sorted
+// listing.
 func TestAxisRegistryBasics(t *testing.T) {
 	for _, name := range []string{"ttl_min", "vehicles", "relays", "buffer_mb", "rate_mbit", "copies", "range_m", "scan_sec"} {
 		a, ok := AxisByName(name)
@@ -35,7 +36,7 @@ func TestAxisRegistryBasics(t *testing.T) {
 }
 
 // TestAxisMovesContactsMatchesFingerprint pins the contact-cache contract
-// the Axis doc comment promises, for every registered axis: applying two
+// the Axis doc comment promises, for every axis: applying two
 // distinct values changes ContactFingerprint exactly when MovesContacts
 // says so. A mislabeled future axis — or a fingerprint edit dropping a
 // mobility input — would make cached sweeps replay one contact trace

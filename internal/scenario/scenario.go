@@ -6,10 +6,11 @@
 // Beyond single scenarios, the schema carries whole experiments: the
 // "sweep" and "series" blocks (SweepSpec, SeriesSpec) describe a family
 // of scenarios swept over one named Axis — see docs/SWEEPS.md and the
-// experiments package's LoadSpec. The axis registry (Axes, AxisByName,
-// RegisterAxis) is the shared vocabulary: each axis is a named,
-// serializable config mutation that declares whether it can move the
-// contact process (and therefore ContactFingerprint).
+// experiments package's LoadSpec. The fixed axis table (Axes, AxisByName)
+// is the shared vocabulary: each axis is a named, serializable config
+// mutation that declares whether it can move the contact process (and
+// therefore ContactFingerprint). Protocol and policy names resolve
+// through internal/sim's kind tables (sim.ParseProtocol, sim.ParsePolicy).
 //
 // Config fields that cannot be serialized — a custom router factory, a
 // trace callback, an in-memory map graph — are deliberately outside the
@@ -22,7 +23,6 @@ import (
 	"fmt"
 
 	"vdtn/internal/contactplan"
-	"vdtn/internal/detmap"
 	"vdtn/internal/sim"
 	"vdtn/internal/units"
 )
@@ -59,8 +59,8 @@ type File struct {
 	MsgSizeHiKB      float64 `json:"msg_size_hi_kb,omitempty"`
 	TTLMin           float64 `json:"ttl_min,omitempty"`
 
-	Protocol    string `json:"protocol,omitempty"` // epidemic|spraywait|spraywaitvanilla|maxprop|prophet|direct|firstcontact
-	Policy      string `json:"policy,omitempty"`   // fifo|random|lifetime|size|hopmofo|oldestage
+	Protocol    string `json:"protocol,omitempty"` // a sim.ProtocolKind key: "epidemic", "maxprop", ...
+	Policy      string `json:"policy,omitempty"`   // a sim.PolicyKind key: "fifo", "lifetime", ...
 	SprayCopies int    `json:"spray_copies,omitempty"`
 
 	// Contacts switches to contact-plan mode when non-empty.
@@ -149,69 +149,6 @@ type Message struct {
 	SizeKB  float64 `json:"size_kb"`
 }
 
-var protocolNames = map[string]sim.ProtocolKind{
-	"epidemic":         sim.ProtoEpidemic,
-	"spraywait":        sim.ProtoSprayAndWait,
-	"spraywaitvanilla": sim.ProtoSprayAndWaitVanilla,
-	"maxprop":          sim.ProtoMaxProp,
-	"prophet":          sim.ProtoPRoPHET,
-	"direct":           sim.ProtoDirectDelivery,
-	"firstcontact":     sim.ProtoFirstContact,
-}
-
-var policyNames = map[string]sim.PolicyKind{
-	"fifo":      sim.PolicyFIFOFIFO,
-	"random":    sim.PolicyRandomFIFO,
-	"lifetime":  sim.PolicyLifetime,
-	"size":      sim.PolicySize,
-	"hopmofo":   sim.PolicyHopMOFO,
-	"oldestage": sim.PolicyFIFOOldestAge,
-}
-
-// ProtocolByName resolves a schema protocol name ("epidemic", "maxprop",
-// ...) to its kind.
-func ProtocolByName(name string) (sim.ProtocolKind, bool) {
-	p, ok := protocolNames[name]
-	return p, ok
-}
-
-// PolicyByName resolves a schema policy name ("fifo", "lifetime", ...) to
-// its kind.
-func PolicyByName(name string) (sim.PolicyKind, bool) {
-	p, ok := policyNames[name]
-	return p, ok
-}
-
-// ProtocolNames returns the schema protocol names in ascending order.
-func ProtocolNames() []string { return detmap.Keys(protocolNames) }
-
-// PolicyNames returns the schema policy names in ascending order.
-func PolicyNames() []string { return detmap.Keys(policyNames) }
-
-// ProtocolName returns the schema name of a protocol kind ("" if the kind
-// is outside the schema). Sorted iteration makes the reverse lookup a
-// function: if two names ever aliased one kind, the map's random order
-// would pick a different winner per process.
-func ProtocolName(kind sim.ProtocolKind) string {
-	for _, name := range ProtocolNames() {
-		if protocolNames[name] == kind {
-			return name
-		}
-	}
-	return ""
-}
-
-// PolicyName returns the schema name of a policy kind ("" if the kind is
-// outside the schema).
-func PolicyName(kind sim.PolicyKind) string {
-	for _, name := range PolicyNames() {
-		if policyNames[name] == kind {
-			return name
-		}
-	}
-	return ""
-}
-
 // Load parses JSON into a validated sim.Config.
 func Load(data []byte) (sim.Config, error) {
 	var f File
@@ -284,14 +221,14 @@ func (f File) Config() (sim.Config, error) {
 		c.TTL = units.Minutes(f.TTLMin)
 	}
 	if f.Protocol != "" {
-		p, ok := protocolNames[f.Protocol]
+		p, ok := sim.ParseProtocol(f.Protocol)
 		if !ok {
 			return sim.Config{}, fmt.Errorf("scenario: unknown protocol %q", f.Protocol)
 		}
 		c.Protocol = p
 	}
 	if f.Policy != "" {
-		p, ok := policyNames[f.Policy]
+		p, ok := sim.ParsePolicy(f.Policy)
 		if !ok {
 			return sim.Config{}, fmt.Errorf("scenario: unknown policy %q", f.Policy)
 		}
@@ -352,10 +289,10 @@ func Save(name string, c sim.Config) ([]byte, error) {
 		MsgSizeLoKB:      float64(c.MsgSizeLo) / 1e3,
 		MsgSizeHiKB:      float64(c.MsgSizeHi) / 1e3,
 		TTLMin:           c.TTL / 60,
+		Protocol:         c.Protocol.Key(),
+		Policy:           c.Policy.Key(),
 		SprayCopies:      c.SprayCopies,
 	}
-	f.Protocol = ProtocolName(c.Protocol)
-	f.Policy = PolicyName(c.Policy)
 	if c.Plan != nil {
 		for _, w := range c.Plan.Windows() {
 			f.Contacts = append(f.Contacts, Window{Start: w.Start, End: w.End, A: w.A, B: w.B})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"vdtn/internal/contactplan"
 	"vdtn/internal/core"
@@ -27,26 +28,76 @@ const (
 	ProtoFirstContact
 )
 
+// protocol declares one ProtocolKind: its report name, its scenario
+// schema key, and how a node's router is built. A protocol that takes a
+// policy gets its node's built Policy; one that does not gets the zero
+// Policy and draws nothing.
+type protocol struct {
+	name, key   string // report name (String) and schema key (Key)
+	takesPolicy bool   // built with the node's policy, which Label names
+	needsCopies bool   // Validate requires SprayCopies ≥ 1
+	router      func(c Config, pol core.Policy) routing.Router
+}
+
+// protocols is the one table of protocol kinds, indexed by kind.
+var protocols = [...]protocol{
+	ProtoEpidemic: {"Epidemic", "epidemic", true, false, func(_ Config, pol core.Policy) routing.Router {
+		return routing.NewEpidemic(pol)
+	}},
+	ProtoSprayAndWait: {"SprayAndWait", "spraywait", true, true, func(c Config, pol core.Policy) routing.Router {
+		return routing.NewSprayAndWait(pol, c.SprayCopies, true)
+	}},
+	ProtoSprayAndWaitVanilla: {"SprayAndWaitVanilla", "spraywaitvanilla", true, true, func(c Config, pol core.Policy) routing.Router {
+		return routing.NewSprayAndWait(pol, c.SprayCopies, false)
+	}},
+	ProtoMaxProp: {"MaxProp", "maxprop", false, false, func(Config, core.Policy) routing.Router {
+		return routing.NewMaxProp()
+	}},
+	ProtoPRoPHET: {"PRoPHET", "prophet", false, false, func(Config, core.Policy) routing.Router {
+		return routing.NewProphet(routing.DefaultProphetConfig())
+	}},
+	ProtoDirectDelivery: {"DirectDelivery", "direct", true, false, func(_ Config, pol core.Policy) routing.Router {
+		return routing.NewDirectDelivery(pol)
+	}},
+	ProtoFirstContact: {"FirstContact", "firstcontact", true, false, func(_ Config, pol core.Policy) routing.Router {
+		return routing.NewFirstContact(pol)
+	}},
+}
+
+func (p ProtocolKind) valid() bool { return p >= 0 && int(p) < len(protocols) }
+
 // String returns the report name of the protocol.
 func (p ProtocolKind) String() string {
-	switch p {
-	case ProtoEpidemic:
-		return "Epidemic"
-	case ProtoSprayAndWait:
-		return "SprayAndWait"
-	case ProtoSprayAndWaitVanilla:
-		return "SprayAndWaitVanilla"
-	case ProtoMaxProp:
-		return "MaxProp"
-	case ProtoPRoPHET:
-		return "PRoPHET"
-	case ProtoDirectDelivery:
-		return "DirectDelivery"
-	case ProtoFirstContact:
-		return "FirstContact"
-	default:
+	if !p.valid() {
 		return fmt.Sprintf("ProtocolKind(%d)", int(p))
 	}
+	return protocols[p].name
+}
+
+// Key returns the protocol's scenario schema key ("epidemic", ...), or ""
+// for a kind outside the table.
+func (p ProtocolKind) Key() string {
+	if !p.valid() {
+		return ""
+	}
+	return protocols[p].key
+}
+
+// ParseProtocol resolves a scenario schema key ("epidemic", "maxprop",
+// ...) to its kind. An unknown key gives false and a kind Validate rejects.
+func ParseProtocol(key string) (ProtocolKind, bool) {
+	k := slices.IndexFunc(protocols[:], func(p protocol) bool { return p.key == key })
+	return ProtocolKind(k), k >= 0
+}
+
+// ProtocolKeys returns the protocol schema keys in ascending order.
+func ProtocolKeys() []string {
+	keys := make([]string, len(protocols))
+	for i, p := range protocols {
+		keys[i] = p.key
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // PolicyKind selects the combined scheduling-dropping policy (Table I) for
@@ -69,45 +120,65 @@ const (
 	PolicyFIFOOldestAge
 )
 
-// String returns the paper's name for the policy pair.
-func (k PolicyKind) String() string {
-	switch k {
-	case PolicyFIFOFIFO:
-		return "FIFO-FIFO"
-	case PolicyRandomFIFO:
-		return "Random-FIFO"
-	case PolicyLifetime:
-		return "LifetimeDESC-LifetimeASC"
-	case PolicySize:
-		return "SizeASC-SizeDESC"
-	case PolicyHopMOFO:
-		return "HopASC-MOFO"
-	case PolicyFIFOOldestAge:
-		return "FIFO-OldestAge"
-	default:
-		return fmt.Sprintf("PolicyKind(%d)", int(k))
-	}
+// policy declares one PolicyKind: its scenario schema key and its
+// builder. build's stream feeds the Random scheduler and must be the
+// node's own, so runs stay reproducible; the report name is the built
+// pair's core.Policy.Name.
+type policy struct {
+	key   string
+	build func(rnd *xrand.Rand) core.Policy
 }
 
-// build materializes the policy; rnd feeds the Random scheduler and must be
-// the node's own stream so runs stay reproducible.
-func (k PolicyKind) build(rnd *xrand.Rand) core.Policy {
-	switch k {
-	case PolicyFIFOFIFO:
-		return core.FIFOFIFO()
-	case PolicyRandomFIFO:
-		return core.RandomFIFO(rnd)
-	case PolicyLifetime:
-		return core.Lifetime()
-	case PolicySize:
+// policies is the one table of policy kinds, indexed by kind.
+var policies = [...]policy{
+	PolicyFIFOFIFO:   {"fifo", func(*xrand.Rand) core.Policy { return core.FIFOFIFO() }},
+	PolicyRandomFIFO: {"random", core.RandomFIFO},
+	PolicyLifetime:   {"lifetime", func(*xrand.Rand) core.Policy { return core.Lifetime() }},
+	PolicySize: {"size", func(*xrand.Rand) core.Policy {
 		return core.Policy{Schedule: core.SizeASCSchedule{}, Drop: core.SizeDESCDrop{}}
-	case PolicyHopMOFO:
+	}},
+	PolicyHopMOFO: {"hopmofo", func(*xrand.Rand) core.Policy {
 		return core.Policy{Schedule: core.HopCountASCSchedule{}, Drop: core.MOFODrop{}}
-	case PolicyFIFOOldestAge:
+	}},
+	PolicyFIFOOldestAge: {"oldestage", func(*xrand.Rand) core.Policy {
 		return core.Policy{Schedule: core.FIFOSchedule{}, Drop: core.OldestAgeDrop{}}
-	default:
-		panic(fmt.Sprintf("sim: unknown policy kind %d", int(k)))
+	}},
+}
+
+func (k PolicyKind) valid() bool { return k >= 0 && int(k) < len(policies) }
+
+// String returns the paper's name for the policy pair.
+func (k PolicyKind) String() string {
+	if !k.valid() {
+		return fmt.Sprintf("PolicyKind(%d)", int(k))
 	}
+	return policies[k].build(nil).Name()
+}
+
+// Key returns the policy's scenario schema key ("fifo", ...), or "" for a
+// kind outside the table.
+func (k PolicyKind) Key() string {
+	if !k.valid() {
+		return ""
+	}
+	return policies[k].key
+}
+
+// ParsePolicy resolves a scenario schema key ("fifo", "lifetime", ...) to
+// its kind. An unknown key gives false and a kind Validate rejects.
+func ParsePolicy(key string) (PolicyKind, bool) {
+	k := slices.IndexFunc(policies[:], func(p policy) bool { return p.key == key })
+	return PolicyKind(k), k >= 0
+}
+
+// PolicyKeys returns the policy schema keys in ascending order.
+func PolicyKeys() []string {
+	keys := make([]string, len(policies))
+	for i, p := range policies {
+		keys[i] = p.key
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Config fully describes a simulation scenario. The zero value is not
@@ -177,8 +248,6 @@ type Config struct {
 	MsgIntervalLo, MsgIntervalHi float64
 	MsgSizeLo, MsgSizeHi         units.Bytes
 	TTL                          float64
-	// MessageGenEnd stops message creation at this time (0 = Duration).
-	MessageGenEnd float64
 
 	// Protocol and Policy select routing; SprayCopies is Spray-and-Wait's
 	// copy budget N.
@@ -275,9 +344,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: bad message size bounds [%d, %d]", c.MsgSizeLo, c.MsgSizeHi)
 	case c.TTL <= 0:
 		return fmt.Errorf("sim: non-positive TTL %v", c.TTL)
-	case c.MessageGenEnd < 0 || (c.MessageGenEnd > 0 && c.MessageGenEnd > c.Duration):
-		return fmt.Errorf("sim: message generation end %v outside run", c.MessageGenEnd)
-	case c.NewRouter == nil && (c.Protocol == ProtoSprayAndWait || c.Protocol == ProtoSprayAndWaitVanilla) && c.SprayCopies < 1:
+	case c.NewRouter == nil && !c.Protocol.valid():
+		return fmt.Errorf("sim: unknown protocol kind %d", int(c.Protocol))
+	case c.NewRouter == nil && !c.Policy.valid():
+		return fmt.Errorf("sim: unknown policy kind %d", int(c.Policy))
+	case c.NewRouter == nil && protocols[c.Protocol].needsCopies && c.SprayCopies < 1:
 		return fmt.Errorf("sim: SprayAndWait needs a positive copy budget, got %d", c.SprayCopies)
 	case c.Warmup < 0 || c.Warmup >= c.Duration:
 		return fmt.Errorf("sim: warmup %v outside the run duration %v", c.Warmup, c.Duration)
@@ -326,37 +397,23 @@ func (c Config) buildRouter(node int, rnd *xrand.Rand) routing.Router {
 	if c.NewRouter != nil {
 		return c.NewRouter(node, rnd)
 	}
-	switch c.Protocol {
-	case ProtoEpidemic:
-		return routing.NewEpidemic(c.Policy.build(rnd))
-	case ProtoSprayAndWait:
-		return routing.NewSprayAndWait(c.Policy.build(rnd), c.SprayCopies, true)
-	case ProtoSprayAndWaitVanilla:
-		return routing.NewSprayAndWait(c.Policy.build(rnd), c.SprayCopies, false)
-	case ProtoMaxProp:
-		return routing.NewMaxProp()
-	case ProtoPRoPHET:
-		return routing.NewProphet(routing.DefaultProphetConfig())
-	case ProtoDirectDelivery:
-		return routing.NewDirectDelivery(c.Policy.build(rnd))
-	case ProtoFirstContact:
-		return routing.NewFirstContact(c.Policy.build(rnd))
-	default:
-		panic(fmt.Sprintf("sim: unknown protocol kind %d", int(c.Protocol)))
+	p := protocols[c.Protocol]
+	var pol core.Policy
+	if p.takesPolicy {
+		pol = policies[c.Policy].build(rnd)
 	}
+	return p.router(c, pol)
 }
 
 // Label renders a short scenario label for reports, e.g.
 // "Epidemic/LifetimeDESC-LifetimeASC ttl=90m".
 func (c Config) Label() string {
+	if c.NewRouter == nil && c.Protocol.valid() && !protocols[c.Protocol].takesPolicy {
+		return fmt.Sprintf("%s ttl=%s", c.Protocol, units.FormatDuration(c.TTL))
+	}
 	name := c.Protocol.String()
 	if c.NewRouter != nil {
 		name = "custom"
 	}
-	switch {
-	case c.NewRouter == nil && (c.Protocol == ProtoMaxProp || c.Protocol == ProtoPRoPHET):
-		return fmt.Sprintf("%s ttl=%s", name, units.FormatDuration(c.TTL))
-	default:
-		return fmt.Sprintf("%s/%s ttl=%s", name, c.Policy, units.FormatDuration(c.TTL))
-	}
+	return fmt.Sprintf("%s/%s ttl=%s", name, c.Policy, units.FormatDuration(c.TTL))
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"vdtn/internal/roadmap"
@@ -25,21 +27,25 @@ func quickConfig(seed uint64) Config {
 
 func TestConfigValidateRejectsBadConfigs(t *testing.T) {
 	mutations := map[string]func(*Config){
-		"zero duration":     func(c *Config) { c.Duration = 0 },
-		"one vehicle":       func(c *Config) { c.Vehicles = 1 },
-		"negative relays":   func(c *Config) { c.Relays = -1 },
-		"zero buffer":       func(c *Config) { c.VehicleBuffer = 0 },
-		"zero relay buffer": func(c *Config) { c.RelayBuffer = 0 },
-		"inverted speeds":   func(c *Config) { c.SpeedLo, c.SpeedHi = 20, 10 },
-		"negative pause":    func(c *Config) { c.PauseLo = -1 },
-		"zero range":        func(c *Config) { c.Range = 0 },
-		"zero rate":         func(c *Config) { c.Rate = 0 },
-		"zero scan":         func(c *Config) { c.ScanInterval = 0 },
-		"bad msg interval":  func(c *Config) { c.MsgIntervalLo = 0 },
-		"bad msg size":      func(c *Config) { c.MsgSizeLo = 0 },
-		"zero ttl":          func(c *Config) { c.TTL = 0 },
-		"gen end beyond":    func(c *Config) { c.MessageGenEnd = c.Duration + 1 },
-		"zero spray copies": func(c *Config) { c.Protocol = ProtoSprayAndWait; c.SprayCopies = 0 },
+		"zero duration":       func(c *Config) { c.Duration = 0 },
+		"one vehicle":         func(c *Config) { c.Vehicles = 1 },
+		"negative relays":     func(c *Config) { c.Relays = -1 },
+		"zero buffer":         func(c *Config) { c.VehicleBuffer = 0 },
+		"zero relay buffer":   func(c *Config) { c.RelayBuffer = 0 },
+		"inverted speeds":     func(c *Config) { c.SpeedLo, c.SpeedHi = 20, 10 },
+		"negative pause":      func(c *Config) { c.PauseLo = -1 },
+		"zero range":          func(c *Config) { c.Range = 0 },
+		"zero rate":           func(c *Config) { c.Rate = 0 },
+		"zero scan":           func(c *Config) { c.ScanInterval = 0 },
+		"bad msg interval":    func(c *Config) { c.MsgIntervalLo = 0 },
+		"bad msg size":        func(c *Config) { c.MsgSizeLo = 0 },
+		"zero ttl":            func(c *Config) { c.TTL = 0 },
+		"zero spray copies":   func(c *Config) { c.Protocol = ProtoSprayAndWait; c.SprayCopies = 0 },
+		"zero vanilla copies": func(c *Config) { c.Protocol = ProtoSprayAndWaitVanilla; c.SprayCopies = 0 },
+		"unknown protocol":    func(c *Config) { c.Protocol = ProtocolKind(len(protocols)) },
+		"negative protocol":   func(c *Config) { c.Protocol = -1 },
+		"unknown policy":      func(c *Config) { c.Policy = PolicyKind(len(policies)) },
+		"negative policy":     func(c *Config) { c.Policy = -1 },
 	}
 	for name, mutate := range mutations {
 		c := DefaultConfig()
@@ -81,11 +87,20 @@ func TestWorldAssembly(t *testing.T) {
 	}
 }
 
+// TestWorldRejectsInvalidConfig: New reports an invalid config as an
+// error; a protocol or policy kind outside the tables is one, not a panic
+// while the routers are built.
 func TestWorldRejectsInvalidConfig(t *testing.T) {
-	c := DefaultConfig()
-	c.Vehicles = 0
-	if _, err := New(c); err == nil {
-		t.Fatal("New accepted invalid config")
+	for name, mutate := range map[string]func(*Config){
+		"no vehicles": func(c *Config) { c.Vehicles = 0 },
+		"protocol 99": func(c *Config) { c.Protocol = 99 },
+		"policy 99":   func(c *Config) { c.Policy = 99 },
+	} {
+		c := DefaultConfig()
+		mutate(&c)
+		if _, err := New(c); err == nil {
+			t.Errorf("%s: New accepted invalid config", name)
+		}
 	}
 }
 
@@ -223,27 +238,76 @@ func TestPolicyVariantsRun(t *testing.T) {
 	}
 }
 
-// TestPolicyKindNamesMatchCore: the series label a PolicyKind prints is
-// the name of the core policy pair it builds, for all six kinds.
+// TestPolicyKindNamesMatchCore pins every policy kind's report name and
+// schema key, in table order, and checks that the name is the one the
+// core policy pair it builds reports, built on a real stream.
 func TestPolicyKindNamesMatchCore(t *testing.T) {
-	_, policies := protoPolicyPairs()
-	for _, k := range policies {
-		if got := k.build(xrand.New(1)).Name(); k.String() != got {
+	want := [][2]string{
+		{"FIFO-FIFO", "fifo"},
+		{"Random-FIFO", "random"},
+		{"LifetimeDESC-LifetimeASC", "lifetime"},
+		{"SizeASC-SizeDESC", "size"},
+		{"HopASC-MOFO", "hopmofo"},
+		{"FIFO-OldestAge", "oldestage"},
+	}
+	_, kinds := protoPolicyPairs()
+	if len(kinds) != len(want) {
+		t.Fatalf("%d policy kinds, want %d", len(kinds), len(want))
+	}
+	for i, k := range kinds {
+		if got := [2]string{k.String(), k.Key()}; got != want[i] {
+			t.Errorf("PolicyKind %d = %q, want %q", i, got, want[i])
+		}
+		if got := policies[k].build(xrand.New(1)).Name(); k.String() != got {
 			t.Errorf("PolicyKind %q builds policy %q", k, got)
 		}
+		if p, ok := ParsePolicy(k.Key()); !ok || p != k {
+			t.Errorf("ParsePolicy(%q) = %v, %v", k.Key(), p, ok)
+		}
+	}
+	if _, ok := ParsePolicy("FIFO-FIFO"); ok {
+		t.Error("ParsePolicy resolved a report name")
+	}
+	if got := PolicyKeys(); !slices.IsSorted(got) || len(got) != len(want) {
+		t.Errorf("PolicyKeys() = %v", got)
 	}
 }
 
-func TestMessageGenEndStopsTraffic(t *testing.T) {
-	c := quickConfig(25)
-	c.MessageGenEnd = units.Minutes(30)
-	r := mustRun(t, c)
-	full := mustRun(t, quickConfig(25))
-	if r.Created >= full.Created {
-		t.Fatalf("gen end had no effect: %d vs %d", r.Created, full.Created)
+// TestProtocolKindNamesAndKeys pins every protocol kind's report name and
+// schema key, in table order, and their lookups.
+func TestProtocolKindNamesAndKeys(t *testing.T) {
+	want := [][2]string{
+		{"Epidemic", "epidemic"},
+		{"SprayAndWait", "spraywait"},
+		{"SprayAndWaitVanilla", "spraywaitvanilla"},
+		{"MaxProp", "maxprop"},
+		{"PRoPHET", "prophet"},
+		{"DirectDelivery", "direct"},
+		{"FirstContact", "firstcontact"},
 	}
-	if r.Created < 40 {
-		t.Fatalf("only %d messages in 30 min of generation", r.Created)
+	kinds, _ := protoPolicyPairs()
+	if len(kinds) != len(want) {
+		t.Fatalf("%d protocol kinds, want %d", len(kinds), len(want))
+	}
+	for i, k := range kinds {
+		if got := [2]string{k.String(), k.Key()}; got != want[i] {
+			t.Errorf("ProtocolKind %d = %q, want %q", i, got, want[i])
+		}
+		if p, ok := ParseProtocol(k.Key()); !ok || p != k {
+			t.Errorf("ParseProtocol(%q) = %v, %v", k.Key(), p, ok)
+		}
+	}
+	if _, ok := ParseProtocol("Epidemic"); ok {
+		t.Error("ParseProtocol resolved a report name")
+	}
+	if got := ProtocolKeys(); !slices.IsSorted(got) || len(got) != len(want) {
+		t.Errorf("ProtocolKeys() = %v", got)
+	}
+	if got, want := ProtocolKind(len(want)).String(), fmt.Sprintf("ProtocolKind(%d)", len(want)); got != want {
+		t.Errorf("out-of-range String() = %q, want %q", got, want)
+	}
+	if ProtocolKind(-1).Key() != "" || PolicyKind(-1).Key() != "" {
+		t.Error("an out-of-range kind has a schema key")
 	}
 }
 

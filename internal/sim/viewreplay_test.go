@@ -12,14 +12,14 @@ import (
 
 // protoPolicyPairs enumerates the full 7×6 protocol × policy matrix the
 // replay-equivalence suites sweep.
-func protoPolicyPairs() (protocols []ProtocolKind, policies []PolicyKind) {
-	return []ProtocolKind{
-			ProtoEpidemic, ProtoSprayAndWait, ProtoSprayAndWaitVanilla,
-			ProtoMaxProp, ProtoPRoPHET, ProtoDirectDelivery, ProtoFirstContact,
-		}, []PolicyKind{
-			PolicyFIFOFIFO, PolicyRandomFIFO, PolicyLifetime,
-			PolicySize, PolicyHopMOFO, PolicyFIFOOldestAge,
-		}
+func protoPolicyPairs() (protos []ProtocolKind, pols []PolicyKind) {
+	for k := range protocols {
+		protos = append(protos, ProtocolKind(k))
+	}
+	for k := range policies {
+		pols = append(pols, PolicyKind(k))
+	}
+	return protos, pols
 }
 
 // openViewOf encodes rec, persists it, and opens a view of the file —

@@ -69,10 +69,9 @@ type World struct {
 	// sending node's id: a radio carries one transfer at a time.
 	sends []*routing.Send
 
-	genEnd float64
-	gen    event.Handle // the traffic generator's next creation
-	genFn  event.Func   // w.generate, bound once
-	ran    bool
+	gen   event.Handle // the traffic generator's next creation
+	genFn event.Func   // w.generate, bound once
+	ran   bool
 
 	// Buffer occupancy sampling (at every sweep tick).
 	occSum     float64
@@ -112,12 +111,8 @@ func New(cfg Config) (*World, error) {
 		graph:   graph,
 		src:     xrand.NewSource(cfg.Seed),
 		factory: bundle.NewFactory(),
-		genEnd:  cfg.MessageGenEnd,
 	}
 	w.genFn = w.generate
-	if w.genEnd == 0 {
-		w.genEnd = cfg.Duration
-	}
 	w.trafficRng = w.src.Stream("traffic")
 
 	w.medium = newMedium(w.sched, cfg)
@@ -351,7 +346,7 @@ func (w *World) sweep(now float64) {
 func (w *World) scheduleNextMessage(now float64) {
 	gap := w.trafficRng.UniformFloat(w.cfg.MsgIntervalLo, w.cfg.MsgIntervalHi)
 	t := now + gap
-	if t > w.genEnd {
+	if t > w.cfg.Duration {
 		return
 	}
 	w.sched.Schedule(&w.gen, t, w.genFn)

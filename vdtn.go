@@ -135,9 +135,11 @@ type (
 	MessageID = bundle.ID
 	// Rand is the per-node deterministic random stream.
 	Rand = xrand.Rand
-	// SchedulingPolicy orders transmissions at a contact: Order sorts a
-	// group, and Compare is the time-free total order (ties broken by
-	// message id) routers keep their buffers sorted by.
+	// SchedulingPolicy orders transmissions at a contact. Compare is the
+	// time-free total order (ties broken by message id) routers keep their
+	// buffers sorted by; Order receives a group in Compare order and puts
+	// it into transmission order (a no-op unless the schedule draws, as
+	// Random does).
 	SchedulingPolicy = core.SchedulingPolicy
 	// DropPolicy picks buffer-overflow victims.
 	DropPolicy = core.DropPolicy
@@ -443,21 +445,12 @@ func LoadExperimentSpec(data []byte) (Experiment, error) { return experiments.Lo
 // bit-identically.
 func ExperimentSpecJSON(e Experiment) ([]byte, error) { return experiments.SpecJSON(e) }
 
-// SweepAxes returns every registered axis, sorted by name.
+// SweepAxes returns the fixed set of sweep axes, sorted by name.
 func SweepAxes() []SweepAxis { return scenario.Axes() }
 
 // SweepAxisByName looks an axis up by its stable name ("ttl_min",
 // "vehicles", ...).
 func SweepAxisByName(name string) (SweepAxis, bool) { return scenario.AxisByName(name) }
-
-// NewSweepAxis builds a custom axis; register it with RegisterSweepAxis
-// to use it in experiment definitions and spec files.
-func NewSweepAxis(name, label string, movesContacts bool, apply func(c *Config, v float64)) SweepAxis {
-	return scenario.NewAxis(name, label, movesContacts, apply)
-}
-
-// RegisterSweepAxis adds a custom axis to the registry.
-func RegisterSweepAxis(a SweepAxis) error { return scenario.RegisterAxis(a) }
 
 // NewExperimentJSONLSink returns a sink streaming a sweep's cells as
 // JSON lines to w: a header identifying the sweep, one line per cell in

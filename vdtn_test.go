@@ -83,10 +83,8 @@ func TestExperimentCatalogExported(t *testing.T) {
 func TestRunExperimentViaFacade(t *testing.T) {
 	exp, _ := vdtn.ExperimentByID("fig5")
 	exp.Xs = []float64{30} // single point, small scenario below
-	res, err := vdtn.RunExperimentE(exp, vdtn.ExperimentOptions{
-		Seeds:      []uint64{1},
-		BaseConfig: func() vdtn.Config { return smallConfig(1) },
-	})
+	exp.Base = func() vdtn.Config { return smallConfig(1) }
+	res, err := vdtn.RunExperimentE(exp, vdtn.ExperimentOptions{Seeds: []uint64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
