@@ -117,27 +117,19 @@ func BenchmarkAblationCopies(b *testing.B) { runExperiment(b, "ablation-copies")
 // BenchmarkAblationRelays regenerates the relay-count ablation.
 func BenchmarkAblationRelays(b *testing.B) { runExperiment(b, "ablation-relays") }
 
-// BenchmarkExperimentUncached is the baseline for the contact-cache
-// comparison: fig5's 15-cell sweep with every cell re-simulating mobility.
-func BenchmarkExperimentUncached(b *testing.B) { runExperiment(b, "fig5") }
-
-// BenchmarkExperimentCached runs the same sweep through the contact-trace
-// cache: one mobility recording per seed, replayed by all 15 cells.
-// Results are bit-identical to the uncached run (see
-// TestContactCacheSpeedupArtifact); only the wall clock moves.
-func BenchmarkExperimentCached(b *testing.B) {
+// BenchmarkExperimentLive is the reference for the contact-cache
+// comparison: fig5's 15-cell sweep with every cell simulating its
+// mobility live (see liveTable). BenchmarkFig5EpidemicDelivery runs the
+// same sweep replaying one recorded trace per seed, bit-identical
+// (see TestContactCacheSpeedupArtifact); only the wall clock moves.
+func BenchmarkExperimentLive(b *testing.B) {
 	exp, ok := vdtn.ExperimentByID("fig5")
 	if !ok {
 		b.Fatal("fig5 not in catalog")
 	}
 	opt := vdtn.ExperimentOptions{Seeds: []uint64{1}, Scale: benchScale}
 	for i := 0; i < b.N; i++ {
-		// A fresh cache per iteration: the measurement includes the
-		// recording pass, as a cold harness run would pay it.
-		opt.ContactCache = &vdtn.ContactCache{}
-		if _, err := vdtn.RunExperimentE(exp, opt); err != nil {
-			b.Fatal(err)
-		}
+		liveTable(b, exp, opt)
 	}
 	b.ReportMetric(float64(len(exp.Scenarios)*len(exp.Xs)), "simruns/op")
 }

@@ -12,7 +12,6 @@
 //	experiments -spec mysweep.json              # run a sweep defined as data
 //	experiments -figure fig5 -metric overhead   # another metric, same sweep
 //	experiments -dump-spec fig5                 # print a figure as a spec file
-//	experiments -figure all -contact-cache      # one mobility sim per seed
 //	experiments -cache-dir traces/ -seeds 5     # persist traces across runs
 //	experiments -cache-dir traces/ -cache-max-mb 256  # LRU-bounded store
 //	experiments -spec grid.json -progress       # per-cell progress on stderr
@@ -54,17 +53,18 @@
 // overwritten; a missing or header-less file simply starts fresh, so
 // -resume is safe to pass unconditionally when re-running a sweep.
 //
-// -contact-cache records each distinct (scenario, seed) mobility process
+// Every sweep records each distinct (scenario, seed) mobility process
 // once and replays it for every series and x cell that shares it —
-// results are bit-identical to uncached runs, several times faster on
-// multi-cell sweeps. -cache-dir additionally persists the traces on disk
-// in the integrity-checked binary format (and implies -contact-cache),
-// laid out as a 2-level sharded directory, and replays them on later
-// runs through read-only views, each file read and validated once, so
-// cells replay with no per-cell trace allocation. -cache-max-mb bounds the
-// store, evicting the traces whose files were least recently used (by
-// mtime). Each sweep records the distinct traces it needs on a concurrent
-// pool running ahead of its cell workers, so cells rarely wait behind a
+// results are bit-identical to simulating each cell live, several times
+// faster on multi-cell sweeps. One in-memory contact cache serves all
+// the experiments of an invocation. -cache-dir additionally persists the
+// traces on disk in the integrity-checked binary format, laid out as a
+// 2-level sharded directory, and replays them on later runs through
+// read-only views, each file read and validated once, so cells replay
+// with no per-cell trace allocation. -cache-max-mb bounds the store,
+// evicting the traces whose files were least recently used (by mtime).
+// Each sweep's worker pool loads or records the distinct traces it needs
+// before it moves on to the cells, so cells rarely wait behind a
 // recording pass. A failing cell exits non-zero naming its (series, x,
 // seed) coordinates.
 package main
@@ -120,8 +120,7 @@ func run() (code int) {
 		list     = flag.Bool("list", false, "list experiment ids (built-ins and loaded specs) and exit")
 		listM    = flag.Bool("list-metrics", false, "list metric and axis names and exit")
 		dump     = flag.String("dump-spec", "", "print the named experiment as a JSON sweep spec and exit")
-		useCC    = flag.Bool("contact-cache", false, "record each (scenario, seed) mobility process once and replay it across cells")
-		ccDir    = flag.String("cache-dir", "", "persist recorded contact traces in this directory (implies -contact-cache)")
+		ccDir    = flag.String("cache-dir", "", "persist recorded contact traces in this directory")
 		ccMax    = flag.Float64("cache-max-mb", 0, "bound the persisted cache directory to this many MB, evicting least-recently-used traces (0 = unbounded)")
 		resume   = flag.Bool("resume", false, "resume interrupted sweeps from their -out-jsonl streams: completed cells are kept, only missing ones run, and the finished file is byte-identical to an uninterrupted run's")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
@@ -249,18 +248,16 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	if *useCC || *ccDir != "" {
-		// One cache across all experiments: sweeps over the same scenario
-		// replay the traces the first one recorded. The deferred Close is
-		// the single cleanup path every exit below flows through — it
-		// closes the views even when a sweep fails or is interrupted.
-		opt.ContactCache = &vdtn.ContactCache{
-			Dir:      *ccDir,
-			MaxBytes: int64(*ccMax * 1e6),
-			Warn:     func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) },
-		}
-		defer opt.ContactCache.Close()
+	// One cache across all experiments: sweeps over the same scenario
+	// replay the traces the first one recorded. The deferred Close is the
+	// single cleanup path every exit below flows through — it closes the
+	// views even when a sweep fails or is interrupted.
+	opt.ContactCache = &vdtn.ContactCache{
+		Dir:      *ccDir,
+		MaxBytes: int64(*ccMax * 1e6),
+		Warn:     func(msg string) { fmt.Fprintf(os.Stderr, "experiments: %s\n", msg) },
 	}
+	defer opt.ContactCache.Close()
 
 	for _, dir := range []string{*outDir, *outJSONL} {
 		if dir != "" {
@@ -281,10 +278,8 @@ func run() (code int) {
 			break
 		}
 	}
-	if opt.ContactCache != nil {
-		fmt.Printf("contact cache: %d traces held, %d recording passes run\n",
-			opt.ContactCache.Len(), opt.ContactCache.Recorded())
-	}
+	fmt.Printf("contact cache: %d traces held, %d recording passes run\n",
+		opt.ContactCache.Len(), opt.ContactCache.Recorded())
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "experiments: interrupted; partial artifacts flushed")
 		return 130

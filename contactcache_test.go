@@ -2,12 +2,15 @@ package vdtn_test
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"reflect"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,16 +74,48 @@ func hostBlock() map[string]any {
 	}
 }
 
+// liveTable runs every cell of exp under opt live — each straight through
+// vdtn.Run, with no contact cache, on a GOMAXPROCS pool — and renders the
+// default table of those results: the reference a replayed sweep must
+// match bit for bit.
+func liveTable(tb testing.TB, exp vdtn.Experiment, opt vdtn.ExperimentOptions) vdtn.ExperimentTable {
+	tb.Helper()
+	cfgs, err := vdtn.ExperimentCellConfigs(exp, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cells := make([]vdtn.ExperimentCellResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cfgs); i = int(next.Add(1)) - 1 {
+				cells[i].Result, errs[i] = vdtn.Run(cfgs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		tb.Fatal(err)
+	}
+	res := vdtn.ExperimentResults{Experiment: exp, Options: opt, Cells: cells}
+	return res.DefaultTable()
+}
+
 // contactCacheArtifact measures the contact cache on a multi-series,
 // multi-x experiment — fig5's full 3-series × 5-TTL sweep at a scaled
 // horizon — and returns the comparison with the host it ran on:
 //
-//   - cached vs uncached sweep wall clock, cacheArtifactRuns times each;
+//   - the replayed sweep vs the live per-cell reference (liveTable), wall
+//     clock, cacheArtifactRuns times each;
 //   - a sweep served from the persisted store (views read from disk, no recording).
 //
-// It fails tb unless every cached and the store-served table are
-// bit-identical to the uncached one, the store-served sweep records
-// nothing, and the cached run is not much slower in the median.
+// It fails tb unless every replayed and the store-served table are
+// bit-identical to the live one, the store-served sweep records nothing,
+// and the replayed sweep is not much slower in the median.
 func contactCacheArtifact(tb testing.TB) map[string]any {
 	exp, ok := vdtn.ExperimentByID("fig5")
 	if !ok {
@@ -96,14 +131,10 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 	var ccDir string
 	for range cacheArtifactRuns {
 		start := time.Now()
-		plainRes, err := vdtn.RunExperimentE(exp, opt)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		plain = liveTable(tb, exp, opt)
 		uncached := time.Since(start)
-		plain = plainRes.DefaultTable()
 
-		// Cached run, persisting the fig5 fleet's traces for the
+		// Replayed sweep, persisting the fig5 fleet's traces for the
 		// store-served sweep below.
 		ccDir = tb.TempDir()
 		cache = &vdtn.ContactCache{Dir: ccDir}
@@ -117,7 +148,7 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 		cached := time.Since(start)
 		cache.Close()
 		if !reflect.DeepEqual(plain.Series, cachedRes.DefaultTable().Series) {
-			tb.Fatal("cached experiment table diverged from the uncached one")
+			tb.Fatal("replayed experiment table diverged from the live one")
 		}
 		uncachedMs = append(uncachedMs, uncached.Milliseconds())
 		cachedMs = append(cachedMs, cached.Milliseconds())
@@ -134,23 +165,23 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 		tb.Fatal(err)
 	}
 	if !reflect.DeepEqual(plain.Series, storedRes.DefaultTable().Series) {
-		tb.Fatal("store-served experiment table diverged from the uncached one")
+		tb.Fatal("store-served experiment table diverged from the live one")
 	}
 	if stored.Recorded() != 0 {
 		tb.Fatalf("store-served sweep re-recorded %d traces despite the persisted cache", stored.Recorded())
 	}
 	stored.Close()
 	speedup := spread(speedups)
-	tb.Logf("%d cells over %d runs: uncached %v ms, cached %v ms, speedup %v (%d recording passes)",
+	tb.Logf("%d cells over %d runs: live %v ms, replayed %v ms, speedup %v (%d recording passes)",
 		cells, cacheArtifactRuns, uncachedMs, cachedMs, speedups, cache.Recorded())
 	// Expected speedup is ~2x; the loose bound only catches a genuinely
 	// regressed cache, not scheduler noise on shared CI runners.
 	if speedup["median"] < 0.7 {
-		tb.Errorf("cached run much slower than uncached: median %.2fx", speedup["median"])
+		tb.Errorf("replayed sweep much slower than live cells: median %.2fx", speedup["median"])
 	}
 
 	return map[string]any{
-		"benchmark":         "contact-trace cache: cached vs uncached experiment run",
+		"benchmark":         "contact-trace cache: replayed sweep vs live per-cell reference",
 		"host":              hostBlock(),
 		"runs":              cacheArtifactRuns,
 		"experiment":        exp.ID,

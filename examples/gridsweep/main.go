@@ -75,7 +75,6 @@ func main() {
 
 	var mem vdtn.ExperimentMemorySink
 	r := vdtn.Runner{
-		Options:  vdtn.ExperimentOptions{ContactCache: &vdtn.ContactCache{}},
 		Observer: progress{},
 		Sink:     vdtn.TeeExperimentSink(&mem, vdtn.NewExperimentJSONLSink(out)),
 	}

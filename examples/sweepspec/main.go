@@ -4,7 +4,7 @@
 // with "sweep" and "series" blocks describes the base scenario, the swept
 // axis, its values and the compared series (see docs/SWEEPS.md). This
 // example loads such a spec, runs it through the error-returning
-// RunExperimentE path with a shared contact cache, renders the declared
+// RunExperimentE path, renders the declared
 // metric's table, and then — because every cell keeps its complete run
 // result — renders a second metric from the same finished sweep without
 // re-running anything.
@@ -37,14 +37,13 @@ func main() {
 	axis, _ := vdtn.SweepAxisByName(exp.Axis)
 	fmt.Printf("loaded %q: %d series × %d values on axis %s\n", exp.ID, len(exp.Scenarios), len(exp.Xs), exp.Axis)
 	if axis.MovesContacts {
-		fmt.Println("axis moves the contact process: the cache records one trace per swept value")
+		fmt.Println("axis moves the contact process: the sweep records one trace per swept value")
 	} else {
-		fmt.Println("axis is mobility-invariant: every cell shares one cached contact trace per seed")
+		fmt.Println("axis is mobility-invariant: every cell replays one contact trace per seed")
 	}
 	fmt.Println()
 
-	cache := &vdtn.ContactCache{}
-	res, err := vdtn.RunExperimentE(exp, vdtn.ExperimentOptions{ContactCache: cache})
+	res, err := vdtn.RunExperimentE(exp, vdtn.ExperimentOptions{})
 	if err != nil {
 		log.Fatal(err) // a failing cell arrives with its (series, x, seed) coordinates
 	}
@@ -57,5 +56,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(over.Render())
-	fmt.Printf("contact cache: %d traces for %d cells\n", cache.Len(), len(res.Cells))
 }

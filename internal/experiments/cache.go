@@ -55,20 +55,22 @@ type CacheEvent struct {
 // so a sweep's many (series, x) cells that share one (scenario, seed)
 // mobility process simulate it exactly once and replay it everywhere else.
 // Replayed cells are bit-identical to live cells (see sim.RecordContacts),
-// so a cached experiment table equals the uncached one.
+// so a sweep's table equals the one live per-cell runs would give. Every
+// Runner sweep replays through one: the Options' cache, or a private
+// in-memory one for that run.
 //
 // The cache is safe for the runner's worker pool: concurrent requests for
 // the same key block behind a single recording pass; requests for distinct
-// keys record in parallel (Prewarm exploits this to front-load all of a
-// sweep's recording passes). With Dir set, recordings are additionally
-// persisted on disk in a sharded layout (see traceStore: 2-level fan-out
-// directories, each file's mtime its last-use stamp) and served on later
-// runs as views of the file, read into memory and validated once per
-// fingerprint. Every trace is served as a wireless.RecordingView (a miss
-// serves a view of the bytes it just encoded), and each replaying cell
-// pays only a cursor. A damaged file (truncation at any byte, bit rot, torn
-// copy) is detected, reported through Warn, and re-recorded — never
-// silently replayed.
+// keys record in parallel (the runner and Prewarm both exploit this to
+// front-load a sweep's recording passes). With Dir set, recordings are
+// additionally persisted on disk in a sharded layout (see traceStore:
+// 2-level fan-out directories, each file's mtime its last-use stamp) and
+// served on later runs as views of the file, read into memory and
+// validated once per fingerprint. Every trace is served as a
+// wireless.RecordingView (a miss serves a view of the bytes it just
+// encoded), and each replaying cell pays only a cursor. A damaged file
+// (truncation at any byte, bit rot, torn copy) is detected, reported
+// through Warn, and re-recorded — never silently replayed.
 type ContactCache struct {
 	// Dir, when non-empty, is the on-disk persistence directory. It is
 	// created on first write.
@@ -278,14 +280,23 @@ func cacheable(cfg sim.Config) bool { return cfg.Plan == nil && cfg.ReplaySource
 // failed recording; a failure is also memoized per key, so later Source
 // calls for that key report it again.
 func (cc *ContactCache) Prewarm(cfgs []sim.Config, workers int) error {
-	return cc.prewarm(context.Background(), cfgs, workers, nil, nil)
+	distinct := distinctContacts(cfgs)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	errs := make([]error, len(distinct))
+	pool(min(workers, len(distinct)), len(distinct), func(i int) {
+		if _, err := cc.Source(distinct[i]); err != nil {
+			errs[i] = fmt.Errorf("experiments: prewarm %s: %w",
+				scenario.ContactFingerprint(distinct[i]), err)
+		}
+	})
+	return errors.Join(errs...)
 }
 
-// prewarm is Prewarm with a context, a stop hook — when stop becomes
-// true, remaining un-started recordings are skipped (the sweep runner
-// stops warming a cache whose sweep has already failed or been
-// cancelled) — and the cache-event hook of sourceWith.
-func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers int, stop func() bool, note func(CacheEvent)) error {
+// distinctContacts returns, in first-use order, the first configuration
+// of each distinct contact process in cfgs that the cache can serve.
+func distinctContacts(cfgs []sim.Config) []sim.Config {
 	seen := make(map[string]bool)
 	var distinct []sim.Config
 	for _, cfg := range cfgs {
@@ -299,39 +310,7 @@ func (cc *ContactCache) prewarm(ctx context.Context, cfgs []sim.Config, workers 
 		seen[key] = true
 		distinct = append(distinct, cfg)
 	}
-	if len(distinct) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	errs := make([]error, len(distinct))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if stop != nil && stop() {
-					continue
-				}
-				if _, err := cc.sourceWith(ctx, distinct[i], note); err != nil {
-					errs[i] = fmt.Errorf("experiments: prewarm %s: %w",
-						scenario.ContactFingerprint(distinct[i]), err)
-				}
-			}
-		}()
-	}
-	for i := range distinct {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errors.Join(errs...)
+	return distinct
 }
 
 // warnf formats and delivers one warning through the hook, at most once

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,22 +64,54 @@ func traceOf(t *testing.T, cc *ContactCache, cfg sim.Config) (*wireless.Recordin
 	return v, v.Materialize()
 }
 
-// TestCachedRunMatchesUncached is the harness-level equivalence guarantee:
-// the cached table is identical — every cell, bit for bit — to the
-// uncached one.
-func TestCachedRunMatchesUncached(t *testing.T) {
+// liveResults runs every cell of exp under opt live, straight through
+// sim.New with no contact cache: the reference a replayed sweep must match
+// bit for bit.
+func liveResults(t *testing.T, exp Experiment, opt Options) []sim.Result {
+	t.Helper()
+	cfgs, err := CellConfigs(exp, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]sim.Result, len(cfgs))
+	for i, cfg := range cfgs {
+		w, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = w.Run()
+	}
+	return out
+}
+
+// requireLiveResults fails t unless res holds exactly the live results.
+func requireLiveResults(t *testing.T, res *Results, live []sim.Result) {
+	t.Helper()
+	if len(res.Cells) != len(live) {
+		t.Fatalf("sweep holds %d cells, want %d", len(res.Cells), len(live))
+	}
+	for i, c := range res.Cells {
+		if !reflect.DeepEqual(c.Result, live[i]) {
+			t.Fatalf("cell %d (%s x=%v seed %d) diverged from its live run", i, c.Series, c.X, c.Seed)
+		}
+	}
+}
+
+// TestSharedCacheRunMatchesLiveCells is the harness-level equivalence
+// guarantee: a sweep replaying a shared cache's traces holds, bit for
+// bit, the results of running each cell live.
+func TestSharedCacheRunMatchesLiveCells(t *testing.T) {
 	exp := cacheExperiment()
 	opt := Options{Seeds: []uint64{1, 2}}
-
-	plain := mustRun(t, exp, opt)
+	live := liveResults(t, exp, opt)
 
 	cache := &ContactCache{}
 	opt.ContactCache = cache
-	cached := mustRun(t, exp, opt)
-
-	if !reflect.DeepEqual(plain.Series, cached.Series) {
-		t.Fatalf("cached table diverged from uncached:\nplain:  %+v\ncached: %+v", plain.Series, cached.Series)
+	res, err := RunE(exp, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	requireLiveResults(t, res, live)
 	// 3 series × 3 x × 2 seeds = 18 cells, but only one mobility process
 	// per seed.
 	if cache.Len() != 2 {
@@ -86,6 +119,93 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	}
 	if cache.Recorded() != 2 {
 		t.Fatalf("cache ran %d recording passes, want 2", cache.Recorded())
+	}
+}
+
+// sequenceObserver logs cache recordings and cell starts in the order the
+// runner delivers them.
+type sequenceObserver struct {
+	BaseObserver
+	events []string // "recorded <fingerprint>" or "cell <index>"
+}
+
+func (o *sequenceObserver) CellStarted(c CellID) {
+	o.events = append(o.events, fmt.Sprintf("cell %d", c.Index))
+}
+
+func (o *sequenceObserver) CacheEvent(ev CacheEvent) {
+	if ev.Kind == CacheRecorded {
+		o.events = append(o.events, "recorded "+ev.Fingerprint)
+	}
+}
+
+// fingerprints returns the distinct contact fingerprints of exp's cells.
+func fingerprints(t *testing.T, exp Experiment, opt Options) map[string]bool {
+	t.Helper()
+	cfgs, err := CellConfigs(exp, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool)
+	for _, cfg := range cfgs {
+		keys[scenario.ContactFingerprint(cfg)] = true
+	}
+	return keys
+}
+
+// TestRunnerRecordsEachContactProcessOnce: a sweep with no cache of its
+// own still replays — it records each distinct contact process exactly
+// once, and every cell's result equals its live run.
+func TestRunnerRecordsEachContactProcessOnce(t *testing.T) {
+	exp := gridExperiment() // the vehicles grid axis forks one trace per value
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 4}
+	live := liveResults(t, exp, opt)
+	want := fingerprints(t, exp, opt)
+
+	obs := &sequenceObserver{}
+	var mem MemorySink
+	r := Runner{Options: opt, Observer: obs, Sink: &mem}
+	if err := r.Run(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	requireLiveResults(t, mem.Results(), live)
+	recorded := make(map[string]int)
+	for _, ev := range obs.events {
+		if key, ok := strings.CutPrefix(ev, "recorded "); ok {
+			recorded[key]++
+		}
+	}
+	if len(recorded) != len(want) {
+		t.Fatalf("recorded %d distinct traces, want %d", len(recorded), len(want))
+	}
+	for key, n := range recorded {
+		if !want[key] || n != 1 {
+			t.Fatalf("trace %s recorded %d times (a fingerprint of the sweep: %v), want once", key, n, want[key])
+		}
+	}
+}
+
+// TestRunnerOnePoolRecordsFirst: the runner's single pool takes the
+// recording tasks before the cells, so with one worker every trace is
+// recorded before the first cell starts.
+func TestRunnerOnePoolRecordsFirst(t *testing.T) {
+	exp := gridExperiment()
+	opt := Options{Seeds: []uint64{1, 2}, Workers: 1}
+	want := len(fingerprints(t, exp, opt))
+
+	obs := &sequenceObserver{}
+	r := Runner{Options: opt, Observer: obs}
+	if err := r.Run(context.Background(), exp); err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.events) < want {
+		t.Fatalf("only %d events, want at least %d recordings", len(obs.events), want)
+	}
+	for i, ev := range obs.events {
+		if recorded := strings.HasPrefix(ev, "recorded "); recorded != (i < want) {
+			t.Fatalf("event %d is %q; want the %d recordings first, then only cells:\n%s",
+				i, ev, want, strings.Join(obs.events, "\n"))
+		}
 	}
 }
 
@@ -241,11 +361,11 @@ func (c *cacheEventCounter) CacheEvent(ev CacheEvent) {
 // TestRunnerOpensEachPersistedTraceOnce: a Runner sweep over a prewarmed
 // store opens every persisted trace exactly once — the prewarm pool and
 // the cells share one load per fingerprint — records nothing, and yields
-// the uncached table.
+// the live cells' results.
 func TestRunnerOpensEachPersistedTraceOnce(t *testing.T) {
 	exp := cacheExperiment()
 	opt := Options{Seeds: []uint64{1, 2, 3}, Workers: 4}
-	plain := mustRun(t, exp, opt)
+	live := liveResults(t, exp, opt)
 
 	dir := t.TempDir()
 	cfgs, err := CellConfigs(exp, opt)
@@ -269,9 +389,7 @@ func TestRunnerOpensEachPersistedTraceOnce(t *testing.T) {
 	if err := r.Run(context.Background(), exp); err != nil {
 		t.Fatal(err)
 	}
-	if got := mem.Results().DefaultTable(); !reflect.DeepEqual(plain.Series, got.Series) {
-		t.Fatal("sweep over the prewarmed store diverged from the uncached table")
-	}
+	requireLiveResults(t, mem.Results(), live)
 	if n := len(counter.events[CacheRecorded]); n != 0 || cache.Recorded() != 0 {
 		t.Fatalf("sweep over the prewarmed store recorded %d traces (%d passes)", n, cache.Recorded())
 	}
@@ -563,19 +681,20 @@ func TestCacheRecordingContextCancellation(t *testing.T) {
 		t.Fatalf("recorded %d passes, want exactly 1", cc.Recorded())
 	}
 
-	// The prewarm pool under a cancelled context reports the cancellation
-	// of its recording passes, and the keys stay recordable afterwards.
+	// A sweep cancelled before its recording tasks run reports the
+	// cancellation, and the keys stay recordable afterwards.
 	cfg2 := cfg
 	cfg2.Seed = 4
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := cc.prewarm(ctx2, []sim.Config{}, 2, nil, nil); err != nil {
+	if err := cc.Prewarm(nil, 2); err != nil {
 		t.Fatalf("empty prewarm errored: %v", err)
 	}
-	if err := cc.prewarm(ctx2, []sim.Config{cfg2}, 2, nil, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled prewarm returned %v, want context.Canceled", err)
+	run := Runner{Options: Options{Seeds: []uint64{cfg2.Seed}, ContactCache: cc}}
+	if err := run.Run(ctx2, cacheExperiment()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}
 	if _, err := cc.Source(cfg2); err != nil {
-		t.Fatalf("recording after cancelled prewarm: %v", err)
+		t.Fatalf("recording after a cancelled sweep: %v", err)
 	}
 }

@@ -239,11 +239,12 @@ type Options struct {
 	// Benchmarks use a smaller scale; the shape of the results is
 	// preserved, absolute delays shrink with the horizon.
 	Scale float64
-	// ContactCache, when non-nil, records each distinct (scenario, seed)
-	// mobility process once and replays it for every cell that shares it,
-	// instead of re-simulating vehicle motion and proximity scanning per
-	// cell. Results are bit-identical to uncached runs. The cache may be
-	// shared across experiments and is safe for concurrent use.
+	// ContactCache holds the recorded contact traces a sweep replays: each
+	// distinct (scenario, seed) mobility process is recorded once and
+	// replayed by every cell that shares it, bit-identical to simulating
+	// it live per cell. Nil gives each run a private in-memory cache; pass
+	// one to share traces across experiments or persist them in its Dir.
+	// The cache is safe for concurrent use.
 	ContactCache *ContactCache
 }
 
@@ -392,8 +393,10 @@ func cellErrorf(exp Experiment, j job, err error) error {
 // runCell executes one cell to completion (or cancellation) and returns
 // its complete result. Panics out of the simulation stack are converted
 // into errors, so a worker goroutine never kills the whole sweep — the
-// cell is reported with its coordinates by the runner instead. Cache
-// events for the cell's contact-trace lookup flow to note (may be nil).
+// cell is reported with its coordinates by the runner instead. A
+// cacheable cell replays its contact trace from opt.ContactCache, which
+// must be non-nil; plan and replay cells run as given. Cache events for
+// the cell's contact-trace lookup flow to note (may be nil).
 func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(CacheEvent)) (res sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -410,7 +413,7 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 	// hands back the trace's shared view: of the bytes a recording pass
 	// just encoded or, for a trace persisted by an earlier run, of the
 	// file's bytes, read once and replayed by every cell.
-	if opt.ContactCache != nil && cacheable(cfg) {
+	if cacheable(cfg) {
 		src, rerr := opt.ContactCache.sourceWith(ctx, cfg, note)
 		if rerr != nil {
 			return sim.Result{}, rerr
@@ -452,10 +455,9 @@ func CellConfigs(exp Experiment, opt Options) ([]sim.Config, error) {
 // (series, grid, x, seed) coordinates. A structurally bad experiment
 // (unknown axis or metric, empty sweep) or invalid options (see
 // Options.Validate) are rejected before any cell runs.
-// When opt.ContactCache is set, the distinct contact traces the sweep
-// needs are recorded by a parallel prewarm pool running alongside the
-// cell workers. Use a Runner directly for cancellation, progress
-// observation, or streaming sinks.
+// The distinct contact traces the sweep needs are loaded or recorded by
+// the same worker pool before it moves on to the cells. Use a Runner
+// directly for cancellation, progress observation, or streaming sinks.
 func RunE(exp Experiment, opt Options) (*Results, error) {
 	var mem MemorySink
 	r := Runner{Options: opt, Sink: &mem}

@@ -262,98 +262,76 @@ func (r *Runner) deliverPrefix() error {
 }
 
 // runCells drives the worker pool between Sink.Start and Sink.Finish,
-// over the jobs from index resume on.
+// over the jobs from index resume on. A nil opt.ContactCache gets a
+// private in-memory cache for this run: every cacheable cell replays its
+// contact trace, recorded once per distinct (scenario, seed).
+//
+// The pool works one task list: first one load-or-record task per
+// distinct contact process the remaining cells need, in first-use order,
+// then the cells. A cell whose trace is still being recorded waits behind
+// that single pass (the cache's single-flight) instead of recording it
+// again. A failed recording does not stop the pool: the cache memoizes
+// the error, and the first cell that needs the trace reports it with the
+// cell's coordinates. After the first failure (or cancellation) the sweep
+// is dead either way, so the remaining tasks are drained, not run — a bad
+// first cell must not cost the whole sweep's wall clock.
 func (r *Runner) runCells(ctx context.Context, exp Experiment, opt Options, jobs []job, obs *observed, resume int) error {
-	// Warm the cache concurrently with cell execution: the prewarm pool
-	// records distinct (scenario, seed) traces the cell workers have not
-	// reached yet, so recordings run in parallel instead of serializing
-	// behind first-touch single-flight — without a barrier that would keep
-	// early cells from overlapping the remaining recording passes.
-	// Prewarm failures are deliberately dropped: the cache memoizes each
-	// key's error, so the failing cell reports it below with its full
-	// coordinates instead of a bare fingerprint. The failed flag doubles
-	// as the pool's stop signal, so a dead or cancelled sweep does not
-	// keep recording traces nobody will use.
-	var failed atomic.Bool
-	stop := func() bool { return failed.Load() || ctx.Err() != nil }
-	var prewarmed chan struct{}
-	if opt.ContactCache != nil {
-		var cfgs []sim.Config
-		// Resumed cells are already on disk and never simulate, so only the
-		// remaining cells' traces are worth recording.
-		for _, j := range jobs[resume:] {
-			// A cell whose config cannot materialize is skipped here; its
-			// worker reports the error with full coordinates below.
-			if cfg, err := cellConfig(exp, opt, j); err == nil && cacheable(cfg) {
-				cfgs = append(cfgs, cfg)
-			}
-		}
-		prewarmed = make(chan struct{})
-		go func() {
-			defer close(prewarmed)
-			_ = opt.ContactCache.prewarm(ctx, cfgs, opt.Workers, stop, obs.cacheNote())
-		}()
+	if opt.ContactCache == nil {
+		opt.ContactCache = &ContactCache{}
+		defer opt.ContactCache.Close()
 	}
+	// Resumed cells are already on disk and never simulate, so only the
+	// remaining cells' traces are worth loading. A cell whose config
+	// cannot materialize is skipped here; its task reports the error with
+	// full coordinates.
+	var cfgs []sim.Config
+	for _, j := range jobs[resume:] {
+		if cfg, err := cellConfig(exp, opt, j); err == nil {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	traces := distinctContacts(cfgs)
 
 	sink := &delivery{sink: r.Sink, exp: exp, jobs: jobs, next: resume}
 	errs := make([]error, len(jobs))
 	note := obs.cacheNote()
-
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ji := range next {
-				// After the first failure (or cancellation) the sweep is
-				// dead either way, so remaining cells are drained, not
-				// simulated — a bad first cell must not cost the whole
-				// sweep's wall clock.
-				if stop() {
-					continue
-				}
-				j := jobs[ji]
-				id := CellID{
-					Index:  ji,
-					Total:  len(jobs),
-					Series: exp.Scenarios[j.scenario].Name,
-					X:      exp.Xs[j.xi],
-					Grid:   exp.comboSettings(j.combo),
-					Seed:   j.seed,
-				}
-				obs.cellStarted(id)
-				cellStart := time.Now()
-				res, err := runCell(ctx, exp, opt, j, note)
-				obs.cellFinished(id, time.Since(cellStart), err)
-				if err != nil {
-					// Cancellation is the sweep's outcome, not the cell's
-					// failure: it is reported once below as ctx.Err(), not
-					// with one arbitrary cell's coordinates.
-					if ctx.Err() == nil {
-						errs[ji] = cellErrorf(exp, j, err)
-					}
-					failed.Store(true)
-					continue
-				}
-				if err := sink.deliver(ji, res); err != nil {
-					failed.Store(true)
-				}
+	var failed atomic.Bool
+	pool(opt.Workers, len(traces)+len(jobs)-resume, func(t int) {
+		if failed.Load() || ctx.Err() != nil {
+			return
+		}
+		if t < len(traces) {
+			_, _ = opt.ContactCache.sourceWith(ctx, traces[t], note)
+			return
+		}
+		ji := resume + t - len(traces)
+		j := jobs[ji]
+		id := CellID{
+			Index:  ji,
+			Total:  len(jobs),
+			Series: exp.Scenarios[j.scenario].Name,
+			X:      exp.Xs[j.xi],
+			Grid:   exp.comboSettings(j.combo),
+			Seed:   j.seed,
+		}
+		obs.cellStarted(id)
+		cellStart := time.Now()
+		res, err := runCell(ctx, exp, opt, j, note)
+		obs.cellFinished(id, time.Since(cellStart), err)
+		if err != nil {
+			// Cancellation is the sweep's outcome, not the cell's
+			// failure: it is reported once below as ctx.Err(), not with
+			// one arbitrary cell's coordinates.
+			if ctx.Err() == nil {
+				errs[ji] = cellErrorf(exp, j, err)
 			}
-		}()
-	}
-	for ji := resume; ji < len(jobs); ji++ {
-		next <- ji
-	}
-	close(next)
-	wg.Wait()
-	if prewarmed != nil {
-		// On success every key is memoized and the pool finishes
-		// immediately; on failure the failed flag makes it skip whatever it
-		// had not started. Either way the wait only keeps its goroutines
-		// from outliving the run.
-		<-prewarmed
-	}
+			failed.Store(true)
+			return
+		}
+		if err := sink.deliver(ji, res); err != nil {
+			failed.Store(true)
+		}
+	})
 
 	for _, err := range errs {
 		if err != nil {
@@ -366,4 +344,21 @@ func (r *Runner) runCells(ctx context.Context, exp Experiment, opt Options, jobs
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	return sink.err
+}
+
+// pool runs task(0), ..., task(n-1) on workers goroutines, handing the
+// indices out in order, and returns once every task has returned.
+func pool(workers, n int, task func(i int)) {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				task(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -12,7 +12,7 @@
 // loops that only collect entries into local slices that are sorted
 // before use (the canonical sorted-keys helper, wireless.PeersOf, the
 // Medium.scan up/down staging). Everything else needs the keys sorted
-// first (internal/detmap.Keys) or a justified
+// first (range slices.Sorted(maps.Keys(m))) or a justified
 // //vdtnlint:unordered-ok annotation.
 package detmaprange
 
@@ -57,7 +57,7 @@ func run(pass *lint.Pass) error {
 
 func checkRange(pass *lint.Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	if mapsIterCall(pass, rs.X) {
-		pass.Reportf(rs.Pos(), "ranges over %s in nondeterministic order; sort the keys first (e.g. internal/detmap.Keys) or justify with //vdtnlint:unordered-ok (%s)",
+		pass.Reportf(rs.Pos(), "ranges over %s in nondeterministic order; sort the keys first (e.g. range slices.Sorted(maps.Keys(m))) or justify with //vdtnlint:unordered-ok (%s)",
 			types.ExprString(rs.X), lintcfg.DocPath)
 		return
 	}
@@ -71,7 +71,7 @@ func checkRange(pass *lint.Pass, rs *ast.RangeStmt, stack []ast.Node) {
 	if body := enclosingFuncBody(stack); body != nil && collectThenSorted(pass, rs, body) {
 		return
 	}
-	pass.Reportf(rs.Pos(), "iterates over map %s in nondeterministic order; sort the keys first (e.g. internal/detmap.Keys) or justify with //vdtnlint:unordered-ok (%s)",
+	pass.Reportf(rs.Pos(), "iterates over map %s in nondeterministic order; sort the keys first (e.g. range slices.Sorted(maps.Keys(m))) or justify with //vdtnlint:unordered-ok (%s)",
 		types.ExprString(rs.X), lintcfg.DocPath)
 }
 

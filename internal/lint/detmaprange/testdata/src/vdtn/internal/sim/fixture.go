@@ -5,6 +5,7 @@ package fixture
 
 import (
 	"maps"
+	"slices"
 	"sort"
 )
 
@@ -19,6 +20,13 @@ func emitInOrder(m map[int]string, sink func(string)) {
 func iterKeys(m map[int]string) {
 	for k := range maps.Keys(m) { // want `ranges over maps\.Keys\(m\) in nondeterministic order`
 		_ = k
+	}
+}
+
+// The remedy the diagnostics suggest: ranging the sorted keys is ordered.
+func iterSortedKeys(m map[int]string, sink func(string)) {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		sink(m[k])
 	}
 }
 

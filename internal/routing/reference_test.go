@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
-	"vdtn/internal/detmap"
 	"vdtn/internal/units"
 	"vdtn/internal/xrand"
 )
@@ -55,10 +55,10 @@ func (mx *refMaxProp) ContactUp(now float64, p Peer) {
 	mx.contactCount++
 	mx.meet[peerID]++
 	sum := 0.0
-	for _, k := range detmap.Keys(mx.meet) {
+	for _, k := range slices.Sorted(maps.Keys(mx.meet)) {
 		sum += mx.meet[k]
 	}
-	for _, k := range detmap.Keys(mx.meet) {
+	for _, k := range slices.Sorted(maps.Keys(mx.meet)) {
 		mx.meet[k] /= sum
 	}
 	if remote, ok := p.Router().(*refMaxProp); ok {
@@ -189,7 +189,7 @@ func (mx *refMaxProp) dijkstra() map[int]float64 {
 		}
 		done[it.node] = true
 		vec := vector(it.node)
-		for _, nb := range detmap.Keys(vec) {
+		for _, nb := range slices.Sorted(maps.Keys(vec)) {
 			nd := it.dist + (1 - vec[nb])
 			if old, ok := dist[nb]; !ok || nd < old {
 				dist[nb] = nd

@@ -28,12 +28,12 @@ const (
 	ProtoFirstContact
 )
 
-// protocol declares one ProtocolKind: its report name, its scenario
-// schema key, and how a node's router is built. A protocol that takes a
-// policy gets its node's built Policy; one that does not gets the zero
-// Policy and draws nothing.
+// protocol declares one ProtocolKind: its scenario schema key and how a
+// node's router is built. A protocol that takes a policy gets its node's
+// built Policy; one that does not gets the zero Policy and draws nothing.
+// The report name is the built router's Name.
 type protocol struct {
-	name, key   string // report name (String) and schema key (Key)
+	key         string // schema key (Key)
 	takesPolicy bool   // built with the node's policy, which Label names
 	needsCopies bool   // Validate requires SprayCopies ≥ 1
 	router      func(c Config, pol core.Policy) routing.Router
@@ -41,37 +41,39 @@ type protocol struct {
 
 // protocols is the one table of protocol kinds, indexed by kind.
 var protocols = [...]protocol{
-	ProtoEpidemic: {"Epidemic", "epidemic", true, false, func(_ Config, pol core.Policy) routing.Router {
+	ProtoEpidemic: {"epidemic", true, false, func(_ Config, pol core.Policy) routing.Router {
 		return routing.NewEpidemic(pol)
 	}},
-	ProtoSprayAndWait: {"SprayAndWait", "spraywait", true, true, func(c Config, pol core.Policy) routing.Router {
+	ProtoSprayAndWait: {"spraywait", true, true, func(c Config, pol core.Policy) routing.Router {
 		return routing.NewSprayAndWait(pol, c.SprayCopies, true)
 	}},
-	ProtoSprayAndWaitVanilla: {"SprayAndWaitVanilla", "spraywaitvanilla", true, true, func(c Config, pol core.Policy) routing.Router {
+	ProtoSprayAndWaitVanilla: {"spraywaitvanilla", true, true, func(c Config, pol core.Policy) routing.Router {
 		return routing.NewSprayAndWait(pol, c.SprayCopies, false)
 	}},
-	ProtoMaxProp: {"MaxProp", "maxprop", false, false, func(Config, core.Policy) routing.Router {
+	ProtoMaxProp: {"maxprop", false, false, func(Config, core.Policy) routing.Router {
 		return routing.NewMaxProp()
 	}},
-	ProtoPRoPHET: {"PRoPHET", "prophet", false, false, func(Config, core.Policy) routing.Router {
+	ProtoPRoPHET: {"prophet", false, false, func(Config, core.Policy) routing.Router {
 		return routing.NewProphet(routing.DefaultProphetConfig())
 	}},
-	ProtoDirectDelivery: {"DirectDelivery", "direct", true, false, func(_ Config, pol core.Policy) routing.Router {
+	ProtoDirectDelivery: {"direct", true, false, func(_ Config, pol core.Policy) routing.Router {
 		return routing.NewDirectDelivery(pol)
 	}},
-	ProtoFirstContact: {"FirstContact", "firstcontact", true, false, func(_ Config, pol core.Policy) routing.Router {
+	ProtoFirstContact: {"firstcontact", true, false, func(_ Config, pol core.Policy) routing.Router {
 		return routing.NewFirstContact(pol)
 	}},
 }
 
 func (p ProtocolKind) valid() bool { return p >= 0 && int(p) < len(protocols) }
 
-// String returns the report name of the protocol.
+// String returns the report name of the protocol: its router's Name,
+// built with a copy budget and a complete policy so no constructor
+// panics.
 func (p ProtocolKind) String() string {
 	if !p.valid() {
 		return fmt.Sprintf("ProtocolKind(%d)", int(p))
 	}
-	return protocols[p].name
+	return protocols[p].router(Config{SprayCopies: 1}, core.FIFOFIFO()).Name()
 }
 
 // Key returns the protocol's scenario schema key ("epidemic", ...), or ""

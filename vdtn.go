@@ -50,15 +50,16 @@
 //	cfg.ReplaySource = view
 //	result, err := vdtn.Run(cfg) // identical to the live run's result
 //
-// The experiment harness builds on this: ExperimentOptions.ContactCache
-// records each distinct (scenario, seed) mobility process once — keyed by
+// The experiment harness builds on this: every sweep records each
+// distinct (scenario, seed) mobility process once — keyed by
 // ContactFingerprint — and replays it for every series and x-axis cell
 // that shares it, making multi-cell sweeps several times faster with
-// provably unchanged results.
+// provably unchanged results. ExperimentOptions.ContactCache shares the
+// recorded traces across experiments (nil gives each run its own):
 //
 //	cache := &vdtn.ContactCache{}
 //	opt := vdtn.ExperimentOptions{Seeds: []uint64{1, 2, 3}, ContactCache: cache}
-//	res, err := vdtn.RunExperimentE(exp, opt) // identical to the uncached results
+//	res, err := vdtn.RunExperimentE(exp, opt) // identical to running each cell live
 //
 // # Cancellation, observation, and result sinks
 //
@@ -234,7 +235,8 @@ type (
 	// ContactTransition is one recorded contact state change.
 	ContactTransition = wireless.Transition
 	// ContactCache memoizes recorded traces by scenario fingerprint for
-	// the experiment harness (ExperimentOptions.ContactCache). With Dir
+	// the experiment harness: every sweep replays through one, its
+	// ExperimentOptions.ContactCache or a private one per run. With Dir
 	// set it persists traces in a sharded directory and serves them on
 	// later runs as ContactRecordingView values; MaxBytes bounds
 	// the store with LRU eviction by file mtime.
