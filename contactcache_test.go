@@ -181,20 +181,20 @@ func contactCacheArtifact(tb testing.TB) map[string]any {
 	}
 
 	return map[string]any{
-		"benchmark":         "contact-trace cache: replayed sweep vs live per-cell reference",
-		"host":              hostBlock(),
-		"runs":              cacheArtifactRuns,
-		"experiment":        exp.ID,
-		"series":            len(exp.Scenarios),
-		"x_points":          len(exp.Xs),
-		"seeds":             len(opt.Seeds),
-		"cells":             cells,
-		"scale":             opt.Scale,
-		"uncached_ms":       spread(uncachedMs),
-		"cached_ms":         spread(cachedMs),
-		"speedup":           speedup,
-		"recordings":        cache.Recorded(),
-		"tables_equal":      true,
-		"tables_equal_mmap": true,
+		"benchmark":           "contact-trace cache: replayed sweep vs live per-cell reference",
+		"host":                hostBlock(),
+		"runs":                cacheArtifactRuns,
+		"experiment":          exp.ID,
+		"series":              len(exp.Scenarios),
+		"x_points":            len(exp.Xs),
+		"seeds":               len(opt.Seeds),
+		"cells":               cells,
+		"scale":               opt.Scale,
+		"uncached_ms":         spread(uncachedMs),
+		"cached_ms":           spread(cachedMs),
+		"speedup":             speedup,
+		"recordings":          cache.Recorded(),
+		"tables_equal":        true,
+		"tables_equal_stored": true,
 	}
 }

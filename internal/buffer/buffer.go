@@ -10,9 +10,13 @@
 // router sorts its buffer by its schedule once and reads the sorted
 // replicas at every send-queue rebuild (Sorted). An Add inserts at the
 // binary-search position and a removal deletes by pointer, so the order
-// holds as replicas come and go. A lower bound on the stored deadlines
-// makes Expire free while nothing can have expired. All iteration orders
-// are deterministic so that simulation runs are reproducible bit-for-bit.
+// holds as replicas come and go. MaxProp's order is the exception that
+// moves while replicas stay: it also reads the router's cost epoch and
+// hop threshold, so the router re-sorts the store in place (Resort) after
+// each change to them, before the store compares again. A lower bound on
+// the stored deadlines makes Expire free while nothing can have expired.
+// All iteration orders are deterministic so that simulation runs are
+// reproducible bit-for-bit.
 package buffer
 
 import (
@@ -85,12 +89,25 @@ func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
 }
 
 // SortBy makes the store keep its replicas sorted by cmp too, for Sorted.
-// cmp must be a total order (no two distinct replicas compare equal) that
-// reads only fields fixed while a replica is stored. A router calls it
-// once, when it is attached.
+// cmp must be a total order (no two distinct replicas compare equal)
+// whose answers change only where the caller calls Resort. The schedule
+// orders read only fields fixed while a replica is stored, so they never
+// need it. MaxProp's order also reads router state (its cost epoch and its
+// hop threshold), and the router calls Resort after each change to that
+// state, before the store compares again. A router calls SortBy once,
+// when it is attached.
 func (s *Store) SortBy(cmp func(a, b *bundle.Message) int) {
 	s.cmp = cmp
 	s.sorted = slices.SortedStableFunc(slices.Values(s.order), cmp)
+}
+
+// Resort sorts the replicas by SortBy's order again, in place and without
+// allocating, for an order whose answers changed (see SortBy). It does
+// nothing if SortBy was never called.
+func (s *Store) Resort() {
+	if s.cmp != nil {
+		slices.SortFunc(s.sorted, s.cmp)
+	}
 }
 
 // Sorted lends the stored replicas in SortBy's order, or in insertion
@@ -169,6 +186,23 @@ func (s *Store) Remove(id bundle.ID) *bundle.Message {
 		return nil
 	}
 	return s.removeAt(i)
+}
+
+// RemoveFunc deletes every stored replica for which del returns true,
+// without allocating. del sees each replica once, in insertion order; the
+// replicas left keep both their orders.
+func (s *Store) RemoveFunc(del func(*bundle.Message) bool) {
+	s.order = slices.DeleteFunc(s.order, func(m *bundle.Message) bool {
+		if !del(m) {
+			return false
+		}
+		s.ids.Remove(m.ID)
+		s.used -= m.Size
+		return true
+	})
+	if s.cmp != nil {
+		s.sorted = slices.DeleteFunc(s.sorted, func(m *bundle.Message) bool { return !s.ids.Has(m.ID) })
+	}
 }
 
 // removeAt removes the replica at index i in insertion order, and the

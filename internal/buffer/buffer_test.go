@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -220,8 +221,10 @@ func withReceived(m *bundle.Message, at float64) *bundle.Message {
 // starts sorting by its Compare at a random step: before it Sorted() must
 // equal Messages(), and from then on a stable sort of Messages(). Ids
 // include 0 and sparse large values, removed replicas are stored again
-// under the same pointer, every drop policy evicts, and some expiries land
-// exactly on a stored deadline.
+// under the same pointer, every drop policy evicts, some expiries land
+// exactly on a stored deadline, RemoveFunc drops whole id classes, and the
+// kept order's state flips (it reverses the schedule), after which Resort
+// must restore the sorted replicas without allocating.
 func TestPropertyCapacityInvariant(t *testing.T) {
 	schedules := []core.SchedulingPolicy{core.FIFOSchedule{}, core.RandomSchedule{}, core.LifetimeDESCSchedule{},
 		core.SizeASCSchedule{}, core.HopCountASCSchedule{}}
@@ -248,13 +251,22 @@ func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 				removed = append(removed, m)
 			}
 		}
+		// The kept order reads state, as MaxProp's does: flipping it
+		// reverses the schedule, and the store must be re-sorted.
+		flipped := false
+		order := func(a, b *bundle.Message) int {
+			if flipped {
+				return schedule.Compare(b, a)
+			}
+			return schedule.Compare(a, b)
+		}
 		for i := 0; i < ops; i++ {
 			if i == sortAt {
-				s.SortBy(schedule.Compare)
+				s.SortBy(order)
 			}
 			now += rng.Float64() * 60
 			var stored *bundle.Message
-			switch rng.IntN(6) {
+			switch rng.IntN(8) {
 			case 0, 1: // add a fresh message, now and then under a sparse large id
 				id := nextID
 				nextID++
@@ -288,6 +300,29 @@ func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 					}
 					forget(dead)
 				}
+			case 6: // the order's state changes; Resort restores it in place
+				flipped = !flipped
+				if allocs := testing.AllocsPerRun(1, func() { s.Resort() }); allocs != 0 {
+					t.Logf("seed %d step %d: Resort allocates %v times", seed, i, allocs)
+					return false
+				}
+			case 7: // remove a random subset in one pass
+				k := 2 + rng.IntN(3)
+				before := s.Messages()
+				var seen, gone []*bundle.Message
+				s.RemoveFunc(func(m *bundle.Message) bool {
+					seen = append(seen, m)
+					if m.ID%bundle.ID(k) == 0 {
+						gone = append(gone, m)
+						return true
+					}
+					return false
+				})
+				if !slices.Equal(seen, before) {
+					t.Logf("seed %d step %d: RemoveFunc visited %v, want insertion order %v", seed, i, seen, before)
+					return false
+				}
+				forget(gone)
 			}
 			if stored != nil && !s.Has(stored.ID) {
 				evicted, ok := s.Add(now, stored, policies[rng.IntN(len(policies))])
@@ -307,7 +342,7 @@ func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 			}
 			want := s.Messages()
 			if i >= sortAt {
-				slices.SortStableFunc(want, schedule.Compare)
+				slices.SortStableFunc(want, order)
 			}
 			if !slices.Equal(s.Sorted(), want) {
 				t.Logf("seed %d step %d: Sorted() %v, want %v", seed, i, s.Sorted(), want)
@@ -318,6 +353,39 @@ func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 		return true
 	}, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Resort and RemoveFunc work in the store's own slices: neither
+// allocates, however often the order changes or replicas go.
+func TestResortAndRemoveFuncAllocateNothing(t *testing.T) {
+	s := NewStore(units.MB(100))
+	desc := false
+	s.SortBy(func(a, b *bundle.Message) int {
+		if desc {
+			return cmp.Compare(b.ID, a.ID)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	msgs := make([]*bundle.Message, 64)
+	for i := range msgs {
+		msgs[i] = msg(bundle.ID(i), units.KB(10), 0, 3600)
+		s.Add(0, msgs[i], nil)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		desc = !desc
+		s.Resort()
+		s.RemoveFunc(func(m *bundle.Message) bool { return m.ID%3 == 0 })
+		for i := 0; i < len(msgs); i += 3 {
+			s.Add(0, msgs[i], nil)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Resort, RemoveFunc and re-adding allocate %v times per round", allocs)
+	}
+	s.check()
+	if s.Len() != len(msgs) {
+		t.Fatalf("store holds %d replicas, want %d", s.Len(), len(msgs))
 	}
 }
 

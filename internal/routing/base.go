@@ -2,7 +2,6 @@ package routing
 
 import (
 	"cmp"
-	"slices"
 
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
@@ -84,28 +83,6 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 	}
 	b.send = Send{Msg: m}
 	return &b.send
-}
-
-// requeue rebuilds p's send queue from the buffer for MaxProp and PRoPHET.
-// It never queues a replica p has already received as destination; it
-// queues the replicas destined to p first, by id, then those p does not
-// hold that offer accepts, in order's order. order must end in the
-// message id, so that it is total.
-func (b *base) requeue(p Peer, offer func(*bundle.Message) bool, order func(x, y *bundle.Message) int) {
-	deliv, rest := b.deliv[:0], b.rest[:0]
-	for _, m := range b.buf.Sorted() {
-		switch {
-		case p.HasDelivered(m.ID):
-		case m.To == p.ID():
-			deliv = append(deliv, m)
-		case !p.Has(m.ID) && offer(m):
-			rest = append(rest, m)
-		}
-	}
-	slices.SortFunc(deliv, byID)
-	slices.SortFunc(rest, order)
-	b.queues.set(p.ID(), deliv, rest)
-	b.deliv, b.rest = deliv, rest
 }
 
 func byID(x, y *bundle.Message) int { return cmp.Compare(x.ID, y.ID) }

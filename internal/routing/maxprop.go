@@ -3,7 +3,9 @@ package routing
 import (
 	"cmp"
 	"math"
+	"slices"
 
+	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/units"
 )
@@ -16,15 +18,25 @@ import (
 // to avoid re-forwarding to previous intermediaries. MaxProp schedules
 // *and* drops by the same priority order (drops from the low-priority
 // tail), so it takes no external scheduling/dropping policy.
+//
+// The router has its buffer keep the MaxProp order (buffer.Store.SortBy),
+// so a Refresh filters the ordered replicas instead of copying and
+// sorting the buffer per peer. That order reads the cost epoch and the
+// hop threshold, so the buffer is re-sorted in place (Resort) when a
+// ContactUp starts a new cost epoch and when a Refresh finds the
+// threshold moved.
 type MaxProp struct {
 	base
 
 	meet  []float64    // own meeting likelihoods by node id, sum 1; unmet if never met
-	peers [][]float64  // node id -> snapshot of its meet vector; nil if none
+	peers [][]float64  // node id -> edge weights from its last meet vector; nil if none
 	acked bundle.IDSet // delivered-message ids (flooded)
 
-	cost  []float64 // path cost by destination id, +Inf if unreachable; empty = stale
-	final []bool    // dijkstra's finalized nodes
+	cost []float64 // path cost by destination id, +Inf if unreachable; empty = stale
+	tent []float64 // dijkstra's tentative costs, +Inf once a node is final
+	own  []float64 // dijkstra's edge weights out of self, rebuilt from meet
+
+	threshold int // the hop threshold the buffer is sorted under; -1 = stale
 
 	// Adaptive threshold statistics: bytes moved per completed contact.
 	bytesMoved   units.Bytes
@@ -37,6 +49,20 @@ type MaxProp struct {
 // cannot be the marker.
 const unmet = -1.0
 
+// weights turns a copy of a likelihood vector, in place, into the edges
+// it gives the likelihood graph: the cost 1 - f of a hop, or +Inf, no
+// edge, where f is unmet.
+func weights(v []float64) []float64 {
+	for i, f := range v {
+		if f == unmet {
+			v[i] = math.Inf(1)
+		} else {
+			v[i] = 1 - f
+		}
+	}
+	return v
+}
+
 // NewMaxProp returns a MaxProp router. Like a cold-started node, it has
 // no head-start zone until its contacts have moved bytes.
 func NewMaxProp() *MaxProp {
@@ -47,6 +73,12 @@ func NewMaxProp() *MaxProp {
 
 // Name implements Router.
 func (mx *MaxProp) Name() string { return "MaxProp" }
+
+// Attach implements Router and has buf keep the MaxProp order.
+func (mx *MaxProp) Attach(self int, buf *buffer.Store) {
+	mx.base.Attach(self, buf)
+	buf.SortBy(mx.compare)
+}
 
 // MeetingLikelihood returns f(self, node), 0 if never met, for tests and
 // diagnostics.
@@ -79,51 +111,66 @@ func (mx *MaxProp) ContactUp(now float64, p Peer) {
 	}
 
 	if remote, ok := p.Router().(*MaxProp); ok {
-		// Exchange routing metadata: snapshot the peer's likelihood vector
-		// and union its acknowledgment list into ours.
+		// Exchange routing metadata: snapshot the peer's likelihood vector,
+		// as edge weights, and union its acknowledgment list into ours.
 		mx.peers = widen(mx.peers, peerID+1, nil)
-		mx.peers[peerID] = append(mx.peers[peerID][:0], remote.meet...)
+		mx.peers[peerID] = weights(append(mx.peers[peerID][:0], remote.meet...))
 		mx.acked.Union(&remote.acked)
 		// Delete acked messages: they are already delivered.
-		for _, m := range mx.buf.Messages() {
-			if mx.acked.Has(m.ID) {
-				mx.buf.Remove(m.ID)
-			}
-		}
+		mx.buf.RemoveFunc(func(m *bundle.Message) bool { return mx.acked.Has(m.ID) })
 	}
+	// A new cost epoch: the buffer's order is stale until Refresh
+	// re-sorts it, and nothing compares replicas before then.
 	mx.cost = mx.cost[:0]
+	mx.threshold = -1
 	mx.Refresh(now, p)
 }
 
 // Refresh implements Router: rebuild the priority queue for p without
 // touching meeting likelihoods or exchanging metadata. Messages destined
-// to p go first; the rest follow in MaxProp priority order, except those
-// known to be delivered and those that already passed through p (the
-// previous-intermediary rule). An acked replica destined to p may be
-// queued; NextSend skips it.
+// to p go first, by id; the rest follow in MaxProp priority order, except
+// those known to be delivered and those that already passed through p
+// (the previous-intermediary rule). An acked replica destined to p may be
+// queued; NextSend skips it. The order is total, so filtering the sorted
+// buffer equals sorting the filtered replicas.
 func (mx *MaxProp) Refresh(now float64, p Peer) {
-	mx.requeue(p, func(m *bundle.Message) bool {
-		return !mx.acked.Has(m.ID) && !m.HasVisited(p.ID())
-	}, mx.priority())
+	if t := mx.hopThreshold(); t != mx.threshold {
+		mx.threshold = t
+		mx.buf.Resort()
+	}
+	deliv, rest := mx.deliv[:0], mx.rest[:0]
+	for _, m := range mx.buf.Sorted() {
+		switch {
+		case p.HasDelivered(m.ID):
+		case m.To == p.ID():
+			deliv = append(deliv, m)
+		case !p.Has(m.ID) && !mx.acked.Has(m.ID) && !m.HasVisited(p.ID()):
+			rest = append(rest, m)
+		}
+	}
+	slices.SortFunc(deliv, byID)
+	mx.queues.set(p.ID(), deliv, rest)
+	mx.deliv, mx.rest = deliv, rest
 }
 
-// priority returns the MaxProp order, best first: below the hop
-// threshold by hop count (young messages get their head start), then by
-// delivery cost, ties by id.
-func (mx *MaxProp) priority() func(a, b *bundle.Message) int {
-	t := mx.hopThreshold()
-	return func(a, b *bundle.Message) int {
-		aHead, bHead := a.HopCount < t, b.HopCount < t
-		switch {
-		case aHead && !bHead:
-			return -1
-		case bHead && !aHead:
-			return 1
-		case aHead:
-			return byHops(a, b)
-		}
-		return cmp.Or(cmp.Compare(mx.Cost(a.To), mx.Cost(b.To)), byID(a, b))
+// compare is the order the buffer keeps: order under the threshold the
+// buffer was last sorted by.
+func (mx *MaxProp) compare(a, b *bundle.Message) int { return mx.order(a, b, mx.threshold) }
+
+// order is the MaxProp priority order under hop threshold t, best first:
+// below t by hop count (young messages get their head start), then by
+// delivery cost, ties by id. Eviction takes the worst.
+func (mx *MaxProp) order(a, b *bundle.Message, t int) int {
+	aHead, bHead := a.HopCount < t, b.HopCount < t
+	switch {
+	case aHead && !bHead:
+		return -1
+	case bHead && !aHead:
+		return 1
+	case aHead:
+		return byHops(a, b)
 	}
+	return cmp.Or(cmp.Compare(mx.Cost(a.To), mx.Cost(b.To)), byID(a, b))
 }
 
 func byHops(a, b *bundle.Message) int { return cmp.Or(cmp.Compare(a.HopCount, b.HopCount), byID(a, b)) }
@@ -172,37 +219,42 @@ func (mx *MaxProp) Cost(dest int) float64 {
 }
 
 // dijkstra fills mx.cost with the cheapest path costs from self. Each
-// round scans the array for the next node to finalize, in (cost, id)
-// order, and relaxes the edges to every node its vector has met.
+// round finalizes the node lowest in (tentative cost, id) order, which
+// then reads +Inf in tent, and relaxes its row of edge weights. The
+// weights lie in [0, 1], so no path through the node just finalized is
+// cheaper than a node finalized before it: a final node is never relaxed.
 func (mx *MaxProp) dijkstra() {
 	n := max(len(mx.meet), mx.self+1)
-	for _, v := range mx.peers {
-		n = max(n, len(v))
+	for _, row := range mx.peers {
+		n = max(n, len(row))
 	}
-	mx.cost = widen(mx.cost[:0], n, math.Inf(1))
-	mx.final = widen(mx.final[:0], n, false)
-	mx.cost[mx.self] = 0
+	mx.own = weights(append(mx.own[:0], mx.meet...))
+	inf := math.Inf(1)
+	cost := widen(mx.cost[:0], n, inf)
+	tent := widen(mx.tent[:0], n, inf)
+	cost[mx.self], tent[mx.self] = 0, 0
 	for {
-		u := -1
-		for v, c := range mx.cost {
-			if !mx.final[v] && !math.IsInf(c, 1) && (u < 0 || c < mx.cost[u]) {
-				u = v
+		u, cu := -1, inf
+		for v, c := range tent {
+			if c < cu {
+				u, cu = v, c
 			}
 		}
 		if u < 0 {
-			return
+			break
 		}
-		mx.final[u] = true
-		vec := at(mx.peers, u, nil)
+		tent[u] = inf
+		row := at(mx.peers, u, nil)
 		if u == mx.self {
-			vec = mx.meet
+			row = mx.own
 		}
-		for v, f := range vec {
-			if c := mx.cost[u] + (1 - f); f != unmet && c < mx.cost[v] {
-				mx.cost[v] = c
+		for v, w := range row {
+			if c := cu + w; c < cost[v] {
+				cost[v], tent[v] = c, c
 			}
 		}
 	}
+	mx.cost, mx.tent = cost, tent
 }
 
 // NextSend implements Router.
@@ -238,9 +290,10 @@ func (mx *MaxProp) Receive(now float64, m *bundle.Message, from Peer) (bool, []*
 	return mx.store(now, m)
 }
 
-// maxPropDrop evicts in reverse MaxProp priority: known-delivered replicas
-// first, then messages past the hop threshold with the *highest* delivery
-// cost, then head-start messages with the highest hop count.
+// maxPropDrop evicts in reverse MaxProp priority, the last replica in
+// order under the current hop threshold: known-delivered replicas first,
+// then messages past the hop threshold with the *highest* delivery cost,
+// then head-start messages with the highest hop count.
 type maxPropDrop struct{ mx *MaxProp }
 
 // Name implements core.DropPolicy.
@@ -257,28 +310,9 @@ func (d maxPropDrop) Victim(now float64, msgs []*bundle.Message) int {
 	t := mx.hopThreshold()
 	worst := 0
 	for i := 1; i < len(msgs); i++ {
-		if d.worse(msgs[i], msgs[worst], t) {
+		if mx.order(msgs[i], msgs[worst], t) > 0 {
 			worst = i
 		}
 	}
 	return worst
-}
-
-// worse reports whether a is a better eviction victim than b.
-func (d maxPropDrop) worse(a, b *bundle.Message, t int) bool {
-	aHead, bHead := a.HopCount < t, b.HopCount < t
-	if aHead != bHead {
-		return !aHead // above-threshold messages go first
-	}
-	if !aHead {
-		ca, cb := d.mx.Cost(a.To), d.mx.Cost(b.To)
-		if ca != cb {
-			return ca > cb // highest cost dropped first
-		}
-		return a.ID > b.ID
-	}
-	if a.HopCount != b.HopCount {
-		return a.HopCount > b.HopCount
-	}
-	return a.ID > b.ID
 }

@@ -3,6 +3,7 @@ package routing
 import (
 	"cmp"
 	"math"
+	"slices"
 
 	"vdtn/internal/bundle"
 	"vdtn/internal/core"
@@ -129,20 +130,31 @@ func (pr *Prophet) ContactUp(now float64, p Peer) {
 }
 
 // Refresh implements Router: rebuild the GRTRMax queue from current buffer
-// and predictability state, with no encounter updates. Deliverable
-// messages go first, then those for which the peer's predictability beats
-// ours, in decreasing order of the peer's predictability (GRTRMax). A
-// peer running another protocol exchanges no predictabilities, so it gets
-// only the messages destined to it.
+// and predictability state, with no encounter updates. Messages destined
+// to p go first, by id, except those p has already received; then those
+// for which the peer's predictability beats ours, in decreasing order of
+// the peer's predictability (GRTRMax), ties by id. That order reads the
+// peer's table, so it is sorted per peer. A peer running another protocol
+// exchanges no predictabilities, so it gets only the messages destined to
+// it: rest stays empty, and its sort compares nothing.
 func (pr *Prophet) Refresh(now float64, p Peer) {
-	offer, order := func(*bundle.Message) bool { return false }, byID
-	if remote, ok := p.Router().(*Prophet); ok {
-		offer = func(m *bundle.Message) bool { return at(remote.preds, m.To, 0) > at(pr.preds, m.To, 0) }
-		order = func(a, b *bundle.Message) int {
-			return cmp.Or(cmp.Compare(at(remote.preds, b.To, 0), at(remote.preds, a.To, 0)), byID(a, b))
+	remote, _ := p.Router().(*Prophet)
+	deliv, rest := pr.deliv[:0], pr.rest[:0]
+	for _, m := range pr.buf.Sorted() {
+		switch {
+		case p.HasDelivered(m.ID):
+		case m.To == p.ID():
+			deliv = append(deliv, m)
+		case remote != nil && !p.Has(m.ID) && at(remote.preds, m.To, 0) > at(pr.preds, m.To, 0):
+			rest = append(rest, m)
 		}
 	}
-	pr.requeue(p, offer, order)
+	slices.SortFunc(deliv, byID)
+	slices.SortFunc(rest, func(a, b *bundle.Message) int {
+		return cmp.Or(cmp.Compare(at(remote.preds, b.To, 0), at(remote.preds, a.To, 0)), byID(a, b))
+	})
+	pr.queues.set(p.ID(), deliv, rest)
+	pr.deliv, pr.rest = deliv, rest
 }
 
 // NextSend implements Router.

@@ -658,6 +658,49 @@ func TestMaxPropMatchesReferenceAtZeroLikelihood(t *testing.T) {
 	}
 }
 
+// TestMaxPropMatchesReferenceAtTiesAndZeroEdges drives nodes 0 to 2 to
+// vectors in which nodes 4 and 6 have halved down to likelihood 0.0, a
+// hop of cost exactly 1, and has them swap those vectors, before a random
+// contact sequence that never meets node 6 spreads them further. Dijkstra
+// then relaxes zero-likelihood edges out of peer snapshots as well as its
+// own vector, and finalizes equal-cost nodes, which must come out in id
+// order with the reference's costs.
+func TestMaxPropMatchesReferenceAtTiesAndZeroEdges(t *testing.T) {
+	kinds := []nodeKind{kindMaxProp, kindMaxProp, kindMaxProp, kindMaxProp, kindMaxProp, kindOther, kindMaxProp}
+	zeroEdge := func(n *refNet, a int) bool {
+		return slices.ContainsFunc(n.nodes[a].router.(*MaxProp).peers, func(row []float64) bool { return slices.Contains(row, 1) })
+	}
+	run := func(ref bool) *refNet {
+		n := newRefNet(kinds, ref, ProphetConfig{}, units.MB(5))
+		for a := range 3 {
+			n.up(a, 4)
+			n.down(a, 4)
+			n.up(a, 6)
+			n.down(a, 6)
+			for range 1100 {
+				n.now++
+				n.up(a, 5) // a non-MaxProp peer: no snapshot
+				n.down(a, 5)
+			}
+		}
+		n.up(0, 1)
+		n.down(0, 1)
+		if !ref {
+			mx := n.nodes[0].router.(*MaxProp)
+			if c4, c6 := mx.Cost(4), mx.Cost(6); c4 != 1 || c6 != 1 || !zeroEdge(n, 0) {
+				t.Fatalf("after the swap: Cost(4) = %v, Cost(6) = %v, zero edge in a snapshot %v; want 1, 1, true", c4, c6, zeroEdge(n, 0))
+			}
+		}
+		randomRun(n, 1, 3000)
+		return n
+	}
+	got, want := run(false), run(true)
+	compareNets(t, got, want)
+	if !zeroEdge(got, 0) && !zeroEdge(got, 1) {
+		t.Fatal("the random contacts left no zero-likelihood edge in nodes 0 and 1's snapshots")
+	}
+}
+
 // TestProphetMatchesReferenceAtAgingCutoff ages a predictability to
 // exactly 1e-6, which survives (only values below it are zeroed), and
 // then past it. PInit is 1e-6 * 2^19 and each 1 s unit halves it, so the

@@ -21,10 +21,12 @@
 // policyRouter on top of base, which has the buffer keep the schedule's
 // order and owns their one ContactUp, Refresh and NextSend; each passes
 // only its relay rule and overrides the calls where it differs. MaxProp
-// and PRoPHET embed base alone and build their queues through its one
-// requeue: replicas destined to the peer first, by id, then the ones the
-// protocol offers, in its own order. Their node tables are slices indexed
-// by node id. Both cores are unexported: a router written outside this
+// and PRoPHET embed base alone and build their own queues: replicas
+// destined to the peer first, by id, then the ones the protocol offers,
+// in its own order. MaxProp has the buffer keep that order and re-sorts
+// it when its costs or hop threshold move; PRoPHET's order depends on the
+// peer, so it sorts per peer. Their node tables are slices indexed by
+// node id. Both cores are unexported: a router written outside this
 // package implements Router from scratch (see examples/customprotocol).
 //
 // Protocol metadata exchange (PRoPHET predictability vectors, MaxProp

@@ -63,8 +63,11 @@ func TestMaxPropPriorityHeadStartBeforeCost(t *testing.T) {
 	old := bundle.New(2, 9, 7, units.KB(100), 0, 3600) // hop 9 >= t: cost zone
 	old.HopCount = 9
 
+	// The buffer's order, which compare reads, takes the new threshold at
+	// the next Refresh.
+	mx.Refresh(2, newPeer(5, nil))
 	msgs := []*bundle.Message{old, young}
-	slices.SortFunc(msgs, mx.priority())
+	slices.SortFunc(msgs, mx.compare)
 	// The young message wins despite its destination costing +Inf while
 	// the old one's costs 0 — the head start trumps cost, which is the
 	// whole point of MaxProp's threshold.
@@ -91,7 +94,7 @@ func TestMaxPropCostOrderingAboveThreshold(t *testing.T) {
 	to7 := bundle.New(1, 9, 7, units.KB(100), 0, 3600) // cost 0.25
 	to2 := bundle.New(2, 9, 2, units.KB(100), 0, 3600) // cost 0.75
 	msgs := []*bundle.Message{to2, to7}
-	slices.SortFunc(msgs, mx.priority())
+	slices.SortFunc(msgs, mx.compare)
 	if msgs[0].ID != 1 {
 		t.Fatalf("cheapest-destination message not first: got %v", msgs[0].ID)
 	}

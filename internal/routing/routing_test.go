@@ -813,6 +813,48 @@ func TestMaxPropDropsAckedFirst(t *testing.T) {
 	}
 }
 
+// TestMaxPropContactAllocatesNothing: once warm, a contact with a MaxProp
+// peer (the likelihood and ack exchange, the purge of the replicas the
+// peer's acks name, the re-sort of the buffer for the new cost epoch and
+// the queue build) and its ContactDown allocate nothing.
+func TestMaxPropContactAllocatesNothing(t *testing.T) {
+	mx := NewMaxProp()
+	buf := attach(mx, 0)
+	b := NewMaxProp()
+	peer := newPeer(1, b)
+	for id := 2; id <= 6; id++ { // both sides meet others: finite costs
+		other := newPeer(id, NewMaxProp())
+		mx.ContactUp(0, other)
+		mx.ContactDown(0, other)
+		b.ContactUp(0, other)
+		b.ContactDown(0, other)
+	}
+	var acked []*bundle.Message
+	for i := 1; i <= 40; i++ {
+		m := msgTo(bundle.ID(i), 0, 2+i%8, 0, 3600)
+		m.HopCount = i % 4
+		mx.AddMessage(0, m)
+		if i%5 == 0 {
+			b.OnDelivered(0, m)
+			acked = append(acked, m)
+		}
+	}
+	contact := func() {
+		for _, m := range acked { // the same replicas, to be purged again
+			buf.Add(1, m, nil)
+		}
+		mx.ContactUp(1, peer)
+		mx.ContactDown(1, peer)
+	}
+	contact()
+	if allocs := testing.AllocsPerRun(100, contact); allocs != 0 {
+		t.Fatalf("a warm MaxProp contact allocates %v times", allocs)
+	}
+	if buf.Len() != 40-len(acked) || slices.ContainsFunc(acked, func(m *bundle.Message) bool { return buf.Has(m.ID) }) {
+		t.Fatalf("buffer holds %d replicas after the purge, want %d and none acked", buf.Len(), 40-len(acked))
+	}
+}
+
 // --- Baselines -----------------------------------------------------------
 
 func TestDirectDeliveryOnlyToDestination(t *testing.T) {

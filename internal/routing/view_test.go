@@ -152,3 +152,132 @@ func msgIDs(msgs []*bundle.Message) []bundle.ID {
 	}
 	return out
 }
+
+// TestPropertyMaxPropSortedViewMatchesBuffer drives a MaxProp router
+// through random contacts with MaxProp and non-MaxProp peers (which move
+// its cost epoch and bring acks that purge replicas), receives that evict,
+// completed sends and deliveries, expiry and Refreshes; the bytes moved
+// and the hop counts received shift its hop threshold. After every step
+// the buffer's sorted replicas must equal a fresh stable sort of
+// buf.Messages() by the order the store keeps, and every queue a
+// ContactUp or Refresh builds must equal the copy-filter-sort queue under
+// the current threshold.
+func TestPropertyMaxPropSortedViewMatchesBuffer(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) { driveMaxPropView(t, seed) })
+	}
+}
+
+func driveMaxPropView(t *testing.T, seed uint64) {
+	rng := xrand.New(seed)
+	mx := NewMaxProp()
+	buf := buffer.NewStore(units.MB(6)) // small enough to evict
+	mx.Attach(0, buf)
+	self := &fakePeer{id: 0, router: mx, buf: buf, delivered: map[bundle.ID]bool{}}
+	peers := []*fakePeer{newPeer(1, NewMaxProp()), newPeer(2, NewMaxProp()), newPeer(3, NewMaxProp()),
+		newPeer(4, NewEpidemic(core.FIFOFIFO())), newPeer(5, nil)}
+	open := make([]bool, len(peers))
+
+	now := 0.0
+	nextID := bundle.ID(1)
+	fresh := func() *bundle.Message {
+		m := bundle.New(nextID, 9, 1+rng.IntN(7), units.Bytes(rng.UniformInt(200_000, 1_500_000)),
+			now-rng.Float64()*600, 60+rng.Float64()*3000)
+		nextID++
+		return m
+	}
+	buffered := func() *bundle.Message {
+		msgs := buf.Messages()
+		if len(msgs) == 0 {
+			return nil
+		}
+		return msgs[rng.IntN(len(msgs))]
+	}
+	checkQueue := func(step int, p *fakePeer) {
+		t.Helper()
+		sq := mx.queues.at(p.id)
+		if got, want := sq.msgs[sq.head:], copyFilterSortMaxProp(mx, p); !slices.Equal(got, want) {
+			t.Fatalf("step %d: queue to %d %v, copy-filter-sort queue %v", step, p.id, msgIDs(got), msgIDs(want))
+		}
+	}
+	for step := 0; step < 300; step++ {
+		now += rng.Float64() * 30
+		i := rng.IntN(len(peers))
+		p := peers[i]
+		op := rng.IntN(8)
+		switch op {
+		case 0: // a contact: a new cost epoch, acks exchanged and purged
+			if open[i] {
+				mx.ContactDown(now, p)
+			}
+			if r, ok := p.router.(*MaxProp); ok {
+				other := peers[rng.IntN(3)]
+				if other != p { // the peer meets someone else first
+					r.ContactUp(now, other)
+					r.ContactDown(now, other)
+				}
+				r.ContactUp(now, self)
+				r.ContactDown(now, self)
+			}
+			mx.ContactUp(now, p)
+			open[i] = true
+			checkQueue(step, p)
+		case 1:
+			mx.AddMessage(now, fresh())
+		case 2, 3: // a relayed replica; its hop count and bytes move the threshold
+			m := fresh()
+			m.HopCount = rng.IntN(5)
+			mx.Receive(now, m.ForwardTo(0, now), p)
+		case 4: // a finished transfer
+			if m := buffered(); m != nil {
+				delivered := m.To == p.id
+				if delivered {
+					p.delivered[m.ID] = true
+				} else if rng.IntN(2) == 0 {
+					p.buf.Add(now, m.ForwardTo(p.id, now), nil)
+				}
+				mx.OnSent(now, p, &Send{Msg: m}, delivered)
+			}
+		case 5: // a delivery elsewhere, acked by a MaxProp peer
+			if m := buffered(); m != nil {
+				if r, ok := peers[rng.IntN(3)].router.(*MaxProp); ok {
+					r.OnDelivered(now, m)
+				}
+			}
+		case 6:
+			buf.Expire(now)
+		case 7:
+			if open[i] {
+				mx.Refresh(now, p)
+				checkQueue(step, p)
+			}
+		}
+
+		want := buf.Messages()
+		slices.SortStableFunc(want, mx.compare)
+		if got := buf.Sorted(); !slices.Equal(got, want) {
+			t.Fatalf("step %d (op %d): sorted buffer %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
+		}
+	}
+}
+
+// copyFilterSortMaxProp is MaxProp's queue as it was built before the
+// buffer kept its order: copy the buffer, filter it in insertion order,
+// and sort the deliverables by id and the rest by the MaxProp order under
+// the current hop threshold.
+func copyFilterSortMaxProp(mx *MaxProp, p Peer) []*bundle.Message {
+	t := mx.hopThreshold()
+	var deliverable, rest []*bundle.Message
+	for _, m := range mx.buf.Messages() {
+		switch {
+		case p.HasDelivered(m.ID):
+		case m.To == p.ID():
+			deliverable = append(deliverable, m)
+		case !p.Has(m.ID) && !mx.acked.Has(m.ID) && !m.HasVisited(p.ID()):
+			rest = append(rest, m)
+		}
+	}
+	slices.SortFunc(deliverable, byID)
+	slices.SortFunc(rest, func(a, b *bundle.Message) int { return mx.order(a, b, t) })
+	return append(deliverable, rest...)
+}
