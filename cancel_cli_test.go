@@ -34,9 +34,10 @@ func TestExperimentsSIGINTFlushesPartialArtifacts(t *testing.T) {
 
 	outDir := filepath.Join(dir, "out")
 	jsonlDir := filepath.Join(dir, "jsonl")
-	// fig4 at full scale runs far longer than the interrupt delay, so the
+	// fig4 at full scale takes over a second per seed on a two-core host,
+	// so twenty seeds outlast the interrupt delay many times over and the
 	// signal always lands mid-sweep.
-	cmd := exec.Command(bin, "-figure", "fig4", "-out", outDir, "-out-jsonl", jsonlDir)
+	cmd := exec.Command(bin, "-figure", "fig4", "-seeds", "20", "-out", outDir, "-out-jsonl", jsonlDir)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {

@@ -259,8 +259,14 @@ func main() {
 		// The contacts-only pass produces the trace, encoded once: the run
 		// replays a view of those bytes — bit-identical to a live run,
 		// without simulating mobility twice — and they are what is written.
+		// The pass validates only the contact fields, so the whole
+		// scenario is validated first: a bad flag fails before a mobility
+		// pass is spent.
 		var rec *vdtn.ContactRecording
-		if rec, err = vdtn.RecordContactsContext(ctx, cfg); err == nil {
+		if err = cfg.Validate(); err == nil {
+			rec, err = vdtn.RecordContactsContext(ctx, cfg)
+		}
+		if err == nil {
 			recorded = vdtn.EncodeContactRecordingBinary(rec)
 			cfg.ReplaySource, err = vdtn.NewContactRecordingView(recorded)
 		}

@@ -26,10 +26,16 @@ import (
 	"strings"
 )
 
-// Contact is one scheduled window during which nodes A and B are linked.
+// Contact is one window during which nodes A and B are linked: the one
+// contact-window type of the simulator. Plans hold it, wireless.Medium
+// fires it (StartPlan), recordings pair their transitions into it
+// (wireless.Recording.Windows), and scenario files carry it verbatim under
+// "contacts", in field order.
 type Contact struct {
-	A, B       int
-	Start, End float64
+	Start float64 `json:"start"`
+	End   float64 `json:"end"`
+	A     int     `json:"a"`
+	B     int     `json:"b"`
 }
 
 // normalize orders the pair so A < B.

@@ -1,9 +1,10 @@
-package contactplan
+package contactplan_test
 
 import (
 	"slices"
 	"testing"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/units"
@@ -34,7 +35,7 @@ func FuzzParsePlan(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		p, err := Parse(text)
+		p, err := contactplan.Parse(text)
 		if err != nil || p.MaxNode() > 64 {
 			return // rejected, or too many nodes for a quick run
 		}
@@ -44,13 +45,11 @@ func FuzzParsePlan(f *testing.F) {
 			m.Add(planNode(id))
 		}
 		windows := p.Windows()
-		cws := make([]wireless.ContactWindow, len(windows))
 		var instants []float64
-		for i, w := range windows {
-			cws[i] = wireless.ContactWindow{A: w.A, B: w.B, Start: w.Start, End: w.End}
+		for _, w := range windows {
 			instants = append(instants, w.Start, w.End)
 		}
-		m.StartPlan(cws)
+		m.StartPlan(p)
 		slices.Sort(instants)
 		for _, now := range slices.Compact(instants) {
 			s.RunUntil(now)

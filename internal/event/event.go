@@ -128,11 +128,10 @@ func (q *eventQueue) remove(i int) *Handle {
 // Scheduler owns the simulation clock and the future-event list.
 // The zero value is not usable; use NewScheduler.
 type Scheduler struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	stopped bool
-	fired   uint64 // events executed, for diagnostics
+	now   float64
+	seq   uint64
+	queue eventQueue
+	fired uint64 // events executed, for diagnostics
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -183,8 +182,8 @@ func (s *Scheduler) schedule(h *Handle, t float64, fn Func) {
 	s.queue.push(h)
 }
 
-// Every schedules fn at start and then every interval seconds until the
-// scheduler stops. interval must be positive. fn observes the tick time
+// Every schedules fn at start and then every interval seconds for as long
+// as the scheduler runs. interval must be positive. fn observes the tick time
 // via its argument. Each tick queues the handle that just fired again,
 // taking its sequence number after fn returns, as a fresh At would.
 func (s *Scheduler) Every(start, interval float64, fn Func) {
@@ -216,9 +215,9 @@ func (s *Scheduler) Step() bool {
 }
 
 // RunUntil executes events in order until the clock would pass horizon or
-// the event list drains or Stop is called. On return the clock is at
-// min(horizon, last event time); if the horizon cut execution short, the
-// clock is advanced to exactly horizon and the remaining events stay queued.
+// the event list drains. On return the clock is at min(horizon, last event
+// time); if the horizon cut execution short, the clock is advanced to
+// exactly horizon and the remaining events stay queued.
 func (s *Scheduler) RunUntil(horizon float64) {
 	s.RunUntilCheck(horizon, 0, nil)
 }
@@ -241,12 +240,8 @@ func (s *Scheduler) RunUntilCheck(horizon float64, stride uint64, check func() b
 	if check != nil && check() {
 		return true
 	}
-	s.stopped = false
 	var fired uint64
-	for !s.stopped {
-		if len(s.queue) == 0 || s.queue[0].time > horizon {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].time <= horizon {
 		s.Step()
 		fired++
 		if check != nil && fired%stride == 0 && check() {
@@ -259,13 +254,8 @@ func (s *Scheduler) RunUntilCheck(horizon float64, stride uint64, check func() b
 	return false
 }
 
-// Run executes events until the list drains or Stop is called.
+// Run executes events until the list drains.
 func (s *Scheduler) Run() {
-	s.stopped = false
-	for !s.stopped && s.Step() {
+	for s.Step() {
 	}
 }
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-// It is intended to be called from inside an event body.
-func (s *Scheduler) Stop() { s.stopped = true }

@@ -167,23 +167,6 @@ func TestRunUntilExactHorizonInclusive(t *testing.T) {
 	}
 }
 
-func TestStopFromEvent(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	s.At(1, func(float64) { count++ })
-	s.At(2, func(float64) { count++; s.Stop() })
-	s.At(3, func(float64) { count++ })
-	s.Run()
-	if count != 2 {
-		t.Fatalf("Stop did not halt run: fired %d", count)
-	}
-	// A subsequent Run resumes.
-	s.Run()
-	if count != 3 {
-		t.Fatalf("resume after Stop fired %d total", count)
-	}
-}
-
 func TestEvery(t *testing.T) {
 	s := NewScheduler()
 	var ticks []float64

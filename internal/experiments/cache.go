@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"vdtn/internal/scenario"
 	"vdtn/internal/sim"
 	"vdtn/internal/wireless"
 )
@@ -148,10 +147,10 @@ func (cc *ContactCache) Source(cfg sim.Config) (*wireless.RecordingView, error) 
 // the single-flight winner observes the disk or recording event; callers
 // that waited behind it (or arrived later) observe a memory hit.
 func (cc *ContactCache) sourceWith(ctx context.Context, cfg sim.Config, note func(CacheEvent)) (*wireless.RecordingView, error) {
-	if !cacheable(cfg) {
+	if !cfg.Live() {
 		return nil, fmt.Errorf("experiments: contact cache cannot serve a contact-plan or replay scenario")
 	}
-	key := scenario.ContactFingerprint(cfg)
+	key := sim.ContactFingerprint(cfg)
 	e := cc.entry(key)
 	ran := false
 	e.once.Do(func() {
@@ -201,7 +200,7 @@ func (cc *ContactCache) load(ctx context.Context, key string, cfg sim.Config, no
 			return v, nil
 		}
 	}
-	rec, err := sim.RecordContactsContext(ctx, contactCanonical(cfg))
+	rec, err := sim.RecordContactsContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +237,7 @@ func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wi
 		}
 		return nil
 	}
-	if err := sim.ReplaySourceCompatible(contactCanonical(cfg), v); err != nil {
+	if err := sim.ReplaySourceCompatible(cfg, v); err != nil {
 		cc.warnf("mismatch:"+key, "contact cache: %s does not match the scenario: %v; re-recording", path, err)
 		return nil
 	}
@@ -246,36 +245,11 @@ func (cc *ContactCache) openView(st *traceStore, key string, cfg sim.Config) *wi
 	return v
 }
 
-// contactCanonical keeps exactly the fields the contact process can see —
-// the ones ContactFingerprint hashes — and resets everything else
-// (traffic, routing, buffers, tracing) to the defaults. The recording
-// pass therefore neither depends on nor validates a cell's non-contact
-// configuration: one cell with, say, an invalid TTL must not poison the
-// trace its whole (scenario, seed) group shares.
-func contactCanonical(cfg sim.Config) sim.Config {
-	c := sim.DefaultConfig()
-	c.Seed = cfg.Seed
-	c.Duration = cfg.Duration
-	c.Map = cfg.Map
-	c.Vehicles = cfg.Vehicles
-	c.Relays = cfg.Relays
-	c.SpeedLo, c.SpeedHi = cfg.SpeedLo, cfg.SpeedHi
-	c.PauseLo, c.PauseHi = cfg.PauseLo, cfg.PauseHi
-	c.Range = cfg.Range
-	c.ScanInterval = cfg.ScanInterval
-	return c
-}
-
-// cacheable reports whether the cache can serve cfg's contact process: it
-// comes from mobility, neither from a contact plan nor from a trace the
-// caller already supplied.
-func cacheable(cfg sim.Config) bool { return cfg.Plan == nil && cfg.ReplaySource == nil }
-
 // Prewarm loads every distinct contact process in cfgs — opening its
 // persisted trace or running its recording pass — over its own worker
 // pool, so a sweep's cells find their traces already in memory instead of
 // serializing behind first-touch single-flight. Configurations the cache
-// cannot serve (see cacheable) are skipped.
+// cannot serve (not sim.Config.Live) are skipped.
 // workers <= 0 defaults to GOMAXPROCS. The returned error joins every
 // failed recording; a failure is also memoized per key, so later Source
 // calls for that key report it again.
@@ -288,7 +262,7 @@ func (cc *ContactCache) Prewarm(cfgs []sim.Config, workers int) error {
 	pool(min(workers, len(distinct)), len(distinct), func(i int) {
 		if _, err := cc.Source(distinct[i]); err != nil {
 			errs[i] = fmt.Errorf("experiments: prewarm %s: %w",
-				scenario.ContactFingerprint(distinct[i]), err)
+				sim.ContactFingerprint(distinct[i]), err)
 		}
 	})
 	return errors.Join(errs...)
@@ -300,10 +274,10 @@ func distinctContacts(cfgs []sim.Config) []sim.Config {
 	seen := make(map[string]bool)
 	var distinct []sim.Config
 	for _, cfg := range cfgs {
-		if !cacheable(cfg) {
+		if !cfg.Live() {
 			continue
 		}
-		key := scenario.ContactFingerprint(cfg)
+		key := sim.ContactFingerprint(cfg)
 		if seen[key] {
 			continue
 		}

@@ -13,7 +13,6 @@ import (
 
 	"vdtn/internal/contactplan"
 	"vdtn/internal/roadmap"
-	"vdtn/internal/scenario"
 	"vdtn/internal/sim"
 	"vdtn/internal/units"
 	"vdtn/internal/wireless"
@@ -148,7 +147,7 @@ func fingerprints(t *testing.T, exp Experiment, opt Options) map[string]bool {
 	}
 	keys := make(map[string]bool)
 	for _, cfg := range cfgs {
-		keys[scenario.ContactFingerprint(cfg)] = true
+		keys[sim.ContactFingerprint(cfg)] = true
 	}
 	return keys
 }
@@ -430,7 +429,7 @@ func TestCachePersistErrorsAreBestEffort(t *testing.T) {
 func TestCacheRejectsTruncatedFiles(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
-	key := scenario.ContactFingerprint(cfg)
+	key := sim.ContactFingerprint(cfg)
 
 	first := &ContactCache{Dir: dir}
 	_, rec := traceOf(t, first, cfg)
@@ -470,7 +469,7 @@ func TestCacheRejectsTruncatedFiles(t *testing.T) {
 func TestCacheSurfacesIOErrors(t *testing.T) {
 	dir := t.TempDir()
 	cfg := cacheConfig()
-	key := scenario.ContactFingerprint(cfg)
+	key := sim.ContactFingerprint(cfg)
 	// A directory where the sharded trace file should be: opening it fails
 	// with a real I/O error, not absence.
 	if err := os.MkdirAll(filepath.Join(dir, key[:2], key+".contactsb"), 0o755); err != nil {
@@ -669,7 +668,7 @@ func TestCacheRecordingContextCancellation(t *testing.T) {
 	if cc.Len() != 0 {
 		t.Fatalf("cancelled recording stayed memoized (%d entries)", cc.Len())
 	}
-	if _, err := os.Stat(cc.store().shardPath(scenario.ContactFingerprint(cfg))); !os.IsNotExist(err) {
+	if _, err := os.Stat(cc.store().shardPath(sim.ContactFingerprint(cfg))); !os.IsNotExist(err) {
 		t.Fatalf("cancelled recording persisted a trace: stat err %v", err)
 	}
 

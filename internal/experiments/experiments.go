@@ -38,7 +38,7 @@ import (
 // Setting is one fixed, declarative config assignment: the named axis is
 // applied with the value. Settings replace the opaque Apply/Mutate
 // closures of the pre-spec harness, so a cell's full configuration is
-// serializable and participates in scenario.ContactFingerprint.
+// serializable and participates in sim.ContactFingerprint.
 type Setting struct {
 	Axis  string  `json:"axis"`
 	Value float64 `json:"value"`
@@ -394,9 +394,10 @@ func cellErrorf(exp Experiment, j job, err error) error {
 // its complete result. Panics out of the simulation stack are converted
 // into errors, so a worker goroutine never kills the whole sweep — the
 // cell is reported with its coordinates by the runner instead. A
-// cacheable cell replays its contact trace from opt.ContactCache, which
-// must be non-nil; plan and replay cells run as given. Cache events for
-// the cell's contact-trace lookup flow to note (may be nil).
+// live cell (sim.Config.Live) replays its contact trace from
+// opt.ContactCache, which must be non-nil; plan and replay cells run as
+// given. Cache events for the cell's contact-trace lookup flow to note
+// (may be nil).
 func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(CacheEvent)) (res sim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -413,7 +414,7 @@ func runCell(ctx context.Context, exp Experiment, opt Options, j job, note func(
 	// hands back the trace's shared view: of the bytes a recording pass
 	// just encoded or, for a trace persisted by an earlier run, of the
 	// file's bytes, read once and replayed by every cell.
-	if cacheable(cfg) {
+	if cfg.Live() {
 		src, rerr := opt.ContactCache.sourceWith(ctx, cfg, note)
 		if rerr != nil {
 			return sim.Result{}, rerr

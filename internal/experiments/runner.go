@@ -263,7 +263,7 @@ func (r *Runner) deliverPrefix() error {
 
 // runCells drives the worker pool between Sink.Start and Sink.Finish,
 // over the jobs from index resume on. A nil opt.ContactCache gets a
-// private in-memory cache for this run: every cacheable cell replays its
+// private in-memory cache for this run: every live cell replays its
 // contact trace, recorded once per distinct (scenario, seed).
 //
 // The pool works one task list: first one load-or-record task per

@@ -163,7 +163,7 @@ func TestBuiltinFiguresPinnedFingerprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cfg := range cfgs {
-			if fp := scenario.ContactFingerprint(cfg); fp != pinned {
+			if fp := sim.ContactFingerprint(cfg); fp != pinned {
 				t.Fatalf("%s cell %d fingerprints to %s, want pinned %s", id, i, fp, pinned)
 			}
 		}
@@ -177,7 +177,7 @@ func TestBuiltinFiguresPinnedFingerprint(t *testing.T) {
 	}
 	fps := map[string]bool{}
 	for _, cfg := range cfgs {
-		fps[scenario.ContactFingerprint(cfg)] = true
+		fps[sim.ContactFingerprint(cfg)] = true
 	}
 	if len(fps) != len(exp.Xs) {
 		t.Fatalf("vehicles sweep produced %d distinct fingerprints over %d x values", len(fps), len(exp.Xs))

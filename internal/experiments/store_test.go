@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"vdtn/internal/scenario"
 	"vdtn/internal/sim"
 	"vdtn/internal/wireless"
 )
@@ -18,8 +17,8 @@ import (
 // going through a cache, for building disk fixtures.
 func seedTrace(t *testing.T, cfg sim.Config) (key string, rec *wireless.Recording) {
 	t.Helper()
-	key = scenario.ContactFingerprint(cfg)
-	rec, err := sim.RecordContacts(contactCanonical(cfg))
+	key = sim.ContactFingerprint(cfg)
+	rec, err := sim.RecordContacts(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func persistSeeds(t *testing.T, dir string, n int) (keys []string, sizes []int64
 		if _, err := warm.Source(cfg); err != nil {
 			t.Fatal(err)
 		}
-		key := scenario.ContactFingerprint(cfg)
+		key := sim.ContactFingerprint(cfg)
 		keys = append(keys, key)
 		fi, err := os.Stat(warm.store().shardPath(key))
 		if err != nil {
@@ -233,7 +232,7 @@ func TestCacheWarnsPerCauseAndKey(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = cacheConfig()
 		cfgs[i].Seed = uint64(i + 1)
-		key := scenario.ContactFingerprint(cfgs[i])
+		key := sim.ContactFingerprint(cfgs[i])
 		path := cache.store().shardPath(key)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -333,11 +332,11 @@ func TestCacheSourceFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	other := cfg
 	other.ScanInterval = 2
-	otherRec, err := sim.RecordContacts(contactCanonical(other))
+	otherRec, err := sim.RecordContacts(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := scenario.ContactFingerprint(cfg)
+	key := sim.ContactFingerprint(cfg)
 	var warnings []string
 	cache := &ContactCache{Dir: dir, Warn: func(msg string) { warnings = append(warnings, msg) }}
 	defer cache.Close()

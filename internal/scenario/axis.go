@@ -13,8 +13,8 @@ import (
 // scalar value into a sim.Config and whether doing so can move the
 // scenario's contact process.
 //
-// Because an axis is applied to the config *before* ContactFingerprint is
-// taken, mobility-invariant axes (TTL, buffers, link rate, copy budget)
+// Because an axis is applied to the config *before* sim.ContactFingerprint
+// is taken, mobility-invariant axes (TTL, buffers, link rate, copy budget)
 // leave the fingerprint unchanged — every cell of such a sweep shares one
 // cached contact trace — while mobility-affecting axes (vehicles, relays,
 // range, scan interval) change fingerprint inputs and correctly fork the
@@ -28,8 +28,8 @@ type Axis struct {
 	// Label heads the x column in rendered tables ("ttl(min)").
 	Label string
 	// MovesContacts reports whether the axis changes an input of the
-	// contact process (and therefore of ContactFingerprint): sweeps over
-	// such an axis record one contact trace per swept value instead of
+	// contact process (and therefore of sim.ContactFingerprint): sweeps
+	// over such an axis record one contact trace per swept value instead of
 	// sharing one across the sweep.
 	MovesContacts bool
 

@@ -49,13 +49,13 @@ func TestAxisMovesContactsMatchesFingerprint(t *testing.T) {
 		// (≥2 vehicles, positive durations/sizes/rates, warmup < horizon).
 		a.Apply(&c1, 3)
 		a.Apply(&c2, 4)
-		moved := ContactFingerprint(c1) != ContactFingerprint(c2)
+		moved := sim.ContactFingerprint(c1) != sim.ContactFingerprint(c2)
 		if moved != a.MovesContacts {
 			t.Errorf("axis %s: MovesContacts=%v but distinct values %s the fingerprint",
 				a.Name, a.MovesContacts, map[bool]string{true: "moved", false: "did not move"}[moved])
 		}
 		// And against the untouched default, same contract.
-		if base := ContactFingerprint(sim.DefaultConfig()); (ContactFingerprint(c1) != base) != a.MovesContacts {
+		if base := sim.ContactFingerprint(sim.DefaultConfig()); (sim.ContactFingerprint(c1) != base) != a.MovesContacts {
 			t.Errorf("axis %s: MovesContacts=%v inconsistent with the default-config fingerprint", a.Name, a.MovesContacts)
 		}
 	}

@@ -9,13 +9,15 @@
 // experiments package's LoadSpec. The fixed axis table (Axes, AxisByName)
 // is the shared vocabulary: each axis is a named, serializable config
 // mutation that declares whether it can move the contact process (and
-// therefore ContactFingerprint). Protocol and policy names resolve
-// through internal/sim's kind tables (sim.ParseProtocol, sim.ParsePolicy).
+// therefore sim.ContactFingerprint, which sim alone defines). Protocol and
+// policy names resolve through internal/sim's kind tables
+// (sim.ParseProtocol, sim.ParsePolicy).
 //
 // Config fields that cannot be serialized — a custom router factory, a
 // trace callback, an in-memory map graph — are deliberately outside the
 // schema; files describe the declarative part of a scenario, and callers
-// attach code afterwards. Contact plans and scripted traffic are inlined.
+// attach code afterwards. Contact plans and scripted traffic are inlined;
+// a plan's windows are contactplan.Contact values, serialized as they are.
 package scenario
 
 import (
@@ -63,8 +65,9 @@ type File struct {
 	Policy      string `json:"policy,omitempty"`   // a sim.PolicyKind key: "fifo", "lifetime", ...
 	SprayCopies int    `json:"spray_copies,omitempty"`
 
-	// Contacts switches to contact-plan mode when non-empty.
-	Contacts []Window `json:"contacts,omitempty"`
+	// Contacts switches to contact-plan mode when non-empty. Each window
+	// is a contactplan.Contact, written {"start", "end", "a", "b"}.
+	Contacts []contactplan.Contact `json:"contacts,omitempty"`
 	// Script replaces random traffic when non-empty.
 	Script []Message `json:"script,omitempty"`
 
@@ -131,14 +134,6 @@ type SeriesSpec struct {
 	Protocol string             `json:"protocol,omitempty"`
 	Policy   string             `json:"policy,omitempty"`
 	Set      map[string]float64 `json:"set,omitempty"`
-}
-
-// Window is one contact window in the schema.
-type Window struct {
-	Start float64 `json:"start"`
-	End   float64 `json:"end"`
-	A     int     `json:"a"`
-	B     int     `json:"b"`
 }
 
 // Message is one scripted message in the schema.
@@ -238,11 +233,7 @@ func (f File) Config() (sim.Config, error) {
 		c.SprayCopies = f.SprayCopies
 	}
 	if len(f.Contacts) > 0 {
-		cs := make([]contactplan.Contact, len(f.Contacts))
-		for i, w := range f.Contacts {
-			cs[i] = contactplan.Contact{A: w.A, B: w.B, Start: w.Start, End: w.End}
-		}
-		plan, err := contactplan.New(cs)
+		plan, err := contactplan.New(f.Contacts)
 		if err != nil {
 			return sim.Config{}, err
 		}
@@ -294,9 +285,7 @@ func Save(name string, c sim.Config) ([]byte, error) {
 		SprayCopies:      c.SprayCopies,
 	}
 	if c.Plan != nil {
-		for _, w := range c.Plan.Windows() {
-			f.Contacts = append(f.Contacts, Window{Start: w.Start, End: w.End, A: w.A, B: w.B})
-		}
+		f.Contacts = c.Plan.Windows()
 	}
 	for _, m := range c.Script {
 		f.Script = append(f.Script, Message{

@@ -383,9 +383,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// live reports whether cfg's contacts come from mobility and proximity
-// scanning, i.e. neither a contact plan nor a replay source drives them.
-func (c Config) live() bool { return c.Plan == nil && c.ReplaySource == nil }
+// Live reports whether c's contacts come from mobility and proximity
+// scanning, i.e. neither a contact plan nor a replay source drives them:
+// the configurations RecordContacts can record.
+func (c Config) Live() bool { return c.Plan == nil && c.ReplaySource == nil }
 
 // ScriptedMessage is one deterministic traffic entry (see Config.Script).
 type ScriptedMessage struct {

@@ -2,13 +2,89 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"sync"
 
 	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
+	"vdtn/internal/roadmap"
 	"vdtn/internal/wireless"
 	"vdtn/internal/xrand"
 )
+
+// contactConfig keeps exactly the fields the contact process reads — the
+// seed, horizon, fleet composition, mobility bounds, radio range, scan
+// interval and road map — and resets every other field (traffic, routing,
+// buffers, link rate, warm-up, tracing, plan and replay source) to its
+// DefaultConfig value. It is the one declaration of what a contact trace
+// depends on: ContactFingerprint hashes its result, and RecordContacts
+// records and validates it.
+func contactConfig(cfg Config) Config {
+	c := DefaultConfig()
+	c.Seed = cfg.Seed
+	c.Duration = cfg.Duration
+	c.Map = cfg.Map
+	c.Vehicles = cfg.Vehicles
+	c.Relays = cfg.Relays
+	c.SpeedLo, c.SpeedHi = cfg.SpeedLo, cfg.SpeedHi
+	c.PauseLo, c.PauseHi = cfg.PauseLo, cfg.PauseHi
+	c.Range = cfg.Range
+	c.ScanInterval = cfg.ScanInterval
+	return c
+}
+
+// defaultMapFingerprint caches the hash of roadmap.HelsinkiLike(), which a
+// nil Config.Map selects; the generator is deterministic, so one build per
+// process suffices.
+var defaultMapFingerprint = sync.OnceValue(func() uint64 {
+	return roadmap.HelsinkiLike().Fingerprint()
+})
+
+// ContactFingerprint returns a stable hex key identifying the contact
+// process of a configuration: a hash of its contactConfig, the only inputs
+// that determine when node pairs enter and leave radio range. Fields that
+// cannot move a vehicle or a scan tick (buffers, traffic, TTL, routing,
+// link rate, warm-up, tracing) are deliberately excluded, so every cell of
+// a policy or TTL sweep over one (scenario, seed) pair shares a key and can
+// share one recorded contact trace.
+func ContactFingerprint(cfg Config) string {
+	c := contactConfig(cfg)
+	h := fnv.New64a()
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	f := func(v float64) { word(math.Float64bits(v)) }
+
+	word(1) // fingerprint schema version
+	word(c.Seed)
+	f(c.Duration)
+	word(uint64(c.Vehicles))
+	word(uint64(c.Relays))
+	f(c.SpeedLo)
+	f(c.SpeedHi)
+	f(c.PauseLo)
+	f(c.PauseHi)
+	f(c.Range)
+	f(c.ScanInterval)
+	if c.Map == nil {
+		word(defaultMapFingerprint())
+	} else {
+		word(c.Map.Fingerprint())
+	}
+
+	const hex = "0123456789abcdef"
+	sum := h.Sum64()
+	var out [16]byte
+	for i := range out {
+		out[i] = hex[(sum>>(60-4*i))&0xf]
+	}
+	return string(out[:])
+}
 
 // RecordContacts simulates only the mobility and proximity layer of cfg —
 // no routers, buffers or traffic — and returns the contact trace the full
@@ -29,12 +105,19 @@ func RecordContacts(cfg Config) (*wireless.Recording, error) {
 // the pass at an event boundary within cancelCheckStride events and
 // returns (nil, ctx.Err()) — a recording pass over a long horizon no
 // longer pins a SIGINT'd process for the rest of the pass.
+//
+// The pass records cfg's contactConfig and validates only the fields it
+// keeps, so every configuration with one ContactFingerprint records the
+// same trace: one cell with, say, an invalid TTL cannot poison the trace
+// its (scenario, seed) group shares. A contact-plan or replay
+// configuration is refused.
 func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording, error) {
+	if !cfg.Live() {
+		return nil, fmt.Errorf("sim: cannot record the contacts of a contact-plan or replay scenario")
+	}
+	cfg = contactConfig(cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if !cfg.live() {
-		return nil, fmt.Errorf("sim: cannot record the contacts of a contact-plan or replay scenario")
 	}
 	graph, err := scenarioMap(cfg)
 	if err != nil {
@@ -93,10 +176,5 @@ func RecordingPlan(rec *wireless.Recording) (*contactplan.Plan, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	windows := rec.Windows()
-	contacts := make([]contactplan.Contact, len(windows))
-	for i, w := range windows {
-		contacts[i] = contactplan.Contact{A: w.A, B: w.B, Start: w.Start, End: w.End}
-	}
-	return contactplan.New(contacts)
+	return contactplan.New(rec.Windows())
 }

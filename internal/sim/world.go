@@ -134,7 +134,7 @@ func New(cfg Config) (*World, error) {
 // defaulting to roadmap.HelsinkiLike. Plan and replay runs never query
 // positions, so their map is taken as given and never built or checked.
 func scenarioMap(cfg Config) (*roadmap.Graph, error) {
-	if !cfg.live() {
+	if !cfg.Live() {
 		return cfg.Map, nil
 	}
 	graph := cfg.Map
@@ -164,7 +164,7 @@ func newMedium(sched *event.Scheduler, cfg Config) *wireless.Medium {
 // is what makes a recorded trace match the live run's contact process.
 func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []mobility.Model {
 	mobs := make([]mobility.Model, cfg.Vehicles+cfg.Relays)
-	if !cfg.live() {
+	if !cfg.Live() {
 		for i := range mobs {
 			mobs[i] = mobility.Stationary{}
 		}
@@ -259,12 +259,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	}
 	switch {
 	case w.cfg.Plan != nil:
-		windows := w.cfg.Plan.Windows()
-		wins := make([]wireless.ContactWindow, len(windows))
-		for i, c := range windows {
-			wins[i] = wireless.ContactWindow{A: c.A, B: c.B, Start: c.Start, End: c.End}
-		}
-		w.medium.StartPlan(wins)
+		w.medium.StartPlan(w.cfg.Plan)
 	case w.cfg.ReplaySource != nil:
 		w.medium.StartReplay(0, w.cfg.ReplaySource)
 	default:

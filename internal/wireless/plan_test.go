@@ -5,10 +5,21 @@ import (
 	"slices"
 	"testing"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/units"
 )
+
+// testPlan validates windows into the plan StartPlan takes.
+func testPlan(t testing.TB, windows []contactplan.Contact) *contactplan.Plan {
+	t.Helper()
+	p, err := contactplan.New(windows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestStartPlanFiresWindows(t *testing.T) {
 	s := event.NewScheduler()
@@ -18,7 +29,7 @@ func TestStartPlanFiresWindows(t *testing.T) {
 	// Positions are far apart: plan mode must ignore them entirely.
 	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
 	m.Add(fixed(1, geo.Point{X: 9999, Y: 9999}))
-	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 10, End: 30}})
+	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 10, End: 30}}))
 
 	s.RunUntil(5)
 	if m.Connected(0, 1) {
@@ -46,7 +57,7 @@ func TestStartPlanAbortsAtWindowEnd(t *testing.T) {
 	m.SetHandler(&recorder{})
 	m.Add(fixed(0, geo.Point{}))
 	m.Add(fixed(1, geo.Point{}))
-	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 0, End: 5}})
+	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 5}}))
 	s.RunUntil(0.5)
 
 	out := &outcomes{}
@@ -73,7 +84,7 @@ func TestStartPlanUnknownNodePanics(t *testing.T) {
 			t.Fatal("unknown node accepted")
 		}
 	}()
-	m.StartPlan([]ContactWindow{{A: 0, B: 7, Start: 0, End: 1}})
+	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 7, Start: 0, End: 1}}))
 }
 
 func TestStartAndStartPlanMutuallyExclusive(t *testing.T) {
@@ -81,7 +92,7 @@ func TestStartAndStartPlanMutuallyExclusive(t *testing.T) {
 	m := NewMedium(s, testCfg())
 	m.Add(fixed(0, geo.Point{}))
 	m.Add(fixed(1, geo.Point{}))
-	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 0, End: 1}})
+	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 1}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Start after StartPlan accepted")
@@ -143,12 +154,12 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 		started = m.StartTransfer(1, 2, units.MB(1))
 	}
 
-	// Adversarial order: the window that *opens* at t=20 is inserted
+	// Adversarial order: the window that *opens* at t=20 is listed
 	// before the window that *closes* at t=20.
-	m.StartPlan([]ContactWindow{
+	m.StartPlan(testPlan(t, []contactplan.Contact{
 		{A: 1, B: 2, Start: 20, End: 30},
 		{A: 0, B: 1, Start: 10, End: 20},
-	})
+	}))
 
 	s.RunUntil(10.5)
 	// A transfer on (0,1) too large to finish by t=20: it must be aborted
@@ -172,8 +183,8 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 
 // TestStartPlanSameInstantDeterministicOrder: several transitions landing
 // on one instant must fire downs-then-ups, each group ascending by pair —
-// the same total order the scan path guarantees — regardless of the order
-// the windows were passed in.
+// the same total order the scan path guarantees — although the plan lists
+// its windows by start time, which interleaves ups and downs.
 func TestStartPlanSameInstantDeterministicOrder(t *testing.T) {
 	s := event.NewScheduler()
 	m := NewMedium(s, testCfg())
@@ -182,12 +193,12 @@ func TestStartPlanSameInstantDeterministicOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m.Add(fixed(i, geo.Point{X: 9999 * float64(i), Y: 0}))
 	}
-	m.StartPlan([]ContactWindow{
+	m.StartPlan(testPlan(t, []contactplan.Contact{
 		{A: 4, B: 5, Start: 20, End: 40},
 		{A: 2, B: 3, Start: 10, End: 20},
 		{A: 1, B: 2, Start: 20, End: 40},
 		{A: 0, B: 1, Start: 10, End: 20},
-	})
+	}))
 	s.RunUntil(50)
 	want := []string{
 		"up(0,1)@10", "up(2,3)@10",
@@ -206,10 +217,10 @@ func TestStartPlanMultipleWindowsSamePair(t *testing.T) {
 	m.SetHandler(rec)
 	m.Add(fixed(0, geo.Point{}))
 	m.Add(fixed(1, geo.Point{}))
-	m.StartPlan([]ContactWindow{
+	m.StartPlan(testPlan(t, []contactplan.Contact{
 		{A: 0, B: 1, Start: 10, End: 20},
 		{A: 0, B: 1, Start: 40, End: 50},
-	})
+	}))
 	s.RunUntil(100)
 	if len(rec.ups) != 2 || len(rec.downs) != 2 {
 		t.Fatalf("repeat windows: ups=%d downs=%d", len(rec.ups), len(rec.downs))

@@ -8,7 +8,11 @@
 // (scenario, seed) pair is reused across every series and x-axis cell.
 package wireless
 
-import "slices"
+import (
+	"slices"
+
+	"vdtn/internal/contactplan"
+)
 
 // Transition is one contact state change, as fired by the proximity scan
 // (or a contact plan). A < B always; Time is the scan tick the transition
@@ -84,14 +88,14 @@ func (r *Recording) Validate() error {
 // distinction (a replay never fires downs the live run did not fire).
 // An up on the final scan tick (exactly at Duration) would make a
 // zero-length window and is dropped.
-func (r *Recording) Windows() []ContactWindow {
+func (r *Recording) Windows() []contactplan.Contact {
 	open := make(map[pairKey]int) // pair -> index into out of its open window
-	var out []ContactWindow
+	var out []contactplan.Contact
 	for _, tr := range r.Transitions {
 		k := pairKey{tr.A, tr.B}
 		if tr.Up {
 			open[k] = len(out)
-			out = append(out, ContactWindow{A: tr.A, B: tr.B, Start: tr.Time, End: r.Duration})
+			out = append(out, contactplan.Contact{Start: tr.Time, End: r.Duration, A: tr.A, B: tr.B})
 		} else if i, ok := open[k]; ok {
 			out[i].End = tr.Time
 			delete(open, k)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 )
@@ -261,7 +262,7 @@ func TestRecordingWindows(t *testing.T) {
 		},
 	}
 	got := rec.Windows()
-	want := []ContactWindow{
+	want := []contactplan.Contact{
 		{A: 0, B: 1, Start: 2, End: 8},
 		{A: 0, B: 2, Start: 5, End: 100}, // open contact closed at the horizon
 		{A: 0, B: 1, Start: 10, End: 100},
@@ -283,7 +284,7 @@ func TestRecordingWindowsDropsFinalTickUp(t *testing.T) {
 			{Time: 100, A: 0, B: 2, Up: true}, // up on the final tick
 		},
 	}
-	want := []ContactWindow{{A: 0, B: 1, Start: 3, End: 100}}
+	want := []contactplan.Contact{{A: 0, B: 1, Start: 3, End: 100}}
 	if got := rec.Windows(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Windows() = %+v, want %+v", got, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/xrand"
@@ -401,7 +402,7 @@ func TestAdjacencyAcrossAllContactSources(t *testing.T) {
 		m.SetHandler(&recorder{})
 		m.Add(fixed(0, geo.Point{}))
 		m.Add(fixed(1, geo.Point{X: 9999, Y: 9999}))
-		m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 10, End: 20}})
+		m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 10, End: 20}}))
 		check(t, m, s)
 	})
 	t.Run("replay", func(t *testing.T) {

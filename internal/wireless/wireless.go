@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sort"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/units"
@@ -179,12 +180,6 @@ func (m *Medium) Start(from float64) {
 	m.sched.Every(from, m.cfg.ScanInterval, m.scan)
 }
 
-// ContactWindow is one scheduled contact for plan-driven operation.
-type ContactWindow struct {
-	A, B       int
-	Start, End float64
-}
-
 // planEvent is one half of a contact window: a raise at its start or a
 // drop at its end.
 type planEvent struct {
@@ -194,21 +189,24 @@ type planEvent struct {
 }
 
 // StartPlan drives contacts from an explicit schedule instead of proximity
-// scanning: each window raises the contact at Start and breaks it (aborting
-// any transfer riding it) at End. Entity positions are ignored in this
-// mode. Windows must reference registered entities and be pre-validated
-// (internal/contactplan does both); StartPlan panics on unknown ids.
-// Start and StartPlan are mutually exclusive.
+// scanning: each of the plan's windows raises the contact at Start and
+// breaks it (aborting any transfer riding it) at End. Entity positions are
+// ignored in this mode. The plan is validated, and it has merged each
+// pair's overlapping and touching windows, so every transition flips its
+// pair's state; its windows must reference registered entities, and
+// StartPlan panics on unknown ids. Start and StartPlan are mutually
+// exclusive.
 //
 // Transitions that fall on the same instant honor the scan's ordering
-// contract regardless of the order windows were given in: all downs fire
-// first (freeing the endpoints' radios), then all ups, each ascending by
-// node pair. One scheduler event is dispatched per distinct instant.
-func (m *Medium) StartPlan(windows []ContactWindow) {
+// contract: all downs fire first (freeing the endpoints' radios), then
+// all ups, each ascending by node pair. One scheduler event is dispatched
+// per distinct instant.
+func (m *Medium) StartPlan(plan *contactplan.Plan) {
 	if m.started {
 		panic("wireless: StartPlan after Start")
 	}
 	m.started = true
+	windows := plan.Windows()
 	events := make([]planEvent, 0, 2*len(windows))
 	for _, win := range windows {
 		if !m.has(win.A) || !m.has(win.B) {
@@ -239,12 +237,9 @@ func (m *Medium) StartPlan(windows []ContactWindow) {
 		batch := events[start:end]
 		m.sched.At(batch[0].t, func(now float64) {
 			for _, ev := range batch {
-				switch {
-				case ev.up && !m.Connected(ev.k[0], ev.k[1]):
+				if ev.up {
 					m.raise(now, ev.k)
-				case !ev.up && m.Connected(ev.k[0], ev.k[1]):
-					// The guards keep overlapping windows (merged
-					// upstream, but this is a public API) idempotent.
+				} else {
 					m.drop(now, ev.k)
 				}
 			}
@@ -255,7 +250,8 @@ func (m *Medium) StartPlan(windows []ContactWindow) {
 
 // StartRecording taps every subsequent contact transition until
 // TakeRecording collects them. Install the tap before Start (or StartPlan /
-// StartReplay). A trace recorded from a scan- or replay-driven run drives a
+// StartReplay). Recording.Windows pairs the collected transitions back
+// into contactplan.Contact windows. A trace recorded from a scan- or replay-driven run drives a
 // bit-identical re-run via StartReplay; a trace recorded from StartPlan may
 // hold off-tick transition times, which replay quantizes to the next scan
 // tick.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
 	"vdtn/internal/geo"
 	"vdtn/internal/units"
@@ -502,7 +503,7 @@ func TestAbortHandlerCanStartTransfer(t *testing.T) {
 	for id := range 3 {
 		m.Add(fixed(id, geo.Point{}))
 	}
-	m.StartPlan([]ContactWindow{{A: 0, B: 1, Start: 0, End: 5}, {A: 0, B: 2, Start: 0, End: 20}})
+	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 5}, {A: 0, B: 2, Start: 0, End: 20}}))
 	s.RunUntil(1)
 	if !m.StartTransfer(0, 1, units.MB(12.5)) {
 		t.Fatal("transfer on (0,1) refused")

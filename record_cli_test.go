@@ -2,11 +2,14 @@ package vdtn_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"vdtn"
 )
@@ -65,5 +68,34 @@ func TestVdtnsimRecordReplayRoundTrip(t *testing.T) {
 	cmd := exec.Command(bin, "-duration", "1", "-record-contacts", filepath.Join(dir, "plan.contactsb"), "-contacts", plan)
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Fatalf("-record-contacts with -contacts succeeded:\n%s", out)
+	}
+}
+
+// TestVdtnsimRecordContactsValidatesFirst: the recording pass validates
+// only the contact fields, so vdtnsim -record-contacts validates the whole
+// scenario before it. An invalid TTL fails at once, with no trace written.
+// The horizon is long enough (about 40 s of recording) that a recording
+// pass run before the check would outlive the deadline.
+func TestVdtnsimRecordContactsValidatesFirst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the real CLI")
+	}
+	bin := buildBinary(t, "./cmd/vdtnsim")
+	trace := filepath.Join(t.TempDir(), "run.contactsb")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-duration", "10000", "-ttl", "0", "-record-contacts", trace).CombinedOutput()
+	if ctx.Err() != nil {
+		t.Fatal("-record-contacts with an invalid TTL spent a recording pass before failing")
+	}
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("-record-contacts with an invalid TTL: %v, want exit 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "non-positive TTL") {
+		t.Fatalf("error does not name the TTL:\n%s", out)
+	}
+	if _, err := os.Stat(trace); !os.IsNotExist(err) {
+		t.Fatalf("a trace was written for an invalid scenario (stat: %v)", err)
 	}
 }

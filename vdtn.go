@@ -34,7 +34,8 @@
 // depends only on the seed, the map, the fleet and the mobility and radio
 // parameters, never on traffic or routing. RecordContacts exploits that:
 // it produces the trace from mobility alone (no routing, no traffic) at a
-// fraction of a full run's cost. Every replay reads a ContactRecordingView:
+// fraction of a full run's cost, reading and validating only those
+// contact fields. Every replay reads a ContactRecordingView:
 // NewContactRecordingView over the recording's binary encoding, or
 // OpenContactRecordingView over a persisted file, which it reads into
 // memory and validates once. Setting
@@ -210,7 +211,9 @@ func RunContext(ctx context.Context, cfg Config) (Result, error) {
 type (
 	// ContactPlan is a validated, time-ordered contact schedule.
 	ContactPlan = contactplan.Plan
-	// Contact is one scheduled window between two nodes.
+	// Contact is one window between two nodes — the simulator's one
+	// contact-window type: plans, RecordingPlan and scenario files all
+	// hold it.
 	Contact = contactplan.Contact
 	// ScriptedMessage is one deterministic traffic entry.
 	ScriptedMessage = sim.ScriptedMessage
@@ -300,8 +303,10 @@ func OpenContactRecordingView(path string) (*ContactRecordingView, error) {
 func RecordingPlan(rec *ContactRecording) (*ContactPlan, error) { return sim.RecordingPlan(rec) }
 
 // ContactFingerprint returns the stable key identifying cfg's contact
-// process — what ContactCache keys recorded traces on.
-func ContactFingerprint(cfg Config) string { return scenario.ContactFingerprint(cfg) }
+// process — what ContactCache keys recorded traces on. It hashes exactly
+// the config fields RecordContacts reads, so configs that share a key
+// share a recorded trace.
+func ContactFingerprint(cfg Config) string { return sim.ContactFingerprint(cfg) }
 
 // Tracing and streaming analysis. Install a consumer via Config.Trace:
 //
