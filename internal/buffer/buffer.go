@@ -5,21 +5,26 @@
 //
 // The store keeps replicas in insertion order and holds no map: message
 // ids are minted densely from 1, so membership is a bitset indexed by id
-// (bundle.IDSet), and the rarer lookups by id scan the buffer. A store can
-// also keep its replicas in one caller-chosen order (SortBy): a policy
-// router sorts its buffer by its schedule once and reads the sorted
-// replicas at every send-queue rebuild (Sorted). An Add inserts at the
-// binary-search position and a removal deletes by pointer, so the order
-// holds as replicas come and go. MaxProp's order is the exception that
-// moves while replicas stay: it also reads the router's cost epoch and
-// hop threshold, so the router re-sorts the store in place (Resort) after
-// each change to them, before the store compares again. A lower bound on
-// the stored deadlines makes Expire free while nothing can have expired.
+// (bundle.IDSet), and the rarer lookups by id scan the buffer. Beside that
+// order the store keeps one slice of entries (Entry), each a replica's key,
+// its id and destination, next to the replica pointer, in one
+// caller-chosen order (SortBy), or in insertion order if none was chosen.
+// A router sorts its buffer once and walks the entries at every send-queue
+// rebuild (Sorted): the key settles most replicas against the peer's id
+// sets without reading the replica. An Add inserts at the binary-search
+// position and a removal deletes by pointer, so the order holds as
+// replicas come and go. MaxProp's order is the exception that moves while
+// replicas stay: it also reads the router's cost epoch and hop threshold,
+// so the router re-sorts the store in place (Resort) after each change to
+// them, before the store compares again. A lower bound on the stored
+// deadlines makes Expire free while nothing can have expired.
+// CheckInvariants audits all of this.
 // All iteration orders are deterministic so that simulation runs are
 // reproducible bit-for-bit.
 package buffer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -29,6 +34,35 @@ import (
 	"vdtn/internal/units"
 )
 
+// Entry is one stored replica as Sorted lends it: the replica's key, its
+// id and destination, beside the replica itself. The key is copied when
+// the replica is stored, and neither field changes while it is. It is
+// kept in 32 bits a field, so that an entry is two words: a store refuses
+// ids at or past 2^32, which no id set could hold anyway (it would take
+// 512 MiB), and destinations outside int32.
+type Entry struct {
+	msg *bundle.Message
+	id  uint32
+	to  int32
+}
+
+// newEntry returns m's entry, panicking if its key does not fit.
+func newEntry(m *bundle.Message) Entry {
+	if m.ID < 0 || m.ID > math.MaxUint32 || m.To != int(int32(m.To)) {
+		panic(fmt.Sprintf("buffer: message %d to node %d does not fit a 32-bit entry key", m.ID, m.To))
+	}
+	return Entry{msg: m, id: uint32(m.ID), to: int32(m.To)}
+}
+
+// ID returns the replica's message id.
+func (e Entry) ID() bundle.ID { return bundle.ID(e.id) }
+
+// To returns the replica's destination node id.
+func (e Entry) To() int { return int(e.to) }
+
+// Msg returns the replica.
+func (e Entry) Msg() *bundle.Message { return e.msg }
+
 // Store is one node's message buffer. The zero value is not usable;
 // use NewStore.
 type Store struct {
@@ -37,7 +71,7 @@ type Store struct {
 	order    []*bundle.Message              // insertion order, nil-free
 	ids      bundle.IDSet                   // the ids in order
 	cmp      func(a, b *bundle.Message) int // SortBy's order, nil if none
-	sorted   []*bundle.Message              // order's replicas sorted by cmp
+	sorted   []Entry                        // order's replicas, sorted by cmp if set
 	deadline float64                        // lower bound on every stored ExpiresAt
 	onExpire func(now float64, dead []*bundle.Message)
 
@@ -98,27 +132,29 @@ func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
 // when it is attached.
 func (s *Store) SortBy(cmp func(a, b *bundle.Message) int) {
 	s.cmp = cmp
-	s.sorted = slices.SortedStableFunc(slices.Values(s.order), cmp)
+	s.sorted = s.sorted[:0]
+	for _, m := range s.order {
+		s.sorted = append(s.sorted, newEntry(m))
+	}
+	slices.SortStableFunc(s.sorted, s.compare)
 }
+
+// compare orders two entries by SortBy's order on their replicas.
+func (s *Store) compare(a, b Entry) int { return s.cmp(a.msg, b.msg) }
 
 // Resort sorts the replicas by SortBy's order again, in place and without
 // allocating, for an order whose answers changed (see SortBy). It does
 // nothing if SortBy was never called.
 func (s *Store) Resort() {
 	if s.cmp != nil {
-		slices.SortFunc(s.sorted, s.cmp)
+		slices.SortFunc(s.sorted, s.compare)
 	}
 }
 
-// Sorted lends the stored replicas in SortBy's order, or in insertion
-// order if SortBy was never called. The slice is read-only and valid only
-// until the store next changes.
-func (s *Store) Sorted() []*bundle.Message {
-	if s.cmp == nil {
-		return s.order
-	}
-	return s.sorted
-}
+// Sorted lends the stored replicas' entries in SortBy's order, or in
+// insertion order if SortBy was never called. The slice is read-only and
+// valid only until the store next changes.
+func (s *Store) Sorted() []Entry { return s.sorted }
 
 // index returns id's position in insertion order, or -1 if absent.
 func (s *Store) index(id bundle.ID) int {
@@ -149,6 +185,7 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 	if m == nil {
 		panic("buffer: Add nil message")
 	}
+	e := newEntry(m)
 	if s.Has(m.ID) {
 		return nil, false
 	}
@@ -170,9 +207,11 @@ func (s *Store) Add(now float64, m *bundle.Message, drop core.DropPolicy) (evict
 	s.evicted = evicted
 	s.ids.Add(m.ID)
 	s.order = append(s.order, m)
-	if s.cmp != nil {
-		i, _ := slices.BinarySearchFunc(s.sorted, m, s.cmp)
-		s.sorted = slices.Insert(s.sorted, i, m)
+	if s.cmp == nil {
+		s.sorted = append(s.sorted, e)
+	} else {
+		i, _ := slices.BinarySearchFunc(s.sorted, e, s.compare)
+		s.sorted = slices.Insert(s.sorted, i, e)
 	}
 	s.used += m.Size
 	s.deadline = min(s.deadline, m.ExpiresAt())
@@ -200,20 +239,19 @@ func (s *Store) RemoveFunc(del func(*bundle.Message) bool) {
 		s.used -= m.Size
 		return true
 	})
-	if s.cmp != nil {
-		s.sorted = slices.DeleteFunc(s.sorted, func(m *bundle.Message) bool { return !s.ids.Has(m.ID) })
-	}
+	s.sorted = slices.DeleteFunc(s.sorted, func(e Entry) bool { return !s.ids.Has(e.ID()) })
 }
 
-// removeAt removes the replica at index i in insertion order, and the
-// same pointer from the sorted replicas.
+// removeAt removes the replica at index i in insertion order, and its
+// entry: at the same index in insertion order, found by pointer if sorted.
 func (s *Store) removeAt(i int) *bundle.Message {
 	m := s.order[i]
 	s.order = slices.Delete(s.order, i, i+1)
+	j := i
 	if s.cmp != nil {
-		j := slices.Index(s.sorted, m)
-		s.sorted = slices.Delete(s.sorted, j, j+1)
+		j = slices.IndexFunc(s.sorted, func(e Entry) bool { return e.msg == m })
 	}
+	s.sorted = slices.Delete(s.sorted, j, j+1)
 	s.ids.Remove(m.ID)
 	s.used -= m.Size
 	return m
@@ -248,30 +286,45 @@ func (s *Store) Expire(now float64) []*bundle.Message {
 	return dead
 }
 
-// check panics if internal invariants are violated; used by tests.
-func (s *Store) check() {
+// CheckInvariants reports the first broken internal invariant, or nil:
+// used is the sum of the stored sizes within capacity, the id set holds
+// exactly the stored ids, the entries are the stored replicas in SortBy's
+// order (insertion order without one), each entry's key is its replica's
+// id and destination, and the deadline bound is at most every stored
+// deadline.
+func (s *Store) CheckInvariants() error {
 	var used units.Bytes
 	deadline := math.Inf(1)
 	for i, m := range s.order {
 		used += m.Size
 		deadline = min(deadline, m.ExpiresAt())
 		if j := s.index(m.ID); j != i {
-			panic(fmt.Sprintf("buffer: index desync for %v: found at %d, stored at %d", m.ID, j, i))
+			return fmt.Errorf("buffer: index desync for %v: found at %d, stored at %d", m.ID, j, i)
 		}
 	}
 	if s.ids.Len() != len(s.order) {
-		panic("buffer: id set and slice length differ")
+		return errors.New("buffer: id set and slice length differ")
 	}
-	if s.cmp != nil && !slices.Equal(s.sorted, slices.SortedStableFunc(slices.Values(s.order), s.cmp)) {
-		panic("buffer: sorted replicas are not a stable sort of the insertion order")
+	for _, e := range s.sorted {
+		if e.ID() != e.msg.ID || e.To() != e.msg.To {
+			return fmt.Errorf("buffer: entry key {%v %d} for replica {%v %d}", e.ID(), e.To(), e.msg.ID, e.msg.To)
+		}
+	}
+	want := s.order
+	if s.cmp != nil {
+		want = slices.SortedStableFunc(slices.Values(s.order), s.cmp)
+	}
+	if !slices.EqualFunc(s.sorted, want, func(e Entry, m *bundle.Message) bool { return e.msg == m }) {
+		return errors.New("buffer: entries are not a stable sort of the insertion order")
 	}
 	if used != s.used {
-		panic(fmt.Sprintf("buffer: used accounting drifted: %d != %d", used, s.used))
+		return fmt.Errorf("buffer: used accounting drifted: %d != %d", used, s.used)
 	}
 	if s.deadline > deadline {
-		panic(fmt.Sprintf("buffer: deadline bound %v above earliest deadline %v", s.deadline, deadline))
+		return fmt.Errorf("buffer: deadline bound %v above earliest deadline %v", s.deadline, deadline)
 	}
 	if s.used > s.capacity {
-		panic("buffer: capacity exceeded")
+		return errors.New("buffer: capacity exceeded")
 	}
+	return nil
 }

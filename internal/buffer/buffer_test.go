@@ -17,6 +17,23 @@ func msg(id bundle.ID, size units.Bytes, created, ttl float64) *bundle.Message {
 	return bundle.New(id, 0, 1, size, created, ttl)
 }
 
+// mustHold fails t if s breaks one of its invariants.
+func mustHold(t *testing.T, s *Store) {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replicas returns the replicas of entries, in order.
+func replicas(entries []Entry) []*bundle.Message {
+	out := make([]*bundle.Message, len(entries))
+	for i, e := range entries {
+		out[i] = e.Msg()
+	}
+	return out
+}
+
 func TestNewStorePanicsOnBadCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -45,7 +62,7 @@ func TestAddAndAccounting(t *testing.T) {
 	if s.Occupancy() != 0.3 {
 		t.Fatalf("Occupancy = %v", s.Occupancy())
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestAddDuplicateRejected(t *testing.T) {
@@ -96,7 +113,7 @@ func TestEvictionFIFO(t *testing.T) {
 	if len(evicted) != 1 || evicted[0].ID != 3 {
 		t.Fatalf("second eviction returned %v, want [M3]", evicted)
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestEvictionLifetimeASC(t *testing.T) {
@@ -111,7 +128,7 @@ func TestEvictionLifetimeASC(t *testing.T) {
 	if len(evicted) != 1 || evicted[0].ID != 2 {
 		t.Fatalf("evicted %v, want [M2] (soonest expiry)", evicted)
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestEvictionMultipleVictims(t *testing.T) {
@@ -126,7 +143,7 @@ func TestEvictionMultipleVictims(t *testing.T) {
 	if len(evicted) != 2 || evicted[0].ID != 1 || evicted[1].ID != 2 {
 		t.Fatalf("evicted %v, want [M1 M2]", evicted)
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestAddWithoutDropPolicyFailsOnOverflow(t *testing.T) {
@@ -155,7 +172,7 @@ func TestRemove(t *testing.T) {
 	if s.Remove(99) != nil {
 		t.Fatal("Remove of absent id returned a message")
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestMessagesInsertionOrderSnapshot(t *testing.T) {
@@ -195,7 +212,7 @@ func TestExpire(t *testing.T) {
 	if last := s.Expire(500); len(last) != 1 || last[0].ID != 2 {
 		t.Fatalf("Expire(500) = %v, want [M2]", last)
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 func TestExpireBoundaryInclusive(t *testing.T) {
@@ -216,8 +233,8 @@ func withReceived(m *bundle.Message, at float64) *bundle.Message {
 
 // Property: whatever sequence of adds/removes/expiries happens, the buffer
 // never exceeds capacity and its internal accounting stays consistent: the
-// dense id index, the deadline bound and the sorted replicas (check), and
-// membership against a model. Each built-in schedule has a leg whose store
+// dense id index, the deadline bound, the entries and their keys
+// (CheckInvariants, after every step), and membership against a model. Each built-in schedule has a leg whose store
 // starts sorting by its Compare at a random step: before it Sorted() must
 // equal Messages(), and from then on a stable sort of Messages(). Ids
 // include 0 and sparse large values, removed replicas are stored again
@@ -344,11 +361,14 @@ func checkCapacityInvariant(t *testing.T, schedule core.SchedulingPolicy) {
 			if i >= sortAt {
 				slices.SortStableFunc(want, order)
 			}
-			if !slices.Equal(s.Sorted(), want) {
+			if !slices.Equal(replicas(s.Sorted()), want) {
 				t.Logf("seed %d step %d: Sorted() %v, want %v", seed, i, s.Sorted(), want)
 				return false
 			}
-			s.check()
+			if err := s.CheckInvariants(); err != nil {
+				t.Logf("seed %d step %d: %v", seed, i, err)
+				return false
+			}
 		}
 		return true
 	}, &quick.Config{MaxCount: 60}); err != nil {
@@ -383,9 +403,38 @@ func TestResortAndRemoveFuncAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Resort, RemoveFunc and re-adding allocate %v times per round", allocs)
 	}
-	s.check()
+	mustHold(t, s)
 	if s.Len() != len(msgs) {
 		t.Fatalf("store holds %d replicas, want %d", s.Len(), len(msgs))
+	}
+}
+
+// CheckInvariants reads each entry's key against its replica, in both
+// orders: an entry whose id or destination differs from its replica's is
+// reported, as is an entry out of SortBy's order.
+func TestCheckInvariantsCatchesBadEntries(t *testing.T) {
+	for _, sorted := range []bool{false, true} {
+		s := NewStore(units.MB(10))
+		if sorted {
+			s.SortBy(func(a, b *bundle.Message) int { return cmp.Compare(b.ID, a.ID) })
+		}
+		for id := bundle.ID(1); id <= 3; id++ {
+			s.Add(0, msg(id, units.KB(10), 0, 3600), nil)
+		}
+		mustHold(t, s)
+		for _, corrupt := range []func(e []Entry){
+			func(e []Entry) { e[1].id++ },
+			func(e []Entry) { e[2].to++ },
+			func(e []Entry) { e[0], e[2] = e[2], e[0] },
+		} {
+			saved := slices.Clone(s.sorted)
+			corrupt(s.sorted)
+			if s.CheckInvariants() == nil {
+				t.Errorf("sorted=%v: corrupted entries %v pass", sorted, s.sorted)
+			}
+			copy(s.sorted, saved)
+		}
+		mustHold(t, s)
 	}
 }
 
@@ -400,6 +449,31 @@ func TestNegativeIDPanics(t *testing.T) {
 		}
 	}()
 	s.Add(0, msg(-1, units.KB(1), 0, 60), nil)
+}
+
+// An entry keeps its key in 32 bits a field: a replica whose id or
+// destination does not fit is refused with a panic, before anything is
+// evicted or stored.
+func TestKeyBeyond32BitsPanics(t *testing.T) {
+	for _, m := range []*bundle.Message{
+		bundle.New(1<<32, 0, 1, units.KB(1), 0, 60),
+		bundle.New(1, 0, 1<<31, units.KB(1), 0, 60),
+	} {
+		s := NewStore(units.KB(1))
+		s.Add(0, msg(2, units.KB(1), 0, 60), nil)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("storing message %d to %d did not panic", m.ID, m.To)
+				}
+			}()
+			s.Add(0, m, core.FIFODrop{})
+		}()
+		if s.Len() != 1 || !s.Has(2) {
+			t.Errorf("refusing message %d to %d changed the store", m.ID, m.To)
+		}
+		mustHold(t, s)
+	}
 }
 
 // Expire skips its scan while now is below every deadline, and tightens
@@ -418,7 +492,7 @@ func TestExpireDeadlineBound(t *testing.T) {
 	if dead := s.Expire(500); len(dead) != 1 || !math.IsInf(s.deadline, 1) {
 		t.Fatalf("Expire(500) = %v, bound %v", dead, s.deadline)
 	}
-	s.check()
+	mustHold(t, s)
 }
 
 // Property: Add either stores the message or leaves the store unchanged

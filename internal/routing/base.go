@@ -2,6 +2,7 @@ package routing
 
 import (
 	"cmp"
+	"slices"
 
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
@@ -17,9 +18,8 @@ type base struct {
 	buf    *buffer.Store
 	drop   core.DropPolicy
 	queues queueSet
-	send   Send // what next returns, overwritten by every call
-
-	deliv, rest []*bundle.Message // reused group buffers for queue rebuilds
+	send   Send              // what next returns, overwritten by every call
+	deliv  []*bundle.Message // reused storage for a rebuild's deliverables
 }
 
 func newBase(drop core.DropPolicy) base { return base{drop: drop} }
@@ -85,6 +85,20 @@ func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send
 	return &b.send
 }
 
+// groups returns the two empty groups a send-queue rebuild for peer
+// fills: the replicas destined to peer, in storage the router reuses, and
+// the rest, built directly in the storage of peer's queue.
+func (b *base) groups(peer int) (deliv, rest []*bundle.Message) {
+	return b.deliv[:0], b.queues.reuse(peer)
+}
+
+// queue makes deliv followed by rest peer's send queue, where deliv and
+// rest are the groups returned for peer and filled since.
+func (b *base) queue(peer int, deliv, rest []*bundle.Message) {
+	b.queues.set(peer, slices.Insert(rest, 0, deliv...))
+	b.deliv = deliv
+}
+
 func byID(x, y *bundle.Message) int { return cmp.Compare(x.ID, y.ID) }
 
 // widen returns v extended to at least n entries, new ones set to fill.
@@ -108,23 +122,34 @@ func at[T any](v []T, i int, def T) T {
 // policyRouter is the core of the protocols the paper's Table I policies
 // govern (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact): the
 // scheduling policy orders each send queue, the dropping policy evicts,
-// and the protocol supplies only its relay rule — whether a replica that
-// is not destined to p should go to p.
+// and the protocol supplies only its relay condition. A replica not
+// destined to p goes to p if p holds no replica of it and the condition
+// accepts it: Epidemic adds none (nil), Spray-and-Wait asks for more than
+// one copy, FirstContact for a node not yet visited, and DirectDelivery
+// never relays.
 //
 // The router has its buffer keep the schedule order (buffer.Store.SortBy),
-// so a Refresh filters the already ordered replicas instead of copying
-// and sorting the buffer per peer.
+// so a Refresh walks the already ordered entries instead of copying and
+// sorting the buffer per peer. The entries' keys settle every replica
+// that p has received or holds, or that is destined to p, against p's id
+// sets; only the others are read, and only for the relay condition.
 type policyRouter struct {
 	base
 	schedule core.SchedulingPolicy
-	relay    func(m *bundle.Message, p Peer) bool
+	relay    func(m *bundle.Message, peer int) bool // nil relays all
 }
 
-func newPolicyRouter(name string, pol core.Policy, relay func(*bundle.Message, Peer) bool) policyRouter {
+func newPolicyRouter(name string, pol core.Policy, relay func(m *bundle.Message, peer int) bool) policyRouter {
 	if pol.Schedule == nil || pol.Drop == nil {
 		panic("routing: " + name + " with incomplete policy")
 	}
 	return policyRouter{base: newBase(pol.Drop), schedule: pol.Schedule, relay: relay}
+}
+
+// relays reports whether m, neither destined to peer nor held by it,
+// goes to peer.
+func (r *policyRouter) relays(m *bundle.Message, peer int) bool {
+	return r.relay == nil || r.relay(m, peer)
 }
 
 // Attach implements Router and has buf keep the schedule order.
@@ -139,19 +164,19 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 
 // Refresh implements Router: it (re)builds the send queue for p —
 // messages destined to p first ("exchange deliverable messages first"),
-// then those the relay rule accepts, each group in scheduling-policy
-// order.
+// then those p lacks and the relay condition accepts, each group in
+// scheduling-policy order.
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
-	deliverable, rest := r.deliv[:0], r.rest[:0]
-	for _, m := range r.buf.Sorted() {
+	deliverable, rest := r.groups(p.id)
+	for _, e := range r.buf.Sorted() {
 		switch {
-		case p.HasDelivered(m.ID):
-			continue
-		case m.To == p.ID():
-			deliverable = append(deliverable, m)
-		case r.relay(m, p):
-			rest = append(rest, m)
+		case p.HasDelivered(e.ID()):
+		case e.To() == p.id:
+			deliverable = append(deliverable, e.Msg())
+		case p.Has(e.ID()):
+		case r.relays(e.Msg(), p.id):
+			rest = append(rest, e.Msg())
 		}
 	}
 	// Both groups keep the buffer's Compare order, the order Order
@@ -159,11 +184,12 @@ func (r *policyRouter) Refresh(now float64, p Peer) {
 	// shuffles each.
 	r.schedule.Order(now, deliverable)
 	r.schedule.Order(now, rest)
-	r.queues.set(p.ID(), deliverable, rest)
-	r.deliv, r.rest = deliverable, rest
+	r.queue(p.id, deliverable, rest)
 }
 
 // NextSend implements Router.
 func (r *policyRouter) NextSend(now float64, p Peer) *Send {
-	return r.next(now, p, func(m *bundle.Message) bool { return m.To == p.ID() || r.relay(m, p) })
+	return r.next(now, p, func(m *bundle.Message) bool {
+		return m.To == p.id || !p.Has(m.ID) && r.relays(m, p.id)
+	})
 }

@@ -1,9 +1,6 @@
 package routing
 
-import (
-	"vdtn/internal/bundle"
-	"vdtn/internal/core"
-)
+import "vdtn/internal/core"
 
 // Epidemic is flooding-based routing (Vahdat & Becker 2000): at every
 // contact, nodes exchange the messages the other side does not yet have.
@@ -15,9 +12,7 @@ type Epidemic struct{ policyRouter }
 // NewEpidemic returns an Epidemic router governed by the given combined
 // scheduling-dropping policy.
 func NewEpidemic(pol core.Policy) *Epidemic {
-	return &Epidemic{newPolicyRouter("Epidemic", pol, func(m *bundle.Message, p Peer) bool {
-		return !p.Has(m.ID)
-	})}
+	return &Epidemic{newPolicyRouter("Epidemic", pol, nil)}
 }
 
 // Name implements Router.

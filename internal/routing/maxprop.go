@@ -20,8 +20,9 @@ import (
 // tail), so it takes no external scheduling/dropping policy.
 //
 // The router has its buffer keep the MaxProp order (buffer.Store.SortBy),
-// so a Refresh filters the ordered replicas instead of copying and
-// sorting the buffer per peer. That order reads the cost epoch and the
+// so a Refresh walks the ordered entries, reading a replica only when its
+// key leaves it in play, instead of copying and sorting the buffer per
+// peer. That order reads the cost epoch and the
 // hop threshold, so the buffer is re-sorted in place (Resort) when a
 // ContactUp starts a new cost epoch and when a Refresh finds the
 // threshold moved.
@@ -138,19 +139,18 @@ func (mx *MaxProp) Refresh(now float64, p Peer) {
 		mx.threshold = t
 		mx.buf.Resort()
 	}
-	deliv, rest := mx.deliv[:0], mx.rest[:0]
-	for _, m := range mx.buf.Sorted() {
+	deliv, rest := mx.groups(p.id)
+	for _, e := range mx.buf.Sorted() {
 		switch {
-		case p.HasDelivered(m.ID):
-		case m.To == p.ID():
-			deliv = append(deliv, m)
-		case !p.Has(m.ID) && !mx.acked.Has(m.ID) && !m.HasVisited(p.ID()):
-			rest = append(rest, m)
+		case p.HasDelivered(e.ID()):
+		case e.To() == p.id:
+			deliv = append(deliv, e.Msg())
+		case !p.Has(e.ID()) && !mx.acked.Has(e.ID()) && !e.Msg().HasVisited(p.id):
+			rest = append(rest, e.Msg())
 		}
 	}
 	slices.SortFunc(deliv, byID)
-	mx.queues.set(p.ID(), deliv, rest)
-	mx.deliv, mx.rest = deliv, rest
+	mx.queue(p.id, deliv, rest)
 }
 
 // compare is the order the buffer keeps: order under the threshold the
@@ -191,7 +191,8 @@ func (mx *MaxProp) hopThreshold() int {
 		return 0
 	}
 	tally := mx.hopBytes[:0]
-	for _, m := range mx.buf.Sorted() {
+	for _, e := range mx.buf.Sorted() {
+		m := e.Msg()
 		tally = widen(tally, m.HopCount+1, 0)
 		tally[m.HopCount] += m.Size
 	}

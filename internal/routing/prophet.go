@@ -139,22 +139,21 @@ func (pr *Prophet) ContactUp(now float64, p Peer) {
 // it: rest stays empty, and its sort compares nothing.
 func (pr *Prophet) Refresh(now float64, p Peer) {
 	remote, _ := p.Router().(*Prophet)
-	deliv, rest := pr.deliv[:0], pr.rest[:0]
-	for _, m := range pr.buf.Sorted() {
+	deliv, rest := pr.groups(p.id)
+	for _, e := range pr.buf.Sorted() {
 		switch {
-		case p.HasDelivered(m.ID):
-		case m.To == p.ID():
-			deliv = append(deliv, m)
-		case remote != nil && !p.Has(m.ID) && at(remote.preds, m.To, 0) > at(pr.preds, m.To, 0):
-			rest = append(rest, m)
+		case p.HasDelivered(e.ID()):
+		case e.To() == p.id:
+			deliv = append(deliv, e.Msg())
+		case remote != nil && !p.Has(e.ID()) && at(remote.preds, e.To(), 0) > at(pr.preds, e.To(), 0):
+			rest = append(rest, e.Msg())
 		}
 	}
 	slices.SortFunc(deliv, byID)
 	slices.SortFunc(rest, func(a, b *bundle.Message) int {
 		return cmp.Or(cmp.Compare(at(remote.preds, b.To, 0), at(remote.preds, a.To, 0)), byID(a, b))
 	})
-	pr.queues.set(p.ID(), deliv, rest)
-	pr.deliv, pr.rest = deliv, rest
+	pr.queue(p.id, deliv, rest)
 }
 
 // NextSend implements Router.

@@ -409,7 +409,7 @@ const (
 // value in order, so two nets fed the same operations can be compared
 // line by line.
 type refNet struct {
-	nodes []*fakePeer
+	nodes []Peer
 	open  [][]bool
 	now   float64
 	log   []string
@@ -433,7 +433,7 @@ func newRefNet(kinds []nodeKind, ref bool, pc ProphetConfig, capacity units.Byte
 		}
 		buf := buffer.NewStore(capacity)
 		r.Attach(id, buf)
-		n.nodes = append(n.nodes, &fakePeer{id: id, router: r, buf: buf, delivered: map[bundle.ID]bool{}})
+		n.nodes = append(n.nodes, NewPeer(id, buf, new(bundle.IDSet), r))
 		n.open[id] = make([]bool, len(kinds))
 	}
 	return n
@@ -515,7 +515,7 @@ func (n *refNet) send(a, b int, abort bool) bool {
 	wire := s.Msg.ForwardTo(b, n.now)
 	delivered := wire.To == b
 	if delivered {
-		to.delivered[wire.ID] = true
+		to.delivered.Add(wire.ID)
 		if obs, ok := to.router.(deliveryObserver); ok {
 			obs.OnDelivered(n.now, wire)
 		}

@@ -11,6 +11,14 @@
 // whether to accept an incoming replica. This keeps every protocol unit-
 // testable without a full simulation.
 //
+// A router sees the node it meets as a Peer: a concrete view the simulator
+// builds once per node, holding the node's id, buffer, delivered-id set
+// and router. Every queue rebuild is a walk over the buffer's entries
+// (buffer.Store.Sorted), each a replica's id and destination beside the
+// replica: the id is tested against the peer's delivered set and buffer
+// bitsets, and the replica itself is read only when the protocol's own
+// condition needs it.
+//
 // The protocols share one core (base.go). Every router embeds base, which
 // holds the node id, the buffer, the eviction policy and the per-peer send
 // queues, and supplies the Router calls the protocols agree on: Attach,
@@ -20,14 +28,15 @@
 // (Epidemic, Spray-and-Wait, DirectDelivery, FirstContact) embed
 // policyRouter on top of base, which has the buffer keep the schedule's
 // order and owns their one ContactUp, Refresh and NextSend; each passes
-// only its relay rule and overrides the calls where it differs. MaxProp
-// and PRoPHET embed base alone and build their own queues: replicas
-// destined to the peer first, by id, then the ones the protocol offers,
-// in its own order. MaxProp has the buffer keep that order and re-sorts
-// it when its costs or hop threshold move; PRoPHET's order depends on the
-// peer, so it sorts per peer. Their node tables are slices indexed by
-// node id. Both cores are unexported: a router written outside this
-// package implements Router from scratch (see examples/customprotocol).
+// only the condition it adds to "the peer lacks it" and overrides the
+// calls where it differs. MaxProp and PRoPHET embed base alone and build
+// their own queues: replicas destined to the peer first, by id, then the
+// ones the protocol offers, in its own order. MaxProp has the buffer keep
+// that order and re-sorts it when its costs or hop threshold move;
+// PRoPHET's order depends on the peer, so it sorts per peer. Their node
+// tables are slices indexed by node id. Both cores are unexported: a
+// router written outside this package implements Router from scratch
+// (see examples/customprotocol).
 //
 // Protocol metadata exchange (PRoPHET predictability vectors, MaxProp
 // likelihood vectors and ack lists) happens by direct access to the peer's
@@ -41,18 +50,38 @@ import (
 	"vdtn/internal/bundle"
 )
 
-// Peer is a router's view of a node it is currently in contact with.
-type Peer interface {
-	// ID returns the remote node id.
-	ID() int
-	// Has reports whether the remote buffer holds a replica of id.
-	Has(id bundle.ID) bool
-	// HasDelivered reports whether the remote node, as destination,
-	// has already received id.
-	HasDelivered(id bundle.ID) bool
-	// Router returns the remote router, for protocol metadata exchange.
-	Router() Router
+// Peer is a router's view of a node it is currently in contact with: the
+// node's id, its buffer, the ids it has received as destination and its
+// router. The simulator builds one Peer per node (NewPeer) and hands it
+// to every router that meets the node. The view is live: Has and
+// HasDelivered read the node's current sets, and a send-queue rebuild
+// tests each buffered replica's key against them directly.
+type Peer struct {
+	id        int
+	buf       *buffer.Store
+	delivered *bundle.IDSet
+	router    Router
 }
+
+// NewPeer returns the view of node id whose buffer is buf, whose
+// delivered ids are delivered and whose router is r. buf and delivered
+// must not be nil; r may be, for a node with no router.
+func NewPeer(id int, buf *buffer.Store, delivered *bundle.IDSet, r Router) Peer {
+	return Peer{id: id, buf: buf, delivered: delivered, router: r}
+}
+
+// ID returns the remote node id.
+func (p Peer) ID() int { return p.id }
+
+// Has reports whether the remote buffer holds a replica of id.
+func (p Peer) Has(id bundle.ID) bool { return p.buf.Has(id) }
+
+// HasDelivered reports whether the remote node, as destination, has
+// already received id.
+func (p Peer) HasDelivered(id bundle.ID) bool { return p.delivered.Has(id) }
+
+// Router returns the remote router, for protocol metadata exchange.
+func (p Peer) Router() Router { return p.router }
 
 // Send is one transmission decision: which buffered replica to put on the
 // wire and, for copy-budget protocols, how many logical copies the receiver
@@ -129,7 +158,8 @@ type queueSet struct {
 }
 
 // sendQueue is one peer's queue: msgs[head:] are still to be offered. A
-// rebuild reuses msgs' storage; ContactDown hands it to the free list.
+// rebuild writes the new queue into msgs' storage; ContactDown hands it
+// to the free list.
 type sendQueue struct {
 	msgs []*bundle.Message
 	head int
@@ -143,8 +173,10 @@ func (q *queueSet) at(peer int) *sendQueue {
 	return &q.peers[peer]
 }
 
-// set replaces peer's queue with the concatenation of groups.
-func (q *queueSet) set(peer int, groups ...[]*bundle.Message) {
+// reuse returns peer's queue storage, emptied and cleared, for a rebuild
+// to append the new queue to and hand to set. A peer with no storage yet
+// draws the most recently dropped one, if any.
+func (q *queueSet) reuse(peer int) []*bundle.Message {
 	sq := q.at(peer)
 	if sq.msgs == nil && len(q.free) > 0 {
 		n := len(q.free) - 1
@@ -153,9 +185,14 @@ func (q *queueSet) set(peer int, groups ...[]*bundle.Message) {
 	}
 	clear(sq.msgs)
 	sq.msgs, sq.head = sq.msgs[:0], 0
-	for _, g := range groups {
-		sq.msgs = append(sq.msgs, g...)
-	}
+	return sq.msgs
+}
+
+// set makes msgs peer's queue, from its head. msgs is built on the
+// storage reuse returned, or replaces it.
+func (q *queueSet) set(peer int, msgs []*bundle.Message) {
+	sq := q.at(peer)
+	sq.msgs, sq.head = msgs, 0
 }
 
 // drop ends peer's queue and keeps its storage for the next one.

@@ -133,7 +133,7 @@ func TestProphetRefreshSeesNewMessages(t *testing.T) {
 	bBuf := buffer.NewStore(units.MB(100))
 	b.Attach(1, bBuf)
 
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(0, bPeer)
 	if s := a.NextSend(0, bPeer); s != nil {
 		t.Fatalf("empty buffer offered %v", s.Msg.ID)

@@ -12,29 +12,14 @@ import (
 	"vdtn/internal/xrand"
 )
 
-// fakePeer implements Peer for router unit tests.
-type fakePeer struct {
-	id        int
-	router    Router
-	buf       *buffer.Store
-	delivered map[bundle.ID]bool
-}
-
-func (f *fakePeer) ID() int { return f.id }
-
-func (f *fakePeer) Has(id bundle.ID) bool { return f.buf != nil && f.buf.Has(id) }
-
-func (f *fakePeer) HasDelivered(id bundle.ID) bool { return f.delivered[id] }
-
-func (f *fakePeer) Router() Router { return f.router }
-
-// newPeer builds a peer with an attached router and fresh buffer.
-func newPeer(id int, r Router) *fakePeer {
+// newPeer builds the view of node id with an attached router r (if any),
+// a fresh buffer and an empty delivered set.
+func newPeer(id int, r Router) Peer {
 	buf := buffer.NewStore(units.MB(100))
 	if r != nil {
 		r.Attach(id, buf)
 	}
-	return &fakePeer{id: id, router: r, buf: buf, delivered: map[bundle.ID]bool{}}
+	return NewPeer(id, buf, new(bundle.IDSet), r)
 }
 
 // attach gives router r a node id and buffer, returning the buffer.
@@ -85,14 +70,15 @@ func TestQueueSetPopValidates(t *testing.T) {
 }
 
 // TestQueueSetReusesDroppedStorage: a queue dropped at ContactDown leaves
-// its backing array, cleared, for the next queue set up, so contacts that
+// its backing array, cleared, for the next queue built (reuse, then set), so contacts that
 // come and go allocate no queue storage once warm, and the free list never
 // holds more arrays than queues were open at once.
 func TestQueueSetReusesDroppedStorage(t *testing.T) {
 	var q queueSet
 	msgs := []*bundle.Message{msgTo(1, 0, 9, 0, 60), msgTo(2, 0, 9, 0, 60), msgTo(3, 0, 9, 0, 60)}
-	q.set(4, msgs)
-	q.set(5, msgs[:1])
+	set := func(peer int, msgs []*bundle.Message) { q.set(peer, append(q.reuse(peer), msgs...)) }
+	set(4, msgs)
+	set(5, msgs[:1])
 	arr := &q.peers[4].msgs[:1][0]
 	q.drop(4)
 	q.drop(5)
@@ -104,8 +90,8 @@ func TestQueueSetReusesDroppedStorage(t *testing.T) {
 			t.Fatalf("dropped storage not cleared: %v", f[:cap(f)])
 		}
 	}
-	q.set(6, msgs[:2])
-	q.set(7, msgs)
+	set(6, msgs[:2])
+	set(7, msgs)
 	if got := &q.peers[7].msgs[0]; got != arr {
 		t.Fatal("the second new queue did not reuse the first dropped array (LIFO)")
 	}
@@ -114,9 +100,9 @@ func TestQueueSetReusesDroppedStorage(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		q.drop(6)
-		q.set(8, msgs)
+		set(8, msgs)
 		q.drop(8)
-		q.set(6, msgs)
+		set(6, msgs)
 	})
 	if allocs != 0 || len(q.free) != 0 {
 		t.Fatalf("contact churn allocates %v times, leaves %d free arrays", allocs, len(q.free))
@@ -330,7 +316,7 @@ func TestEpidemicSkipsPeerDeliveredMessages(t *testing.T) {
 	e := NewEpidemic(core.FIFOFIFO())
 	attach(e, 0)
 	peer := newPeer(5, NewEpidemic(core.FIFOFIFO()))
-	peer.delivered[1] = true
+	peer.delivered.Add(1)
 	e.AddMessage(0, msgTo(1, 0, 5, 0, 3600))
 	e.ContactUp(10, peer)
 	if s := e.NextSend(10, peer); s != nil {
@@ -455,12 +441,12 @@ func TestSprayAndWaitCopyConservation(t *testing.T) {
 	const n = 12
 	routers := make([]*SprayAndWait, 6)
 	bufs := make([]*buffer.Store, 6)
-	peers := make([]*fakePeer, 6)
+	peers := make([]Peer, 6)
 	for i := range routers {
 		routers[i] = NewSprayAndWait(core.FIFOFIFO(), n, true)
 		bufs[i] = buffer.NewStore(units.MB(100))
 		routers[i].Attach(i, bufs[i])
-		peers[i] = &fakePeer{id: i, router: routers[i], buf: bufs[i], delivered: map[bundle.ID]bool{}}
+		peers[i] = NewPeer(i, bufs[i], new(bundle.IDSet), routers[i])
 	}
 	routers[0].AddMessage(0, msgTo(1, 0, 99, 0, 3600))
 
@@ -542,12 +528,12 @@ func TestProphetTransitivity(t *testing.T) {
 	attach(c, 2)
 
 	// B meets C: P_b(c) = 0.75.
-	cPeer := &fakePeer{id: 2, router: c, buf: buffer.NewStore(units.MB(1)), delivered: map[bundle.ID]bool{}}
+	cPeer := NewPeer(2, buffer.NewStore(units.MB(1)), new(bundle.IDSet), c)
 	b.ContactUp(0, cPeer)
 
 	// A meets B: direct P_a(b) = 0.75; transitive P_a(c) =
 	// 0 + 1*0.75*0.75*0.25 = 0.140625.
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(0, bPeer)
 	if p := a.Predictability(0, 2); math.Abs(p-0.140625) > 1e-9 {
 		t.Fatalf("transitive P = %v, want 0.140625", p)
@@ -563,9 +549,9 @@ func TestProphetGRTRMaxForwarding(t *testing.T) {
 	b.Attach(1, bBuf)
 
 	// B knows destinations 7 (strongly) and 8 (weakly); A knows neither.
-	seven := &fakePeer{id: 7, router: NewProphet(cfg), buf: buffer.NewStore(units.MB(1)), delivered: map[bundle.ID]bool{}}
+	seven := NewPeer(7, buffer.NewStore(units.MB(1)), new(bundle.IDSet), NewProphet(cfg))
 	seven.router.Attach(7, seven.buf)
-	eight := &fakePeer{id: 8, router: NewProphet(cfg), buf: buffer.NewStore(units.MB(1)), delivered: map[bundle.ID]bool{}}
+	eight := NewPeer(8, buffer.NewStore(units.MB(1)), new(bundle.IDSet), NewProphet(cfg))
 	eight.router.Attach(8, eight.buf)
 	b.ContactUp(0, eight)
 	b.ContactDown(0, eight)
@@ -578,7 +564,7 @@ func TestProphetGRTRMaxForwarding(t *testing.T) {
 	a.AddMessage(0, msgTo(2, 0, 7, 0, 3600))
 	a.AddMessage(0, msgTo(3, 0, 9, 0, 3600)) // dest unknown to both: not offered
 
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(1, bPeer)
 	got := drain(a, 1, bPeer)
 	// GRTRMax: M2 (P_b(7) highest) then M1; M3 not offered.
@@ -596,13 +582,13 @@ func TestProphetDoesNotOfferWhenOwnPredBetter(t *testing.T) {
 	b.Attach(1, bBuf)
 
 	// A itself met 7; B never did.
-	seven := &fakePeer{id: 7, router: NewProphet(cfg), buf: buffer.NewStore(units.MB(1)), delivered: map[bundle.ID]bool{}}
+	seven := NewPeer(7, buffer.NewStore(units.MB(1)), new(bundle.IDSet), NewProphet(cfg))
 	seven.router.Attach(7, seven.buf)
 	a.ContactUp(0, seven)
 	a.ContactDown(0, seven)
 
 	a.AddMessage(0, msgTo(1, 0, 7, 0, 3600))
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(1, bPeer)
 	if got := drain(a, 1, bPeer); len(got) != 0 {
 		t.Fatalf("offered %v to a worse-positioned peer", got)
@@ -617,7 +603,7 @@ func TestProphetDeliverableAlwaysSent(t *testing.T) {
 	bBuf := buffer.NewStore(units.MB(100))
 	b.Attach(5, bBuf)
 	a.AddMessage(0, msgTo(1, 0, 5, 0, 3600))
-	bPeer := &fakePeer{id: 5, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(5, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(1, bPeer)
 	if got := drain(a, 1, bPeer); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("deliverable not sent: %v", got)
@@ -674,7 +660,7 @@ func TestMaxPropCostDirectAndPath(t *testing.T) {
 	b.ContactDown(0, two)
 
 	// A meets B: f_a(1) = 1, and A snapshots B's vector.
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	mx.ContactUp(1, bPeer)
 
 	if c := mx.Cost(1); math.Abs(c-0.0) > 1e-9 {
@@ -707,7 +693,7 @@ func TestMaxPropAckPropagation(t *testing.T) {
 	b.AddMessage(0, msgTo(1, 0, 9, 0, 3600))
 	b.OnDelivered(1, msgTo(1, 0, 9, 0, 3600))
 
-	bPeer := &fakePeer{id: 1, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(1, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(2, bPeer)
 	if !a.Acked(1) {
 		t.Fatal("ack did not propagate at contact")
@@ -744,7 +730,7 @@ func TestMaxPropVisitedNodeNotReoffered(t *testing.T) {
 	m = m.ForwardTo(0, 2)
 	a.Receive(2, m, newPeer(3, nil))
 
-	bPeer := &fakePeer{id: 3, router: b, buf: bBuf, delivered: map[bundle.ID]bool{}}
+	bPeer := NewPeer(3, bBuf, new(bundle.IDSet), b)
 	a.ContactUp(3, bPeer)
 	if got := drain(a, 3, bPeer); len(got) != 0 {
 		t.Fatalf("re-offered %v to previous intermediary", got)
@@ -852,6 +838,51 @@ func TestMaxPropContactAllocatesNothing(t *testing.T) {
 	}
 	if buf.Len() != 40-len(acked) || slices.ContainsFunc(acked, func(m *bundle.Message) bool { return buf.Has(m.ID) }) {
 		t.Fatalf("buffer holds %d replicas after the purge, want %d and none acked", buf.Len(), 40-len(acked))
+	}
+}
+
+// TestPolicyRefreshAllocatesNothing: once its group buffers and queue
+// storage have grown, an Epidemic or Spray-and-Wait Refresh towards each
+// of three peers allocates nothing, under a deterministic and the Random
+// schedule. The peers hold some replicas and have received others, and
+// some replicas are destined to them, so every branch of the key walk
+// runs.
+func TestPolicyRefreshAllocatesNothing(t *testing.T) {
+	routers := []func(core.Policy) Router{
+		func(pol core.Policy) Router { return NewEpidemic(pol) },
+		func(pol core.Policy) Router { return NewSprayAndWait(pol, 12, true) },
+	}
+	for _, mk := range routers {
+		for _, pol := range []core.Policy{core.FIFOFIFO(), core.RandomFIFO(xrand.New(1))} {
+			r := mk(pol)
+			t.Run(r.Name()+"/"+pol.Schedule.Name(), func(t *testing.T) {
+				attach(r, 0)
+				peers := []Peer{newPeer(1, nil), newPeer(2, nil), newPeer(3, nil)}
+				for i := 1; i <= 60; i++ {
+					m := msgTo(bundle.ID(i), 0, 1+i%5, 0, 3600)
+					r.AddMessage(0, m)
+					p := peers[i%3]
+					switch i % 4 {
+					case 0:
+						p.buf.Add(0, m.ForwardTo(p.id, 0), nil)
+					case 1:
+						p.delivered.Add(m.ID)
+					}
+				}
+				refresh := func() {
+					for _, p := range peers {
+						r.Refresh(1, p)
+					}
+				}
+				refresh()
+				if allocs := testing.AllocsPerRun(100, refresh); allocs != 0 {
+					t.Fatalf("a warm Refresh towards %d peers allocates %v times", len(peers), allocs)
+				}
+				if got := drain(r, 1, peers[0]); len(got) == 0 {
+					t.Fatal("Refresh queued nothing for peer 1")
+				}
+			})
+		}
 	}
 }
 

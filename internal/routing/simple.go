@@ -15,7 +15,7 @@ type DirectDelivery struct{ policyRouter }
 // deliverable messages and governs eviction (the paper's policies apply
 // even to this degenerate protocol).
 func NewDirectDelivery(pol core.Policy) *DirectDelivery {
-	return &DirectDelivery{newPolicyRouter("DirectDelivery", pol, func(*bundle.Message, Peer) bool {
+	return &DirectDelivery{newPolicyRouter("DirectDelivery", pol, func(*bundle.Message, int) bool {
 		return false
 	})}
 }
@@ -38,8 +38,8 @@ type FirstContact struct{ policyRouter }
 // NewFirstContact returns a FirstContact router. A replica never goes
 // back to a node it already passed through.
 func NewFirstContact(pol core.Policy) *FirstContact {
-	return &FirstContact{newPolicyRouter("FirstContact", pol, func(m *bundle.Message, p Peer) bool {
-		return !p.Has(m.ID) && !m.HasVisited(p.ID())
+	return &FirstContact{newPolicyRouter("FirstContact", pol, func(m *bundle.Message, peer int) bool {
+		return !m.HasVisited(peer)
 	})}
 }
 

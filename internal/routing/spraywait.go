@@ -33,7 +33,7 @@ func NewSprayAndWait(pol core.Policy, copies int, binary bool) *SprayAndWait {
 		panic(fmt.Sprintf("routing: SprayAndWait with %d copies", copies))
 	}
 	// Only replicas still holding more than one copy spray.
-	relay := func(m *bundle.Message, p Peer) bool { return m.Copies > 1 && !p.Has(m.ID) }
+	relay := func(m *bundle.Message, _ int) bool { return m.Copies > 1 }
 	return &SprayAndWait{policyRouter: newPolicyRouter("SprayAndWait", pol, relay), copies: copies, binary: binary}
 }
 

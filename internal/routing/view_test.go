@@ -12,13 +12,17 @@ import (
 	"vdtn/internal/xrand"
 )
 
-// TestPropertySortedViewMatchesBuffer drives a policy router through
-// random AddMessage, Receive, OnSent, Expire, same-pointer re-add and
-// Refresh steps under all five schedules. After every step the buffer's
-// sorted replicas, which the router's Refresh filters, must equal a fresh
-// stable sort of buf.Messages() by the schedule's Compare; and every
-// Refresh must build exactly the queue the copy-filter-sort Refresh built,
-// leaving a Random schedule's stream where that Refresh left it.
+// TestPropertySortedViewMatchesBuffer drives each policy router
+// (Epidemic, Spray-and-Wait, DirectDelivery and FirstContact, by seed)
+// through random AddMessage, Receive, OnSent, Expire, same-pointer re-add,
+// Refresh and NextSend steps under all five schedules, while its peers
+// lose replicas and learn of deliveries they never got from it. After
+// every step the buffer's entries, which the router's Refresh walks, must
+// hold their replicas' keys and equal a fresh stable sort of
+// buf.Messages() by the schedule's Compare; every Refresh must build
+// exactly the queue the copy-filter-sort Refresh built with the
+// protocol's whole relay rule, leaving a Random schedule's stream where
+// that Refresh left it; and every NextSend must pop what that rule pops.
 func TestPropertySortedViewMatchesBuffer(t *testing.T) {
 	schedules := []func(*xrand.Rand) core.SchedulingPolicy{
 		func(*xrand.Rand) core.SchedulingPolicy { return core.FIFOSchedule{} },
@@ -35,6 +39,10 @@ func TestPropertySortedViewMatchesBuffer(t *testing.T) {
 	}
 }
 
+// oldRelay is each policy protocol's whole relay rule as it stood before
+// Refresh walked keys: whether a replica not destined to p goes to p.
+type oldRelay func(m *bundle.Message, p Peer) bool
+
 func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.SchedulingPolicy) {
 	rng := xrand.New(seed)
 	polRng := xrand.New(seed + 1000)
@@ -42,16 +50,28 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 	pol := core.Policy{Schedule: schedule, Drop: core.LifetimeASCDrop{}}
 	var r *policyRouter
 	var router Router
-	if seed%2 == 0 {
+	var relay oldRelay
+	switch seed % 4 {
+	case 0:
 		e := NewEpidemic(pol)
 		r, router = &e.policyRouter, e
-	} else {
+		relay = func(m *bundle.Message, p Peer) bool { return !p.Has(m.ID) }
+	case 1:
 		s := NewSprayAndWait(pol, 6, true)
 		r, router = &s.policyRouter, s
+		relay = func(m *bundle.Message, p Peer) bool { return m.Copies > 1 && !p.Has(m.ID) }
+	case 2:
+		d := NewDirectDelivery(pol)
+		r, router = &d.policyRouter, d
+		relay = func(*bundle.Message, Peer) bool { return false }
+	case 3:
+		f := NewFirstContact(pol)
+		r, router = &f.policyRouter, f
+		relay = func(m *bundle.Message, p Peer) bool { return !p.Has(m.ID) && !m.HasVisited(p.ID()) }
 	}
 	buf := buffer.NewStore(units.MB(8)) // small enough to evict
 	router.Attach(0, buf)
-	peers := []*fakePeer{newPeer(1, nil), newPeer(2, nil), newPeer(3, nil)}
+	peers := []Peer{newPeer(1, nil), newPeer(2, nil), newPeer(3, nil)}
 
 	now := 0.0
 	nextID := bundle.ID(1)
@@ -61,8 +81,8 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 		nextID++
 		return m
 	}
-	buffered := func() *bundle.Message {
-		msgs := buf.Messages()
+	pick := func(b *buffer.Store) *bundle.Message {
+		msgs := b.Messages()
 		if len(msgs) == 0 {
 			return nil
 		}
@@ -71,23 +91,26 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 	for step := 0; step < 250; step++ {
 		now += rng.Float64() * 30
 		p := peers[rng.IntN(len(peers))]
-		op := rng.IntN(6)
+		op := rng.IntN(9)
 		switch op {
 		case 0: // a burst of local messages between two Refreshes
 			for k := rng.IntN(3) + 1; k > 0; k-- {
 				router.AddMessage(now, fresh())
 			}
-		case 1: // a relayed replica
+		case 1: // a relayed replica, now and then one that passed through p
 			m := fresh()
 			m.HopCount = rng.IntN(4)
+			if rng.IntN(3) == 0 {
+				m = m.ForwardTo(p.id, now)
+			}
 			wire := m.ForwardTo(0, now)
 			wire.Copies = 1 + rng.IntN(4)
 			router.Receive(now, wire, p)
 		case 2: // a finished transfer
-			if m := buffered(); m != nil {
+			if m := pick(buf); m != nil {
 				delivered := m.To == p.id
 				if delivered {
-					p.delivered[m.ID] = true
+					p.delivered.Add(m.ID)
 				} else if rng.IntN(2) == 0 {
 					p.buf.Add(now, m.ForwardTo(p.id, now), nil)
 				}
@@ -96,14 +119,26 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 		case 3:
 			buf.Expire(now)
 		case 4: // the same pointer removed and stored again
-			if m := buffered(); m != nil {
+			if m := pick(buf); m != nil {
 				buf.Remove(m.ID)
 				router.AddMessage(now, m)
 			}
-		case 5:
+		case 5: // the peer loses a replica: evicted, delivered on or expired
+			if rng.IntN(2) == 0 {
+				if m := pick(p.buf); m != nil {
+					p.buf.Remove(m.ID)
+				}
+			} else {
+				p.buf.Expire(now + rng.Float64()*600)
+			}
+		case 6: // the peer received an id as destination from someone else
+			if nextID > 1 {
+				p.delivered.Add(bundle.ID(1 + rng.IntN(int(nextID-1))))
+			}
+		case 7:
 			state := *polRng
 			router.Refresh(now, p)
-			want, after := oldRefresh(now, buf, r.relay, p, mkSchedule, state)
+			want, after := oldRefresh(now, buf, relay, p, mkSchedule, state)
 			sq := r.queues.at(p.id)
 			if got := sq.msgs[sq.head:]; !slices.Equal(got, want) {
 				t.Fatalf("step %d: Refresh queued %v, copy-filter-sort Refresh %v", step, msgIDs(got), msgIDs(want))
@@ -111,21 +146,42 @@ func driveView(t *testing.T, seed uint64, mkSchedule func(*xrand.Rand) core.Sche
 			if after != *polRng {
 				t.Fatalf("step %d: Refresh drew differently from copy-filter-sort Refresh", step)
 			}
+		case 8: // a pop, checked against the whole rule on a copy of the queue
+			sq := r.queues.at(p.id)
+			queued := slices.Clone(sq.msgs[sq.head:])
+			i := slices.IndexFunc(queued, func(m *bundle.Message) bool {
+				return buf.Has(m.ID) && !m.Expired(now) && !p.HasDelivered(m.ID) && (m.To == p.ID() || relay(m, p))
+			})
+			var want *bundle.Message
+			if i >= 0 {
+				want = queued[i]
+			}
+			var got *bundle.Message
+			if s := router.NextSend(now, p); s != nil {
+				got = s.Msg
+			}
+			if got != want {
+				t.Fatalf("step %d: NextSend popped %v, whole rule %v", step, got, want)
+			}
 		}
 
+		if err := buf.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (op %d): %v", step, op, err)
+		}
 		want := buf.Messages()
 		slices.SortStableFunc(want, schedule.Compare)
-		if got := buf.Sorted(); !slices.Equal(got, want) {
+		if got := sortedReplicas(buf); !slices.Equal(got, want) {
 			t.Fatalf("step %d (op %d): sorted buffer %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
 		}
 	}
 }
 
 // oldRefresh is Refresh as it was before any sorted order: copy the buffer,
-// filter in insertion order, sort each group by Compare and hand it to
-// Order. It runs the schedule on a copy of the stream state the real
-// Refresh started from and returns the queue and the state it ends in.
-func oldRefresh(now float64, buf *buffer.Store, relay func(*bundle.Message, Peer) bool, p Peer,
+// filter it in insertion order by the protocol's whole relay rule, sort
+// each group by Compare and hand it to Order. It runs the schedule on a
+// copy of the stream state the real Refresh started from and returns the
+// queue and the state it ends in.
+func oldRefresh(now float64, buf *buffer.Store, relay oldRelay, p Peer,
 	mkSchedule func(*xrand.Rand) core.SchedulingPolicy, state xrand.Rand) ([]*bundle.Message, xrand.Rand) {
 	var deliverable, rest []*bundle.Message
 	for _, m := range buf.Messages() {
@@ -143,6 +199,15 @@ func oldRefresh(now float64, buf *buffer.Store, relay func(*bundle.Message, Peer
 		s.Order(now, group)
 	}
 	return append(deliverable, rest...), state
+}
+
+// sortedReplicas returns the replicas of buf's entries, in their order.
+func sortedReplicas(buf *buffer.Store) []*bundle.Message {
+	var out []*bundle.Message
+	for _, e := range buf.Sorted() {
+		out = append(out, e.Msg())
+	}
+	return out
 }
 
 func msgIDs(msgs []*bundle.Message) []bundle.ID {
@@ -173,8 +238,8 @@ func driveMaxPropView(t *testing.T, seed uint64) {
 	mx := NewMaxProp()
 	buf := buffer.NewStore(units.MB(6)) // small enough to evict
 	mx.Attach(0, buf)
-	self := &fakePeer{id: 0, router: mx, buf: buf, delivered: map[bundle.ID]bool{}}
-	peers := []*fakePeer{newPeer(1, NewMaxProp()), newPeer(2, NewMaxProp()), newPeer(3, NewMaxProp()),
+	self := NewPeer(0, buf, new(bundle.IDSet), mx)
+	peers := []Peer{newPeer(1, NewMaxProp()), newPeer(2, NewMaxProp()), newPeer(3, NewMaxProp()),
 		newPeer(4, NewEpidemic(core.FIFOFIFO())), newPeer(5, nil)}
 	open := make([]bool, len(peers))
 
@@ -193,7 +258,7 @@ func driveMaxPropView(t *testing.T, seed uint64) {
 		}
 		return msgs[rng.IntN(len(msgs))]
 	}
-	checkQueue := func(step int, p *fakePeer) {
+	checkQueue := func(step int, p Peer) {
 		t.Helper()
 		sq := mx.queues.at(p.id)
 		if got, want := sq.msgs[sq.head:], copyFilterSortMaxProp(mx, p); !slices.Equal(got, want) {
@@ -232,7 +297,7 @@ func driveMaxPropView(t *testing.T, seed uint64) {
 			if m := buffered(); m != nil {
 				delivered := m.To == p.id
 				if delivered {
-					p.delivered[m.ID] = true
+					p.delivered.Add(m.ID)
 				} else if rng.IntN(2) == 0 {
 					p.buf.Add(now, m.ForwardTo(p.id, now), nil)
 				}
@@ -253,9 +318,12 @@ func driveMaxPropView(t *testing.T, seed uint64) {
 			}
 		}
 
+		if err := buf.CheckInvariants(); err != nil {
+			t.Fatalf("step %d (op %d): %v", step, op, err)
+		}
 		want := buf.Messages()
 		slices.SortStableFunc(want, mx.compare)
-		if got := buf.Sorted(); !slices.Equal(got, want) {
+		if got := sortedReplicas(buf); !slices.Equal(got, want) {
 			t.Fatalf("step %d (op %d): sorted buffer %v, fresh sort %v", step, op, msgIDs(got), msgIDs(want))
 		}
 	}

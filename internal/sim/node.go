@@ -67,6 +67,9 @@ type Node struct {
 	// delivered is the set of message ids this node received as
 	// destination; the node refuses duplicates forever after.
 	delivered bundle.IDSet
+
+	// peer is the view of this node that every router meeting it sees.
+	peer routing.Peer
 }
 
 func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing.Router) *Node {
@@ -76,6 +79,7 @@ func newNode(id int, kind Kind, mob mobility.Model, buf *buffer.Store, r routing
 		buf:          buf,
 		router:       r,
 	}
+	n.peer = routing.NewPeer(id, buf, &n.delivered, r)
 	r.Attach(id, buf)
 	return n
 }
@@ -96,20 +100,3 @@ func (n *Node) DeliveredCount() int { return n.delivered.Len() }
 // markDelivered records the first arrival of id; it reports whether this
 // was indeed the first.
 func (n *Node) markDelivered(id bundle.ID) bool { return n.delivered.Add(id) }
-
-// peerView adapts a Node into the routing.Peer a remote router sees.
-type peerView struct {
-	n *Node
-}
-
-// ID implements routing.Peer.
-func (p peerView) ID() int { return p.n.id }
-
-// Has implements routing.Peer.
-func (p peerView) Has(id bundle.ID) bool { return p.n.buf.Has(id) }
-
-// HasDelivered implements routing.Peer.
-func (p peerView) HasDelivered(id bundle.ID) bool { return p.n.delivered.Has(id) }
-
-// Router implements routing.Peer.
-func (p peerView) Router() routing.Router { return p.n.router }

@@ -394,8 +394,8 @@ func (w *World) inject(now float64, src, dst int, size units.Bytes) {
 func (w *World) ContactUp(now float64, a, b wireless.Entity) {
 	na, nb := w.nodes[a.ID()], w.nodes[b.ID()]
 	w.emit(trace.Event{Time: now, Kind: trace.ContactUp, A: na.id, B: nb.id})
-	na.router.ContactUp(now, peerView{nb})
-	nb.router.ContactUp(now, peerView{na})
+	na.router.ContactUp(now, nb.peer)
+	nb.router.ContactUp(now, na.peer)
 	if !w.tryStart(now, na, nb) {
 		w.tryStart(now, nb, na)
 	}
@@ -406,8 +406,8 @@ func (w *World) ContactUp(now float64, a, b wireless.Entity) {
 func (w *World) ContactDown(now float64, a, b wireless.Entity) {
 	na, nb := w.nodes[a.ID()], w.nodes[b.ID()]
 	w.emit(trace.Event{Time: now, Kind: trace.ContactDown, A: na.id, B: nb.id})
-	na.router.ContactDown(now, peerView{nb})
-	nb.router.ContactDown(now, peerView{na})
+	na.router.ContactDown(now, nb.peer)
+	nb.router.ContactDown(now, na.peer)
 }
 
 // --- transfer engine ---------------------------------------------------------
@@ -418,7 +418,7 @@ func (w *World) tryStart(now float64, from, to *Node) bool {
 	if w.medium.Busy(from.id) || w.medium.Busy(to.id) || !w.medium.Connected(from.id, to.id) {
 		return false
 	}
-	send := from.router.NextSend(now, peerView{to})
+	send := from.router.NextSend(now, to.peer)
 	if send == nil {
 		return false
 	}
@@ -444,7 +444,7 @@ func (w *World) TransferAborted(now float64, fromID, toID int) {
 	from, to := w.nodes[fromID], w.nodes[toID]
 	send := w.takeSend(fromID)
 	w.emit(trace.Event{Time: now, Kind: trace.TransferAbort, A: from.id, B: to.id, Msg: send.Msg.ID})
-	from.router.OnAbort(now, peerView{to}, send)
+	from.router.OnAbort(now, to.peer, send)
 	if w.counted(send.Msg) {
 		w.ledger.MsgAborted()
 	}
@@ -477,7 +477,7 @@ func (w *World) TransferDone(now float64, fromID, toID int) {
 			obs.OnDelivered(now, wire)
 		}
 	} else {
-		accepted, evicted := to.router.Receive(now, wire, peerView{from})
+		accepted, evicted := to.router.Receive(now, wire, from.peer)
 		if w.counted(wire) {
 			w.ledger.MsgRelayed(accepted)
 		}
@@ -493,7 +493,7 @@ func (w *World) TransferDone(now float64, fromID, toID int) {
 			w.refreshQueues(now, to)
 		}
 	}
-	from.router.OnSent(now, peerView{to}, send, delivered)
+	from.router.OnSent(now, to.peer, send, delivered)
 	if kept, ok := from.buf.Get(send.Msg.ID); ok {
 		kept.Forwards++ // feeds the MOFO dropping policy
 	}
@@ -507,7 +507,7 @@ func (w *World) TransferDone(now float64, fromID, toID int) {
 // refreshQueues rebuilds n's send queues towards all its live contacts.
 func (w *World) refreshQueues(now float64, n *Node) {
 	for _, pid := range w.medium.PeersOf(n.id) {
-		n.router.Refresh(now, peerView{w.nodes[pid]})
+		n.router.Refresh(now, w.nodes[pid].peer)
 	}
 }
 

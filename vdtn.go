@@ -123,7 +123,11 @@ type (
 	// ContactDown for the same peer: a queue kept for that peer is
 	// dropped there, and re-queueing the aborted replica gains nothing.
 	Router = routing.Router
-	// Peer is a router's view of a connected remote node.
+	// Peer is a router's view of a connected remote node: a concrete
+	// type the simulator builds once per node, whose ID, Has,
+	// HasDelivered and Router methods read that node's live state. The
+	// built-in routers' send-queue rebuilds walk the buffer's keys
+	// against it (Buffer.Sorted).
 	Peer = routing.Peer
 	// Send is one transmission decision. A Router may hand out the same
 	// Send from every NextSend call: the simulator reads it only until
