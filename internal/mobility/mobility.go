@@ -35,9 +35,12 @@ type Stationary struct {
 // Position returns the fixed position.
 func (s Stationary) Position(now float64) geo.Point { return s.At }
 
-// StaticUntil reports that the position never changes (the wireless
-// scan's static-entity hint; see wireless.StaticUntiler).
+// StaticUntil reports that the position never changes (half of the
+// wireless scan's motion hint; see wireless.MotionHint).
 func (s Stationary) StaticUntil(now float64) float64 { return math.Inf(1) }
+
+// MaxSpeed reports that the node never moves.
+func (s Stationary) MaxSpeed() float64 { return 0 }
 
 // timeTolerance absorbs float64 noise in repeated same-instant queries.
 const timeTolerance = 1e-9
@@ -197,6 +200,13 @@ func (w *MapWalk) StaticUntil(now float64) float64 {
 	}
 	return now
 }
+
+// MaxSpeed bounds the vehicle's displacement: it drives each leg at a
+// speed drawn from [speedLo, speedHi], and a chord of its route is never
+// longer than the arc, so between two instants it moves at most speedHi
+// times the time it spent driving. Like StaticUntil, it consumes nothing
+// from the random stream.
+func (w *MapWalk) MaxSpeed() float64 { return w.speedHi }
 
 // depart commits to the next trip, consuming random draws for destination
 // and speed.

@@ -191,6 +191,9 @@ func TestStationaryStaticUntil(t *testing.T) {
 	if got := s.StaticUntil(42); !math.IsInf(got, 1) {
 		t.Fatalf("StaticUntil = %v, want +Inf", got)
 	}
+	if got := s.MaxSpeed(); got != 0 {
+		t.Fatalf("MaxSpeed = %v, want 0", got)
+	}
 }
 
 // TestMapWalkStaticUntilTracksPauses: while paused the hint promises
@@ -229,20 +232,31 @@ func TestMapWalkStaticUntilTracksPauses(t *testing.T) {
 }
 
 // TestMapWalkSparseQueriesBitIdentical is the property the wireless scan
-// skip relies on: skipping Position queries during a promised-static
-// window must not change the trajectory, because StaticUntil consumes
-// nothing from the random stream. Two identically-seeded walkers — one
-// queried every second, one only when its own hint expires — must agree
-// exactly at every common instant.
+// skip relies on: skipping Position queries must not change the
+// trajectory, because StaticUntil and MaxSpeed consume nothing from the
+// random stream. Three identically-seeded walkers — one queried every
+// second, one only when its own hint expires (the parked skip), one at
+// random gaps of 1–60 s (the drifting skip) — must agree exactly at every
+// common instant.
 func TestMapWalkSparseQueriesBitIdentical(t *testing.T) {
 	g := roadmap.HelsinkiLike()
 	dense := NewMapWalk(g, xrand.New(9), paperCfg())
 	sparse := NewMapWalk(g, xrand.New(9), paperCfg())
+	gappy := NewMapWalk(g, xrand.New(9), paperCfg())
+	gaps := xrand.New(10)
 
 	skipUntil := -1.0
-	checked := 0
+	nextGappy := 0.0
+	checked, checkedGappy := 0, 0
 	for now := 0.0; now <= units.Hours(3); now++ {
 		dp := dense.Position(now)
+		if now == nextGappy {
+			if gp := gappy.Position(now); gp != dp {
+				t.Fatalf("t=%v: random-gap %v != dense %v", now, gp, dp)
+			}
+			checkedGappy++
+			nextGappy += float64(gaps.UniformInt(1, 60))
+		}
 		if now < skipUntil {
 			continue // sparse walker skipped, like the scan would
 		}
@@ -256,6 +270,55 @@ func TestMapWalkSparseQueriesBitIdentical(t *testing.T) {
 	if checked == 0 || dense.Trips() != sparse.Trips() {
 		t.Fatalf("checked=%d denseTrips=%d sparseTrips=%d",
 			checked, dense.Trips(), sparse.Trips())
+	}
+	if checkedGappy < 100 || gappy.Trips() < dense.Trips()-1 {
+		t.Fatalf("random-gap walker checked %d times over %d trips (dense %d)",
+			checkedGappy, gappy.Trips(), dense.Trips())
+	}
+}
+
+// TestMotionHintBoundsDisplacement pins the promise the wireless scan's
+// drifting sleep rests on: after a query at t1 a model stands still
+// through StaticUntil(t1) and then moves no faster than MaxSpeed, so at
+// t2 it is at most MaxSpeed·(t2 − max(t1, StaticUntil(t1))) from where it
+// was, up to 1e-9 of the coordinates' scale. The schedules are random
+// gaps of 1–60 s, which cross pauses and leg changes.
+func TestMotionHintBoundsDisplacement(t *testing.T) {
+	type hinted interface {
+		Model
+		StaticUntil(now float64) float64
+		MaxSpeed() float64
+	}
+	g := roadmap.HelsinkiLike()
+	short := MapWalkConfig{SpeedLoMs: 2, SpeedHiMs: 15, PauseLoS: 0, PauseHiS: 40}
+	models := []hinted{Stationary{At: geo.Point{X: -3, Y: 1e4}}}
+	for seed := uint64(1); seed <= 4; seed++ {
+		models = append(models,
+			NewMapWalk(g, xrand.New(seed), paperCfg()),
+			NewMapWalk(g, xrand.New(seed+100), short))
+	}
+	for k, mod := range models {
+		gaps := xrand.New(uint64(200 + k))
+		now := 0.0
+		p, until := mod.Position(now), mod.StaticUntil(now)
+		pauses := 0
+		for now < units.Hours(4) {
+			next := now + gaps.UniformFloat(1, 60)
+			q := mod.Position(next)
+			bound := mod.MaxSpeed() * math.Max(0, next-math.Max(now, until))
+			scale := math.Max(1, math.Max(math.Hypot(p.X, p.Y), math.Hypot(q.X, q.Y)))
+			if d := p.Dist(q); d > bound+1e-9*scale {
+				t.Fatalf("model %d: moved %v m from t=%v to t=%v, bound %v (static until %v, max speed %v)",
+					k, d, now, next, bound, until, mod.MaxSpeed())
+			}
+			if until > now {
+				pauses++
+			}
+			now, p, until = next, q, mod.StaticUntil(next)
+		}
+		if w, ok := mod.(*MapWalk); ok && (w.Trips() < 5 || pauses == 0) {
+			t.Fatalf("model %d: %d trips, %d queries in a pause: schedule crossed too little", k, w.Trips(), pauses)
+		}
 	}
 }
 

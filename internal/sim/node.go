@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 	"vdtn/internal/geo"
@@ -31,11 +33,11 @@ func (k Kind) String() string {
 type mobileEntity struct {
 	id   int
 	mob  mobility.Model
-	hint wireless.StaticUntiler // mob's static-until hint, nil if it has none
+	hint wireless.MotionHint // mob's motion hint, nil if it has none
 }
 
 func newMobileEntity(id int, mob mobility.Model) mobileEntity {
-	hint, _ := mob.(wireless.StaticUntiler)
+	hint, _ := mob.(wireless.MotionHint)
 	return mobileEntity{id: id, mob: mob, hint: hint}
 }
 
@@ -45,15 +47,26 @@ func (e *mobileEntity) ID() int { return e.id }
 // Position implements wireless.Entity.
 func (e *mobileEntity) Position(now float64) geo.Point { return e.mob.Position(now) }
 
-// StaticUntil implements wireless.StaticUntiler by forwarding the
-// mobility model's hint: the proximity scan skips this entity while its
-// position is pinned (a stationary relay forever, a paused walker until
-// the pause ends). Models without the hint never promise stillness.
+// StaticUntil implements wireless.MotionHint by forwarding the mobility
+// model's hint: the proximity scan skips this entity while its position
+// is pinned (a stationary relay forever, a paused walker until the pause
+// ends). Models without the hint never promise stillness.
 func (e *mobileEntity) StaticUntil(now float64) float64 {
 	if e.hint != nil {
 		return e.hint.StaticUntil(now)
 	}
 	return now
+}
+
+// MaxSpeed implements wireless.MotionHint by forwarding the mobility
+// model's speed bound, which lets the scan leave a driving vehicle
+// unqueried while nothing can reach it. Models without the hint are
+// unbounded.
+func (e *mobileEntity) MaxSpeed() float64 {
+	if e.hint != nil {
+		return e.hint.MaxSpeed()
+	}
+	return math.Inf(1)
 }
 
 // Node is one network participant: mobility + buffer + router + the

@@ -33,6 +33,7 @@ type parked struct {
 func (p *parked) ID() int                     { return p.id }
 func (p *parked) Position(float64) geo.Point  { return p.at }
 func (p *parked) StaticUntil(float64) float64 { return math.Inf(1) }
+func (p *parked) MaxSpeed() float64           { return 0 }
 
 // drifter oscillates around a home point, staying inside its neighbourhood
 // so the scenario's contact density is stable over any benchmark horizon.

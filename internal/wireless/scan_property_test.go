@@ -29,9 +29,19 @@ func (s *sequence) ContactDown(_ float64, a, b Entity) {
 // ascending by pair.
 func checkTicksAgainstReference(t *testing.T, m *Medium, ticks int) (transitions int) {
 	t.Helper()
+	transitions, _ = checkTickRange(t, m, 0, ticks)
+	return transitions
+}
+
+// checkTickRange is checkTicksAgainstReference over ticks [from, to). After
+// every tick it also checks CheckInvariants and that every drifting
+// sleeper is, at its true position, more than the range from every other
+// entity; it returns the transitions fired and the sleeper-ticks seen.
+func checkTickRange(t *testing.T, m *Medium, from, to int) (transitions, sleeps int) {
+	t.Helper()
 	seq := &sequence{}
 	m.SetHandler(seq)
-	for tick := 0; tick < ticks; tick++ {
+	for tick := from; tick < to; tick++ {
 		now := float64(tick)
 		downs, ups := m.scanReference(now)
 		var want []string
@@ -49,9 +59,41 @@ func checkTicksAgainstReference(t *testing.T, m *Medium, ticks int) (transitions
 		if err := m.CheckInvariants(); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
+		sleeps += checkSleepersOutOfRange(t, m, now)
 		transitions += len(want)
 	}
-	return transitions
+	return transitions, sleeps
+}
+
+// truePos is where a test entity really is at now, read without a query.
+func truePos(e Entity, now float64) geo.Point {
+	switch e := e.(type) {
+	case *hinted:
+		return e.truePos(now)
+	case *scripted:
+		return e.fn(now)
+	}
+	panic(fmt.Sprintf("no true position for %T", e))
+}
+
+// checkSleepersOutOfRange asserts that every drifting sleeper is, at its
+// true position now, more than the range from every other entity, and
+// returns the number of sleepers.
+func checkSleepersOutOfRange(t *testing.T, m *Medium, now float64) (sleepers int) {
+	t.Helper()
+	for i, st := range m.sc.state {
+		if st != stateAsleep {
+			continue
+		}
+		sleepers++
+		pi := truePos(m.entities[i], now)
+		for j, e := range m.entities {
+			if d := pi.Dist(truePos(e, now)); j != i && d <= m.cfg.Range {
+				t.Fatalf("t=%v: node %d asleep %v m from node %d", now, i, d, j)
+			}
+		}
+	}
+	return sleepers
 }
 
 // linear returns a mover from home at velocity v, standing still until
@@ -59,7 +101,7 @@ func checkTicksAgainstReference(t *testing.T, m *Medium, ticks int) (transitions
 func linear(id int, home, v geo.Point, start float64, hint bool) Entity {
 	fn := func(now float64) geo.Point { return home.Add(v.Scale(now - start)) }
 	if hint {
-		return &hinted{id: id, at: home, until: start, fn: fn}
+		return &hinted{id: id, at: home, until: start, fn: fn, speed: math.Hypot(v.X, v.Y)}
 	}
 	return &scripted{id: id, fn: func(now float64) geo.Point {
 		if now <= start {
@@ -184,5 +226,179 @@ func TestScanPropertyRoundedRange(t *testing.T) {
 	}})
 	if n := checkTicksAgainstReference(t, m, 4); n != 4 {
 		t.Fatalf("%d transitions, want the contact up, down, up, down", n)
+	}
+}
+
+// driver returns a mover that drives from home at velocity v from time 0
+// and declares its speed as its bound.
+func driver(id int, home, v geo.Point) *hinted {
+	return linear(id, home, v, 0, true).(*hinted)
+}
+
+// TestScanPropertyHeadOnAtMaxSpeed: pairs drive head-on at exactly their
+// declared speed, from just beyond Range + wakeMargin + k·2v apart, so each
+// sleep bound is tight to the tick, and some pass side by side at or just
+// inside the range. The pairs lie on a 700 m lattice, sparse enough for
+// drifting sleep.
+func TestScanPropertyHeadOnAtMaxSpeed(t *testing.T) {
+	m := NewMedium(event.NewScheduler(), testCfg())
+	id := 0
+	for k := 0; k <= sleepTicks+2; k++ {
+		for _, v := range []float64{1, 5, 13.9} {
+			for _, eps := range []float64{0, 1e-9, 0.3} {
+				for _, lat := range []float64{0, 29.99, 30} {
+					p := id / 2
+					base := geo.Point{X: float64(p%14) * 700, Y: float64(p/14) * 700}
+					d := 30 + wakeMargin + float64(k)*2*v + eps
+					m.Add(driver(id, base, geo.Point{X: v}))
+					m.Add(driver(id+1, base.Add(geo.Point{X: d, Y: lat}), geo.Point{X: -v}))
+					id += 2
+				}
+			}
+		}
+	}
+	transitions, sleeps := checkTickRange(t, m, 0, 40)
+	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 100 {
+		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
+	}
+}
+
+// TestScanPropertyCrossingLines: slow movers on a lattice of crossing
+// roads, each road's movers driving one way at their declared speed, so
+// pairs meet at the crossings from both axes while sleeping in between.
+func TestScanPropertyCrossingLines(t *testing.T) {
+	r := xrand.New(34)
+	m := NewMedium(event.NewScheduler(), testCfg())
+	id := 0
+	for road := 0; road < 12; road++ {
+		at := float64(road/2) * 100
+		speed := r.UniformFloat(1, 3)
+		for k := 0; k < 8; k++ {
+			along := float64(k)*200 - 100 + r.UniformFloat(-20, 20)
+			if road%2 == 0 { // east-west
+				m.Add(driver(id, geo.Point{X: along, Y: at}, geo.Point{X: speed}))
+			} else { // north-south
+				m.Add(driver(id, geo.Point{X: at, Y: along}, geo.Point{Y: -speed}))
+			}
+			id++
+		}
+	}
+	transitions, sleeps := checkTickRange(t, m, 0, 150)
+	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 20 {
+		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
+	}
+}
+
+// TestScanPropertyLocalCrowd: a parked crowd, dense enough that a mover
+// passing it finds a contact possible on the next tick and stops its
+// search early, in a field sparse enough that drifting sleep is on.
+// Movers drive through and past the crowd; two park in it for a while.
+func TestScanPropertyLocalCrowd(t *testing.T) {
+	r := xrand.New(35)
+	m := NewMedium(event.NewScheduler(), testCfg())
+	spot := geo.Point{X: 100, Y: -40}
+	id := 0
+	for ; id < 6; id++ {
+		m.Add(&hinted{id: id, at: spot.Add(geo.Point{X: float64(id) * 3}), until: math.Inf(1)})
+	}
+	for k := 0; k < 70; k++ {
+		angle := r.UniformFloat(0, 2*math.Pi)
+		dir := geo.Point{X: math.Cos(angle), Y: math.Sin(angle)}
+		speed := r.UniformFloat(2, 12)
+		var home geo.Point
+		start := 0.0
+		switch {
+		case k < 2: // parked inside the crowd until a random time
+			home, start = spot.Add(dir.Scale(10)), r.UniformFloat(5, 40)
+		case k < 10: // through the crowd, or grazing it
+			offset := geo.Point{X: -dir.Y, Y: dir.X}.Scale(r.UniformFloat(-35, 35))
+			home = spot.Add(offset).Sub(dir.Scale(r.UniformFloat(300, 500)))
+		default: // a sparse field around it
+			home = geo.Point{X: r.UniformFloat(-6000, 6000), Y: r.UniformFloat(-6000, 6000)}
+		}
+		m.Add(linear(id, home, dir.Scale(speed), start, true))
+		id++
+	}
+	transitions, sleeps := checkTickRange(t, m, 0, 120)
+	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 20 {
+		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
+	}
+}
+
+// TestScanPropertyAddWakesSleepers: an entity added mid-run, next to where
+// a sleeper has driven to since its last query, must come up against it
+// on the very next tick. Add wakes every sleeper, because no sleeper's
+// bound covered the newcomer.
+func TestScanPropertyAddWakesSleepers(t *testing.T) {
+	m := NewMedium(event.NewScheduler(), testCfg())
+	for id := 0; id < 20; id++ {
+		home := geo.Point{X: float64(id%5) * 900, Y: float64(id/5) * 900}
+		m.Add(driver(id, home, geo.Point{X: 10, Y: 3}))
+	}
+	_, sleeps := checkTickRange(t, m, 0, 21)
+	if sleeps == 0 {
+		t.Fatal("no entity slept before the add")
+	}
+	asleep := -1
+	for i, st := range m.sc.state {
+		if st == stateAsleep {
+			asleep = i
+			break
+		}
+	}
+	if asleep < 0 {
+		t.Fatal("no sleeper at tick 20")
+	}
+	beside := truePos(m.entities[asleep], 21).Add(geo.Point{Y: 12})
+	m.Add(&hinted{id: len(m.entities), at: beside, until: math.Inf(1)})
+	if n, _ := checkTickRange(t, m, 21, 22); n == 0 {
+		t.Fatal("the newcomer did not come up against the sleeper beside it")
+	}
+	checkTickRange(t, m, 22, 60)
+}
+
+// TestScanPropertyDenseFieldSleepsNot: where the coarse blocks are crowded
+// (more than crowdLimit others on average), drifting sleep stays off.
+func TestScanPropertyDenseFieldSleepsNot(t *testing.T) {
+	r := xrand.New(36)
+	m := NewMedium(event.NewScheduler(), testCfg())
+	for id := 0; id < 80; id++ {
+		home := geo.Point{X: r.UniformFloat(-300, 300), Y: r.UniformFloat(-300, 300)}
+		m.Add(driver(id, home, geo.Point{X: r.UniformFloat(-5, 5), Y: r.UniformFloat(-5, 5)}))
+	}
+	if n, sleeps := checkTickRange(t, m, 0, 30); sleeps != 0 || m.sc.coarse.head != nil || n == 0 {
+		t.Fatalf("dense field: %d sleeper-ticks, drifting sleep on: %v, %d transitions", sleeps, m.sc.coarse.head != nil, n)
+	}
+}
+
+// TestScanHintlessEntityRestoresQueries: one entity without a motion hint
+// makes every speed unbounded, so no entity sleeps and every driving
+// entity is queried on every tick, as without drifting sleep; without it,
+// the same drivers skip most ticks.
+func TestScanHintlessEntityRestoresQueries(t *testing.T) {
+	const ticks = 40
+	for _, hintless := range []bool{false, true} {
+		m := NewMedium(event.NewScheduler(), testCfg())
+		m.SetHandler(&recorder{})
+		var drivers []*hinted
+		for id := 0; id < 10; id++ {
+			h := driver(id, geo.Point{X: float64(id) * 1000}, geo.Point{Y: 8})
+			drivers = append(drivers, h)
+			m.Add(h)
+		}
+		if hintless {
+			m.Add(fixed(10, geo.Point{X: -5000}))
+		}
+		for tick := 0; tick < ticks; tick++ {
+			m.scan(float64(tick))
+		}
+		for _, h := range drivers {
+			switch {
+			case hintless && h.queries != ticks:
+				t.Fatalf("with a hint-less entity, driver %d queried %d times in %d ticks", h.id, h.queries, ticks)
+			case !hintless && h.queries > ticks/(sleepTicks+1)+1:
+				t.Fatalf("driver %d queried %d times in %d ticks, want at most %d", h.id, h.queries, ticks, ticks/(sleepTicks+1)+1)
+			}
+		}
 	}
 }

@@ -11,14 +11,15 @@ import (
 	"vdtn/internal/xrand"
 )
 
-// hinted is a test entity with an explicit static-until schedule: it sits
-// at `at` until `until`, then follows fn. It counts Position queries so
-// tests can assert the scan actually skips it.
+// hinted is a test entity with an explicit motion hint: it sits at `at`
+// until `until`, then follows fn, which moves no faster than speed. It
+// counts Position queries so tests can assert the scan actually skips it.
 type hinted struct {
 	id      int
 	at      geo.Point
 	until   float64
 	fn      func(now float64) geo.Point
+	speed   float64
 	queries int
 }
 
@@ -26,6 +27,12 @@ func (h *hinted) ID() int { return h.id }
 
 func (h *hinted) Position(now float64) geo.Point {
 	h.queries++
+	return h.truePos(now)
+}
+
+// truePos is Position without the count, for tests that check the scan's
+// view against the trajectory.
+func (h *hinted) truePos(now float64) geo.Point {
 	if now <= h.until || h.fn == nil {
 		return h.at
 	}
@@ -38,6 +45,8 @@ func (h *hinted) StaticUntil(now float64) float64 {
 	}
 	return now
 }
+
+func (h *hinted) MaxSpeed() float64 { return h.speed }
 
 // connectedPairs reads the medium's connected set through the public
 // surface (Connected for membership), given the universe of ids.
@@ -97,7 +106,7 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 				fn := func(now float64) geo.Point {
 					return geo.Point{X: home.X + vx*(now-until), Y: home.Y + vy*(now-until)}
 				}
-				m.Add(&hinted{id: i, at: home, until: until, fn: fn})
+				m.Add(&hinted{id: i, at: home, until: until, fn: fn, speed: math.Hypot(vx, vy)})
 				posAt[i] = func(now float64) geo.Point {
 					if now <= until {
 						return home
@@ -270,6 +279,46 @@ func TestStaticHintSkipsPositionQueries(t *testing.T) {
 	}
 }
 
+// timedRecorder captures contact transitions with their times.
+type timedRecorder struct{ ups, downs []float64 }
+
+func (r *timedRecorder) ContactUp(now float64, _, _ Entity)   { r.ups = append(r.ups, now) }
+func (r *timedRecorder) ContactDown(now float64, _, _ Entity) { r.downs = append(r.downs, now) }
+
+// TestDriftingSleepSkipsPositionQueries is the drifting skip's headline
+// saving: two vehicles driving at their declared top speed, kilometres
+// apart, are queried about once per sleepTicks+1 ticks instead of every
+// tick, and their later drive-by still rises and falls on the ticks the
+// trajectories give: 4000 − 20t ≤ 30 from t = 198.5 through t = 201.5.
+func TestDriftingSleepSkipsPositionQueries(t *testing.T) {
+	s := event.NewScheduler()
+	m := NewMedium(s, testCfg())
+	rec := &timedRecorder{}
+	m.SetHandler(rec)
+	a := driver(0, geo.Point{X: -2000}, geo.Point{X: 10})
+	b := driver(1, geo.Point{X: 2000, Y: 5}, geo.Point{X: -10})
+	m.Add(a)
+	m.Add(b)
+	m.Start(0)
+	const ticks = 400
+	s.RunUntil(ticks - 0.5)
+
+	if fmt.Sprint(rec.ups, rec.downs) != "[199] [202]" {
+		t.Fatalf("drive-by up at %v, down at %v; want up at 199, down at 202", rec.ups, rec.downs)
+	}
+	// Asleep except within about a sleep of the encounter, where the bound
+	// shortens, and in contact, where both are queried every tick.
+	lo, hi := ticks/(sleepTicks+1), ticks/(sleepTicks+1)+30
+	for _, h := range []*hinted{a, b} {
+		if h.queries < lo || h.queries > hi {
+			t.Fatalf("vehicle %d queried %d times over %d ticks, want %d..%d", h.id, h.queries, ticks, lo, hi)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestStaticHintExpiresAndRequeries pins the pause-end boundary: a node
 // parked until t=10 is skipped through t=10 and re-queried on the first
 // tick after its hint expires.
@@ -277,7 +326,7 @@ func TestStaticHintExpiresAndRequeries(t *testing.T) {
 	s := event.NewScheduler()
 	m := NewMedium(s, testCfg())
 	m.SetHandler(&recorder{})
-	h := &hinted{id: 0, at: geo.Point{X: 0, Y: 0}, until: 10,
+	h := &hinted{id: 0, at: geo.Point{X: 0, Y: 0}, until: 10, speed: 10,
 		fn: func(now float64) geo.Point { return geo.Point{X: 10 * (now - 10), Y: 0} }}
 	m.Add(h)
 	m.Add(fixed(1, geo.Point{X: 200, Y: 0})) // no hint: re-queried every tick
@@ -528,7 +577,7 @@ func TestScanEquivalenceHintedVsUnhinted(t *testing.T) {
 				return geo.Point{X: home.X + vx*(now-until), Y: home.Y}
 			}
 			if hints {
-				m.Add(&hinted{id: i, at: home, until: until, fn: fn})
+				m.Add(&hinted{id: i, at: home, until: until, fn: fn, speed: math.Abs(vx)})
 			} else {
 				m.Add(&scripted{id: i, fn: fn})
 			}

@@ -13,13 +13,16 @@
 // simulated second — the ONE's granularity class) over a uniform spatial
 // grid with cell size equal to the radio range, kept in a wrap-around
 // table whose size depends on the node count alone. The scan is
-// incremental: positions and grid cells persist across ticks, entities
-// whose mobility model reports a static-until hint (parked relays, paused
-// walkers) are not re-queried, only pairs with a moving end are examined,
-// against the adjacency lists below, and a steady-state tick allocates
-// nothing. A tick costs one hint check per node plus, per mover, its 3x3
-// grid neighbourhood and its peer list: not O(nodes²), and independent of
-// the contacts between nodes that stood still.
+// incremental: positions and grid cells persist across ticks, and each
+// entity has a wake time from its mobility model's motion hint (see
+// MotionHint) before which it is not re-queried — a parked relay or a
+// paused walker until its pause ends, and, in a sparse enough fleet, a
+// driving vehicle with no contact until another entity could come within
+// range of it. Only pairs with a moving end are examined, against the
+// adjacency lists below, and a steady-state tick allocates nothing. A
+// tick costs one wake check per node plus, per mover, its 3x3 grid
+// neighbourhood and its peer list: not O(nodes²), and independent of the
+// contacts between nodes that stood still.
 //
 // Every contact transition — scanned, planned or replayed — updates a
 // sorted per-node adjacency list. Those lists are the medium's one contact
@@ -407,8 +410,10 @@ func (m *Medium) drop(now float64, k pairKey) {
 
 // CheckInvariants verifies the adjacency lists: every peer slice must be
 // strictly ascending, self-free, and mirrored by the slice of each peer,
-// which must be a registered node. It exists for the equivalence suites
-// and property tests; it is not called on any hot path.
+// which must be a registered node. Once the live scan has run, it also
+// verifies the scan's grids and sleep state (checkScanState). It exists
+// for the equivalence suites and property tests; it is not called on any
+// hot path.
 func (m *Medium) CheckInvariants() error {
 	for id, peers := range m.adj {
 		for i, p := range peers {
@@ -423,7 +428,7 @@ func (m *Medium) CheckInvariants() error {
 			}
 		}
 	}
-	return nil
+	return m.checkScanState()
 }
 
 // StartTransfer begins moving size bytes from node `from` to node `to`
