@@ -34,9 +34,10 @@ func TestExperimentsSIGINTFlushesPartialArtifacts(t *testing.T) {
 
 	outDir := filepath.Join(dir, "out")
 	jsonlDir := filepath.Join(dir, "jsonl")
-	// fig4 at full scale takes over a second per seed on a two-core host,
-	// so twenty seeds outlast the interrupt delay many times over and the
-	// signal always lands mid-sweep.
+	// fig4 at full scale takes 0.6 to 0.9 s per seed with two workers on a
+	// two-core host (ten seeds: 6.0 to 8.5 s), so twenty seeds outlast the
+	// one-second interrupt delay more than ten times over and the signal
+	// always lands mid-sweep.
 	cmd := exec.Command(bin, "-figure", "fig4", "-seeds", "20", "-out", outDir, "-out-jsonl", jsonlDir)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

@@ -29,7 +29,7 @@ func (k Kind) String() string {
 }
 
 // mobileEntity is what the medium's proximity scan sees of a node: an id
-// and a mobility model. RecordContacts registers it alone; Node embeds it.
+// and a mobility model. A contact pass registers it alone; Node embeds it.
 type mobileEntity struct {
 	id   int
 	mob  mobility.Model

@@ -89,13 +89,14 @@ func ContactFingerprint(cfg Config) string {
 // RecordContacts simulates only the mobility and proximity layer of cfg —
 // no routers, buffers or traffic — and returns the contact trace the full
 // scenario would produce. The trace is bit-identical to the contact
-// process of a complete live run, because that process depends solely on
-// the per-node mobility streams (independent of the traffic and policy
-// streams) and the scan tick sequence, both of which New assembles the
-// same way. Replaying the returned recording — a RecordingView over its
-// EncodeBinary bytes, set as Config.ReplaySource — therefore yields the
-// same Result as a live run at a fraction of the cost: the contract the
-// experiment harness's contact cache is built on.
+// process of a complete live run, because a live run's contacts come from
+// this same pass (contactPass): the process depends solely on the
+// per-node mobility streams (independent of the traffic and policy
+// streams) and the scan tick sequence. Replaying the returned recording —
+// a RecordingView over its EncodeBinary bytes, set as
+// Config.ReplaySource — therefore yields the same Result as a live run at
+// a fraction of the cost: the contract the experiment harness's contact
+// cache is built on.
 func RecordContacts(cfg Config) (*wireless.Recording, error) {
 	return RecordContactsContext(context.Background(), cfg)
 }
@@ -110,7 +111,8 @@ func RecordContacts(cfg Config) (*wireless.Recording, error) {
 // keeps, so every configuration with one ContactFingerprint records the
 // same trace: one cell with, say, an invalid TTL cannot poison the trace
 // its (scenario, seed) group shares. A contact-plan or replay
-// configuration is refused.
+// configuration is refused. It is the pass a live World.RunContext runs
+// beside its event loop, collected into memory instead of streamed.
 func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording, error) {
 	if !cfg.Live() {
 		return nil, fmt.Errorf("sim: cannot record the contacts of a contact-plan or replay scenario")
@@ -123,21 +125,46 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 	if err != nil {
 		return nil, err
 	}
+	pass := newContactPass(cfg, graph)
+	pass.medium.StartRecording()
+	if err := pass.run(ctx); err != nil {
+		// A torn trace must never escape: the recording stops between
+		// scan ticks, so it would be a valid-looking prefix — silently
+		// wrong for any run longer than the cut.
+		return nil, err
+	}
+	return pass.medium.TakeRecording(cfg.Duration), nil
+}
+
+// contactPass is the contact process of a live configuration on its own:
+// a scheduler and a scan-driven medium over fresh mobility models, with no
+// routers, buffers or traffic. RecordContactsContext collects its
+// transitions; World.RunContext streams them to the world's medium.
+type contactPass struct {
+	horizon float64
+	sched   *event.Scheduler
+	medium  *wireless.Medium
+}
+
+// newContactPass assembles cfg's contact pass over graph, the scenario's
+// resolved and validated road map. It reads only cfg's contactConfig
+// fields, and its mobility models draw from a source of their own, seeded
+// as a world's, so they walk exactly the world's routes.
+func newContactPass(cfg Config, graph *roadmap.Graph) contactPass {
+	cfg = contactConfig(cfg)
 	sched := event.NewScheduler()
 	medium := newMedium(sched, cfg)
 	for id, mob := range mobilityModels(cfg, graph, xrand.NewSource(cfg.Seed)) {
 		e := newMobileEntity(id, mob)
 		medium.Add(&e)
 	}
-	medium.StartRecording()
-	medium.Start(0)
-	if err := runUntil(ctx, sched, cfg.Duration); err != nil {
-		// A torn trace must never escape: the recording stops between
-		// scan ticks, so it would be a valid-looking prefix — silently
-		// wrong for any run longer than the cut.
-		return nil, err
-	}
-	return medium.TakeRecording(cfg.Duration), nil
+	return contactPass{horizon: cfg.Duration, sched: sched, medium: medium}
+}
+
+// run scans from time 0 to the horizon, checking ctx between events.
+func (p contactPass) run(ctx context.Context) error {
+	p.medium.Start(0)
+	return runUntil(ctx, p.sched, p.horizon)
 }
 
 // ReplaySourceCompatible reports whether v can drive cfg's contact

@@ -7,11 +7,20 @@
 // routers (internal/routing) for every protocol decision. A run is a pure
 // function of its Config (including the seed): repeated runs produce
 // identical Results.
+//
+// No routing decision feeds back into the contact process (mobility and
+// the proximity scan), so a run's contacts are a pass of their own
+// (contactPass) over the fields contactConfig keeps: RecordContacts
+// records that pass, a replay reads a recording of it, and a live run
+// executes it on a second goroutine beside the event loop, which replays
+// its transitions as they arrive. The goroutine decides only when a
+// transition becomes readable, never which or in what order.
 package sim
 
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
@@ -160,8 +169,9 @@ func newMedium(sched *event.Scheduler, cfg Config) *wireless.Medium {
 // vehicles (ids 0..Vehicles-1) walk graph, each on its own "mobility"
 // stream of src, and relays (ids Vehicles..Vehicles+Relays-1) stand at
 // spread-out crossroads. In plan and replay runs every node sits at the
-// origin. New and RecordContacts both assemble their nodes from this, which
-// is what makes a recorded trace match the live run's contact process.
+// origin. A contact pass drives its scan with these models; New gives
+// them to the world's nodes too, for Node.Position, though a world's
+// medium never scans.
 func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []mobility.Model {
 	mobs := make([]mobility.Model, cfg.Vehicles+cfg.Relays)
 	if !cfg.Live() {
@@ -249,6 +259,15 @@ const cancelCheckStride = 256
 // final event fires before the cancellation is noticed completes normally
 // and returns its Result. RunContext may be called once per World; a
 // cancelled World cannot be resumed.
+//
+// A live configuration (no Plan, no ReplaySource) runs its contact pass —
+// the pass RecordContacts records — on a second goroutine, and the world's
+// medium replays the pass's transitions as they arrive, so on two cores
+// the scan and the routing overlap. The run's bytes are those of a replay
+// of RecordContacts' trace, which are those of the scan run inline. The
+// goroutine is stopped and joined before RunContext returns, and before a
+// panic on the event loop leaves it; a panic inside the pass is re-raised
+// on the event loop's goroutine.
 func (w *World) RunContext(ctx context.Context) (Result, error) {
 	if w.ran {
 		panic("sim: World.Run called twice")
@@ -263,7 +282,9 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	case w.cfg.ReplaySource != nil:
 		w.medium.StartReplay(0, w.cfg.ReplaySource)
 	default:
-		w.medium.Start(0)
+		stream, join := w.startContactPass()
+		defer join()
+		w.medium.StartStreamReplay(0, stream)
 	}
 	w.sched.Every(sweepInterval, sweepInterval, w.sweep)
 	if len(w.cfg.Script) > 0 {
@@ -291,6 +312,40 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 		res.MeanBufferOccupancy = w.occSum / float64(w.occSamples)
 	}
 	return res, nil
+}
+
+// startContactPass starts the world's contact pass on a goroutine of its
+// own, streaming the transitions it fires into the returned stream for
+// the world's medium to replay. join stops the pass if it still runs,
+// waits for its goroutine to exit, and re-raises a panic the pass
+// recovered that the replay did not reach.
+//
+// Only join cancels the pass, once the event loop has stopped reading: a
+// cancellation of the run's own context cuts the event loop, never the
+// stream the loop reads, so a cut run emits what the inline scan's did.
+func (w *World) startContactPass() (stream *wireless.ContactStream, join func()) {
+	pass := newContactPass(w.cfg, w.graph)
+	ctx, cancel := context.WithCancel(context.Background())
+	stream = wireless.NewContactStream(ctx.Done())
+	pass.medium.StartStreaming(stream)
+	exited := make(chan struct{})
+	//vdtnlint:detgo joined by join before RunContext returns; it runs a pure function of the config and decides only when a transition becomes readable
+	go func() {
+		defer close(exited)
+		defer func() {
+			var fault any
+			if r := recover(); r != nil {
+				fault = fmt.Sprintf("sim: contact pass panicked: %v\n\n%s", r, debug.Stack())
+			}
+			stream.Close(fault)
+		}()
+		pass.run(ctx) // an error here means join cancelled the pass
+	}()
+	return stream, func() {
+		cancel()
+		<-exited
+		stream.Reraise()
+	}
 }
 
 // runUntil fires sched's events up to horizon, checking ctx every

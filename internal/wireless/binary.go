@@ -63,20 +63,33 @@ func EncodeBinary(r *Recording) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r.Duration))
 	prev := uint64(0)
 	for _, tr := range r.Transitions {
-		var flags byte
-		if tr.Up {
-			flags = 1
-		}
-		buf = append(buf, flags)
-		bits := math.Float64bits(tr.Time)
-		buf = binary.AppendVarint(buf, int64(bits-prev)) // wrapping delta; decode wraps back
-		prev = bits
-		buf = binary.AppendUvarint(buf, uint64(tr.A))
-		buf = binary.AppendUvarint(buf, uint64(tr.B-tr.A-1))
+		buf, prev = appendTransition(buf, prev, tr)
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(r.Transitions)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf
+}
+
+// maxTransitionLen bounds one stream entry: a flags byte and three
+// varints.
+const maxTransitionLen = 1 + 3*binary.MaxVarintLen64
+
+// appendTransition appends tr's stream entry to buf, its time delta-coded
+// against prev, the time bits of the transition before it (0 for the
+// first), and returns the grown buffer and tr's own time bits. Every
+// encoder of the transition stream writes through it: EncodeBinary and a
+// ContactStream's chunks.
+func appendTransition(buf []byte, prev uint64, tr Transition) ([]byte, uint64) {
+	var flags byte
+	if tr.Up {
+		flags = 1
+	}
+	buf = append(buf, flags)
+	bits := math.Float64bits(tr.Time)
+	buf = binary.AppendVarint(buf, int64(bits-prev)) // wrapping delta; decode wraps back
+	buf = binary.AppendUvarint(buf, uint64(tr.A))
+	buf = binary.AppendUvarint(buf, uint64(tr.B-tr.A-1))
+	return buf, bits
 }
 
 // binEnvelope is a binary trace whose container has been verified: magic,

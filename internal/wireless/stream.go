@@ -1,7 +1,8 @@
 // Streaming access to binary contact traces: the incremental decoder
 // (binCursor) that RecordingView opens with, materializes with and every
-// replaying Medium reads from, and the one-transition-at-a-time validator
-// (streamValidator) that both RecordingView and Recording.Validate run.
+// replaying Medium reads from, a view or a ContactStream alike, and the
+// one-transition-at-a-time validator (streamValidator) that both
+// RecordingView and Recording.Validate run.
 package wireless
 
 import (
@@ -25,19 +26,27 @@ type RecordingMeta struct {
 	Transitions int
 }
 
-// binCursor decodes the transition stream of a checked binEnvelope one
-// transition at a time, with no allocation. It performs the per-entry
-// decode checks (flags, varint shape, node-id bounds); structural trace
-// rules (time ordering, state alternation) are streamValidator's job.
+// binCursor decodes a transition stream one transition at a time, with no
+// allocation: the stream of a checked binEnvelope, or the chunks of a
+// ContactStream, read in turn as if they were one stream. It performs the
+// per-entry decode checks (flags, varint shape, node-id bounds);
+// structural trace rules (time ordering, state alternation) are
+// streamValidator's job.
 type binCursor struct {
 	p    []byte
 	bits uint64
 	n    int
+	src  *ContactStream // refills p when it runs dry; nil for a view
 }
 
 func (c *binCursor) next() (Transition, bool, error) {
 	if len(c.p) == 0 {
-		return Transition{}, false, nil
+		if c.src != nil {
+			c.p = c.src.next()
+		}
+		if len(c.p) == 0 {
+			return Transition{}, false, nil
+		}
 	}
 	flags := c.p[0]
 	if flags > 1 {
@@ -69,11 +78,12 @@ func (c *binCursor) next() (Transition, bool, error) {
 	}, true, nil
 }
 
-// mustNext is next over a stream its view already validated. Decode errors
-// are impossible on bytes the open pass accepted, so a failure here means
-// a caller changed the bytes handed to NewRecordingView after the view
-// opened — a scenario-assembly bug, reported by panic like the Medium's
-// other misuse cases.
+// mustNext is next over a stream its view already validated, or one a
+// contact pass encoded. Decode errors are impossible on bytes the open
+// pass accepted or the encoder wrote, so a failure here means a caller
+// changed the bytes handed to NewRecordingView after the view opened — a
+// scenario-assembly bug, reported by panic like the Medium's other misuse
+// cases.
 func (c *binCursor) mustNext() (Transition, bool) {
 	tr, ok, err := c.next()
 	if err != nil {

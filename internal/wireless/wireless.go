@@ -131,10 +131,10 @@ type Medium struct {
 	free []*transfer // finished records, reused by StartTransfer
 
 	sc      scanState // live-scan working set, reused across ticks
-	started bool      // Start, StartPlan or StartReplay has run
+	started bool      // Start, StartPlan, StartReplay or StartStreamReplay has run
 
-	rec        *recordingTap // nil when not recording
-	replay     binCursor     // StartReplay's position in its view's stream
+	tap        transitionTap // StartRecording's or StartStreaming's; nil when neither
+	replay     binCursor     // the replay's position in its view or stream
 	replayNext Transition
 	replayHas  bool
 
@@ -251,30 +251,53 @@ func (m *Medium) StartPlan(plan *contactplan.Plan) {
 	}
 }
 
+// transitionTap receives every contact transition a medium fires, in
+// firing order.
+type transitionTap interface {
+	add(tr Transition)
+}
+
 // StartRecording taps every subsequent contact transition until
-// TakeRecording collects them. Install the tap before Start (or StartPlan /
-// StartReplay). Recording.Windows pairs the collected transitions back
-// into contactplan.Contact windows. A trace recorded from a scan- or replay-driven run drives a
-// bit-identical re-run via StartReplay; a trace recorded from StartPlan may
-// hold off-tick transition times, which replay quantizes to the next scan
-// tick.
+// TakeRecording collects them into memory: the collection a recording
+// pass (sim.RecordContacts) keeps. Install the tap before Start (or
+// StartPlan / StartReplay); StartStreaming is the tap that hands the
+// transitions to another medium instead. A medium holds one tap.
+// Recording.Windows pairs the collected transitions back into
+// contactplan.Contact windows. A trace recorded from a scan- or
+// replay-driven run drives a bit-identical re-run via StartReplay; a trace
+// recorded from StartPlan may hold off-tick transition times, which replay
+// quantizes to the next scan tick.
 func (m *Medium) StartRecording() {
-	if m.started {
-		panic("wireless: StartRecording after Start")
-	}
-	m.rec = &recordingTap{}
+	m.setTap(&recordingTap{})
 }
 
 // TakeRecording removes the tap StartRecording installed and returns the
 // transitions it collected as a Recording stamped with the medium's scan
 // interval and the given duration.
 func (m *Medium) TakeRecording(duration float64) *Recording {
-	if m.rec == nil {
+	rt, ok := m.tap.(*recordingTap)
+	if !ok {
 		panic("wireless: TakeRecording without StartRecording")
 	}
-	rec := &Recording{ScanInterval: m.cfg.ScanInterval, Duration: duration, Transitions: m.rec.take()}
-	m.rec = nil
-	return rec
+	m.tap = nil
+	return &Recording{ScanInterval: m.cfg.ScanInterval, Duration: duration, Transitions: rt.take()}
+}
+
+// StartStreaming taps every subsequent contact transition into s, encoded
+// as they fire, for a medium on another goroutine to replay
+// (StartStreamReplay): the live run's contact pass (sim.World.RunContext).
+// Install the tap before Start, and Close s once the medium's scheduler
+// has run. The encoding is the binary codec's transition stream, so the
+// replaying medium decodes it with the cursor a RecordingView replay uses.
+func (m *Medium) StartStreaming(s *ContactStream) {
+	m.setTap(s)
+}
+
+func (m *Medium) setTap(t transitionTap) {
+	if m.started {
+		panic("wireless: recording tap installed after Start")
+	}
+	m.tap = t
 }
 
 // StartReplay drives contacts from a recorded transition trace instead of
@@ -283,14 +306,15 @@ func (m *Medium) TakeRecording(duration float64) *Recording {
 // due at or before it, downs and ups in recorded order — so a replayed run
 // schedules exactly the same events in exactly the same order as the live
 // run that produced the recording: results are bit-identical. Entity
-// positions are never queried.
+// positions are never queried. A live run replays its own contact pass
+// the same way, through StartStreamReplay: same tick loop, same cursor.
 //
 // v is a validated view; the medium takes its own cursor over it, so any
 // number of replaying media may share one view, and a decode failure
-// (bytes changed under a NewRecordingView view) panics. The view's scan interval must
-// equal the medium's, and its MaxNode must be a registered node; either
-// violation panics here, as a scenario-assembly bug. Start, StartPlan and
-// StartReplay are mutually exclusive.
+// (bytes changed under a NewRecordingView view) panics. The view's scan
+// interval must equal the medium's, and its MaxNode must be a registered
+// node; either violation panics here, as a scenario-assembly bug. Start,
+// StartPlan, StartReplay and StartStreamReplay are mutually exclusive.
 func (m *Medium) StartReplay(from float64, v *RecordingView) {
 	if m.started {
 		panic("wireless: StartReplay after Start")
@@ -302,7 +326,27 @@ func (m *Medium) StartReplay(from float64, v *RecordingView) {
 	if n := v.maxNode; n >= len(m.entities) {
 		panic(fmt.Sprintf("wireless: recording references unknown node %d", n))
 	}
-	m.replay = v.cursor()
+	m.startReplay(from, v.cursor())
+}
+
+// StartStreamReplay drives contacts from the transitions a contact pass
+// streams into s (StartStreaming on the pass's medium), exactly as
+// StartReplay drives them from a view: the same tick loop and the same
+// cursor, which refills from s's next chunk when one runs dry and blocks
+// until the pass has filled it. The pass is the proximity scan of this
+// medium's own scenario — same nodes, same scan interval — so its stream
+// skips a view's open-time checks. If the pass panicked, the replay
+// re-raises its panic where the stream ends. Start, StartPlan, StartReplay
+// and StartStreamReplay are mutually exclusive.
+func (m *Medium) StartStreamReplay(from float64, s *ContactStream) {
+	if m.started {
+		panic("wireless: StartStreamReplay after Start")
+	}
+	m.startReplay(from, binCursor{src: s})
+}
+
+func (m *Medium) startReplay(from float64, c binCursor) {
+	m.replay = c
 	m.replayNext, m.replayHas = m.replay.mustNext()
 	m.started = true
 	m.sched.Every(from, m.cfg.ScanInterval, m.replayTick)
@@ -386,8 +430,8 @@ func (m *Medium) raise(now float64, k pairKey) {
 	m.adj[a] = insertPeer(m.adj[a], b)
 	m.adj[b] = insertPeer(m.adj[b], a)
 	m.ContactsSeen++
-	if m.rec != nil {
-		m.rec.add(Transition{Time: now, A: a, B: b, Up: true})
+	if m.tap != nil {
+		m.tap.add(Transition{Time: now, A: a, B: b, Up: true})
 	}
 	if m.handler != nil {
 		m.handler.ContactUp(now, m.entities[a], m.entities[b])
@@ -400,8 +444,8 @@ func (m *Medium) drop(now float64, k pairKey) {
 	m.adj[a] = removePeer(m.adj[a], b)
 	m.adj[b] = removePeer(m.adj[b], a)
 	m.abortPair(now, k)
-	if m.rec != nil {
-		m.rec.add(Transition{Time: now, A: a, B: b, Up: false})
+	if m.tap != nil {
+		m.tap.add(Transition{Time: now, A: a, B: b, Up: false})
 	}
 	if m.handler != nil {
 		m.handler.ContactDown(now, m.entities[a], m.entities[b])
