@@ -113,6 +113,10 @@ func (s *Store) Occupancy() float64 {
 // Has reports whether a replica of id is stored.
 func (s *Store) Has(id bundle.ID) bool { return s.ids.Has(id) }
 
+// IDs lends the set of stored ids. It is read-only and live: it changes
+// as the store does.
+func (s *Store) IDs() *bundle.IDSet { return &s.ids }
+
 // Get returns the stored replica of id, if any.
 func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {
 	i := s.index(id)

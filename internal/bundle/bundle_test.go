@@ -252,3 +252,59 @@ func TestIDSetUnion(t *testing.T) {
 		t.Fatalf("union with an empty set: Len = %d, %d", a.Len(), empty.Len())
 	}
 }
+
+// TestIDSetSpanAndWords: under random adds, removes and unions, Span's
+// first word is the set's lowest non-empty word (the span is empty for an
+// empty set), every member lies in the span, and the words AppendWords
+// copies over any window answer Has as the set does inside the window,
+// and false outside it.
+func TestIDSetSpanAndWords(t *testing.T) {
+	rng := xrand.New(9)
+	var s IDSet
+	var members []ID
+	for step := 0; step < 3000; step++ {
+		switch op := rng.IntN(10); {
+		case op < 5:
+			id := ID(rng.IntN(2000))
+			if s.Add(id) {
+				members = append(members, id)
+			}
+		case op < 9 && len(members) > 0:
+			i := rng.IntN(len(members))
+			s.Remove(members[i])
+			members = slices.Delete(members, i, i+1)
+		default:
+			var t2 IDSet
+			for k := rng.IntN(4); k > 0; k-- {
+				id := ID(1500 + rng.IntN(500))
+				if t2.Add(id) && !s.Has(id) {
+					members = append(members, id)
+				}
+			}
+			s.Union(&t2)
+		}
+		lo, hi := s.Span()
+		if s.Len() != len(members) {
+			t.Fatalf("step %d: Len %d, %d members", step, s.Len(), len(members))
+		}
+		if len(members) > 0 && s.words[lo] == 0 || len(members) == 0 && lo < hi {
+			t.Fatalf("step %d: span [%d, %d) of %d members starts at an empty word", step, lo, hi, len(members))
+		}
+		for _, id := range members {
+			if int(id)/64 < lo || int(id)/64 >= hi {
+				t.Fatalf("step %d: member %v outside span [%d, %d)", step, id, lo, hi)
+			}
+		}
+		wlo, whi := rng.IntN(40), rng.IntN(40)
+		if wlo > whi {
+			wlo, whi = whi, wlo
+		}
+		w := IDWords{Lo: wlo, Words: s.AppendWords([]uint64{7}, wlo, whi)[1:]}
+		for id := ID(-64); id < 40*64+64; id++ {
+			inside := int(id) >= 64*wlo && int(id) < 64*whi
+			if w.Has(id) != (inside && s.Has(id)) {
+				t.Fatalf("step %d: window [%d, %d) Has(%v) = %v", step, wlo, whi, id, w.Has(id))
+			}
+		}
+	}
+}

@@ -19,6 +19,9 @@ func (SizeASCSchedule) Name() string { return "SizeASC" }
 // Order implements SchedulingPolicy: msgs arrive in SizeASC order.
 func (SizeASCSchedule) Order(float64, []*bundle.Message) {}
 
+// KeepsCompareOrder implements SchedulingPolicy.
+func (SizeASCSchedule) KeepsCompareOrder() bool { return true }
+
 // Compare implements SchedulingPolicy: smaller first.
 func (SizeASCSchedule) Compare(a, b *bundle.Message) int {
 	return byKey(a.Size, b.Size, a, b)
@@ -34,6 +37,9 @@ func (HopCountASCSchedule) Name() string { return "HopASC" }
 
 // Order implements SchedulingPolicy: msgs arrive in HopASC order.
 func (HopCountASCSchedule) Order(float64, []*bundle.Message) {}
+
+// KeepsCompareOrder implements SchedulingPolicy.
+func (HopCountASCSchedule) KeepsCompareOrder() bool { return true }
 
 // Compare implements SchedulingPolicy: fewer hops first.
 func (HopCountASCSchedule) Compare(a, b *bundle.Message) int {

@@ -101,6 +101,27 @@ func TestScheduleOrderIndependentOfInputOrder(t *testing.T) {
 // order on the fixture, that a deterministic Order leaves input in Compare
 // order untouched, and that Random's Compare is the FIFO order its shuffle
 // starts from.
+// TestKeepsCompareOrderOnlyForNoOpOrders: the schedules that report
+// KeepsCompareOrder leave any input as it is, whatever its order, and
+// Random, which shuffles, does not report it.
+func TestKeepsCompareOrderOnlyForNoOpOrders(t *testing.T) {
+	msgs := orderFixture()
+	slices.Reverse(msgs)
+	for _, s := range []SchedulingPolicy{FIFOSchedule{}, LifetimeDESCSchedule{}, SizeASCSchedule{}, HopCountASCSchedule{}} {
+		if !s.KeepsCompareOrder() {
+			t.Fatalf("%s: KeepsCompareOrder = false", s.Name())
+		}
+		out := slices.Clone(msgs)
+		s.Order(1000, out)
+		if !slices.Equal(out, msgs) {
+			t.Fatalf("%s: Order moved %v to %v", s.Name(), ids(msgs), ids(out))
+		}
+	}
+	if (RandomSchedule{Rng: xrand.New(1)}).KeepsCompareOrder() {
+		t.Fatal("Random: KeepsCompareOrder = true")
+	}
+}
+
 func TestScheduleCompareAgreesWithOrder(t *testing.T) {
 	const now = 1000.0
 	msgs := orderFixture()

@@ -34,10 +34,16 @@ import (
 // groups filtered from it, so a deterministic Order has nothing left to
 // do; a policy whose Order draws from a stream (Random) shuffles that
 // order.
+//
+// KeepsCompareOrder reports whether Order leaves every input as it is.
+// For such a schedule a buffer kept in Compare order already is the
+// transmission order, so a router may read a send queue off it lazily,
+// without calling Order. Every schedule here but Random keeps it.
 type SchedulingPolicy interface {
 	Name() string
 	Order(now float64, msgs []*bundle.Message)
 	Compare(a, b *bundle.Message) int
+	KeepsCompareOrder() bool
 }
 
 // byKey orders by ka against kb, then by message id.
@@ -79,6 +85,9 @@ func (FIFOSchedule) Name() string { return "FIFO" }
 // Order implements SchedulingPolicy: msgs arrive in FIFO order.
 func (FIFOSchedule) Order(float64, []*bundle.Message) {}
 
+// KeepsCompareOrder implements SchedulingPolicy.
+func (FIFOSchedule) KeepsCompareOrder() bool { return true }
+
 // Compare implements SchedulingPolicy: earlier buffer arrival first.
 func (FIFOSchedule) Compare(a, b *bundle.Message) int {
 	return byKey(a.ReceivedAt, b.ReceivedAt, a, b)
@@ -109,6 +118,9 @@ func (r RandomSchedule) Order(now float64, msgs []*bundle.Message) {
 // from; it draws nothing.
 func (RandomSchedule) Compare(a, b *bundle.Message) int { return FIFOSchedule{}.Compare(a, b) }
 
+// KeepsCompareOrder implements SchedulingPolicy: Order shuffles.
+func (RandomSchedule) KeepsCompareOrder() bool { return false }
+
 // LifetimeDESCSchedule transmits messages with the longest remaining TTL
 // first. Exchanged messages therefore have long remaining lifetimes, which
 // raises their chance of being relayed further before expiring — the
@@ -120,6 +132,9 @@ func (LifetimeDESCSchedule) Name() string { return "LifetimeDESC" }
 
 // Order implements SchedulingPolicy: msgs arrive in LifetimeDESC order.
 func (LifetimeDESCSchedule) Order(float64, []*bundle.Message) {}
+
+// KeepsCompareOrder implements SchedulingPolicy.
+func (LifetimeDESCSchedule) KeepsCompareOrder() bool { return true }
 
 // Compare implements SchedulingPolicy: more remaining TTL first. At any
 // one instant remaining lifetime is the deadline minus now, so Compare

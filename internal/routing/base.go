@@ -11,15 +11,19 @@ import (
 
 // base is the buffer and queue plumbing every router shares: the node it
 // is bound to, its buffer, the eviction policy, and the per-peer send
-// queues. Its methods implement the Router calls on which the protocols
-// agree; a protocol that differs overrides the method.
+// queues, built at Refresh (queues) or read lazily off the buffer from a
+// Refresh-time snapshot (snaps, when walkBy is set). Its methods implement
+// the Router calls on which the protocols agree; a protocol that differs
+// overrides the method.
 type base struct {
 	self   int
 	buf    *buffer.Store
 	drop   core.DropPolicy
 	queues queueSet
-	send   Send              // what next returns, overwritten by every call
-	deliv  []*bundle.Message // reused storage for a rebuild's deliverables
+	snaps  snapSet
+	walkBy func(a, b *bundle.Message) int // the buffer's order if NextSend walks snaps, else nil
+	send   Send                           // what next returns, overwritten by every call
+	deliv  []*bundle.Message              // reused storage for a rebuild's deliverables
 }
 
 func newBase(drop core.DropPolicy) base { return base{drop: drop} }
@@ -31,7 +35,10 @@ func (b *base) Attach(self int, buf *buffer.Store) {
 }
 
 // ContactDown implements Router.
-func (b *base) ContactDown(now float64, p Peer) { b.queues.drop(p.ID()) }
+func (b *base) ContactDown(now float64, p Peer) {
+	b.queues.drop(p.ID())
+	b.snaps.drop(p.ID())
+}
 
 // OnAbort implements Router and does nothing: the replica stays
 // buffered, and an abort only ever comes from contact loss, so the next
@@ -68,16 +75,23 @@ func (b *base) store(now float64, m *bundle.Message) (bool, []*bundle.Message) {
 	return ok, evicted
 }
 
-// next pops p's queue up to the first message still worth sending: still
-// buffered, not expired, not yet delivered to p, and accepted by wants.
-// Queue entries are checked here, not when queued, because the buffer
-// changes while they wait. It returns nil when the queue runs out, and
-// otherwise the router's one Send, reset whole: the simulator is done
-// with the previous one before it asks again (see Router.NextSend).
+// next pops p's queue, or walks p's snapshot, up to the first message
+// still worth sending: still buffered, not expired, not yet delivered to
+// p, and accepted by wants. Queue entries are checked here, not when
+// queued, because the buffer changes while they wait. It returns nil when
+// the queue runs out, and otherwise the router's one Send, reset whole:
+// the simulator is done with the previous one before it asks again (see
+// Router.NextSend).
 func (b *base) next(now float64, p Peer, wants func(*bundle.Message) bool) *Send {
-	m := b.queues.pop(p.ID(), func(m *bundle.Message) bool {
+	valid := func(m *bundle.Message) bool {
 		return b.buf.Has(m.ID) && !m.Expired(now) && !p.HasDelivered(m.ID) && wants(m)
-	})
+	}
+	var m *bundle.Message
+	if b.walkBy != nil {
+		m = b.snaps.walk(p, b.buf.Sorted(), b.walkBy, valid)
+	} else {
+		m = b.queues.pop(p.ID(), valid)
+	}
 	if m == nil {
 		return nil
 	}
@@ -128,11 +142,15 @@ func at[T any](v []T, i int, def T) T {
 // one copy, FirstContact for a node not yet visited, and DirectDelivery
 // never relays.
 //
-// The router has its buffer keep the schedule order (buffer.Store.SortBy),
-// so a Refresh walks the already ordered entries instead of copying and
-// sorting the buffer per peer. The entries' keys settle every replica
-// that p has received or holds, or that is destined to p, against p's id
-// sets; only the others are read, and only for the relay condition.
+// The router has its buffer keep the schedule order (buffer.Store.SortBy).
+// Under a schedule whose Order keeps that order (KeepsCompareOrder),
+// Refresh records a snapshot of which ids the router and p hold, and
+// NextSend walks the ordered entries from a cursor up to the first
+// replica worth sending (snapshot). Under Random, Refresh walks the
+// entries once and builds the queue Order shuffles. Either way the
+// entries' keys settle every replica that p has received or holds, or
+// that is destined to p, against p's id sets; only the others are read,
+// and only for the relay condition and the pop rule.
 type policyRouter struct {
 	base
 	schedule core.SchedulingPolicy
@@ -143,7 +161,11 @@ func newPolicyRouter(name string, pol core.Policy, relay func(m *bundle.Message,
 	if pol.Schedule == nil || pol.Drop == nil {
 		panic("routing: " + name + " with incomplete policy")
 	}
-	return policyRouter{base: newBase(pol.Drop), schedule: pol.Schedule, relay: relay}
+	r := policyRouter{base: newBase(pol.Drop), schedule: pol.Schedule, relay: relay}
+	if pol.Schedule.KeepsCompareOrder() {
+		r.walkBy = pol.Schedule.Compare
+	}
+	return r
 }
 
 // relays reports whether m, neither destined to peer nor held by it,
@@ -165,9 +187,14 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 // Refresh implements Router: it (re)builds the send queue for p —
 // messages destined to p first ("exchange deliverable messages first"),
 // then those p lacks and the relay condition accepts, each group in
-// scheduling-policy order.
+// scheduling-policy order. Under a schedule that keeps Compare order it
+// only records p's snapshot (see snapshot), which NextSend walks.
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
+	if r.walkBy != nil {
+		r.snaps.record(p, r.buf.IDs())
+		return
+	}
 	deliverable, rest := r.groups(p.id)
 	for _, e := range r.buf.Sorted() {
 		switch {

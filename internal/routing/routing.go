@@ -13,11 +13,21 @@
 //
 // A router sees the node it meets as a Peer: a concrete view the simulator
 // builds once per node, holding the node's id, buffer, delivered-id set
-// and router. Every queue rebuild is a walk over the buffer's entries
+// and router. A send queue is the buffer as it stood at the last Refresh,
+// filtered against the peer's id sets and put in schedule order. Under a
+// schedule that keeps its Compare order
+// (SchedulingPolicy.KeepsCompareOrder: every core schedule but Random),
+// Refresh builds no queue. It copies the words of two id bitsets, its own
+// buffer's and the peer's, over the id span of its own buffer. NextSend
+// then reads the queue lazily, walking the buffer's entries
 // (buffer.Store.Sorted), each a replica's id and destination beside the
-// replica: the id is tested against the peer's delivered set and buffer
-// bitsets, and the replica itself is read only when the protocol's own
-// condition needs it.
+// replica, from a cursor. Most Refreshes are followed by less than one
+// send before the next, so the walk stops at the first replica worth
+// sending instead of building the whole queue.
+// Under Random, and in MaxProp and PRoPHET, Refresh builds the whole
+// queue. Either way the entries' keys are tested against the peer's id
+// sets first, and a replica is read only when the protocol's own
+// condition or the pop rule needs it.
 //
 // The protocols share one core (base.go). Every router embeds base, which
 // holds the node id, the buffer, the eviction policy and the per-peer send
@@ -46,6 +56,8 @@
 package routing
 
 import (
+	"slices"
+
 	"vdtn/internal/buffer"
 	"vdtn/internal/bundle"
 )
@@ -54,8 +66,9 @@ import (
 // node's id, its buffer, the ids it has received as destination and its
 // router. The simulator builds one Peer per node (NewPeer) and hands it
 // to every router that meets the node. The view is live: Has and
-// HasDelivered read the node's current sets, and a send-queue rebuild
-// tests each buffered replica's key against them directly.
+// HasDelivered read the node's current sets. A send-queue rebuild tests
+// each buffered replica's key against them directly, and a snapshot
+// copies their words at Refresh.
 type Peer struct {
 	id        int
 	buf       *buffer.Store
@@ -112,11 +125,36 @@ type Router interface {
 	// messages mid-contact — a newly created message, or a replica relayed
 	// in from a third node — so they become eligible on the live contact,
 	// as they would in a continuously re-evaluating simulator.
+	//
+	// The queue is a snapshot of this moment, however it is kept: it
+	// holds the replicas the router holds now that go to p now, in
+	// schedule order. A replica the router gains after Refresh is not in
+	// it, and one p holds now stays out of it after p drops it. The
+	// built-in routers under a schedule that keeps its Compare order
+	// record only which ids the router and p hold now, and NextSend reads
+	// the queue lazily off the buffer.
 	Refresh(now float64, p Peer)
 
 	// NextSend returns the next transmission for p, or nil if the router
 	// has nothing (more) to offer p right now. The returned message must
 	// be in the router's buffer.
+	//
+	// It offers the first replica left in the last Refresh's queue that
+	// is still worth sending now: still buffered, not expired, not yet
+	// delivered to p, and still one the protocol sends p. Each call moves
+	// past every replica it refuses, so a refused replica is not offered
+	// again before the next Refresh. A replica removed and stored again
+	// between two Refreshes keeps its place in the queue. The built-in
+	// routers that read the queue lazily rely on three facts of every
+	// run, each pinned by a test: p's delivered set only grows, a
+	// protocol's relay condition never turns true again for a stored
+	// replica once false, and the schedule order of replicas buffered
+	// together never changes. Two flows no run makes break them, and
+	// there the two kinds of queue differ. Another replica of an id,
+	// stored between two Refreshes, a lazy queue offers at its own place,
+	// where a built one offered the replica it had queued. A
+	// Spray-and-Wait replica granted a new budget by AddMessage a lazy
+	// queue offers, where a built one had left it out.
 	//
 	// The router may reuse the returned Send's storage on a later call:
 	// the simulator reads it, and hands it back to OnSent or OnAbort,
@@ -222,5 +260,176 @@ func (q *queueSet) pop(peer int, valid func(*bundle.Message) bool) *bundle.Messa
 			return m
 		}
 	}
+	return nil
+}
+
+// snapSet tracks per-peer send-queue snapshots between ContactUp and
+// ContactDown, for a router whose schedule keeps the buffer's Compare
+// order (SchedulingPolicy.KeepsCompareOrder). A snapshot stands in for
+// the queue Refresh would have built: Refresh records only which ids the
+// router and the peer held, and NextSend reads the queue off the
+// buffer's entries (buffer.Store.Sorted) from a cursor.
+//
+// The snapshots of the open contacts sit together in open, found by peer
+// id through slot. A dropped snapshot keeps its word storage past the
+// end of open for the next one, so a router never holds more snapshots,
+// or word arrays, than it has had contacts open at once.
+type snapSet struct {
+	slot []int32    // by peer id: 1 + the index of its snapshot in open, or 0
+	open []snapshot // one per peer with a snapshot, in no order
+}
+
+// Walk phases: a snapshot offers the replicas destined to its peer
+// first, then the rest. The zero phase offers nothing: the walk is
+// through.
+const (
+	walkDone = iota
+	walkDeliv
+	walkRest
+)
+
+// snapshot is one peer's send queue, read lazily. Refresh records, over
+// the id span of the router's buffer, the ids the router held (own) and
+// those among them the peer did not hold (spare). The queue Refresh would
+// have built is then exactly the buffer's entries, in Compare order, that
+// are destined to the peer and own, followed by those that are not and
+// spare, less those the pop rule refuses. That rests on three facts,
+// pinned by sim.TestSnapshotFactsHoldInRuns:
+//
+//   - a peer's delivered set only grows, so a replica delivered to it at
+//     Refresh is refused at pop time too;
+//   - a relay condition, once false for a buffered replica, stays false
+//     (Spray-and-Wait's copy budget only falls while the replica is
+//     stored, FirstContact's visited set is fixed), so checking it at
+//     pop time alone refuses every replica Refresh would have left out;
+//   - the Compare order of replicas buffered together never changes, so
+//     the entries still buffered keep the queue's order.
+//
+// The cursor is the index of the next entry to walk and the entry walked
+// before it. When the buffer changed before the cursor, the walk goes on
+// from the first entry after that one by Compare order, whether or not it
+// is still buffered, so a removal never makes it skip an entry. A
+// replica is known by its id: another replica of an own id, stored after
+// Refresh, is offered at its own place (see Router.NextSend).
+type snapshot struct {
+	words []uint64        // own's n words, then spare's n
+	last  *bundle.Message // the entry walked before i; nil at a phase's start
+	peer  int32
+	lo, n int32 // the span: words [lo, lo+n) of the id sets
+	i     int32 // next entry of buf.Sorted() to walk
+	phase uint8
+}
+
+// own returns the ids the router held at Refresh, over the span.
+func (s *snapshot) own() bundle.IDWords {
+	return bundle.IDWords{Lo: int(s.lo), Words: s.words[:s.n]}
+}
+
+// spare returns the ids the router held at Refresh and the peer did not,
+// over the span: the ones that may go to the peer as relays.
+func (s *snapshot) spare() bundle.IDWords {
+	return bundle.IDWords{Lo: int(s.lo), Words: s.words[s.n:]}
+}
+
+// at returns peer's snapshot. If peer has none, it makes one on the
+// storage of the last snapshot dropped, if there is one.
+func (q *snapSet) at(peer int) *snapshot {
+	q.slot = widen(q.slot, peer+1, 0)
+	if k := q.slot[peer]; k > 0 {
+		return &q.open[k-1]
+	}
+	n := len(q.open)
+	if n < cap(q.open) {
+		q.open = q.open[:n+1]
+	} else {
+		q.open = append(q.open, snapshot{})
+	}
+	q.open[n].peer = int32(peer)
+	q.slot[peer] = int32(n + 1)
+	return &q.open[n]
+}
+
+// record makes p's snapshot the ids in own now, and the spare ones among
+// them: those p does not hold. Both cover own's span; the cursor starts
+// at the first entry.
+func (q *snapSet) record(p Peer, own *bundle.IDSet) {
+	s := q.at(p.id)
+	lo, hi := own.Span()
+	w := own.AppendWords(s.words[:0], lo, hi)
+	w = p.buf.IDs().AppendWords(w, lo, hi)
+	n := hi - lo
+	for k, o := range w[:n] {
+		w[n+k] = o &^ w[n+k]
+	}
+	s.words, s.lo, s.n = w, int32(lo), int32(n)
+	s.phase, s.i, s.last = walkDeliv, 0, nil
+}
+
+// drop ends peer's snapshot. The last open snapshot takes its place, and
+// its storage stays past the end of open.
+func (q *snapSet) drop(peer int) {
+	if peer >= len(q.slot) || q.slot[peer] == 0 {
+		return
+	}
+	k, n := q.slot[peer]-1, int32(len(q.open)-1)
+	q.open[k], q.open[n] = q.open[n], q.open[k]
+	q.slot[q.open[k].peer] = k + 1
+	q.slot[peer] = 0
+	q.open[n] = snapshot{words: q.open[n].words[:0]}
+	q.open = q.open[:n]
+}
+
+// get returns peer's snapshot, or nil if it has none.
+func (q *snapSet) get(peer int) *snapshot {
+	if peer >= len(q.slot) || q.slot[peer] == 0 {
+		return nil
+	}
+	return &q.open[q.slot[peer]-1]
+}
+
+// walk returns the next entry of p's snapshot that valid accepts,
+// moving the cursor past it and past every entry it walked and valid
+// refused, or nil once the snapshot is walked through. es are the
+// buffer's entries, in the order cmp gives them.
+func (q *snapSet) walk(p Peer, es []buffer.Entry, cmp func(a, b *bundle.Message) int, valid func(*bundle.Message) bool) *bundle.Message {
+	s := q.get(p.id)
+	if s == nil {
+		return nil
+	}
+	i := int(s.i)
+	if s.last != nil && (i > len(es) || es[i-1].Msg() != s.last) {
+		// The store changed before the cursor: go on after the last entry
+		// walked, by Compare order, whether or not it is still stored.
+		j, found := slices.BinarySearchFunc(es, s.last, func(e buffer.Entry, m *bundle.Message) int { return cmp(e.Msg(), m) })
+		if found {
+			j++
+		}
+		i = j
+	}
+	if s.phase == walkDeliv {
+		own := s.own()
+		for ; i < len(es); i++ {
+			e := es[i]
+			if e.To() != p.id {
+				continue
+			}
+			if m := e.Msg(); own.Has(e.ID()) && !p.HasDelivered(e.ID()) && valid(m) {
+				s.i, s.last = int32(i+1), m
+				return m
+			}
+		}
+		s.phase, i = walkRest, 0
+	}
+	if s.phase == walkRest {
+		spare := s.spare()
+		for ; i < len(es); i++ {
+			e := es[i]
+			if m := e.Msg(); spare.Has(e.ID()) && e.To() != p.id && !p.Has(e.ID()) && valid(m) {
+				s.i, s.last = int32(i+1), m
+				return m
+			}
+		}
+	}
+	s.phase, s.i, s.last = walkDone, 0, nil
 	return nil
 }

@@ -109,25 +109,74 @@ func TestQueueSetReusesDroppedStorage(t *testing.T) {
 	}
 }
 
+// TestSnapSetReusesDroppedStorage: a snapshot dropped at ContactDown
+// leaves its word storage for the next snapshot recorded, so contacts
+// that come and go allocate nothing once warm, and the set never holds
+// more snapshots than were open at once. Dropping one snapshot leaves the
+// others' intact.
+func TestSnapSetReusesDroppedStorage(t *testing.T) {
+	var q snapSet
+	own := buffer.NewStore(units.MB(10))
+	for id := bundle.ID(100); id < 400; id += 7 {
+		own.Add(0, msgTo(id, 0, 9, 0, 60), nil)
+	}
+	peers := make([]Peer, 9)
+	for i := range peers {
+		peers[i] = newPeer(i, nil)
+	}
+	peers[5].buf.Add(0, msgTo(100, 0, 9, 0, 60), nil)
+	q.record(peers[4], own.IDs())
+	q.record(peers[5], own.IDs())
+	q.record(peers[3], own.IDs())
+	arr := &q.get(4).words[0]
+	q.drop(4)
+	if q.get(4) != nil || q.get(5) == nil || q.get(5).spare().Has(100) || !q.get(3).spare().Has(100) {
+		t.Fatal("dropping peer 4's snapshot disturbed the others")
+	}
+	q.drop(5)
+	q.drop(3)
+	if len(q.open) != 0 || cap(q.open) > 4 {
+		t.Fatalf("%d snapshots open, room for %d, after dropping 3", len(q.open), cap(q.open))
+	}
+	q.record(peers[6], own.IDs())
+	q.record(peers[7], own.IDs())
+	q.record(peers[8], own.IDs())
+	if !slices.ContainsFunc(q.open, func(s snapshot) bool { return &s.words[0] == arr }) {
+		t.Fatal("no new snapshot reused the dropped storage")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		q.drop(6)
+		q.record(peers[2], own.IDs())
+		q.drop(2)
+		q.record(peers[6], own.IDs())
+	})
+	if allocs != 0 || len(q.open) != 3 {
+		t.Fatalf("contact churn allocates %v times, leaves %d snapshots open", allocs, len(q.open))
+	}
+}
+
 // --- Epidemic ------------------------------------------------------------
 
-// TestEpidemicNextSendAllocatesNothing: with its queue built, each NextSend
-// pops the next replica into the router's one Send without allocating.
+// TestEpidemicNextSendAllocatesNothing: after ContactUp, each NextSend
+// walks the snapshot (FIFO) or pops the built queue (Random) to the next
+// replica and returns it in the router's one Send without allocating.
 func TestEpidemicNextSendAllocatesNothing(t *testing.T) {
-	e := NewEpidemic(core.FIFOFIFO())
-	attach(e, 0)
-	peer := newPeer(1, NewEpidemic(core.FIFOFIFO()))
-	for i := 1; i <= 200; i++ {
-		e.AddMessage(0, msgTo(bundle.ID(i), 0, 9, 0, 3600))
-	}
-	e.ContactUp(10, peer)
-	var last *Send
-	allocs := testing.AllocsPerRun(100, func() { last = e.NextSend(10, peer) })
-	if allocs != 0 {
-		t.Fatalf("NextSend allocates %v times", allocs)
-	}
-	if last == nil || last.Msg.ID != 101 || last.TransferCopies != 0 {
-		t.Fatalf("101st send = %+v, want M101", last)
+	for _, pol := range []core.Policy{core.FIFOFIFO(), core.RandomFIFO(xrand.New(1))} {
+		e := NewEpidemic(pol)
+		attach(e, 0)
+		peer := newPeer(1, NewEpidemic(pol))
+		for i := 1; i <= 200; i++ {
+			e.AddMessage(0, msgTo(bundle.ID(i), 0, 9, 0, 3600))
+		}
+		e.ContactUp(10, peer)
+		var last *Send
+		allocs := testing.AllocsPerRun(100, func() { last = e.NextSend(10, peer) })
+		if allocs != 0 {
+			t.Fatalf("%s: NextSend allocates %v times", pol.Name(), allocs)
+		}
+		if last == nil || last.TransferCopies != 0 || pol.Schedule.KeepsCompareOrder() && last.Msg.ID != 101 {
+			t.Fatalf("%s: 101st send = %+v, want one, and M101 under FIFO", pol.Name(), last)
+		}
 	}
 }
 
@@ -170,6 +219,199 @@ func TestSendQueueIsSnapshotAtRefresh(t *testing.T) {
 	e.Refresh(12, peer)
 	if s := e.NextSend(12, peer); s == nil || s.Msg.ID != 1 {
 		t.Fatalf("NextSend after Refresh = %+v, want M1", s)
+	}
+}
+
+// snapshotPolicies are the schedules a send queue is checked under: two
+// that keep Compare order, whose NextSend walks a Refresh-time snapshot,
+// and Random, whose Refresh builds the queue. Both must offer alike.
+func snapshotPolicies() []core.Policy {
+	return []core.Policy{core.FIFOFIFO(), core.Lifetime(), core.RandomFIFO(xrand.New(3))}
+}
+
+// fourByTTL stores M1..M4 at r, destined to node 9, each with a longer
+// TTL than the last, so FIFO offers them as 1, 2, 3, 4 and LifetimeDESC
+// as 4, 3, 2, 1.
+func fourByTTL(r Router) []*bundle.Message {
+	var msgs []*bundle.Message
+	for i := 1; i <= 4; i++ {
+		m := msgTo(bundle.ID(i), 0, 9, float64(i), 1000*float64(i))
+		r.AddMessage(float64(i), m)
+		msgs = append(msgs, m)
+	}
+	return msgs
+}
+
+// sendOrder returns ids in the order pol's schedule offers M1..M4 of
+// fourByTTL, or nil for Random.
+func sendOrder(pol core.Policy, ids ...bundle.ID) []bundle.ID {
+	switch pol.Schedule.(type) {
+	case core.FIFOSchedule:
+		return slices.Sorted(slices.Values(ids))
+	case core.LifetimeDESCSchedule:
+		out := slices.Sorted(slices.Values(ids))
+		slices.Reverse(out)
+		return out
+	}
+	return nil
+}
+
+// sameSends reports whether got are want's sends, in want's order unless
+// pol's schedule is Random.
+func sameSends(pol core.Policy, got, want []bundle.ID) bool {
+	if pol.Schedule.KeepsCompareOrder() {
+		return slices.Equal(got, sendOrder(pol, want...))
+	}
+	return slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(want)))
+}
+
+// TestSnapshotSkipsWhatPeerDroppedAfterRefresh: a replica the peer held
+// at Refresh is not offered after the peer drops it, and the others are
+// offered in schedule order.
+func TestSnapshotSkipsWhatPeerDroppedAfterRefresh(t *testing.T) {
+	for _, pol := range snapshotPolicies() {
+		e := NewEpidemic(pol)
+		attach(e, 0)
+		peer := newPeer(1, nil)
+		msgs := fourByTTL(e)
+		peer.buf.Add(5, msgs[1].ForwardTo(1, 5), nil)
+		peer.buf.Add(5, msgs[2].ForwardTo(1, 5), nil)
+		e.Refresh(10, peer)
+		peer.buf.Remove(2)
+		if got := drain(e, 11, peer); !sameSends(pol, got, []bundle.ID{1, 4}) {
+			t.Fatalf("%s: sends %v after the peer dropped M2, want M1 and M4", pol.Name(), got)
+		}
+	}
+}
+
+// TestSnapshotRemovalBeforeCursorSkipsNothing: replicas removed between
+// two pops, the last one offered among them, do not make the next pop
+// skip an entry; one removed ahead of the cursor is not offered.
+func TestSnapshotRemovalBeforeCursorSkipsNothing(t *testing.T) {
+	for _, pol := range snapshotPolicies()[:2] {
+		e := NewEpidemic(pol)
+		buf := attach(e, 0)
+		peer := newPeer(1, nil)
+		fourByTTL(e)
+		m5 := msgTo(5, 0, 9, 2.5, 2500) // between M2 and M3 in both orders
+		e.AddMessage(5, m5)
+		order := append(sendOrder(pol, 1, 2, 3, 4)[:2:2], 5)
+		order = append(order, sendOrder(pol, 1, 2, 3, 4)[2:]...)
+		e.Refresh(10, peer)
+		for _, want := range order[:2] {
+			if s := e.NextSend(10, peer); s == nil || s.Msg.ID != want {
+				t.Fatalf("%s: send %+v, want M%d", pol.Name(), s, want)
+			}
+		}
+		buf.Remove(order[0])
+		buf.Remove(order[1])
+		buf.Remove(order[3])
+		if got := drain(e, 11, peer); !slices.Equal(got, []bundle.ID{order[2], order[4]}) {
+			t.Fatalf("%s: sends %v after removing M%d, M%d and M%d, want [M%d M%d]",
+				pol.Name(), got, order[0], order[1], order[3], order[2], order[4])
+		}
+	}
+}
+
+// TestSnapshotIgnoresGainWithoutRefresh: a replica stored after Refresh
+// is not offered until the next Refresh, whether its id lies inside or
+// past the ids buffered at Refresh. The sends are compared as sets.
+func TestSnapshotIgnoresGainWithoutRefresh(t *testing.T) {
+	for _, pol := range snapshotPolicies() {
+		e := NewEpidemic(pol)
+		attach(e, 0)
+		peer := newPeer(1, nil)
+		e.AddMessage(0, msgTo(1, 0, 9, 0, 3600))
+		e.AddMessage(0, msgTo(300, 0, 9, 0, 3600))
+		e.Refresh(10, peer)
+		e.AddMessage(11, msgTo(150, 0, 9, 11, 3600))
+		e.Receive(11, msgTo(900, 2, 9, 11, 3600), newPeer(2, nil))
+		if got := drain(e, 12, peer); !slices.Equal(slices.Sorted(slices.Values(got)), []bundle.ID{1, 300}) {
+			t.Fatalf("%s: sends %v before Refresh, want M1 and M300 only", pol.Name(), got)
+		}
+		e.Refresh(13, peer)
+		if got := drain(e, 13, peer); !slices.Equal(slices.Sorted(slices.Values(got)), []bundle.ID{1, 150, 300, 900}) {
+			t.Fatalf("%s: sends %v after Refresh, want all four", pol.Name(), got)
+		}
+	}
+}
+
+// TestSnapshotRestoredReplicaKeepsItsPlace: a replica removed and stored
+// again, the same pointer, is offered at its old place if the walk had
+// not passed it, and not again if it had.
+func TestSnapshotRestoredReplicaKeepsItsPlace(t *testing.T) {
+	for _, pol := range snapshotPolicies() {
+		e := NewEpidemic(pol)
+		buf := attach(e, 0)
+		peer := newPeer(1, nil)
+		msgs := fourByTTL(e)
+		e.Refresh(10, peer)
+		first := e.NextSend(10, peer).Msg
+		buf.Remove(first.ID)
+		buf.Remove(3)
+		buf.Add(11, first, nil)
+		buf.Add(11, msgs[2], nil)
+		rest := []bundle.ID{1, 2, 3, 4}
+		rest = slices.DeleteFunc(rest, func(id bundle.ID) bool { return id == first.ID })
+		if got := drain(e, 11, peer); !sameSends(pol, got, rest) {
+			t.Fatalf("%s: sends %v after M%d (offered) and M3 were stored again, want %v", pol.Name(), got, first.ID, rest)
+		}
+	}
+}
+
+// TestSnapshotOffersTheStoredReplica pins what a walked snapshot does
+// where a built queue differs, in a flow a run never makes: a replica
+// removed after Refresh and another replica of the same id stored
+// without a Refresh. The walk offers the replica the buffer holds, at its
+// own place in the order; a queue built at Refresh offered the replica
+// it had queued, which the buffer no longer held.
+func TestSnapshotOffersTheStoredReplica(t *testing.T) {
+	for _, pol := range []core.Policy{core.FIFOFIFO(), core.RandomFIFO(xrand.New(3))} {
+		e := NewEpidemic(pol)
+		buf := attach(e, 0)
+		peer := newPeer(1, nil)
+		old := fourByTTL(e)[1]
+		e.Refresh(10, peer)
+		buf.Remove(2)
+		other := old.ForwardTo(0, 11) // received at 11: last in FIFO order
+		buf.Add(11, other, nil)
+		var sent []*bundle.Message
+		for s := e.NextSend(11, peer); s != nil; s = e.NextSend(11, peer) {
+			sent = append(sent, s.Msg)
+		}
+		i := slices.IndexFunc(sent, func(m *bundle.Message) bool { return m.ID == 2 })
+		switch {
+		case len(sent) != 4 || i < 0:
+			t.Fatalf("%s: sent %v, want four sends with one of M2", pol.Name(), sent)
+		case pol.Schedule.KeepsCompareOrder() && (sent[i] != other || i != 3):
+			t.Fatalf("%s: M2 sent as %p at %d, want the stored replica %p last", pol.Name(), sent[i], i, other)
+		case !pol.Schedule.KeepsCompareOrder() && sent[i] != old:
+			t.Fatalf("%s: M2 sent as %p, want the queued replica %p", pol.Name(), sent[i], old)
+		}
+	}
+}
+
+// TestSnapshotOffersRegrantedBudget pins the other flow a run never
+// makes: a Spray-and-Wait replica with one copy left at Refresh, removed
+// and stored again through AddMessage, which grants a created message
+// the whole budget. A walked snapshot offers it with its new budget; a
+// queue built at Refresh had left it out. A run stores only fresh
+// messages through AddMessage, and a stored replica's budget only falls.
+func TestSnapshotOffersRegrantedBudget(t *testing.T) {
+	for _, pol := range []core.Policy{core.FIFOFIFO(), core.RandomFIFO(xrand.New(3))} {
+		s := NewSprayAndWait(pol, 8, true)
+		buf := attach(s, 0)
+		peer := newPeer(1, nil)
+		m := msgTo(1, 0, 9, 0, 3600)
+		s.AddMessage(0, m)
+		m.Copies = 1 // waiting: relayed to no one
+		s.Refresh(10, peer)
+		buf.Remove(1)
+		s.AddMessage(11, m)
+		got := drain(s, 11, peer)
+		if want := pol.Schedule.KeepsCompareOrder(); (len(got) == 1) != want {
+			t.Fatalf("%s: sends %v after the budget was granted again, want M1 offered: %v", pol.Name(), got, want)
+		}
 	}
 }
 
@@ -841,10 +1083,11 @@ func TestMaxPropContactAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPolicyRefreshAllocatesNothing: once its group buffers and queue
+// TestPolicyRefreshAllocatesNothing: once its snapshot, group and queue
 // storage have grown, an Epidemic or Spray-and-Wait Refresh towards each
-// of three peers allocates nothing, under a deterministic and the Random
-// schedule. The peers hold some replicas and have received others, and
+// of three peers, each followed by a NextSend, allocates nothing, under
+// the two schedules that walk a snapshot and the Random one that builds
+// a queue. The peers hold some replicas and have received others, and
 // some replicas are destined to them, so every branch of the key walk
 // runs.
 func TestPolicyRefreshAllocatesNothing(t *testing.T) {
@@ -853,7 +1096,7 @@ func TestPolicyRefreshAllocatesNothing(t *testing.T) {
 		func(pol core.Policy) Router { return NewSprayAndWait(pol, 12, true) },
 	}
 	for _, mk := range routers {
-		for _, pol := range []core.Policy{core.FIFOFIFO(), core.RandomFIFO(xrand.New(1))} {
+		for _, pol := range []core.Policy{core.FIFOFIFO(), core.Lifetime(), core.RandomFIFO(xrand.New(1))} {
 			r := mk(pol)
 			t.Run(r.Name()+"/"+pol.Schedule.Name(), func(t *testing.T) {
 				attach(r, 0)
@@ -869,14 +1112,21 @@ func TestPolicyRefreshAllocatesNothing(t *testing.T) {
 						p.delivered.Add(m.ID)
 					}
 				}
+				sends := 0
 				refresh := func() {
 					for _, p := range peers {
 						r.Refresh(1, p)
+						if r.NextSend(1, p) != nil {
+							sends++
+						}
 					}
 				}
 				refresh()
 				if allocs := testing.AllocsPerRun(100, refresh); allocs != 0 {
-					t.Fatalf("a warm Refresh towards %d peers allocates %v times", len(peers), allocs)
+					t.Fatalf("a warm Refresh and NextSend towards %d peers allocate %v times", len(peers), allocs)
+				}
+				if sends == 0 {
+					t.Fatal("no NextSend after Refresh offered anything")
 				}
 				if got := drain(r, 1, peers[0]); len(got) == 0 {
 					t.Fatal("Refresh queued nothing for peer 1")

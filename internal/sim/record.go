@@ -164,7 +164,7 @@ func newContactPass(cfg Config, graph *roadmap.Graph) contactPass {
 // run scans from time 0 to the horizon, checking ctx between events.
 func (p contactPass) run(ctx context.Context) error {
 	p.medium.Start(0)
-	return runUntil(ctx, p.sched, p.horizon)
+	return runUntil(ctx, p.sched, p.horizon, nil)
 }
 
 // ReplaySourceCompatible reports whether v can drive cfg's contact

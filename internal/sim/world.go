@@ -82,6 +82,11 @@ type World struct {
 	genFn event.Func   // w.generate, bound once
 	ran   bool
 
+	// afterEvent, when set, runs before the first event and after every
+	// event of RunContext. Tests set it to audit the state between
+	// events; a run leaves it nil.
+	afterEvent func()
+
 	// Buffer occupancy sampling (at every sweep tick).
 	occSum     float64
 	occSamples int
@@ -295,7 +300,7 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 	} else {
 		w.scheduleNextMessage(0)
 	}
-	if err := runUntil(ctx, w.sched, w.cfg.Duration); err != nil {
+	if err := runUntil(ctx, w.sched, w.cfg.Duration, w.afterEvent); err != nil {
 		return Result{}, err
 	}
 
@@ -312,6 +317,24 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 		res.MeanBufferOccupancy = w.occSum / float64(w.occSamples)
 	}
 	return res, nil
+}
+
+// CheckInvariants reports the first broken invariant of the state a
+// run's trace cannot show, or nil: every node's buffer
+// (buffer.Store.CheckInvariants: its byte accounting, id set, entries and
+// deadline bound) and the medium's adjacency and scan state
+// (wireless.Medium.CheckInvariants). It changes nothing, so calling it
+// between events leaves a run's bytes as they are.
+func (w *World) CheckInvariants() error {
+	for _, n := range w.nodes {
+		if err := n.buf.CheckInvariants(); err != nil {
+			return fmt.Errorf("sim: node %d: %w", n.id, err)
+		}
+	}
+	if err := w.medium.CheckInvariants(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
+	return nil
 }
 
 // startContactPass starts the world's contact pass on a goroutine of its
@@ -351,14 +374,22 @@ func (w *World) startContactPass() (stream *wireless.ContactStream, join func())
 // runUntil fires sched's events up to horizon, checking ctx every
 // cancelCheckStride events, and returns ctx.Err() when the run was cut at
 // an event boundary. An uncancellable context skips the checkpoint polling
-// entirely, so a plain Run or RecordContacts pays nothing for it.
-func runUntil(ctx context.Context, sched *event.Scheduler, horizon float64) error {
+// entirely, so a plain Run or RecordContacts pays nothing for it. A
+// non-nil after runs at every checkpoint, which it makes one per event.
+func runUntil(ctx context.Context, sched *event.Scheduler, horizon float64, after func()) error {
 	done := ctx.Done()
-	if done == nil {
+	if done == nil && after == nil {
 		sched.RunUntil(horizon)
 		return nil
 	}
-	cancelled := sched.RunUntilCheck(horizon, cancelCheckStride, func() bool {
+	stride := uint64(cancelCheckStride)
+	if after != nil {
+		stride = 1
+	}
+	cancelled := sched.RunUntilCheck(horizon, stride, func() bool {
+		if after != nil {
+			after()
+		}
 		select {
 		case <-done:
 			return true

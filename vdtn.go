@@ -145,7 +145,8 @@ type (
 	// time-free total order (ties broken by message id) routers keep their
 	// buffers sorted by; Order receives a group in Compare order and puts
 	// it into transmission order (a no-op unless the schedule draws, as
-	// Random does).
+	// Random does); KeepsCompareOrder reports that no-op, which lets the
+	// built-in routers skip Order and read send queues lazily.
 	SchedulingPolicy = core.SchedulingPolicy
 	// DropPolicy picks buffer-overflow victims.
 	DropPolicy = core.DropPolicy
