@@ -113,9 +113,14 @@ func (s *Store) Occupancy() float64 {
 // Has reports whether a replica of id is stored.
 func (s *Store) Has(id bundle.ID) bool { return s.ids.Has(id) }
 
-// IDs lends the set of stored ids. It is read-only and live: it changes
-// as the store does.
-func (s *Store) IDs() *bundle.IDSet { return &s.ids }
+// NumIDWords returns how many bitset words the stored ids span: every
+// stored id is below 64·NumIDWords().
+func (s *Store) NumIDWords() int { return s.ids.NumWords() }
+
+// AppendIDWords appends the first n words of the stored ids' bitset to
+// dst, a zero word for each past its end, and returns the extended slice:
+// a copy of the stored ids below 64·n, for bundle.IDWords to read.
+func (s *Store) AppendIDWords(dst []uint64, n int) []uint64 { return s.ids.AppendWords(dst, n) }
 
 // Get returns the stored replica of id, if any.
 func (s *Store) Get(id bundle.ID) (*bundle.Message, bool) {

@@ -253,12 +253,11 @@ func TestIDSetUnion(t *testing.T) {
 	}
 }
 
-// TestIDSetSpanAndWords: under random adds, removes and unions, Span's
-// first word is the set's lowest non-empty word (the span is empty for an
-// empty set), every member lies in the span, and the words AppendWords
-// copies over any window answer Has as the set does inside the window,
-// and false outside it.
-func TestIDSetSpanAndWords(t *testing.T) {
+// TestIDSetAppendWords: under random adds, removes and unions, every
+// member lies below 64·NumWords(), and the first n words AppendWords
+// copies, for any n, answer Has as the set does below 64·n, and false
+// from there on.
+func TestIDSetAppendWords(t *testing.T) {
 	rng := xrand.New(9)
 	var s IDSet
 	var members []ID
@@ -283,27 +282,23 @@ func TestIDSetSpanAndWords(t *testing.T) {
 			}
 			s.Union(&t2)
 		}
-		lo, hi := s.Span()
 		if s.Len() != len(members) {
 			t.Fatalf("step %d: Len %d, %d members", step, s.Len(), len(members))
 		}
-		if len(members) > 0 && s.words[lo] == 0 || len(members) == 0 && lo < hi {
-			t.Fatalf("step %d: span [%d, %d) of %d members starts at an empty word", step, lo, hi, len(members))
-		}
 		for _, id := range members {
-			if int(id)/64 < lo || int(id)/64 >= hi {
-				t.Fatalf("step %d: member %v outside span [%d, %d)", step, id, lo, hi)
+			if int(id)/64 >= s.NumWords() {
+				t.Fatalf("step %d: member %v past %d words", step, id, s.NumWords())
 			}
 		}
-		wlo, whi := rng.IntN(40), rng.IntN(40)
-		if wlo > whi {
-			wlo, whi = whi, wlo
+		n := rng.IntN(40)
+		w := IDWords(s.AppendWords([]uint64{7}, n)[1:])
+		if len(w) != n {
+			t.Fatalf("step %d: AppendWords copied %d words, want %d", step, len(w), n)
 		}
-		w := IDWords{Lo: wlo, Words: s.AppendWords([]uint64{7}, wlo, whi)[1:]}
 		for id := ID(-64); id < 40*64+64; id++ {
-			inside := int(id) >= 64*wlo && int(id) < 64*whi
+			inside := id >= 0 && int(id) < 64*n
 			if w.Has(id) != (inside && s.Has(id)) {
-				t.Fatalf("step %d: window [%d, %d) Has(%v) = %v", step, wlo, whi, id, w.Has(id))
+				t.Fatalf("step %d: %d words: Has(%v) = %v", step, n, id, w.Has(id))
 			}
 		}
 	}

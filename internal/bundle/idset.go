@@ -9,14 +9,9 @@ import (
 // mints ids densely from 1, so the set takes one bit per id minted up to
 // the largest it holds, and membership is one load and a mask. The zero
 // value is an empty set. Adding a negative id panics; it is never a member.
-//
-// The set also tracks its lowest non-empty word, so that Span names the
-// words a snapshot of it must copy: a buffer's ids sit in a narrow band
-// far above the ids that have left it.
 type IDSet struct {
 	words []uint64
 	n     int
-	lo    int // every word below lo is zero; words[lo] is not while n > 0
 }
 
 // Has reports whether id is in the set.
@@ -37,9 +32,6 @@ func (s *IDSet) Add(id ID) bool {
 	if w >= len(s.words) {
 		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
 	}
-	if s.n == 0 || w < s.lo {
-		s.lo = w
-	}
 	s.words[w] |= 1 << (id % 64)
 	s.n++
 	return true
@@ -47,13 +39,9 @@ func (s *IDSet) Add(id ID) bool {
 
 // Remove deletes id if present.
 func (s *IDSet) Remove(id ID) {
-	if !s.Has(id) {
-		return
-	}
-	s.words[id/64] &^= 1 << (id % 64)
-	s.n--
-	for s.lo < len(s.words) && s.words[s.lo] == 0 {
-		s.lo++
+	if s.Has(id) {
+		s.words[id/64] &^= 1 << (id % 64)
+		s.n--
 	}
 }
 
@@ -62,14 +50,8 @@ func (s *IDSet) Len() int { return s.n }
 
 // Union adds every id in t to s.
 func (s *IDSet) Union(t *IDSet) {
-	if t.n == 0 {
-		return
-	}
 	if len(t.words) > len(s.words) {
 		s.words = append(s.words, make([]uint64, len(t.words)-len(s.words))...)
-	}
-	if s.n == 0 || t.lo < s.lo {
-		s.lo = t.lo
 	}
 	for i, w := range t.words {
 		s.n += bits.OnesCount64(w &^ s.words[i])
@@ -77,34 +59,28 @@ func (s *IDSet) Union(t *IDSet) {
 	}
 }
 
-// Span returns the words [lo, hi) outside which every word of the set is
-// zero: every member id lies in [64·lo, 64·hi), and word lo holds one
-// unless the set is empty, when the span is too.
-func (s *IDSet) Span() (lo, hi int) { return s.lo, len(s.words) }
+// NumWords returns how many words the set spans: every member is below
+// 64·NumWords().
+func (s *IDSet) NumWords() int { return len(s.words) }
 
-// AppendWords appends the set's words [lo, hi) to dst, a zero word for
+// AppendWords appends the set's first n words to dst, a zero word for
 // each past the set's end, and returns the extended slice: the set's
-// members in [64·lo, 64·hi), for IDWords to read.
-func (s *IDSet) AppendWords(dst []uint64, lo, hi int) []uint64 {
-	if end := min(hi, len(s.words)); lo < end {
-		dst = append(dst, s.words[lo:end]...)
-		lo = end
-	}
-	for ; lo < hi; lo++ {
+// members below 64·n, for IDWords to read.
+func (s *IDSet) AppendWords(dst []uint64, n int) []uint64 {
+	k := min(n, len(s.words))
+	dst = append(dst, s.words[:k]...)
+	for ; k < n; k++ {
 		dst = append(dst, 0)
 	}
 	return dst
 }
 
-// IDWords is a read-only bitset over the word window that starts at word
-// Lo, as AppendWords copies it out of an IDSet.
-type IDWords struct {
-	Lo    int
-	Words []uint64
-}
+// IDWords is a read-only copy of an IDSet's first words, as AppendWords
+// makes it.
+type IDWords []uint64
 
-// Has reports whether id is in the window's set.
+// Has reports whether id is in the copied set.
 func (w IDWords) Has(id ID) bool {
-	i := uint64(id)/64 - uint64(w.Lo) // an id below the window lands far past the end
-	return i < uint64(len(w.Words)) && w.Words[i]&(1<<(uint64(id)%64)) != 0
+	i := uint64(id) / 64 // a negative id lands far past the end
+	return i < uint64(len(w)) && w[i]&(1<<(uint64(id)%64)) != 0
 }

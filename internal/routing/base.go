@@ -192,7 +192,7 @@ func (r *policyRouter) ContactUp(now float64, p Peer) { r.Refresh(now, p) }
 func (r *policyRouter) Refresh(now float64, p Peer) {
 	r.buf.Expire(now)
 	if r.walkBy != nil {
-		r.snaps.record(p, r.buf.IDs())
+		r.snaps.record(p, r.buf)
 		return
 	}
 	deliverable, rest := r.groups(p.id)

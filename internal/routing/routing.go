@@ -18,7 +18,7 @@
 // schedule that keeps its Compare order
 // (SchedulingPolicy.KeepsCompareOrder: every core schedule but Random),
 // Refresh builds no queue. It copies the words of two id bitsets, its own
-// buffer's and the peer's, over the id span of its own buffer. NextSend
+// buffer's and the peer's, as many as its own buffer's set spans. NextSend
 // then reads the queue lazily, walking the buffer's entries
 // (buffer.Store.Sorted), each a replica's id and destination beside the
 // replica, from a cursor. Most Refreshes are followed by less than one
@@ -289,7 +289,7 @@ const (
 )
 
 // snapshot is one peer's send queue, read lazily. Refresh records, over
-// the id span of the router's buffer, the ids the router held (own) and
+// the id words of the router's buffer, the ids the router held (own) and
 // those among them the peer did not hold (spare). The queue Refresh would
 // have built is then exactly the buffer's entries, in Compare order, that
 // are destined to the peer and own, followed by those that are not and
@@ -315,21 +315,17 @@ type snapshot struct {
 	words []uint64        // own's n words, then spare's n
 	last  *bundle.Message // the entry walked before i; nil at a phase's start
 	peer  int32
-	lo, n int32 // the span: words [lo, lo+n) of the id sets
+	n     int32 // words per id set
 	i     int32 // next entry of buf.Sorted() to walk
 	phase uint8
 }
 
-// own returns the ids the router held at Refresh, over the span.
-func (s *snapshot) own() bundle.IDWords {
-	return bundle.IDWords{Lo: int(s.lo), Words: s.words[:s.n]}
-}
+// own returns the ids the router held at Refresh.
+func (s *snapshot) own() bundle.IDWords { return s.words[:s.n] }
 
-// spare returns the ids the router held at Refresh and the peer did not,
-// over the span: the ones that may go to the peer as relays.
-func (s *snapshot) spare() bundle.IDWords {
-	return bundle.IDWords{Lo: int(s.lo), Words: s.words[s.n:]}
-}
+// spare returns the ids the router held at Refresh and the peer did not:
+// the ones that may go to the peer as relays.
+func (s *snapshot) spare() bundle.IDWords { return s.words[s.n:] }
 
 // at returns peer's snapshot. If peer has none, it makes one on the
 // storage of the last snapshot dropped, if there is one.
@@ -349,19 +345,18 @@ func (q *snapSet) at(peer int) *snapshot {
 	return &q.open[n]
 }
 
-// record makes p's snapshot the ids in own now, and the spare ones among
-// them: those p does not hold. Both cover own's span; the cursor starts
-// at the first entry.
-func (q *snapSet) record(p Peer, own *bundle.IDSet) {
+// record makes p's snapshot the ids stored in own now, and the spare
+// ones among them: those p does not hold. Both cover own's id words; the
+// cursor starts at the first entry.
+func (q *snapSet) record(p Peer, own *buffer.Store) {
 	s := q.at(p.id)
-	lo, hi := own.Span()
-	w := own.AppendWords(s.words[:0], lo, hi)
-	w = p.buf.IDs().AppendWords(w, lo, hi)
-	n := hi - lo
+	n := own.NumIDWords()
+	w := own.AppendIDWords(s.words[:0], n)
+	w = p.buf.AppendIDWords(w, n)
 	for k, o := range w[:n] {
 		w[n+k] = o &^ w[n+k]
 	}
-	s.words, s.lo, s.n = w, int32(lo), int32(n)
+	s.words, s.n = w, int32(n)
 	s.phase, s.i, s.last = walkDeliv, 0, nil
 }
 

@@ -125,9 +125,9 @@ func TestSnapSetReusesDroppedStorage(t *testing.T) {
 		peers[i] = newPeer(i, nil)
 	}
 	peers[5].buf.Add(0, msgTo(100, 0, 9, 0, 60), nil)
-	q.record(peers[4], own.IDs())
-	q.record(peers[5], own.IDs())
-	q.record(peers[3], own.IDs())
+	q.record(peers[4], own)
+	q.record(peers[5], own)
+	q.record(peers[3], own)
 	arr := &q.get(4).words[0]
 	q.drop(4)
 	if q.get(4) != nil || q.get(5) == nil || q.get(5).spare().Has(100) || !q.get(3).spare().Has(100) {
@@ -138,17 +138,17 @@ func TestSnapSetReusesDroppedStorage(t *testing.T) {
 	if len(q.open) != 0 || cap(q.open) > 4 {
 		t.Fatalf("%d snapshots open, room for %d, after dropping 3", len(q.open), cap(q.open))
 	}
-	q.record(peers[6], own.IDs())
-	q.record(peers[7], own.IDs())
-	q.record(peers[8], own.IDs())
+	q.record(peers[6], own)
+	q.record(peers[7], own)
+	q.record(peers[8], own)
 	if !slices.ContainsFunc(q.open, func(s snapshot) bool { return &s.words[0] == arr }) {
 		t.Fatal("no new snapshot reused the dropped storage")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		q.drop(6)
-		q.record(peers[2], own.IDs())
+		q.record(peers[2], own)
 		q.drop(2)
-		q.record(peers[6], own.IDs())
+		q.record(peers[6], own)
 	})
 	if allocs != 0 || len(q.open) != 3 {
 		t.Fatalf("contact churn allocates %v times, leaves %d snapshots open", allocs, len(q.open))
