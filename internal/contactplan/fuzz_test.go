@@ -6,17 +6,9 @@ import (
 
 	"vdtn/internal/contactplan"
 	"vdtn/internal/event"
-	"vdtn/internal/geo"
 	"vdtn/internal/units"
 	"vdtn/internal/wireless"
 )
-
-// planNode is a radio entity for plan-driven media, which never query
-// positions.
-type planNode int
-
-func (n planNode) ID() int                    { return int(n) }
-func (n planNode) Position(float64) geo.Point { return geo.Point{} }
 
 // FuzzParsePlan drives the plan parser with arbitrary text. Parse must
 // never panic, and every plan it accepts must run through
@@ -40,10 +32,7 @@ func FuzzParsePlan(f *testing.F) {
 			return // rejected, or too many nodes for a quick run
 		}
 		s := event.NewScheduler()
-		m := wireless.NewMedium(s, wireless.Config{Range: 30, Rate: units.Mbit(6), ScanInterval: 1})
-		for id := 0; id <= p.MaxNode(); id++ {
-			m.Add(planNode(id))
-		}
+		m := wireless.NewMedium(s, wireless.Config{Range: 30, Rate: units.Mbit(6), ScanInterval: 1}, p.MaxNode()+1)
 		windows := p.Windows()
 		var instants []float64
 		for _, w := range windows {

@@ -219,3 +219,42 @@ func TestContactPassAtOneProc(t *testing.T) {
 		t.Fatal("GOMAXPROCS=1 trace differs from the default run's")
 	}
 }
+
+// TestContactPassInvariantsAfterEveryEvent audits the scan where it runs:
+// over the paper scenario, whose fleet is sparse enough for drifting
+// sleep, the contact pass's medium (its adjacency lists, grids and
+// sleepers) passes CheckInvariants after every event, and the checked
+// pass fires exactly the transitions RecordContacts records.
+func TestContactPassInvariantsAfterEveryEvent(t *testing.T) {
+	for _, seed := range []uint64{1001, 1002} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Duration = units.Hours(1)
+		want, err := RecordContacts(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Transitions) == 0 {
+			t.Fatalf("seed %d: no contact transitions: nothing checked", seed)
+		}
+		graph, err := scenarioMap(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass := newContactPass(cfg, graph)
+		pass.medium.StartRecording()
+		pass.medium.Start(0, pass.mobs)
+		err = runUntil(context.Background(), pass.sched, pass.horizon, func() {
+			if err := pass.medium.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d at t=%v: %v", seed, pass.sched.Now(), err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pass.medium.TakeRecording(cfg.Duration); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: the checked pass fired %d transitions, RecordContacts %d, or others",
+				seed, len(got.Transitions), len(want.Transitions))
+		}
+	}
+}

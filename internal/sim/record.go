@@ -137,33 +137,32 @@ func RecordContactsContext(ctx context.Context, cfg Config) (*wireless.Recording
 }
 
 // contactPass is the contact process of a live configuration on its own:
-// a scheduler and a scan-driven medium over fresh mobility models, with no
-// routers, buffers or traffic. RecordContactsContext collects its
+// a scheduler and a scan-driven medium over the scenario's mobility
+// models, with no routers, buffers or traffic. It is the only place a run
+// builds or moves a mobility model. RecordContactsContext collects its
 // transitions; World.RunContext streams them to the world's medium.
 type contactPass struct {
 	horizon float64
 	sched   *event.Scheduler
 	medium  *wireless.Medium
+	mobs    []wireless.Entity // each node's mobility model, the scan's position sources
 }
 
 // newContactPass assembles cfg's contact pass over graph, the scenario's
 // resolved and validated road map. It reads only cfg's contactConfig
-// fields, and its mobility models draw from a source of their own, seeded
-// as a world's, so they walk exactly the world's routes.
+// fields, and its mobility models draw from the "mobility" streams of a
+// source seeded with cfg.Seed, the same streams for every configuration
+// of one ContactFingerprint.
 func newContactPass(cfg Config, graph *roadmap.Graph) contactPass {
 	cfg = contactConfig(cfg)
 	sched := event.NewScheduler()
-	medium := newMedium(sched, cfg)
-	for id, mob := range mobilityModels(cfg, graph, xrand.NewSource(cfg.Seed)) {
-		e := newMobileEntity(id, mob)
-		medium.Add(&e)
-	}
-	return contactPass{horizon: cfg.Duration, sched: sched, medium: medium}
+	mobs := mobilityModels(cfg, graph, xrand.NewSource(cfg.Seed))
+	return contactPass{horizon: cfg.Duration, sched: sched, medium: newMedium(sched, cfg, len(mobs)), mobs: mobs}
 }
 
 // run scans from time 0 to the horizon, checking ctx between events.
 func (p contactPass) run(ctx context.Context) error {
-	p.medium.Start(0)
+	p.medium.Start(0, p.mobs)
 	return runUntil(ctx, p.sched, p.horizon, nil)
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"vdtn/internal/mobility"
 	"vdtn/internal/roadmap"
 	"vdtn/internal/units"
 	"vdtn/internal/xrand"
@@ -77,12 +78,34 @@ func TestWorldAssembly(t *testing.T) {
 			t.Fatalf("node %d is %v, want relay", i, w.Node(i).Kind())
 		}
 	}
-	// Relays sit on map vertices.
-	g := w.Graph()
+	for i := range w.NodeCount() {
+		if id := w.Node(i).ID(); id != i {
+			t.Fatalf("node %d has id %d", i, id)
+		}
+	}
+}
+
+// TestMobilityModelsAssembly: the contact pass's position sources are a
+// map walk per vehicle and, per relay, a stationary model on a map vertex.
+func TestMobilityModelsAssembly(t *testing.T) {
+	cfg := quickConfig(1)
+	g := cfg.Map
+	mobs := mobilityModels(cfg, g, xrand.NewSource(cfg.Seed))
+	if len(mobs) != 14 {
+		t.Fatalf("%d mobility models, want 14", len(mobs))
+	}
+	for i := 0; i < 12; i++ {
+		if _, ok := mobs[i].(*mobility.MapWalk); !ok {
+			t.Fatalf("vehicle %d moves by %T, want *mobility.MapWalk", i, mobs[i])
+		}
+	}
 	for i := 12; i < 14; i++ {
-		p := w.Node(i).Position(0)
-		if g.Vertex(g.NearestVertex(p)).Dist(p) > 1e-6 {
-			t.Fatalf("relay %d not on a map vertex: %v", i, p)
+		s, ok := mobs[i].(mobility.Stationary)
+		if !ok {
+			t.Fatalf("relay %d moves by %T, want mobility.Stationary", i, mobs[i])
+		}
+		if g.Vertex(g.NearestVertex(s.At)).Dist(s.At) > 1e-6 {
+			t.Fatalf("relay %d not on a map vertex: %v", i, s.At)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package sim assembles the full VDTN simulation: it wires the road map,
-// mobility models, radio medium, routers, traffic generator and metrics
-// ledger together and runs the scenario on the discrete-event scheduler.
+// radio medium, routers, traffic generator and metrics ledger together and
+// runs the scenario on the discrete-event scheduler.
 //
 // The simulator owns all cross-node mechanics — contact lifecycle,
 // transfer scheduling, delivery bookkeeping — and consults the per-node
@@ -14,7 +14,9 @@
 // records that pass, a replay reads a recording of it, and a live run
 // executes it on a second goroutine beside the event loop, which replays
 // its transitions as they arrive. The goroutine decides only when a
-// transition becomes readable, never which or in what order.
+// transition becomes readable, never which or in what order. The pass is
+// the only owner of mobility: a World's nodes are ids with buffers and
+// routers, and its medium never reads a position.
 package sim
 
 import (
@@ -129,14 +131,16 @@ func New(cfg Config) (*World, error) {
 	w.genFn = w.generate
 	w.trafficRng = w.src.Stream("traffic")
 
-	w.medium = newMedium(w.sched, cfg)
-	for id, mob := range mobilityModels(cfg, graph, w.src) {
+	n := cfg.Vehicles + cfg.Relays
+	w.medium = newMedium(w.sched, cfg, n)
+	w.nodes = make([]*Node, 0, n)
+	for id := range n {
 		kind, capacity := Vehicle, cfg.VehicleBuffer
 		if id >= cfg.Vehicles {
 			kind, capacity = Relay, cfg.RelayBuffer
 		}
 		r := cfg.buildRouter(id, w.src.StreamN("policy", id))
-		w.addNode(newNode(id, kind, mob, buffer.NewStore(capacity), r))
+		w.addNode(newNode(id, kind, buffer.NewStore(capacity), r))
 	}
 	w.medium.SetHandler(w)
 	w.medium.SetTransferHandler(w)
@@ -161,30 +165,23 @@ func scenarioMap(cfg Config) (*roadmap.Graph, error) {
 	return graph, nil
 }
 
-// newMedium builds the scenario's radio medium on sched.
-func newMedium(sched *event.Scheduler, cfg Config) *wireless.Medium {
+// newMedium builds the scenario's radio medium over n nodes on sched.
+func newMedium(sched *event.Scheduler, cfg Config, n int) *wireless.Medium {
 	return wireless.NewMedium(sched, wireless.Config{
 		Range:        cfg.Range,
 		Rate:         cfg.Rate,
 		ScanInterval: cfg.ScanInterval,
-	})
+	}, n)
 }
 
-// mobilityModels returns every node's mobility model, indexed by node id:
-// vehicles (ids 0..Vehicles-1) walk graph, each on its own "mobility"
+// mobilityModels returns every node's mobility model, indexed by node id,
+// as the position sources a contact pass's scan reads: vehicles (ids
+// 0..Vehicles-1) are map walks over graph, each on its own "mobility"
 // stream of src, and relays (ids Vehicles..Vehicles+Relays-1) stand at
-// spread-out crossroads. In plan and replay runs every node sits at the
-// origin. A contact pass drives its scan with these models; New gives
-// them to the world's nodes too, for Node.Position, though a world's
-// medium never scans.
-func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []mobility.Model {
-	mobs := make([]mobility.Model, cfg.Vehicles+cfg.Relays)
-	if !cfg.Live() {
-		for i := range mobs {
-			mobs[i] = mobility.Stationary{}
-		}
-		return mobs
-	}
+// spread-out crossroads. Both models offer the scan's motion hint. Only
+// a live configuration's contact pass builds them.
+func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []wireless.Entity {
+	mobs := make([]wireless.Entity, cfg.Vehicles+cfg.Relays)
 	walkCfg := mobility.MapWalkConfig{
 		SpeedLoMs: cfg.SpeedLo,
 		SpeedHiMs: cfg.SpeedHi,
@@ -205,7 +202,6 @@ func mobilityModels(cfg Config, graph *roadmap.Graph, src *xrand.Source) []mobil
 
 func (w *World) addNode(n *Node) {
 	w.nodes = append(w.nodes, n)
-	w.medium.Add(n)
 	// TTL expiries are accounted (and traced) wherever they happen —
 	// router decision points or the periodic sweep.
 	id := n.id
@@ -322,9 +318,10 @@ func (w *World) RunContext(ctx context.Context) (Result, error) {
 // CheckInvariants reports the first broken invariant of the state a
 // run's trace cannot show, or nil: every node's buffer
 // (buffer.Store.CheckInvariants: its byte accounting, id set, entries and
-// deadline bound) and the medium's adjacency and scan state
-// (wireless.Medium.CheckInvariants). It changes nothing, so calling it
-// between events leaves a run's bytes as they are.
+// deadline bound) and the medium's adjacency lists
+// (wireless.Medium.CheckInvariants). The world's medium never scans: the
+// scan state is the contact pass's, on a medium of its own. It changes
+// nothing, so calling it between events leaves a run's bytes as they are.
 func (w *World) CheckInvariants() error {
 	for _, n := range w.nodes {
 		if err := n.buf.CheckInvariants(); err != nil {
@@ -477,8 +474,8 @@ func (w *World) inject(now float64, src, dst int, size units.Bytes) {
 // --- contact lifecycle (wireless.ContactHandler) ----------------------------
 
 // ContactUp implements wireless.ContactHandler.
-func (w *World) ContactUp(now float64, a, b wireless.Entity) {
-	na, nb := w.nodes[a.ID()], w.nodes[b.ID()]
+func (w *World) ContactUp(now float64, a, b int) {
+	na, nb := w.nodes[a], w.nodes[b]
 	w.emit(trace.Event{Time: now, Kind: trace.ContactUp, A: na.id, B: nb.id})
 	na.router.ContactUp(now, nb.peer)
 	nb.router.ContactUp(now, na.peer)
@@ -489,8 +486,8 @@ func (w *World) ContactUp(now float64, a, b wireless.Entity) {
 
 // ContactDown implements wireless.ContactHandler. The medium has already
 // aborted any transfer riding the pair.
-func (w *World) ContactDown(now float64, a, b wireless.Entity) {
-	na, nb := w.nodes[a.ID()], w.nodes[b.ID()]
+func (w *World) ContactDown(now float64, a, b int) {
+	na, nb := w.nodes[a], w.nodes[b]
 	w.emit(trace.Event{Time: now, Kind: trace.ContactDown, A: na.id, B: nb.id})
 	na.router.ContactDown(now, nb.peer)
 	nb.router.ContactDown(now, na.peer)

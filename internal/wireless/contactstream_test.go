@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vdtn/internal/event"
-	"vdtn/internal/geo"
 )
 
 // toggleTrace returns a valid trace of n nodes over ticks scan ticks in
@@ -60,16 +59,13 @@ func feed(s *ContactStream, rec *Recording, fault any) {
 	}()
 }
 
-// replayingMedium returns a medium of n position-less nodes that logs its
-// contact events and re-records the transitions it fires.
+// replayingMedium returns a medium of n nodes that logs its contact events
+// and re-records the transitions it fires.
 func replayingMedium(n int) (*event.Scheduler, *Medium, *recorder) {
 	sched := event.NewScheduler()
-	m := NewMedium(sched, testCfg())
+	m := NewMedium(sched, testCfg(), n)
 	h := &recorder{}
 	m.SetHandler(h)
-	for i := range n {
-		m.Add(&scripted{id: i, fn: func(float64) geo.Point { panic("replay queried a position") }})
-	}
 	m.StartRecording()
 	return sched, m, h
 }

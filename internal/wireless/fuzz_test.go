@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vdtn/internal/event"
-	"vdtn/internal/geo"
 	"vdtn/internal/units"
 )
 
@@ -101,11 +100,8 @@ func FuzzDecodeBinary(f *testing.F) {
 			return
 		}
 		s := event.NewScheduler()
-		m := NewMedium(s, Config{Range: 30, Rate: units.Mbit(6), ScanInterval: meta.ScanInterval})
+		m := NewMedium(s, Config{Range: 30, Rate: units.Mbit(6), ScanInterval: meta.ScanInterval}, view.MaxNode()+1)
 		m.SetHandler(&recorder{})
-		for id := 0; id <= view.MaxNode(); id++ {
-			m.Add(&scripted{id: id, fn: func(float64) geo.Point { panic("replay queried a position") }})
-		}
 		m.StartReplay(0, view)
 		var broken error
 		s.RunUntilCheck(meta.Duration, 1, func() bool {

@@ -23,12 +23,9 @@ func testPlan(t testing.TB, windows []contactplan.Contact) *contactplan.Plan {
 
 func TestStartPlanFiresWindows(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 2)
 	rec := &recorder{}
 	m.SetHandler(rec)
-	// Positions are far apart: plan mode must ignore them entirely.
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 9999, Y: 9999}))
 	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 10, End: 30}}))
 
 	s.RunUntil(5)
@@ -53,10 +50,8 @@ func TestStartPlanFiresWindows(t *testing.T) {
 
 func TestStartPlanAbortsAtWindowEnd(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 2)
 	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{}))
-	m.Add(fixed(1, geo.Point{}))
 	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 5}}))
 	s.RunUntil(0.5)
 
@@ -77,8 +72,7 @@ func TestStartPlanAbortsAtWindowEnd(t *testing.T) {
 
 func TestStartPlanUnknownNodePanics(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.Add(fixed(0, geo.Point{}))
+	m := NewMedium(s, testCfg(), 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("unknown node accepted")
@@ -89,34 +83,32 @@ func TestStartPlanUnknownNodePanics(t *testing.T) {
 
 func TestStartAndStartPlanMutuallyExclusive(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.Add(fixed(0, geo.Point{}))
-	m.Add(fixed(1, geo.Point{}))
+	m := NewMedium(s, testCfg(), 2)
 	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 1}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Start after StartPlan accepted")
 		}
 	}()
-	m.Start(0)
+	m.Start(0, []Entity{fixed(geo.Point{}), fixed(geo.Point{})})
 }
 
 // orderedLog records the full transition sequence, ups and downs
 // interleaved, so tests can assert relative order within one instant.
 type orderedLog struct {
 	events []string
-	onUp   func(now float64, a, b Entity)
+	onUp   func(now float64, a, b int)
 }
 
-func (l *orderedLog) ContactUp(now float64, a, b Entity) {
-	l.events = append(l.events, fmt.Sprintf("up(%d,%d)@%v", a.ID(), b.ID(), now))
+func (l *orderedLog) ContactUp(now float64, a, b int) {
+	l.events = append(l.events, fmt.Sprintf("up(%d,%d)@%v", a, b, now))
 	if l.onUp != nil {
 		l.onUp(now, a, b)
 	}
 }
 
-func (l *orderedLog) ContactDown(now float64, a, b Entity) {
-	l.events = append(l.events, fmt.Sprintf("down(%d,%d)@%v", a.ID(), b.ID(), now))
+func (l *orderedLog) ContactDown(now float64, a, b int) {
+	l.events = append(l.events, fmt.Sprintf("down(%d,%d)@%v", a, b, now))
 }
 
 // TestStartPlanSameInstantDownsBeforeUps is the regression test for the
@@ -129,18 +121,15 @@ func (l *orderedLog) ContactDown(now float64, a, b Entity) {
 // contact appeared.
 func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 3)
 	log := &orderedLog{}
 	m.SetHandler(log)
-	for i := 0; i < 3; i++ {
-		m.Add(fixed(i, geo.Point{X: 9999 * float64(i), Y: 0}))
-	}
 
 	out := &outcomes{}
 	m.SetTransferHandler(out)
 	started := false
-	log.onUp = func(now float64, a, b Entity) {
-		if a.ID() != 1 || b.ID() != 2 {
+	log.onUp = func(now float64, a, b int) {
+		if a != 1 || b != 2 {
 			return
 		}
 		// The down of (0,1) must already have fired: the old contact is
@@ -187,12 +176,9 @@ func TestStartPlanSameInstantDownsBeforeUps(t *testing.T) {
 // its windows by start time, which interleaves ups and downs.
 func TestStartPlanSameInstantDeterministicOrder(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 6)
 	log := &orderedLog{}
 	m.SetHandler(log)
-	for i := 0; i < 6; i++ {
-		m.Add(fixed(i, geo.Point{X: 9999 * float64(i), Y: 0}))
-	}
 	m.StartPlan(testPlan(t, []contactplan.Contact{
 		{A: 4, B: 5, Start: 20, End: 40},
 		{A: 2, B: 3, Start: 10, End: 20},
@@ -212,11 +198,9 @@ func TestStartPlanSameInstantDeterministicOrder(t *testing.T) {
 
 func TestStartPlanMultipleWindowsSamePair(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 2)
 	rec := &recorder{}
 	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{}))
-	m.Add(fixed(1, geo.Point{}))
 	m.StartPlan(testPlan(t, []contactplan.Contact{
 		{A: 0, B: 1, Start: 10, End: 20},
 		{A: 0, B: 1, Start: 40, End: 50},

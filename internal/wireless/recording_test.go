@@ -14,34 +14,31 @@ import (
 // mover returns an entity oscillating on the x axis so contacts with a
 // fixed origin entity repeatedly form and break.
 func mover(id int, period float64) *scripted {
-	return &scripted{id: id, fn: func(now float64) geo.Point {
+	return &scripted{fn: func(now float64) geo.Point {
 		return geo.Point{X: 50 + 40*math.Sin(2*math.Pi*now/period), Y: float64(10 * id)}
 	}}
 }
 
 // liveRecording runs a scan-driven medium over the given entities and
 // returns the captured trace plus the handler's observed contact events.
-func liveRecording(t *testing.T, entities []*scripted, horizon float64) (*Recording, *recorder) {
+func liveRecording(t *testing.T, entities []Entity, horizon float64) (*Recording, *recorder) {
 	t.Helper()
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), len(entities))
 	h := &recorder{}
 	m.SetHandler(h)
-	for _, e := range entities {
-		m.Add(e)
-	}
 	m.StartRecording()
-	m.Start(0)
+	m.Start(0, entities)
 	s.RunUntil(horizon)
 	return m.TakeRecording(horizon), h
 }
 
-func crossingEntities() []*scripted {
-	return []*scripted{
-		fixed(0, geo.Point{X: 60, Y: 0}),
+func crossingEntities() []Entity {
+	return []Entity{
+		fixed(geo.Point{X: 60, Y: 0}),
 		mover(1, 60),
 		mover(2, 45),
-		fixed(3, geo.Point{X: 500, Y: 500}), // never in range
+		fixed(geo.Point{X: 500, Y: 500}), // never in range
 	}
 }
 
@@ -77,16 +74,9 @@ func TestReplayMatchesLiveScan(t *testing.T) {
 	rec, live := liveRecording(t, crossingEntities(), 120)
 
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 4)
 	h := &recorder{}
 	m.SetHandler(h)
-	// Positions must never be queried during replay.
-	for i := 0; i < 4; i++ {
-		id := i
-		m.Add(&scripted{id: id, fn: func(float64) geo.Point {
-			panic("replay queried a position")
-		}})
-	}
 	// Re-record while replaying: the round trip must reproduce the trace.
 	m.StartRecording()
 	m.StartReplay(0, viewOf(t, rec))
@@ -115,14 +105,12 @@ func TestReplayAbortsTransfersOnRecordedDowns(t *testing.T) {
 		},
 	}
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.Add(fixed(0, geo.Point{}))
-	m.Add(fixed(1, geo.Point{}))
+	m := NewMedium(s, testCfg(), 2)
 	h := &recorder{}
 	out := &outcomes{}
-	h.onUp = func(now float64, a, b Entity) {
+	h.onUp = func(now float64, a, b int) {
 		// 30 MB at 6 Mbit/s is 40 s — cannot finish before the down at 5 s.
-		m.StartTransfer(a.ID(), b.ID(), 30e6)
+		m.StartTransfer(a, b, 30e6)
 	}
 	m.SetHandler(h)
 	m.SetTransferHandler(out)
@@ -145,7 +133,7 @@ func TestStartReplayPanics(t *testing.T) {
 		Transitions: []Transition{{Time: 3, A: 0, B: 9, Up: true}}})
 	cases := map[string]func(*Medium){
 		"after Start": func(m *Medium) {
-			m.Start(0)
+			m.Start(0, []Entity{fixed(geo.Point{}), fixed(geo.Point{})})
 			m.StartReplay(0, empty)
 		},
 		"scan mismatch": func(m *Medium) {
@@ -163,9 +151,7 @@ func TestStartReplayPanics(t *testing.T) {
 	for name, fn := range cases {
 		t.Run(name, func(t *testing.T) {
 			s := event.NewScheduler()
-			m := NewMedium(s, testCfg())
-			m.Add(fixed(0, geo.Point{}))
-			m.Add(fixed(1, geo.Point{}))
+			m := NewMedium(s, testCfg(), 2)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("no panic")

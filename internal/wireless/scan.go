@@ -17,13 +17,13 @@ import (
 //
 // The medium calls StaticUntil immediately after Position(now) with the
 // same now; a value <= now promises no stillness. MaxSpeed is read once,
-// when the entity joins the scan. Stationary relays return +Inf and 0;
-// map walkers return the end of their pause and their top speed.
+// when the scan starts. Stationary relays return +Inf and 0; map walkers
+// return the end of their pause and their top speed.
 //
 // The scan uses the promises to leave an entity unqueried until one of its
 // pairs could change state (see scan). An entity without the hint is
 // re-queried on every tick, and its speed counts as unbounded: while one
-// is registered, no entity sleeps between queries except through a
+// is scanned, no entity sleeps between queries except through a
 // StaticUntil window.
 type MotionHint interface {
 	StaticUntil(now float64) float64
@@ -70,19 +70,21 @@ func unpackPair(u uint64) pairKey {
 	return pairKey{int(u >> 32), int(uint32(u))}
 }
 
-// scanState is the live scan's working set. Everything here is allocated
-// on the first tick and reused for every subsequent one, so a steady-state
-// scan performs no allocations: the position cache and grid are updated
-// incrementally as entities move, and the transition slices are truncated
-// and refilled in place. Per-entity slices are indexed by node id. The
-// previous tick's pair set is not kept here: it is the medium's adjacency
-// lists, which only the scan's own transitions change.
+// scanState is the live scan's working set. Its entities are fixed at
+// Start, which sizes every per-entity slice once; the transition slices
+// grow on the first ticks and are truncated and refilled in place after,
+// so a steady-state scan performs no allocations: the position cache and
+// grid are updated incrementally as entities move. Per-entity slices are
+// indexed by node id. The previous tick's pair set is not kept here: it
+// is the medium's adjacency lists, which only the scan's own transitions
+// change.
 //
 // Each entity has one wake time: it is skipped on every tick before it.
 // Every observed entity is linked in grid at its last observed position;
 // that position is exact for all but drifting sleepers, which the walks
 // skip.
 type scanState struct {
+	ents  []Entity     // each node's position source, from Start
 	pos   []geo.Point  // last observed position
 	drift []drift      // how far each entity can have moved since
 	hint  []MotionHint // nil when the entity offers no hint
@@ -100,6 +102,7 @@ type scanState struct {
 
 	movers     []int32  // node ids re-queried this tick
 	downs, ups []uint64 // this tick's transitions, packed (packPair)
+	planned    bool     // planSleep has run, after the first tick's queries
 }
 
 // An entity's scan state between two queries.
@@ -152,7 +155,7 @@ func gridSlots(n int) int {
 
 // reset replaces the table with an empty one of the given power-of-two
 // size, as square as the power allows (w = h or w = 2h), for cells of the
-// given side. Node links are rewritten as nodes are added back.
+// given side. Node links are written as nodes are added.
 func (g *gridState) reset(slots int, side float64) {
 	g.side = side
 	k := uint(bits.TrailingZeros(uint(slots)))
@@ -236,55 +239,40 @@ func comparePairs(a, b pairKey) int {
 	return 0
 }
 
-// growScanState sizes the per-entity scan arrays for entities added since
-// the last tick (on the first tick, all of them). When the entity count
-// outgrows the grid table, a larger table replaces it and every observed
-// entity is re-homed from its cached position. It drops the coarse grid,
-// which planSleep rebuilds once this tick's queries are in, and wakes
-// every drifting sleeper, because its sleep bound did not cover the new
-// entities.
-func (m *Medium) growScanState() {
+// initScanState sizes the scan's working set for the entities Start
+// hands it, reading each one's motion hint and speed bound. No entity is
+// observed yet: each wakes on the first tick, and the grid files it then.
+func (m *Medium) initScanState(ents []Entity) {
 	sc := &m.sc
-	n := len(m.entities)
-	if slots := gridSlots(n); slots > len(sc.grid.head) {
-		sc.grid.reset(slots, m.cfg.Range)
-		for i, s := range sc.slot {
-			if s >= 0 {
-				sc.slot[i] = sc.grid.slotOf(sc.pos[i])
-				sc.grid.add(int32(i), sc.slot[i])
-			}
-		}
-	}
-	for i := len(sc.pos); i < n; i++ {
-		h, _ := m.entities[i].(MotionHint)
+	n := len(ents)
+	sc.ents = ents
+	sc.pos = make([]geo.Point, n)
+	sc.drift = make([]drift, n)
+	sc.hint = make([]MotionHint, n)
+	sc.wake = make([]float64, n)
+	sc.slot = make([]int32, n)
+	sc.cslot = make([]int32, n)
+	sc.state = make([]uint8, n)
+	for i, e := range ents {
+		h, _ := e.(MotionHint)
 		speed := math.Inf(1)
 		if h != nil {
 			if v := h.MaxSpeed(); v >= 0 {
 				speed = v
 			}
 		}
-		sc.pos = append(sc.pos, geo.Point{})
-		sc.drift = append(sc.drift, drift{from: math.Inf(-1), speed: speed})
-		sc.hint = append(sc.hint, h)
-		sc.wake = append(sc.wake, math.Inf(-1))
-		sc.slot = append(sc.slot, -1)
-		sc.cslot = append(sc.cslot, -1)
-		sc.state = append(sc.state, stateStill)
-		sc.grid.next = append(sc.grid.next, -1)
-		sc.grid.prev = append(sc.grid.prev, -1)
-		sc.coarse.next = append(sc.coarse.next, -1)
-		sc.coarse.prev = append(sc.coarse.prev, -1)
+		sc.drift[i] = drift{from: math.Inf(-1), speed: speed}
+		sc.hint[i] = h
+		sc.wake[i] = math.Inf(-1)
+		sc.slot[i], sc.cslot[i] = -1, -1
 	}
-	for i, st := range sc.state {
-		if st == stateAsleep {
-			sc.wake[i] = math.Inf(-1)
-		}
-	}
-	sc.coarse.head = nil
+	sc.grid.reset(gridSlots(n), m.cfg.Range)
+	sc.grid.next, sc.grid.prev = make([]int32, n), make([]int32, n)
+	sc.coarse.next, sc.coarse.prev = make([]int32, n), make([]int32, n)
 }
 
-// planSleep switches drifting sleep on or off after a tick on which
-// entities joined. It stays off while an entity has no speed bound, or
+// planSleep switches drifting sleep on or off, once, after the first
+// tick's queries. It stays off while an entity has no speed bound, or
 // while the entities' coarse blocks hold more than crowdLimit others on
 // average. When on, the coarse grid holds every entity at its last
 // observed position, in cells of side
@@ -395,10 +383,6 @@ func (m *Medium) findTransitions() {
 // original full-rescan implementation, so runs are byte-identical.
 func (m *Medium) scan(now float64) {
 	sc := &m.sc
-	grown := len(sc.pos) < len(m.entities)
-	if grown {
-		m.growScanState()
-	}
 	coarse := sc.coarse.head != nil
 
 	// Re-query every entity that is due, and move it to its new slots.
@@ -408,7 +392,7 @@ func (m *Medium) scan(now float64) {
 			continue
 		}
 		i := int32(n)
-		p := m.entities[i].Position(now)
+		p := sc.ents[i].Position(now)
 		from := now
 		if h := sc.hint[i]; h != nil {
 			from = max(from, h.StaticUntil(now))
@@ -425,7 +409,8 @@ func (m *Medium) scan(now float64) {
 		sc.state[i] = stateMover
 		sc.movers = append(sc.movers, i)
 	}
-	if grown {
+	if !sc.planned {
+		sc.planned = true
 		m.planSleep()
 		coarse = sc.coarse.head != nil
 	}

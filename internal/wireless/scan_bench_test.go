@@ -26,11 +26,9 @@ const benchMoverFrac = 0.3
 // hint, like the scenario's stationary relays and paused walkers do, so
 // the scan benchmarks exercise the static-skip path.
 type parked struct {
-	id int
 	at geo.Point
 }
 
-func (p *parked) ID() int                     { return p.id }
 func (p *parked) Position(float64) geo.Point  { return p.at }
 func (p *parked) StaticUntil(float64) float64 { return math.Inf(1) }
 func (p *parked) MaxSpeed() float64           { return 0 }
@@ -38,13 +36,11 @@ func (p *parked) MaxSpeed() float64           { return 0 }
 // drifter oscillates around a home point, staying inside its neighbourhood
 // so the scenario's contact density is stable over any benchmark horizon.
 type drifter struct {
-	id   int
 	home geo.Point
 	amp  float64
 	ph   float64
 }
 
-func (d *drifter) ID() int { return d.id }
 func (d *drifter) Position(now float64) geo.Point {
 	// Triangle wave: cheap, deterministic, bounded.
 	t := math.Mod(now*0.05+d.ph, 2)
@@ -54,30 +50,29 @@ func (d *drifter) Position(now float64) geo.Point {
 	return geo.Point{X: d.home.X + d.amp*(2*t-1), Y: d.home.Y}
 }
 
-// seedFleet populates m with the benchmark fleet: n entities at roughly
-// constant contact density (mean degree ~6), benchMoverFrac of them
-// moving. Deterministic in n, so media built with different configs host
+// benchFleet returns the benchmark fleet: n entities at roughly constant
+// contact density (mean degree ~6), benchMoverFrac of them moving.
+// Deterministic in n, so media built with different configs host
 // identical fleets.
-func seedFleet(m *Medium, n int) {
+func benchFleet(n int) []Entity {
 	rng := xrand.New(uint64(n))
 	side := math.Sqrt(float64(n) / 0.0025) // ~7 neighbours in a 30 m disk
-	for i := 0; i < n; i++ {
+	ents := make([]Entity, n)
+	for i := range ents {
 		p := geo.Point{X: rng.Float64() * side, Y: rng.Float64() * side}
 		if float64(i%100) < benchMoverFrac*100 {
-			m.Add(&drifter{id: i, home: p, amp: 60, ph: rng.Float64() * 2})
+			ents[i] = &drifter{home: p, amp: 60, ph: rng.Float64() * 2}
 		} else {
-			m.Add(&parked{id: i, at: p})
+			ents[i] = &parked{at: p}
 		}
 	}
+	return ents
 }
 
 // benchMedium builds a serial-scan medium over the benchmark fleet.
 func benchMedium(n int) (*event.Scheduler, *Medium) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	seedFleet(m, n)
-	return s, m
+	return s, scanning(s, &recorder{}, benchFleet(n)...)
 }
 
 var benchSizes = []int{1000, 10000, 100000}
@@ -173,11 +168,8 @@ func BenchmarkReplay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				s := event.NewScheduler()
-				m := NewMedium(s, testCfg())
+				m := NewMedium(s, testCfg(), n)
 				m.SetHandler(&recorder{})
-				for id := 0; id < n; id++ {
-					m.Add(&parked{id: id})
-				}
 				b.StartTimer()
 				m.StartReplay(0, v)
 				s.RunUntil(70)
@@ -354,24 +346,21 @@ func scanSpeedupArtifact(tb testing.TB) map[string]any {
 	// transition: a 20 m lattice (orthogonal pairs at 20 m, diagonals at
 	// ~28.3 m, next ring >= 39 m) whose movers oscillate +-0.5 m — every
 	// pair distance stays strictly on its side of the 30 m threshold.
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	id := 0
+	var lattice []Entity
 	for gx := 0; gx < 100; gx++ {
 		for gy := 0; gy < 100; gy++ {
 			p := geo.Point{X: float64(gx) * 20, Y: float64(gy) * 20}
-			if id%3 == 0 {
+			if id := len(lattice); id%3 == 0 {
 				ph := float64(id) * 0.1
-				m.Add(&scripted{id: id, fn: func(now float64) geo.Point {
+				lattice = append(lattice, &scripted{fn: func(now float64) geo.Point {
 					return geo.Point{X: p.X + 0.5*math.Sin(now+ph), Y: p.Y}
 				}})
 			} else {
-				m.Add(&parked{id: id, at: p})
+				lattice = append(lattice, &parked{at: p})
 			}
-			id++
 		}
 	}
+	m := scanning(event.NewScheduler(), &recorder{}, lattice...)
 	now := 0.0
 	for i := 0; i < 8; i++ {
 		m.scan(now)

@@ -14,12 +14,12 @@ import (
 // sequence records every transition the medium fires, in firing order.
 type sequence struct{ fired []string }
 
-func (s *sequence) ContactUp(_ float64, a, b Entity) {
-	s.fired = append(s.fired, fmt.Sprintf("up %d-%d", a.ID(), b.ID()))
+func (s *sequence) ContactUp(_ float64, a, b int) {
+	s.fired = append(s.fired, fmt.Sprintf("up %d-%d", a, b))
 }
 
-func (s *sequence) ContactDown(_ float64, a, b Entity) {
-	s.fired = append(s.fired, fmt.Sprintf("down %d-%d", a.ID(), b.ID()))
+func (s *sequence) ContactDown(_ float64, a, b int) {
+	s.fired = append(s.fired, fmt.Sprintf("down %d-%d", a, b))
 }
 
 // checkTicksAgainstReference scans m once per second for the given number
@@ -86,8 +86,8 @@ func checkSleepersOutOfRange(t *testing.T, m *Medium, now float64) (sleepers int
 			continue
 		}
 		sleepers++
-		pi := truePos(m.entities[i], now)
-		for j, e := range m.entities {
+		pi := truePos(m.sc.ents[i], now)
+		for j, e := range m.sc.ents {
 			if d := pi.Dist(truePos(e, now)); j != i && d <= m.cfg.Range {
 				t.Fatalf("t=%v: node %d asleep %v m from node %d", now, i, d, j)
 			}
@@ -98,12 +98,12 @@ func checkSleepersOutOfRange(t *testing.T, m *Medium, now float64) (sleepers int
 
 // linear returns a mover from home at velocity v, standing still until
 // start; with hint, it offers a static-until hint through start.
-func linear(id int, home, v geo.Point, start float64, hint bool) Entity {
+func linear(home, v geo.Point, start float64, hint bool) Entity {
 	fn := func(now float64) geo.Point { return home.Add(v.Scale(now - start)) }
 	if hint {
-		return &hinted{id: id, at: home, until: start, fn: fn, speed: math.Hypot(v.X, v.Y)}
+		return &hinted{at: home, until: start, fn: fn, speed: math.Hypot(v.X, v.Y)}
 	}
-	return &scripted{id: id, fn: func(now float64) geo.Point {
+	return &scripted{fn: func(now float64) geo.Point {
 		if now <= start {
 			return home
 		}
@@ -117,11 +117,10 @@ func linear(id int, home, v geo.Point, start float64, hint bool) Entity {
 // the crowd and later leaving.
 func TestScanPropertyParkedCrowd(t *testing.T) {
 	r := xrand.New(31)
-	m := NewMedium(event.NewScheduler(), testCfg())
+	var ents []Entity
 	spot := geo.Point{X: 4.5, Y: -30}
-	id := 0
-	for ; id < 150; id++ {
-		m.Add(&hinted{id: id, at: spot, until: math.Inf(1)})
+	for range 150 {
+		ents = append(ents, &hinted{at: spot, until: math.Inf(1)})
 	}
 	for k := 0; k < 40; k++ {
 		angle := r.UniformFloat(0, 2*math.Pi)
@@ -136,12 +135,12 @@ func TestScanPropertyParkedCrowd(t *testing.T) {
 		if k%5 == 0 { // parked inside the crowd until a random time
 			home, start = spot.Add(offset.Scale(0.5)), r.UniformFloat(5, 40)
 		}
-		m.Add(linear(id, home, dir.Scale(speed), start, k%2 == 0))
-		id++
+		ents = append(ents, linear(home, dir.Scale(speed), start, k%2 == 0))
 	}
 	// Exact arithmetic: this one is exactly at range from the crowd at
 	// ticks 15 and 45, connected through both.
-	m.Add(linear(id, spot.Add(geo.Point{X: -60}), geo.Point{X: 2}, 0, false))
+	ents = append(ents, linear(spot.Add(geo.Point{X: -60}), geo.Point{X: 2}, 0, false))
+	m := scanning(event.NewScheduler(), nil, ents...)
 	if n := checkTicksAgainstReference(t, m, 70); n < 100 {
 		t.Fatalf("only %d transitions: the crowd was not crossed", n)
 	}
@@ -152,27 +151,25 @@ func TestScanPropertyParkedCrowd(t *testing.T) {
 // cloud, so most transitions involve two movers at once.
 func TestScanPropertyMoverPairs(t *testing.T) {
 	r := xrand.New(32)
-	m := NewMedium(event.NewScheduler(), testCfg())
-	id := 0
+	var ents []Entity
 	for k := 0; k < 25; k++ { // convoys of three, drifting apart slowly
 		home := geo.Point{X: r.UniformFloat(-300, 300), Y: r.UniformFloat(-300, 300)}
 		v := geo.Point{X: r.UniformFloat(-8, 8), Y: r.UniformFloat(-8, 8)}
 		for c := 0; c < 3; c++ {
 			jitter := geo.Point{X: r.UniformFloat(-0.3, 0.3), Y: r.UniformFloat(-0.3, 0.3)}
-			m.Add(linear(id, home.Add(geo.Point{X: 12 * float64(c)}), v.Add(jitter), 0, false))
-			id++
+			ents = append(ents, linear(home.Add(geo.Point{X: 12 * float64(c)}), v.Add(jitter), 0, false))
 		}
 	}
 	for k := 0; k < 60; k++ { // a cloud, some pausing then moving
 		home := geo.Point{X: r.UniformFloat(-300, 300), Y: r.UniformFloat(-300, 300)}
 		v := geo.Point{X: r.UniformFloat(-10, 10), Y: r.UniformFloat(-10, 10)}
-		m.Add(linear(id, home, v, r.UniformFloat(-10, 20), k%3 == 0))
-		id++
+		ents = append(ents, linear(home, v, r.UniformFloat(-10, 20), k%3 == 0))
 	}
 	// Exact arithmetic: a pair parting at 2 m/s is exactly at range at
 	// tick 15, still connected, and parts at tick 16.
-	m.Add(linear(id, geo.Point{X: 200, Y: 200}, geo.Point{X: -1}, 0, false))
-	m.Add(linear(id+1, geo.Point{X: 200, Y: 200}, geo.Point{X: 1}, 0, true))
+	ents = append(ents, linear(geo.Point{X: 200, Y: 200}, geo.Point{X: -1}, 0, false))
+	ents = append(ents, linear(geo.Point{X: 200, Y: 200}, geo.Point{X: 1}, 0, true))
+	m := scanning(event.NewScheduler(), nil, ents...)
 	if n := checkTicksAgainstReference(t, m, 60); n < 100 {
 		t.Fatalf("only %d transitions", n)
 	}
@@ -185,9 +182,8 @@ func TestScanPropertyMoverPairs(t *testing.T) {
 func TestScanPropertyWrapAround(t *testing.T) {
 	const wrap = 64 * 30 // table width and height for this many entities, in metres
 	r := xrand.New(33)
-	m := NewMedium(event.NewScheduler(), testCfg())
+	var ents []Entity
 	laps := []geo.Point{{}, {X: wrap}, {X: -2 * wrap, Y: wrap}, {X: 3 * wrap, Y: -wrap}}
-	id := 0
 	for k := 0; k < 120; k++ {
 		lap := laps[k%len(laps)]
 		// Near the table's corner, so members cross both edges.
@@ -195,12 +191,12 @@ func TestScanPropertyWrapAround(t *testing.T) {
 		v := geo.Point{X: r.UniformFloat(-4, 4), Y: r.UniformFloat(-4, 4)}
 		switch k % 3 {
 		case 0:
-			m.Add(&hinted{id: id, at: home, until: math.Inf(1)})
+			ents = append(ents, &hinted{at: home, until: math.Inf(1)})
 		default:
-			m.Add(linear(id, home, v, 0, k%3 == 1))
+			ents = append(ents, linear(home, v, 0, k%3 == 1))
 		}
-		id++
 	}
+	m := scanning(event.NewScheduler(), nil, ents...)
 	transitions := checkTicksAgainstReference(t, m, 50)
 	if w := m.sc.grid.wMask + 1; w*30 != wrap {
 		t.Fatalf("grid table is %d slots wide, the test assumes %d m", w, wrap)
@@ -216,14 +212,15 @@ func TestScanPropertyWrapAround(t *testing.T) {
 // contact they had must go down when the first steps across the border,
 // as in the reference, and come back up when it steps back.
 func TestScanPropertyRoundedRange(t *testing.T) {
-	m := NewMedium(event.NewScheduler(), testCfg())
-	m.Add(fixed(0, geo.Point{X: 30}))
-	m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
+	var ents []Entity
+	ents = append(ents, fixed(geo.Point{X: 30}))
+	ents = append(ents, &scripted{fn: func(now float64) geo.Point {
 		if int(now)%2 == 1 {
 			return geo.Point{X: -1e-20}
 		}
 		return geo.Point{}
 	}})
+	m := scanning(event.NewScheduler(), nil, ents...)
 	if n := checkTicksAgainstReference(t, m, 4); n != 4 {
 		t.Fatalf("%d transitions, want the contact up, down, up, down", n)
 	}
@@ -231,8 +228,8 @@ func TestScanPropertyRoundedRange(t *testing.T) {
 
 // driver returns a mover that drives from home at velocity v from time 0
 // and declares its speed as its bound.
-func driver(id int, home, v geo.Point) *hinted {
-	return linear(id, home, v, 0, true).(*hinted)
+func driver(home, v geo.Point) *hinted {
+	return linear(home, v, 0, true).(*hinted)
 }
 
 // TestScanPropertyHeadOnAtMaxSpeed: pairs drive head-on at exactly their
@@ -241,7 +238,7 @@ func driver(id int, home, v geo.Point) *hinted {
 // inside the range. The pairs lie on a 700 m lattice, sparse enough for
 // drifting sleep.
 func TestScanPropertyHeadOnAtMaxSpeed(t *testing.T) {
-	m := NewMedium(event.NewScheduler(), testCfg())
+	var ents []Entity
 	id := 0
 	for k := 0; k <= sleepTicks+2; k++ {
 		for _, v := range []float64{1, 5, 13.9} {
@@ -250,13 +247,14 @@ func TestScanPropertyHeadOnAtMaxSpeed(t *testing.T) {
 					p := id / 2
 					base := geo.Point{X: float64(p%14) * 700, Y: float64(p/14) * 700}
 					d := 30 + wakeMargin + float64(k)*2*v + eps
-					m.Add(driver(id, base, geo.Point{X: v}))
-					m.Add(driver(id+1, base.Add(geo.Point{X: d, Y: lat}), geo.Point{X: -v}))
+					ents = append(ents, driver(base, geo.Point{X: v}))
+					ents = append(ents, driver(base.Add(geo.Point{X: d, Y: lat}), geo.Point{X: -v}))
 					id += 2
 				}
 			}
 		}
 	}
+	m := scanning(event.NewScheduler(), nil, ents...)
 	transitions, sleeps := checkTickRange(t, m, 0, 40)
 	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 100 {
 		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
@@ -268,21 +266,20 @@ func TestScanPropertyHeadOnAtMaxSpeed(t *testing.T) {
 // pairs meet at the crossings from both axes while sleeping in between.
 func TestScanPropertyCrossingLines(t *testing.T) {
 	r := xrand.New(34)
-	m := NewMedium(event.NewScheduler(), testCfg())
-	id := 0
+	var ents []Entity
 	for road := 0; road < 12; road++ {
 		at := float64(road/2) * 100
 		speed := r.UniformFloat(1, 3)
 		for k := 0; k < 8; k++ {
 			along := float64(k)*200 - 100 + r.UniformFloat(-20, 20)
 			if road%2 == 0 { // east-west
-				m.Add(driver(id, geo.Point{X: along, Y: at}, geo.Point{X: speed}))
+				ents = append(ents, driver(geo.Point{X: along, Y: at}, geo.Point{X: speed}))
 			} else { // north-south
-				m.Add(driver(id, geo.Point{X: at, Y: along}, geo.Point{Y: -speed}))
+				ents = append(ents, driver(geo.Point{X: at, Y: along}, geo.Point{Y: -speed}))
 			}
-			id++
 		}
 	}
+	m := scanning(event.NewScheduler(), nil, ents...)
 	transitions, sleeps := checkTickRange(t, m, 0, 150)
 	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 20 {
 		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
@@ -295,11 +292,10 @@ func TestScanPropertyCrossingLines(t *testing.T) {
 // Movers drive through and past the crowd; two park in it for a while.
 func TestScanPropertyLocalCrowd(t *testing.T) {
 	r := xrand.New(35)
-	m := NewMedium(event.NewScheduler(), testCfg())
+	var ents []Entity
 	spot := geo.Point{X: 100, Y: -40}
-	id := 0
-	for ; id < 6; id++ {
-		m.Add(&hinted{id: id, at: spot.Add(geo.Point{X: float64(id) * 3}), until: math.Inf(1)})
+	for i := range 6 {
+		ents = append(ents, &hinted{at: spot.Add(geo.Point{X: float64(i) * 3}), until: math.Inf(1)})
 	}
 	for k := 0; k < 70; k++ {
 		angle := r.UniformFloat(0, 2*math.Pi)
@@ -316,56 +312,25 @@ func TestScanPropertyLocalCrowd(t *testing.T) {
 		default: // a sparse field around it
 			home = geo.Point{X: r.UniformFloat(-6000, 6000), Y: r.UniformFloat(-6000, 6000)}
 		}
-		m.Add(linear(id, home, dir.Scale(speed), start, true))
-		id++
+		ents = append(ents, linear(home, dir.Scale(speed), start, true))
 	}
+	m := scanning(event.NewScheduler(), nil, ents...)
 	transitions, sleeps := checkTickRange(t, m, 0, 120)
 	if m.sc.coarse.head == nil || sleeps == 0 || transitions < 20 {
 		t.Fatalf("drifting sleep on: %v, sleeper-ticks %d, transitions %d", m.sc.coarse.head != nil, sleeps, transitions)
 	}
 }
 
-// TestScanPropertyAddWakesSleepers: an entity added mid-run, next to where
-// a sleeper has driven to since its last query, must come up against it
-// on the very next tick. Add wakes every sleeper, because no sleeper's
-// bound covered the newcomer.
-func TestScanPropertyAddWakesSleepers(t *testing.T) {
-	m := NewMedium(event.NewScheduler(), testCfg())
-	for id := 0; id < 20; id++ {
-		home := geo.Point{X: float64(id%5) * 900, Y: float64(id/5) * 900}
-		m.Add(driver(id, home, geo.Point{X: 10, Y: 3}))
-	}
-	_, sleeps := checkTickRange(t, m, 0, 21)
-	if sleeps == 0 {
-		t.Fatal("no entity slept before the add")
-	}
-	asleep := -1
-	for i, st := range m.sc.state {
-		if st == stateAsleep {
-			asleep = i
-			break
-		}
-	}
-	if asleep < 0 {
-		t.Fatal("no sleeper at tick 20")
-	}
-	beside := truePos(m.entities[asleep], 21).Add(geo.Point{Y: 12})
-	m.Add(&hinted{id: len(m.entities), at: beside, until: math.Inf(1)})
-	if n, _ := checkTickRange(t, m, 21, 22); n == 0 {
-		t.Fatal("the newcomer did not come up against the sleeper beside it")
-	}
-	checkTickRange(t, m, 22, 60)
-}
-
 // TestScanPropertyDenseFieldSleepsNot: where the coarse blocks are crowded
 // (more than crowdLimit others on average), drifting sleep stays off.
 func TestScanPropertyDenseFieldSleepsNot(t *testing.T) {
 	r := xrand.New(36)
-	m := NewMedium(event.NewScheduler(), testCfg())
-	for id := 0; id < 80; id++ {
+	var ents []Entity
+	for range 80 {
 		home := geo.Point{X: r.UniformFloat(-300, 300), Y: r.UniformFloat(-300, 300)}
-		m.Add(driver(id, home, geo.Point{X: r.UniformFloat(-5, 5), Y: r.UniformFloat(-5, 5)}))
+		ents = append(ents, driver(home, geo.Point{X: r.UniformFloat(-5, 5), Y: r.UniformFloat(-5, 5)}))
 	}
+	m := scanning(event.NewScheduler(), nil, ents...)
 	if n, sleeps := checkTickRange(t, m, 0, 30); sleeps != 0 || m.sc.coarse.head != nil || n == 0 {
 		t.Fatalf("dense field: %d sleeper-ticks, drifting sleep on: %v, %d transitions", sleeps, m.sc.coarse.head != nil, n)
 	}
@@ -378,26 +343,26 @@ func TestScanPropertyDenseFieldSleepsNot(t *testing.T) {
 func TestScanHintlessEntityRestoresQueries(t *testing.T) {
 	const ticks = 40
 	for _, hintless := range []bool{false, true} {
-		m := NewMedium(event.NewScheduler(), testCfg())
-		m.SetHandler(&recorder{})
+		var ents []Entity
 		var drivers []*hinted
-		for id := 0; id < 10; id++ {
-			h := driver(id, geo.Point{X: float64(id) * 1000}, geo.Point{Y: 8})
+		for i := range 10 {
+			h := driver(geo.Point{X: float64(i) * 1000}, geo.Point{Y: 8})
 			drivers = append(drivers, h)
-			m.Add(h)
+			ents = append(ents, h)
 		}
 		if hintless {
-			m.Add(fixed(10, geo.Point{X: -5000}))
+			ents = append(ents, fixed(geo.Point{X: -5000}))
 		}
+		m := scanning(event.NewScheduler(), &recorder{}, ents...)
 		for tick := 0; tick < ticks; tick++ {
 			m.scan(float64(tick))
 		}
-		for _, h := range drivers {
+		for i, h := range drivers {
 			switch {
 			case hintless && h.queries != ticks:
-				t.Fatalf("with a hint-less entity, driver %d queried %d times in %d ticks", h.id, h.queries, ticks)
+				t.Fatalf("with a hint-less entity, driver %d queried %d times in %d ticks", i, h.queries, ticks)
 			case !hintless && h.queries > ticks/(sleepTicks+1)+1:
-				t.Fatalf("driver %d queried %d times in %d ticks, want at most %d", h.id, h.queries, ticks, ticks/(sleepTicks+1)+1)
+				t.Fatalf("driver %d queried %d times in %d ticks, want at most %d", i, h.queries, ticks, ticks/(sleepTicks+1)+1)
 			}
 		}
 	}

@@ -12,9 +12,9 @@ import (
 // set from scratch. It is the oracle for the grid equivalence property
 // tests and the "before" leg of the scan benchmarks.
 func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
-	n := len(m.entities)
+	n := len(m.sc.ents)
 	pos := make([]geo.Point, n)
-	for i, e := range m.entities {
+	for i, e := range m.sc.ents {
 		pos[i] = e.Position(now)
 	}
 	cell := m.cfg.Range
@@ -41,7 +41,7 @@ func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
 						continue
 					}
 					if pos[i].Dist2(pos[j]) <= r2 {
-						pairs[key(m.entities[i].ID(), m.entities[j].ID())] = true
+						pairs[key(i, j)] = true
 					}
 				}
 			}
@@ -58,9 +58,8 @@ func (m *Medium) proximityPairsReference(now float64) map[pairKey]bool {
 // lower-id end.
 func (m *Medium) scanReference(now float64) (downs, ups []pairKey) {
 	curr := m.proximityPairsReference(now)
-	for idx, e := range m.entities {
-		id := e.ID()
-		for _, p := range m.adj[idx] {
+	for id, peers := range m.adj {
+		for _, p := range peers {
 			if k := key(id, p); id < p && !curr[k] {
 				downs = append(downs, k)
 			}

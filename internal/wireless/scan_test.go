@@ -15,15 +15,12 @@ import (
 // until `until`, then follows fn, which moves no faster than speed. It
 // counts Position queries so tests can assert the scan actually skips it.
 type hinted struct {
-	id      int
 	at      geo.Point
 	until   float64
 	fn      func(now float64) geo.Point
 	speed   float64
 	queries int
 }
-
-func (h *hinted) ID() int { return h.id }
 
 func (h *hinted) Position(now float64) geo.Point {
 	h.queries++
@@ -75,8 +72,7 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 	rng := xrand.New(4242)
 	for trial := 0; trial < 12; trial++ {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
-		m.SetHandler(&recorder{})
+		var ents []Entity
 		n := 30 + rng.IntN(40)
 		ids := make([]int, n)
 		posAt := make([]func(now float64) geo.Point, n)
@@ -98,7 +94,7 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0: // static forever, with hint
-				m.Add(&hinted{id: i, at: home, until: math.Inf(1)})
+				ents = append(ents, &hinted{at: home, until: math.Inf(1)})
 				posAt[i] = func(float64) geo.Point { return home }
 			case 1: // parked for a while, then drifts
 				until := 5 + rng.Float64()*20
@@ -106,7 +102,7 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 				fn := func(now float64) geo.Point {
 					return geo.Point{X: home.X + vx*(now-until), Y: home.Y + vy*(now-until)}
 				}
-				m.Add(&hinted{id: i, at: home, until: until, fn: fn, speed: math.Hypot(vx, vy)})
+				ents = append(ents, &hinted{at: home, until: until, fn: fn, speed: math.Hypot(vx, vy)})
 				posAt[i] = func(now float64) geo.Point {
 					if now <= until {
 						return home
@@ -118,11 +114,11 @@ func TestScanMatchesBruteForceOverTime(t *testing.T) {
 				fn := func(now float64) geo.Point {
 					return geo.Point{X: home.X + vx*now, Y: home.Y + vy*now}
 				}
-				m.Add(&scripted{id: i, fn: fn})
+				ents = append(ents, &scripted{fn: fn})
 				posAt[i] = fn
 			}
 		}
-		m.Start(0)
+		m := scanning(s, &recorder{}, ents...)
 		for tick := 0; tick <= 40; tick++ {
 			now := float64(tick)
 			s.RunUntil(now + 0.5)
@@ -173,14 +169,13 @@ func TestScanMatchesReferenceBoundaryGeometry(t *testing.T) {
 		{X: 2*wrap - 30, Y: 0},         // at Range of a point two widths out
 	}
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
+	var ents []Entity
 	ids := make([]int, len(pts))
 	for i, p := range pts {
 		ids[i] = i
-		m.Add(fixed(i, p))
+		ents = append(ents, fixed(p))
 	}
-	m.Start(0)
+	m := scanning(s, &recorder{}, ents...)
 	s.RunUntil(0.5)
 	if w, h := m.sc.grid.wMask+1, m.sc.grid.hMask+1; w*30 != wrap || h*30 != wrap {
 		t.Fatalf("grid table is %dx%d, the test assumes %d m", w, h, wrap)
@@ -216,8 +211,7 @@ func TestScanRandomCellBoundaryClouds(t *testing.T) {
 	rng := xrand.New(77)
 	for trial := 0; trial < 20; trial++ {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
-		m.SetHandler(&recorder{})
+		var ents []Entity
 		n := 15 + rng.IntN(25)
 		pts := make([]geo.Point, n)
 		for i := range pts {
@@ -232,9 +226,9 @@ func TestScanRandomCellBoundaryClouds(t *testing.T) {
 				y += rng.Float64() * 30
 			}
 			pts[i] = geo.Point{X: x, Y: y}
-			m.Add(fixed(i, pts[i]))
+			ents = append(ents, fixed(pts[i]))
 		}
-		m.Start(0)
+		m := scanning(s, &recorder{}, ents...)
 		s.RunUntil(0.5)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -256,16 +250,15 @@ func TestScanRandomCellBoundaryClouds(t *testing.T) {
 // contacts against it keep rising and falling as movers pass by.
 func TestStaticHintSkipsPositionQueries(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	parked := &hinted{id: 0, at: geo.Point{X: 0, Y: 0}, until: math.Inf(1)}
-	m.Add(parked)
-	// A mover sweeping past the parked node: in range around t∈[7,13].
-	m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
-		return geo.Point{X: -100 + 10*now, Y: 0}
-	}})
-	m.Start(0)
+	parked := &hinted{at: geo.Point{X: 0, Y: 0}, until: math.Inf(1)}
+	m := scanning(s, rec,
+		parked,
+		// A mover sweeping past the parked node: in range around t∈[7,13].
+		&scripted{fn: func(now float64) geo.Point {
+			return geo.Point{X: -100 + 10*now, Y: 0}
+		}},
+	)
 	s.RunUntil(30)
 
 	if parked.queries != 1 {
@@ -282,8 +275,8 @@ func TestStaticHintSkipsPositionQueries(t *testing.T) {
 // timedRecorder captures contact transitions with their times.
 type timedRecorder struct{ ups, downs []float64 }
 
-func (r *timedRecorder) ContactUp(now float64, _, _ Entity)   { r.ups = append(r.ups, now) }
-func (r *timedRecorder) ContactDown(now float64, _, _ Entity) { r.downs = append(r.downs, now) }
+func (r *timedRecorder) ContactUp(now float64, _, _ int)   { r.ups = append(r.ups, now) }
+func (r *timedRecorder) ContactDown(now float64, _, _ int) { r.downs = append(r.downs, now) }
 
 // TestDriftingSleepSkipsPositionQueries is the drifting skip's headline
 // saving: two vehicles driving at their declared top speed, kilometres
@@ -292,14 +285,10 @@ func (r *timedRecorder) ContactDown(now float64, _, _ Entity) { r.downs = append
 // trajectories give: 4000 − 20t ≤ 30 from t = 198.5 through t = 201.5.
 func TestDriftingSleepSkipsPositionQueries(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &timedRecorder{}
-	m.SetHandler(rec)
-	a := driver(0, geo.Point{X: -2000}, geo.Point{X: 10})
-	b := driver(1, geo.Point{X: 2000, Y: 5}, geo.Point{X: -10})
-	m.Add(a)
-	m.Add(b)
-	m.Start(0)
+	a := driver(geo.Point{X: -2000}, geo.Point{X: 10})
+	b := driver(geo.Point{X: 2000, Y: 5}, geo.Point{X: -10})
+	m := scanning(s, rec, a, b)
 	const ticks = 400
 	s.RunUntil(ticks - 0.5)
 
@@ -309,9 +298,9 @@ func TestDriftingSleepSkipsPositionQueries(t *testing.T) {
 	// Asleep except within about a sleep of the encounter, where the bound
 	// shortens, and in contact, where both are queried every tick.
 	lo, hi := ticks/(sleepTicks+1), ticks/(sleepTicks+1)+30
-	for _, h := range []*hinted{a, b} {
+	for i, h := range []*hinted{a, b} {
 		if h.queries < lo || h.queries > hi {
-			t.Fatalf("vehicle %d queried %d times over %d ticks, want %d..%d", h.id, h.queries, ticks, lo, hi)
+			t.Fatalf("vehicle %d queried %d times over %d ticks, want %d..%d", i, h.queries, ticks, lo, hi)
 		}
 	}
 	if err := m.CheckInvariants(); err != nil {
@@ -324,13 +313,12 @@ func TestDriftingSleepSkipsPositionQueries(t *testing.T) {
 // tick after its hint expires.
 func TestStaticHintExpiresAndRequeries(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	h := &hinted{id: 0, at: geo.Point{X: 0, Y: 0}, until: 10, speed: 10,
+	var ents []Entity
+	h := &hinted{at: geo.Point{X: 0, Y: 0}, until: 10, speed: 10,
 		fn: func(now float64) geo.Point { return geo.Point{X: 10 * (now - 10), Y: 0} }}
-	m.Add(h)
-	m.Add(fixed(1, geo.Point{X: 200, Y: 0})) // no hint: re-queried every tick
-	m.Start(0)
+	ents = append(ents, h)
+	ents = append(ents, fixed(geo.Point{X: 200, Y: 0})) // no hint: re-queried every tick
+	m := scanning(s, &recorder{}, ents...)
 	s.RunUntil(20.5)
 
 	// Queried at t=0 (first tick), skipped while the hint strictly
@@ -352,12 +340,11 @@ func TestStaticHintExpiresAndRequeries(t *testing.T) {
 // adjacency slice with zero allocations.
 func TestPeersOfAllocationFree(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
+	var ents []Entity
 	for i := 0; i < 8; i++ {
-		m.Add(fixed(i, geo.Point{X: float64(i) * 10, Y: 0}))
+		ents = append(ents, fixed(geo.Point{X: float64(i) * 10, Y: 0}))
 	}
-	m.Start(0)
+	m := scanning(s, &recorder{}, ents...)
 	s.RunUntil(0.5)
 	if got := m.PeersOf(3); len(got) != 6 { // 0,1,2,4,5,6 within 30 m
 		t.Fatalf("PeersOf(3) = %v", got)
@@ -377,23 +364,22 @@ func TestPeersOfAllocationFree(t *testing.T) {
 // TestScanSteadyStateAllocationFree: once the working set is warm, a scan
 // tick with no contact transitions performs no allocations at all.
 func TestScanSteadyStateAllocationFree(t *testing.T) {
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
 	rng := xrand.New(5)
+	var ents []Entity
 	for i := 0; i < 300; i++ {
 		p := geo.Point{X: rng.Float64() * 600, Y: rng.Float64() * 600}
 		if i%3 == 0 {
 			// Oscillates inside a 2 m envelope: always a mover, but its
 			// contact set never changes.
 			phase := rng.Float64()
-			m.Add(&scripted{id: i, fn: func(now float64) geo.Point {
+			ents = append(ents, &scripted{fn: func(now float64) geo.Point {
 				return geo.Point{X: p.X + math.Sin(now+phase), Y: p.Y}
 			}})
 		} else {
-			m.Add(&hinted{id: i, at: p, until: math.Inf(1)})
+			ents = append(ents, &hinted{at: p, until: math.Inf(1)})
 		}
 	}
+	m := scanning(event.NewScheduler(), &recorder{}, ents...)
 	now := 0.0
 	m.scan(now)
 	for i := 0; i < 10; i++ { // warm the reusable slices past any growth
@@ -433,33 +419,28 @@ func TestAdjacencyAcrossAllContactSources(t *testing.T) {
 
 	t.Run("scan", func(t *testing.T) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
-		m.SetHandler(&recorder{})
-		m.Add(fixed(0, geo.Point{}))
-		m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
-			if now < 20 {
-				return geo.Point{X: 10, Y: 0}
-			}
-			return geo.Point{X: 1000, Y: 0}
-		}})
-		m.Start(0)
+		m := scanning(s, &recorder{},
+			fixed(geo.Point{}),
+			&scripted{fn: func(now float64) geo.Point {
+				if now < 20 {
+					return geo.Point{X: 10, Y: 0}
+				}
+				return geo.Point{X: 1000, Y: 0}
+			}},
+		)
 		check(t, m, s)
 	})
 	t.Run("plan", func(t *testing.T) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
+		m := NewMedium(s, testCfg(), 2)
 		m.SetHandler(&recorder{})
-		m.Add(fixed(0, geo.Point{}))
-		m.Add(fixed(1, geo.Point{X: 9999, Y: 9999}))
 		m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 10, End: 20}}))
 		check(t, m, s)
 	})
 	t.Run("replay", func(t *testing.T) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
+		m := NewMedium(s, testCfg(), 2)
 		m.SetHandler(&recorder{})
-		m.Add(fixed(0, geo.Point{}))
-		m.Add(fixed(1, geo.Point{X: 9999, Y: 9999}))
 		rec := &Recording{ScanInterval: 1, Duration: 100, Transitions: []Transition{
 			{Time: 10, A: 0, B: 1, Up: true},
 			{Time: 20, A: 0, B: 1, Up: false},
@@ -467,58 +448,6 @@ func TestAdjacencyAcrossAllContactSources(t *testing.T) {
 		m.StartReplay(0, viewOf(t, rec))
 		check(t, m, s)
 	})
-}
-
-// TestAddAfterStartIsPickedUp preserves the pre-refactor behavior that an
-// entity registered after Start joins the scan on the next tick (the
-// working set grows on demand). It then adds enough entities to outgrow
-// the grid table: the static entities placed before the rebuild are never
-// re-queried, so they must be re-homed into the larger table.
-func TestAddAfterStartIsPickedUp(t *testing.T) {
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{}))
-	m.Start(0)
-	s.RunUntil(2.5)
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	s.RunUntil(5)
-	if !m.Connected(0, 1) {
-		t.Fatal("late-added entity never scanned")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-
-	pts := []geo.Point{{}, {X: 10, Y: 0}}
-	rng := xrand.New(9)
-	addStatic := func(count int) {
-		for range count {
-			p := geo.Point{X: rng.Float64()*6000 - 3000, Y: rng.Float64()*6000 - 3000}
-			m.Add(&hinted{id: len(pts), at: p, until: math.Inf(1)})
-			pts = append(pts, p)
-		}
-	}
-	addStatic(1000)
-	s.RunUntil(6)
-	slots := len(m.sc.grid.head)
-	addStatic(3000)
-	s.RunUntil(7)
-	if len(m.sc.grid.head) <= slots {
-		t.Fatalf("grid table stayed at %d slots for %d entities", slots, len(pts))
-	}
-	for i := range pts {
-		for j := i + 1; j < len(pts); j++ {
-			if want := pts[i].Dist2(pts[j]) <= 30*30; m.Connected(i, j) != want {
-				t.Fatalf("pair (%d,%d) at dist %v: connected=%v want %v",
-					i, j, pts[i].Dist(pts[j]), !want, want)
-			}
-		}
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestGridSlotsIndependentOfGeometry is the grid's bounded-memory
@@ -529,8 +458,7 @@ func TestGridSlotsIndependentOfGeometry(t *testing.T) {
 	var slots []int
 	for _, side := range []float64{400, 1e7} {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
-		m.SetHandler(&recorder{})
+		var ents []Entity
 		rng := xrand.New(3)
 		pts := make([]geo.Point, 500)
 		for i := range pts {
@@ -538,9 +466,9 @@ func TestGridSlotsIndependentOfGeometry(t *testing.T) {
 			if i%2 == 1 { // a partner within range, so both geometries have contacts
 				pts[i] = geo.Point{X: pts[i-1].X + 20, Y: pts[i-1].Y}
 			}
-			m.Add(fixed(i, pts[i]))
+			ents = append(ents, fixed(pts[i]))
 		}
-		m.Start(0)
+		m := scanning(s, &recorder{}, ents...)
 		s.RunUntil(0.5)
 		slots = append(slots, len(m.sc.grid.head))
 		for i := range pts {
@@ -562,9 +490,8 @@ func TestGridSlotsIndependentOfGeometry(t *testing.T) {
 func TestScanEquivalenceHintedVsUnhinted(t *testing.T) {
 	build := func(hints bool) (*event.Scheduler, *Medium, *recorder) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
+		var ents []Entity
 		rec := &recorder{}
-		m.SetHandler(rec)
 		rng := xrand.New(11)
 		for i := 0; i < 60; i++ {
 			home := geo.Point{X: rng.Float64()*300 - 150, Y: rng.Float64()*300 - 150}
@@ -577,12 +504,12 @@ func TestScanEquivalenceHintedVsUnhinted(t *testing.T) {
 				return geo.Point{X: home.X + vx*(now-until), Y: home.Y}
 			}
 			if hints {
-				m.Add(&hinted{id: i, at: home, until: until, fn: fn, speed: math.Abs(vx)})
+				ents = append(ents, &hinted{at: home, until: until, fn: fn, speed: math.Abs(vx)})
 			} else {
-				m.Add(&scripted{id: i, fn: fn})
+				ents = append(ents, &scripted{fn: fn})
 			}
 		}
-		m.Start(0)
+		m := scanning(s, rec, ents...)
 		return s, m, rec
 	}
 	s1, m1, r1 := build(true)

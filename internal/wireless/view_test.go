@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vdtn/internal/event"
-	"vdtn/internal/geo"
 )
 
 // writeTempTrace persists rec's binary encoding and returns the path.
@@ -149,12 +148,9 @@ func TestOpenedViewIgnoresLaterFileWrites(t *testing.T) {
 		t.Fatal("view changed after its file was overwritten")
 	}
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), len(crossingEntities()))
 	h := &recorder{}
 	m.SetHandler(h)
-	for _, e := range crossingEntities() {
-		m.Add(e)
-	}
 	m.StartReplay(0, v)
 	s.RunUntil(120)
 	if !reflect.DeepEqual(h.ups, live.ups) || !reflect.DeepEqual(h.downs, live.downs) {
@@ -242,10 +238,7 @@ func TestViewCursorAfterCloseMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Close()
-	m := NewMedium(event.NewScheduler(), testCfg())
-	for _, e := range crossingEntities() {
-		m.Add(e)
-	}
+	m := NewMedium(event.NewScheduler(), testCfg(), len(crossingEntities()))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("StartReplay of a closed view did not panic")
@@ -264,15 +257,9 @@ func TestMediumReplaysFromView(t *testing.T) {
 	}
 
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 4)
 	h := &recorder{}
 	m.SetHandler(h)
-	// Positions must never be queried during replay.
-	for i := 0; i < 4; i++ {
-		m.Add(&scripted{id: i, fn: func(float64) geo.Point {
-			panic("replay queried a position")
-		}})
-	}
 	m.StartReplay(0, v)
 	s.RunUntil(120)
 

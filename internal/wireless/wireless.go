@@ -12,24 +12,26 @@
 // Contacts are detected by a periodic proximity scan (default every
 // simulated second — the ONE's granularity class) over a uniform spatial
 // grid with cell size equal to the radio range, kept in a wrap-around
-// table whose size depends on the node count alone. The scan is
-// incremental: positions and grid cells persist across ticks, and each
-// entity has a wake time from its mobility model's motion hint (see
-// MotionHint) before which it is not re-queried — a parked relay or a
-// paused walker until its pause ends, and, in a sparse enough fleet, a
-// driving vehicle with no contact until another entity could come within
-// range of it. Only pairs with a moving end are examined, against the
-// adjacency lists below, and a steady-state tick allocates nothing. A
-// tick costs one wake check per node plus, per mover, its 3x3 grid
-// neighbourhood and its peer list: not O(nodes²), and independent of the
-// contacts between nodes that stood still.
+// table whose size depends on the node count alone. The scan reads one
+// position source per node (Entity), handed to Start; the medium itself
+// knows its nodes only by id. The scan is incremental: positions and grid
+// cells persist across ticks, and each entity has a wake time from its
+// motion hint (see MotionHint) before which it is not re-queried — a
+// parked relay or a paused walker until its pause ends, and, in a sparse
+// enough fleet, a driving vehicle with no contact until another entity
+// could come within range of it. Only pairs with a moving end are
+// examined, against the adjacency lists below, and a steady-state tick
+// allocates nothing. A tick costs one wake check per node plus, per
+// mover, its 3x3 grid neighbourhood and its peer list: not O(nodes²), and
+// independent of the contacts between nodes that stood still.
 //
 // Every contact transition — scanned, planned or replayed — updates a
 // sorted per-node adjacency list. Those lists are the medium's one contact
 // set: PeersOf returns a node's list, and Connected binary-searches it.
 //
-// Node ids are dense: the medium's entities are 0..n-1, added in id order,
-// so a node's id is its index into every per-node table.
+// A medium's nodes are fixed when it is built: NewMedium takes their
+// count n, and the nodes are 0..n-1, so a node's id is its index into
+// every per-node table.
 package wireless
 
 import (
@@ -44,21 +46,20 @@ import (
 	"vdtn/internal/units"
 )
 
-// Entity is a radio-equipped node tracked by the medium.
+// Entity is the position source the live scan reads for one node. The
+// scan takes one per node (Start), and an entity's index in that slice is
+// its node's id. The scan queries positions with non-decreasing
+// timestamps.
 type Entity interface {
-	// ID returns the node's id, which is its index in the medium.
-	ID() int
-	// Position returns the node position at time now. The medium queries
-	// positions with non-decreasing timestamps.
 	Position(now float64) geo.Point
 }
 
 // ContactHandler receives contact lifecycle notifications. ContactUp and
-// ContactDown are invoked once per (unordered) pair transition, with
-// a.ID() < b.ID().
+// ContactDown are invoked once per (unordered) pair transition, with the
+// pair's node ids a < b.
 type ContactHandler interface {
-	ContactUp(now float64, a, b Entity)
-	ContactDown(now float64, a, b Entity)
+	ContactUp(now float64, a, b int)
+	ContactDown(now float64, a, b int)
 }
 
 // TransferHandler receives transfer outcomes: TransferDone when a
@@ -117,14 +118,16 @@ func key(a, b int) pairKey {
 }
 
 // Medium owns contact state and in-flight transfers. Its nodes are
-// 0..n-1, and every per-node slice below is indexed by node id.
-// The zero value is not usable; use NewMedium.
+// 0..n-1, fixed by NewMedium, and every per-node slice below is indexed by
+// node id. Contacts come from one of four sources, chosen once: the live
+// proximity scan over position sources (Start), a contact plan
+// (StartPlan), a recorded trace (StartReplay) or a contact pass's stream
+// (StartStreamReplay). The zero value is not usable; use NewMedium.
 type Medium struct {
-	sched    *event.Scheduler
-	cfg      Config
-	entities []Entity
-	handler  ContactHandler
-	xfers    TransferHandler
+	sched   *event.Scheduler
+	cfg     Config
+	handler ContactHandler
+	xfers   TransferHandler
 
 	adj  [][]int     // sorted peer ids: the contact set
 	busy []*transfer // the node's in-flight transfer, nil when idle
@@ -145,25 +148,13 @@ type Medium struct {
 	TransfersAborted   uint64
 }
 
-// NewMedium returns a medium scheduling on sched. Panics on invalid config.
-func NewMedium(sched *event.Scheduler, cfg Config) *Medium {
+// NewMedium returns a medium over the nodes 0..n-1, scheduling on sched.
+// Panics on invalid config.
+func NewMedium(sched *event.Scheduler, cfg Config, n int) *Medium {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	return &Medium{sched: sched, cfg: cfg}
-}
-
-// Add registers an entity. Ids are dense: the entity's id must equal the
-// number of entities already added, so the medium's nodes are 0..n-1 in
-// order. Any other id — duplicate, skipped or negative — panics as a
-// scenario-assembly bug.
-func (m *Medium) Add(e Entity) {
-	if id := e.ID(); id != len(m.entities) {
-		panic(fmt.Sprintf("wireless: entity id %d added as node %d", id, len(m.entities)))
-	}
-	m.entities = append(m.entities, e)
-	m.adj = append(m.adj, nil)
-	m.busy = append(m.busy, nil)
+	return &Medium{sched: sched, cfg: cfg, adj: make([][]int, n), busy: make([]*transfer, n)}
 }
 
 // SetHandler installs the contact lifecycle handler. Must be called before
@@ -174,12 +165,20 @@ func (m *Medium) SetHandler(h ContactHandler) { m.handler = h }
 // outcome. Must be called before the first StartTransfer.
 func (m *Medium) SetTransferHandler(h TransferHandler) { m.xfers = h }
 
-// Start begins periodic proximity scanning at time `from`.
-func (m *Medium) Start(from float64) {
+// Start begins periodic proximity scanning at time `from` over nodes,
+// one position source per node in id order: nodes[i] is where node i is.
+// The set is fixed for the run. A count other than the medium's panics as
+// a scenario-assembly bug. Start, StartPlan, StartReplay and
+// StartStreamReplay are mutually exclusive.
+func (m *Medium) Start(from float64, nodes []Entity) {
 	if m.started {
 		panic("wireless: Start called twice")
 	}
+	if len(nodes) != len(m.adj) {
+		panic(fmt.Sprintf("wireless: %d position sources for %d nodes", len(nodes), len(m.adj)))
+	}
 	m.started = true
+	m.initScanState(nodes)
 	m.sched.Every(from, m.cfg.ScanInterval, m.scan)
 }
 
@@ -193,12 +192,11 @@ type planEvent struct {
 
 // StartPlan drives contacts from an explicit schedule instead of proximity
 // scanning: each of the plan's windows raises the contact at Start and
-// breaks it (aborting any transfer riding it) at End. Entity positions are
-// ignored in this mode. The plan is validated, and it has merged each
-// pair's overlapping and touching windows, so every transition flips its
-// pair's state; its windows must reference registered entities, and
-// StartPlan panics on unknown ids. Start and StartPlan are mutually
-// exclusive.
+// breaks it (aborting any transfer riding it) at End. No position is read
+// in this mode. The plan is validated, and it has merged each pair's
+// overlapping and touching windows, so every transition flips its pair's
+// state; its windows must reference the medium's nodes, and StartPlan
+// panics on unknown ids. Start and StartPlan are mutually exclusive.
 //
 // Transitions that fall on the same instant honor the scan's ordering
 // contract: all downs fire first (freeing the endpoints' radios), then
@@ -305,15 +303,15 @@ func (m *Medium) setTap(t transitionTap) {
 // tick loop the live scan uses — each tick applies the recorded transitions
 // due at or before it, downs and ups in recorded order — so a replayed run
 // schedules exactly the same events in exactly the same order as the live
-// run that produced the recording: results are bit-identical. Entity
-// positions are never queried. A live run replays its own contact pass
-// the same way, through StartStreamReplay: same tick loop, same cursor.
+// run that produced the recording: results are bit-identical. No position
+// is read. A live run replays its own contact pass the same way, through
+// StartStreamReplay: same tick loop, same cursor.
 //
 // v is a validated view; the medium takes its own cursor over it, so any
 // number of replaying media may share one view, and a decode failure
 // (bytes changed under a NewRecordingView view) panics. The view's scan
-// interval must equal the medium's, and its MaxNode must be a registered
-// node; either violation panics here, as a scenario-assembly bug. Start,
+// interval must equal the medium's, and its MaxNode must be one of the
+// medium's nodes; either violation panics here, as a scenario-assembly bug. Start,
 // StartPlan, StartReplay and StartStreamReplay are mutually exclusive.
 func (m *Medium) StartReplay(from float64, v *RecordingView) {
 	if m.started {
@@ -323,7 +321,7 @@ func (m *Medium) StartReplay(from float64, v *RecordingView) {
 		panic(fmt.Sprintf("wireless: recording scan interval %v, medium %v",
 			scan, m.cfg.ScanInterval))
 	}
-	if n := v.maxNode; n >= len(m.entities) {
+	if n := v.maxNode; n >= len(m.adj) {
 		panic(fmt.Sprintf("wireless: recording references unknown node %d", n))
 	}
 	m.startReplay(from, v.cursor())
@@ -370,8 +368,8 @@ func (m *Medium) replayTick(now float64) {
 	}
 }
 
-// has reports whether id is a registered node.
-func (m *Medium) has(id int) bool { return uint(id) < uint(len(m.entities)) }
+// has reports whether id is one of the medium's nodes.
+func (m *Medium) has(id int) bool { return uint(id) < uint(len(m.adj)) }
 
 // Connected reports whether nodes a and b are currently in contact.
 func (m *Medium) Connected(a, b int) bool {
@@ -434,7 +432,7 @@ func (m *Medium) raise(now float64, k pairKey) {
 		m.tap.add(Transition{Time: now, A: a, B: b, Up: true})
 	}
 	if m.handler != nil {
-		m.handler.ContactUp(now, m.entities[a], m.entities[b])
+		m.handler.ContactUp(now, a, b)
 	}
 }
 
@@ -448,16 +446,17 @@ func (m *Medium) drop(now float64, k pairKey) {
 		m.tap.add(Transition{Time: now, A: a, B: b, Up: false})
 	}
 	if m.handler != nil {
-		m.handler.ContactDown(now, m.entities[a], m.entities[b])
+		m.handler.ContactDown(now, a, b)
 	}
 }
 
 // CheckInvariants verifies the adjacency lists: every peer slice must be
 // strictly ascending, self-free, and mirrored by the slice of each peer,
-// which must be a registered node. Once the live scan has run, it also
-// verifies the scan's grids and sleep state (checkScanState). It exists
-// for the equivalence suites and property tests; it is not called on any
-// hot path.
+// which must be one of the medium's nodes. A medium driven by the live
+// scan (Start) also has the scan's grids and sleep state verified
+// (checkScanState); the other sources keep no scan state. It exists for
+// the equivalence suites and property tests; it is not called on any hot
+// path.
 func (m *Medium) CheckInvariants() error {
 	for id, peers := range m.adj {
 		for i, p := range peers {

@@ -1,6 +1,7 @@
 package wireless
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -13,32 +14,39 @@ import (
 
 // scripted is a test entity whose position is a function of time.
 type scripted struct {
-	id int
 	fn func(now float64) geo.Point
 }
 
-func (s *scripted) ID() int                        { return s.id }
 func (s *scripted) Position(now float64) geo.Point { return s.fn(now) }
 
-func fixed(id int, p geo.Point) *scripted {
-	return &scripted{id: id, fn: func(float64) geo.Point { return p }}
+func fixed(p geo.Point) *scripted {
+	return &scripted{fn: func(float64) geo.Point { return p }}
+}
+
+// scanning returns a medium on s over one node per entity, with h as its
+// contact handler, scanning ents from time 0.
+func scanning(s *event.Scheduler, h ContactHandler, ents ...Entity) *Medium {
+	m := NewMedium(s, testCfg(), len(ents))
+	m.SetHandler(h)
+	m.Start(0, ents)
+	return m
 }
 
 // recorder captures contact events.
 type recorder struct {
 	ups, downs [][2]int
-	onUp       func(now float64, a, b Entity)
+	onUp       func(now float64, a, b int)
 }
 
-func (r *recorder) ContactUp(now float64, a, b Entity) {
-	r.ups = append(r.ups, [2]int{a.ID(), b.ID()})
+func (r *recorder) ContactUp(now float64, a, b int) {
+	r.ups = append(r.ups, [2]int{a, b})
 	if r.onUp != nil {
 		r.onUp(now, a, b)
 	}
 }
 
-func (r *recorder) ContactDown(now float64, a, b Entity) {
-	r.downs = append(r.downs, [2]int{a.ID(), b.ID()})
+func (r *recorder) ContactDown(now float64, a, b int) {
+	r.downs = append(r.downs, [2]int{a, b})
 }
 
 // outcome is one transfer outcome a TransferHandler saw.
@@ -80,13 +88,12 @@ func TestConfigValidate(t *testing.T) {
 
 func TestContactUpWithinRange(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 20, Y: 0}))  // within 30 m of 0
-	m.Add(fixed(2, geo.Point{X: 100, Y: 0})) // out of range of both
-	m.Start(0)
+	m := scanning(s, rec,
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 20, Y: 0}),  // within 30 m of 0
+		fixed(geo.Point{X: 100, Y: 0}), // out of range of both
+	)
 	s.RunUntil(0.5)
 	if len(rec.ups) != 1 || rec.ups[0] != [2]int{0, 1} {
 		t.Fatalf("ups = %v, want [[0 1]]", rec.ups)
@@ -101,12 +108,11 @@ func TestContactUpWithinRange(t *testing.T) {
 
 func TestContactAtExactRangeBoundary(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 30, Y: 0})) // exactly at range: in contact
-	m.Start(0)
+	m := scanning(s, rec,
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 30, Y: 0}), // exactly at range: in contact
+	)
 	s.RunUntil(0.5)
 	if !m.Connected(0, 1) {
 		t.Fatal("pair at exact range not connected")
@@ -115,15 +121,14 @@ func TestContactAtExactRangeBoundary(t *testing.T) {
 
 func TestContactDownWhenMovingApart(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	// Node 1 drives away at 10 m/s starting 10 m from node 0.
-	m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
-		return geo.Point{X: 10 + 10*now, Y: 0}
-	}})
-	m.Start(0)
+	m := scanning(s, rec,
+		fixed(geo.Point{X: 0, Y: 0}),
+		// Node 1 drives away at 10 m/s starting 10 m from node 0.
+		&scripted{fn: func(now float64) geo.Point {
+			return geo.Point{X: 10 + 10*now, Y: 0}
+		}},
+	)
 	s.RunUntil(10)
 	if len(rec.ups) != 1 {
 		t.Fatalf("ups = %v", rec.ups)
@@ -140,12 +145,11 @@ func TestGridFindsDiagonalNeighbors(t *testing.T) {
 	// Pair in diagonal grid cells but within range; regression against an
 	// off-by-one in the 3x3 neighbourhood walk.
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 29, Y: 29}))
-	m.Add(fixed(1, geo.Point{X: 31, Y: 31})) // other cell, dist ~2.8
-	m.Start(0)
+	m := scanning(s, rec,
+		fixed(geo.Point{X: 29, Y: 29}),
+		fixed(geo.Point{X: 31, Y: 31}), // other cell, dist ~2.8
+	)
 	s.RunUntil(0.5)
 	if !m.Connected(0, 1) {
 		t.Fatal("diagonal-cell neighbours missed")
@@ -154,11 +158,10 @@ func TestGridFindsDiagonalNeighbors(t *testing.T) {
 
 func TestNegativeCoordinates(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: -5, Y: -5}))
-	m.Add(fixed(1, geo.Point{X: 5, Y: 5}))
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: -5, Y: -5}),
+		fixed(geo.Point{X: 5, Y: 5}),
+	)
 	s.RunUntil(0.5)
 	if !m.Connected(0, 1) {
 		t.Fatal("pair straddling origin missed (floor vs trunc bug)")
@@ -167,13 +170,12 @@ func TestNegativeCoordinates(t *testing.T) {
 
 func TestPeersOf(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: 500, Y: 500}))
-	m.Add(fixed(1, geo.Point{X: 0, Y: 10}))
-	m.Add(fixed(2, geo.Point{X: 10, Y: 0}))
-	m.Add(fixed(3, geo.Point{X: 0, Y: 0}))
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: 500, Y: 500}),
+		fixed(geo.Point{X: 0, Y: 10}),
+		fixed(geo.Point{X: 10, Y: 0}),
+		fixed(geo.Point{X: 0, Y: 0}),
+	)
 	s.RunUntil(0.5)
 	if got := m.PeersOf(3); !slices.Equal(got, []int{1, 2}) {
 		t.Fatalf("PeersOf(3) = %v, want [1 2]", got)
@@ -188,11 +190,10 @@ func TestPeersOf(t *testing.T) {
 
 func TestTransferCompletes(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 10, Y: 0}),
+	)
 	s.RunUntil(0.5)
 
 	out := &outcomes{}
@@ -221,11 +222,10 @@ func TestTransferCompletes(t *testing.T) {
 
 func TestTransferRefusedWhenNotConnected(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 500, Y: 0}))
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 500, Y: 0}),
+	)
 	s.RunUntil(0.5)
 	if m.StartTransfer(0, 1, units.KB(1)) {
 		t.Fatal("transfer started without contact")
@@ -234,12 +234,11 @@ func TestTransferRefusedWhenNotConnected(t *testing.T) {
 
 func TestTransferRefusedWhenBusy(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	m.Add(fixed(2, geo.Point{X: 0, Y: 10}))
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 10, Y: 0}),
+		fixed(geo.Point{X: 0, Y: 10}),
+	)
 	s.RunUntil(0.5)
 	if !m.StartTransfer(0, 1, units.MB(10)) {
 		t.Fatal("first transfer refused")
@@ -255,15 +254,14 @@ func TestTransferRefusedWhenBusy(t *testing.T) {
 
 func TestTransferAbortOnContactBreak(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
 	rec := &recorder{}
-	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	// Node 1 leaves range at t≈2.0 (starts at 10 m, 10 m/s).
-	m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
-		return geo.Point{X: 10 + 10*now, Y: 0}
-	}})
-	m.Start(0)
+	m := scanning(s, rec,
+		fixed(geo.Point{X: 0, Y: 0}),
+		// Node 1 leaves range at t≈2.0 (starts at 10 m, 10 m/s).
+		&scripted{fn: func(now float64) geo.Point {
+			return geo.Point{X: 10 + 10*now, Y: 0}
+		}},
+	)
 	s.RunUntil(0.5)
 
 	out := &outcomes{}
@@ -289,16 +287,15 @@ func TestTransferAbortOnContactBreak(t *testing.T) {
 
 func TestAbortOnlyAffectsBrokenPair(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	// Node 2 near node 3, both far from 0/1; 3 drives off at t≈2.
-	m.Add(fixed(2, geo.Point{X: 1000, Y: 0}))
-	m.Add(&scripted{id: 3, fn: func(now float64) geo.Point {
-		return geo.Point{X: 1010 + 10*now, Y: 0}
-	}})
-	m.Start(0)
+	m := scanning(s, &recorder{},
+		fixed(geo.Point{X: 0, Y: 0}),
+		fixed(geo.Point{X: 10, Y: 0}),
+		// Node 2 near node 3, both far from 0/1; 3 drives off at t≈2.
+		fixed(geo.Point{X: 1000, Y: 0}),
+		&scripted{fn: func(now float64) geo.Point {
+			return geo.Point{X: 1010 + 10*now, Y: 0}
+		}},
+	)
 	s.RunUntil(0.5)
 
 	out := &outcomes{}
@@ -320,41 +317,47 @@ func TestAbortOnlyAffectsBrokenPair(t *testing.T) {
 
 func TestContactUpHandlerCanStartTransferImmediately(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 2)
 	started := false
-	rec := &recorder{onUp: func(now float64, a, b Entity) {
-		started = m.StartTransfer(a.ID(), b.ID(), units.KB(10))
+	rec := &recorder{onUp: func(now float64, a, b int) {
+		started = m.StartTransfer(a, b, units.KB(10))
 	}}
 	m.SetHandler(rec)
-	m.Add(fixed(0, geo.Point{X: 0, Y: 0}))
-	m.Add(fixed(1, geo.Point{X: 10, Y: 0}))
-	m.Start(0)
+	m.Start(0, []Entity{fixed(geo.Point{X: 0, Y: 0}), fixed(geo.Point{X: 10, Y: 0})})
 	s.RunUntil(0.5)
 	if !started {
 		t.Fatal("transfer could not start from ContactUp handler")
 	}
 }
 
-// TestDuplicateEntityPanics: node ids are dense, so Add accepts only the
-// next id in order — a duplicate, a skipped or a negative id panics.
-func TestDuplicateEntityPanics(t *testing.T) {
-	for name, id := range map[string]int{"duplicate": 0, "skipped": 2, "negative": -1} {
-		t.Run(name, func(t *testing.T) {
-			m := NewMedium(event.NewScheduler(), testCfg())
-			m.Add(fixed(0, geo.Point{}))
+// TestStartPanicsOnSourceCountMismatch: a medium's nodes are fixed by
+// NewMedium, so Start takes exactly one position source per node — fewer
+// or more panic before anything is scheduled.
+func TestStartPanicsOnSourceCountMismatch(t *testing.T) {
+	for _, n := range []int{0, 1, 3} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			s := event.NewScheduler()
+			m := NewMedium(s, testCfg(), 2)
+			ents := make([]Entity, n)
+			for i := range ents {
+				ents[i] = fixed(geo.Point{X: float64(i)})
+			}
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("id %d after id 0 did not panic", id)
+					t.Fatalf("Start with %d sources for 2 nodes did not panic", n)
+				}
+				if s.Len() != 0 {
+					t.Fatalf("a refused Start scheduled %d events", s.Len())
 				}
 			}()
-			m.Add(fixed(id, geo.Point{X: 5}))
+			m.Start(0, ents)
 		})
 	}
 }
 
 func TestSelfTransferPanics(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("self transfer did not panic")
@@ -369,15 +372,14 @@ func TestGridMatchesBruteForce(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 30; trial++ {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
-		m.SetHandler(&recorder{})
 		n := 20 + rng.IntN(40)
 		pts := make([]geo.Point, n)
+		ents := make([]Entity, n)
 		for i := range pts {
 			pts[i] = geo.Point{X: rng.Float64() * 300, Y: rng.Float64() * 300}
-			m.Add(fixed(i, pts[i]))
+			ents[i] = fixed(pts[i])
 		}
-		m.Start(0)
+		m := scanning(s, &recorder{}, ents...)
 		s.RunUntil(0.5)
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -392,13 +394,12 @@ func TestGridMatchesBruteForce(t *testing.T) {
 }
 
 func benchScan(b *testing.B, n int) {
-	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
-	m.SetHandler(&recorder{})
 	rng := xrand.New(1)
-	for i := 0; i < n; i++ {
-		m.Add(fixed(i, geo.Point{X: rng.Float64() * 4500, Y: rng.Float64() * 3400}))
+	ents := make([]Entity, n)
+	for i := range ents {
+		ents[i] = fixed(geo.Point{X: rng.Float64() * 4500, Y: rng.Float64() * 3400})
 	}
+	m := scanning(event.NewScheduler(), &recorder{}, ents...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.scan(float64(i))
@@ -423,8 +424,8 @@ type restarter struct {
 	done, aborted int
 }
 
-func (r *restarter) ContactUp(float64, Entity, Entity)   { r.m.StartTransfer(r.from, r.to, r.size) }
-func (r *restarter) ContactDown(float64, Entity, Entity) {}
+func (r *restarter) ContactUp(float64, int, int)   { r.m.StartTransfer(r.from, r.to, r.size) }
+func (r *restarter) ContactDown(float64, int, int) {}
 func (r *restarter) TransferDone(float64, int, int) {
 	r.done++
 	r.m.StartTransfer(r.from, r.to, r.size)
@@ -438,13 +439,11 @@ func (r *restarter) TransferAborted(float64, int, int) { r.aborted++ }
 func TestTransferCyclesAllocateNothing(t *testing.T) {
 	t.Run("complete", func(t *testing.T) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
+		m := NewMedium(s, testCfg(), 2)
 		r := &restarter{m: m, from: 0, to: 1, size: units.KB(375)} // 0.5 s
 		m.SetHandler(r)
 		m.SetTransferHandler(r)
-		m.Add(fixed(0, geo.Point{}))
-		m.Add(fixed(1, geo.Point{X: 10}))
-		m.Start(0)
+		m.Start(0, []Entity{fixed(geo.Point{}), fixed(geo.Point{X: 10})})
 		s.RunUntil(3)
 		if allocs := testing.AllocsPerRun(50, func() { s.RunUntil(s.Now() + 1) }); allocs != 0 {
 			t.Fatalf("a second of back-to-back transfers allocates %v times", allocs)
@@ -455,19 +454,20 @@ func TestTransferCyclesAllocateNothing(t *testing.T) {
 	})
 	t.Run("abort", func(t *testing.T) {
 		s := event.NewScheduler()
-		m := NewMedium(s, testCfg())
+		m := NewMedium(s, testCfg(), 2)
 		r := &restarter{m: m, from: 1, to: 0, size: units.MB(12.5)} // 16.7 s
 		m.SetHandler(r)
 		m.SetTransferHandler(r)
-		m.Add(fixed(0, geo.Point{}))
-		// In range on even seconds, out of range on odd ones.
-		m.Add(&scripted{id: 1, fn: func(now float64) geo.Point {
-			if int(now)%2 == 0 {
-				return geo.Point{X: 10}
-			}
-			return geo.Point{X: 1000}
-		}})
-		m.Start(0)
+		m.Start(0, []Entity{
+			fixed(geo.Point{}),
+			// In range on even seconds, out of range on odd ones.
+			&scripted{fn: func(now float64) geo.Point {
+				if int(now)%2 == 0 {
+					return geo.Point{X: 10}
+				}
+				return geo.Point{X: 1000}
+			}},
+		})
 		s.RunUntil(4.5)
 		if allocs := testing.AllocsPerRun(50, func() { s.RunUntil(s.Now() + 2) }); allocs != 0 {
 			t.Fatalf("a contact's start→abort cycle allocates %v times", allocs)
@@ -496,13 +496,10 @@ func (h *abortRelay) TransferAborted(now float64, from, to int) {
 // completion on its own record.
 func TestAbortHandlerCanStartTransfer(t *testing.T) {
 	s := event.NewScheduler()
-	m := NewMedium(s, testCfg())
+	m := NewMedium(s, testCfg(), 3)
 	h := &abortRelay{m: m}
 	m.SetHandler(&recorder{})
 	m.SetTransferHandler(h)
-	for id := range 3 {
-		m.Add(fixed(id, geo.Point{}))
-	}
 	m.StartPlan(testPlan(t, []contactplan.Contact{{A: 0, B: 1, Start: 0, End: 5}, {A: 0, B: 2, Start: 0, End: 20}}))
 	s.RunUntil(1)
 	if !m.StartTransfer(0, 1, units.MB(12.5)) {
